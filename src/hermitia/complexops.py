@@ -9,6 +9,11 @@ eta = e^r - i (e^r o J), which satisfies eta(JX) = i eta(X).  The twisted
 differential is fixed as d^c = i (delbar - del); with this choice
 d d^c a = 2 i del(delbar(a)) on pure-bidegree inputs, so every
 "d d^c (omega^k) = 0" style condition is tested through del(delbar(.)).
+
+The operators act on the complex coframe of the structure's ComplexModel.
+A real-basis form is converted once in and once out; a form over the
+model's complex presentation (``model.cpres``) is acted on in place, so
+del(delbar(omega^k)) computed there pays for one conversion in total.
 """
 
 from __future__ import annotations
@@ -201,9 +206,12 @@ class AlmostComplexStructure:
 
 class ComplexModel:
     """The (1,0)-coframe of an integrable structure and the induced complex
-    presentation, with exact change of basis in both directions.
+    presentation ``cpres``, with exact change of basis in both directions.
 
     Complex generator k <= m is eta_k; generator m + k is its conjugate.
+    del, delbar and the bigrading act on ``cpres`` forms (d_split_complex).
+    The change of basis is an algebra isomorphism; to_complex and to_real
+    keep nothing, so a caller that needs a form in both bases holds both.
     """
 
     def __init__(self, J: AlmostComplexStructure):
@@ -218,33 +226,13 @@ class ComplexModel:
         # greedy coframe selection: take the lowest real index whose dual is
         # not yet in the complex span of the chosen pairs
         span = []
-
-        def reduce_against(v, rows):
-            v = list(v)
-            for lead, rv in rows:
-                if not v[lead].is_zero():
-                    f = v[lead]
-                    v = [x - f * y for x, y in zip(v, rv)]
-            return v
-
-        def add_row(v):
-            v = reduce_against(v, span)
-            lead = next((k for k in range(n) if not v[k].is_zero()), None)
-            if lead is None:
-                return False
-            pv = v[lead]
-            v = [x / pv for x in v]
-            span.append((lead, v))
-            return True
-
         sigma = []
         for r in range(1, n + 1):
             dual = [table.zero] * n
             dual[r - 1] = table.one
-            if not add_row(list(dual)):
+            if not linear.extend_span(span, dual):
                 continue
-            jrow = [self.J.matrix[r - 1][s] for s in range(n)]
-            add_row(jrow)
+            linear.extend_span(span, self.J.matrix[r - 1])
             sigma.append(r)
             if len(sigma) == m:
                 break
@@ -421,32 +409,37 @@ class ComplexModel:
 
 
 class BigradedForm:
-    """The (p,q)-decomposition of a form with respect to a fixed structure."""
+    """The (p,q)-decomposition of a form with respect to a fixed structure.
 
-    def __init__(self, J, components):
-        self.J = J
-        self.components = components  # {(p, q): Form over the real presentation}
+    The parts stay in the complex coframe; a component is converted back to
+    the basis of the decomposed form only when it is read."""
+
+    def __init__(self, model, parts, back):
+        self.model = model
+        self.parts = parts  # {(p, q): Form over model.cpres}
+        self._back = back  # model.to_real, or the identity for complex input
 
     def component(self, p, q) -> Form:
-        got = self.components.get((p, q))
-        if got is None:
-            return Form.zero(self.J.presentation)
-        return got
+        return self._back(self.parts.get((p, q), Form.zero(self.model.cpres)))
+
+    @property
+    def components(self):
+        return {pq: self.component(*pq) for pq in self.bidegrees()}
 
     def bidegrees(self):
-        return sorted(self.components)
+        return sorted(self.parts)
 
     def total(self) -> Form:
-        out = Form.zero(self.J.presentation)
-        for f in self.components.values():
-            out = out + f
-        return out
+        terms = {}
+        for part in self.parts.values():
+            terms.update(part.terms)
+        return self._back(Form(self.model.cpres, terms, _canonical=True))
 
     def is_pure(self, p, q):
-        return set(self.components) <= {(p, q)}
+        return set(self.parts) <= {(p, q)}
 
     def __repr__(self):
-        return f"BigradedForm({sorted(self.components)})"
+        return f"BigradedForm({self.bidegrees()})"
 
 
 def nijenhuis_vanishes(J: AlmostComplexStructure) -> NijenhuisReport:
@@ -458,33 +451,34 @@ def coframe_10(J: AlmostComplexStructure):
     return list(J.model().eta_forms)
 
 
+def _lift(a: Form, J: AlmostComplexStructure):
+    """(model, a in the complex coframe, the map back to a's basis)."""
+    model = J.model()
+    if a.presentation is model.cpres:
+        return model, a, lambda f: f
+    return model, model.to_complex(a), model.to_real
+
+
 def bidegree(a: Form, J: AlmostComplexStructure) -> BigradedForm:
-    model = J.model()
-    ca = model.to_complex(a)
-    parts = model.split_bidegrees(ca)
-    return BigradedForm(J, {pq: model.to_real(f) for pq, f in parts.items()})
-
-
-def _d_split(a: Form, J: AlmostComplexStructure):
-    """d decomposed as (del part, delbar part) on each pure component; a
-    residual outside {(p+1,q),(p,q+1)} raises (non-integrability signal)."""
-    model = J.model()
-    dl, db = model.d_split_complex(model.to_complex(a))
-    return model.to_real(dl), model.to_real(db)
+    model, ca, back = _lift(a, J)
+    return BigradedForm(model, model.split_bidegrees(ca), back)
 
 
 def del_(a: Form, J: AlmostComplexStructure) -> Form:
-    return _d_split(a, J)[0]
+    model, ca, back = _lift(a, J)
+    return back(model.d_split_complex(ca)[0])
 
 
 def delbar(a: Form, J: AlmostComplexStructure) -> Form:
-    return _d_split(a, J)[1]
+    model, ca, back = _lift(a, J)
+    return back(model.d_split_complex(ca)[1])
 
 
 def dc(a: Form, J: AlmostComplexStructure) -> Form:
     """d^c = i (delbar - del)."""
-    dl, db = _d_split(a, J)
-    return a.presentation.table.i * (db - dl)
+    model, ca, back = _lift(a, J)
+    dl, db = model.d_split_complex(ca)
+    return back(model.cpres.table.i * (db - dl))
 
 
 def conjugate_form(a: Form, J: AlmostComplexStructure | None = None) -> Form:
@@ -494,14 +488,13 @@ def conjugate_form(a: Form, J: AlmostComplexStructure | None = None) -> Form:
 
 def weil_operator(a: Form, J: AlmostComplexStructure) -> Form:
     """Multiply each (p,q)-component by i^(p-q)."""
-    model = J.model()
+    model, ca, back = _lift(a, J)
     table = a.presentation.table
-    ca = model.to_complex(a)
     out = {}
     for idx, c in ca.terms.items():
         p, q = model.bidegree_of_indices(idx)
         out[idx] = c * table.i ** ((p - q) % 4)
-    return model.to_real(Form(model.cpres, out, _canonical=True))
+    return back(Form(model.cpres, out, _canonical=True))
 
 
 def fundamental_form(J: AlmostComplexStructure, gram) -> Form:

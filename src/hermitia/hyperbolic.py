@@ -193,11 +193,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([ (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n) ])
-
-
 def poly_neg(p):
     return [-c for c in p]
 
@@ -365,7 +360,9 @@ def isolate_real_roots(p, lo, hi):
 def refine_interval(p, a, b, width=Fraction(1, 10**12)):
     """Bisect an isolating interval (a, b] of p below the given width."""
     chain = sturm_chain(p)
-    assert count_roots_halfopen(chain, a, b) == 1
+    found = count_roots_halfopen(chain, a, b)
+    if found != 1:
+        raise LatticeError(f"({a}, {b}] holds {found} roots, not exactly one")
     while b - a > width:
         mid = (a + b) / 2
         if count_roots_halfopen(chain, a, mid) == 1:

@@ -17,16 +17,6 @@ class LinearError(ValueError):
     pass
 
 
-def mat_from(table: SymbolTable, rows):
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            row.append(x if isinstance(x, Scalar) else table.scalar(x))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def identity(table: SymbolTable, n):
     one, zero = table.one, table.zero
     return tuple(
@@ -67,8 +57,20 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def conj_transpose(a):
-    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
+def extend_span(span, v):
+    """Add the row v to a greedy echelon basis [(lead, row)] unless it lies
+    in the span already; returns whether it was added."""
+    v = list(v)
+    for lead, rv in span:
+        if not v[lead].is_zero():
+            f = v[lead]
+            v = [x - f * y for x, y in zip(v, rv)]
+    lead = next((k for k, x in enumerate(v) if not x.is_zero()), None)
+    if lead is None:
+        return False
+    pv = v[lead]
+    span.append((lead, [x / pv for x in v]))
+    return True
 
 
 def mat_eq(a, b):

@@ -35,14 +35,13 @@ from .cealg import (
     LieAlgebraPresentation,
     PresentationError,
     top_coefficient,
-    wedge,
     wedge_all,
     wedge_power,
 )
 from .complexops import AlmostComplexStructure, IntegrabilityError, weil_operator
 from .metrics import HermitianCandidate, MetricError
 from .quaternion import HKTCandidate, HypercomplexTriple, QuaternionError
-from .scalars import Scalar, ScalarError, Symbol, SymbolTable
+from .scalars import ScalarError, Symbol, SymbolTable
 
 SCHEMA = "hermitia-manifest/1"
 REPORT_SCHEMA = "hermitia-report/1"
@@ -858,6 +857,8 @@ def run_check(manifest: Manifest, only=None, seed=None) -> Report:
             linear.LinearError,
         ) as e:
             verdict, detail = "error", {"reason": str(e)}
+        except Exception as e:  # last resort: an unforeseen failure is never a pass
+            verdict, detail = "error", {"reason": f"{type(e).__name__}: {e}"}
         elapsed = (time.perf_counter() - start) * 1000.0
         outcomes.append(
             CheckOutcome(check["id"], check["kind"], verdict, detail, informational, elapsed)

@@ -39,7 +39,8 @@ class PredicateReport:
 
 
 class HermitianCandidate:
-    """A real (1,1)-form with respect to a named integrable structure."""
+    """A real (1,1)-form with respect to a named integrable structure; the
+    form is also kept in the structure's complex coframe as ``omega_c``."""
 
     def __init__(self, J: AlmostComplexStructure, omega: Form):
         self.J = J
@@ -49,10 +50,17 @@ class HermitianCandidate:
         self.m = self.presentation.dim // 2
         if not (omega.conjugate() - omega).is_zero():
             raise MetricError("fundamental form candidate is not real")
-        bg = bidegree(omega, J)
+        self.omega_c = J.model().to_complex(omega)
+        bg = bidegree(self.omega_c, J)
         if not bg.is_pure(1, 1):
             raise MetricError(f"fundamental form is not of pure bidegree (1,1): {bg.bidegrees()}")
         self.omega = omega
+
+    def del_delbar_power(self, k: int) -> Form:
+        """del(delbar(omega^k)), evaluated in the complex coframe; the result
+        is converted to the real basis."""
+        J = self.J
+        return J.model().to_real(del_(delbar(wedge_power(self.omega_c, k), J), J))
 
     def __repr__(self):
         return f"HermitianCandidate(m={self.m}, omega={self.omega})"
@@ -71,14 +79,14 @@ def is_balanced(c: HermitianCandidate) -> PredicateReport:
 
 
 def is_pluriclosed(c: HermitianCandidate) -> PredicateReport:
-    res = del_(delbar(c.omega, c.J), c.J)
+    res = c.del_delbar_power(1)
     return PredicateReport("pluriclosed", res.is_zero(), None if res.is_zero() else res)
 
 
 def is_astheno(c: HermitianCandidate) -> PredicateReport:
     if c.m < 3:
         raise MetricError("astheno-Kahler needs complex dimension >= 3")
-    res = del_(delbar(wedge_power(c.omega, c.m - 2), c.J), c.J)
+    res = c.del_delbar_power(c.m - 2)
     return PredicateReport("astheno", res.is_zero(), None if res.is_zero() else res)
 
 
@@ -86,7 +94,7 @@ def is_k_pluriclosed(c: HermitianCandidate, k: int) -> PredicateReport:
     """d d^c (omega^k) = 0, tested through the equivalent del(delbar(omega^k))."""
     if not 1 <= k <= c.m - 1:
         raise MetricError(f"k-pluriclosed needs 1 <= k <= {c.m - 1}, got {k}")
-    res = del_(delbar(wedge_power(c.omega, k), c.J), c.J)
+    res = c.del_delbar_power(k)
     return PredicateReport(
         "k_pluriclosed", res.is_zero(), None if res.is_zero() else res, notes={"k": k}
     )
@@ -140,10 +148,9 @@ def bismut_torsion(c: HermitianCandidate):
 
 def coframe_gram(c: HermitianCandidate):
     """The Hermitian matrix h with omega = i sum h_ab eta_a ^ conj(eta_b)."""
-    model = c.J.model()
-    com = model.to_complex(c.omega)
+    com = c.omega_c
     table = c.presentation.table
-    m = model.m
+    m = c.m
     minus_i = -table.i
     rows = []
     for a in range(1, m + 1):

@@ -115,6 +115,7 @@ class HKTCandidate:
     The derived data is the half frame S and the coefficient matrix a with
     Omega = sum_{r,s in S} a_rs eta_r ^ J(conj(eta_s)); the candidate is
     J-compatible iff the decomposition exists, and Hermitian iff a is.
+    The form is also kept in the complex coframe of I as ``omega_c``.
     """
 
     def __init__(self, triple: HypercomplexTriple, omega20: Form):
@@ -123,11 +124,12 @@ class HKTCandidate:
         if self.presentation.dim % 4:
             raise QuaternionError("quaternionic structures need dimension divisible by 4")
         self.quaternionic_dim = self.presentation.dim // 4
-        bg = bidegree(omega20, triple.I)
+        self.omega_c = triple.I.model().to_complex(omega20)
+        bg = bidegree(self.omega_c, triple.I)
         if not bg.is_pure(2, 0):
             raise QuaternionError(f"candidate is not pure (2,0): {bg.bidegrees()}")
         self.omega = omega20
-        self.frame, self.coefficients = _half_frame_decomposition(triple, omega20)
+        self.frame, self.coefficients = _half_frame_decomposition(triple, self.omega_c)
 
     def hermitian_violation(self):
         a = self.coefficients
@@ -143,35 +145,20 @@ def _half_frame(triple: HypercomplexTriple):
     """Greedy half frame S: eta_r for r in S plus J(conj(eta_s)) span (1,0)."""
     model = triple.I.model()
     m = model.m
-    table = triple.presentation.table
     n = triple.presentation.dim
 
     def as_row(form):
         return [form.coefficient((s,)) for s in range(1, n + 1)]
 
     span = []
-
-    def try_add(v):
-        v = list(v)
-        for lead, rv in span:
-            if not v[lead].is_zero():
-                f = v[lead]
-                v = [x - f * y for x, y in zip(v, rv)]
-        lead = next((k for k in range(n) if not v[k].is_zero()), None)
-        if lead is None:
-            return False
-        pv = v[lead]
-        span.append((lead, [x / pv for x in v]))
-        return True
-
     frame = []
     jbars = {}
     for r in range(1, m + 1):
         eta = model.eta(r)
-        if not try_add(as_row(eta)):
+        if not linear.extend_span(span, as_row(eta)):
             continue
         jbar = triple.J.apply_to_one_form(eta.conjugate())
-        if not try_add(as_row(jbar)):
+        if not linear.extend_span(span, as_row(jbar)):
             raise QuaternionError("half frame selection failed (J does not pair the coframe)")
         frame.append(r)
         jbars[r] = jbar
@@ -182,17 +169,15 @@ def _half_frame(triple: HypercomplexTriple):
     return frame, jbars
 
 
-def _half_frame_decomposition(triple: HypercomplexTriple, omega20: Form):
-    """Solve Omega = sum a_rs eta_r ^ J(conj(eta_s)) over the half frame."""
+def _half_frame_decomposition(triple: HypercomplexTriple, target: Form):
+    """Solve Omega = sum a_rs eta_r ^ J(conj(eta_s)) over the half frame;
+    ``target`` is Omega in the complex coframe of I."""
     model = triple.I.model()
     frame, jbars = _half_frame(triple)
     table = triple.presentation.table
-    basis = []
-    for r in frame:
-        for s in frame:
-            basis.append(wedge(model.eta(r), jbars[s]))
-    target = model.to_complex(omega20)
-    cbasis = [model.to_complex(b) for b in basis]
+    # eta_r is complex generator r, so each basis element is built in the coframe
+    cjbars = {s: model.to_complex(jbars[s]) for s in frame}
+    cbasis = [wedge(model.cpres.generator(r), cjbars[s]) for r in frame for s in frame]
     rows_idx = sorted(
         set(target.terms) | {idx for b in cbasis for idx in b.terms},
         key=lambda u: (len(u), u),
@@ -220,7 +205,8 @@ def check_hkt(c: HKTCandidate, valuation=None) -> QuaternionReport:
             "" if viol is None else f"entry pair {viol}",
         )
     )
-    res = del_(c.omega, c.triple.I)
+    I = c.triple.I
+    res = I.model().to_real(del_(c.omega_c, I))
     checks.append(SubCheck("del Omega = 0", res.is_zero(), "" if res.is_zero() else str(res)))
     if viol is None:
         checks.append(_positive_definite_check(c, valuation))
@@ -257,7 +243,8 @@ def check_quaternionic_balanced(c: HKTCandidate) -> QuaternionReport:
     if q == 1:
         checks.append(SubCheck("del Omega^0 = 0", True, "trivial at quaternionic dimension 1"))
     else:
-        res = del_(wedge_power(c.omega, q - 1), c.triple.I)
+        I = c.triple.I
+        res = I.model().to_real(del_(wedge_power(c.omega_c, q - 1), I))
         checks.append(
             SubCheck(
                 f"del Omega^{q - 1} = 0", res.is_zero(), "" if res.is_zero() else str(res)
@@ -274,10 +261,12 @@ class PrimitiveReport:
 
 def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     """Solve del(x) = form exactly for x of bidegree (p-1, 0); the primitive
-    witnesses del-exactness constructively."""
+    witnesses del-exactness constructively.  A form over the complex coframe
+    of J is solved in place and its primitive stays there."""
     model = J.model()
     table = form.presentation.table
-    cform = model.to_complex(form)
+    native = form.presentation is model.cpres
+    cform = form if native else model.to_complex(form)
     if cform.is_zero():
         return PrimitiveReport(True, Form.zero(form.presentation))
     degs = {model.bidegree_of_indices(idx) for idx in cform.terms}
@@ -290,17 +279,7 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
 
     m = model.m
     unknowns = list(combinations(range(1, m + 1), p - 1))
-    cols = []
-    for idx in unknowns:
-        mono = model.cpres.form([(1, idx)])
-        dmono = model.cpres.d(mono)
-        # keep only the (p,0) component of d
-        kept = {
-            jdx: cc
-            for jdx, cc in dmono.terms.items()
-            if model.bidegree_of_indices(jdx) == (p, 0)
-        }
-        cols.append(kept)
+    cols = [del_(model.cpres.form([(1, idx)]), J).terms for idx in unknowns]
     rows_idx = sorted(
         set(cform.terms) | {jdx for col in cols for jdx in col},
         key=lambda u: (len(u), u),
@@ -314,10 +293,10 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     for coeff, idx in zip(sol, unknowns):
         if not coeff.is_zero():
             terms[idx] = coeff
-    candidate = model.to_real(Form(model.cpres, terms, _canonical=True))
-    if not (del_(candidate, J) - form).is_zero():
+    candidate = Form(model.cpres, terms, _canonical=True)
+    if not (del_(candidate, J) - cform).is_zero():
         raise QuaternionError("primitive verification failed")
-    return PrimitiveReport(True, candidate)
+    return PrimitiveReport(True, candidate if native else model.to_real(candidate))
 
 
 def hkt_obstruction(
@@ -337,13 +316,14 @@ def hkt_obstruction(
     pres = t.presentation
     table = pres.table
     model = t.I.model()
-    bg_a = bidegree(alpha, t.I)
+    alpha_c = model.to_complex(alpha)
+    bg_a = bidegree(alpha_c, t.I)
     if not bg_a.is_pure(4, 0):
         raise FormError(f"alpha must be a (4,0)-form, got {bg_a.bidegrees()}")
     bg_b = bidegree(beta, t.I)
     if not bg_b.is_pure(model.m, 0):
         raise FormError(f"beta must be a ({model.m},0)-form")
-    prim = del_primitive(alpha, t.I)
+    prim = del_primitive(alpha_c, t.I)
     if not prim.exists:
         raise QuaternionError("alpha is not del-exact: no primitive found")
     if not pres.d(beta).is_zero():

@@ -579,9 +579,6 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == {_ONE_MONO: Fraction(1)} and self.den == {_ONE_MONO: Fraction(1)}
-
     def is_rational(self):
         return self.den == {_ONE_MONO: Fraction(1)} and (
             not self.num or set(self.num) == {_ONE_MONO}

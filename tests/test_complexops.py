@@ -3,9 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_at4, make_fp_solv8, make_hk12, random_form
-from hermitia.cealg import LieAlgebraPresentation, abelian, direct_sum, wedge, wedge_all
+from hermitia.builders import builtin
+from hermitia.cealg import (
+    Form,
+    LieAlgebraPresentation,
+    abelian,
+    direct_sum,
+    wedge,
+    wedge_all,
+    wedge_power,
+)
 from hermitia.complexops import (
     AlmostComplexStructure,
     IntegrabilityError,
@@ -245,3 +256,98 @@ def test_fundamental_form_rejects_incompatible_metric():
 
     with pytest.raises(FormError):
         fundamental_form(J, bad_g)
+
+
+# -- properties of the complex coframe ------------------------------------------
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@pytest.fixture(scope="module", params=["fp_solv8", "pseudoHK12"])
+def structure(request, solv8_I, hk12_I):
+    """(structure, symbol names usable in its coefficients)."""
+    return (solv8_I, ("b",)) if request.param == "fp_solv8" else (hk12_I, ())
+
+
+def form_terms(dim, symbols):
+    coeff = st.tuples(
+        st.integers(-3, 3).filter(bool), st.booleans(), st.sampled_from((None,) + symbols)
+    )
+    idx = st.lists(st.integers(1, dim), min_size=1, max_size=3, unique=True)
+    return st.lists(st.tuples(coeff, idx), min_size=1, max_size=4)
+
+
+def build_form(pres, terms):
+    table = pres.table
+    out = []
+    for (c, imaginary, symbol), idx in terms:
+        s = table.scalar(c)
+        if imaginary:
+            s = s * table.i
+        if symbol is not None:
+            s = s * table.symbol(symbol)
+        out.append((s, tuple(idx)))
+    return pres.form(out)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_conversions_invert(structure, data):
+    J, symbols = structure
+    model = J.model()
+    f = build_form(J.presentation, data.draw(form_terms(J.presentation.dim, symbols)))
+    assert model.to_real(model.to_complex(f)) == f
+    cg = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    assert model.to_complex(model.to_real(cg)) == cg
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_native_del_plus_delbar_is_d(structure, data):
+    J, symbols = structure
+    model = J.model()
+    cf = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    dl, db = del_(cf, J), delbar(cf, J)
+    assert dl + db == model.cpres.d(cf)
+    f = model.to_real(cf)
+    assert model.to_real(dl) == del_(f, J)
+    assert model.to_real(db) == delbar(f, J)
+    assert del_(f, J) + delbar(f, J) == J.presentation.d(f)
+
+
+def _real_round_trip(c, k):
+    return del_(delbar(wedge_power(c.omega, k), c.J), c.J)
+
+
+@pytest.mark.parametrize("name, omega, endo", [("AT4", "omega0", "J"), ("fp_solv8", "omega", "I")])
+def test_complex_frame_del_delbar_power_matches_real_round_trip(name, omega, endo):
+    cand = builtin(name).build().candidate(omega, endo)
+    for k in range(1, cand.m):
+        assert cand.del_delbar_power(k) == _real_round_trip(cand, k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_property_del_delbar_power_on_random_11_forms(structure, data):
+    from hermitia.metrics import HermitianCandidate
+
+    J, _symbols = structure
+    model = J.model()
+    table = J.presentation.table
+    m = model.m
+    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    h = {}
+    for a in range(1, m + 1):
+        h[a, a] = table.scalar(data.draw(st.integers(-2, 2)))
+        for b in range(a + 1, m + 1):
+            x, y = data.draw(entry)
+            h[a, b] = table.scalar(x) + table.scalar(y) * table.i
+            h[b, a] = h[a, b].conjugate()
+    omega_c = sum(
+        (table.i * c * model.eta_monomial((a,), (b,)) for (a, b), c in h.items()),
+        Form.zero(model.cpres),
+    )
+    cand = HermitianCandidate(J, model.to_real(omega_c))
+    # the real-basis side is the slow one: k = 3 on pseudoHK12 takes seconds
+    k = data.draw(st.integers(1, min(m - 1, 2)))
+    assert cand.del_delbar_power(k) == _real_round_trip(cand, k)

@@ -87,6 +87,15 @@ def test_sturm_root_counting():
         assert poly_eval(p, a2) * poly_eval(p, b2) <= 0
 
 
+def test_refine_interval_requires_exactly_one_root():
+    # (t^2 - 2)(t - 3): (2, 2.5] holds no root, (0, 10] holds sqrt2 and 3
+    p = poly_mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-3), Fraction(1)])
+    with pytest.raises(LatticeError, match="holds 0 roots"):
+        refine_interval(p, Fraction(2), Fraction(5, 2))
+    with pytest.raises(LatticeError, match="holds 2 roots"):
+        refine_interval(p, Fraction(0), Fraction(10))
+
+
 def test_classify_pell_hyperbolic(lorentz2):
     res = classify(PELL, lorentz2)
     assert res.label == "hyperbolic"

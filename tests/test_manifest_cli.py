@@ -197,6 +197,22 @@ def test_cli_classify_rational_entries(tmp_path):
     assert out.strip() == "parabolic"
 
 
+def test_cli_check_missing_parameter_is_error_verdict(tmp_path):
+    code, manifest_text, _ = _run_cli(["builtin", "AT4", "--emit"])
+    assert code == 0
+    data = json.loads(manifest_text)
+    kahler = next(c for c in data["checks"] if c["kind"] == "kahler")
+    del kahler["omega"]
+    path = tmp_path / "no_omega.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run_cli(["check", str(path), "--report", "json", "--no-timing"])
+    assert code == 1
+    assert "Traceback" not in err
+    outcome = next(c for c in json.loads(out)["checks"] if c["id"] == kahler["id"])
+    assert outcome["verdict"] == "error"
+    assert outcome["detail"]["reason"] == "KeyError: 'omega'"
+
+
 def test_cli_usage_error_exit_two():
     code, _out, _err = _run_cli(["classify", "--gram", "only.json"])
     assert code == 2

@@ -171,6 +171,16 @@ def test_del_primitive_examples(hk12_triple):
     assert not rep.exists
 
 
+def test_del_primitive_in_coframe_matches_real_basis(hk12_triple):
+    m = hk12_triple.I.model()
+    I = hk12_triple.I
+    cform = m.eta_monomial((1, 3, 5, 6))
+    native = del_primitive(cform, I)
+    assert native.exists and native.primitive.presentation is m.cpres
+    assert m.to_real(native.primitive) == del_primitive(m.to_real(cform), I).primitive
+    assert not del_primitive(m.eta_monomial((1, 2, 3, 4)), I).exists
+
+
 def test_obstruction_pairing(hk12_triple):
     syms = [Symbol(n) for n in ("a11", "a22", "a55", "x12", "y12", "x15", "y15", "x25", "y25")]
     table_s = SymbolTable(syms)
