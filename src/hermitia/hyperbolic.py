@@ -20,11 +20,14 @@ root counting); floating point only enters the explicitly numeric operations
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 import sympy
+
+from .linear import congruence_signature, rref
 
 
 class LatticeError(ValueError):
@@ -88,56 +91,6 @@ def _is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def symmetric_signature(gram):
-    """Signature (p, q, z) of a rational symmetric matrix by congruence."""
-    n = len(gram)
-    a = [list(row) for row in gram]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise LatticeError("gram matrix is not symmetric")
-    p = q = z = 0
-    pos = 0
-    while pos < n:
-        piv = next((k for k in range(pos, n) if a[k][k] != 0), None)
-        if piv is None:
-            hot = None
-            for r in range(pos, n):
-                for c in range(r + 1, n):
-                    if a[r][c] != 0:
-                        hot = (r, c)
-                        break
-                if hot:
-                    break
-            if hot is None:
-                z += n - pos
-                break
-            r, c = hot
-            for k in range(n):
-                a[r][k] += a[c][k]
-            for k in range(n):
-                a[k][r] += a[k][c]
-            piv = r
-        if piv != pos:
-            a[piv], a[pos] = a[pos], a[piv]
-            for row in a:
-                row[piv], row[pos] = row[pos], row[piv]
-        d = a[pos][pos]
-        if d > 0:
-            p += 1
-        else:
-            q += 1
-        factors = {r: a[r][pos] / d for r in range(pos + 1, n) if a[r][pos] != 0}
-        for r, f in factors.items():
-            for k in range(n):
-                a[r][k] -= f * a[pos][k]
-        for r, f in factors.items():
-            for k in range(n):
-                a[k][r] -= f * a[k][pos]
-        pos += 1
-    return p, q, z
-
-
 class QuadraticLattice:
     """An exact symmetric Gram matrix with its cached signature."""
 
@@ -146,7 +99,11 @@ class QuadraticLattice:
         n = len(self.gram)
         if any(len(r) != n for r in self.gram):
             raise LatticeError("gram matrix must be square")
-        self.signature = symmetric_signature(self.gram)
+        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(i)):
+            raise LatticeError("gram matrix is not symmetric")
+        self.signature = congruence_signature(
+            [list(row) for row in self.gram], operator.not_, Fraction
+        )
 
     @property
     def dim(self):
@@ -413,69 +370,55 @@ def _min_poly_factor_for_interval(p, a, b):
     raise LatticeError("no factor isolates the interval (internal error)")
 
 
-class _QuadExt:
-    """Arithmetic in Q[x]/(x^2 - s x - t): elements are pairs (a, b) = a + b x."""
+class _QuadNumber:
+    """a + b x in Q(x) = Q[x]/(x^2 - s x - t), with exact field operations."""
 
-    def __init__(self, s, t):
-        self.s, self.t = s, t
+    __slots__ = ("a", "b", "s", "t")
 
-    def mul(self, u, v):
-        a, b = u
-        c, d = v
+    def __init__(self, a, b, s, t):
+        self.a, self.b, self.s, self.t = a, b, s, t
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __neg__(self):
+        return _QuadNumber(-self.a, -self.b, self.s, self.t)
+
+    def __sub__(self, o):
+        return _QuadNumber(self.a - o.a, self.b - o.b, self.s, self.t)
+
+    def __mul__(self, o):
+        a, b, c, d = self.a, self.b, o.a, o.b
         # (a + b x)(c + d x) = ac + (ad + bc) x + bd x^2, x^2 = s x + t
-        return (a * c + b * d * self.t, a * d + b * c + b * d * self.s)
+        return _QuadNumber(a * c + b * d * self.t, a * d + b * c + b * d * self.s, self.s, self.t)
 
-    def sub(self, u, v):
-        return (u[0] - v[0], u[1] - v[1])
-
-    def is_zero(self, u):
-        return u[0] == 0 and u[1] == 0
-
-    def inv(self, u):
-        a, b = u
-        # conjugate root: x' = s - x, norm = (a + b x)(a + b x')
-        # = a^2 + a b s + b^2 x x', x x' = -t
-        n = a * a + a * b * self.s - b * b * self.t
+    def __truediv__(self, o):
+        c, d, s, t = o.a, o.b, self.s, self.t
+        # conjugate root: x' = s - x, norm = (c + d x)(c + d x')
+        # = c^2 + c d s + d^2 x x', x x' = -t
+        n = c * c + c * d * s - d * d * t
         if n == 0:
             raise ZeroDivisionError("non-invertible quadratic element")
-        # (a + b x)^-1 = (a + b s - b x)/n
-        return ((a + b * self.s) / n, -b / n)
-
-    def div(self, u, v):
-        return self.mul(u, self.inv(v))
+        # (c + d x)^-1 = (c + d s - d x)/n
+        return self * _QuadNumber((c + d * s) / n, -d / n, s, t)
 
 
 def _eigenvector_quadratic(m, s, t):
     """Exact kernel vector of (M - lambda I) over Q(lambda), lambda^2 = s lambda + t."""
-    ext = _QuadExt(s, t)
     n = len(m)
-    a = [[(m[i][j], Fraction(0)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        a[i][i] = (a[i][i][0], a[i][i][1] - 1)
-    # gaussian elimination over the quadratic field
-    pivots = []
-    row = 0
-    for col in range(n):
-        pr = next((r for r in range(row, n) if not ext.is_zero(a[r][col])), None)
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        pv = a[row][col]
-        a[row] = [ext.div(x, pv) for x in a[row]]
-        for r in range(n):
-            if r != row and not ext.is_zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [ext.sub(x, ext.mul(f, y)) for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    zero, one = Fraction(0), Fraction(1)
+    a = [
+        [_QuadNumber(m[i][j], -one if i == j else zero, s, t) for j in range(n)]
+        for i in range(n)
+    ]
+    pivots, _, _ = rref(a, n, operator.not_)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
         raise LatticeError("eigenvalue has no kernel (internal error)")
-    c0 = free[0]
-    v = [(Fraction(0), Fraction(0))] * n
-    v[c0] = (Fraction(1), Fraction(0))
-    for r, col in enumerate(pivots):
-        v[col] = ext.sub((Fraction(0), Fraction(0)), a[r][c0])
+    v = [_QuadNumber(zero, zero, s, t)] * n
+    v[free] = _QuadNumber(one, zero, s, t)
+    for row, col in zip(a, pivots):
+        v[col] = -row[free]
     return v
 
 
@@ -512,9 +455,9 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             s = -factor[1] / factor[2]
             t = -factor[0] / factor[2]
             v = _eigenvector_quadratic(m, s, t)
-            cert["eigenvector"] = v
+            cert["eigenvector"] = [(x.a, x.b) for x in v]
             cert["eigenvector_field"] = f"quadratic: x^2 = {s}*x + {t}"
-            cert["q_value"] = _quad_q_value(lattice, v, s, t)
+            cert["q_value"] = _quad_q_value(lattice, v)
         else:
             lam_num = float((a + b) / 2)
             vec, res = _numeric_eigenvector(m, lam_num)
@@ -561,9 +504,8 @@ def _eigenvector_int_kernel(m, lam):
     return basis[0]
 
 
-def _quad_q_value(lattice, v, s, t):
-    """q(v, v) for a vector over Q[x]/(x^2 - s x - t), as a pair (a, b)."""
-    ext = _QuadExt(s, t)
+def _quad_q_value(lattice, v):
+    """q(v, v) for a vector over Q(lambda), as a pair (a, b) = a + b lambda."""
     total = (Fraction(0), Fraction(0))
     n = lattice.dim
     for i in range(n):
@@ -571,8 +513,8 @@ def _quad_q_value(lattice, v, s, t):
             g = lattice.gram[i][j]
             if g == 0:
                 continue
-            prod = ext.mul(v[i], v[j])
-            total = (total[0] + g * prod[0], total[1] + g * prod[1])
+            prod = v[i] * v[j]
+            total = (total[0] + g * prod.a, total[1] + g * prod.b)
     return total
 
 
@@ -595,32 +537,16 @@ def _numeric_eigenvector(m, lam):
 def kernel_basis(matrix):
     """Exact kernel basis of a rational matrix, integer-cleared."""
     m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pr = next((r for r in range(row, rows) if m[r][col] != 0), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(rows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
+    cols = len(m[0]) if m else 0
+    pivots, _, _ = rref(m, cols, operator.not_)
     basis = []
-    piv_set = set(pivots)
     for free in range(cols):
-        if free in piv_set:
+        if free in pivots:
             continue
         v = [Fraction(0)] * cols
         v[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][free]
+        for row, col in zip(m, pivots):
+            v[col] = -row[free]
         den_lcm = 1
         for x in v:
             den_lcm = den_lcm * x.denominator // _gcd(den_lcm, x.denominator)
@@ -675,7 +601,7 @@ def invariant_classes(matrix, lattice: QuadraticLattice) -> InvariantClassReport
     restricted = [
         [lattice.value(ker[i], ker[j]) for j in range(k)] for i in range(k)
     ]
-    sig = symmetric_signature(restricted)
+    sig = QuadraticLattice(restricted).signature
     negdef = sig == (0, k, 0)
     return InvariantClassReport(ker, qv, sig, negdef, label, not negdef)
 

@@ -1,16 +1,28 @@
-"""Exact linear algebra over the scalar field: solving, rank, inversion,
-matrix identities and exact congruence diagonalization of Hermitian forms.
+"""Exact linear algebra: one row-reduction kernel, one congruence
+diagonalization, and matrix identities over the scalar field.
 
-Matrices are tuples/lists of rows of scalars.  Elimination uses exact field
-division, so every pivot decision is a decidable zero test on canonical
-forms; nothing here is numeric.
+``rref`` and ``congruence_signature`` are hermitia's only eliminations,
+besides the incremental ``extend_span``.  Their field contract: entries
+support ``+``, ``-``, ``*`` and ``/`` among themselves, and the caller
+passes the exact zero test.  One loop therefore serves the scalar field
+(zero test ``Scalar.is_zero``), the rationals of ``scalars._alg_inverse``
+and ``hyperbolic.kernel_basis`` (``operator.not_``) and the quadratic
+field Q(lambda) of ``hyperbolic._eigenvector_quadratic``.  Every pivot
+decision is that zero test on exact values; nothing here is numeric.
+
+``solve``, ``rank``, ``invert``, ``det`` and ``hermitian_signature`` are the
+scalar-field entry points.  ``perfbench/tracer.py`` wraps them by name, so
+they stay separate functions; ``rank`` has no caller in the package.
+Matrices are tuples/lists of rows of scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .scalars import Scalar, SymbolTable
+if TYPE_CHECKING:
+    from .scalars import Scalar, SymbolTable
 
 
 class LinearError(ValueError):
@@ -85,98 +97,124 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def rref(rows, ncols, is_zero):
+    """Bring ``rows``, a list of row lists, to reduced row echelon form on its
+    first ``ncols`` columns, in place; further columns (right-hand sides) are
+    carried along.  Pivots are the first nonzero entry of their column.
+
+    Returns (pivot columns, pivot values before scaling, number of row
+    swaps), which is what solving, inverting and determinants need.
+    """
+    m = len(rows)
+    pivots, values = [], []
+    swaps = 0
+    for col in range(ncols):
+        top = len(pivots)
+        if top == m:
+            break
+        pr = next((r for r in range(top, m) if not is_zero(rows[r][col])), None)
+        if pr is None:
+            continue
+        if pr != top:
+            rows[top], rows[pr] = rows[pr], rows[top]
+            swaps += 1
+        pv = rows[top][col]
+        prow = rows[top] = [x if is_zero(x) else x / pv for x in rows[top]]
+        for r in range(m):
+            f = rows[r][col]
+            if r != top and not is_zero(f):
+                rows[r] = [x if is_zero(y) else x - f * y for x, y in zip(rows[r], prow)]
+        pivots.append(col)
+        values.append(pv)
+    return pivots, values, swaps
+
+
+def congruence_signature(a, is_zero, to_rational):
+    """Signature (p, q, z) of a Hermitian matrix, given as a list of row
+    lists that is diagonalized in place by congruence.  Entries need
+    ``conjugate()`` (the identity on a real field); ``to_rational`` maps each
+    diagonal value to the rational whose sign is counted."""
+    n = len(a)
+    p = q = 0
+    for pos in range(n):
+        piv = next((k for k in range(pos, n) if not is_zero(a[k][k])), None)
+        if piv is None:
+            hot = next(
+                ((r, c) for r in range(pos, n) for c in range(r + 1, n) if not is_zero(a[r][c])),
+                None,
+            )
+            if hot is None:
+                return p, q, n - pos
+            r, c = hot
+            # congruence row r += a_rc * row c, col r += conj(a_rc) * col c
+            # turns the zero diagonal entry a_rr into 2|a_rc|^2 > 0
+            f = a[r][c]
+            a[r] = [x + f * y for x, y in zip(a[r], a[c])]
+            fc = f.conjugate()
+            for row in a:
+                row[r] = row[r] + fc * row[c]
+            piv = r
+        if piv != pos:
+            a[piv], a[pos] = a[pos], a[piv]
+            for row in a:
+                row[piv], row[pos] = row[pos], row[piv]
+        d = a[pos][pos]
+        if to_rational(d) > 0:
+            p += 1
+        else:
+            q += 1
+        factors = {r: a[r][pos] / d for r in range(pos + 1, n) if not is_zero(a[r][pos])}
+        for r, f in factors.items():
+            a[r] = [x - f * y for x, y in zip(a[r], a[pos])]
+        for r, f in factors.items():
+            fc = f.conjugate()
+            for row in a:
+                row[r] = row[r] - fc * row[pos]
+    return p, q, 0
+
+
+def _zero_test(table):
+    """``Scalar.is_zero``, found without importing scalars at run time."""
+    return type(table.zero).is_zero
+
+
 def solve(rows, rhs, table):
     """Solve A x = b exactly.  Returns (solution, free_count) or (None, None)
     when the system is inconsistent; free variables are set to zero."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    zero = table.zero
-    pivots = []
-    row = 0
-    for col in range(n):
-        pr = next((r for r in range(row, m) if not aug[r][col].is_zero()), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if not aug[r][n].is_zero():
-            return None, None
-    x = [zero] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots, _, _ = rref(aug, n, _zero_test(table))
+    if any(not row[n].is_zero() for row in aug[len(pivots):]):
+        return None, None
+    x = [table.zero] * n
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
     return x, n - len(pivots)
 
 
 def rank(rows, table):
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [list(r) for r in rows]
-    rk = 0
-    for col in range(n):
-        pr = next((r for r in range(rk, m) if not a[r][col].is_zero()), None)
-        if pr is None:
-            continue
-        a[rk], a[pr] = a[pr], a[rk]
-        pv = a[rk][col]
-        a[rk] = [x / pv for x in a[rk]]
-        for r in range(rk + 1, m):
-            if not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    ncols = len(rows[0]) if rows else 0
+    return len(rref([list(r) for r in rows], ncols, _zero_test(table))[0])
 
 
 def invert(rows, table):
     n = len(rows)
-    aug = [list(rows[i]) + list(identity(table, n)[i]) for i in range(n)]
-    for col in range(n):
-        pr = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pr is None:
-            raise LinearError("matrix is singular")
-        aug[col], aug[pr] = aug[pr], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    one, zero = table.one, table.zero
+    aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
+    pivots, _, _ = rref(aug, n, _zero_test(table))
+    if len(pivots) < n:
+        raise LinearError("matrix is singular")
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def det(rows, table):
     n = len(rows)
-    a = [list(r) for r in rows]
-    out = table.one
-    for col in range(n):
-        pr = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pr is None:
-            return table.zero
-        if pr != col:
-            a[col], a[pr] = a[pr], a[col]
-            out = -out
-        pv = a[col][col]
+    pivots, values, swaps = rref([list(r) for r in rows], n, _zero_test(table))
+    if len(pivots) < n:
+        return table.zero
+    out = -table.one if swaps % 2 else table.one
+    for pv in values:
         out = out * pv
-        inv = table.one / pv
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero():
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return out
 
 
@@ -185,63 +223,13 @@ def hermitian_signature(rows, table):
     diagonalization.  Entries must be symbol free; diagonal values come out
     as real rationals whose signs are counted exactly."""
     n = len(rows)
-    a = [[x for x in row] for row in rows]
     for r in range(n):
         for c in range(n):
-            if not (a[r][c] - a[c][r].conjugate()).is_zero():
+            if not (rows[r][c] - rows[c][r].conjugate()).is_zero():
                 raise LinearError("matrix is not Hermitian")
-    p = q = z = 0
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    pos = 0
-    while pos < n:
-        piv = next((k for k in range(pos, n) if not a[k][k].is_zero()), None)
-        if piv is None:
-            hot = None
-            for r in range(pos, n):
-                for c in range(r + 1, n):
-                    if not a[r][c].is_zero():
-                        hot = (r, c)
-                        break
-                if hot:
-                    break
-            if hot is None:
-                z += n - pos
-                break
-            r, c = hot
-            # congruence row r += a_rc * row c, col r += conj(a_rc) * col c
-            # turns the zero diagonal entry a_rr into 2|a_rc|^2 > 0
-            f = a[r][c]
-            for k in range(n):
-                a[r][k] = a[r][k] + f * a[c][k]
-            fc = f.conjugate()
-            for k in range(n):
-                a[k][r] = a[k][r] + fc * a[k][c]
-            piv = r
-        if piv != pos:
-            swap(piv, pos)
-        d = a[pos][pos]
-        if _require_real_rational(d) > 0:
-            p += 1
-        else:
-            q += 1
-        factors = {}
-        for r in range(pos + 1, n):
-            if not a[r][pos].is_zero():
-                factors[r] = a[r][pos] / d
-        for r, f in factors.items():
-            for k in range(n):
-                a[r][k] = a[r][k] - f * a[pos][k]
-        for r, f in factors.items():
-            fc = f.conjugate()
-            for k in range(n):
-                a[k][r] = a[k][r] - fc * a[k][pos]
-        pos += 1
-    return p, q, z
+    return congruence_signature(
+        [list(row) for row in rows], _zero_test(table), _require_real_rational
+    )
 
 
 def _require_real_rational(s: Scalar) -> Fraction:

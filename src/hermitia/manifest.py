@@ -93,6 +93,15 @@ def _fmt_float(x):
     return float(f"{float(x):.12g}")
 
 
+def _typed(value, kind, path):
+    """``value`` if it is a JSON ``kind`` (dict or list); else a ManifestError
+    naming the manifest path."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ManifestError(f"{path}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 class Manifest:
     """Validated manifest data; ``build`` materializes the presentation."""
 
@@ -126,12 +135,18 @@ class Manifest:
         self.basis = list(data.get("basis", []))
         if len(self.basis) != self.dimension:
             raise ManifestError("basis must list one name per dimension")
-        self.differential = dict(data.get("differential", {}))
+        self.differential = dict(_typed(data.get("differential", {}), dict, "differential"))
         self.endomorphisms = dict(data.get("endomorphisms", {}))
         self.bilinears = dict(data.get("bilinears", {}))
-        self.forms = dict(data.get("forms", {}))
+        self.forms = dict(_typed(data.get("forms", {}), dict, "forms"))
         self.valuations = dict(data.get("valuations", {}))
-        self.checks = list(data.get("checks", []))
+        self.checks = list(_typed(data.get("checks", []), list, "checks"))
+        for gen, terms in self.differential.items():
+            _typed(terms, list, f"differential.{gen}")
+        for nm, terms in self.forms.items():
+            _typed(terms, list, f"forms.{nm}")
+        for k, c in enumerate(self.checks):
+            _typed(c, dict, f"checks[{k}]")
         ids = [c.get("id") for c in self.checks]
         if any(not isinstance(i, str) or not i for i in ids):
             raise ManifestError("every check needs a string id")

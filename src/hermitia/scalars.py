@@ -14,9 +14,12 @@ equality of values.  All operations are pure; scalars are immutable.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .linear import rref
 
 
 class ScalarError(ValueError):
@@ -348,39 +351,15 @@ def _alg_inverse(table, u):
     basis = _alg_basis(table)
     pos = {m: j for j, m in enumerate(basis)}
     n = len(basis)
-    cols = []
-    for b in basis:
-        prod = _poly_mul(table, u, {b: Fraction(1)})
-        col = [Fraction(0)] * n
-        for m, c in prod.items():
-            col[pos[m]] = c
-        cols.append(col)
-    # solve M x = e_0 by Gaussian elimination, M[i][j] = cols[j][i]
-    mat = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        pr = next((r for r in range(row, n) if mat[r][col]), None)
-        if pr is None:
-            continue
-        mat[row], mat[pr] = mat[pr], mat[row]
-        pv = mat[row][col]
-        mat[row] = [x / pv for x in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = mat[r][n]
-    for r in range(row, n):
-        if mat[r][n]:
-            raise ScalarError("element is a zero divisor (reducible relation?)")
-    out = {basis[j]: x[j] for j in range(n) if x[j]}
+    # solve M x = e_0, where column j of M holds the coordinates of u * basis[j]
+    mat = [[Fraction(0)] * n + [Fraction(1 if i == 0 else 0)] for i in range(n)]
+    for j, b in enumerate(basis):
+        for m, c in _poly_mul(table, u, {b: Fraction(1)}).items():
+            mat[pos[m]][j] = c
+    pivots, _, _ = rref(mat, n, operator.not_)
+    if any(row[n] for row in mat[len(pivots):]):
+        raise ScalarError("element is a zero divisor (reducible relation?)")
+    out = {basis[col]: row[n] for row, col in zip(mat, pivots) if row[n]}
     # verify (cheap, defends against zero divisors with consistent systems)
     if _poly_mul(table, u, out) != {_ONE_MONO: Fraction(1)}:
         raise ScalarError("element is a zero divisor (reducible relation?)")

@@ -25,7 +25,6 @@ from hermitia.hyperbolic import (
     refine_interval,
     spectral_radius_interval,
     sturm_chain,
-    symmetric_signature,
     verify_isometry,
 )
 

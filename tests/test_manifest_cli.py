@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,36 @@ def test_cli_check_missing_parameter_is_error_verdict(tmp_path):
     outcome = next(c for c in json.loads(out)["checks"] if c["id"] == kahler["id"])
     assert outcome["verdict"] == "error"
     assert outcome["detail"]["reason"] == "KeyError: 'omega'"
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda d: d["differential"].update(e1=5), "differential.e1"),
+        (lambda d: d["forms"].update(eta=5), "forms.eta"),
+        (lambda d: d.update(checks="x"), "checks"),
+    ],
+    ids=["differential.e1", "forms.eta", "checks"],
+)
+def test_cli_check_wrongly_typed_field_exit_two(tmp_path, mutate, path):
+    data = json.loads(builtin("AT4").to_json())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _out, err = _run_cli(["check", str(bad)])
+    assert code == 2
+    assert err.startswith(f"error: {path}: expected ")
+    assert len(err.splitlines()) == 1
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+
+
+@pytest.mark.parametrize("name", ["AT4", "fp_solv8", "pseudoHK12", "lemma61"])
+def test_cli_builtin_report_equals_golden(name, capsys):
+    assert main(["builtin", name, "--report", "json", "--no-timing"]) == 0
+    golden = (GOLDENS / f"{name}.report.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_cli_usage_error_exit_two():
