@@ -12,14 +12,17 @@ An isometry of a signature (1, n) form is exactly one of
 
 For signature (1, n) isometries every non-real eigenvalue lies on the unit
 circle, so the real-root test captures hyperbolicity; for other signatures
-``classify`` refuses instead of guessing.  All polynomial arithmetic is over
-exact rationals (Berkowitz for characteristic polynomials, Sturm chains for
-root counting); floating point only enters the explicitly numeric operations
-(power iteration, residuals).
+``classify`` refuses instead of guessing.  All arithmetic is exact; floating
+point only enters the explicitly numeric operations (power iteration,
+residuals).  The hot kernels clear denominators once and run over the
+integers: Berkowitz's division-free characteristic polynomial, the isometry
+test, r(M) and Sturm sign evaluation each scale back to the same rationals
+they would have produced over Q.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,11 +71,15 @@ def _as_fraction(x):
     raise LatticeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+def _cleared(m):
+    """Integer rows A and a positive integer d with m = A / d."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
+
+
 def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_sub(a, b):
@@ -112,7 +119,8 @@ class QuadraticLattice:
     def value(self, v, w=None):
         w = v if w is None else w
         return sum(
-            self.gram[i][j] * v[i] * w[j] for i in range(self.dim) for j in range(self.dim)
+            (g * v[i] * w[j] for i, row in enumerate(self.gram) for j, g in enumerate(row) if g),
+            Fraction(0),
         )
 
     def __repr__(self):
@@ -126,16 +134,24 @@ class IsometryCheck:
 
 
 def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
-    """Exact test M^T G M = G."""
+    """Exact test M^T G M = G, run as A^T H A = d^2 H over the integers for
+    M = A / d and G = H / e; the residual M^T G M - G is that difference
+    divided by d^2 e."""
     m = rational_matrix(matrix)
     if len(m) != lattice.dim or any(len(r) != lattice.dim for r in m):
         raise LatticeError(
             f"matrix is {len(m)}x{len(m[0]) if m else 0}, lattice has rank {lattice.dim}"
         )
-    lhs = _mat_mul(_mat_mul(_transpose(m), lattice.gram), m)
-    res = _mat_sub(lhs, lattice.gram)
-    if _is_zero(res):
+    a, d = _cleared(m)
+    h, e = _cleared(lattice.gram)
+    lhs = _mat_mul(_mat_mul(_transpose(a), h), a)
+    d2 = d * d
+    if all(x == d2 * y for rl, rh in zip(lhs, h) for x, y in zip(rl, rh)):
         return IsometryCheck(True)
+    den = d2 * e
+    res = tuple(
+        tuple(Fraction(x - d2 * y, den) for x, y in zip(rl, rh)) for rl, rh in zip(lhs, h)
+    )
     return IsometryCheck(False, res)
 
 
@@ -205,14 +221,23 @@ def poly_eval(p, x):
 
 
 def poly_eval_matrix(p, m):
+    """p(M) exactly.  With M = A / d and L the lcm of p's denominators, the
+    integer Horner sum sum_k (L c_k) d^(deg - k) A^k equals L d^deg p(M)."""
     n = len(m)
-    out = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    for c in reversed(p):
-        out = _mat_mul(out, m)
+    if not p:
+        return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    a, d = _cleared(m)
+    (c,), lc = _cleared([p])
+    deg = len(c) - 1
+    out = tuple(tuple(c[deg] * (i == j) for j in range(n)) for i in range(n))
+    for k in range(deg - 1, -1, -1):
+        ck = c[k] * d ** (deg - k)
         out = tuple(
-            tuple(out[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
+            tuple(x + ck * (i == j) for j, x in enumerate(row))
+            for i, row in enumerate(_mat_mul(out, a))
         )
-    return out
+    den = lc * d**deg
+    return tuple(tuple(Fraction(x, den) for x in row) for row in out)
 
 
 def squarefree_part(p):
@@ -224,37 +249,35 @@ def squarefree_part(p):
 
 def char_poly(matrix):
     """Exact characteristic polynomial det(t I - M) by the division-free
-    Berkowitz algorithm; ascending coefficients, monic of degree n."""
+    Berkowitz algorithm; ascending coefficients, monic of degree n.
+
+    Berkowitz runs over the integers on A = d M; the coefficient of t^(n-i)
+    of det(t I - A) is d^i times that of det(t I - M)."""
     m = rational_matrix(matrix)
     n = len(m)
     if any(len(r) != n for r in m):
         raise LatticeError("characteristic polynomial needs a square matrix")
     if n == 0:
         return [Fraction(1)]
+    a, d = _cleared(m)
     # Berkowitz: iteratively build the coefficient vector via Toeplitz products
-    vec = [Fraction(1), -m[0][0]]
+    vec = [1, -a[0][0]]
     for k in range(1, n):
-        a = m[k][k]
-        row = [m[k][j] for j in range(k)]
-        col = [m[j][k] for j in range(k)]
-        block = [[m[i][j] for j in range(k)] for i in range(k)]
+        row = a[k][:k]
+        block = [r[:k] for r in a[:k]]
         # products row * block^s * col for s = 0..k-1
-        prods = []
-        cur = col
-        prods.append(sum(r * c for r, c in zip(row, cur)))
+        cur = [r[k] for r in a[:k]]
+        prods = [sum(map(operator.mul, row, cur))]
         for _ in range(k - 1):
-            cur = [sum(block[i][j] * cur[j] for j in range(k)) for i in range(k)]
-            prods.append(sum(r * c for r, c in zip(row, cur)))
-        toep = [Fraction(1), -a] + [-p for p in prods]
-        new = [Fraction(0)] * (k + 2)
-        for i in range(k + 2):
-            for j in range(min(i + 1, len(vec))):
-                t = i - j
-                if t < len(toep):
-                    new[i] += toep[t] * vec[j]
-        vec = new
-    # vec holds the coefficients of det(tI - M) from t^n down to t^0
-    return list(reversed(vec))
+            cur = [sum(map(operator.mul, r, cur)) for r in block]
+            prods.append(sum(map(operator.mul, row, cur)))
+        toep = [1, -a[k][k]] + [-p for p in prods]
+        vec = [
+            sum(toep[i - j] * vec[j] for j in range(min(i + 1, len(vec))))
+            for i in range(k + 2)
+        ]
+    # vec holds the coefficients of det(tI - A) from t^n down to t^0
+    return [Fraction(c, d**i) for i, c in enumerate(vec)][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +286,8 @@ def char_poly(matrix):
 
 
 def sturm_chain(p):
+    """Sturm chain of the squarefree part of p, each member scaled by a
+    positive constant to integer coefficients (signs are unchanged)."""
     p0, _ = squarefree_part(list(p))
     chain = [p0, poly_derivative(p0)]
     while chain[-1]:
@@ -270,15 +295,22 @@ def sturm_chain(p):
         if not r:
             break
         chain.append(poly_neg(r))
-    return chain
+    return [list(_cleared([q])[0][0]) for q in chain]
 
 
 def sign_variations(chain, x):
+    """Sign changes along the chain at x = u / w, evaluated as the integer
+    w^deg q(u / w) = sum_k c_k u^k w^(deg - k), which has the sign of q(x)."""
+    u, w = x.numerator, x.denominator
     signs = []
-    for p in chain:
-        v = poly_eval(p, x)
+    for q in chain:
+        v = 0
+        wk = 1
+        for c in reversed(q):
+            v = v * u + c * wk
+            wk *= w
         if v != 0:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -428,10 +460,10 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
     chk = verify_isometry(m, lattice)
     if not chk.ok:
         raise LatticeError("matrix is not an isometry of the lattice")
-    p_, q_, z_ = lattice.signature
-    if not (p_ == 1 and z_ == 0 and q_ >= 1):
+    if not _lorentzian(lattice):
         raise LatticeError(
-            f"classification requires signature (1, n, 0), got {(p_, q_, z_)}; refusing to guess"
+            f"classification requires signature (1, n, 0), got {lattice.signature}; "
+            "refusing to guess"
         )
     p = char_poly(m)
     off_unit = real_roots_outside_unit(p)
@@ -491,6 +523,12 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             "eigenvalue_one_q_values": [str(lattice.value(v)) for v in fixed],
         },
     )
+
+
+def _lorentzian(lattice):
+    """Signature (1, n, 0) with n >= 1, where the real-root test decides."""
+    p_, q_, z_ = lattice.signature
+    return p_ == 1 and z_ == 0 and q_ >= 1
 
 
 def _eigenvector_int_kernel(m, lam):
@@ -635,8 +673,14 @@ def power_iterate(
     deterministic perturbation of size 1e-8 is injected before giving up.
     """
     m = rational_matrix(matrix)
-    label = classify(m, lattice).label
-    if label != "hyperbolic":
+    # classify's hyperbolic test, without its certificate work
+    if not (
+        verify_isometry(m, lattice).ok
+        and _lorentzian(lattice)
+        and real_roots_outside_unit(char_poly(m))
+    ):
+        # classify raises the refusal, or names the label that has no dominant eigenvalue
+        label = classify(m, lattice).label
         raise PowerIterationError(f"no dominant eigenvalue: isometry is {label}")
     n = len(m)
     a = np.array([[float(x) for x in row] for row in m])

@@ -128,23 +128,36 @@ class Manifest:
         if not isinstance(self.name, str) or not self.name:
             raise ManifestError("manifest needs a nonempty string name")
         self.comment = data.get("comment", "")
-        self.symbols = list(data.get("symbols", []))
+        self.symbols = list(_typed(data.get("symbols", []), list, "symbols"))
         self.dimension = data.get("dimension")
         if not isinstance(self.dimension, int) or self.dimension <= 0:
             raise ManifestError("dimension must be a positive integer")
-        self.basis = list(data.get("basis", []))
+        self.basis = list(_typed(data.get("basis", []), list, "basis"))
         if len(self.basis) != self.dimension:
             raise ManifestError("basis must list one name per dimension")
         self.differential = dict(_typed(data.get("differential", {}), dict, "differential"))
-        self.endomorphisms = dict(data.get("endomorphisms", {}))
-        self.bilinears = dict(data.get("bilinears", {}))
+        self.endomorphisms = dict(_typed(data.get("endomorphisms", {}), dict, "endomorphisms"))
+        self.bilinears = dict(_typed(data.get("bilinears", {}), dict, "bilinears"))
         self.forms = dict(_typed(data.get("forms", {}), dict, "forms"))
-        self.valuations = dict(data.get("valuations", {}))
+        self.valuations = dict(_typed(data.get("valuations", {}), dict, "valuations"))
         self.checks = list(_typed(data.get("checks", []), list, "checks"))
-        for gen, terms in self.differential.items():
-            _typed(terms, list, f"differential.{gen}")
-        for nm, terms in self.forms.items():
-            _typed(terms, list, f"forms.{nm}")
+        for k, s in enumerate(self.symbols):
+            _typed(s, dict, f"symbols[{k}]")
+        for section, table in (("differential", self.differential), ("forms", self.forms)):
+            for nm, terms in table.items():
+                for k, t in enumerate(_typed(terms, list, f"{section}.{nm}")):
+                    _typed(t, list, f"{section}.{nm}[{k}]")
+                    if len(t) != 2:
+                        raise ManifestError(
+                            f"{section}.{nm}[{k}]: expected [coefficient, [indices]], got {t!r}"
+                        )
+                    _typed(t[1], list, f"{section}.{nm}[{k}][1]")
+        for section, table in (("endomorphisms", self.endomorphisms), ("bilinears", self.bilinears)):
+            for nm, rows in table.items():
+                for k, row in enumerate(_typed(rows, list, f"{section}.{nm}")):
+                    _typed(row, list, f"{section}.{nm}[{k}]")
+        for nm, v in self.valuations.items():
+            _typed(v, dict, f"valuations.{nm}")
         for k, c in enumerate(self.checks):
             _typed(c, dict, f"checks[{k}]")
         ids = [c.get("id") for c in self.checks]
@@ -816,7 +829,10 @@ _HANDLERS = {
     "top_coefficient_equals": _h_top_coefficient_equals,
 }
 
-assert set(_HANDLERS) == CHECK_KINDS
+if set(_HANDLERS) != CHECK_KINDS:
+    raise RuntimeError(
+        f"check kinds and handlers differ: {sorted(set(_HANDLERS) ^ CHECK_KINDS)}"
+    )
 
 
 def run_check(manifest: Manifest, only=None, seed=None) -> Report:

@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hermitia.hyperbolic import (
     LatticeError,
@@ -20,6 +22,7 @@ from hermitia.hyperbolic import (
     isolate_real_roots,
     kernel_basis,
     poly_eval,
+    poly_eval_matrix,
     poly_mul,
     power_iterate,
     refine_interval,
@@ -339,3 +342,166 @@ def test_hyperbolic_reciprocal_pair_structure(lorentz2):
     # p is monic and palindromic here: constant term 1 means product of roots is 1
     assert p[0] == 1 and p[-1] == 1
     assert float(a) > 1
+
+
+# -- rational inputs: the integer kernels against Fraction references ---------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+small = st.integers(-5, 5)
+rationals = st.builds(Fraction, small, st.integers(1, 6))
+ISO_2 = [[1, 0], [0, 1]]
+ROT_3 = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+LORENTZ_3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+PARABOLIC_GRAM = [[0, 0, "1/2"], [0, -1, 0], ["1/2", 0, 0]]
+PARABOLIC = [[1, 0, 0], [1, 1, 0], [1, 2, 1]]
+# signature (2, 1, 0), with an eigenvalue 3 + 2 sqrt 2 that classify must
+# still refuse to call hyperbolic
+SIGNATURE_21 = [[1, 0, 0], [0, -2, 0], [0, 0, 1]]
+PELL_3 = [[3, 4, 0], [2, 3, 0], [0, 0, 1]]
+# (gram, isometry) pairs: hyperbolic, elliptic, elliptic, parabolic, and
+# isometries of a definite and of a signature (2, 1) form, which classify refuses
+ISOMETRIES = [
+    (DIAG12, PELL),
+    (DIAG12, ISO_2),
+    (LORENTZ_3, ROT_3),
+    (PARABOLIC_GRAM, PARABOLIC),
+    (ISO_2, [[0, -1], [1, 0]]),
+    (SIGNATURE_21, PELL_3),
+]
+
+
+def square(elements, max_n=5):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def _fmat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _fmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _ftranspose(a):
+    return [list(col) for col in zip(*a)]
+
+
+@st.composite
+def conjugated_isometries(draw):
+    """A pair (G', M') = (P^T G P, P^-1 M P) for a base pair (G, M) and a
+    random invertible rational P: M' is an isometry of G' of the same kind,
+    with denominators in both."""
+    gram, m = draw(st.sampled_from(ISOMETRIES))
+    n = len(m)
+    p = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    sp = sympy.Matrix(p)
+    assume(sp.det() != 0)
+    p_inv = [[Fraction(int(x.p), int(x.q)) for x in sp.inv().row(i)] for i in range(n)]
+    g2 = _fmul(_fmul(_ftranspose(p), _fmat(gram)), p)
+    m2 = _fmul(_fmul(p_inv, _fmat(m)), p)
+    return g2, m2
+
+
+@PROPERTY
+@given(m=square(rationals))
+def test_char_poly_matches_sympy_on_rational_matrices(m):
+    x = sympy.Symbol("x")
+    theirs = sympy.Matrix(m).charpoly(x).all_coeffs()  # descending
+    assert char_poly(m) == [Fraction(int(c.p), int(c.q)) for c in reversed(theirs)]
+
+
+@PROPERTY
+@given(pair=conjugated_isometries(), bump=rationals, where=st.tuples(small, small))
+def test_verify_isometry_matches_fraction_residual(pair, bump, where):
+    gram, m = pair
+    n = len(m)
+    if bump:
+        m[where[0] % n][where[1] % n] += bump
+    reference = [
+        [x - y for x, y in zip(rl, rg)]
+        for rl, rg in zip(_fmul(_fmul(_ftranspose(m), gram), m), gram)
+    ]
+    chk = verify_isometry(m, QuadraticLattice(gram))
+    assert chk.ok == all(x == 0 for row in reference for x in row)
+    if not chk.ok:
+        assert chk.residual == tuple(tuple(row) for row in reference)
+
+
+@PROPERTY
+@given(p=st.lists(rationals, max_size=6), m=square(rationals, 4))
+def test_poly_eval_matrix_matches_fraction_horner(p, m):
+    n = len(m)
+    m = _fmat(m)
+    ref = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        ref = _fmul(ref, m)
+        for i in range(n):
+            ref[i][i] += c
+    assert poly_eval_matrix(p, m) == tuple(tuple(row) for row in ref)
+
+
+@PROPERTY
+@given(
+    roots=st.lists(rationals, max_size=4),
+    rest=st.lists(rationals, min_size=1, max_size=4),
+    a=rationals,
+    b=rationals,
+)
+def test_sturm_count_matches_sympy(roots, rest, a, b):
+    assume(rest[-1] != 0)
+    a, b = min(a, b), max(a, b)
+    # linear factors at random rationals and at the endpoints, some repeated
+    p = list(rest)
+    for r in roots + roots[:1] + [a, b][: len(roots) % 3]:
+        p = poly_mul(p, [-r, Fraction(1)])
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
+    lo, hi = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+    expected = sum(1 for r in set(poly.real_roots()) if lo < r <= hi)
+    assert count_roots_halfopen(sturm_chain(p), a, b) == expected
+
+
+@PROPERTY
+@given(pair=conjugated_isometries(), bump=rationals)
+def test_power_iterate_refuses_like_classify(pair, bump):
+    """power_iterate raises what it raised when it ran classify first: the
+    classify refusal, or the label without a dominant eigenvalue."""
+    gram, m = pair
+    m[0][-1] += bump
+    lattice = QuadraticLattice(gram)
+    try:
+        label = classify(m, lattice).label
+    except LatticeError as e:
+        with pytest.raises(LatticeError) as err:
+            power_iterate(m, lattice)
+        assert str(err.value) == str(e)
+        return
+    if label == "hyperbolic":
+        return
+    with pytest.raises(PowerIterationError) as err:
+        power_iterate(m, lattice)
+    assert str(err.value) == f"no dominant eigenvalue: isometry is {label}"
+
+
+@pytest.mark.parametrize(
+    "gram, m, error, message",
+    [
+        (DIAG12, ISO_2, PowerIterationError, "no dominant eigenvalue: isometry is elliptic"),
+        (LORENTZ_3, ROT_3, PowerIterationError, "no dominant eigenvalue: isometry is elliptic"),
+        (PARABOLIC_GRAM, PARABOLIC, PowerIterationError,
+         "no dominant eigenvalue: isometry is parabolic"),
+        (DIAG12, [[1, 1], [0, 1]], LatticeError, "matrix is not an isometry of the lattice"),
+        (ISO_2, [[0, -1], [1, 0]], LatticeError,
+         "classification requires signature (1, n, 0), got (2, 0, 0); refusing to guess"),
+        (SIGNATURE_21, PELL_3, LatticeError,
+         "classification requires signature (1, n, 0), got (2, 1, 0); refusing to guess"),
+    ],
+    ids=["elliptic-2", "elliptic-3", "parabolic", "non-isometry", "definite", "signature-2-1"],
+)
+def test_power_iterate_error_messages(gram, m, error, message):
+    with pytest.raises(error) as err:
+        power_iterate(m, QuadraticLattice(gram))
+    assert type(err.value) is error and str(err.value) == message

@@ -220,8 +220,16 @@ def test_cli_check_missing_parameter_is_error_verdict(tmp_path):
         (lambda d: d["differential"].update(e1=5), "differential.e1"),
         (lambda d: d["forms"].update(eta=5), "forms.eta"),
         (lambda d: d.update(checks="x"), "checks"),
+        (lambda d: d["endomorphisms"].update(J=5), "endomorphisms.J"),
+        (lambda d: d.update(valuations=5), "valuations"),
+        (lambda d: d.update(symbols=[5]), "symbols[0]"),
+        (lambda d: d["differential"]["e1"].append(["1", 5]), "differential.e1[1][1]"),
+        (lambda d: d.update(basis=5), "basis"),
     ],
-    ids=["differential.e1", "forms.eta", "checks"],
+    ids=[
+        "differential.e1", "forms.eta", "checks", "endomorphisms.J", "valuations", "symbols",
+        "differential.e1.term", "basis",
+    ],
 )
 def test_cli_check_wrongly_typed_field_exit_two(tmp_path, mutate, path):
     data = json.loads(builtin("AT4").to_json())
