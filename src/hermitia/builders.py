@@ -181,16 +181,17 @@ def builtin(name: str) -> Manifest:
     return Manifest(factory())
 
 
+def _sparse(n, entries):
+    """An n x n matrix of coefficient strings: "0" except at the 1-based
+    ``(row, column): value`` entries."""
+    m = [["0"] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        m[i - 1][j - 1] = v
+    return m
+
+
 def _at4_manifest():
     basis = [f"e{k}" for k in range(1, 7)]
-    zero6 = [["0"] * 6 for _ in range(6)]
-
-    def mat(entries):
-        m = [row[:] for row in zero6]
-        for (i, j), v in entries.items():
-            m[i - 1][j - 1] = v
-        return m
-
     return {
         "schema": "hermitia-manifest/1",
         "name": "AT4",
@@ -213,8 +214,8 @@ def _at4_manifest():
             "e4": [["-a", ["e4", "e5"]]],
         },
         "endomorphisms": {
-            "J": mat({(2, 1): "1", (1, 2): "-1", (4, 3): "1", (3, 4): "-1", (6, 5): "1", (5, 6): "-1"}),
-            "D": mat({(1, 1): "a", (2, 2): "a", (3, 3): "-a", (4, 4): "-a"}),
+            "J": _sparse(6, {(2, 1): "1", (1, 2): "-1", (4, 3): "1", (3, 4): "-1", (6, 5): "1", (5, 6): "-1"}),
+            "D": _sparse(6, {(1, 1): "a", (2, 2): "a", (3, 3): "-a", (4, 4): "-a"}),
         },
         "bilinears": {},
         "forms": {
@@ -250,14 +251,6 @@ def _at4_manifest():
 
 def _fp_solv8_manifest():
     basis = [f"e{k}" for k in range(1, 9)]
-    zero8 = [["0"] * 8 for _ in range(8)]
-
-    def mat(entries):
-        m = [row[:] for row in zero8]
-        for (i, j), v in entries.items():
-            m[i - 1][j - 1] = v
-        return m
-
     identity = [["1" if i == j else "0" for j in range(8)] for i in range(8)]
     return {
         "schema": "hermitia-manifest/1",
@@ -283,7 +276,7 @@ def _fp_solv8_manifest():
             "e7": [["-b", ["e6", "e8"]]],
         },
         "endomorphisms": {
-            "I": mat({
+            "I": _sparse(8, {
                 (2, 1): "-1", (1, 2): "1",
                 (8, 3): "1", (3, 8): "-1",
                 (5, 4): "1", (4, 5): "-1",
@@ -330,16 +323,8 @@ def _fp_solv8_manifest():
 
 def _pseudo_hk12_manifest():
     basis = [f"f{k}" for k in range(1, 13)]
-    zero12 = [["0"] * 12 for _ in range(12)]
-
-    def mat(entries):
-        m = [row[:] for row in zero12]
-        for (i, j), v in entries.items():
-            m[i - 1][j - 1] = v
-        return m
-
     # column convention: entry (i, j) means X f_j has coefficient on f_i
-    i_mat = mat({
+    i_mat = _sparse(12, {
         (3, 1): "1", (1, 3): "-1",
         (4, 2): "1", (2, 4): "-1",
         (7, 5): "-1", (5, 7): "1",
@@ -347,7 +332,7 @@ def _pseudo_hk12_manifest():
         (10, 9): "1", (9, 10): "-1",
         (12, 11): "-1", (11, 12): "1",
     })
-    j_mat = mat({
+    j_mat = _sparse(12, {
         (5, 1): "1", (1, 5): "-1",
         (6, 2): "1", (2, 6): "-1",
         (7, 3): "1", (3, 7): "-1",
@@ -355,7 +340,7 @@ def _pseudo_hk12_manifest():
         (11, 9): "1", (9, 11): "-1",
         (12, 10): "1", (10, 12): "-1",
     })
-    k_mat = mat({
+    k_mat = _sparse(12, {
         (7, 1): "-1", (1, 7): "1",
         (8, 2): "-1", (2, 8): "1",
         (5, 3): "1", (3, 5): "-1",
@@ -525,28 +510,20 @@ def _lemma61_manifest():
         [0, -1, -1, -1, -1, 0, 1, 0],
         [-1, -1, -1, 0, 0, 1, 0, -1],
     ]
-    zero8 = [["0"] * 8 for _ in range(8)]
-
-    def mat(entries):
-        m = [row[:] for row in zero8]
-        for (i, j), v in entries.items():
-            m[i - 1][j - 1] = v
-        return m
-
-    i_mat = mat({
+    i_mat = _sparse(8, {
         (3, 1): "1", (1, 3): "-1",
         (4, 2): "1", (2, 4): "-1",
         (7, 5): "-1", (5, 7): "1",
         (8, 6): "-1", (6, 8): "1",
     })
-    j_mat = mat({
+    j_mat = _sparse(8, {
         (5, 1): "-1", (1, 5): "1",
         (6, 2): "-1", (2, 6): "1",
         (7, 3): "-1", (3, 7): "1",
         (8, 4): "-1", (4, 8): "1",
     })
     # K = I J in column convention
-    k_mat = mat({
+    k_mat = _sparse(8, {
         (7, 1): "1", (1, 7): "-1",
         (8, 2): "1", (2, 8): "-1",
         (5, 3): "-1", (3, 5): "1",

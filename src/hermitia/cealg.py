@@ -315,7 +315,7 @@ class LieAlgebraPresentation:
                 raise PresentationError(f"differential refers to generator {gen} outside 1..{dim}")
             terms = {}
             for coeff, indices in two_form:
-                if isinstance(coeff, (int, Fraction)):
+                if isinstance(coeff, (int, float, Fraction)):
                     coeff = self.table.scalar(coeff)
                 elif isinstance(coeff, str):
                     coeff = self.table.parse(coeff)
@@ -394,7 +394,7 @@ class LieAlgebraPresentation:
         """Build a form from (coefficient, index-or-name tuple) pairs."""
         out = {}
         for coeff, indices in terms:
-            if isinstance(coeff, (int, Fraction)):
+            if isinstance(coeff, (int, float, Fraction)):
                 coeff = self.table.scalar(coeff)
             elif isinstance(coeff, str):
                 coeff = self.table.parse(coeff)
@@ -497,37 +497,6 @@ class LieAlgebraPresentation:
                 # d e^k (e_i, e_j) = -e^k([e_i, e_j])
                 out[k - 1] = c if sign < 0 else -c
         return out
-
-    def attach(self, endomorphisms=None, bilinears=None, forms=None):
-        """Return a copy with extra named structures attached."""
-        endo = dict(self.endomorphisms)
-        bil = dict(self.bilinears)
-        fs = dict(self.forms)
-        p = LieAlgebraPresentation(
-            self.dim,
-            {g: [(c, idx) for idx, c in t.items()] for g, t in self.d_gen.items()},
-            names=self.names,
-            table=self.table,
-        )
-        p.endomorphisms = endo
-        p.bilinears = bil
-        p.forms = fs
-        for name, m in (endomorphisms or {}).items():
-            p.endomorphisms[name] = p._as_matrix(m)
-        for name, m in (bilinears or {}).items():
-            p.bilinears[name] = p._as_matrix(m)
-        for name, f in (forms or {}).items():
-            if isinstance(f, Form):
-                if not p.same_algebra(f.presentation):
-                    raise FormError("attached form lives over a different presentation")
-                f = Form(p, dict(f.terms), _canonical=True)
-            else:
-                f = p.form(f)
-            p.forms[name] = f
-        # re-home previously attached forms onto the copy
-        for name, f in fs.items():
-            p.forms[name] = Form(p, dict(f.terms), _canonical=True)
-        return p
 
     def __repr__(self):
         return f"LieAlgebraPresentation(dim={self.dim}, names={self.names[0]}..{self.names[-1]})"

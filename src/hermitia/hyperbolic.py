@@ -585,24 +585,13 @@ def kernel_basis(matrix):
         v[free] = Fraction(1)
         for row, col in zip(m, pivots):
             v[col] = -row[free]
-        den_lcm = 1
-        for x in v:
-            den_lcm = den_lcm * x.denominator // _gcd(den_lcm, x.denominator)
+        den_lcm = math.lcm(*(x.denominator for x in v))
         v = [x * den_lcm for x in v]
-        num_gcd = 0
-        for x in v:
-            num_gcd = _gcd(num_gcd, abs(x.numerator))
+        num_gcd = math.gcd(*(x.numerator for x in v))
         if num_gcd > 1:
             v = [x / num_gcd for x in v]
         basis.append(tuple(v))
     return basis
-
-
-def _gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -613,10 +602,6 @@ class InvariantClassReport:
     negativity_verified: bool | None  # None when not applicable (not hyperbolic)
     label: str
     invariant_positive_class_possible: bool | None
-
-    @property
-    def lemma_negativity(self):
-        return self.negativity_verified
 
 
 def invariant_classes(matrix, lattice: QuadraticLattice) -> InvariantClassReport:

@@ -4,9 +4,11 @@ reports.
 
 A manifest resolves names against its own declarations (symbols, basis,
 endomorphisms, bilinears, forms); the Jacobi gate is implicitly the first
-check.  Check kinds form a closed enumeration and unknown kinds are parse
-errors.  Reports are deterministic: canonical scalar strings, floats printed
-to 12 significant digits, sorted keys, and timing excluded on request.
+check.  Each check kind is declared once, by ``_check`` on its handler,
+with the types of its parameters; a manifest whose checks do not match
+their declarations is a parse error.  Reports are deterministic: canonical
+scalar strings, floats printed to 12 significant digits, sorted keys, and
+timing excluded on request.
 
 Form specifications (the ``form``/``equals``/``alpha`` style parameters)
 are nested objects:
@@ -24,9 +26,11 @@ are nested objects:
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import hyperbolic, linear, metrics, quaternion
 from .cealg import (
@@ -38,7 +42,7 @@ from .cealg import (
     wedge_all,
     wedge_power,
 )
-from .complexops import AlmostComplexStructure, IntegrabilityError, weil_operator
+from .complexops import AlmostComplexStructure, IntegrabilityError, del_, weil_operator
 from .metrics import HermitianCandidate, MetricError
 from .quaternion import HKTCandidate, HypercomplexTriple, QuaternionError
 from .scalars import ScalarError, Symbol, SymbolTable
@@ -46,43 +50,6 @@ from .scalars import ScalarError, Symbol, SymbolTable
 SCHEMA = "hermitia-manifest/1"
 REPORT_SCHEMA = "hermitia-report/1"
 DEFAULT_SEED = 20240
-
-CHECK_KINDS = frozenset(
-    {
-        "jacobi",
-        "endomorphism_square",
-        "integrable",
-        "hermitian_candidate",
-        "kahler",
-        "balanced",
-        "pluriclosed",
-        "astheno",
-        "k_pluriclosed",
-        "lee_form",
-        "bismut_torsion",
-        "weil_torsion_identity",
-        "gram_signature",
-        "positivity_falsify",
-        "strong_positivity_certificate",
-        "hypercomplex",
-        "pseudo_hyperkahler",
-        "hkt",
-        "quaternionic_balanced",
-        "del_exact",
-        "del_zero",
-        "d_zero",
-        "d_equals",
-        "form_equals",
-        "obstruction_pairing",
-        "det_equals",
-        "commute",
-        "matrix_isometry",
-        "char_poly_equals",
-        "spectral_radius_in",
-        "trace_zero",
-        "top_coefficient_equals",
-    }
-)
 
 
 class ManifestError(ValueError):
@@ -93,13 +60,97 @@ def _fmt_float(x):
     return float(f"{float(x):.12g}")
 
 
-def _typed(value, kind, path):
-    """``value`` if it is a JSON ``kind`` (dict or list); else a ManifestError
+@dataclass(frozen=True)
+class _Type:
+    """A JSON value type of the manifest schema: what it is called in errors
+    and the README, and its membership test."""
+
+    label: str
+    test: Callable
+
+
+def _enum(*values):
+    return _Type(" or ".join(json.dumps(v) for v in values), lambda v: v in values)
+
+
+OBJECT = _Type("an object", lambda v: isinstance(v, dict))
+LIST = _Type("a list", lambda v: isinstance(v, list))
+STR = _Type("a string", lambda v: isinstance(v, str))
+SPEC = _Type("a form spec (string or object)", lambda v: isinstance(v, (str, dict)))
+BOOL = _Type("a boolean", lambda v: isinstance(v, bool))
+INT = _Type("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+COEFF = _Type(
+    "a coefficient (string or finite number)",
+    lambda v: isinstance(v, str) or INT.test(v) or (isinstance(v, float) and math.isfinite(v)),
+)
+OPTIONAL_OBJECT = _Type("null or an object", lambda v: v is None or isinstance(v, dict))
+
+_REQUIRED = object()
+
+
+def _typed(value, kind: _Type, path):
+    """``value`` if it has the JSON type ``kind``; else a ManifestError
     naming the manifest path."""
-    if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise ManifestError(f"{path}: expected {expected}, got {type(value).__name__}")
+    if not kind.test(value):
+        got = json.dumps(value) if isinstance(value, str) else type(value).__name__
+        raise ManifestError(f"{path}: expected {kind.label}, got {got}")
     return value
+
+
+def _fields(params):
+    """``{key: (type, default)}`` from keywords whose value is a type (a
+    required key) or a ``(type, default)`` pair (an optional key)."""
+    return {k: v if isinstance(v, tuple) else (v, _REQUIRED) for k, v in params.items()}
+
+
+def _defaults(fields):
+    return {k: d for k, (_, d) in fields.items() if d is not _REQUIRED}
+
+
+def _record(obj, fields, path, alternatives=()):
+    """Check the JSON object ``obj`` against ``fields``: no unknown key,
+    every required key present and every value of its type.  Of the key
+    groups in ``alternatives`` exactly one is given, and only its keys are
+    required."""
+    _typed(obj, OBJECT, path)
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in fields:
+            raise ManifestError(f"{prefix}{key}: unknown parameter")
+    not_chosen = set()
+    if alternatives:
+        chosen = [g for g in alternatives if any(k in obj for k in g)]
+        if len(chosen) != 1:
+            either = " or ".join(" with ".join(g) for g in alternatives)
+            raise ManifestError(f"{path}: expected exactly one of {either}")
+        not_chosen = {k for g in alternatives for k in g} - set(chosen[0])
+    for key, (kind, default) in fields.items():
+        if key in obj:
+            _typed(obj[key], kind, f"{prefix}{key}")
+        elif default is _REQUIRED and key not in not_chosen:
+            raise ManifestError(f"{prefix}{key}: missing required parameter")
+
+
+_SYMBOL_FIELDS = _fields({
+    "name": STR,
+    "relation": (OPTIONAL_OBJECT, None),
+    "sign_hint": (_enum(None, "positive", "negative", "unknown"), None),
+})
+_RELATION_FIELDS = _fields({"power": INT, "rhs": STR})
+_MANIFEST_FIELDS = _fields({
+    "schema": (STR, SCHEMA),
+    "name": STR,
+    "comment": (STR, ""),
+    "symbols": (LIST, []),
+    "dimension": INT,
+    "basis": LIST,
+    "differential": (OBJECT, {}),
+    "endomorphisms": (OBJECT, {}),
+    "bilinears": (OBJECT, {}),
+    "forms": (OBJECT, {}),
+    "valuations": (OBJECT, {}),
+    "checks": (LIST, []),
+})
 
 
 class Manifest:
@@ -108,67 +159,58 @@ class Manifest:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ManifestError("manifest must be a JSON object")
-        unknown = set(data) - {
-            "schema",
-            "name",
-            "comment",
-            "symbols",
-            "dimension",
-            "basis",
-            "differential",
-            "endomorphisms",
-            "bilinears",
-            "forms",
-            "valuations",
-            "checks",
-        }
-        if unknown:
-            raise ManifestError(f"unknown manifest fields: {sorted(unknown)}")
-        self.name = data.get("name")
-        if not isinstance(self.name, str) or not self.name:
-            raise ManifestError("manifest needs a nonempty string name")
-        self.comment = data.get("comment", "")
-        self.symbols = list(_typed(data.get("symbols", []), list, "symbols"))
-        self.dimension = data.get("dimension")
-        if not isinstance(self.dimension, int) or self.dimension <= 0:
-            raise ManifestError("dimension must be a positive integer")
-        self.basis = list(_typed(data.get("basis", []), list, "basis"))
+        _record(data, _MANIFEST_FIELDS, "")
+        data = {**_defaults(_MANIFEST_FIELDS), **data}
+        self.name = data["name"]
+        if not self.name:
+            raise ManifestError("name: expected a nonempty string")
+        self.comment = data["comment"]
+        self.symbols = list(data["symbols"])
+        self.dimension = data["dimension"]
+        if self.dimension <= 0:
+            raise ManifestError("dimension: expected a positive integer")
+        self.basis = list(data["basis"])
         if len(self.basis) != self.dimension:
             raise ManifestError("basis must list one name per dimension")
-        self.differential = dict(_typed(data.get("differential", {}), dict, "differential"))
-        self.endomorphisms = dict(_typed(data.get("endomorphisms", {}), dict, "endomorphisms"))
-        self.bilinears = dict(_typed(data.get("bilinears", {}), dict, "bilinears"))
-        self.forms = dict(_typed(data.get("forms", {}), dict, "forms"))
-        self.valuations = dict(_typed(data.get("valuations", {}), dict, "valuations"))
-        self.checks = list(_typed(data.get("checks", []), list, "checks"))
+        for k, b in enumerate(self.basis):
+            _typed(b, STR, f"basis[{k}]")
+        self.differential = dict(data["differential"])
+        self.endomorphisms = dict(data["endomorphisms"])
+        self.bilinears = dict(data["bilinears"])
+        self.forms = dict(data["forms"])
+        self.valuations = dict(data["valuations"])
+        self.checks = list(data["checks"])
         for k, s in enumerate(self.symbols):
-            _typed(s, dict, f"symbols[{k}]")
+            _record(s, _SYMBOL_FIELDS, f"symbols[{k}]")
+            if s.get("relation") is not None:
+                _record(s["relation"], _RELATION_FIELDS, f"symbols[{k}].relation")
         for section, table in (("differential", self.differential), ("forms", self.forms)):
             for nm, terms in table.items():
-                for k, t in enumerate(_typed(terms, list, f"{section}.{nm}")):
-                    _typed(t, list, f"{section}.{nm}[{k}]")
+                for k, t in enumerate(_typed(terms, LIST, f"{section}.{nm}")):
+                    _typed(t, LIST, f"{section}.{nm}[{k}]")
                     if len(t) != 2:
                         raise ManifestError(
                             f"{section}.{nm}[{k}]: expected [coefficient, [indices]], got {t!r}"
                         )
-                    _typed(t[1], list, f"{section}.{nm}[{k}][1]")
+                    _typed(t[0], COEFF, f"{section}.{nm}[{k}][0]")
+                    _typed(t[1], LIST, f"{section}.{nm}[{k}][1]")
         for section, table in (("endomorphisms", self.endomorphisms), ("bilinears", self.bilinears)):
             for nm, rows in table.items():
-                for k, row in enumerate(_typed(rows, list, f"{section}.{nm}")):
-                    _typed(row, list, f"{section}.{nm}[{k}]")
+                for k, row in enumerate(_typed(rows, LIST, f"{section}.{nm}")):
+                    for j, x in enumerate(_typed(row, LIST, f"{section}.{nm}[{k}]")):
+                        _typed(x, COEFF, f"{section}.{nm}[{k}][{j}]")
         for nm, v in self.valuations.items():
-            _typed(v, dict, f"valuations.{nm}")
+            _typed(v, OBJECT, f"valuations.{nm}")
         for k, c in enumerate(self.checks):
-            _typed(c, dict, f"checks[{k}]")
-        ids = [c.get("id") for c in self.checks]
-        if any(not isinstance(i, str) or not i for i in ids):
-            raise ManifestError("every check needs a string id")
+            kind = _typed(c, OBJECT, f"checks[{k}]").get("kind")
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ManifestError(f"checks[{k}].kind: unknown check kind {kind!r}")
+            _record(c, _KINDS[kind].fields, f"checks[{k}]", _KINDS[kind].alternatives)
+            if not c["id"]:
+                raise ManifestError(f"checks[{k}].id: expected a nonempty string")
+        ids = [c["id"] for c in self.checks]
         if len(set(ids)) != len(ids):
             raise ManifestError("check ids must be unique")
-        for c in self.checks:
-            kind = c.get("kind")
-            if kind not in CHECK_KINDS:
-                raise ManifestError(f"unknown check kind {kind!r} (check {c.get('id')!r})")
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
@@ -179,20 +221,7 @@ class Manifest:
         return cls(data)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "name": self.name,
-            "comment": self.comment,
-            "symbols": self.symbols,
-            "dimension": self.dimension,
-            "basis": self.basis,
-            "differential": self.differential,
-            "endomorphisms": self.endomorphisms,
-            "bilinears": self.bilinears,
-            "forms": self.forms,
-            "valuations": self.valuations,
-            "checks": self.checks,
-        }
+        return {k: getattr(self, k) for k in _MANIFEST_FIELDS if k != "schema"} | {"schema": SCHEMA}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -248,20 +277,24 @@ class BuildContext:
         self._candidates = {}
         self._triples = {}
 
+    def attached(self, section, name):
+        """The structure ``name`` of ``section`` ("endomorphisms",
+        "bilinears" or "forms") attached to the presentation."""
+        found = getattr(self.presentation, section).get(name)
+        if found is None:
+            raise ManifestError(f"unknown {section[:-1]} {name!r}")
+        return found
+
     def acs(self, name) -> AlmostComplexStructure:
         if name not in self._acs:
-            mat = self.presentation.endomorphisms.get(name)
-            if mat is None:
-                raise ManifestError(f"unknown endomorphism {name!r}")
+            mat = self.attached("endomorphisms", name)
             self._acs[name] = AlmostComplexStructure(self.presentation, mat, name=name)
         return self._acs[name]
 
     def candidate(self, omega_name, endo_name) -> HermitianCandidate:
         key = (omega_name, endo_name)
         if key not in self._candidates:
-            omega = self.presentation.forms.get(omega_name)
-            if omega is None:
-                raise ManifestError(f"unknown form {omega_name!r}")
+            omega = self.attached("forms", omega_name)
             self._candidates[key] = HermitianCandidate(self.acs(endo_name), omega)
         return self._candidates[key]
 
@@ -273,25 +306,23 @@ class BuildContext:
             )
         return self._triples[key]
 
-    def valuation(self, name="default"):
+    def valuation(self, name):
+        """The valuation ``name``; None for an undeclared "default"."""
+        if name not in self.manifest.valuations and name != "default":
+            raise ManifestError(f"unknown valuation {name!r}")
         v = self.manifest.valuations.get(name)
         return dict(v) if v else None
 
     def rational_endo(self, name):
-        mat = self.presentation.endomorphisms.get(name)
-        if mat is None:
-            raise ManifestError(f"unknown endomorphism {name!r}")
-        rows = []
-        for row in mat:
-            out = []
-            for x in row:
-                if not x.is_rational():
-                    raise ManifestError(
-                        f"endomorphism {name!r} must be rational for this check"
-                    )
-                out.append(x.as_rational())
-            rows.append(out)
-        return rows
+        mat = self.attached("endomorphisms", name)
+        if not all(x.is_rational() for row in mat for x in row):
+            raise ManifestError(f"endomorphism {name!r} must be rational for this check")
+        return [[x.as_rational() for x in row] for row in mat]
+
+    def scalar(self, coeff):
+        """A manifest coefficient (an expression string or a number) in the
+        manifest's field."""
+        return self.table.parse(coeff) if isinstance(coeff, str) else self.table.scalar(coeff)
 
     # -- form spec resolution ------------------------------------------------
 
@@ -305,10 +336,7 @@ class BuildContext:
             raise ManifestError(f"a form spec needs exactly one constructor key: {spec!r}")
         (kind,) = keys
         if kind == "name":
-            f = self.presentation.forms.get(spec["name"])
-            if f is None:
-                raise ManifestError(f"unknown form {spec['name']!r}")
-            return f
+            return self.attached("forms", spec["name"])
         if kind == "terms":
             return self.presentation.form(
                 [self.manifest._term(t) for t in spec["terms"]]
@@ -325,8 +353,9 @@ class BuildContext:
                     anti = []
                 else:
                     coeff, holo, anti = entry
-                c = self.table.parse(coeff) if isinstance(coeff, str) else self.table.scalar(coeff)
-                out = out + c * model.to_real(model.eta_monomial(tuple(holo), tuple(anti)))
+                out = out + self.scalar(coeff) * model.to_real(
+                    model.eta_monomial(tuple(holo), tuple(anti))
+                )
             return out
         if kind == "d_of":
             return self.presentation.d(self.resolve_form(spec["d_of"]))
@@ -337,8 +366,7 @@ class BuildContext:
         if kind == "combo":
             out = Form.zero(self.presentation)
             for coeff, sub in spec["combo"]:
-                c = self.table.parse(coeff) if isinstance(coeff, str) else self.table.scalar(coeff)
-                out = out + c * self.resolve_form(sub)
+                out = out + self.scalar(coeff) * self.resolve_form(sub)
             return out
         raise ManifestError(f"unhandled form spec {spec!r}")
 
@@ -422,21 +450,43 @@ def serialize_matrix(m):
 
 
 # ---------------------------------------------------------------------------
-# check handlers
+# check kinds
 # ---------------------------------------------------------------------------
 
 
-def _expect_bool(check, default=True):
-    v = check.get("expect", default)
-    if not isinstance(v, bool):
-        raise ManifestError(f"check {check.get('id')!r}: 'expect' must be a boolean")
-    return v
+@dataclass(frozen=True)
+class _Kind:
+    fields: dict  # {key: (type, default)}, the common keys included
+    alternatives: tuple  # groups of keys of which a check gives exactly one
+
+
+_HANDLERS = {}  # kind -> handler(ctx, check, seed) -> (verdict, detail)
+_KINDS = {}  # kind -> _Kind
+_COMMON = {"id": STR, "kind": STR, "informational": (BOOL, False)}
+_VALUATION = (STR, "default")
+
+
+def _check(kind, *alternatives, **params):
+    """Declare the check kind ``kind``, run by the decorated handler.  Each
+    keyword names a parameter and gives its type, or a ``(type, default)``
+    pair when it is optional; ``alternatives`` are groups of parameters of
+    which a check gives exactly one.  The handler receives the check with
+    the defaults filled in."""
+    fields = _fields({**_COMMON, **params})
+
+    def register(handler):
+        _HANDLERS[kind] = handler
+        _KINDS[kind] = _Kind(fields, alternatives)
+        return handler
+
+    return register
 
 
 def _verdict(ok):
     return "pass" if ok else "fail"
 
 
+@_check("jacobi")
 def _h_jacobi(ctx, check, seed):
     rep = ctx.presentation.jacobi_check()
     detail = {}
@@ -449,18 +499,18 @@ def _h_jacobi(ctx, check, seed):
     return _verdict(rep.passed), detail
 
 
+@_check("endomorphism_square", endo=STR)
 def _h_endomorphism_square(ctx, check, seed):
-    name = check["endo"]
     try:
-        ctx.acs(name)
+        ctx.acs(check["endo"])
     except IntegrabilityError as e:
         return "fail", {"reason": str(e)}
     return "pass", {}
 
 
+@_check("integrable", endo=STR, expect=(BOOL, True))
 def _h_integrable(ctx, check, seed):
     rep = ctx.acs(check["endo"]).nijenhuis_vanishes()
-    expect = _expect_bool(check)
     detail = {}
     if not rep.passed:
         a, b, vec = rep.witnesses[0]
@@ -468,9 +518,10 @@ def _h_integrable(ctx, check, seed):
             "witness_pair": [ctx.presentation.names[a - 1], ctx.presentation.names[b - 1]],
             "value": [str(c) for c in vec],
         }
-    return _verdict(rep.passed == expect), detail
+    return _verdict(rep.passed == check["expect"]), detail
 
 
+@_check("hermitian_candidate", omega=STR, endo=STR)
 def _h_hermitian_candidate(ctx, check, seed):
     try:
         ctx.candidate(check["omega"], check["endo"])
@@ -479,28 +530,28 @@ def _h_hermitian_candidate(ctx, check, seed):
     return "pass", {}
 
 
-def _metric_predicate(predicate):
+def _metric_predicate(predicate, **extra):
+    @_check(predicate, omega=STR, endo=STR, expect=(BOOL, True), **extra)
     def handler(ctx, check, seed):
         cand = ctx.candidate(check["omega"], check["endo"])
-        if predicate == "k_pluriclosed":
-            rep = metrics.is_k_pluriclosed(cand, int(check["k"]))
-        else:
-            rep = getattr(metrics, f"is_{predicate}")(cand)
-        expect = _expect_bool(check)
+        test = getattr(metrics, f"is_{predicate}")
+        rep = test(cand, *(check[k] for k in extra))
         detail = {}
-        if rep.residual is not None and rep.passed != expect:
+        if rep.residual is not None and rep.passed != check["expect"]:
             detail["residual"] = serialize_form(rep.residual)
-        return _verdict(rep.passed == expect), detail
-
-    return handler
+        return _verdict(rep.passed == check["expect"]), detail
 
 
+for _predicate in ("kahler", "balanced", "pluriclosed", "astheno"):
+    _metric_predicate(_predicate)
+_metric_predicate("k_pluriclosed", k=INT)
+
+
+@_check("lee_form", omega=STR, endo=STR, expect=(_enum("none", "zero", "any"), "any"))
 def _h_lee_form(ctx, check, seed):
     cand = ctx.candidate(check["omega"], check["endo"])
     sol = metrics.lee_form(cand)
-    expect = check.get("expect", "any")
-    if expect not in ("none", "zero", "any"):
-        raise ManifestError("lee_form expect must be 'none', 'zero' or 'any'")
+    expect = check["expect"]
     detail = {}
     if sol.exists:
         detail = {
@@ -517,17 +568,19 @@ def _h_lee_form(ctx, check, seed):
     return _verdict(expect == "none"), detail
 
 
+@_check("bismut_torsion", omega=STR, endo=STR, expect_closed=(BOOL, True),
+        expect_form=(LIST, None), up_to_sign=(BOOL, False))
 def _h_bismut_torsion(ctx, check, seed):
     cand = ctx.candidate(check["omega"], check["endo"])
     t, dt = metrics.bismut_torsion(cand)
     ok = True
     detail = {"torsion": serialize_form(t), "d_torsion_zero": dt.is_zero()}
-    if check.get("expect_closed", True) and not dt.is_zero():
+    if check["expect_closed"] and not dt.is_zero():
         ok = False
         detail["d_torsion"] = serialize_form(dt)
-    if "expect_form" in check:
+    if check["expect_form"] is not None:
         target = ctx.resolve_form({"terms": check["expect_form"]})
-        if check.get("up_to_sign", False):
+        if check["up_to_sign"]:
             match = (t - target).is_zero() or (t + target).is_zero()
             detail["sign"] = (
                 "+" if (t - target).is_zero() else "-" if (t + target).is_zero() else None
@@ -538,6 +591,7 @@ def _h_bismut_torsion(ctx, check, seed):
     return _verdict(ok), detail
 
 
+@_check("weil_torsion_identity", omega=STR, endo=STR)
 def _h_weil_torsion_identity(ctx, check, seed):
     cand = ctx.candidate(check["omega"], check["endo"])
     J = cand.J
@@ -548,36 +602,38 @@ def _h_weil_torsion_identity(ctx, check, seed):
     return _verdict(ok), {}
 
 
+@_check("gram_signature", ("bilinear",), ("omega", "endo"), bilinear=STR, omega=STR, endo=STR,
+        valuation=_VALUATION, expect=(LIST, None))
 def _h_gram_signature(ctx, check, seed):
+    valuation = ctx.valuation(check["valuation"])
     if "bilinear" in check:
-        mat = ctx.presentation.bilinears.get(check["bilinear"])
-        if mat is None:
-            raise ManifestError(f"unknown bilinear {check['bilinear']!r}")
-        res = metrics.gram_and_signature(mat, ctx.valuation(check.get("valuation", "default")), table=ctx.table)
+        mat = ctx.attached("bilinears", check["bilinear"])
+        res = metrics.gram_and_signature(mat, valuation, table=ctx.table)
     else:
         cand = ctx.candidate(check["omega"], check["endo"])
-        res = metrics.gram_and_signature(cand, ctx.valuation(check.get("valuation", "default")))
+        res = metrics.gram_and_signature(cand, valuation)
     detail = {
         "signature": list(res.signature),
         "exact": res.exact,
         "degenerate": res.degenerate,
         "gram": serialize_matrix(res.matrix),
     }
-    if "expect" in check:
-        return _verdict(list(res.signature) == list(check["expect"])), detail
+    if check["expect"] is not None:
+        return _verdict(list(res.signature) == check["expect"]), detail
     return "pass", detail
 
 
+@_check("positivity_falsify", form=SPEC, endo=STR, samples=(INT, 10000), seed=(INT, None),
+        valuation=_VALUATION, expect=(_enum("violation", "no_violation"), "no_violation"))
 def _h_positivity_falsify(ctx, check, seed):
     form = ctx.resolve_form(check["form"])
     J = ctx.acs(check["endo"])
-    samples = int(check.get("samples", 10000))
     verdict = metrics.positivity_falsify(
         form,
         J,
-        samples=samples,
-        seed=int(check.get("seed", seed)),
-        valuation=ctx.valuation(check.get("valuation", "default")),
+        samples=check["samples"],
+        seed=seed if check["seed"] is None else check["seed"],
+        valuation=ctx.valuation(check["valuation"]),
     )
     detail = {"status": verdict.status, "samples": verdict.samples}
     if verdict.violated:
@@ -585,16 +641,15 @@ def _h_positivity_falsify(ctx, check, seed):
         detail["witness"] = [
             [[_fmt_float(z.real), _fmt_float(z.imag)] for z in v] for v in verdict.witness
         ]
-    expect = check.get("expect", "no_violation")
-    if expect not in ("violation", "no_violation"):
-        raise ManifestError("positivity_falsify expect must be 'violation' or 'no_violation'")
-    if verdict.status == expect:
-        if expect == "no_violation":
+    if verdict.status == check["expect"]:
+        if check["expect"] == "no_violation":
             detail["note"] = "sampling evidence only; positivity is not certified"
         return "pass", detail
     return "fail", detail
 
 
+@_check("strong_positivity_certificate", form=SPEC, endo=STR, decomposition=LIST,
+        valuation=_VALUATION)
 def _h_strong_positivity_certificate(ctx, check, seed):
     form = ctx.resolve_form(check["form"])
     J = ctx.acs(check["endo"])
@@ -609,7 +664,7 @@ def _h_strong_positivity_certificate(ctx, check, seed):
                 xs.append(ctx.resolve_form(xi))
         decomposition.append((coeff, tuple(xs)))
     rep = metrics.strong_positivity_certificate(
-        form, J, decomposition, valuation=ctx.valuation(check.get("valuation", "default"))
+        form, J, decomposition, valuation=ctx.valuation(check["valuation"])
     )
     detail = dict(rep.notes)
     if rep.residual is not None:
@@ -617,12 +672,17 @@ def _h_strong_positivity_certificate(ctx, check, seed):
     return _verdict(rep.valid), detail
 
 
+_TRIPLE = {"I": STR, "J": STR, "K": STR}
+
+
+@_check("hypercomplex", **_TRIPLE)
 def _h_hypercomplex(ctx, check, seed):
     rep = quaternion.check_hypercomplex(ctx.triple(check["I"], check["J"], check["K"]))
     detail = {"subchecks": [[c.name, c.passed] for c in rep.checks]}
     return _verdict(rep.passed), detail
 
 
+@_check("pseudo_hyperkahler", **_TRIPLE, omega_I=SPEC, omega_J=SPEC, omega_K=SPEC)
 def _h_pseudo_hyperkahler(ctx, check, seed):
     t = ctx.triple(check["I"], check["J"], check["K"])
     rep = quaternion.check_pseudo_hyperkahler(
@@ -640,99 +700,86 @@ def _hkt_candidate(ctx, check):
     return HKTCandidate(t, ctx.resolve_form(check["omega20"]))
 
 
+@_check("hkt", **_TRIPLE, omega20=SPEC, valuation=_VALUATION, expect=(BOOL, True))
 def _h_hkt(ctx, check, seed):
     cand = _hkt_candidate(ctx, check)
-    rep = quaternion.check_hkt(cand, valuation=ctx.valuation(check.get("valuation", "default")))
-    expect = _expect_bool(check)
+    rep = quaternion.check_hkt(cand, valuation=ctx.valuation(check["valuation"]))
     detail = {"subchecks": [[c.name, c.passed, c.detail] for c in rep.checks]}
-    return _verdict(rep.passed == expect), detail
+    return _verdict(rep.passed == check["expect"]), detail
 
 
+@_check("quaternionic_balanced", **_TRIPLE, omega20=SPEC, expect=(BOOL, True))
 def _h_quaternionic_balanced(ctx, check, seed):
     cand = _hkt_candidate(ctx, check)
     rep = quaternion.check_quaternionic_balanced(cand)
-    expect = _expect_bool(check)
     detail = {"subchecks": [[c.name, c.passed, c.detail] for c in rep.checks]}
-    return _verdict(rep.passed == expect), detail
+    return _verdict(rep.passed == check["expect"]), detail
 
 
+@_check("del_exact", form=SPEC, endo=STR, expect=(BOOL, True))
 def _h_del_exact(ctx, check, seed):
     form = ctx.resolve_form(check["form"])
     J = ctx.acs(check["endo"])
     rep = quaternion.del_primitive(form, J)
-    expect = _expect_bool(check)
     detail = {}
     if rep.exists and rep.primitive is not None:
         detail["primitive"] = serialize_form(rep.primitive)
-    return _verdict(rep.exists == expect), detail
+    return _verdict(rep.exists == check["expect"]), detail
 
 
+def _zero_verdict(res, expect):
+    detail = {"residual": serialize_form(res)} if expect and not res.is_zero() else {}
+    return _verdict(res.is_zero() == expect), detail
+
+
+@_check("del_zero", form=SPEC, endo=STR, expect=(BOOL, True))
 def _h_del_zero(ctx, check, seed):
-    from .complexops import del_
-
-    form = ctx.resolve_form(check["form"])
-    res = del_(form, ctx.acs(check["endo"]))
-    expect = _expect_bool(check)
-    detail = {}
-    if not res.is_zero() and expect:
-        detail["residual"] = serialize_form(res)
-    return _verdict(res.is_zero() == expect), detail
+    res = del_(ctx.resolve_form(check["form"]), ctx.acs(check["endo"]))
+    return _zero_verdict(res, check["expect"])
 
 
+@_check("d_zero", form=SPEC, expect=(BOOL, True))
 def _h_d_zero(ctx, check, seed):
-    form = ctx.resolve_form(check["form"])
-    res = ctx.presentation.d(form)
-    expect = _expect_bool(check)
-    detail = {}
-    if not res.is_zero() and expect:
-        detail["residual"] = serialize_form(res)
-    return _verdict(res.is_zero() == expect), detail
+    return _zero_verdict(ctx.presentation.d(ctx.resolve_form(check["form"])), check["expect"])
 
 
+def _equal_verdict(lhs, rhs):
+    diff = lhs - rhs
+    return _verdict(diff.is_zero()), {} if diff.is_zero() else {"difference": serialize_form(diff)}
+
+
+@_check("d_equals", form=SPEC, equals=SPEC)
 def _h_d_equals(ctx, check, seed):
     lhs = ctx.presentation.d(ctx.resolve_form(check["form"]))
-    rhs = ctx.resolve_form(check["equals"])
-    diff = lhs - rhs
-    detail = {} if diff.is_zero() else {"difference": serialize_form(diff)}
-    return _verdict(diff.is_zero()), detail
+    return _equal_verdict(lhs, ctx.resolve_form(check["equals"]))
 
 
+@_check("form_equals", lhs=SPEC, rhs=SPEC)
 def _h_form_equals(ctx, check, seed):
-    lhs = ctx.resolve_form(check["lhs"])
-    rhs = ctx.resolve_form(check["rhs"])
-    diff = lhs - rhs
-    detail = {} if diff.is_zero() else {"difference": serialize_form(diff)}
-    return _verdict(diff.is_zero()), detail
+    return _equal_verdict(ctx.resolve_form(check["lhs"]), ctx.resolve_form(check["rhs"]))
 
 
+@_check("obstruction_pairing", **_TRIPLE, alpha=SPEC, beta_etas=LIST, matrix=LIST, expect=COEFF)
 def _h_obstruction_pairing(ctx, check, seed):
     t = ctx.triple(check["I"], check["J"], check["K"])
     alpha = ctx.resolve_form(check["alpha"])
     model = t.I.model()
     beta = model.to_real(model.eta_monomial(tuple(check["beta_etas"])))
     value = quaternion.hkt_obstruction(t, alpha, beta, check["matrix"])
-    expect = ctx.table.parse(check["expect"])
     detail = {"pairing": str(value)}
-    return _verdict((value - expect).is_zero()), detail
+    return _verdict((value - ctx.scalar(check["expect"])).is_zero()), detail
 
 
+@_check("det_equals", endo=STR, expect=COEFF)
 def _h_det_equals(ctx, check, seed):
-    mat = ctx.presentation.endomorphisms.get(check["endo"])
-    if mat is None:
-        raise ManifestError(f"unknown endomorphism {check['endo']!r}")
-    value = linear.det(mat, ctx.table)
-    expect = ctx.table.parse(str(check["expect"]))
-    return _verdict((value - expect).is_zero()), {"det": str(value)}
+    value = linear.det(ctx.attached("endomorphisms", check["endo"]), ctx.table)
+    return _verdict((value - ctx.scalar(check["expect"])).is_zero()), {"det": str(value)}
 
 
+@_check("commute", endos=LIST)
 def _h_commute(ctx, check, seed):
     names = check["endos"]
-    mats = []
-    for nm in names:
-        m = ctx.presentation.endomorphisms.get(nm)
-        if m is None:
-            raise ManifestError(f"unknown endomorphism {nm!r}")
-        mats.append(m)
+    mats = [ctx.attached("endomorphisms", nm) for nm in names]
     ok = True
     detail = {}
     for a in range(len(mats)):
@@ -745,11 +792,10 @@ def _h_commute(ctx, check, seed):
     return _verdict(ok), detail
 
 
+@_check("matrix_isometry", endo=STR, bilinear=STR)
 def _h_matrix_isometry(ctx, check, seed):
-    mat = ctx.presentation.endomorphisms.get(check["endo"])
-    gram = ctx.presentation.bilinears.get(check["bilinear"])
-    if mat is None or gram is None:
-        raise ManifestError("matrix_isometry needs an endomorphism and a bilinear")
+    mat = ctx.attached("endomorphisms", check["endo"])
+    gram = ctx.attached("bilinears", check["bilinear"])
     lhs = linear.mat_mul(linear.mat_mul(linear.transpose(mat), gram, ctx.table), mat, ctx.table)
     res = linear.mat_sub(lhs, gram)
     ok = linear.is_zero_matrix(res)
@@ -757,6 +803,7 @@ def _h_matrix_isometry(ctx, check, seed):
     return _verdict(ok), detail
 
 
+@_check("char_poly_equals", endo=STR, expect=LIST)
 def _h_char_poly_equals(ctx, check, seed):
     rows = ctx.rational_endo(check["endo"])
     cp = hyperbolic.char_poly(rows)
@@ -765,6 +812,7 @@ def _h_char_poly_equals(ctx, check, seed):
     return _verdict(ok), {"char_poly_ascending": [str(c) for c in cp]}
 
 
+@_check("spectral_radius_in", endo=STR, interval=LIST)
 def _h_spectral_radius_in(ctx, check, seed):
     rows = ctx.rational_endo(check["endo"])
     lo_t, hi_t = (Fraction(str(x)) for x in check["interval"])
@@ -776,63 +824,21 @@ def _h_spectral_radius_in(ctx, check, seed):
     }
 
 
+@_check("trace_zero", endo=STR)
 def _h_trace_zero(ctx, check, seed):
-    mat = ctx.presentation.endomorphisms.get(check["endo"])
-    if mat is None:
-        raise ManifestError(f"unknown endomorphism {check['endo']!r}")
+    mat = ctx.attached("endomorphisms", check["endo"])
     tr = ctx.table.zero
     for k in range(len(mat)):
         tr = tr + mat[k][k]
     return _verdict(tr.is_zero()), {"trace": str(tr)}
 
 
+@_check("top_coefficient_equals", form=SPEC, volume=SPEC, expect=COEFF)
 def _h_top_coefficient_equals(ctx, check, seed):
     a = ctx.resolve_form(check["form"])
     vol = ctx.resolve_form(check["volume"])
     value = top_coefficient(a, vol)
-    expect = ctx.table.parse(str(check["expect"]))
-    return _verdict((value - expect).is_zero()), {"coefficient": str(value)}
-
-
-_HANDLERS = {
-    "jacobi": _h_jacobi,
-    "endomorphism_square": _h_endomorphism_square,
-    "integrable": _h_integrable,
-    "hermitian_candidate": _h_hermitian_candidate,
-    "kahler": _metric_predicate("kahler"),
-    "balanced": _metric_predicate("balanced"),
-    "pluriclosed": _metric_predicate("pluriclosed"),
-    "astheno": _metric_predicate("astheno"),
-    "k_pluriclosed": _metric_predicate("k_pluriclosed"),
-    "lee_form": _h_lee_form,
-    "bismut_torsion": _h_bismut_torsion,
-    "weil_torsion_identity": _h_weil_torsion_identity,
-    "gram_signature": _h_gram_signature,
-    "positivity_falsify": _h_positivity_falsify,
-    "strong_positivity_certificate": _h_strong_positivity_certificate,
-    "hypercomplex": _h_hypercomplex,
-    "pseudo_hyperkahler": _h_pseudo_hyperkahler,
-    "hkt": _h_hkt,
-    "quaternionic_balanced": _h_quaternionic_balanced,
-    "del_exact": _h_del_exact,
-    "del_zero": _h_del_zero,
-    "d_zero": _h_d_zero,
-    "d_equals": _h_d_equals,
-    "form_equals": _h_form_equals,
-    "obstruction_pairing": _h_obstruction_pairing,
-    "det_equals": _h_det_equals,
-    "commute": _h_commute,
-    "matrix_isometry": _h_matrix_isometry,
-    "char_poly_equals": _h_char_poly_equals,
-    "spectral_radius_in": _h_spectral_radius_in,
-    "trace_zero": _h_trace_zero,
-    "top_coefficient_equals": _h_top_coefficient_equals,
-}
-
-if set(_HANDLERS) != CHECK_KINDS:
-    raise RuntimeError(
-        f"check kinds and handlers differ: {sorted(set(_HANDLERS) ^ CHECK_KINDS)}"
-    )
+    return _verdict((value - ctx.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
 
 
 def run_check(manifest: Manifest, only=None, seed=None) -> Report:
@@ -861,22 +867,14 @@ def run_check(manifest: Manifest, only=None, seed=None) -> Report:
     jacobi_ok = True
     for check in checks:
         handler = _HANDLERS[check["kind"]]
+        check = {**_defaults(_KINDS[check["kind"]].fields), **check}
         start = time.perf_counter()
-        informational = bool(check.get("informational", False))
-        if not jacobi_ok and check["kind"] != "jacobi":
-            outcomes.append(
-                CheckOutcome(
-                    check["id"],
-                    check["kind"],
-                    "error",
-                    {"reason": "skipped: the presentation fails the Jacobi gate"},
-                    informational,
-                    (time.perf_counter() - start) * 1000.0,
-                )
-            )
-            continue
         try:
-            verdict, detail = handler(ctx, check, seed)
+            if jacobi_ok or check["kind"] == "jacobi":
+                verdict, detail = handler(ctx, check, seed)
+            else:
+                reason = "skipped: the presentation fails the Jacobi gate"
+                verdict, detail = "error", {"reason": reason}
         except (
             ManifestError,
             ScalarError,
@@ -891,9 +889,9 @@ def run_check(manifest: Manifest, only=None, seed=None) -> Report:
         except Exception as e:  # last resort: an unforeseen failure is never a pass
             verdict, detail = "error", {"reason": f"{type(e).__name__}: {e}"}
         elapsed = (time.perf_counter() - start) * 1000.0
-        outcomes.append(
-            CheckOutcome(check["id"], check["kind"], verdict, detail, informational, elapsed)
-        )
+        outcomes.append(CheckOutcome(
+            check["id"], check["kind"], verdict, detail, check["informational"], elapsed
+        ))
         if check["kind"] == "jacobi" and verdict != "pass":
             jacobi_ok = False
     return Report(manifest.name, seed, outcomes)

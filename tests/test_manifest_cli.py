@@ -95,6 +95,21 @@ def test_report_determinism_byte_identical():
         assert r1 == r2
 
 
+def test_number_coefficients_equal_their_strings():
+    data = _mini_manifest(
+        differential={"e1": [[1.0, ["e2", "e3"]]]}, forms={"eta": [[1, ["e1"]]]}
+    )
+    rep = run_check(Manifest(data))
+    assert [o.verdict for o in rep.outcomes] == ["pass", "pass"]
+
+
+def test_unknown_valuation_is_error_verdict():
+    data = json.loads(builtin("AT4").to_json())
+    next(c for c in data["checks"] if c["kind"] == "gram_signature")["valuation"] = "nope"
+    outcome = run_check(Manifest(data), only="gram-positive").outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == ("error", {"reason": "unknown valuation 'nope'"})
+
+
 def test_error_verdict_from_bad_check_parameters():
     data = _mini_manifest(
         checks=[{"id": "jacobi", "kind": "jacobi"}, {"id": "bad", "kind": "d_zero", "form": "nope"}]
@@ -198,47 +213,114 @@ def test_cli_classify_rational_entries(tmp_path):
     assert out.strip() == "parabolic"
 
 
-def test_cli_check_missing_parameter_is_error_verdict(tmp_path):
-    code, manifest_text, _ = _run_cli(["builtin", "AT4", "--emit"])
-    assert code == 0
-    data = json.loads(manifest_text)
-    kahler = next(c for c in data["checks"] if c["kind"] == "kahler")
-    del kahler["omega"]
-    path = tmp_path / "no_omega.json"
-    path.write_text(json.dumps(data))
-    code, out, err = _run_cli(["check", str(path), "--report", "json", "--no-timing"])
-    assert code == 1
-    assert "Traceback" not in err
-    outcome = next(c for c in json.loads(out)["checks"] if c["id"] == kahler["id"])
-    assert outcome["verdict"] == "error"
-    assert outcome["detail"]["reason"] == "KeyError: 'omega'"
+@pytest.mark.parametrize(
+    "kind, mutate, message",
+    [
+        ("kahler", lambda c: c.pop("omega"), ".omega: missing required parameter"),
+        (
+            "kahler",
+            lambda c: c.update(expect=True, informational="false"),
+            '.informational: expected a boolean, got "false"',
+        ),
+        ("kahler", lambda c: c.update(expected=c.pop("expect")), ".expected: unknown parameter"),
+        ("kahler", lambda c: c.update(expect="false"), ".expect: expected a boolean"),
+        (
+            "lee_form",
+            lambda c: c.update(expect="nothing"),
+            '.expect: expected "none" or "zero" or "any", got "nothing"',
+        ),
+        (
+            "gram_signature",
+            lambda c: c.update(bilinear="g"),
+            ": expected exactly one of bilinear or omega with endo",
+        ),
+        ("gram_signature", lambda c: c.pop("endo"), ".endo: missing required parameter"),
+        ("trace_zero", lambda c: c.update(kind="trace"), ".kind: unknown check kind 'trace'"),
+    ],
+    ids=[
+        "missing-omega", "informational-string", "misspelled-key", "expect-string", "lee-enum",
+        "gram-both-alternatives", "gram-half-alternative", "unknown-kind",
+    ],
+)
+def test_cli_check_bad_parameter_exit_two(tmp_path, capsys, kind, mutate, message):
+    """A check that does not match its kind's declaration fails at load with
+    exit 2 and one line naming the path, before any check runs."""
+    data = json.loads(builtin("AT4").to_json())
+    k = next(k for k, c in enumerate(data["checks"]) if c["kind"] == kind)
+    mutate(data["checks"][k])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", str(bad), "--report", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: checks[{k}]{message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_bismut_up_to_sign_string_is_rejected():
+    """``"up_to_sign": "false"`` used to switch on the looser match."""
+    data = json.loads(builtin("fp_solv8").to_json())
+    next(c for c in data["checks"] if c["kind"] == "bismut_torsion")["up_to_sign"] = "false"
+    with pytest.raises(ManifestError, match=r"up_to_sign: expected a boolean"):
+        Manifest(data)
+
+
+def test_run_check_unexpected_exception_is_error_verdict(monkeypatch):
+    """An exception no handler foresaw ends as an error verdict naming it."""
+    from hermitia import manifest
+
+    def boom(ctx, check, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(manifest._HANDLERS, "d_equals", boom)
+    rep = run_check(Manifest(_mini_manifest()))
+    outcome = rep.outcomes[1]
+    assert (outcome.check_id, outcome.verdict) == ("phi-exact", "error")
+    assert outcome.detail == {"reason": "RuntimeError: boom"}
+    assert rep.overall == "fail"
 
 
 @pytest.mark.parametrize(
-    "mutate, path",
+    "mutate, message",
     [
-        (lambda d: d["differential"].update(e1=5), "differential.e1"),
-        (lambda d: d["forms"].update(eta=5), "forms.eta"),
-        (lambda d: d.update(checks="x"), "checks"),
-        (lambda d: d["endomorphisms"].update(J=5), "endomorphisms.J"),
-        (lambda d: d.update(valuations=5), "valuations"),
-        (lambda d: d.update(symbols=[5]), "symbols[0]"),
-        (lambda d: d["differential"]["e1"].append(["1", 5]), "differential.e1[1][1]"),
-        (lambda d: d.update(basis=5), "basis"),
+        (lambda d: d["differential"].update(e1=5), "differential.e1: expected "),
+        (lambda d: d["forms"].update(eta=5), "forms.eta: expected "),
+        (lambda d: d.update(checks="x"), "checks: expected "),
+        (lambda d: d["endomorphisms"].update(J=5), "endomorphisms.J: expected "),
+        (lambda d: d.update(valuations=5), "valuations: expected "),
+        (lambda d: d.update(symbols=[5]), "symbols[0]: expected "),
+        (lambda d: d["differential"]["e1"].append(["1", 5]), "differential.e1[1][1]: expected "),
+        (lambda d: d.update(basis=5), "basis: expected "),
+        (lambda d: d["basis"].__setitem__(0, []), "basis[0]: expected "),
+        (lambda d: d["symbols"][0].update(relation=5), "symbols[0].relation: expected "),
+        (lambda d: d.update(symbols=[{"name": 5}]), "symbols[0].name: expected "),
+        (lambda d: d.update(symbols=[{}]), "symbols[0].name: missing required parameter"),
+        (lambda d: d["differential"]["e1"][0].__setitem__(0, [1]), "differential.e1[0][0]: expected "),
+        (lambda d: d["forms"]["omega0"][0].__setitem__(0, None), "forms.omega0[0][0]: expected "),
+        (lambda d: d["endomorphisms"]["J"][0].__setitem__(0, {}), "endomorphisms.J[0][0]: expected "),
+        (lambda d: d["endomorphisms"]["J"][1].__setitem__(0, float("inf")), "endomorphisms.J[1][0]: expected "),
+        (
+            lambda d: d["symbols"][0].update(relation={"power": "2", "rhs": "3"}),
+            "symbols[0].relation.power: expected ",
+        ),
+        (lambda d: d["symbols"][0].update(sign_hint="big"), "symbols[0].sign_hint: expected "),
     ],
     ids=[
         "differential.e1", "forms.eta", "checks", "endomorphisms.J", "valuations", "symbols",
-        "differential.e1.term", "basis",
+        "differential.e1.term", "basis", "basis.entry", "symbols.relation", "symbols.name", "symbols.empty",
+        "differential.coefficient", "forms.coefficient", "matrix.coefficient", "matrix.infinite",
+        "symbols.relation.power",
+        "symbols.sign_hint",
     ],
 )
-def test_cli_check_wrongly_typed_field_exit_two(tmp_path, mutate, path):
+def test_cli_check_wrongly_typed_field_exit_two(tmp_path, capsys, mutate, message):
     data = json.loads(builtin("AT4").to_json())
     mutate(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    code, _out, err = _run_cli(["check", str(bad)])
-    assert code == 2
-    assert err.startswith(f"error: {path}: expected ")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
 
 

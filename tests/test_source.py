@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hermitia"
@@ -18,3 +19,26 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_readme_check_kind_table_matches_declarations():
+    """The README's table of check kinds names exactly the declared kinds,
+    each with its declared required and optional parameters."""
+    from hermitia.manifest import _COMMON, _KINDS, _REQUIRED
+
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Check kinds", 1)[1].split("\n### ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            kinds, required, optional = (
+                set(re.findall(r"`([^`]+)`", cell)) for cell in line.strip("|").split("|")
+            )
+            for kind in kinds:
+                assert kind not in documented, kind
+                documented[kind] = (required, optional)
+    assert set(documented) == set(_KINDS)
+    for kind, decl in _KINDS.items():
+        fields = {k: d for k, (_, d) in decl.fields.items() if k not in _COMMON}
+        required = {k for k, d in fields.items() if d is _REQUIRED}
+        assert documented[kind] == (required, set(fields) - required), kind
