@@ -18,6 +18,8 @@ del(delbar(omega^k)) computed there pays for one conversion in total.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import linear
 from .cealg import Form, FormError, LieAlgebraPresentation, PresentationError
 from .scalars import Scalar
@@ -141,10 +143,23 @@ class AlmostComplexStructure:
     # -- integrability ---------------------------------------------------------
 
     def nijenhuis_vanishes(self) -> NijenhuisReport:
-        """N(e_a, e_b) = [e_a,e_b] + J[Je_a,e_b] + J[e_a,Je_b] - [Je_a,Je_b]
-        over all basis pairs a < b; pass iff every value vanishes."""
-        if self._nijenhuis is not None:
-            return self._nijenhuis
+        """Pass iff N(e_a, e_b) = [e_a,e_b] + J[Je_a,e_b] + J[e_a,Je_b] - [Je_a,Je_b]
+        vanishes on all basis pairs a < b.
+
+        The verdict comes from building the complex model, whose (0,2) test on
+        d of the (1,0) coframe is the algebraic Newlander-Nirenberg condition;
+        the N(e_a, e_b) witnesses are computed only when that test fails."""
+        if self._nijenhuis is None:
+            try:
+                self.model()
+            except IntegrabilityError:
+                if self._nijenhuis is None:
+                    raise
+        return self._nijenhuis
+
+    def _nijenhuis_witnesses(self):
+        """(a, b, coefficient list of N(e_a, e_b)) for every basis pair a < b
+        on which the Nijenhuis tensor does not vanish."""
         pres = self.presentation
         pres.require_jacobi()
         n = pres.dim
@@ -186,22 +201,41 @@ class AlmostComplexStructure:
                 total = [t1[k] + t2[k] + t3[k] - t4[k] for k in range(n)]
                 if any(not c.is_zero() for c in total):
                     witnesses.append((a + 1, b + 1, total))
-        self._nijenhuis = NijenhuisReport(witnesses)
-        return self._nijenhuis
+        return witnesses
 
     def model(self) -> "ComplexModel":
+        if self._model is None and self._nijenhuis is None:
+            try:
+                self._model = ComplexModel(self)
+            except IntegrabilityError:
+                witnesses = self._nijenhuis_witnesses()
+                if not witnesses:  # the two tests disagree: never pass silently
+                    raise
+                self._nijenhuis = NijenhuisReport(witnesses)
+            else:
+                self._nijenhuis = NijenhuisReport([])
         if self._model is None:
-            rep = self.nijenhuis_vanishes()
-            if not rep.passed:
-                a, b, _v = rep.witnesses[0]
-                raise IntegrabilityError(
-                    f"{self.name} is not integrable: N(e_{a}, e_{b}) != 0"
-                )
-            self._model = ComplexModel(self)
+            a, b, _v = self._nijenhuis.witnesses[0]
+            raise IntegrabilityError(f"{self.name} is not integrable: N(e_{a}, e_{b}) != 0")
         return self._model
 
     def __repr__(self):
         return f"AlmostComplexStructure({self.name}, dim={self.presentation.dim})"
+
+
+class CoframePresentation(LieAlgebraPresentation):
+    """The complex presentation of a ComplexModel: generators eta_1 .. eta_m
+    and their conjugates.  ``model`` leads back to the structure, so a form
+    over a coframe can always be taken to the real basis."""
+
+    def __init__(self, model: "ComplexModel", differential, names):
+        super().__init__(model.real.dim, differential, names=names, table=model.real.table)
+        self.model = model
+
+    def same_algebra(self, other):
+        """Only the coframe itself: the coframes of two structures can share
+        their structure equations, and their forms must still not mix."""
+        return self is other
 
 
 class ComplexModel:
@@ -246,54 +280,53 @@ class ComplexModel:
             er = pres.generator(r)
             self.eta_forms.append(er - i_unit * J.pullback_one_form(er))
 
-        # change of basis: rows 0..m-1 are eta, rows m..2m-1 conjugates
-        cmat = []
-        for eta in self.eta_forms:
-            cmat.append([eta.coefficient((s,)) for s in range(1, n + 1)])
-        for eta in self.eta_forms:
-            cmat.append([eta.coefficient((s,)).conjugate() for s in range(1, n + 1)])
-        self.C = tuple(tuple(row) for row in cmat)
-        self.Cinv = linear.invert(self.C, table)
+        # change of basis.  R stacks the real rows e^r and e^r o J (r in
+        # sigma); the complex rows eta_r = e^r - i e^r o J and their
+        # conjugates are C = [[I, -iI], [I, iI]] R, so C^-1 = R^-1 M with
+        # M = 1/2 [[I, I], [iI, -iI]] and only the real R is inverted.
+        rows = [[table.one if s == r else table.zero for s in range(1, n + 1)] for r in self.sigma]
+        rows += [list(J.matrix[r - 1]) for r in self.sigma]
+        rinv = linear.invert(rows, table)
+        half = table.scalar(Fraction(1, 2))
+        half_i = half * i_unit
 
         # sparse expansion rows: real generator r -> [(complex index, coeff)]
         self._real_to_cx = []
         for r in range(n):
-            row = [
-                (j + 1, self.Cinv[r][j])
-                for j in range(n)
-                if not self.Cinv[r][j].is_zero()
+            pairs = [
+                (x if x.is_zero() else half * x, y if y.is_zero() else half_i * y)
+                for x, y in zip(rinv[r][:m], rinv[r][m:])
             ]
-            self._real_to_cx.append(row)
-        self._cx_to_real = []
-        for a in range(n):
-            row = [(s + 1, self.C[a][s]) for s in range(n) if not self.C[a][s].is_zero()]
-            self._cx_to_real.append(row)
+            cx = [x + y for x, y in pairs] + [x - y for x, y in pairs]
+            self._real_to_cx.append([(j + 1, c) for j, c in enumerate(cx) if not c.is_zero()])
+        # complex generator a -> its real expansion: eta_a, then the conjugates
+        self._cx_to_real = [
+            [(idx[0], c) for idx, c in sorted(eta.terms.items())] for eta in self.eta_forms
+        ]
+        self._cx_to_real += [[(s, c.conjugate()) for s, c in row] for row in self._cx_to_real]
 
         names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(
             f"zb{k}" for k in range(1, m + 1)
         )
-        # differential of the complex coframe, rewritten in the coframe itself
+        # differential of the complex coframe, rewritten in the coframe itself;
+        # a (0,2) part of d eta_k is the algebraic Newlander-Nirenberg test
         coframe = list(self.eta_forms) + [eta.conjugate() for eta in self.eta_forms]
         dgen = {}
         for a, element in enumerate(coframe):
             cterms = self._substitute(pres.d(element).terms, self._real_to_cx)
+            if a < m and any(self.bidegree_of_indices(idx) == (0, 2) for idx in cterms):
+                raise IntegrabilityError(
+                    "non-integrable structure: d of a (1,0) coframe "
+                    "element has a (0,2) component"
+                )
             if cterms:
                 dgen[a + 1] = cterms
-        self.cpres = LieAlgebraPresentation(
-            n,
+        self.cpres = CoframePresentation(
+            self,
             {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
             names=names,
-            table=table,
         )
         self.cpres.require_jacobi()
-        for g, t in dgen.items():
-            if g <= m:
-                for idx in t:
-                    if self.bidegree_of_indices(idx) == (0, 2):
-                        raise IntegrabilityError(
-                            "non-integrable structure: d of a (1,0) coframe "
-                            "element has a (0,2) component"
-                        )
 
     # -- index helpers ---------------------------------------------------------
 
@@ -301,20 +334,22 @@ class ComplexModel:
         p = sum(1 for k in idx if k <= self.m)
         return p, len(idx) - p
 
-    def conjugate_index(self, k):
-        return k + self.m if k <= self.m else k - self.m
-
-    def _conjugate_cx_terms(self, terms):
-        from .cealg import _sort_signed
-
+    def conjugate(self, cform: Form) -> Form:
+        """The complex conjugate of a coframe form: every coefficient is
+        conjugated and eta_k trades places with its conjugate, so a (p,q)
+        monomial maps to a (q,p) one."""
+        if not self.cpres.same_algebra(cform.presentation):
+            raise FormError("form does not live over this model's complex coframe")
+        m = self.m
         out = {}
-        for idx, c in terms.items():
-            mapped, sign = _sort_signed(tuple(self.conjugate_index(k) for k in idx))
+        for idx, c in cform.terms.items():
+            p = self.bidegree_of_indices(idx)[0]
+            # idx is sorted, so its holomorphic indices come first; moving the
+            # q antiholomorphic ones to the front costs the sign (-1)^(p q)
+            mapped = tuple(k - m for k in idx[p:]) + tuple(k + m for k in idx[:p])
             cc = c.conjugate()
-            if sign < 0:
-                cc = -cc
-            out[mapped] = out.get(mapped, self.real.table.zero) + cc
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            out[mapped] = -cc if p * (len(idx) - p) % 2 else cc
+        return Form(self.cpres, out, _canonical=True)
 
     def _substitute(self, terms, rows):
         """Expand each generator through the sparse substitution rows."""
@@ -451,12 +486,21 @@ def coframe_10(J: AlmostComplexStructure):
     return list(J.model().eta_forms)
 
 
+def real_basis(a: Form) -> Form:
+    """``a`` in the real basis: a form over a structure's complex coframe is
+    converted back, any other form is returned as it is."""
+    pres = a.presentation
+    return pres.model.to_real(a) if isinstance(pres, CoframePresentation) else a
+
+
 def _lift(a: Form, J: AlmostComplexStructure):
-    """(model, a in the complex coframe, the map back to a's basis)."""
+    """(model, a in the complex coframe of J, the map back to a's basis).
+    A form over another structure's coframe is taken to the real basis
+    first, and answers for it come back in the real basis."""
     model = J.model()
     if a.presentation is model.cpres:
         return model, a, lambda f: f
-    return model, model.to_complex(a), model.to_real
+    return model, model.to_complex(real_basis(a)), model.to_real
 
 
 def bidegree(a: Form, J: AlmostComplexStructure) -> BigradedForm:
@@ -482,8 +526,12 @@ def dc(a: Form, J: AlmostComplexStructure) -> Form:
 
 
 def conjugate_form(a: Form, J: AlmostComplexStructure | None = None) -> Form:
-    """Conjugate all coefficients; swaps (p,q) and (q,p) components."""
-    return a.conjugate()
+    """The complex conjugate of ``a``; swaps (p,q) and (q,p) components.  A
+    real-basis form has its coefficients conjugated; a form over a complex
+    coframe is conjugated there (``ComplexModel.conjugate``), so J is not
+    needed to tell the two apart."""
+    pres = a.presentation
+    return pres.model.conjugate(a) if isinstance(pres, CoframePresentation) else a.conjugate()
 
 
 def weil_operator(a: Form, J: AlmostComplexStructure) -> Form:

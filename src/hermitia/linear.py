@@ -76,12 +76,12 @@ def extend_span(span, v):
     for lead, rv in span:
         if not v[lead].is_zero():
             f = v[lead]
-            v = [x - f * y for x, y in zip(v, rv)]
+            v = [x if y.is_zero() else x - f * y for x, y in zip(v, rv)]
     lead = next((k for k, x in enumerate(v) if not x.is_zero()), None)
     if lead is None:
         return False
     pv = v[lead]
-    span.append((lead, [x / pv for x in v]))
+    span.append((lead, [x if x.is_zero() else x / pv for x in v]))
     return True
 
 

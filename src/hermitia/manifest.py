@@ -21,6 +21,9 @@ are nested objects:
     {"wedge": [SPEC, ..]}                        a wedge product
     {"power": K, "base": SPEC}                   a wedge power
     {"combo": [[coeff, SPEC], ..]}               a linear combination
+
+An ``eta_terms`` form stays in its coframe; operands from different bases
+are combined in the real basis, and reported forms are always real.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .cealg import (
     wedge_all,
     wedge_power,
 )
-from .complexops import AlmostComplexStructure, IntegrabilityError, del_, weil_operator
+from .complexops import AlmostComplexStructure, IntegrabilityError, del_, real_basis, weil_operator
 from .metrics import HermitianCandidate, MetricError
 from .quaternion import HKTCandidate, HypercomplexTriple, QuaternionError
 from .scalars import ScalarError, Symbol, SymbolTable
@@ -265,6 +268,22 @@ class Manifest:
         return coeff, tuple(idx)
 
 
+def _one_basis(forms):
+    """The forms as they are if they share one basis, else all in the real
+    basis."""
+    if all(f.presentation is forms[0].presentation for f in forms):
+        return forms
+    return [real_basis(f) for f in forms]
+
+
+def _coframe_indices(indices, m, what):
+    """``indices``, a JSON list of (1,0)-coframe indices, as a tuple; each
+    must be an integer in 1..m, else ``what`` is named in a ManifestError."""
+    if not isinstance(indices, list) or not all(INT.test(k) and 1 <= k <= m for k in indices):
+        raise ManifestError(f"{what}: expected a list of coframe indices in 1..{m}")
+    return tuple(indices)
+
+
 class BuildContext:
     """A materialized manifest: the presentation plus caches for derived
     structures (complex structures, candidates, triples)."""
@@ -326,7 +345,15 @@ class BuildContext:
 
     # -- form spec resolution ------------------------------------------------
 
+    # A form in the real basis, where residuals, differences and primitives
+    # are reported under the manifest's generator names.
+    real = staticmethod(real_basis)
+
     def resolve_form(self, spec) -> Form:
+        """The form a spec describes.  An ``eta_terms`` spec is built in the
+        (1,0)-coframe of its structure and stays there through ``power`` and
+        ``d_of``; ``combo`` and ``wedge`` keep one basis when their operands
+        share it and convert every operand to the real basis when they do not."""
         if isinstance(spec, str):
             spec = {"name": spec}
         if not isinstance(spec, dict):
@@ -346,27 +373,30 @@ class BuildContext:
             if endo is None:
                 raise ManifestError("eta_terms specs need an 'endo' field")
             model = self.acs(endo).model()
-            out = Form.zero(self.presentation)
-            for entry in spec["eta_terms"]:
-                if len(entry) == 2:
-                    coeff, holo = entry
-                    anti = []
-                else:
-                    coeff, holo, anti = entry
-                out = out + self.scalar(coeff) * model.to_real(
-                    model.eta_monomial(tuple(holo), tuple(anti))
-                )
-            return out
+            m = model.m
+            terms = []
+            for entry in _typed(spec["eta_terms"], LIST, "eta_terms"):
+                what = f"eta_terms entry {json.dumps(entry)}"
+                if not (isinstance(entry, list) and len(entry) in (2, 3) and COEFF.test(entry[0])):
+                    raise ManifestError(
+                        f"{what}: expected [coefficient, [holo]] or [coefficient, [holo], [anti]]"
+                    )
+                holo = _coframe_indices(entry[1], m, what)
+                anti = _coframe_indices(entry[2], m, what) if len(entry) == 3 else ()
+                terms.append((self.scalar(entry[0]), holo + tuple(m + b for b in anti)))
+            return model.cpres.form(terms)
         if kind == "d_of":
-            return self.presentation.d(self.resolve_form(spec["d_of"]))
+            sub = self.resolve_form(spec["d_of"])
+            return sub.presentation.d(sub)
         if kind == "wedge":
-            return wedge_all([self.resolve_form(s) for s in spec["wedge"]])
+            return wedge_all(_one_basis([self.resolve_form(s) for s in spec["wedge"]]))
         if kind == "power":
             return wedge_power(self.resolve_form(spec["base"]), int(spec["power"]))
         if kind == "combo":
-            out = Form.zero(self.presentation)
-            for coeff, sub in spec["combo"]:
-                out = out + self.scalar(coeff) * self.resolve_form(sub)
+            forms = _one_basis([self.resolve_form(sub) for _c, sub in spec["combo"]])
+            out = Form.zero(forms[0].presentation if forms else self.presentation)
+            for (coeff, _sub), form in zip(spec["combo"], forms):
+                out = out + self.scalar(coeff) * form
             return out
         raise ManifestError(f"unhandled form spec {spec!r}")
 
@@ -626,7 +656,7 @@ def _h_gram_signature(ctx, check, seed):
 @_check("positivity_falsify", form=SPEC, endo=STR, samples=(INT, 10000), seed=(INT, None),
         valuation=_VALUATION, expect=(_enum("violation", "no_violation"), "no_violation"))
 def _h_positivity_falsify(ctx, check, seed):
-    form = ctx.resolve_form(check["form"])
+    form = ctx.real(ctx.resolve_form(check["form"]))
     J = ctx.acs(check["endo"])
     verdict = metrics.positivity_falsify(
         form,
@@ -651,17 +681,22 @@ def _h_positivity_falsify(ctx, check, seed):
 @_check("strong_positivity_certificate", form=SPEC, endo=STR, decomposition=LIST,
         valuation=_VALUATION)
 def _h_strong_positivity_certificate(ctx, check, seed):
-    form = ctx.resolve_form(check["form"])
+    form = ctx.real(ctx.resolve_form(check["form"]))
     J = ctx.acs(check["endo"])
     model = J.model()
     decomposition = []
     for coeff, tuple_spec in check["decomposition"]:
         xs = []
         for xi in tuple_spec:
-            if isinstance(xi, int):
+            if SPEC.test(xi):
+                xs.append(ctx.real(ctx.resolve_form(xi)))
+            elif INT.test(xi) and 1 <= xi <= model.m:
                 xs.append(model.eta(xi))
             else:
-                xs.append(ctx.resolve_form(xi))
+                raise ManifestError(
+                    f"decomposition factor {json.dumps(xi)}: expected a form spec "
+                    f"or a coframe index in 1..{model.m}"
+                )
         decomposition.append((coeff, tuple(xs)))
     rep = metrics.strong_positivity_certificate(
         form, J, decomposition, valuation=ctx.valuation(check["valuation"])
@@ -687,9 +722,7 @@ def _h_pseudo_hyperkahler(ctx, check, seed):
     t = ctx.triple(check["I"], check["J"], check["K"])
     rep = quaternion.check_pseudo_hyperkahler(
         t,
-        ctx.resolve_form(check["omega_I"]),
-        ctx.resolve_form(check["omega_J"]),
-        ctx.resolve_form(check["omega_K"]),
+        *(ctx.real(ctx.resolve_form(check[k])) for k in ("omega_I", "omega_J", "omega_K")),
     )
     detail = {"subchecks": [[c.name, c.passed] for c in rep.checks]}
     return _verdict(rep.passed), detail
@@ -723,40 +756,43 @@ def _h_del_exact(ctx, check, seed):
     rep = quaternion.del_primitive(form, J)
     detail = {}
     if rep.exists and rep.primitive is not None:
-        detail["primitive"] = serialize_form(rep.primitive)
+        detail["primitive"] = serialize_form(ctx.real(rep.primitive))
     return _verdict(rep.exists == check["expect"]), detail
 
 
-def _zero_verdict(res, expect):
-    detail = {"residual": serialize_form(res)} if expect and not res.is_zero() else {}
+def _zero_verdict(ctx, res, expect):
+    detail = {"residual": serialize_form(ctx.real(res))} if expect and not res.is_zero() else {}
     return _verdict(res.is_zero() == expect), detail
 
 
 @_check("del_zero", form=SPEC, endo=STR, expect=(BOOL, True))
 def _h_del_zero(ctx, check, seed):
     res = del_(ctx.resolve_form(check["form"]), ctx.acs(check["endo"]))
-    return _zero_verdict(res, check["expect"])
+    return _zero_verdict(ctx, res, check["expect"])
 
 
 @_check("d_zero", form=SPEC, expect=(BOOL, True))
 def _h_d_zero(ctx, check, seed):
-    return _zero_verdict(ctx.presentation.d(ctx.resolve_form(check["form"])), check["expect"])
+    form = ctx.resolve_form(check["form"])
+    return _zero_verdict(ctx, form.presentation.d(form), check["expect"])
 
 
-def _equal_verdict(lhs, rhs):
+def _equal_verdict(ctx, lhs, rhs):
+    lhs, rhs = _one_basis([lhs, rhs])
     diff = lhs - rhs
-    return _verdict(diff.is_zero()), {} if diff.is_zero() else {"difference": serialize_form(diff)}
+    detail = {} if diff.is_zero() else {"difference": serialize_form(ctx.real(diff))}
+    return _verdict(diff.is_zero()), detail
 
 
 @_check("d_equals", form=SPEC, equals=SPEC)
 def _h_d_equals(ctx, check, seed):
-    lhs = ctx.presentation.d(ctx.resolve_form(check["form"]))
-    return _equal_verdict(lhs, ctx.resolve_form(check["equals"]))
+    form = ctx.resolve_form(check["form"])
+    return _equal_verdict(ctx, form.presentation.d(form), ctx.resolve_form(check["equals"]))
 
 
 @_check("form_equals", lhs=SPEC, rhs=SPEC)
 def _h_form_equals(ctx, check, seed):
-    return _equal_verdict(ctx.resolve_form(check["lhs"]), ctx.resolve_form(check["rhs"]))
+    return _equal_verdict(ctx, ctx.resolve_form(check["lhs"]), ctx.resolve_form(check["rhs"]))
 
 
 @_check("obstruction_pairing", **_TRIPLE, alpha=SPEC, beta_etas=LIST, matrix=LIST, expect=COEFF)
@@ -764,7 +800,8 @@ def _h_obstruction_pairing(ctx, check, seed):
     t = ctx.triple(check["I"], check["J"], check["K"])
     alpha = ctx.resolve_form(check["alpha"])
     model = t.I.model()
-    beta = model.to_real(model.eta_monomial(tuple(check["beta_etas"])))
+    etas = check["beta_etas"]
+    beta = model.eta_monomial(_coframe_indices(etas, model.m, f"beta_etas {json.dumps(etas)}"))
     value = quaternion.hkt_obstruction(t, alpha, beta, check["matrix"])
     detail = {"pairing": str(value)}
     return _verdict((value - ctx.scalar(check["expect"])).is_zero()), detail
@@ -835,8 +872,8 @@ def _h_trace_zero(ctx, check, seed):
 
 @_check("top_coefficient_equals", form=SPEC, volume=SPEC, expect=COEFF)
 def _h_top_coefficient_equals(ctx, check, seed):
-    a = ctx.resolve_form(check["form"])
-    vol = ctx.resolve_form(check["volume"])
+    a = ctx.real(ctx.resolve_form(check["form"]))
+    vol = ctx.real(ctx.resolve_form(check["volume"]))
     value = top_coefficient(a, vol)
     return _verdict((value - ctx.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
 

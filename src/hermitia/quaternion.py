@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linear
 from .cealg import Form, FormError, wedge, wedge_power, top_coefficient
-from .complexops import AlmostComplexStructure, bidegree, del_
+from .complexops import AlmostComplexStructure, _lift, bidegree, del_
 from .metrics import _symbol_free
 from .scalars import Scalar
 
@@ -115,7 +115,8 @@ class HKTCandidate:
     The derived data is the half frame S and the coefficient matrix a with
     Omega = sum_{r,s in S} a_rs eta_r ^ J(conj(eta_s)); the candidate is
     J-compatible iff the decomposition exists, and Hermitian iff a is.
-    The form is also kept in the complex coframe of I as ``omega_c``.
+    ``omega`` is the form as given, in the real basis or a complex coframe;
+    it is also kept in the complex coframe of I as ``omega_c``.
     """
 
     def __init__(self, triple: HypercomplexTriple, omega20: Form):
@@ -124,7 +125,7 @@ class HKTCandidate:
         if self.presentation.dim % 4:
             raise QuaternionError("quaternionic structures need dimension divisible by 4")
         self.quaternionic_dim = self.presentation.dim // 4
-        self.omega_c = triple.I.model().to_complex(omega20)
+        self.omega_c = _lift(omega20, triple.I)[1]
         bg = bidegree(self.omega_c, triple.I)
         if not bg.is_pure(2, 0):
             raise QuaternionError(f"candidate is not pure (2,0): {bg.bidegrees()}")
@@ -263,12 +264,10 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     """Solve del(x) = form exactly for x of bidegree (p-1, 0); the primitive
     witnesses del-exactness constructively.  A form over the complex coframe
     of J is solved in place and its primitive stays there."""
-    model = J.model()
-    table = form.presentation.table
-    native = form.presentation is model.cpres
-    cform = form if native else model.to_complex(form)
+    model, cform, back = _lift(form, J)
+    table = model.cpres.table
     if cform.is_zero():
-        return PrimitiveReport(True, Form.zero(form.presentation))
+        return PrimitiveReport(True, back(cform))
     degs = {model.bidegree_of_indices(idx) for idx in cform.terms}
     if len(degs) != 1:
         raise FormError(f"primitive solving needs a pure bidegree, got {sorted(degs)}")
@@ -296,7 +295,7 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     candidate = Form(model.cpres, terms, _canonical=True)
     if not (del_(candidate, J) - cform).is_zero():
         raise QuaternionError("primitive verification failed")
-    return PrimitiveReport(True, candidate if native else model.to_real(candidate))
+    return PrimitiveReport(True, back(candidate))
 
 
 def hkt_obstruction(
@@ -309,24 +308,26 @@ def hkt_obstruction(
     beta ^ conj(beta), for the symbolic candidate built from the Hermitian
     matrix ``a_matrix`` over the half frame.
 
-    Preconditions checked here: alpha is del-exact (a primitive is solved
-    for; failure is an error), beta is d-closed, and the matrix is Hermitian.
-    The result is linear in the matrix entries.
+    Preconditions checked here: alpha is a (4,0)-form and del-exact (a
+    primitive is solved for; failure is an error), beta is an (m,0)-form
+    and d-closed, and the matrix is Hermitian.  alpha and beta may be given
+    in the real basis or a complex coframe; the pairing is evaluated in the
+    coframe of I, where a closed (m,0)-form is a single monomial.  Numerator
+    and volume are top forms in one basis, so their ratio does not depend on
+    it.  The result is linear in the matrix entries.
     """
-    pres = t.presentation
-    table = pres.table
-    model = t.I.model()
-    alpha_c = model.to_complex(alpha)
+    table = t.presentation.table
+    model, alpha_c, _back = _lift(alpha, t.I)
+    beta_c = _lift(beta, t.I)[1]
     bg_a = bidegree(alpha_c, t.I)
     if not bg_a.is_pure(4, 0):
         raise FormError(f"alpha must be a (4,0)-form, got {bg_a.bidegrees()}")
-    bg_b = bidegree(beta, t.I)
-    if not bg_b.is_pure(model.m, 0):
+    if not bidegree(beta_c, t.I).is_pure(model.m, 0):
         raise FormError(f"beta must be a ({model.m},0)-form")
     prim = del_primitive(alpha_c, t.I)
     if not prim.exists:
         raise QuaternionError("alpha is not del-exact: no primitive found")
-    if not pres.d(beta).is_zero():
+    if not model.cpres.d(beta_c).is_zero():
         raise QuaternionError("beta is not closed")
     frame, jbars = _half_frame(t)
     k = len(frame)
@@ -340,11 +341,13 @@ def hkt_obstruction(
         for s in range(k):
             if not (rows[r][s] - rows[s][r].conjugate()).is_zero():
                 raise QuaternionError("the coefficient matrix is not Hermitian")
-    omega_t = Form.zero(pres)
-    for r in range(k):
-        for s in range(k):
+    omega_t = Form.zero(model.cpres)
+    for s in range(k):
+        cjbar = model.to_complex(jbars[frame[s]])
+        for r in range(k):
             if rows[r][s].is_zero():
                 continue
-            omega_t = omega_t + rows[r][s] * wedge(model.eta(frame[r]), jbars[frame[s]])
-    vol = wedge(beta, beta.conjugate())
-    return top_coefficient(wedge(wedge(omega_t, alpha), beta.conjugate()), vol)
+            omega_t = omega_t + rows[r][s] * wedge(model.cpres.generator(frame[r]), cjbar)
+    beta_bar = model.conjugate(beta_c)
+    vol = wedge(beta_c, beta_bar)
+    return top_coefficient(wedge(wedge(omega_t, alpha_c), beta_bar), vol)

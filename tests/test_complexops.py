@@ -19,6 +19,7 @@ from hermitia.cealg import (
 )
 from hermitia.complexops import (
     AlmostComplexStructure,
+    ComplexModel,
     IntegrabilityError,
     bidegree,
     coframe_10,
@@ -351,3 +352,197 @@ def test_property_del_delbar_power_on_random_11_forms(structure, data):
     # the real-basis side is the slow one: k = 3 on pseudoHK12 takes seconds
     k = data.draw(st.integers(1, min(m - 1, 2)))
     assert cand.del_delbar_power(k) == _real_round_trip(cand, k)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_coframe_conjugation_matches_real(structure, data):
+    """Conjugating in the coframe swaps eta_k with its conjugate: back in the
+    real basis it is coefficient conjugation."""
+    J, symbols = structure
+    model = J.model()
+    f_c = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    conj = conjugate_form(f_c, J)
+    assert conj.presentation is model.cpres
+    assert model.to_real(conj) == model.to_real(f_c).conjugate()
+    assert conjugate_form(conj) == f_c
+    assert model.conjugate(f_c) == conj
+
+
+def test_conjugate_form_of_a_coframe_generator(hk12_I):
+    model = hk12_I.model()
+    assert conjugate_form(model.cpres.generator(1), hk12_I) == model.eta_monomial((), (1,))
+
+
+# -- integrability: the (0,2) test of the complex model against the N loop -------
+
+
+def _loop_verdict(J):
+    """The verdict of the N(e_a, e_b) loop alone, on a fresh copy of J."""
+    fresh = AlmostComplexStructure(J.presentation, J.matrix, name=J.name)
+    return not fresh._nijenhuis_witnesses()
+
+
+def _structures(pres):
+    for name, mat in pres.endomorphisms.items():
+        try:
+            yield AlmostComplexStructure(pres, mat, name=name)
+        except IntegrabilityError:
+            continue  # not a square root of -Id
+
+
+@pytest.mark.parametrize("name", ["AT4", "fp_solv8", "pseudoHK12", "lemma61"])
+def test_model_integrability_agrees_with_loop_on_builtins(name):
+    pres = builtin(name).build().presentation
+    structures = list(_structures(pres))
+    assert structures or name == "lemma61"
+    for J in structures:
+        assert J.nijenhuis_vanishes().passed == _loop_verdict(J)
+
+
+def _conjugated(J, entries):
+    """P J P^-1 for the rational matrix P with the given entries, or None
+    when P is singular."""
+    from hermitia import linear
+
+    pres = J.presentation
+    table = pres.table
+    n = pres.dim
+    p = tuple(tuple(table.scalar(entries[i * n + j]) for j in range(n)) for i in range(n))
+    try:
+        pinv = linear.invert(p, table)
+    except linear.LinearError:
+        return None
+    mat = linear.mat_mul(linear.mat_mul(p, J.matrix, table), pinv, table)
+    return AlmostComplexStructure(pres, mat, name="PJP")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    which=st.sampled_from(["fp_solv8", "AT4", "pseudoHK12"]),
+    data=st.data(),
+)
+def test_model_integrability_agrees_with_loop_on_conjugated_structures(
+    which, data, solv8_I, at4_J, hk12_I
+):
+    """P J P^-1 for a random rational P is a square root of -Id that is
+    integrable or not, depending on P; both tests must say the same."""
+    J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}[which]
+    n = J.presentation.dim
+    # near the identity, so that P is usually invertible and the entries small
+    bumps = data.draw(
+        st.lists(st.tuples(st.integers(0, n * n - 1), st.fractions(-2, 2, max_denominator=3)),
+                 min_size=1, max_size=4)
+    )
+    entries = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
+    for k, v in bumps:
+        entries[k] += v
+    K = _conjugated(J, entries)
+    if K is None:
+        return
+    assert K.nijenhuis_vanishes().passed == _loop_verdict(K)
+
+
+# Non-integrable square roots of -Id on non-abelian algebras, with the
+# witnesses (nonzero entries only), the `integrable` check's detail and the
+# model() error text of the N(e_a, e_b) loop, as recorded before the
+# integrability verdict moved into the complex model.
+NON_INTEGRABLE = {
+    "heisenberg_x_R": (
+        lambda: direct_sum(LieAlgebraPresentation(3, {1: [(1, (2, 3))]}), abelian(1)),
+        {1: "e2", 3: (1, 4)},
+        [[1, 3, {2: "-1"}], [1, 4, {1: "-1"}], [2, 3, {1: "-1"}], [2, 4, {2: "1"}]],
+        {"witness_pair": ["e1", "e3"], "value": ["0", "-1", "0", "0"]},
+        "J is not integrable: N(e_1, e_3) != 0",
+    ),
+    "fp_solv8": (
+        make_fp_solv8,
+        {1: "e3", 2: "e4", 5: "e8", 6: "e7"},
+        [[1, 2, {3: "1"}], [1, 4, {1: "1"}], [1, 5, {3: "1"}], [1, 8, {1: "1"}],
+         [2, 3, {1: "-1"}], [2, 5, {4: "1", 5: "-b"}], [2, 8, {2: "1", 8: "b"}],
+         [3, 4, {3: "-1"}], [3, 5, {1: "1"}], [3, 8, {3: "-1"}], [4, 5, {2: "1", 8: "b"}],
+         [4, 8, {4: "-1", 5: "b"}]],
+        {"witness_pair": ["e1", "e2"], "value": ["0", "0", "1", "0", "0", "0", "0", "0"]},
+        "J is not integrable: N(e_1, e_2) != 0",
+    ),
+    "AT4": (
+        make_at4,
+        {1: "e3", 2: "e5", 4: "e6"},
+        [[1, 2, {3: "-2*a"}], [1, 5, {1: "-2*a"}], [2, 3, {1: "2*a"}], [2, 4, {6: "-a"}],
+         [2, 6, {4: "-a"}], [3, 5, {3: "2*a"}], [4, 5, {4: "a"}], [5, 6, {6: "a"}]],
+        {"witness_pair": ["e1", "e2"], "value": ["0", "0", "-2*a", "0", "0", "0"]},
+        "J is not integrable: N(e_1, e_2) != 0",
+    ),
+    "pseudoHK12": (
+        make_hk12,
+        {"f1": "f9", "f2": "f3", "f4": "f5", "f6": "f7", "f8": "f10", "f11": "f12"},
+        [[1, 2, {3: "-2"}], [1, 3, {2: "-2"}], [1, 4, {5: "-2"}], [1, 5, {4: "-2"}],
+         [1, 6, {7: "-2"}], [1, 7, {6: "-2"}], [1, 8, {10: "-1"}], [1, 10, {8: "-1"}],
+         [2, 9, {2: "2"}], [3, 9, {3: "-2"}], [4, 9, {4: "2"}], [5, 9, {5: "-2"}],
+         [6, 9, {6: "2"}], [7, 9, {7: "-2"}], [8, 9, {8: "1"}], [9, 10, {10: "1"}]],
+        {"witness_pair": ["f1", "f2"],
+         "value": ["0", "0", "-2", "0", "0", "0", "0", "0", "0", "0", "0", "0"]},
+        "J is not integrable: N(e_1, e_2) != 0",
+    ),
+}
+
+
+def _integrable_check_manifest(pres, J):
+    names = list(pres.names)
+    return {
+        "name": "nonintegrable",
+        "symbols": [{"name": s} for s in pres.table.names[1:]],
+        "dimension": pres.dim,
+        "basis": names,
+        "differential": {
+            names[g - 1]: [[str(c), [names[k - 1] for k in idx]] for idx, c in sorted(t.items())]
+            for g, t in sorted(pres.d_gen.items())
+        },
+        "endomorphisms": {"J": [[str(x) for x in row] for row in J.matrix]},
+        "checks": [{"id": "integrable", "kind": "integrable", "endo": "J"}],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRABLE))
+def test_non_integrable_structures_keep_their_witnesses(case):
+    from hermitia.manifest import Manifest, run_check
+
+    make, action, witnesses, detail, error = NON_INTEGRABLE[case]
+    pres = make()
+    J = AlmostComplexStructure.from_action(pres, action)
+    rep = J.nijenhuis_vanishes()
+    assert not rep.passed and not _loop_verdict(J)
+    assert [
+        [a, b, {k + 1: str(c) for k, c in enumerate(v) if not c.is_zero()}]
+        for a, b, v in rep.witnesses
+    ] == witnesses
+    with pytest.raises(IntegrabilityError) as err:
+        J.model()
+    assert str(err.value) == error
+    # a second call answers from the recorded verdict
+    with pytest.raises(IntegrabilityError, match="is not integrable"):
+        J.model()
+    outcome = run_check(Manifest(_integrable_check_manifest(pres, J))).outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == ("fail", detail)
+    # the model's own test fails on the same structure, so its raise decides
+    fresh = AlmostComplexStructure(pres, J.matrix)
+    with pytest.raises(IntegrabilityError, match=r"\(0,2\) component"):
+        ComplexModel(fresh)
+
+
+def test_forms_over_two_coframes_do_not_mix():
+    """The coframes of I, J and K on pseudoHK12 have the same structure
+    equations; their forms are still different forms."""
+    from hermitia.cealg import FormError
+
+    ctx = builtin("pseudoHK12").build()
+    mi, mj = ctx.acs("I").model(), ctx.acs("J").model()
+    eta_i, eta_j = mi.cpres.generator(1), mj.cpres.generator(1)
+    assert eta_i != eta_j
+    with pytest.raises(FormError):
+        eta_i + eta_j
+    with pytest.raises(FormError):
+        mi.to_real(eta_j)
+    with pytest.raises(FormError):
+        mi.conjugate(eta_j)
+    assert del_(eta_j, ctx.acs("I")) == del_(mj.to_real(eta_j), ctx.acs("I"))

@@ -324,6 +324,75 @@ def test_cli_check_wrongly_typed_field_exit_two(tmp_path, capsys, mutate, messag
     assert len(err.splitlines()) == 1
 
 
+_ETA_RHS = {"eta_terms": [["1", [], [1]]], "endo": "I"}
+
+
+@pytest.mark.parametrize(
+    "check, reason",
+    [
+        (
+            # index 7 used to alias conj(eta_1), and this check passed
+            {"kind": "form_equals", "lhs": {"eta_terms": [["1", [7]]], "endo": "I"}, "rhs": _ETA_RHS},
+            'eta_terms entry ["1", [7]]: expected a list of coframe indices in 1..6',
+        ),
+        (
+            {"kind": "form_equals", "lhs": {"eta_terms": [["1", [0]]], "endo": "I"}, "rhs": _ETA_RHS},
+            'eta_terms entry ["1", [0]]: expected a list of coframe indices in 1..6',
+        ),
+        (
+            {"kind": "d_zero", "form": {"eta_terms": [["1", [1], [9]]], "endo": "I"}},
+            'eta_terms entry ["1", [1], [9]]: expected a list of coframe indices in 1..6',
+        ),
+        (
+            {"kind": "d_zero", "form": {"eta_terms": [["1", [True]]], "endo": "I"}},
+            'eta_terms entry ["1", [true]]: expected a list of coframe indices in 1..6',
+        ),
+        (
+            {"kind": "d_zero", "form": {"eta_terms": [["1"]], "endo": "I"}},
+            'eta_terms entry ["1"]: expected [coefficient, [holo]] or [coefficient, [holo], [anti]]',
+        ),
+        (
+            {"kind": "d_zero", "form": {"eta_terms": [[[1], [1]]], "endo": "I"}},
+            'eta_terms entry [[1], [1]]: expected [coefficient, [holo]] or [coefficient, [holo], [anti]]',
+        ),
+        (
+            {"kind": "d_zero", "form": {"eta_terms": "x", "endo": "I"}},
+            'eta_terms: expected a list, got "x"',
+        ),
+        (
+            {"kind": "obstruction_pairing", "I": "I", "J": "J", "K": "K",
+             "alpha": {"eta_terms": [["-1", [1, 3, 5, 6]], ["-1", [2, 4, 5, 6]]], "endo": "I"},
+             "beta_etas": [1, 2, 3, 4, 5, 7], "matrix": [], "expect": "0"},
+            "beta_etas [1, 2, 3, 4, 5, 7]: expected a list of coframe indices in 1..6",
+        ),
+        (
+            # index 0 used to alias eta_6 through Python's negative indexing
+            {"kind": "strong_positivity_certificate", "form": "omega_I", "endo": "I",
+             "decomposition": [["1", [0]]]},
+            "decomposition factor 0: expected a form spec or a coframe index in 1..6",
+        ),
+        (
+            {"kind": "strong_positivity_certificate", "form": "omega_I", "endo": "I",
+             "decomposition": [["1", [7]]]},
+            "decomposition factor 7: expected a form spec or a coframe index in 1..6",
+        ),
+    ],
+    ids=["holo-7-aliases-conjugate", "holo-0", "anti-9", "bool-index", "short-entry",
+         "list-coefficient", "not-a-list", "beta-etas-7", "decomposition-0", "decomposition-7"],
+)
+def test_cli_check_bad_coframe_index_is_error_verdict(tmp_path, capsys, check, reason):
+    """A coframe index outside 1..m, or an eta_terms entry of the wrong
+    shape, ends as an error verdict that names the entry (exit 1)."""
+    data = json.loads(builtin("pseudoHK12").to_json())
+    data["checks"].append({"id": "probe", **check})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", str(bad), "--only", "probe", "--report", "json", "--no-timing"]) == 1
+    probe = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert (probe["id"], probe["verdict"]) == ("probe", "error")
+    assert probe["detail"] == {"reason": reason}
+
+
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 
 

@@ -1,9 +1,11 @@
 """Hypercomplex triples, HKT and quaternionic balanced conditions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_hk12
-from hermitia.cealg import abelian
+from hermitia.cealg import FormError, abelian
 from hermitia.complexops import AlmostComplexStructure, bidegree
 from hermitia.quaternion import (
     HKTCandidate,
@@ -237,3 +239,61 @@ def test_hkt_implies_quaternionic_balanced(flat8_triple):
     cand = HKTCandidate(flat8_triple, omega)
     if check_hkt(cand).passed:
         assert check_quaternionic_balanced(cand).passed
+
+
+def _real_basis_pairing(t, alpha, beta, rows):
+    """The pairing evaluated in the real basis, as it was before it moved to
+    the coframe: Omega~ ^ alpha ^ conj(beta) against beta ^ conj(beta)."""
+    from hermitia.cealg import Form, top_coefficient, wedge
+    from hermitia.quaternion import _half_frame
+
+    model = t.I.model()
+    frame, jbars = _half_frame(t)
+    omega_t = Form.zero(t.presentation)
+    for r, fr in enumerate(frame):
+        for s, fs in enumerate(frame):
+            omega_t = omega_t + rows[r][s] * wedge(model.eta(fr), jbars[fs])
+    vol = wedge(beta, beta.conjugate())
+    return top_coefficient(wedge(wedge(omega_t, alpha), beta.conjugate()), vol)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_obstruction_pairing_same_in_coframe_and_real_basis(hk12_triple, data):
+    """Random Hermitian matrices and both signs of alpha: the pairing from
+    coframe inputs, from real inputs and from a real-basis evaluation agree,
+    and it is -sign * (a11 + a22)."""
+    t = hk12_triple
+    m = t.I.model()
+    table = t.presentation.table
+    gauss = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    rows = [[None] * 3 for _ in range(3)]
+    for r in range(3):
+        rows[r][r] = table.scalar(data.draw(st.integers(-3, 3)))
+        for s in range(r + 1, 3):
+            x, y = data.draw(gauss)
+            rows[r][s] = table.scalar(x) + table.scalar(y) * table.i
+            rows[s][r] = rows[r][s].conjugate()
+    sign = data.draw(st.sampled_from([1, -1]))
+    alpha_c = table.scalar(sign) * (m.eta_monomial((1, 3, 5, 6)) + m.eta_monomial((2, 4, 5, 6)))
+    beta_c = m.eta_monomial((1, 2, 3, 4, 5, 6))
+    alpha, beta = m.to_real(alpha_c), m.to_real(beta_c)
+    value = hkt_obstruction(t, alpha_c, beta_c, rows)
+    assert value == table.scalar(-sign) * (rows[0][0] + rows[1][1])
+    assert hkt_obstruction(t, alpha, beta, rows) == value
+    assert hkt_obstruction(t, alpha_c, beta, rows) == value
+    assert _real_basis_pairing(t, alpha, beta, rows) == value
+
+
+def test_obstruction_pairing_rejects_bad_coframe_inputs(hk12_triple):
+    t = hk12_triple
+    m = t.I.model()
+    a = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    alpha_c = m.eta_monomial((1, 3, 5, 6))
+    beta_c = m.eta_monomial((1, 2, 3, 4, 5, 6))
+    with pytest.raises(FormError, match=r"alpha must be a \(4,0\)-form"):
+        hkt_obstruction(t, m.eta_monomial((1, 3, 5), (6,)), beta_c, a)
+    with pytest.raises(FormError, match=r"beta must be a \(6,0\)-form"):
+        hkt_obstruction(t, alpha_c, m.eta_monomial((1, 2, 3, 4, 5), (6,)), a)
+    with pytest.raises(QuaternionError, match="not del-exact"):
+        hkt_obstruction(t, m.eta_monomial((1, 2, 3, 4)), beta_c, a)

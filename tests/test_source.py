@@ -42,3 +42,33 @@ def test_readme_check_kind_table_matches_declarations():
         fields = {k: d for k, (_, d) in decl.fields.items() if k not in _COMMON}
         required = {k for k, d in fields.items() if d is _REQUIRED}
         assert documented[kind] == (required, set(fields) - required), kind
+
+
+def test_tracer_span_targets_resolve():
+    """Every (module, attribute) that perfbench/tracer.py wraps exists in the
+    package, so a rename fails here and not in a traced benchmark run."""
+    import importlib
+    import importlib.util
+
+    import hermitia
+
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for span, targets in tracer.SPANS.items():
+        for modname, attr in targets:
+            module = importlib.import_module(f"hermitia.{modname}")
+            if attr.startswith("_HANDLERS["):
+                found = attr[len("_HANDLERS["):-1] in module._HANDLERS
+            elif "." in attr:
+                cls_name, meth = attr.split(".")
+                cls = getattr(module, cls_name, None)
+                found = cls is not None and meth in vars(cls)
+            else:
+                found = callable(getattr(module, attr, None))
+            if not found:
+                missing.append(f"{span}: hermitia.{modname}.{attr}")
+    missing += [f"Scalar.{op}" for op in tracer.SCALAR_OPS if op not in vars(hermitia.Scalar)]
+    assert not missing, missing
