@@ -60,6 +60,9 @@ class AlmostComplexStructure:
         minus_id = linear.mat_scale(-table.one, linear.identity(table, n))
         if not linear.mat_eq(square, minus_id):
             raise IntegrabilityError(f"{name}^2 != -Id")
+        # the conjugate of a (1,0) form is a (0,1) form only for a real J
+        if any(x != x.conjugate() for row in self.matrix for x in row):
+            raise IntegrabilityError(f"{name} has a non-real entry")
         self._model = None
         self._nijenhuis = None
 
@@ -146,8 +149,9 @@ class AlmostComplexStructure:
         """Pass iff N(e_a, e_b) = [e_a,e_b] + J[Je_a,e_b] + J[e_a,Je_b] - [Je_a,Je_b]
         vanishes on all basis pairs a < b.
 
-        The verdict comes from building the complex model, whose (0,2) test on
-        d of the (1,0) coframe is the algebraic Newlander-Nirenberg condition;
+        The verdict comes from building the complex model, whose bidegree test
+        on d of the coframe (no (0,2) part on a (1,0) element, no (2,0) part
+        on a (0,1) element) is the algebraic Newlander-Nirenberg condition;
         the N(e_a, e_b) witnesses are computed only when that test fails."""
         if self._nijenhuis is None:
             try:
@@ -308,16 +312,21 @@ class ComplexModel:
         names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(
             f"zb{k}" for k in range(1, m + 1)
         )
-        # differential of the complex coframe, rewritten in the coframe itself;
-        # a (0,2) part of d eta_k is the algebraic Newlander-Nirenberg test
+        # differential of the complex coframe, rewritten in the coframe itself.
+        # The algebraic Newlander-Nirenberg test: no (0,2) part in d of a (1,0)
+        # element ([T01, T01] in T01) and no (2,0) part in d of a (0,1) element
+        # ([T10, T10] in T10).  Real structure constants make the second the
+        # conjugate of the first; complex ones do not, so both are tested.
         coframe = list(self.eta_forms) + [eta.conjugate() for eta in self.eta_forms]
         dgen = {}
         for a, element in enumerate(coframe):
             cterms = self._substitute(pres.d(element).terms, self._real_to_cx)
-            if a < m and any(self.bidegree_of_indices(idx) == (0, 2) for idx in cterms):
+            bad = (0, 2) if a < m else (2, 0)
+            if any(self.bidegree_of_indices(idx) == bad for idx in cterms):
+                kind = "(1,0)" if a < m else "(0,1)"
                 raise IntegrabilityError(
-                    "non-integrable structure: d of a (1,0) coframe "
-                    "element has a (0,2) component"
+                    f"non-integrable structure: d of a {kind} coframe "
+                    f"element has a ({bad[0]},{bad[1]}) component"
                 )
             if cterms:
                 dgen[a + 1] = cterms

@@ -345,10 +345,6 @@ class BuildContext:
 
     # -- form spec resolution ------------------------------------------------
 
-    # A form in the real basis, where residuals, differences and primitives
-    # are reported under the manifest's generator names.
-    real = staticmethod(real_basis)
-
     def resolve_form(self, spec) -> Form:
         """The form a spec describes.  An ``eta_terms`` spec is built in the
         (1,0)-coframe of its structure and stays there through ``power`` and
@@ -656,7 +652,7 @@ def _h_gram_signature(ctx, check, seed):
 @_check("positivity_falsify", form=SPEC, endo=STR, samples=(INT, 10000), seed=(INT, None),
         valuation=_VALUATION, expect=(_enum("violation", "no_violation"), "no_violation"))
 def _h_positivity_falsify(ctx, check, seed):
-    form = ctx.real(ctx.resolve_form(check["form"]))
+    form = real_basis(ctx.resolve_form(check["form"]))
     J = ctx.acs(check["endo"])
     verdict = metrics.positivity_falsify(
         form,
@@ -681,7 +677,7 @@ def _h_positivity_falsify(ctx, check, seed):
 @_check("strong_positivity_certificate", form=SPEC, endo=STR, decomposition=LIST,
         valuation=_VALUATION)
 def _h_strong_positivity_certificate(ctx, check, seed):
-    form = ctx.real(ctx.resolve_form(check["form"]))
+    form = real_basis(ctx.resolve_form(check["form"]))
     J = ctx.acs(check["endo"])
     model = J.model()
     decomposition = []
@@ -689,7 +685,7 @@ def _h_strong_positivity_certificate(ctx, check, seed):
         xs = []
         for xi in tuple_spec:
             if SPEC.test(xi):
-                xs.append(ctx.real(ctx.resolve_form(xi)))
+                xs.append(real_basis(ctx.resolve_form(xi)))
             elif INT.test(xi) and 1 <= xi <= model.m:
                 xs.append(model.eta(xi))
             else:
@@ -722,7 +718,7 @@ def _h_pseudo_hyperkahler(ctx, check, seed):
     t = ctx.triple(check["I"], check["J"], check["K"])
     rep = quaternion.check_pseudo_hyperkahler(
         t,
-        *(ctx.real(ctx.resolve_form(check[k])) for k in ("omega_I", "omega_J", "omega_K")),
+        *(real_basis(ctx.resolve_form(check[k])) for k in ("omega_I", "omega_J", "omega_K")),
     )
     detail = {"subchecks": [[c.name, c.passed] for c in rep.checks]}
     return _verdict(rep.passed), detail
@@ -756,43 +752,43 @@ def _h_del_exact(ctx, check, seed):
     rep = quaternion.del_primitive(form, J)
     detail = {}
     if rep.exists and rep.primitive is not None:
-        detail["primitive"] = serialize_form(ctx.real(rep.primitive))
+        detail["primitive"] = serialize_form(real_basis(rep.primitive))
     return _verdict(rep.exists == check["expect"]), detail
 
 
-def _zero_verdict(ctx, res, expect):
-    detail = {"residual": serialize_form(ctx.real(res))} if expect and not res.is_zero() else {}
+def _zero_verdict(res, expect):
+    detail = {"residual": serialize_form(real_basis(res))} if expect and not res.is_zero() else {}
     return _verdict(res.is_zero() == expect), detail
 
 
 @_check("del_zero", form=SPEC, endo=STR, expect=(BOOL, True))
 def _h_del_zero(ctx, check, seed):
     res = del_(ctx.resolve_form(check["form"]), ctx.acs(check["endo"]))
-    return _zero_verdict(ctx, res, check["expect"])
+    return _zero_verdict(res, check["expect"])
 
 
 @_check("d_zero", form=SPEC, expect=(BOOL, True))
 def _h_d_zero(ctx, check, seed):
     form = ctx.resolve_form(check["form"])
-    return _zero_verdict(ctx, form.presentation.d(form), check["expect"])
+    return _zero_verdict(form.presentation.d(form), check["expect"])
 
 
-def _equal_verdict(ctx, lhs, rhs):
+def _equal_verdict(lhs, rhs):
     lhs, rhs = _one_basis([lhs, rhs])
     diff = lhs - rhs
-    detail = {} if diff.is_zero() else {"difference": serialize_form(ctx.real(diff))}
+    detail = {} if diff.is_zero() else {"difference": serialize_form(real_basis(diff))}
     return _verdict(diff.is_zero()), detail
 
 
 @_check("d_equals", form=SPEC, equals=SPEC)
 def _h_d_equals(ctx, check, seed):
     form = ctx.resolve_form(check["form"])
-    return _equal_verdict(ctx, form.presentation.d(form), ctx.resolve_form(check["equals"]))
+    return _equal_verdict(form.presentation.d(form), ctx.resolve_form(check["equals"]))
 
 
 @_check("form_equals", lhs=SPEC, rhs=SPEC)
 def _h_form_equals(ctx, check, seed):
-    return _equal_verdict(ctx, ctx.resolve_form(check["lhs"]), ctx.resolve_form(check["rhs"]))
+    return _equal_verdict(ctx.resolve_form(check["lhs"]), ctx.resolve_form(check["rhs"]))
 
 
 @_check("obstruction_pairing", **_TRIPLE, alpha=SPEC, beta_etas=LIST, matrix=LIST, expect=COEFF)
@@ -872,8 +868,8 @@ def _h_trace_zero(ctx, check, seed):
 
 @_check("top_coefficient_equals", form=SPEC, volume=SPEC, expect=COEFF)
 def _h_top_coefficient_equals(ctx, check, seed):
-    a = ctx.real(ctx.resolve_form(check["form"]))
-    vol = ctx.real(ctx.resolve_form(check["volume"]))
+    a = real_basis(ctx.resolve_form(check["form"]))
+    vol = real_basis(ctx.resolve_form(check["volume"]))
     value = top_coefficient(a, vol)
     return _verdict((value - ctx.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
 

@@ -143,7 +143,10 @@ class HKTCandidate:
 
 
 def _half_frame(triple: HypercomplexTriple):
-    """Greedy half frame S: eta_r for r in S plus J(conj(eta_s)) span (1,0)."""
+    """Greedy half frame S: eta_r for r in S plus J(conj(eta_s)) span (1,0).
+
+    Returns S and the 2-forms eta_r ^ J(conj(eta_s)) for r, s in S (r-major)
+    over the complex coframe of I."""
     model = triple.I.model()
     m = model.m
     n = triple.presentation.dim
@@ -167,18 +170,16 @@ def _half_frame(triple: HypercomplexTriple):
             break
     if len(frame) != m // 2:
         raise QuaternionError("half frame selection failed to span the (1,0) forms")
-    return frame, jbars
+    # eta_r is complex generator r, so each basis element is built in the coframe
+    cjbars = {s: model.to_complex(jbars[s]) for s in frame}
+    return frame, [wedge(model.cpres.generator(r), cjbars[s]) for r in frame for s in frame]
 
 
 def _half_frame_decomposition(triple: HypercomplexTriple, target: Form):
     """Solve Omega = sum a_rs eta_r ^ J(conj(eta_s)) over the half frame;
     ``target`` is Omega in the complex coframe of I."""
-    model = triple.I.model()
-    frame, jbars = _half_frame(triple)
+    frame, cbasis = _half_frame(triple)
     table = triple.presentation.table
-    # eta_r is complex generator r, so each basis element is built in the coframe
-    cjbars = {s: model.to_complex(jbars[s]) for s in frame}
-    cbasis = [wedge(model.cpres.generator(r), cjbars[s]) for r in frame for s in frame]
     rows_idx = sorted(
         set(target.terms) | {idx for b in cbasis for idx in b.terms},
         key=lambda u: (len(u), u),
@@ -329,7 +330,7 @@ def hkt_obstruction(
         raise QuaternionError("alpha is not del-exact: no primitive found")
     if not model.cpres.d(beta_c).is_zero():
         raise QuaternionError("beta is not closed")
-    frame, jbars = _half_frame(t)
+    frame, basis = _half_frame(t)
     k = len(frame)
     a_matrix = [list(row) for row in a_matrix]
     if len(a_matrix) != k or any(len(r) != k for r in a_matrix):
@@ -342,12 +343,10 @@ def hkt_obstruction(
             if not (rows[r][s] - rows[s][r].conjugate()).is_zero():
                 raise QuaternionError("the coefficient matrix is not Hermitian")
     omega_t = Form.zero(model.cpres)
-    for s in range(k):
-        cjbar = model.to_complex(jbars[frame[s]])
-        for r in range(k):
-            if rows[r][s].is_zero():
-                continue
-            omega_t = omega_t + rows[r][s] * wedge(model.cpres.generator(frame[r]), cjbar)
+    for r in range(k):
+        for s in range(k):
+            if not rows[r][s].is_zero():
+                omega_t = omega_t + rows[r][s] * basis[r * k + s]
     beta_bar = model.conjugate(beta_c)
     vol = wedge(beta_c, beta_bar)
     return top_coefficient(wedge(wedge(omega_t, alpha_c), beta_bar), vol)

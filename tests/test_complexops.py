@@ -530,6 +530,61 @@ def test_non_integrable_structures_keep_their_witnesses(case):
         ComplexModel(fresh)
 
 
+def test_complex_structure_constants_are_tested_on_both_halves():
+    """With complex structure constants d(conj eta) is not conj(d eta): here
+    d eta_1 = d eta_2 = 0 but d(conj eta_1) = eta_1 ^ eta_2, so [T10, T10]
+    leaves T10 and N != 0 although no (1,0) element has a (0,2) part."""
+    from hermitia.manifest import Manifest, run_check
+    from hermitia.scalars import SymbolTable
+
+    table = SymbolTable()
+    h, hi = table.parse("1/2"), table.parse("i/2")
+    # e^1 = (eta_1 + conj eta_1)/2 and e^2 = (eta_1 - conj eta_1)/(2i), with
+    # eta_1 = e^1 + i e^2, eta_2 = e^3 + i e^4 and
+    # eta_1 ^ eta_2 = e13 + i e14 + i e23 - e24
+    pres = LieAlgebraPresentation(
+        4,
+        {
+            1: [(h, (1, 3)), (hi, (1, 4)), (hi, (2, 3)), (-h, (2, 4))],
+            2: [(hi, (1, 3)), (-h, (1, 4)), (-h, (2, 3)), (-hi, (2, 4))],
+        },
+        table=table,
+    )
+    assert pres.jacobi_check().passed
+    J = AlmostComplexStructure.from_action(pres, {1: "e2", 3: "e4"})
+    assert not _loop_verdict(J)
+    assert not J.nijenhuis_vanishes().passed
+    with pytest.raises(IntegrabilityError, match=r"N\(e_1, e_3\) != 0"):
+        J.model()
+    fresh = AlmostComplexStructure(pres, J.matrix)
+    with pytest.raises(IntegrabilityError, match=r"\(0,1\) coframe element has a \(2,0\)"):
+        ComplexModel(fresh)
+    outcome = run_check(Manifest(_integrable_check_manifest(pres, J))).outcomes[-1]
+    assert outcome.verdict == "fail"
+    assert outcome.detail["witness_pair"] == ["e1", "e3"]
+
+
+def test_non_real_structure_is_rejected():
+    """i Id squares to -Id but is no almost complex structure on a real
+    algebra; the conjugate of its (1,0) forms would not be (0,1)."""
+    from hermitia.manifest import Manifest, run_check
+
+    pres = abelian(2)
+    i_id = [[pres.table.i, pres.table.zero], [pres.table.zero, pres.table.i]]
+    with pytest.raises(IntegrabilityError, match="J has a non-real entry"):
+        AlmostComplexStructure(pres, i_id)
+    manifest = {
+        "name": "complex_endo",
+        "dimension": 2,
+        "basis": ["e1", "e2"],
+        "differential": {},
+        "endomorphisms": {"J": [["i", "0"], ["0", "i"]]},
+        "checks": [{"id": "square", "kind": "endomorphism_square", "endo": "J"}],
+    }
+    outcome = run_check(Manifest(manifest)).outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == ("fail", {"reason": "J has a non-real entry"})
+
+
 def test_forms_over_two_coframes_do_not_mix():
     """The coframes of I, J and K on pseudoHK12 have the same structure
     equations; their forms are still different forms."""

@@ -248,7 +248,8 @@ def _real_basis_pairing(t, alpha, beta, rows):
     from hermitia.quaternion import _half_frame
 
     model = t.I.model()
-    frame, jbars = _half_frame(t)
+    frame = _half_frame(t)[0]
+    jbars = {s: t.J.apply_to_one_form(model.eta(s).conjugate()) for s in frame}
     omega_t = Form.zero(t.presentation)
     for r, fr in enumerate(frame):
         for s, fs in enumerate(frame):
