@@ -14,9 +14,9 @@ Mixed-degree forms are allowed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import linear
 from .scalars import Scalar, ScalarError, SymbolTable
 
 
@@ -84,8 +84,7 @@ class Form:
         else:
             clean = {}
             for idx, c in terms.items():
-                if isinstance(c, (int, Fraction)):
-                    c = presentation.table.scalar(c)
+                c = presentation.table.scalar(c)
                 if c.is_zero():
                     continue
                 clean[idx] = c
@@ -143,8 +142,7 @@ class Form:
         return Form(self.presentation, {i: -c for i, c in self.terms.items()}, _canonical=True)
 
     def scale(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.presentation.table.scalar(scalar)
+        scalar = self.presentation.table.scalar(scalar)
         if scalar.is_zero():
             return Form.zero(self.presentation)
         return Form(
@@ -315,14 +313,7 @@ class LieAlgebraPresentation:
                 raise PresentationError(f"differential refers to generator {gen} outside 1..{dim}")
             terms = {}
             for coeff, indices in two_form:
-                if isinstance(coeff, (int, float, Fraction)):
-                    coeff = self.table.scalar(coeff)
-                elif isinstance(coeff, str):
-                    coeff = self.table.parse(coeff)
-                elif isinstance(coeff, Scalar) and not self.table.compatible(coeff.table):
-                    raise PresentationError(
-                        "structure equation coefficient belongs to a different symbol table"
-                    )
+                coeff = self.table.scalar(coeff)
                 idx, sign = _sort_signed(tuple(indices))
                 if idx is None:
                     continue
@@ -368,18 +359,7 @@ class LieAlgebraPresentation:
         rows = list(rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise PresentationError(f"matrices attached to this presentation must be {n}x{n}")
-        out = []
-        for r in rows:
-            row = []
-            for x in r:
-                if isinstance(x, Scalar):
-                    row.append(x)
-                elif isinstance(x, str):
-                    row.append(self.table.parse(x))
-                else:
-                    row.append(self.table.scalar(x))
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(self.table.scalar(x) for x in r) for r in rows)
 
     def index_of(self, name):
         try:
@@ -394,10 +374,7 @@ class LieAlgebraPresentation:
         """Build a form from (coefficient, index-or-name tuple) pairs."""
         out = {}
         for coeff, indices in terms:
-            if isinstance(coeff, (int, float, Fraction)):
-                coeff = self.table.scalar(coeff)
-            elif isinstance(coeff, str):
-                coeff = self.table.parse(coeff)
+            coeff = self.table.scalar(coeff)
             resolved = tuple(
                 self.index_of(k) if isinstance(k, str) else int(k) for k in indices
             )
@@ -527,6 +504,23 @@ def top_coefficient(a: Form, vol: Form) -> Scalar:
     if top is None:
         return pres.table.zero
     return top / vc
+
+
+def solve_combination(forms: Sequence[Form], target: Form):
+    """Coefficients x with sum_k x_k forms[k] = target, solved exactly over
+    the monomials that occur, in (degree, index) order.  Returns
+    (coefficients, number of free coefficients), the free ones set to zero,
+    or (None, None) when target is no combination of the forms."""
+    table = target.presentation.table
+    zero = table.zero
+    rows_idx = sorted(
+        set(target.terms).union(*(f.terms for f in forms)), key=lambda u: (len(u), u)
+    )
+    if not rows_idx:
+        return [zero] * len(forms), len(forms)
+    mat = [[f.terms.get(idx, zero) for f in forms] for idx in rows_idx]
+    rhs = [target.terms.get(idx, zero) for idx in rows_idx]
+    return linear.solve(mat, rhs, table)
 
 
 def direct_sum(g1: LieAlgebraPresentation, g2: LieAlgebraPresentation, names=None):

@@ -88,7 +88,7 @@ class AlmostComplexStructure:
             else:
                 coeff, tgt = dst
                 i = res(tgt)
-                c = coeff if isinstance(coeff, Scalar) else table.scalar(coeff)
+                c = table.scalar(coeff)
             cols[j] = (i, c)
         for j, (i, c) in list(cols.items()):
             if i not in cols:
@@ -261,22 +261,18 @@ class ComplexModel:
         m = n // 2
         self.m = m
 
-        # greedy coframe selection: take the lowest real index whose dual is
-        # not yet in the complex span of the chosen pairs
-        span = []
-        sigma = []
-        for r in range(1, n + 1):
-            dual = [table.zero] * n
-            dual[r - 1] = table.one
-            if not linear.extend_span(span, dual):
-                continue
-            linear.extend_span(span, self.J.matrix[r - 1])
-            sigma.append(r)
-            if len(sigma) == m:
-                break
-        if len(sigma) != m or len(span) != n:
-            raise IntegrabilityError("coframe selection failed to span the dual")
-        self.sigma = tuple(sigma)
+        # greedy coframe selection: the lowest real indices r whose e^r is not
+        # in the span of the chosen pairs e^s, e^s o J.  Those are the pivots
+        # of the columns e^1, e^1 o J, e^2, e^2 o J, ...: the span of the
+        # chosen pairs is J-invariant and J^2 = -Id, so e^r o J is a pivot
+        # exactly when e^r is, and the even pivots are the selection.
+        zero, one = table.zero, table.one
+        duals = [
+            [x for r in range(n) for x in (one if i == r else zero, J.matrix[r][i])]
+            for i in range(n)
+        ]
+        pivots = linear.rref(duals, 2 * n, Scalar.is_zero)[0]
+        self.sigma = tuple(c // 2 + 1 for c in pivots if c % 2 == 0)
 
         i_unit = table.i
         self.eta_forms = []
@@ -288,7 +284,7 @@ class ComplexModel:
         # sigma); the complex rows eta_r = e^r - i e^r o J and their
         # conjugates are C = [[I, -iI], [I, iI]] R, so C^-1 = R^-1 M with
         # M = 1/2 [[I, I], [iI, -iI]] and only the real R is inverted.
-        rows = [[table.one if s == r else table.zero for s in range(1, n + 1)] for r in self.sigma]
+        rows = [[one if s == r else zero for s in range(1, n + 1)] for r in self.sigma]
         rows += [list(J.matrix[r - 1]) for r in self.sigma]
         rinv = linear.invert(rows, table)
         half = table.scalar(Fraction(1, 2))

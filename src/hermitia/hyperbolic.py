@@ -325,9 +325,9 @@ def cauchy_bound(p):
     return Fraction(1) + m / lc
 
 
-def isolate_real_roots(p, lo, hi):
-    """Disjoint isolating intervals (a, b] for distinct roots of p in (lo, hi]."""
-    chain = sturm_chain(p)
+def isolate_real_roots(chain, lo, hi):
+    """Disjoint isolating intervals (a, b] for the distinct roots in (lo, hi]
+    of the polynomial whose Sturm chain is ``chain``."""
     out = []
 
     def rec(a, b):
@@ -346,9 +346,9 @@ def isolate_real_roots(p, lo, hi):
     return sorted(out)
 
 
-def refine_interval(p, a, b, width=Fraction(1, 10**12)):
-    """Bisect an isolating interval (a, b] of p below the given width."""
-    chain = sturm_chain(p)
+def refine_interval(chain, a, b, width=Fraction(1, 10**12)):
+    """Bisect an isolating interval (a, b] below the given width; ``chain``
+    is the Sturm chain of the polynomial."""
     found = count_roots_halfopen(chain, a, b)
     if found != 1:
         raise LatticeError(f"({a}, {b}] holds {found} roots, not exactly one")
@@ -361,12 +361,13 @@ def refine_interval(p, a, b, width=Fraction(1, 10**12)):
     return a, b
 
 
-def real_roots_outside_unit(p):
-    """Isolating intervals for real roots with absolute value above 1."""
+def real_roots_outside_unit(p, chain):
+    """Isolating intervals for real roots of p with absolute value above 1;
+    ``chain`` is the Sturm chain of p."""
     bound = cauchy_bound(p)
     out = []
-    out.extend(isolate_real_roots(p, Fraction(1), bound))
-    out.extend(isolate_real_roots(p, -bound, Fraction(-1)))
+    out.extend(isolate_real_roots(chain, Fraction(1), bound))
+    out.extend(isolate_real_roots(chain, -bound, Fraction(-1)))
     # drop an interval that only captured the endpoint -1 as a root
     res = []
     for a, b in out:
@@ -466,11 +467,12 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             "refusing to guess"
         )
     p = char_poly(m)
-    off_unit = real_roots_outside_unit(p)
+    chain = sturm_chain(p)
+    off_unit = real_roots_outside_unit(p, chain)
     if off_unit:
         # take the interval with the largest absolute value endpoints
         best = max(off_unit, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
-        a, b = refine_interval(p, best[0], best[1])
+        a, b = refine_interval(chain, best[0], best[1])
         factor = _min_poly_factor_for_interval(p, a, b)
         cert = {
             "lambda_interval": (a, b),
@@ -662,7 +664,7 @@ def power_iterate(
     if not (
         verify_isometry(m, lattice).ok
         and _lorentzian(lattice)
-        and real_roots_outside_unit(char_poly(m))
+        and real_roots_outside_unit(p := char_poly(m), sturm_chain(p))
     ):
         # classify raises the refusal, or names the label that has no dominant eigenvalue
         label = classify(m, lattice).label
@@ -747,20 +749,18 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     m2 = _mat_mul(m, m)
     p2 = char_poly(m2)
     sf, _g = squarefree_part(p2)
-    chain = sturm_chain(sf)
+    chain = sturm_chain(sf)  # also the chain of p2, which has the same roots
+    # every root lies strictly inside (-bound, bound), so none sits at -bound
     bound = cauchy_bound(sf)
     total = count_roots_halfopen(chain, -bound, bound)
     if total != len(sf) - 1:
         raise LatticeError(
             "spectral radius certification requires M^2 to have all-real spectrum"
         )
-    intervals = isolate_real_roots(p2, -bound, bound)
-    if poly_eval(p2, -bound) == 0:
-        intervals.append((-bound - 1, -bound))
     # the largest |root| of p2
     best = None
-    for a, b in intervals:
-        a2, b2 = refine_interval(p2, a, b, width=width / 4)
+    for a, b in isolate_real_roots(chain, -bound, bound):
+        a2, b2 = refine_interval(chain, a, b, width=width / 4)
         lo, hi = (abs(x) for x in sorted((a2, b2), key=abs))
         if best is None or hi > best[1]:
             best = (lo, hi)

@@ -1,14 +1,15 @@
 """Exact linear algebra: one row-reduction kernel, one congruence
 diagonalization, and matrix identities over the scalar field.
 
-``rref`` and ``congruence_signature`` are hermitia's only eliminations,
-besides the incremental ``extend_span``.  Their field contract: entries
-support ``+``, ``-``, ``*`` and ``/`` among themselves, and the caller
-passes the exact zero test.  One loop therefore serves the scalar field
-(zero test ``Scalar.is_zero``), the rationals of ``scalars._alg_inverse``
-and ``hyperbolic.kernel_basis`` (``operator.not_``) and the quadratic
-field Q(lambda) of ``hyperbolic._eigenvector_quadratic``.  Every pivot
-decision is that zero test on exact values; nothing here is numeric.
+``rref`` and ``congruence_signature`` are hermitia's only eliminations.
+Their field contract: entries support ``+``, ``-``, ``*`` and ``/`` among
+themselves, and the caller passes the exact zero test.  One loop therefore
+serves the scalar field (zero test ``Scalar.is_zero``; the greedy coframe
+and half-frame selections are read off its pivot columns), the rationals of
+``scalars._alg_inverse`` and ``hyperbolic.kernel_basis`` (``operator.not_``)
+and the quadratic field Q(lambda) of ``hyperbolic._eigenvector_quadratic``.
+Every pivot decision is that zero test on exact values; nothing here is
+numeric.
 
 ``solve``, ``rank``, ``invert``, ``det`` and ``hermitian_signature`` are the
 scalar-field entry points.  ``perfbench/tracer.py`` wraps them by name, so
@@ -67,22 +68,6 @@ def mat_sub(a, b):
 
 def transpose(a):
     return tuple(zip(*a))
-
-
-def extend_span(span, v):
-    """Add the row v to a greedy echelon basis [(lead, row)] unless it lies
-    in the span already; returns whether it was added."""
-    v = list(v)
-    for lead, rv in span:
-        if not v[lead].is_zero():
-            f = v[lead]
-            v = [x if y.is_zero() else x - f * y for x, y in zip(v, rv)]
-    lead = next((k for k, x in enumerate(v) if not x.is_zero()), None)
-    if lead is None:
-        return False
-    pv = v[lead]
-    span.append((lead, [x if x.is_zero() else x / pv for x in v]))
-    return True
 
 
 def mat_eq(a, b):

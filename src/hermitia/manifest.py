@@ -338,11 +338,6 @@ class BuildContext:
             raise ManifestError(f"endomorphism {name!r} must be rational for this check")
         return [[x.as_rational() for x in row] for row in mat]
 
-    def scalar(self, coeff):
-        """A manifest coefficient (an expression string or a number) in the
-        manifest's field."""
-        return self.table.parse(coeff) if isinstance(coeff, str) else self.table.scalar(coeff)
-
     # -- form spec resolution ------------------------------------------------
 
     def resolve_form(self, spec) -> Form:
@@ -379,7 +374,7 @@ class BuildContext:
                     )
                 holo = _coframe_indices(entry[1], m, what)
                 anti = _coframe_indices(entry[2], m, what) if len(entry) == 3 else ()
-                terms.append((self.scalar(entry[0]), holo + tuple(m + b for b in anti)))
+                terms.append((self.table.scalar(entry[0]), holo + tuple(m + b for b in anti)))
             return model.cpres.form(terms)
         if kind == "d_of":
             sub = self.resolve_form(spec["d_of"])
@@ -392,7 +387,7 @@ class BuildContext:
             forms = _one_basis([self.resolve_form(sub) for _c, sub in spec["combo"]])
             out = Form.zero(forms[0].presentation if forms else self.presentation)
             for (coeff, _sub), form in zip(spec["combo"], forms):
-                out = out + self.scalar(coeff) * form
+                out = out + self.table.scalar(coeff) * form
             return out
         raise ManifestError(f"unhandled form spec {spec!r}")
 
@@ -800,13 +795,13 @@ def _h_obstruction_pairing(ctx, check, seed):
     beta = model.eta_monomial(_coframe_indices(etas, model.m, f"beta_etas {json.dumps(etas)}"))
     value = quaternion.hkt_obstruction(t, alpha, beta, check["matrix"])
     detail = {"pairing": str(value)}
-    return _verdict((value - ctx.scalar(check["expect"])).is_zero()), detail
+    return _verdict((value - ctx.table.scalar(check["expect"])).is_zero()), detail
 
 
 @_check("det_equals", endo=STR, expect=COEFF)
 def _h_det_equals(ctx, check, seed):
     value = linear.det(ctx.attached("endomorphisms", check["endo"]), ctx.table)
-    return _verdict((value - ctx.scalar(check["expect"])).is_zero()), {"det": str(value)}
+    return _verdict((value - ctx.table.scalar(check["expect"])).is_zero()), {"det": str(value)}
 
 
 @_check("commute", endos=LIST)
@@ -871,7 +866,7 @@ def _h_top_coefficient_equals(ctx, check, seed):
     a = real_basis(ctx.resolve_form(check["form"]))
     vol = real_basis(ctx.resolve_form(check["volume"]))
     value = top_coefficient(a, vol)
-    return _verdict((value - ctx.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
+    return _verdict((value - ctx.table.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
 
 
 def run_check(manifest: Manifest, only=None, seed=None) -> Report:

@@ -13,12 +13,11 @@ positive decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import linear
-from .cealg import Form, wedge, wedge_power
+from .cealg import Form, solve_combination, wedge, wedge_power
 from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar
 from .scalars import Scalar
 
@@ -121,19 +120,9 @@ def lee_form(c: HermitianCandidate) -> LeeFormSolution:
     if c.m < 2:
         raise MetricError("the conformally Kahler equation needs complex dimension >= 2")
     pres = c.presentation
-    table = pres.table
     n = pres.dim
-    target = pres.d(c.omega)
     cols = [wedge(pres.generator(r), c.omega) for r in range(1, n + 1)]
-    rows_idx = sorted(
-        set(target.terms) | {idx for col in cols for idx in col.terms},
-        key=lambda t: (len(t), t),
-    )
-    mat = [[col.terms.get(idx, table.zero) for col in cols] for idx in rows_idx]
-    rhs = [target.terms.get(idx, table.zero) for idx in rows_idx]
-    if not rows_idx:
-        return LeeFormSolution(Form.zero(pres), True, False)
-    sol, free = linear.solve(mat, rhs, table)
+    sol, free = solve_combination(cols, pres.d(c.omega))
     if sol is None:
         return LeeFormSolution(None, None, None)
     theta = pres.form([(sol[r], (r + 1,)) for r in range(n) if not sol[r].is_zero()])
@@ -318,10 +307,7 @@ def strong_positivity_certificate(
     p = len(decomposition[0][1])
     expanded = Form.zero(pres)
     for coeff, tuple_of_forms in decomposition:
-        if isinstance(coeff, str):
-            coeff = table.parse(coeff)
-        elif isinstance(coeff, (int, Fraction)):
-            coeff = table.scalar(coeff)
+        coeff = table.scalar(coeff)
         if len(tuple_of_forms) != p:
             raise MetricError("decomposition tuples must share one length p")
         if coeff.is_rational():

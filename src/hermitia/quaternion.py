@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linear
-from .cealg import Form, FormError, wedge, wedge_power, top_coefficient
+from .cealg import Form, FormError, solve_combination, top_coefficient, wedge, wedge_power
 from .complexops import AlmostComplexStructure, _lift, bidegree, del_
 from .metrics import _symbol_free
 from .scalars import Scalar
@@ -69,14 +69,11 @@ class HypercomplexTriple:
 
 
 def check_hypercomplex(t: HypercomplexTriple) -> QuaternionReport:
-    """Quaternion relations plus all three integrability checks."""
+    """Quaternion relations plus all three integrability checks.  The three
+    squares are not recomputed: ``AlmostComplexStructure`` raises unless its
+    matrix squares to -Id, so those subchecks pass by construction."""
     table = t.presentation.table
-    n = t.presentation.dim
-    minus_id = linear.mat_scale(-table.one, linear.identity(table, n))
-    checks = []
-    for s in (t.I, t.J, t.K):
-        sq = linear.mat_mul(s.matrix, s.matrix, table)
-        checks.append(SubCheck(f"{s.name}^2 = -Id", linear.mat_eq(sq, minus_id)))
+    checks = [SubCheck(f"{s.name}^2 = -Id", True) for s in (t.I, t.J, t.K)]
     ij = linear.mat_mul(t.I.matrix, t.J.matrix, table)
     ji = linear.mat_mul(t.J.matrix, t.I.matrix, table)
     checks.append(SubCheck("IJ = K", linear.mat_eq(ij, t.K.matrix)))
@@ -150,43 +147,35 @@ def _half_frame(triple: HypercomplexTriple):
     model = triple.I.model()
     m = model.m
     n = triple.presentation.dim
-
-    def as_row(form):
-        return [form.coefficient((s,)) for s in range(1, n + 1)]
-
-    span = []
-    frame = []
-    jbars = {}
-    for r in range(1, m + 1):
-        eta = model.eta(r)
-        if not linear.extend_span(span, as_row(eta)):
-            continue
-        jbar = triple.J.apply_to_one_form(eta.conjugate())
-        if not linear.extend_span(span, as_row(jbar)):
-            raise QuaternionError("half frame selection failed (J does not pair the coframe)")
-        frame.append(r)
-        jbars[r] = jbar
-        if len(frame) == m // 2:
-            break
-    if len(frame) != m // 2:
-        raise QuaternionError("half frame selection failed to span the (1,0) forms")
+    table = triple.presentation.table
+    # the pivots of the columns eta_1, J(conj eta_1), eta_2, ... in coframe
+    # coordinates.  phi = J o conj is antilinear with phi^2 = -1, so the span
+    # of the chosen pairs is phi-invariant and J(conj eta_r) is a pivot
+    # exactly when eta_r is; the even pivots are the greedy selection.
+    jbars = [
+        model.to_complex(triple.J.apply_to_one_form(model.eta(r).conjugate()))
+        for r in range(1, m + 1)
+    ]
+    zero, one = table.zero, table.one
+    coords = [
+        [x for r, jb in enumerate(jbars) for x in (one if i == r else zero, jb.terms.get((i + 1,), zero))]
+        for i in range(n)
+    ]
+    pivots = linear.rref(coords, 2 * m, Scalar.is_zero)[0]
+    # m/2 pairs span the (1,0) forms when J anticommutes with I; a J that
+    # does not can yield more, and the first m/2 are the frame
+    frame = [c // 2 + 1 for c in pivots if c % 2 == 0][: m // 2]
     # eta_r is complex generator r, so each basis element is built in the coframe
-    cjbars = {s: model.to_complex(jbars[s]) for s in frame}
-    return frame, [wedge(model.cpres.generator(r), cjbars[s]) for r in frame for s in frame]
+    return frame, [
+        wedge(model.cpres.generator(r), jbars[s - 1]) for r in frame for s in frame
+    ]
 
 
 def _half_frame_decomposition(triple: HypercomplexTriple, target: Form):
     """Solve Omega = sum a_rs eta_r ^ J(conj(eta_s)) over the half frame;
     ``target`` is Omega in the complex coframe of I."""
     frame, cbasis = _half_frame(triple)
-    table = triple.presentation.table
-    rows_idx = sorted(
-        set(target.terms) | {idx for b in cbasis for idx in b.terms},
-        key=lambda u: (len(u), u),
-    )
-    mat = [[b.terms.get(idx, table.zero) for b in cbasis] for idx in rows_idx]
-    rhs = [target.terms.get(idx, table.zero) for idx in rows_idx]
-    sol, _free = linear.solve(mat, rhs, table)
+    sol, _free = solve_combination(cbasis, target)
     if sol is None:
         raise QuaternionError(
             "candidate is not J-compatible: no decomposition over eta_r ^ J(conj(eta_s))"
@@ -266,7 +255,6 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     witnesses del-exactness constructively.  A form over the complex coframe
     of J is solved in place and its primitive stays there."""
     model, cform, back = _lift(form, J)
-    table = model.cpres.table
     if cform.is_zero():
         return PrimitiveReport(True, back(cform))
     degs = {model.bidegree_of_indices(idx) for idx in cform.terms}
@@ -279,14 +267,8 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
 
     m = model.m
     unknowns = list(combinations(range(1, m + 1), p - 1))
-    cols = [del_(model.cpres.form([(1, idx)]), J).terms for idx in unknowns]
-    rows_idx = sorted(
-        set(cform.terms) | {jdx for col in cols for jdx in col},
-        key=lambda u: (len(u), u),
-    )
-    mat = [[col.get(jdx, table.zero) for col in cols] for jdx in rows_idx]
-    rhs = [cform.terms.get(jdx, table.zero) for jdx in rows_idx]
-    sol, _free = linear.solve(mat, rhs, table)
+    cols = [del_(model.cpres.form([(1, idx)]), J) for idx in unknowns]
+    sol, _free = solve_combination(cols, cform)
     if sol is None:
         return PrimitiveReport(False)
     terms = {}
@@ -335,9 +317,7 @@ def hkt_obstruction(
     a_matrix = [list(row) for row in a_matrix]
     if len(a_matrix) != k or any(len(r) != k for r in a_matrix):
         raise QuaternionError(f"the Hermitian matrix must be {k}x{k} over the half frame {frame}")
-    rows = []
-    for r in range(k):
-        rows.append([x if isinstance(x, Scalar) else table.parse(x) if isinstance(x, str) else table.scalar(x) for x in a_matrix[r]])
+    rows = [[table.scalar(x) for x in row] for row in a_matrix]
     for r in range(k):
         for s in range(k):
             if not (rows[r][s] - rows[s][r].conjugate()).is_zero():

@@ -159,11 +159,14 @@ class SymbolTable:
     # -- scalar constructors ------------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Lift an int, Fraction or Scalar into this table's ring."""
+        """Lift an int, float, Fraction, expression string or Scalar into
+        this table's ring."""
         if isinstance(value, Scalar):
             if not self.compatible(value.table):
                 raise ScalarError("scalar belongs to an incompatible symbol table")
             return value
+        if isinstance(value, str):
+            return parse_expr(value, self)
         q = Fraction(value)
         num = {} if q == 0 else {_ONE_MONO: q}
         return Scalar(self, num, {_ONE_MONO: Fraction(1)}, _normalized=True)

@@ -28,6 +28,7 @@ from hermitia.hyperbolic import (
     real_roots_outside_unit,
     refine_interval,
     squarefree_part,
+    sturm_chain,
     verify_isometry,
 )
 from hermitia.manifest import run_check
@@ -154,7 +155,7 @@ def test_criterion_5_trichotomy_suite():
             seen[label] += 1
             # independent audit: the branch predicates are mutually exclusive
             p = char_poly(m)
-            off_unit = bool(real_roots_outside_unit(p))
+            off_unit = bool(real_roots_outside_unit(p, sturm_chain(p)))
             r, _g = squarefree_part(p)
             diagonalizable = _is_zero(poly_eval_matrix(r, m))
             expected = (

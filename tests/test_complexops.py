@@ -428,8 +428,16 @@ def test_model_integrability_agrees_with_loop_on_conjugated_structures(
     """P J P^-1 for a random rational P is a square root of -Id that is
     integrable or not, depending on P; both tests must say the same."""
     J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}[which]
+    K = _random_conjugate(J, data)
+    if K is None:
+        return
+    assert K.nijenhuis_vanishes().passed == _loop_verdict(K)
+
+
+def _random_conjugate(J, data):
+    """P J P^-1 for a drawn rational P near the identity (so that P is
+    usually invertible and the entries small), or None when P is singular."""
     n = J.presentation.dim
-    # near the identity, so that P is usually invertible and the entries small
     bumps = data.draw(
         st.lists(st.tuples(st.integers(0, n * n - 1), st.fractions(-2, 2, max_denominator=3)),
                  min_size=1, max_size=4)
@@ -437,10 +445,52 @@ def test_model_integrability_agrees_with_loop_on_conjugated_structures(
     entries = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
     for k, v in bumps:
         entries[k] += v
-    K = _conjugated(J, entries)
+    return _conjugated(J, entries)
+
+
+def _greedy_sigma(J):
+    """Reference coframe selection: real index r is taken iff e^r raises the
+    rank of the rows e^s, e^s o J of the indices s taken before it."""
+    from hermitia import linear
+
+    table = J.presentation.table
+    n = J.presentation.dim
+    chosen, sigma = [], []
+    for r in range(n):
+        unit = [table.one if s == r else table.zero for s in range(n)]
+        if linear.rank(chosen + [unit], table) > linear.rank(chosen, table):
+            sigma.append(r + 1)
+            chosen += [unit, list(J.matrix[r])]
+    return tuple(sigma)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    which=st.sampled_from(["fp_solv8", "AT4", "pseudoHK12"]),
+    data=st.data(),
+)
+def test_coframe_selection_is_greedy_on_conjugated_structures(
+    which, data, solv8_I, at4_J, hk12_I
+):
+    """The selection depends on the matrix alone; on an abelian algebra every
+    P J P^-1 is integrable, so its model always builds."""
+    J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}[which]
+    K = _random_conjugate(J, data)
     if K is None:
         return
-    assert K.nijenhuis_vanishes().passed == _loop_verdict(K)
+    pres = abelian(K.presentation.dim, table=K.presentation.table)
+    flat = AlmostComplexStructure(pres, K.matrix)
+    assert flat.model().sigma == _greedy_sigma(flat)
+
+
+@pytest.mark.parametrize("name", ["AT4", "fp_solv8", "pseudoHK12", "lemma61"])
+def test_coframe_selection_is_greedy_on_builtins(name):
+    structures = [
+        J for J in _structures(builtin(name).build().presentation) if J.nijenhuis_vanishes().passed
+    ]
+    assert structures
+    for J in structures:
+        assert J.model().sigma == _greedy_sigma(J)
 
 
 # Non-integrable square roots of -Id on non-abelian algebras, with the

@@ -81,10 +81,10 @@ def test_sturm_root_counting():
     chain = sturm_chain(p)
     assert count_roots_halfopen(chain, Fraction(0), Fraction(10)) == 2
     assert count_roots_halfopen(chain, Fraction(-10), Fraction(0)) == 1
-    ivs = isolate_real_roots(p, Fraction(-10), Fraction(10))
+    ivs = isolate_real_roots(chain, Fraction(-10), Fraction(10))
     assert len(ivs) == 3
     for a, b in ivs:
-        a2, b2 = refine_interval(p, a, b)
+        a2, b2 = refine_interval(chain, a, b)
         assert b2 - a2 < Fraction(1, 10**12)
         assert poly_eval(p, a2) * poly_eval(p, b2) <= 0
 
@@ -93,9 +93,9 @@ def test_refine_interval_requires_exactly_one_root():
     # (t^2 - 2)(t - 3): (2, 2.5] holds no root, (0, 10] holds sqrt2 and 3
     p = poly_mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-3), Fraction(1)])
     with pytest.raises(LatticeError, match="holds 0 roots"):
-        refine_interval(p, Fraction(2), Fraction(5, 2))
+        refine_interval(sturm_chain(p), Fraction(2), Fraction(5, 2))
     with pytest.raises(LatticeError, match="holds 2 roots"):
-        refine_interval(p, Fraction(0), Fraction(10))
+        refine_interval(sturm_chain(p), Fraction(0), Fraction(10))
 
 
 def test_classify_pell_hyperbolic(lorentz2):
@@ -167,6 +167,7 @@ def test_trichotomy_exclusive_on_random_words(lorentz2):
         real_roots_outside_unit,
         squarefree_part,
         rational_matrix,
+        sturm_chain,
     )
 
     rng = random.Random(42)
@@ -188,7 +189,7 @@ def test_trichotomy_exclusive_on_random_words(lorentz2):
         labels[res.label] += 1
         # independent exclusivity audit
         p = char_poly(m)
-        has_off_unit = bool(real_roots_outside_unit(p))
+        has_off_unit = bool(real_roots_outside_unit(p, sturm_chain(p)))
         r, _g = squarefree_part(p)
         diagonalizable = _is_zero(
             tuple(
@@ -505,3 +506,31 @@ def test_power_iterate_error_messages(gram, m, error, message):
     with pytest.raises(error) as err:
         power_iterate(m, QuadraticLattice(gram))
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_classify_builds_one_sturm_chain_per_polynomial(monkeypatch):
+    """One chain for the characteristic polynomial, shared by the off-unit
+    test and the refinement, then one per factor candidate tried."""
+    from hermitia import hyperbolic
+
+    built = []
+    real = hyperbolic.sturm_chain
+
+    def counting(p):
+        built.append(list(p))
+        return real(p)
+
+    monkeypatch.setattr(hyperbolic, "sturm_chain", counting)
+    # Pell isometry plus -1 on a third axis: (t^2 - 6t + 1)(t + 1)
+    m = [[3, 4, 0], [2, 3, 0], [0, 0, -1]]
+    res = classify(m, QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -1]]))
+    assert res.label == "hyperbolic"
+    p = char_poly(m)
+    x = sympy.Symbol("x")
+    factors = [
+        [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
+        for f, _ in sympy.Poly([sympy.Rational(c) for c in reversed(p)], x).factor_list()[1]
+    ]
+    a, b = res.certificate["lambda_interval"]
+    tried = next(k for k, f in enumerate(factors) if count_roots_halfopen(real(f), a, b)) + 1
+    assert built == [p] + factors[:tried]

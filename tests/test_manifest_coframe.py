@@ -30,7 +30,7 @@ def _real_resolution(ctx, spec):
         out = Form.zero(ctx.presentation)
         for coeff, holo, *anti in spec["eta_terms"]:
             mono = model.eta_monomial(tuple(holo), tuple(anti[0]) if anti else ())
-            out = out + ctx.scalar(coeff) * model.to_real(mono)
+            out = out + ctx.table.scalar(coeff) * model.to_real(mono)
         return out
     if "d_of" in spec:
         return ctx.presentation.d(_real_resolution(ctx, spec["d_of"]))
@@ -40,7 +40,7 @@ def _real_resolution(ctx, spec):
         return wedge_power(_real_resolution(ctx, spec["base"]), spec["power"])
     out = Form.zero(ctx.presentation)
     for coeff, sub in spec["combo"]:
-        out = out + ctx.scalar(coeff) * _real_resolution(ctx, sub)
+        out = out + ctx.table.scalar(coeff) * _real_resolution(ctx, sub)
     return out
 
 

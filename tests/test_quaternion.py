@@ -298,3 +298,54 @@ def test_obstruction_pairing_rejects_bad_coframe_inputs(hk12_triple):
         hkt_obstruction(t, alpha_c, m.eta_monomial((1, 2, 3, 4, 5), (6,)), a)
     with pytest.raises(QuaternionError, match="not del-exact"):
         hkt_obstruction(t, m.eta_monomial((1, 2, 3, 4)), beta_c, a)
+
+
+def _greedy_half_frame(t):
+    """Reference half frame in the real basis: eta_r is taken iff it raises
+    the rank of the rows eta_s, J(conj(eta_s)) taken before it, until m/2
+    are taken."""
+    from hermitia import linear
+
+    model = t.I.model()
+    table = t.presentation.table
+    n = t.presentation.dim
+
+    def row(form):
+        return [form.coefficient((s,)) for s in range(1, n + 1)]
+
+    chosen, frame = [], []
+    for r in range(1, model.m + 1):
+        eta = model.eta(r)
+        if len(frame) < model.m // 2 and (
+            linear.rank(chosen + [row(eta)], table) > linear.rank(chosen, table)
+        ):
+            frame.append(r)
+            chosen += [row(eta), row(t.J.apply_to_one_form(eta.conjugate()))]
+    return frame
+
+
+def _lemma61_triple():
+    from hermitia.builders import builtin
+
+    pres = builtin("lemma61").build().presentation
+    I, J = (AlmostComplexStructure(pres, pres.endomorphisms[s], name=s) for s in "IJ")
+    return HypercomplexTriple.from_ij(I, J)
+
+
+def _commuting_pair():
+    """I paired with itself: J o conj maps (1,0) forms to (0,1) forms, so
+    every eta_r starts a pair and only the first m/2 are the frame."""
+    a8 = abelian(8)
+    I = AlmostComplexStructure.from_action(a8, {1: "e3", 2: "e4", 5: "-e7", 6: "-e8"}, name="I")
+    return HypercomplexTriple(I, I, I)
+
+
+@pytest.mark.parametrize("which", ["pseudoHK12", "lemma61", "commuting"])
+def test_half_frame_is_greedy(which, hk12_triple):
+    from hermitia.quaternion import _half_frame
+
+    t = {"pseudoHK12": lambda: hk12_triple, "lemma61": _lemma61_triple,
+         "commuting": _commuting_pair}[which]()
+    frame = _half_frame(t)[0]
+    assert len(frame) == t.I.model().m // 2
+    assert frame == _greedy_half_frame(t)

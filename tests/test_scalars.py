@@ -30,6 +30,21 @@ def table():
     )
 
 
+def test_scalar_lifts_expression_strings(table):
+    assert table.scalar("1/2+i*a") == table.parse("1/2+i*a")
+    assert table.scalar(Fraction(1, 2)) == table.scalar("1/2")
+
+
+def test_scalar_from_incompatible_table_is_rejected(table):
+    from hermitia.cealg import LieAlgebraPresentation
+
+    other = SymbolTable([Symbol("c")])
+    with pytest.raises(ScalarError, match="incompatible"):
+        table.scalar(other.symbol("c"))
+    with pytest.raises(ScalarError, match="incompatible"):
+        LieAlgebraPresentation(3, {1: [(other.symbol("c"), (2, 3))]}, table=table)
+
+
 def test_parse_gaussian_product(table):
     assert parse_expr("(1+i)*(1-i)", table) == 2
 

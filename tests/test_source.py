@@ -21,6 +21,22 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_only_scalars_parses_expressions():
+    """Outside values become scalars through ``SymbolTable.scalar``, so no
+    other module calls a parser."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in ("parse", "parse_expr"):
+                    found.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+    assert not found, found
+
+
 def test_readme_check_kind_table_matches_declarations():
     """The README's table of check kinds names exactly the declared kinds,
     each with its declared required and optional parameters."""
