@@ -4,7 +4,13 @@ equation, plus Bismut torsion, coframe Gram matrices with exact or numeric
 signatures, and positivity testing for (p,p)-forms.
 
 Every predicate is a vanishing statement evaluated in exact arithmetic; the
-report carries the residual form on failure.  Positivity of (p,p)-forms is
+report carries the residual form on failure.  A candidate builds the powers
+of omega once, in the complex coframe, as a ladder omega_c, omega_c^2, ...
+that every predicate shares: pluriclosed, astheno-Kahler and k-pluriclosed
+take del(delbar(.)) of a rung (memoized per k), and balanced is d of the top
+rung omega_c^(m-1) (to_complex is an algebra isomorphism that commutes with
+d).  A residual left in the coframe is converted to the real basis only when
+the report's ``residual`` is read.  Positivity of (p,p)-forms is
 only falsifiable here (sampling decomposable tuples with a fixed, seeded
 generator) or certifiable syntactically through an explicit strongly
 positive decomposition.
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear
-from .cealg import Form, solve_combination, wedge, wedge_power
-from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar
+from .cealg import Form, solve_combination, wedge
+from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar, real_basis
 from .scalars import Scalar
 
 
@@ -26,20 +32,41 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass
 class PredicateReport:
-    kind: str
-    passed: bool
-    residual: Form | None = None
-    notes: dict = field(default_factory=dict)
+    """A predicate's verdict.  ``residual`` is None on a pass and otherwise
+    the nonzero form in the real basis; a residual given over a complex
+    coframe is converted on its first read."""
+
+    def __init__(self, kind: str, passed: bool, residual: Form | None = None, notes=None):
+        self.kind = kind
+        self.passed = passed
+        self._residual = residual
+        self.notes = {} if notes is None else notes
+
+    @property
+    def residual(self) -> Form | None:
+        if self._residual is not None:
+            self._residual = real_basis(self._residual)
+        return self._residual
 
     def __bool__(self):
         return self.passed
 
+    def __repr__(self):
+        return f"PredicateReport({self.kind!r}, passed={self.passed})"
+
+
+def _vanishing(kind: str, res: Form) -> PredicateReport:
+    """The report of the statement ``res = 0``."""
+    zero = res.is_zero()
+    return PredicateReport(kind, zero, None if zero else res)
+
 
 class HermitianCandidate:
     """A real (1,1)-form with respect to a named integrable structure; the
-    form is also kept in the structure's complex coframe as ``omega_c``."""
+    form is also kept in the structure's complex coframe as ``omega_c``,
+    together with the ladder of its powers there and the memo of
+    del(delbar(omega^k))."""
 
     def __init__(self, J: AlmostComplexStructure, omega: Form):
         self.J = J
@@ -54,49 +81,62 @@ class HermitianCandidate:
         if not bg.is_pure(1, 1):
             raise MetricError(f"fundamental form is not of pure bidegree (1,1): {bg.bidegrees()}")
         self.omega = omega
+        self._powers = [self.omega_c]
+        self._del_delbar = {}
+
+    def power(self, k: int) -> Form:
+        """omega_c^k (k >= 1) in the complex coframe: each new rung of the
+        ladder is one wedge with omega_c."""
+        if k < 1:
+            raise MetricError(f"omega powers start at 1, got {k}")
+        ladder = self._powers
+        while len(ladder) < k:
+            ladder.append(wedge(ladder[-1], self.omega_c))
+        return ladder[k - 1]
 
     def del_delbar_power(self, k: int) -> Form:
-        """del(delbar(omega^k)), evaluated in the complex coframe; the result
-        is converted to the real basis."""
-        J = self.J
-        return J.model().to_real(del_(delbar(wedge_power(self.omega_c, k), J), J))
+        """del(delbar(omega^k)), evaluated in the complex coframe on the
+        ladder's k-th rung; the result is converted to the real basis once
+        per k."""
+        res = self._del_delbar.get(k)
+        if res is None:
+            J = self.J
+            res = J.model().to_real(del_(delbar(self.power(k), J), J))
+            self._del_delbar[k] = res
+        return res
 
     def __repr__(self):
         return f"HermitianCandidate(m={self.m}, omega={self.omega})"
 
 
 def is_kahler(c: HermitianCandidate) -> PredicateReport:
-    res = c.presentation.d(c.omega)
-    return PredicateReport("kahler", res.is_zero(), None if res.is_zero() else res)
+    return _vanishing("kahler", c.presentation.d(c.omega))
 
 
 def is_balanced(c: HermitianCandidate) -> PredicateReport:
+    """d(omega^(m-1)) = 0, taken in the coframe on the ladder's top rung."""
     if c.m < 2:
         raise MetricError("balanced needs complex dimension >= 2")
-    res = c.presentation.d(wedge_power(c.omega, c.m - 1))
-    return PredicateReport("balanced", res.is_zero(), None if res.is_zero() else res)
+    return _vanishing("balanced", c.J.model().cpres.d(c.power(c.m - 1)))
 
 
 def is_pluriclosed(c: HermitianCandidate) -> PredicateReport:
-    res = c.del_delbar_power(1)
-    return PredicateReport("pluriclosed", res.is_zero(), None if res.is_zero() else res)
+    return _vanishing("pluriclosed", c.del_delbar_power(1))
 
 
 def is_astheno(c: HermitianCandidate) -> PredicateReport:
     if c.m < 3:
         raise MetricError("astheno-Kahler needs complex dimension >= 3")
-    res = c.del_delbar_power(c.m - 2)
-    return PredicateReport("astheno", res.is_zero(), None if res.is_zero() else res)
+    return _vanishing("astheno", c.del_delbar_power(c.m - 2))
 
 
 def is_k_pluriclosed(c: HermitianCandidate, k: int) -> PredicateReport:
     """d d^c (omega^k) = 0, tested through the equivalent del(delbar(omega^k))."""
     if not 1 <= k <= c.m - 1:
         raise MetricError(f"k-pluriclosed needs 1 <= k <= {c.m - 1}, got {k}")
-    res = c.del_delbar_power(k)
-    return PredicateReport(
-        "k_pluriclosed", res.is_zero(), None if res.is_zero() else res, notes={"k": k}
-    )
+    rep = _vanishing("k_pluriclosed", c.del_delbar_power(k))
+    rep.notes["k"] = k
+    return rep
 
 
 @dataclass

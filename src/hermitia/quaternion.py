@@ -58,6 +58,14 @@ class HypercomplexTriple:
             raise QuaternionError("structures live over different presentations")
         self.I, self.J, self.K = I, J, K
         self.presentation = I.presentation
+        self._frame = None
+
+    def half_frame(self):
+        """The greedy half frame S and the 2-forms eta_r ^ J(conj(eta_s))
+        over the coframe of I (see ``_half_frame``), computed once."""
+        if self._frame is None:
+            self._frame = _half_frame(self)
+        return self._frame
 
     @classmethod
     def from_ij(cls, I, J, name="K"):
@@ -174,7 +182,7 @@ def _half_frame(triple: HypercomplexTriple):
 def _half_frame_decomposition(triple: HypercomplexTriple, target: Form):
     """Solve Omega = sum a_rs eta_r ^ J(conj(eta_s)) over the half frame;
     ``target`` is Omega in the complex coframe of I."""
-    frame, cbasis = _half_frame(triple)
+    frame, cbasis = triple.half_frame()
     sol, _free = solve_combination(cbasis, target)
     if sol is None:
         raise QuaternionError(
@@ -312,7 +320,7 @@ def hkt_obstruction(
         raise QuaternionError("alpha is not del-exact: no primitive found")
     if not model.cpres.d(beta_c).is_zero():
         raise QuaternionError("beta is not closed")
-    frame, basis = _half_frame(t)
+    frame, basis = t.half_frame()
     k = len(frame)
     a_matrix = [list(row) for row in a_matrix]
     if len(a_matrix) != k or any(len(r) != k for r in a_matrix):

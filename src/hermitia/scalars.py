@@ -97,6 +97,7 @@ class SymbolTable:
         self.relations = {0: (2, {_ONE_MONO: Fraction(-1)})}
         self.sign_hints = {}
         self._index = {"i": 0}
+        self._parsed = {}  # expression string -> Scalar; the table is fixed after __init__
         for sym in symbols:
             self._declare(sym)
         self._sig = (
@@ -160,13 +161,17 @@ class SymbolTable:
 
     def scalar(self, value) -> "Scalar":
         """Lift an int, float, Fraction, expression string or Scalar into
-        this table's ring."""
+        this table's ring.  Scalars are immutable, so each expression string
+        is parsed once per table; a string that fails to parse is not kept."""
         if isinstance(value, Scalar):
             if not self.compatible(value.table):
                 raise ScalarError("scalar belongs to an incompatible symbol table")
             return value
         if isinstance(value, str):
-            return parse_expr(value, self)
+            parsed = self._parsed.get(value)
+            if parsed is None:
+                parsed = self._parsed[value] = parse_expr(value, self)
+            return parsed
         q = Fraction(value)
         num = {} if q == 0 else {_ONE_MONO: q}
         return Scalar(self, num, {_ONE_MONO: Fraction(1)}, _normalized=True)

@@ -88,6 +88,39 @@ def test_run_check_only_restriction():
         run_check(builtin("AT4"), only="missing-id")
 
 
+def _solv8_balanced(expect):
+    """fp_solv8 with one balanced check; its omega is pluriclosed, not balanced."""
+    data = json.loads(builtin("fp_solv8").to_json())
+    data["checks"] = [
+        {"id": "balanced", "kind": "balanced", "omega": "omega", "endo": "I", "expect": expect}
+    ]
+    return Manifest(data)
+
+
+def test_failed_balanced_check_reports_the_real_basis_residual():
+    outcome = run_check(_solv8_balanced(True)).outcomes[-1]
+    assert outcome.verdict == "fail"
+    assert json.dumps(outcome.detail, sort_keys=True) == (
+        '{"residual": [["-6", ["e1", "e2", "e4", "e5", "e6", "e7", "e8"]]]}'
+    )
+
+
+def test_matched_balanced_check_converts_nothing_to_the_real_basis(monkeypatch):
+    from hermitia.complexops import ComplexModel
+
+    calls = []
+    original = ComplexModel.to_real
+
+    def counting(model, cform):
+        calls.append(None)
+        return original(model, cform)
+
+    monkeypatch.setattr(ComplexModel, "to_real", counting)
+    outcome = run_check(_solv8_balanced(False)).outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == ("pass", {})
+    assert calls == []
+
+
 def test_report_determinism_byte_identical():
     for name in ("AT4", "fp_solv8", "pseudoHK12", "lemma61"):
         r1 = run_check(builtin(name), seed=123).to_json(include_timing=False)

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conftest import make_at4, make_fp_solv8, make_hk12
+from hermitia import cealg, metrics
+from hermitia.builders import builtin, sasaki_kahler_suspension
 from hermitia.cealg import abelian, wedge, wedge_power
 from hermitia.complexops import AlmostComplexStructure, fundamental_form
 from hermitia.metrics import (
@@ -45,6 +47,57 @@ def flat_candidate():
     a4 = abelian(4)
     J = AlmostComplexStructure.from_action(a4, {1: "e2", 3: "e4"})
     return HermitianCandidate(J, a4.form([(1, (1, 2)), (1, (3, 4))]))
+
+
+def _suspension8_candidate():
+    p = sasaki_kahler_suspension(8)  # complex dimension m = 6
+    return HermitianCandidate(AlmostComplexStructure(p, p.endomorphisms["Itilde"]), p.forms["omega_tilde"])
+
+
+def _ladder_candidates():
+    yield _suspension8_candidate()
+    for name, omega, endo in (("AT4", "omega0", "J"), ("fp_solv8", "omega", "I")):
+        yield builtin(name).build().candidate(omega, endo)
+
+
+def test_predicates_share_one_power_ladder(monkeypatch):
+    c = _suspension8_candidate()
+    calls = []
+    original = cealg.wedge
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    # both bindings, so that wedges made through cealg.wedge_power count too
+    monkeypatch.setattr(metrics, "wedge", counting)
+    monkeypatch.setattr(cealg, "wedge", counting)
+    assert is_pluriclosed(c).passed
+    assert not is_balanced(c).passed
+    assert is_astheno(c).passed
+    assert all(is_k_pluriclosed(c, k).passed for k in range(1, c.m))
+    # one wedge per rung omega^2 .. omega^(m-1)
+    assert len(calls) == c.m - 2 == 4
+
+
+def test_power_ladder_matches_wedge_power():
+    for c in _ladder_candidates():
+        for k in range(c.m, 0, -1):  # from the top, then reading the ladder back
+            assert c.power(k) == wedge_power(c.omega_c, k)
+        with pytest.raises(MetricError):
+            c.power(0)
+
+
+def test_balanced_residual_is_the_real_basis_differential():
+    for c in _ladder_candidates():
+        expected = c.presentation.d(wedge_power(c.omega, c.m - 1))
+        rep = is_balanced(c)
+        assert rep.passed == expected.is_zero()
+        if rep.passed:
+            assert rep.residual is None
+        else:
+            assert rep.residual == expected
+            assert rep.residual.presentation is c.presentation
 
 
 def test_candidate_validation_rejects_non_real():

@@ -349,3 +349,22 @@ def test_half_frame_is_greedy(which, hk12_triple):
     frame = _half_frame(t)[0]
     assert len(frame) == t.I.model().m // 2
     assert frame == _greedy_half_frame(t)
+
+
+def test_pseudo_hk12_run_check_builds_each_half_frame_once(monkeypatch):
+    from collections import Counter
+
+    from hermitia import quaternion
+    from hermitia.builders import builtin
+    from hermitia.manifest import run_check
+
+    calls = Counter()
+    original = quaternion._half_frame
+
+    def counting(t):
+        calls[id(t)] += 1
+        return original(t)
+
+    monkeypatch.setattr(quaternion, "_half_frame", counting)
+    assert run_check(builtin("pseudoHK12")).overall == "pass"
+    assert calls and set(calls.values()) == {1}

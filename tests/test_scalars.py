@@ -35,6 +35,18 @@ def test_scalar_lifts_expression_strings(table):
     assert table.scalar(Fraction(1, 2)) == table.scalar("1/2")
 
 
+def test_scalar_parses_each_string_once_per_table(table):
+    assert table.scalar("1/2") is table.scalar("1/2")
+    assert table.scalar("s2*a") is table.scalar("s2*a")
+    # a string that fails to parse is not kept: it fails the same way again
+    offsets = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            table.scalar("2+q")
+        offsets.append(err.value.offset)
+    assert offsets == [2, 2]
+
+
 def test_scalar_from_incompatible_table_is_rejected(table):
     from hermitia.cealg import LieAlgebraPresentation
 
