@@ -550,8 +550,8 @@ def direct_sum(g1: LieAlgebraPresentation, g2: LieAlgebraPresentation, names=Non
             out.append(new)
         names = tuple(out)
 
-    remap1 = _table_remapper(g1.table, table)
-    remap2 = _table_remapper(g2.table, table)
+    remap1 = table.remapper(g1.table)
+    remap2 = table.remapper(g2.table)
     differential = {}
     for g, t in g1.d_gen.items():
         differential[g] = [(remap1(c), idx) for idx, c in t.items()]
@@ -626,20 +626,3 @@ def _merge_tables(t1: SymbolTable, t2: SymbolTable) -> SymbolTable:
                 rel_text = (rel[0], _poly_str(t, rel[1])[0])
             symbols.append(Symbol(name, relation=rel_text, sign_hint=hint))
     return SymbolTable(symbols)
-
-
-def _table_remapper(old: SymbolTable, new: SymbolTable):
-    if old is new:
-        return lambda s: s
-
-    index_map = {i: new.index_of(n) for i, n in enumerate(old.names)}
-
-    def remap_poly(p):
-        return {
-            tuple(sorted((index_map[i], e) for i, e in mono)): c for mono, c in p.items()
-        }
-
-    def remap(s: Scalar) -> Scalar:
-        return Scalar(new, remap_poly(s.num), remap_poly(s.den))
-
-    return remap

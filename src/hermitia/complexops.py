@@ -57,8 +57,8 @@ class AlmostComplexStructure:
             raise IntegrabilityError("almost complex structures need even dimension")
         table = presentation.table
         square = linear.mat_mul(self.matrix, self.matrix, table)
-        minus_id = linear.mat_scale(-table.one, linear.identity(table, n))
-        if not linear.mat_eq(square, minus_id):
+        # entry by entry: -1 on the diagonal, 0 elsewhere
+        if any(x != (-1 if r == c else 0) for r, row in enumerate(square) for c, x in enumerate(row)):
             raise IntegrabilityError(f"{name}^2 != -Id")
         # the conjugate of a (1,0) form is a (0,1) form only for a real J
         if any(x != x.conjugate() for row in self.matrix for x in row):

@@ -78,10 +78,6 @@ def is_zero_matrix(a):
     return all(x.is_zero() for row in a for x in row)
 
 
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def rref(rows, ncols, is_zero):
     """Bring ``rows``, a list of row lists, to reduced row echelon form on its
     first ``ncols`` columns, in place; further columns (right-hand sides) are

@@ -25,7 +25,6 @@ import numpy as np
 from . import linear
 from .cealg import Form, solve_combination, wedge
 from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar, real_basis
-from .scalars import Scalar
 
 
 class MetricError(ValueError):
@@ -203,10 +202,6 @@ class SignatureResult:
     degenerate: bool
 
 
-def _symbol_free(s: Scalar) -> bool:
-    return all(idx == 0 for part in (s.num, s.den) for mono in part for idx, _e in mono)
-
-
 def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> SignatureResult:
     """Gram matrix plus signature (p, q, z).
 
@@ -223,7 +218,7 @@ def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> Signa
         mat = tuple(tuple(r) for r in candidate_or_matrix)
         if table is None:
             table = mat[0][0].table
-    if all(_symbol_free(x) for row in mat for x in row):
+    if all(x.is_gaussian_rational() for row in mat for x in row):
         p, q, z = linear.hermitian_signature(mat, table)
         return SignatureResult(mat, (p, q, z), exact=True, degenerate=z > 0)
     if valuation is None:

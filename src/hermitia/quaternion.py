@@ -19,7 +19,6 @@ import numpy as np
 from . import linear
 from .cealg import Form, FormError, solve_combination, top_coefficient, wedge, wedge_power
 from .complexops import AlmostComplexStructure, _lift, bidegree, del_
-from .metrics import _symbol_free
 from .scalars import Scalar
 
 
@@ -215,7 +214,7 @@ def check_hkt(c: HKTCandidate, valuation=None) -> QuaternionReport:
 def _positive_definite_check(c: HKTCandidate, valuation):
     table = c.presentation.table
     mat = c.coefficients
-    if all(_symbol_free(x) for row in mat for x in row):
+    if all(x.is_gaussian_rational() for row in mat for x in row):
         p, q, z = linear.hermitian_signature(mat, table)
         ok = q == 0 and z == 0
         return SubCheck("coefficient matrix positive definite", ok, f"signature {(p, q, z)}")

@@ -8,8 +8,22 @@ earlier; normalization keeps every exponent of a related symbol below ``k``.
 The built-in symbol ``i`` has the relation ``i^2 = -1``.  Symbols without a
 relation are free (transcendental) and are treated as real under conjugation.
 
+A scalar is stored in one of two ways:
+
+* In a table whose only relation is ``i^2 = -1`` (``SymbolTable.gaussian``),
+  every value with no free symbol lies in Q(i) and is held as one integer
+  triple ``(a, b, d)`` meaning ``(a + b*i)/d`` with ``d > 0`` and
+  ``gcd(a, b, d) = 1``.  Arithmetic on two such values uses ``int``
+  operations only; the polynomial ``num``/``den`` view is built on demand.
+* Every other value (one with a free symbol, or any value of a table that
+  declares its own relations) is held as the polynomial fraction itself.
+  An operation with an operand of this kind takes the polynomial path, and a
+  result with no free symbol in a gaussian table becomes a triple again.
+
 Zero has a unique representation, so equality of canonical forms decides
-equality of values.  All operations are pure; scalars are immutable.
+equality of values.  ``key()``, hashes and printed forms depend only on the
+value, not on how it is stored.  All operations are pure; scalars are
+immutable.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .linear import rref
@@ -42,6 +57,8 @@ class EvaluationError(ScalarError):
 # exponent > 0; the empty tuple is the constant monomial.  Index 0 is "i".
 Monomial = tuple
 _ONE_MONO: Monomial = ()
+_I_MONO: Monomial = ((0, 1),)
+_ONE_POLY = {_ONE_MONO: Fraction(1)}  # shared denominator of every triple; never mutated
 
 
 def _is_one_poly(p):
@@ -98,6 +115,8 @@ class SymbolTable:
         self.sign_hints = {}
         self._index = {"i": 0}
         self._parsed = {}  # expression string -> Scalar; the table is fixed after __init__
+        # while only i is related, values with no free symbol are integer triples
+        self.gaussian = True
         for sym in symbols:
             self._declare(sym)
         self._sig = (
@@ -134,6 +153,7 @@ class SymbolTable:
                             "symbols that carry relations themselves"
                         )
             self.relations[idx] = (k, rhs)
+            self.gaussian = False
 
     @property
     def _alg_indices(self):
@@ -172,8 +192,10 @@ class SymbolTable:
             if parsed is None:
                 parsed = self._parsed[value] = parse_expr(value, self)
             return parsed
-        q = Fraction(value)
-        num = {} if q == 0 else {_ONE_MONO: q}
+        q = value if type(value) is int else Fraction(value)
+        if self.gaussian:
+            return _gaussian(self, q.numerator, 0, q.denominator)
+        num = {} if q == 0 else {_ONE_MONO: Fraction(q)}
         return Scalar(self, num, {_ONE_MONO: Fraction(1)}, _normalized=True)
 
     @property
@@ -186,7 +208,9 @@ class SymbolTable:
 
     @property
     def i(self) -> "Scalar":
-        return Scalar(self, {((0, 1),): Fraction(1)}, {_ONE_MONO: Fraction(1)}, _normalized=True)
+        if self.gaussian:
+            return _gaussian(self, 0, 1, 1)
+        return Scalar(self, {_I_MONO: Fraction(1)}, {_ONE_MONO: Fraction(1)}, _normalized=True)
 
     def symbol(self, name) -> "Scalar":
         idx = self._index.get(name)
@@ -196,6 +220,25 @@ class SymbolTable:
 
     def parse(self, text) -> "Scalar":
         return parse_expr(text, self)
+
+    def remapper(self, old: "SymbolTable"):
+        """A map taking scalars of ``old`` to the same values over this table,
+        whose names must include every name of ``old``."""
+        if old is self:
+            return lambda s: s
+        index_map = {i: self.index_of(n) for i, n in enumerate(old.names)}
+
+        def remap_poly(p):
+            return {
+                tuple(sorted((index_map[i], e) for i, e in mono)): c for mono, c in p.items()
+            }
+
+        def remap(s: Scalar) -> Scalar:
+            if s._t is not None and self.gaussian:
+                return _gaussian(self, *s._t)
+            return Scalar(self, remap_poly(s.num), remap_poly(s.den))
+
+        return remap
 
 
 # ---------------------------------------------------------------------------
@@ -525,23 +568,46 @@ def _poly_gcd(table, f, g):
 
 
 class Scalar:
-    """A canonical fraction of reduced polynomials over one symbol table.
+    """One value of a symbol table's coefficient ring.
 
-    Supports +, -, *, /, ** with other scalars or ints/Fractions.  Canonical
-    form: numerator and denominator reduced modulo all relations, the fraction
-    gcd-cancelled, and the denominator normalized so its leading coefficient
-    (graded-lex over free symbols) is exactly 1.  Zero is ``({}, {1: 1})``.
+    Supports +, -, *, /, ** with other scalars or ints/Fractions.  In a
+    gaussian table a value with no free symbol is the integer triple ``_t``
+    (see the module docstring); every other value is a canonical fraction of
+    reduced polynomials: numerator and denominator reduced modulo all
+    relations, the fraction gcd-cancelled, and the denominator normalized so
+    its leading coefficient (graded-lex over free symbols) is exactly 1.
+    ``num`` and ``den`` read the canonical fraction of either kind; zero is
+    ``({}, {1: 1})``.
     """
 
-    __slots__ = ("table", "num", "den", "_key")
+    __slots__ = ("table", "_t", "_num", "den", "_key")
 
     def __init__(self, table, num, den, _normalized=False):
         self.table = table
         if not _normalized:
             num, den = _canonical_fraction(table, num, den)
-        self.num = num
+        self._num = num
         self.den = den
         self._key = None
+        self._t = (
+            _triple(num)
+            if table.gaussian and _is_one_poly(den) and all(not m or m == _I_MONO for m in num)
+            else None
+        )
+
+    @property
+    def num(self):
+        """The numerator {monomial: Fraction}; a triple builds it on first read."""
+        num = self._num
+        if num is None:
+            a, b, d = self._t
+            num = {}
+            if a:
+                num[_ONE_MONO] = Fraction(a, d)
+            if b:
+                num[_I_MONO] = Fraction(b, d)
+            self._num = num
+        return num
 
     # -- canonical key, equality, hashing -----------------------------------
 
@@ -554,9 +620,15 @@ class Scalar:
         return self._key
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        x = self._t
+        if isinstance(other, Scalar):
+            if x is not None and other._t is not None:
+                return x == other._t
+        elif isinstance(other, (int, Fraction)):
+            if x is not None:
+                return not x[1] and x[0] == other.numerator and x[2] == other.denominator
             other = self.table.scalar(other)
-        if not isinstance(other, Scalar):
+        else:
             return NotImplemented
         return self.key() == other.key()
 
@@ -564,23 +636,36 @@ class Scalar:
         return hash(self.key())
 
     def is_zero(self):
-        return not self.num
+        x = self._t
+        if x is None:
+            return not self._num
+        return not x[0] and not x[1]
 
     def is_rational(self):
-        return self.den == {_ONE_MONO: Fraction(1)} and (
-            not self.num or set(self.num) == {_ONE_MONO}
-        )
+        x = self._t
+        if x is not None:
+            return not x[1]
+        return self.den == _ONE_POLY and (not self._num or set(self._num) == {_ONE_MONO})
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"scalar {self} is not rational")
-        return self.num.get(_ONE_MONO, Fraction(0))
+        x = self._t
+        if x is not None:
+            return Fraction(x[0], x[2])
+        return self._num.get(_ONE_MONO, Fraction(0))
+
+    def is_gaussian_rational(self):
+        """True when no declared symbol occurs, i.e. the value lies in Q(i)."""
+        if self._t is not None:
+            return True
+        return all(idx == 0 for part in (self._num, self.den) for mono in part for idx, _e in mono)
 
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if not self.table.compatible(other.table):
+            if other.table is not self.table and not self.table.compatible(other.table):
                 raise ScalarError("scalars from incompatible symbol tables")
             return other
         if isinstance(other, (int, Fraction)):
@@ -591,21 +676,31 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            total = _poly_add(self.num, o.num)
-            if _is_one_poly(self.den):
-                # sums of reduced polynomials stay reduced and canonical
-                return Scalar(self.table, total, self.den, _normalized=True)
-            return Scalar(self.table, total, self.den)
+        x, y = self._t, o._t
+        if x is not None and y is not None:
+            a1, b1, d1 = x
+            a2, b2, d2 = y
+            if d1 == d2:
+                return _reduced(self.table, a1 + a2, b1 + b2, d1)
+            return _reduced(self.table, a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
         t = self.table
-        num = _poly_add(_poly_mul(t, self.num, o.den), _poly_mul(t, o.num, self.den))
-        return Scalar(t, num, _poly_mul(t, self.den, o.den))
+        sden, oden = self.den, o.den
+        if sden == oden:
+            total = _poly_add(self.num, o.num)
+            if _is_one_poly(sden):
+                # sums of reduced polynomials stay reduced and canonical
+                return Scalar(t, total, sden, _normalized=True)
+            return Scalar(t, total, sden)
+        num = _poly_add(_poly_mul(t, self.num, oden), _poly_mul(t, o.num, sden))
+        return Scalar(t, num, _poly_mul(t, sden, oden))
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = Scalar(self.table, _poly_neg(self.num), self.den, _normalized=True)
-        return s
+        x = self._t
+        if x is not None:
+            return _gaussian(self.table, -x[0], -x[1], x[2])
+        return Scalar(self.table, _poly_neg(self._num), self.den, _normalized=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -623,6 +718,11 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        x, y = self._t, o._t
+        if x is not None and y is not None:
+            a1, b1, d1 = x
+            a2, b2, d2 = y
+            return _reduced(self.table, a1 * a2 - b1 * b2, a1 * b2 + a2 * b1, d1 * d2)
         t = self.table
         if _is_one_poly(self.den) and _is_one_poly(o.den):
             # products of reduced polynomials over denominator 1 are canonical
@@ -637,6 +737,17 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise ScalarError("division by a scalar that normalizes to zero")
+        x, y = self._t, o._t
+        if x is not None and y is not None:
+            # multiply by the conjugate of the divisor over its norm
+            a1, b1, d1 = x
+            a2, b2, d2 = y
+            return _reduced(
+                self.table,
+                (a1 * a2 + b1 * b2) * d2,
+                (b1 * a2 - a1 * b2) * d2,
+                d1 * (a2 * a2 + b2 * b2),
+            )
         t = self.table
         return Scalar(t, _poly_mul(t, self.num, o.den), _poly_mul(t, self.den, o.num))
 
@@ -659,8 +770,15 @@ class Scalar:
         return out
 
     def conjugate(self):
-        """i -> -i; declared symbols are fixed (they are real)."""
-        return Scalar(self.table, _poly_conj(self.num), _poly_conj(self.den))
+        """i -> -i; declared symbols are fixed (they are real).
+
+        Conjugation is a ring automorphism that fixes every relation (none
+        involves i) and the leading denominator coefficient 1, so the
+        conjugate of a canonical fraction is canonical as it stands."""
+        x = self._t
+        if x is not None:
+            return _gaussian(self.table, x[0], -x[1], x[2])
+        return Scalar(self.table, _poly_conj(self._num), _poly_conj(self.den), _normalized=True)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -751,6 +869,40 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+_new = object.__new__
+
+
+def _gaussian(table, a, b, d) -> Scalar:
+    """The scalar (a + b*i)/d of a gaussian table, for a normalized triple."""
+    s = _new(Scalar)
+    s.table = table
+    s._t = (a, b, d)
+    s._num = None
+    s.den = _ONE_POLY
+    s._key = None
+    return s
+
+
+def _reduced(table, a, b, d) -> Scalar:
+    """(a + b*i)/d for any integers with d > 0, normalized."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gaussian(table, a, b, d)
+
+
+def _triple(num):
+    """The normalized triple of a canonical numerator over Q(i)."""
+    x = num.get(_ONE_MONO, 0)
+    y = num.get(_I_MONO, 0)
+    dx, dy = x.denominator, y.denominator
+    d = dx * dy // gcd(dx, dy)
+    return (x.numerator * (d // dx), y.numerator * (d // dy), d)
 
 
 def _canonical_fraction(table, num, den):

@@ -635,6 +635,20 @@ def test_non_real_structure_is_rejected():
     assert (outcome.verdict, outcome.detail) == ("fail", {"reason": "J has a non-real entry"})
 
 
+def test_square_is_compared_with_minus_identity_entry_by_entry():
+    """A wrong diagonal and a wrong off-diagonal entry each fail; a square
+    root of -Id with a free symbol in it passes."""
+    from hermitia.scalars import Symbol, SymbolTable
+
+    pres = abelian(2)
+    for bad in ([[0, 1], [1, 0]], [[1, 1], [-2, 1]]):
+        with pytest.raises(IntegrabilityError, match=r"^J\^2 != -Id$"):
+            AlmostComplexStructure(pres, bad)
+    symbolic = abelian(2, table=SymbolTable([Symbol("b")]))
+    J = AlmostComplexStructure(symbolic, [["0", "-b"], ["1/b", "0"]])
+    assert J.matrix[0][1] == -symbolic.table.symbol("b")
+
+
 def test_forms_over_two_coframes_do_not_mix():
     """The coframes of I, J and K on pseudoHK12 have the same structure
     equations; their forms are still different forms."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermitia import scalars as scalars_module
 from hermitia.scalars import (
     EvaluationError,
     ParseError,
@@ -13,6 +14,12 @@ from hermitia.scalars import (
     ScalarError,
     Symbol,
     SymbolTable,
+    _canonical_fraction,
+    _poly_add,
+    _poly_conj,
+    _poly_mul,
+    _poly_neg,
+    _poly_str,
     normalize,
     parse_expr,
 )
@@ -275,3 +282,187 @@ def test_evaluation_is_multiplicative(x, y):
 @given(scalars())
 def test_print_parse_roundtrip(x):
     assert parse_expr(str(x), _TABLE) == x
+
+
+# -- Q(i) values as integer triples against the polynomial helpers -----------
+
+_QI = SymbolTable()
+_QIB = SymbolTable([Symbol("b")])  # only i is related, plus one free symbol
+_S2 = SymbolTable([Symbol("s2", relation=(2, "2"))])
+_ZERO_DIVISION = "division by a scalar that normalizes to zero"
+
+_ints = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
+_dens = st.one_of(st.integers(1, 6), st.integers(1, 10**20))
+
+
+def _trees(*symbols):
+    """Expression trees over Q(i) and the given symbol names, so the same
+    value can be built in several tables."""
+    leaves = [st.builds(Fraction, _ints, _dens), st.just("i")]
+    if symbols:
+        leaves.append(st.sampled_from(symbols))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+        max_leaves=8,
+    )
+
+
+def _build(tree, table):
+    if isinstance(tree, Fraction):
+        return table.scalar(tree)
+    if tree == "i":
+        return table.i
+    if isinstance(tree, str):
+        return table.symbol(tree)
+    op, left, right = tree
+    x, y = _build(left, table), _build(right, table)
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    return x if y.is_zero() else x / y
+
+
+def _ref_key(num, den):
+    return (tuple(sorted(num.items())), tuple(sorted(den.items())))
+
+
+def _references(table, x, y):
+    """The polynomial-path canonical fractions of x+y, x-y, x*y, x/y, conj x."""
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
+    out = {
+        "+": (_poly_add(_poly_mul(table, xn, yd), _poly_mul(table, yn, xd)), _poly_mul(table, xd, yd)),
+        "-": (_poly_add(_poly_mul(table, xn, yd), _poly_neg(_poly_mul(table, yn, xd))),
+              _poly_mul(table, xd, yd)),
+        "*": (_poly_mul(table, xn, yn), _poly_mul(table, xd, yd)),
+        "conj": (_poly_conj(xn), _poly_conj(xd)),
+    }
+    if not y.is_zero():
+        out["/"] = (_poly_mul(table, xn, yd), _poly_mul(table, xd, yn))
+    return {op: _canonical_fraction(table, *nd) for op, nd in out.items()}
+
+
+def _results(x, y):
+    out = {"+": x + y, "-": x - y, "*": x * y, "conj": x.conjugate()}
+    if not y.is_zero():
+        out["/"] = x / y
+    return out
+
+
+def _ref_str(table, num, den):
+    num_s, num_simple = _poly_str(table, num)
+    if den == {(): Fraction(1)}:
+        return num_s
+    den_s, den_simple = _poly_str(table, den)
+    return f"{num_s if num_simple else f'({num_s})'}/{den_s if den_simple else f'({den_s})'}"
+
+
+def _assert_matches(result, num, den, table):
+    key = _ref_key(num, den)
+    assert result.num == num and result.den == den
+    assert result.key() == key
+    assert hash(result) == hash(key)
+    assert str(result) == _ref_str(table, num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(), _trees())
+def test_gaussian_arithmetic_matches_polynomial_reference(tx, ty):
+    x, y = _build(tx, _QI), _build(ty, _QI)
+    assert x._t is not None and y._t is not None
+    refs = _references(_QI, x, y)
+    for op, result in _results(x, y).items():
+        assert result._t is not None, op
+        _assert_matches(result, *refs[op], _QI)
+    assert (x == y) == (x.key() == y.key())
+    assert x == Scalar(_QI, x.num, x.den) and hash(x) == hash(Scalar(_QI, x.num, x.den))
+    if x.is_rational():
+        q = x.as_rational()
+        assert x == q and x.key() == _QI.scalar(q).key()
+    assert x.is_zero() == (x == 0) == (not x.num)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees())
+def test_gaussian_values_equal_the_related_table_bytes(tree):
+    """A table declaring s2^2 = 2 keeps Q(i) values on the polynomial path;
+    both ways of storing them give the same keys, hashes and strings."""
+    x, s = _build(tree, _QI), _build(tree, _S2)
+    assert x._t is not None and s._t is None
+    assert x.key() == s.key() and hash(x) == hash(s) and str(x) == str(s)
+    assert x == s and x.conjugate().key() == s.conjugate().key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees())
+def test_division_by_a_gaussian_zero(tree):
+    x = _build(tree, _QI)
+    one_plus_i = _QI.one + _QI.i
+    for zero in (x - x, one_plus_i * one_plus_i.conjugate() - 2, _QI.i * _QI.i + 1):
+        assert zero._t == (0, 0, 1)
+        for divide in (lambda: x / zero, lambda: 1 / zero, lambda: Fraction(1, 2) / zero):
+            with pytest.raises(ScalarError) as err:
+                divide()
+            assert str(err.value) == _ZERO_DIVISION
+        with pytest.raises(ScalarError) as ref:
+            _canonical_fraction(_QI, x.num, zero.num)
+        assert str(ref.value) == _ZERO_DIVISION
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees(), _trees("b"))
+def test_free_symbol_operand_promotes_to_the_polynomial_path(tx, ty):
+    x, y = _build(tx, _QIB), _build(ty, _QIB)
+    b = _QIB.symbol("b")
+    refs = _references(_QIB, x, y)
+    for op, result in _results(x, y).items():
+        _assert_matches(result, *refs[op], _QIB)
+        # a result with no free symbol is a triple again
+        assert (result._t is not None) == result.is_gaussian_rational(), op
+    assert b._t is None and (x + b)._t is None
+    back = (x + b) - b
+    assert back._t == x._t and back == x
+    assert ((x * b) / b)._t == x._t
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees("s2"), _trees("s2"))
+def test_related_table_arithmetic_matches_polynomial_reference(tx, ty):
+    x, y = _build(tx, _S2), _build(ty, _S2)
+    refs = _references(_S2, x, y)
+    for op, result in _results(x, y).items():
+        assert result._t is None
+        assert result.key() == _ref_key(*refs[op]), op
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees("b"))
+def test_conjugate_of_a_canonical_fraction_is_canonical(tree):
+    for table in (_QIB, _TABLE):
+        x = _build(tree, table)
+        expect = _canonical_fraction(table, _poly_conj(x.num), _poly_conj(x.den))
+        assert x.conjugate().key() == _ref_key(*expect)
+
+
+def test_gaussian_arithmetic_never_multiplies_polynomials(monkeypatch):
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapped
+
+    x = _QI.scalar(Fraction(3, 7)) + _QI.scalar(Fraction(2, 5)) * _QI.i
+    y = _QI.scalar(-(10**25)) + _QI.scalar(Fraction(11, 2)) * _QI.i
+    for name in ("_poly_mul", "_canonical_fraction", "_alg_inverse", "_reduce_poly"):
+        monkeypatch.setattr(scalars_module, name, counting(name, getattr(scalars_module, name)))
+    values = [x + y, x - y, x * y, x / y, 3 / x, x**5, -x, x.conjugate(), x * 2, Fraction(1, 3) - y]
+    values.append(_QI.parse("(1+i)^3/(2-i) - 7/9*i"))
+    assert not calls, calls
+    assert all(v._t is not None for v in values)
+    assert values[3] * y == x and not calls

@@ -88,3 +88,16 @@ def test_tracer_span_targets_resolve():
                 missing.append(f"{span}: hermitia.{modname}.{attr}")
     missing += [f"Scalar.{op}" for op in tracer.SCALAR_OPS if op not in vars(hermitia.Scalar)]
     assert not missing, missing
+
+
+def test_only_scalars_reads_the_polynomial_fraction():
+    """A scalar's ``num``/``den`` is a storage detail of ``scalars.py``
+    (Q(i) values are integer triples there), so no other module reads it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+                found.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+    assert not found, found
