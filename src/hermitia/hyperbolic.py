@@ -15,13 +15,19 @@ circle, so the real-root test captures hyperbolicity; for other signatures
 ``classify`` refuses instead of guessing.  All arithmetic is exact; floating
 point only enters the explicitly numeric operations (power iteration,
 residuals).  The hot kernels clear denominators once and run over the
-integers: Berkowitz's division-free characteristic polynomial, the isometry
-test, r(M) and Sturm sign evaluation each scale back to the same rationals
-they would have produced over Q.
+integers and Z[x]: Berkowitz's division-free characteristic polynomial, the
+isometry test, r(M), the squarefree part and the Sturm chain (primitive
+pseudo-remainder sequences), Sturm sign evaluation and the Q(lambda)
+eigenvector (integer triples) each scale back to the same rationals they
+would have produced over Q.  The minimal polynomial of a hyperbolic
+eigenvalue of an integral characteristic polynomial with constant term +-1
+is its squarefree part without cyclotomic factors; sympy factors only a
+non-integral one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -156,7 +162,8 @@ def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomials over Q (dense, ascending coefficients)
+# exact polynomials (dense, ascending coefficients): over Q as Fraction lists,
+# over Z as int lists for the remainder sequences
 # ---------------------------------------------------------------------------
 
 
@@ -164,10 +171,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_neg(p):
-    return [-c for c in p]
 
 
 def poly_mul(p, q):
@@ -182,31 +185,60 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    d = len(q) - 1
-    lc = q[-1]
-    quo = [Fraction(0)] * max(0, len(p) - d)
-    while len(r) - 1 >= d and r:
-        k = len(r) - 1 - d
-        f = r[-1] / lc
-        quo[k] = f
-        for i in range(len(q)):
-            r[k + i] -= f * q[i]
+def _primitive(p):
+    """p over Z divided by the positive gcd of its coefficients."""
+    c = math.gcd(*p)
+    return [x // c for x in p] if c > 1 else p
+
+
+def _prem(a, b):
+    """A positive integer multiple of the remainder of a by b over Z: each
+    step scales by |lc(b)| before cancelling the top coefficient."""
+    if b[-1] < 0:
+        b = [-x for x in b]
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        c = r.pop()
+        k = len(r) - db
+        r = [lc * x for x in r]
+        for i in range(db):
+            r[k + i] -= c * b[i]
         poly_trim(r)
-    return poly_trim(quo), r
+    return r
 
 
-def poly_gcd(p, q):
-    a, b = list(p), list(q)
+def _divmod_int(p, q):
+    """Quotient and remainder of p by q over Z, for q monic or dividing p in
+    Z[x] (then every step's division is exact)."""
+    r = list(p)
+    dq = len(q) - 1
+    quo = [0] * max(0, len(p) - dq)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = r[k + dq] // q[-1]
+        if c:
+            for i in range(dq + 1):
+                r[k + i] -= c * q[i]
+    return quo, poly_trim(r[:dq])
+
+
+def _int_poly(p):
+    """The primitive integer positive multiple of a rational polynomial."""
+    (c,), _ = _cleared([poly_trim(list(p))])
+    return _primitive(list(c)) if c else []
+
+
+def _squarefree_int(q):
+    """(q / g, g) for g = gcd(q, q') over Z, from a primitive remainder
+    sequence.  g has a positive leading coefficient, so q / g is a positive
+    multiple of q over the monic gcd; for a primitive q both are primitive."""
+    a, b = q, _primitive(poly_derivative(q))
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lc = a[-1]
-        a = [c / lc for c in a]
-    return a
+        a, b = b, _primitive(_prem(a, b))
+    g = a if a[-1] > 0 else [-x for x in a]
+    if len(g) == 1:
+        return q, [1]
+    return _divmod_int(q, g)[0], g
 
 
 def poly_derivative(p):
@@ -241,10 +273,17 @@ def poly_eval_matrix(p, m):
 
 
 def squarefree_part(p):
-    g = poly_gcd(p, poly_derivative(p))
-    if len(g) <= 1:
-        return list(p), g
-    return poly_divmod(p, g)[0], g
+    """(r, g) with g = gcd(p, p') monic and r = p / g, as Fraction lists; the
+    gcd comes from a primitive remainder sequence over Z."""
+    q = _int_poly(p)
+    if not q:
+        return [], []
+    r, g = _squarefree_int(q)
+    if len(g) == 1:
+        return list(p), [Fraction(1)]
+    # r is a positive multiple of p / g, with p's leading coefficient
+    lead = Fraction(p[len(q) - 1]) / r[-1]
+    return [c * lead for c in r], [Fraction(c, g[-1]) for c in g]
 
 
 def char_poly(matrix):
@@ -286,16 +325,21 @@ def char_poly(matrix):
 
 
 def sturm_chain(p):
-    """Sturm chain of the squarefree part of p, each member scaled by a
-    positive constant to integer coefficients (signs are unchanged)."""
-    p0, _ = squarefree_part(list(p))
-    chain = [p0, poly_derivative(p0)]
+    """Sturm chain of the squarefree part of p as a primitive remainder
+    sequence over Z: each pseudo-remainder has a positive multiplier and is
+    divided by its content, so every member is a positive multiple of the
+    Euclidean member over Q and every sign count is the same."""
+    q = _int_poly(p)
+    if not q:
+        return [[], []]
+    p0, _ = _squarefree_int(q)
+    chain = [p0, _primitive(poly_derivative(p0))]
     while chain[-1]:
-        r = poly_divmod(chain[-2], chain[-1])[1]
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(poly_neg(r))
-    return [list(_cleared([q])[0][0]) for q in chain]
+        chain.append([-c for c in _primitive(r)])
+    return chain
 
 
 def sign_variations(chain, x):
@@ -330,31 +374,35 @@ def isolate_real_roots(chain, lo, hi):
     of the polynomial whose Sturm chain is ``chain``."""
     out = []
 
-    def rec(a, b):
-        k = count_roots_halfopen(chain, a, b)
+    def rec(a, b, va, vb):
+        k = va - vb
         if k == 0:
             return
         if k == 1:
             out.append((a, b))
             return
         mid = (a + b) / 2
+        vm = sign_variations(chain, mid)
         # half-open intervals: a root exactly at mid lands in (a, mid]
-        rec(a, mid)
-        rec(mid, b)
+        rec(a, mid, va, vm)
+        rec(mid, b, vm, vb)
 
-    rec(lo, hi)
+    rec(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))
     return sorted(out)
 
 
 def refine_interval(chain, a, b, width=Fraction(1, 10**12)):
     """Bisect an isolating interval (a, b] below the given width; ``chain``
-    is the Sturm chain of the polynomial."""
-    found = count_roots_halfopen(chain, a, b)
+    is the Sturm chain of the polynomial.  Each step evaluates the chain at
+    the midpoint only: the left end moves only past an interval without a
+    root, so its sign variations stay those at the original a."""
+    va = sign_variations(chain, a)
+    found = va - sign_variations(chain, b)
     if found != 1:
         raise LatticeError(f"({a}, {b}] holds {found} roots, not exactly one")
     while b - a > width:
         mid = (a + b) / 2
-        if count_roots_halfopen(chain, a, mid) == 1:
+        if va - sign_variations(chain, mid) == 1:
             b = mid
         else:
             a = mid
@@ -392,65 +440,165 @@ class Classification:
 
 
 def _min_poly_factor_for_interval(p, a, b):
-    """The irreducible factor of p having a root in the isolating interval."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x, domain="QQ")
-    for factor, _mult in poly.factor_list()[1]:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(factor.all_coeffs())]
-        chain = sturm_chain(coeffs)
-        if count_roots_halfopen(chain, a, b) == 1:
-            return coeffs
+    """The irreducible factor of the characteristic polynomial p of a
+    Lorentzian isometry that has a root in the isolating interval (a, b].
+
+    When p is monic over Z with p(0) = +-1 the factor is the squarefree part
+    of p with every cyclotomic factor divided out.  Proof: such an isometry
+    has exactly one eigenvalue lambda with |lambda| > 1, a simple one, and
+    all others are 1 / lambda or lie on the unit circle.  The monic
+    irreducible factors of p are integral (Gauss) and each one's constant
+    term divides p(0), so the product of its roots has absolute value 1:
+    the factor f with root lambda also has the root 1 / lambda, and every
+    other factor has all its roots on the unit circle, so it is a
+    cyclotomic Phi_k (Kronecker) with phi(k) <= deg p.  Otherwise sympy
+    factors p over Q.  Either way the factor's Sturm chain must isolate
+    (a, b]."""
+    if p[-1] == 1 and abs(p[0]) == 1 and all(c.denominator == 1 for c in p):
+        r, _ = _squarefree_int([int(c) for c in p])
+        candidates = [[Fraction(c) for c in _cyclotomic_free(r)]]
+    else:
+        x = sympy.Symbol("x")
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x, domain="QQ")
+        candidates = [
+            [Fraction(c.p, c.q) for c in reversed(factor.all_coeffs())]
+            for factor, _mult in poly.factor_list()[1]
+        ]
+    for factor in candidates:
+        if count_roots_halfopen(sturm_chain(factor), a, b) == 1:
+            return factor
     raise LatticeError("no factor isolates the interval (internal error)")
 
 
-class _QuadNumber:
-    """a + b x in Q(x) = Q[x]/(x^2 - s x - t), with exact field operations."""
+def _cyclotomic_free(r):
+    """The monic squarefree r over Z with each cyclotomic factor divided out."""
+    for phi in _cyclotomics(len(r) - 1):
+        if len(phi) <= len(r):
+            q, rem = _divmod_int(r, phi)
+            if not rem:
+                r = q
+    return r
 
-    __slots__ = ("a", "b", "s", "t")
+
+@functools.cache
+def _cyclotomics(n):
+    """Phi_k for every k with phi(k) <= n.  Since phi(k) >= sqrt(k / 2), no
+    such k exceeds 2 n^2."""
+    top = 2 * n * n
+    totient = list(range(top + 1))
+    for k in range(2, top + 1):
+        if totient[k] == k:  # k is prime
+            for j in range(k, top + 1, k):
+                totient[j] -= totient[j] // k
+    return tuple(_cyclotomic(k) for k in range(1, top + 1) if totient[k] <= n)
+
+
+@functools.cache
+def _cyclotomic(k):
+    """Phi_k = (x^k - 1) / prod of Phi_d over the proper divisors d of k."""
+    phi = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            phi = _divmod_int(phi, _cyclotomic(d))[0]
+    return tuple(phi)
+
+
+class _QuadNumber:
+    """a + b x in Q(x) = Q[x]/(x^2 - s x - t), held as a normalized integer
+    triple (A, B, D) meaning (A + B y) / D, with D > 0 and gcd(A, B, D) = 1.
+
+    y = L x for L the lcm of the denominators of s and t, so y^2 = S y + T
+    with the integers S = L s and T = L^2 t; the field is the triple
+    (S, T, L).  ``a`` and ``b`` are the Fraction coordinates in 1, x."""
+
+    __slots__ = ("_t", "_f")
 
     def __init__(self, a, b, s, t):
-        self.a, self.b, self.s, self.t = a, b, s, t
+        self._f = f = _QuadNumber._field(s, t)
+        a, b = Fraction(a), Fraction(b) / f[2]
+        d = math.lcm(a.denominator, b.denominator)
+        self._t = (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+
+    @staticmethod
+    def _field(s, t):
+        s, t = Fraction(s), Fraction(t)
+        lcm = math.lcm(s.denominator, t.denominator)
+        return int(s * lcm), int(t * lcm * lcm), lcm
+
+    @staticmethod
+    def _of(a, b, d, f):
+        g = math.gcd(a, b, d)
+        if d < 0:
+            g = -g
+        x = object.__new__(_QuadNumber)
+        x._t = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+        x._f = f
+        return x
+
+    @property
+    def a(self):
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def b(self):
+        return Fraction(self._t[1] * self._f[2], self._t[2])
 
     def __bool__(self):
-        return bool(self.a or self.b)
+        return bool(self._t[0] or self._t[1])
 
     def __neg__(self):
-        return _QuadNumber(-self.a, -self.b, self.s, self.t)
+        a, b, d = self._t
+        return _QuadNumber._of(-a, -b, d, self._f)
 
     def __sub__(self, o):
-        return _QuadNumber(self.a - o.a, self.b - o.b, self.s, self.t)
+        a, b, d = self._t
+        c, e, h = o._t
+        if d == h:
+            return _QuadNumber._of(a - c, b - e, d, self._f)
+        return _QuadNumber._of(a * h - c * d, b * h - e * d, d * h, self._f)
 
     def __mul__(self, o):
-        a, b, c, d = self.a, self.b, o.a, o.b
-        # (a + b x)(c + d x) = ac + (ad + bc) x + bd x^2, x^2 = s x + t
-        return _QuadNumber(a * c + b * d * self.t, a * d + b * c + b * d * self.s, self.s, self.t)
+        a, b, d = self._t
+        c, e, h = o._t
+        s, t, _ = self._f
+        be = b * e
+        # (a + b y)(c + e y) = ac + (ae + bc) y + be y^2, y^2 = S y + T
+        return _QuadNumber._of(a * c + be * t, a * e + b * c + be * s, d * h, self._f)
 
     def __truediv__(self, o):
-        c, d, s, t = o.a, o.b, self.s, self.t
-        # conjugate root: x' = s - x, norm = (c + d x)(c + d x')
-        # = c^2 + c d s + d^2 x x', x x' = -t
-        n = c * c + c * d * s - d * d * t
+        a, b, d = self._t
+        c, e, h = o._t
+        s, t, _ = self._f
+        # conjugate root y' = S - y, y y' = -T, so the norm of c + e y is
+        # n = c^2 + c e S - e^2 T and (c + e y)^-1 = (c + e S - e y) / n
+        n = c * c + c * e * s - e * e * t
         if n == 0:
             raise ZeroDivisionError("non-invertible quadratic element")
-        # (c + d x)^-1 = (c + d s - d x)/n
-        return self * _QuadNumber((c + d * s) / n, -d / n, s, t)
+        u, w = c + e * s, -e
+        bw = b * w
+        return _QuadNumber._of(h * (a * u + bw * t), h * (a * w + b * u + bw * s), d * n, self._f)
 
 
 def _eigenvector_quadratic(m, s, t):
-    """Exact kernel vector of (M - lambda I) over Q(lambda), lambda^2 = s lambda + t."""
+    """Exact kernel vector of (M - lambda I) over Q(lambda), lambda^2 = s lambda + t.
+
+    Row reduces L A - d y I, which is L d (M - lambda I) for M = A / d and
+    y = L lambda: the same kernel, from integer entries."""
     n = len(m)
-    zero, one = Fraction(0), Fraction(1)
-    a = [
-        [_QuadNumber(m[i][j], -one if i == j else zero, s, t) for j in range(n)]
-        for i in range(n)
+    a, d = _cleared(m)
+    f = _QuadNumber._field(s, t)
+    lcm = f[2]
+    rows = [
+        [_QuadNumber._of(lcm * x, -d if i == j else 0, 1, f) for j, x in enumerate(row)]
+        for i, row in enumerate(a)
     ]
-    pivots, _, _ = rref(a, n, operator.not_)
+    pivots, _, _ = rref(rows, n, operator.not_)
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
         raise LatticeError("eigenvalue has no kernel (internal error)")
-    v = [_QuadNumber(zero, zero, s, t)] * n
-    v[free] = _QuadNumber(one, zero, s, t)
-    for row, col in zip(a, pivots):
+    v = [_QuadNumber._of(0, 0, 1, f)] * n
+    v[free] = _QuadNumber._of(1, 0, 1, f)
+    for row, col in zip(rows, pivots):
         v[col] = -row[free]
     return v
 
@@ -745,9 +893,10 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     eigenvalue of M^2, and rational bounds follow by bisection.  Raises when
     the square has non-real spectrum.
     """
-    m = rational_matrix(matrix)
-    m2 = _mat_mul(m, m)
-    p2 = char_poly(m2)
+    a, d = _cleared(rational_matrix(matrix))
+    d2 = d * d
+    # M^2 = A^2 / d^2, squared over the integers
+    p2 = char_poly(tuple(tuple(Fraction(x, d2) for x in row) for row in _mat_mul(a, a)))
     sf, _g = squarefree_part(p2)
     chain = sturm_chain(sf)  # also the chain of p2, which has the same roots
     # every root lies strictly inside (-bound, bound), so none sits at -bound

@@ -38,19 +38,20 @@ def identity(table: SymbolTable, n):
 
 
 def mat_mul(a, b, table):
-    n, m = len(a), len(b[0])
-    k = len(b)
+    """a b, with work proportional to the nonzero products: each row of b is
+    listed by its nonzero entries once.  Every entry still sums its products
+    from ``table.zero`` in increasing inner index."""
     zero = table.zero
+    width = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = zero
-            for t in range(k):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(tuple(row))
+    for row in a:
+        acc = [zero] * width
+        for x, nonzero in zip(row, b_rows):
+            if nonzero and not x.is_zero():
+                for j, y in nonzero:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -15,6 +15,10 @@ from hermitia.hyperbolic import (
     LatticeError,
     PowerIterationError,
     QuadraticLattice,
+    _cyclotomic,
+    _cyclotomic_free,
+    _min_poly_factor_for_interval,
+    _QuadNumber,
     char_poly,
     classify,
     count_roots_halfopen,
@@ -25,8 +29,11 @@ from hermitia.hyperbolic import (
     poly_eval_matrix,
     poly_mul,
     power_iterate,
+    real_roots_outside_unit,
     refine_interval,
+    sign_variations,
     spectral_radius_interval,
+    squarefree_part,
     sturm_chain,
     verify_isometry,
 )
@@ -316,6 +323,10 @@ def test_spectral_radius_interval_examples():
     assert Fraction("2.41421356") < lo and hi < Fraction("2.41421357")
     lo2, hi2 = spectral_radius_interval(PELL)
     assert float(lo2) <= 3 + 2 * math.sqrt(2) <= float(hi2)
+    # M = Pell / 2 clears to A / d with d = 2, so M^2 = A^2 / 4
+    lo3, hi3 = spectral_radius_interval([["3/2", 2], [1, "3/2"]])
+    assert float(lo3) <= (3 + 2 * math.sqrt(2)) / 2 <= float(hi3)
+    assert hi3 - lo3 < Fraction(1, 10**10)
 
 
 def test_char_poly_block_product_audit():
@@ -510,7 +521,8 @@ def test_power_iterate_error_messages(gram, m, error, message):
 
 def test_classify_builds_one_sturm_chain_per_polynomial(monkeypatch):
     """One chain for the characteristic polynomial, shared by the off-unit
-    test and the refinement, then one per factor candidate tried."""
+    test and the refinement, then one for the factor: an integral p is split
+    without trying sympy's factors one by one."""
     from hermitia import hyperbolic
 
     built = []
@@ -526,11 +538,285 @@ def test_classify_builds_one_sturm_chain_per_polynomial(monkeypatch):
     res = classify(m, QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -1]]))
     assert res.label == "hyperbolic"
     p = char_poly(m)
+    assert built == [p, [Fraction(1), Fraction(-6), Fraction(1)]]
+
+
+# -- Z[x]: remainder sequences, Q(lambda) triples, the integral factor --------
+
+
+def _frac_rem(p, q):
+    r = [Fraction(c) for c in p]
+    while len(r) >= len(q) and r:
+        f, k = r[-1] / q[-1], len(r) - len(q)
+        for i, c in enumerate(q):
+            r[k + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _frac_quo(p, q):
+    r, quo = [Fraction(c) for c in p], [Fraction(0)] * (len(p) - len(q) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = f = r[k + len(q) - 1] / q[-1]
+        for i, c in enumerate(q):
+            r[k + i] -= f * c
+    return quo
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def euclid_squarefree(p):
+    """Reference over Q: g = gcd(p, p') monic by Euclid's algorithm, p / g."""
+    a, b = list(p), _derivative(p)
+    while b:
+        a, b = b, _frac_rem(a, b)
+    g = [c / a[-1] for c in a]
+    return (list(p), [Fraction(1)]) if len(g) == 1 else (_frac_quo(p, g), g)
+
+
+def euclid_sturm(p):
+    """Reference Sturm chain of the squarefree part, over Q by Euclid."""
+    p0, _ = euclid_squarefree(p)
+    chain = [p0, _derivative(p0)]
+    while chain[-1]:
+        r = _frac_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _poly_with_roots(roots, rest):
+    p = list(rest)
+    for r in roots:
+        p = poly_mul(p, [-r, Fraction(1)])
+    return p
+
+
+@PROPERTY
+@given(
+    roots=st.lists(rationals, max_size=5),
+    repeats=st.lists(st.integers(0, 4), max_size=3),
+    rest=st.lists(rationals, min_size=1, max_size=5),
+    points=st.lists(rationals, max_size=6),
+)
+def test_integer_chain_matches_euclid_reference(roots, repeats, rest, points):
+    assume(rest[-1] != 0)
+    p = _poly_with_roots(roots + [roots[i % len(roots)] for i in repeats if roots], rest)
+    assert squarefree_part(p) == euclid_squarefree(p)
+    chain, ref = sturm_chain(p), euclid_sturm(p)
+    assert len(chain) == len(ref)
+    for member, q in zip(chain, ref):
+        # each member is a positive multiple of the Euclidean member
+        assert all(isinstance(c, int) for c in member) and math.gcd(*member) in (0, 1)
+        assert len(member) == len(q)
+        if q:
+            k = Fraction(member[-1]) / q[-1]
+            assert k > 0 and [k * c for c in q] == member
+    for x in points + roots:
+        signs = [poly_eval(q, x) for q in ref]
+        signs = [v > 0 for v in signs if v != 0]
+        expected = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+        assert sign_variations(chain, x) == expected
+
+
+def _isolate_reference(chain, lo, hi):
+    out = []
+
+    def rec(a, b):
+        k = count_roots_halfopen(chain, a, b)
+        if k == 1:
+            out.append((a, b))
+        elif k > 1:
+            rec(a, (a + b) / 2)
+            rec((a + b) / 2, b)
+
+    rec(lo, hi)
+    return sorted(out)
+
+
+def _refine_reference(chain, a, b, width):
+    while b - a > width:
+        mid = (a + b) / 2
+        if count_roots_halfopen(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
+@PROPERTY
+@given(roots=st.lists(rationals, min_size=1, max_size=5), rest=st.lists(rationals, min_size=1, max_size=3),
+       lo=rationals, span=st.integers(1, 20))
+def test_bisection_keeps_the_reference_intervals(roots, rest, lo, span):
+    """Reusing the fixed endpoint's sign count changes no interval."""
+    assume(rest[-1] != 0)
+    chain = sturm_chain(_poly_with_roots(roots, rest))
+    ivs = isolate_real_roots(chain, lo, lo + span)
+    assert ivs == _isolate_reference(chain, lo, lo + span)
+    for a, b in ivs:
+        width = Fraction(1, 1000)
+        assert refine_interval(chain, a, b, width) == _refine_reference(chain, a, b, width)
+
+
+def _quad_reference(op, x, y, s, t):
+    """Fraction-pair arithmetic in Q[x]/(x^2 - s x - t)."""
+    (a, b), (c, d) = x, y
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c + b * d * t, a * d + b * c + b * d * s
+    n = c * c + c * d * s - d * d * t
+    return _quad_reference("*", x, ((c + d * s) / n, -d / n), s, t)
+
+
+@PROPERTY
+@given(x=st.tuples(rationals, rationals), y=st.tuples(rationals, rationals),
+       s=rationals, t=rationals, op=st.sampled_from("-*/"))
+def test_quad_number_triples_match_fraction_pairs(x, y, s, t, op):
+    qx, qy = _QuadNumber(*x, s, t), _QuadNumber(*y, s, t)
+    n = y[0] * y[0] + y[0] * y[1] * s - y[1] * y[1] * t
+    if op == "/" and n == 0:
+        with pytest.raises(ZeroDivisionError, match="non-invertible quadratic element"):
+            qx / qy
+        return
+    got = {"-": qx.__sub__, "*": qx.__mul__, "/": qx.__truediv__}[op](qy)
+    assert (got.a, got.b) == _quad_reference(op, x, y, s, t)
+    assert ((-got).a, (-got).b) == (-got.a, -got.b)
+    assert bool(got) == (got.a != 0 or got.b != 0)
+    num_a, num_b, den = got._t
+    assert den > 0 and math.gcd(num_a, num_b, den) == 1
+    assert all(isinstance(v, int) for v in got._t + got._f)
+
+
+def _root(rng, n):
+    """A root r with entries in {-1, 0, 1} of diag(1, -1, .., -1), with
+    q(r) in {-1, -2}, so the reflection in r is integral."""
+    q = rng.choice((-1, -2))
+    r0 = rng.choice((-1, 0, 1))
+    if r0 * r0 - q > n - 1:
+        r0 = 0
+    r = [0] * n
+    r[0] = r0
+    for i in rng.sample(range(1, n), r0 * r0 - q):
+        r[i] = rng.choice((-1, 1))
+    return r, q
+
+
+def reflection_product(rng, n, count):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(count):
+        r, q = _root(rng, n)
+        gr = [r[0]] + [-x for x in r[1:]]
+        refl = [[int(i == j) - 2 * r[i] * gr[j] // q for j in range(n)] for i in range(n)]
+        m = [[sum(m[i][k] * refl[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return m
+
+
+def lorentz_gram(n):
+    return [[(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def sympy_factor_for_interval(p, a, b):
+    """The factor the sympy path picks: the first of factor_list isolating (a, b]."""
     x = sympy.Symbol("x")
-    factors = [
-        [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        for f, _ in sympy.Poly([sympy.Rational(c) for c in reversed(p)], x).factor_list()[1]
-    ]
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x, domain="QQ")
+    for f, _ in poly.factor_list()[1]:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+        if count_roots_halfopen(sturm_chain(coeffs), a, b) == 1:
+            return coeffs
+    raise AssertionError("sympy has no factor isolating the interval")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 12), count=st.integers(2, 6))
+def test_cyclotomic_free_factor_matches_sympy(seed, n, count):
+    m = reflection_product(random.Random(seed), n, count)
+    assert verify_isometry(m, QuadraticLattice(lorentz_gram(n))).ok
+    p = char_poly(m)
+    chain = sturm_chain(p)
+    off_unit = real_roots_outside_unit(p, chain)
+    assume(off_unit)
+    a, b = refine_interval(chain, *max(off_unit, key=lambda ab: abs(ab[0])))
+    assert _min_poly_factor_for_interval(p, a, b) == sympy_factor_for_interval(p, a, b)
+
+
+def test_cyclotomic_table_and_stripping():
+    x = sympy.Symbol("x")
+    for k in range(1, 40):
+        expected = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
+        assert list(_cyclotomic(k)) == [int(c) for c in expected]
+    # Phi_1 Phi_2 Phi_7 Phi_12 (x^2 - 6x + 1): every cyclotomic factor goes,
+    # also one whose degree is that of the whole polynomial
+    cyclo = [1]
+    for k in (1, 2, 7, 12):
+        cyclo = [int(c) for c in poly_mul(cyclo, list(_cyclotomic(k)))]
+    assert _cyclotomic_free([int(c) for c in poly_mul(cyclo, [1, -6, 1])]) == [1, -6, 1]
+    assert _cyclotomic_free(list(_cyclotomic(7))) == [1]
+
+
+def test_integral_factor_must_isolate_the_interval():
+    # (t^2 - 6t + 1)(t + 1): (1, 2] holds no root of p
+    p = poly_mul([Fraction(1), Fraction(-6), Fraction(1)], [Fraction(1), Fraction(1)])
+    assert _min_poly_factor_for_interval(p, Fraction(5), Fraction(6)) == [1, -6, 1]
+    with pytest.raises(LatticeError, match="no factor isolates the interval"):
+        _min_poly_factor_for_interval(p, Fraction(1), Fraction(2))
+
+
+def _counting_factor_list(monkeypatch):
+    calls = []
+    real = sympy.Poly.factor_list
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "gram, m, degree, field",
+    [
+        # a^2 - b^2 = 1 with a = 5/4: eigenvalues 2 and 1/2
+        ([[1, 0], [0, -1]], [["5/4", "3/4"], ["3/4", "5/4"]], 1, "rational"),
+        # a^2 - 2 b^2 = 1 with a = 9/7: t^2 - 18/7 t + 1, irrational roots
+        ([[1, 0, 0], [0, -2, 0], [0, 0, -1]], [["9/7", "8/7", 0], ["4/7", "9/7", 0], [0, 0, 1]],
+         2, "quadratic: x^2 = 18/7*x + -1"),
+    ],
+    ids=["rational-eigenvalue", "quadratic-eigenvalue"],
+)
+def test_rational_isometry_classifies_through_sympy(monkeypatch, gram, m, degree, field):
+    calls = _counting_factor_list(monkeypatch)
+    lattice = QuadraticLattice(gram)
+    res = classify(m, lattice)
+    assert res.label == "hyperbolic" and len(calls) == 1
+    assert res.certificate["min_poly_degree"] == degree
+    assert res.certificate["eigenvector_field"] == field
+    assert res.certificate["q_value"] in (0, (0, 0))
     a, b = res.certificate["lambda_interval"]
-    tried = next(k for k, f in enumerate(factors) if count_roots_halfopen(real(f), a, b)) + 1
-    assert built == [p] + factors[:tried]
+    assert float(a) - 1e-9 <= power_iterate(m, lattice).lam <= float(b) + 1e-9
+
+
+def test_lattices_cycle_makes_no_factor_list_call(monkeypatch):
+    """Integral isometries of diag(1, -1, .., -1) in dims 8-24, each a product
+    of 2-5 reflections conjugated by a signed permutation, as the lattices
+    benchmark draws them: none reaches sympy's factoring."""
+    calls = _counting_factor_list(monkeypatch)
+    rng = random.Random(20220826)
+    degrees = set()
+    for n in range(8, 25):
+        m = reflection_product(rng, n, 2 + n % 4)
+        perm, sign = [0] + rng.sample(range(1, n), n - 1), [rng.choice((-1, 1)) for _ in range(n)]
+        m = [[sign[i] * sign[j] * m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        lattice = QuadraticLattice(lorentz_gram(n))
+        res = classify(m, lattice)
+        if res.label == "hyperbolic":
+            degrees.add(res.certificate["min_poly_degree"])
+            power_iterate(m, lattice)
+    assert calls == []
+    # both the quadratic-field and the numeric eigenvector paths were taken
+    assert 2 in degrees and max(degrees) > 2

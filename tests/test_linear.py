@@ -115,6 +115,23 @@ def test_invert_is_a_two_sided_inverse_or_raises(a):
 
 
 @PROPERTY
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4))
+def test_mat_mul_matches_the_dense_sum(data, n, k, m):
+    """The sparse product sums the same products in the same order as the
+    dense triple loop, so every entry has the same key."""
+    entry = st.one_of(st.just(QI.zero), st.builds(gaussian, rationals, small))
+    a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    dense = [[QI.zero] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for t in range(k):
+                dense[i][j] = dense[i][j] + a[i][t] * b[t][j]
+    got = linear.mat_mul(a, b, QI)
+    assert [[x.key() for x in row] for row in got] == [[x.key() for x in row] for row in dense]
+
+
+@PROPERTY
 @given(
     data=st.data(),
     m=st.integers(1, 4),
