@@ -29,11 +29,14 @@ def _read_text(path):
         return fh.read()
 
 
-def _load_rational_rows(path):
+def _load_rational_rows(path, option):
+    """The exact matrix in a JSON file; a malformed one is a usage error
+    (``LatticeError`` is a ``ValueError``) naming the option."""
     data = json.loads(_read_text(path))
-    if not isinstance(data, list):
-        raise ValueError("expected a JSON array of arrays")
-    return hyperbolic.rational_matrix(data)
+    try:
+        return hyperbolic.rational_matrix(data)
+    except hyperbolic.LatticeError as e:
+        raise ValueError(f"{option}: {e}") from None
 
 
 def _seed_from_env(explicit):
@@ -97,8 +100,8 @@ def _fmt12(x):
 
 def _cmd_classify(args):
     try:
-        gram = _load_rational_rows(args.gram)
-        matrix = _load_rational_rows(args.matrix)
+        gram = _load_rational_rows(args.gram, "--gram")
+        matrix = _load_rational_rows(args.matrix, "--matrix")
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -139,8 +142,8 @@ def _jsonable(obj):
 
 def _cmd_power(args):
     try:
-        gram = _load_rational_rows(args.gram)
-        matrix = _load_rational_rows(args.matrix)
+        gram = _load_rational_rows(args.gram, "--gram")
+        matrix = _load_rational_rows(args.matrix, "--matrix")
         seed_vector = None
         if args.seed_vector:
             seed_vector = json.loads(_read_text(args.seed_vector))

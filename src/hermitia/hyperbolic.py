@@ -14,8 +14,18 @@ For signature (1, n) isometries every non-real eigenvalue lies on the unit
 circle, so the real-root test captures hyperbolicity; for other signatures
 ``classify`` refuses instead of guessing.  All arithmetic is exact; floating
 point only enters the explicitly numeric operations (power iteration,
-residuals).  The hot kernels clear denominators once and run over the
-integers and Z[x]: Berkowitz's division-free characteristic polynomial, the
+residuals).
+
+Every public entry (``QuadraticLattice``, ``classify``, ``power_iterate``,
+``invariant_classes``, ``spectral_radius_interval``, ``char_poly``,
+``verify_isometry``, ``poly_eval_matrix``, ``kernel_basis``) validates its
+matrix once, in ``_exact``, which returns M = A / d as integer rows A and a
+positive integer d; a bad entry raises LatticeError naming its (row, col),
+and rows of plain ints build no Fraction.  The entries pass ``(A, d)`` to
+each other and to the kernels, which never clear again; a lattice keeps its
+Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
+Z[x]: Berkowitz's division-free characteristic polynomial (memoized on A,
+so ``power_iterate`` after ``classify`` on one matrix reuses it), the
 isometry test, r(M), the squarefree part and the Sturm chain (primitive
 pseudo-remainder sequences), Sturm sign evaluation and the Q(lambda)
 eigenvector (integer triples) each scale back to the same rationals they
@@ -32,6 +42,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import sympy
@@ -50,83 +61,158 @@ class PowerIterationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# rational matrices
+# the boundary: every public entry validates and clears its matrix once
 # ---------------------------------------------------------------------------
 
 
-def rational_matrix(rows):
-    out = []
-    width = None
-    for r in rows:
-        row = tuple(_as_fraction(x) for x in r)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise LatticeError("ragged matrix")
-        out.append(row)
-    return tuple(out)
+class _Exact(NamedTuple):
+    """A validated rational matrix rows / denom: integer rows and a positive
+    integer denominator."""
+
+    rows: tuple
+    denom: int
 
 
-def _as_fraction(x):
+_INT = {int}
+
+
+def _exact(matrix):
+    """The matrix ``matrix`` as ``_Exact(A, d)``, validated once.
+
+    Entries may be ints, Fractions or strings such as ``"3/4"``; a bad entry
+    raises LatticeError naming its (row, col).  Rows of plain ints take a
+    fast path that builds no Fraction.  An ``_Exact`` passes through, so a
+    public entry handed one by another (``classify`` to ``char_poly``, say)
+    neither checks nor clears it again."""
+    if isinstance(matrix, _Exact):
+        return matrix
+    if not isinstance(matrix, (list, tuple)):
+        raise LatticeError(f"expected a matrix (a list of rows), got {type(matrix).__name__}")
+    rows = []
+    plain = True
+    for i, row in enumerate(matrix):
+        if not isinstance(row, (list, tuple)):
+            raise LatticeError(
+                f"matrix row {i}: expected a list of entries, got {type(row).__name__}: {row!r}"
+            )
+        if rows and len(row) != len(rows[0]):
+            raise LatticeError(
+                f"ragged matrix: row {i} has {len(row)} entries, row 0 has {len(rows[0])}"
+            )
+        row = tuple(row)
+        plain = plain and _INT.issuperset(map(type, row))
+        rows.append(row)
+    if plain:
+        return _Exact(tuple(rows), 1)
+    return _Exact(*_cleared(
+        [[_as_fraction(x, f"matrix entry ({i}, {j})") for j, x in enumerate(row)]
+         for i, row in enumerate(rows)]
+    ))
+
+
+def _as_fraction(x, where):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise LatticeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise LatticeError(f"{where}: zero denominator in {x!r}") from None
+        except ValueError:
+            raise LatticeError(f"{where}: not a rational number: {x!r}") from None
+    raise LatticeError(
+        f"{where}: expected an exact rational (an integer, a Fraction or a string "
+        f"such as '3/4'), got {type(x).__name__}: {x!r}"
+    )
 
 
 def _cleared(m):
-    """Integer rows A and a positive integer d with m = A / d."""
+    """Integer rows A and a positive integer d with m = A / d, for rows of
+    Fractions."""
     d = math.lcm(*(x.denominator for row in m for x in row))
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
 
+def rational_matrix(rows):
+    """The validated matrix as rows of Fractions."""
+    a, d = _exact(rows)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
+
+
+def _fractions(a):
+    """Integer rows as rows of Fractions, for divisions; zeros share one."""
+    return [[Fraction(x) if x else _ZERO for x in row] for row in a]
+
+
+_ZERO = Fraction(0)
+
+
+def _floats(a, d):
+    """A / d as a numpy array; each entry is float(Fraction(x, d)), since
+    int true division rounds correctly."""
+    return np.array([[x / d for x in row] for row in a], dtype=float)
+
+
 def _mat_mul(a, b):
+    """The product of two integer matrices."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _transpose(a):
-    return tuple(zip(*a))
-
-
-def _identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def _is_zero(a):
-    return all(x == 0 for row in a for x in row)
+def _shifted(m, u, w=1):
+    """w A - d u I for M = A / d: an integer multiple of M - (u / w) I."""
+    a, d = m
+    du = d * u
+    return _Exact(
+        tuple(tuple(w * x - du if i == j else w * x for j, x in enumerate(row))
+              for i, row in enumerate(a)),
+        1,
+    )
 
 
 class QuadraticLattice:
-    """An exact symmetric Gram matrix with its cached signature."""
+    """An exact symmetric Gram matrix G = H / e with its cached signature.
+
+    ``cleared`` holds the integer rows H and the positive denominator e;
+    ``gram`` is G as rows of Fractions, built on first read."""
 
     def __init__(self, gram):
-        self.gram = rational_matrix(gram)
-        n = len(self.gram)
-        if any(len(r) != n for r in self.gram):
+        self.cleared = h = _exact(gram)
+        n = len(h.rows)
+        if any(len(r) != n for r in h.rows):
             raise LatticeError("gram matrix must be square")
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(i)):
+        if h.rows != tuple(zip(*h.rows)):
             raise LatticeError("gram matrix is not symmetric")
-        self.signature = congruence_signature(
-            [list(row) for row in self.gram], operator.not_, Fraction
-        )
+        # each row of H as its nonzero (column, entry) pairs
+        self._nonzero = tuple(tuple((k, g) for k, g in enumerate(row) if g) for row in h.rows)
+        # H = e G with e > 0 has the signature of G
+        self.signature = congruence_signature(_fractions(h.rows), operator.not_, Fraction)
+
+    @functools.cached_property
+    def gram(self):
+        h, e = self.cleared
+        return tuple(tuple(Fraction(x, e) for x in row) for row in h)
 
     @property
     def dim(self):
-        return len(self.gram)
+        return len(self.cleared.rows)
 
     def value(self, v, w=None):
         w = v if w is None else w
-        return sum(
-            (g * v[i] * w[j] for i, row in enumerate(self.gram) for j, g in enumerate(row) if g),
+        total = sum(
+            (g * v[i] * w[j] for i, row in enumerate(self._nonzero) for j, g in row),
             Fraction(0),
+        )
+        return total / self.cleared.denom
+
+    def _times(self, a):
+        """H A for integer rows A, from the nonzero entries of H."""
+        zero = (0,) * len(a[0]) if a else ()
+        return tuple(
+            tuple(map(sum, zip(*([g * x for x in a[k]] for k, g in row)))) if row else zero
+            for row in self._nonzero
         )
 
     def __repr__(self):
@@ -143,17 +229,22 @@ def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
     """Exact test M^T G M = G, run as A^T H A = d^2 H over the integers for
     M = A / d and G = H / e; the residual M^T G M - G is that difference
     divided by d^2 e."""
-    m = rational_matrix(matrix)
-    if len(m) != lattice.dim or any(len(r) != lattice.dim for r in m):
+    a, d = _exact(matrix)
+    if len(a) != lattice.dim or any(len(r) != lattice.dim for r in a):
         raise LatticeError(
-            f"matrix is {len(m)}x{len(m[0]) if m else 0}, lattice has rank {lattice.dim}"
+            f"matrix is {len(a)}x{len(a[0]) if a else 0}, lattice has rank {lattice.dim}"
         )
-    a, d = _cleared(m)
-    h, e = _cleared(lattice.gram)
-    lhs = _mat_mul(_mat_mul(_transpose(a), h), a)
+    h, e = lattice.cleared
     d2 = d * d
-    if all(x == d2 * y for rl, rh in zip(lhs, h) for x, y in zip(rl, rh)):
+    cols, ha_cols = tuple(zip(*a)), tuple(zip(*lattice._times(a)))
+    # A^T H A is symmetric: test the entries on and above the diagonal
+    if all(
+        sum(map(operator.mul, cols[i], ha_cols[j])) == d2 * h[i][j]
+        for i in range(len(a))
+        for j in range(i, len(a))
+    ):
         return IsometryCheck(True)
+    lhs = _mat_mul(cols, tuple(zip(*ha_cols)))
     den = d2 * e
     res = tuple(
         tuple(Fraction(x - d2 * y, den) for x, y in zip(rl, rh)) for rl, rh in zip(lhs, h)
@@ -222,10 +313,16 @@ def _divmod_int(p, q):
     return quo, poly_trim(r[:dq])
 
 
+def _int_coeffs(p):
+    """Integers c and a positive integer L with p = c / L."""
+    lcm = math.lcm(*(x.denominator for x in p))
+    return [x.numerator * (lcm // x.denominator) for x in p], lcm
+
+
 def _int_poly(p):
     """The primitive integer positive multiple of a rational polynomial."""
-    (c,), _ = _cleared([poly_trim(list(p))])
-    return _primitive(list(c)) if c else []
+    c, _ = _int_coeffs(poly_trim(list(p)))
+    return _primitive(c) if c else []
 
 
 def _squarefree_int(q):
@@ -252,14 +349,21 @@ def poly_eval(p, x):
     return out
 
 
-def poly_eval_matrix(p, m):
-    """p(M) exactly.  With M = A / d and L the lcm of p's denominators, the
-    integer Horner sum sum_k (L c_k) d^(deg - k) A^k equals L d^deg p(M)."""
-    n = len(m)
+def poly_eval_matrix(p, matrix):
+    """p(M) exactly, as rows of Fractions."""
+    out, den = _horner(p, _exact(matrix))
+    return tuple(tuple(Fraction(x, den) for x in row) for row in out)
+
+
+def _horner(p, m):
+    """Integer rows R and a positive integer D with p(M) = R / D.  With
+    M = A / d and L the lcm of p's denominators, the integer Horner sum
+    sum_k (L c_k) d^(deg - k) A^k equals L d^deg p(M)."""
+    a, d = m
+    n = len(a)
     if not p:
-        return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    a, d = _cleared(m)
-    (c,), lc = _cleared([p])
+        return tuple((0,) * n for _ in range(n)), 1
+    c, lc = _int_coeffs(p)
     deg = len(c) - 1
     out = tuple(tuple(c[deg] * (i == j) for j in range(n)) for i in range(n))
     for k in range(deg - 1, -1, -1):
@@ -268,8 +372,7 @@ def poly_eval_matrix(p, m):
             tuple(x + ck * (i == j) for j, x in enumerate(row))
             for i, row in enumerate(_mat_mul(out, a))
         )
-    den = lc * d**deg
-    return tuple(tuple(Fraction(x, den) for x in row) for row in out)
+    return out, lc * d**deg
 
 
 def squarefree_part(p):
@@ -287,19 +390,29 @@ def squarefree_part(p):
 
 
 def char_poly(matrix):
-    """Exact characteristic polynomial det(t I - M) by the division-free
-    Berkowitz algorithm; ascending coefficients, monic of degree n.
+    """Exact characteristic polynomial det(t I - M); ascending coefficients,
+    monic of degree n, in a new list on every call.
 
     Berkowitz runs over the integers on A = d M; the coefficient of t^(n-i)
     of det(t I - A) is d^i times that of det(t I - M)."""
-    m = rational_matrix(matrix)
-    n = len(m)
-    if any(len(r) != n for r in m):
+    a, d = _exact(matrix)
+    n = len(a)
+    if any(len(r) != n for r in a):
         raise LatticeError("characteristic polynomial needs a square matrix")
     if n == 0:
         return [Fraction(1)]
-    a, d = _cleared(m)
-    # Berkowitz: iteratively build the coefficient vector via Toeplitz products
+    return [Fraction(c, d**i) for i, c in enumerate(_berkowitz(a))][::-1]
+
+
+@functools.lru_cache(maxsize=8)
+def _berkowitz(a):
+    """The coefficients of det(t I - A) from t^n down to t^0, for integer
+    rows A (a tuple of tuples), by the division-free Berkowitz algorithm.
+    Memoized on A: ``power_iterate`` after ``classify`` on one matrix
+    reuses the polynomial.  The result is a tuple, so no caller can change
+    what the next one gets."""
+    n = len(a)
+    # iteratively build the coefficient vector via Toeplitz products
     vec = [1, -a[0][0]]
     for k in range(1, n):
         row = a[k][:k]
@@ -311,12 +424,9 @@ def char_poly(matrix):
             cur = [sum(map(operator.mul, r, cur)) for r in block]
             prods.append(sum(map(operator.mul, row, cur)))
         toep = [1, -a[k][k]] + [-p for p in prods]
-        vec = [
-            sum(toep[i - j] * vec[j] for j in range(min(i + 1, len(vec))))
-            for i in range(k + 2)
-        ]
-    # vec holds the coefficients of det(tI - A) from t^n down to t^0
-    return [Fraction(c, d**i) for i, c in enumerate(vec)][::-1]
+        # vec_i = sum_j toep_(i-j) vec_j
+        vec = [sum(map(operator.mul, toep[i::-1], vec)) for i in range(k + 2)]
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +694,8 @@ def _eigenvector_quadratic(m, s, t):
 
     Row reduces L A - d y I, which is L d (M - lambda I) for M = A / d and
     y = L lambda: the same kernel, from integer entries."""
-    n = len(m)
-    a, d = _cleared(m)
+    a, d = m
+    n = len(a)
     f = _QuadNumber._field(s, t)
     lcm = f[2]
     rows = [
@@ -605,7 +715,7 @@ def _eigenvector_quadratic(m, s, t):
 
 def classify(matrix, lattice: QuadraticLattice) -> Classification:
     """Isometry trichotomy with certificates; exactly one branch is taken."""
-    m = rational_matrix(matrix)
+    m = _exact(matrix)
     chk = verify_isometry(m, lattice)
     if not chk.ok:
         raise LatticeError("matrix is not an isometry of the lattice")
@@ -648,8 +758,8 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             cert["eigenvector_residual"] = res
         return Classification("hyperbolic", cert)
     r, g = squarefree_part(p)
-    rm = poly_eval_matrix(r, m)
-    if _is_zero(rm):
+    rm, _ = _horner(r, m)  # a positive multiple of r(M)
+    if not any(map(any, rm)):
         return Classification(
             "elliptic",
             {
@@ -663,7 +773,7 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
         for j in range(len(rm))
         if rm[i][j] != 0
     )
-    fixed = kernel_basis(_mat_sub(m, _identity(len(m))))
+    fixed = kernel_basis(_shifted(m, 1))
     return Classification(
         "parabolic",
         {
@@ -682,11 +792,7 @@ def _lorentzian(lattice):
 
 
 def _eigenvector_int_kernel(m, lam):
-    n = len(m)
-    shifted = tuple(
-        tuple(m[i][j] - (lam if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    basis = kernel_basis(shifted)
+    basis = kernel_basis(_shifted(m, lam.numerator, lam.denominator))
     if not basis:
         raise LatticeError("rational eigenvalue has empty kernel (internal error)")
     return basis[0]
@@ -694,20 +800,18 @@ def _eigenvector_int_kernel(m, lam):
 
 def _quad_q_value(lattice, v):
     """q(v, v) for a vector over Q(lambda), as a pair (a, b) = a + b lambda."""
-    total = (Fraction(0), Fraction(0))
-    n = lattice.dim
-    for i in range(n):
-        for j in range(n):
-            g = lattice.gram[i][j]
-            if g == 0:
-                continue
+    total_a = total_b = Fraction(0)
+    for i, row in enumerate(lattice._nonzero):
+        for j, g in row:
             prod = v[i] * v[j]
-            total = (total[0] + g * prod.a, total[1] + g * prod.b)
-    return total
+            total_a += g * prod.a
+            total_b += g * prod.b
+    e = lattice.cleared.denom
+    return total_a / e, total_b / e
 
 
 def _numeric_eigenvector(m, lam):
-    a = np.array([[float(x) for x in row] for row in m])
+    a = _floats(*m)
     evals, evecs = np.linalg.eig(a)
     k = int(np.argmin(np.abs(evals - lam)))
     v = np.real_if_close(evecs[:, k])
@@ -723,8 +827,9 @@ def _numeric_eigenvector(m, lam):
 
 
 def kernel_basis(matrix):
-    """Exact kernel basis of a rational matrix, integer-cleared."""
-    m = [list(row) for row in matrix]
+    """Exact kernel basis of a rational matrix, integer-cleared.  The
+    reduced row echelon form of A = d M is that of M, so it is taken of A."""
+    m = _fractions(_exact(matrix).rows)
     cols = len(m[0]) if m else 0
     pivots, _, _ = rref(m, cols, operator.not_)
     basis = []
@@ -759,11 +864,11 @@ def invariant_classes(matrix, lattice: QuadraticLattice) -> InvariantClassReport
     restriction of the form to the kernel is checked negative definite, which
     rules out any invariant class of nonnegative square (in particular an
     invariant Kahler-type class)."""
-    m = rational_matrix(matrix)
+    m = _exact(matrix)
     chk = verify_isometry(m, lattice)
     if not chk.ok:
         raise LatticeError("matrix is not an isometry of the lattice")
-    ker = kernel_basis(_mat_sub(m, _identity(len(m))))
+    ker = kernel_basis(_shifted(m, 1))
     qv = [lattice.value(v) for v in ker]
     label = classify(m, lattice).label
     if label != "hyperbolic":
@@ -807,7 +912,7 @@ def power_iterate(
     (a seed exactly inside the complementary invariant subspace) one
     deterministic perturbation of size 1e-8 is injected before giving up.
     """
-    m = rational_matrix(matrix)
+    m = _exact(matrix)
     # classify's hyperbolic test, without its certificate work
     if not (
         verify_isometry(m, lattice).ok
@@ -817,13 +922,16 @@ def power_iterate(
         # classify raises the refusal, or names the label that has no dominant eigenvalue
         label = classify(m, lattice).label
         raise PowerIterationError(f"no dominant eigenvalue: isometry is {label}")
-    n = len(m)
-    a = np.array([[float(x) for x in row] for row in m])
-    g = np.array([[float(x) for x in row] for row in lattice.gram])
+    n = len(m.rows)
+    a = _floats(*m)
+    g = _floats(*lattice.cleared)
     if seed_vector is None:
         x = np.ones(n) / np.sqrt(n)
     else:
-        x = np.array([float(_as_fraction(v)) for v in seed_vector])
+        if not isinstance(seed_vector, (list, tuple)) or len(seed_vector) != n:
+            raise LatticeError(f"seed vector must be a list of {n} entries")
+        x = np.array([float(_as_fraction(v, f"seed vector entry {k}"))
+                      for k, v in enumerate(seed_vector)])
         nx = np.linalg.norm(x)
         if nx == 0:
             raise PowerIterationError("seed vector is zero")
@@ -893,10 +1001,9 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     eigenvalue of M^2, and rational bounds follow by bisection.  Raises when
     the square has non-real spectrum.
     """
-    a, d = _cleared(rational_matrix(matrix))
-    d2 = d * d
+    a, d = _exact(matrix)
     # M^2 = A^2 / d^2, squared over the integers
-    p2 = char_poly(tuple(tuple(Fraction(x, d2) for x in row) for row in _mat_mul(a, a)))
+    p2 = char_poly(_Exact(_mat_mul(a, a), d * d))
     sf, _g = squarefree_part(p2)
     chain = sturm_chain(sf)  # also the chain of p2, which has the same roots
     # every root lies strictly inside (-bound, bound), so none sits at -bound

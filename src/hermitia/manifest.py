@@ -87,6 +87,11 @@ COEFF = _Type(
     lambda v: isinstance(v, str) or INT.test(v) or (isinstance(v, float) and math.isfinite(v)),
 )
 OPTIONAL_OBJECT = _Type("null or an object", lambda v: v is None or isinstance(v, dict))
+# a positivity_falsify sample count: at least one draw, and bounded work
+MAX_SAMPLES = 10**6
+SAMPLES = _Type(
+    f"an integer from 1 to {MAX_SAMPLES}", lambda v: INT.test(v) and 1 <= v <= MAX_SAMPLES
+)
 
 _REQUIRED = object()
 
@@ -646,7 +651,7 @@ def _h_gram_signature(ctx, check, seed):
     return "pass", detail
 
 
-@_check("positivity_falsify", form=SPEC, endo=STR, samples=(INT, 10000), seed=(INT, None),
+@_check("positivity_falsify", form=SPEC, endo=STR, samples=(SAMPLES, 10000), seed=(INT, None),
         valuation=_VALUATION, expect=(_enum("violation", "no_violation"), "no_violation"))
 def _h_positivity_falsify(ctx, check, seed):
     form = real_basis(ctx.resolve_form(check["form"]))

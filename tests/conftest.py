@@ -66,6 +66,15 @@ def oracle_d(a: Form) -> Form:
 # -- model fixtures ------------------------------------------------------------
 
 
+def mat_mul(a, b):
+    """Product of two exact matrices, as a tuple of row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def is_zero_matrix(m):
+    return all(x == 0 for row in m for x in row)
+
+
 def make_fp_solv8():
     table = SymbolTable([Symbol("b", sign_hint="positive")])
     diff = {

@@ -11,14 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_at4, make_fp_solv8, make_hk12, random_form
+from conftest import is_zero_matrix, make_at4, make_fp_solv8, make_hk12, mat_mul, random_form
 from hermitia.builders import builtin, sasaki_kahler_suspension
 from hermitia.cealg import wedge, wedge_power
 from hermitia.complexops import AlmostComplexStructure, bidegree
 from hermitia.hyperbolic import (
     QuadraticLattice,
-    _is_zero,
-    _mat_mul,
     char_poly,
     classify,
     invariant_classes,
@@ -149,7 +147,7 @@ def test_criterion_5_trichotomy_suite():
         for _ in range(100):
             m = rational_matrix([[1, 0], [0, 1]])
             for _k in range(rng.randint(1, 6)):
-                m = _mat_mul(m, gens[rng.randrange(4)])
+                m = mat_mul(m, gens[rng.randrange(4)])
             assert verify_isometry(m, lorentz).ok
             label = classify(m, lorentz).label
             seen[label] += 1
@@ -157,7 +155,7 @@ def test_criterion_5_trichotomy_suite():
             p = char_poly(m)
             off_unit = bool(real_roots_outside_unit(p, sturm_chain(p)))
             r, _g = squarefree_part(p)
-            diagonalizable = _is_zero(poly_eval_matrix(r, m))
+            diagonalizable = is_zero_matrix(poly_eval_matrix(r, m))
             expected = (
                 "hyperbolic" if off_unit else "elliptic" if diagonalizable else "parabolic"
             )
@@ -176,7 +174,7 @@ def test_criterion_6_invariant_class_negativity():
             lat = QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -c]])
             word = pell
             for _k in range(rng.randint(0, 3)):
-                word = _mat_mul(word, pell if rng.random() < 0.75 else pell_inv)
+                word = mat_mul(word, pell if rng.random() < 0.75 else pell_inv)
             if word == ((1, 0), (0, 1)):
                 word = pell
             m = [

@@ -11,7 +11,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import is_zero_matrix, mat_mul
 from hermitia.hyperbolic import (
+    Classification,
     LatticeError,
     PowerIterationError,
     QuadraticLattice,
@@ -29,6 +31,7 @@ from hermitia.hyperbolic import (
     poly_eval_matrix,
     poly_mul,
     power_iterate,
+    rational_matrix,
     real_roots_outside_unit,
     refine_interval,
     sign_variations,
@@ -169,7 +172,6 @@ def test_trichotomy_exclusive_on_random_words(lorentz2):
     """Each generated isometry carries exactly one label, certified by the
     mutually exclusive branch predicates."""
     from hermitia.hyperbolic import (
-        _is_zero,
         poly_eval_matrix,
         real_roots_outside_unit,
         squarefree_part,
@@ -187,10 +189,8 @@ def test_trichotomy_exclusive_on_random_words(lorentz2):
     for _ in range(100):
         word_len = rng.randint(1, 6)
         m = rational_matrix([[1, 0], [0, 1]])
-        from hermitia.hyperbolic import _mat_mul
-
         for _k in range(word_len):
-            m = _mat_mul(m, gens[rng.randrange(4)])
+            m = mat_mul(m, gens[rng.randrange(4)])
         assert verify_isometry(m, lorentz2).ok
         res = classify(m, lorentz2)
         labels[res.label] += 1
@@ -198,11 +198,7 @@ def test_trichotomy_exclusive_on_random_words(lorentz2):
         p = char_poly(m)
         has_off_unit = bool(real_roots_outside_unit(p, sturm_chain(p)))
         r, _g = squarefree_part(p)
-        diagonalizable = _is_zero(
-            tuple(
-                tuple(x - 0 for x in row) for row in poly_eval_matrix(r, m)
-            )
-        )
+        diagonalizable = is_zero_matrix(poly_eval_matrix(r, m))
         if res.label == "hyperbolic":
             assert has_off_unit
         elif res.label == "elliptic":
@@ -234,8 +230,6 @@ def test_invariant_classes_examples(lorentz2):
 
 def test_invariant_classes_randomized_negativity():
     rng = random.Random(43)
-    from hermitia.hyperbolic import _mat_mul, rational_matrix
-
     pell = rational_matrix(PELL)
     pell_inv = rational_matrix([[3, -4], [-2, 3]])
     for _ in range(50):
@@ -243,7 +237,7 @@ def test_invariant_classes_randomized_negativity():
         lat = QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -c]])
         word = rational_matrix([[1, 0], [0, 1]])
         for _k in range(rng.randint(1, 4)):
-            word = _mat_mul(word, pell if rng.random() < 0.7 else pell_inv)
+            word = mat_mul(word, pell if rng.random() < 0.7 else pell_inv)
         if word == ((1, 0), (0, 1)):
             word = pell
         m = [
@@ -820,3 +814,157 @@ def test_lattices_cycle_makes_no_factor_list_call(monkeypatch):
     assert calls == []
     # both the quadratic-field and the numeric eigenvector paths were taken
     assert 2 in degrees and max(degrees) > 2
+
+
+# -- the boundary: one validation and one clearing per public call ------------
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([["1/0", 4], [2, 3]], "matrix entry (0, 0): zero denominator in '1/0'"),
+        ([5], "matrix row 0: expected a list of entries, got int: 5"),
+        ([[3, 4], [True, 3]], "matrix entry (1, 0): expected an exact rational"),
+        ([[3, 4], [2, 3.0]], "matrix entry (1, 1): expected an exact rational"),
+        ([[3, "4/x"], [2, 3]], "matrix entry (0, 1): not a rational number: '4/x'"),
+        ([[3, 4], [2]], "ragged matrix"),
+        (7, "expected a matrix (a list of rows), got int"),
+    ],
+    ids=["zero-denominator", "row-not-list", "bool", "float", "bad-string", "ragged", "not-a-list"],
+)
+def test_every_public_entry_fails_closed(lorentz2, matrix, message):
+    """Each public entry raises LatticeError naming the bad entry: no
+    ZeroDivisionError or TypeError, and no bool read as an integer."""
+    calls = [
+        rational_matrix, QuadraticLattice, char_poly, kernel_basis, spectral_radius_interval,
+        lambda m: classify(m, lorentz2),
+        lambda m: power_iterate(m, lorentz2),
+        lambda m: invariant_classes(m, lorentz2),
+        lambda m: verify_isometry(m, lorentz2),
+        lambda m: poly_eval_matrix([1, 1], m),
+    ]
+    for call in calls:
+        with pytest.raises(LatticeError) as err:
+            call(matrix)
+        assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ([1, "1/0"], "seed vector entry 1: zero denominator in '1/0'"),
+        ([1, False], "seed vector entry 1: expected an exact rational"),
+        ([1, 0, 0], "seed vector must be a list of 2 entries"),
+        (5, "seed vector must be a list of 2 entries"),
+    ],
+)
+def test_power_iterate_seed_vector_fails_closed(lorentz2, seed, message):
+    with pytest.raises(LatticeError) as err:
+        power_iterate(PELL, lorentz2, seed_vector=seed)
+    assert str(err.value).startswith(message)
+
+
+def test_plain_int_rows_build_no_fraction(monkeypatch):
+    """The boundary's fast path: int rows are taken as they are, d = 1."""
+    from hermitia import hyperbolic
+
+    def no_fraction(*args):
+        raise AssertionError("an int row was converted")
+
+    monkeypatch.setattr(hyperbolic, "_as_fraction", no_fraction)
+    monkeypatch.setattr(hyperbolic, "_cleared", no_fraction)
+    assert hyperbolic._exact([[3, 4], (2, 3)]) == (((3, 4), (2, 3)), 1)
+
+
+def test_mixed_rows_clear_to_integer_rows_and_one_denominator():
+    from hermitia.hyperbolic import _exact
+
+    assert _exact([["3/2", 2], [Fraction(1, 3), "-5"]]) == (((9, 12), (2, -30)), 6)
+    assert _exact([["6/2", 4], [2, 3]]) == (((3, 4), (2, 3)), 1)
+    assert rational_matrix([["3/2", 2], [1, 0]]) == (
+        (Fraction(3, 2), Fraction(2)), (Fraction(1), Fraction(0)))
+
+
+def _four_ways(rows, d):
+    """The same matrix as ints, as Fractions, as strings and written over the
+    denominator d > 1 ("6/2" for 3)."""
+    return [
+        rows,
+        [[Fraction(x) for x in row] for row in rows],
+        [[str(x) for x in row] for row in rows],
+        [[f"{x * d}/{d}" for x in row] for row in rows],
+    ]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (LatticeError, PowerIterationError) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 12), count=st.integers(2, 6),
+       d=st.integers(2, 9))
+def test_representations_of_one_isometry_agree(seed, n, count, d):
+    """A Lorentzian reflection product given as ints, Fractions, strings or
+    over a denominator, on the Gram matrix given the same way, has one
+    characteristic polynomial, isometry verdict, classification certificate
+    and power-iteration eigenvalue."""
+    m = reflection_product(random.Random(seed), n, count)
+    results = []
+    for matrix, gram in zip(_four_ways(m, d), _four_ways(lorentz_gram(n), d)):
+        lattice = QuadraticLattice(gram)
+        cl = _outcome(lambda: classify(matrix, lattice))
+        if isinstance(cl, Classification):
+            cl = (cl.label, sorted(cl.certificate.items()))
+        lam = None
+        if cl[0] == "hyperbolic":
+            lam = _outcome(lambda: power_iterate(matrix, lattice).lam)
+        results.append((char_poly(matrix), verify_isometry(matrix, lattice), cl, lam))
+    assert results[0][1].ok
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_char_poly_memo_serves_power_iterate_after_classify():
+    from hermitia import hyperbolic
+
+    berkowitz = hyperbolic._berkowitz
+    assert berkowitz.cache_info().maxsize == 8
+    berkowitz.cache_clear()
+    m = [[3, 4, 0], [2, 3, 0], [0, 0, -1]]
+    lattice = QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -1]])
+    assert classify(m, lattice).label == "hyperbolic"
+    power_iterate(m, lattice)
+    info = berkowitz.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # one entry changed: its own polynomial, not the cached one
+    other = [[3, 4, 0], [2, 3, 0], [0, 0, 1]]
+    p = char_poly(other)
+    assert berkowitz.cache_info().misses == 2
+    pell = [Fraction(1), Fraction(-6), Fraction(1)]
+    assert p == poly_mul(pell, [Fraction(-1), Fraction(1)])
+    assert char_poly(m) == poly_mul(pell, [Fraction(1), Fraction(1)])
+
+
+def test_char_poly_result_is_a_fresh_list():
+    p = char_poly(PELL)
+    expected = list(p)
+    p[0] = Fraction(99)
+    p.append(Fraction(5))
+    assert char_poly(PELL) == expected == [Fraction(1), Fraction(-6), Fraction(1)]
+
+
+BIG = st.integers(2**53, 2**70)
+
+
+@PROPERTY
+@given(rows=square(st.one_of(BIG, BIG.map(lambda x: -x), small), 4), d=st.integers(1, 1000))
+def test_numeric_entries_round_like_fractions(rows, d):
+    """What numpy receives from (A, d) is float(Fraction(x, d)) entry by
+    entry: one correctly rounded division, not float(x) / d, which rounds
+    twice once |x| > 2^53."""
+    from hermitia.hyperbolic import _floats
+
+    got = _floats(rows, d)
+    assert [[float(Fraction(x, d)) for x in row] for row in rows] == got.tolist()

@@ -14,6 +14,7 @@ from hermitia import linear
 from hermitia.hyperbolic import (
     QuadraticLattice,
     _eigenvector_quadratic,
+    _exact,
     _QuadNumber,
     char_poly,
     kernel_basis,
@@ -249,7 +250,7 @@ def test_quadratic_eigenvector_is_an_eigenvector(block, rest, p):
     assume(pm.det() != 0)
     conj = pm * sympy.Matrix(diag) * pm.inv()
     m = [[Fraction(int(x.p), int(x.q)) for x in conj.row(i)] for i in range(n)]
-    v = _eigenvector_quadratic(m, s, t)
+    v = _eigenvector_quadratic(_exact(m), s, t)  # the kernel takes cleared rows
     assert any(v)
     lam, zero = _QuadNumber(Fraction(0), Fraction(1), s, t), _QuadNumber(Fraction(0), Fraction(0), s, t)
     for i in range(n):

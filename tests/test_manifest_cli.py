@@ -454,3 +454,50 @@ def test_cli_seed_env_override(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 99
+
+
+@pytest.mark.parametrize(
+    "samples", [0, -5, 10**6 + 1, True, 2.5], ids=["zero", "negative", "above-bound", "bool", "float"]
+)
+def test_positivity_samples_bounded_at_load(samples):
+    """No draw would report no_violation, a vacuous pass; a huge count is
+    unbounded work.  Both are refused when the manifest loads."""
+    check = {"id": "pos", "kind": "positivity_falsify", "form": "eta", "endo": "J",
+             "samples": samples}
+    data = _mini_manifest(checks=[check])
+    with pytest.raises(ManifestError, match=r"checks\[0\]\.samples: expected an integer from 1 to 1000000"):
+        Manifest(data)
+    for ok in (1, 10**6):
+        Manifest(_mini_manifest(checks=[{**check, "samples": ok}]))
+
+
+@pytest.mark.parametrize("command", ["classify", "power"])
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--matrix", '[["1/0", 4], [2, 3]]', "--matrix: matrix entry (0, 0): zero denominator in '1/0'"),
+        ("--matrix", "[5]", "--matrix: matrix row 0: expected a list of entries, got int: 5"),
+        ("--matrix", "[[3, true], [2, 3]]", "--matrix: matrix entry (0, 1): expected an exact rational"),
+        ("--matrix", "[[3, 4], [2, 3.0]]", "--matrix: matrix entry (1, 1): expected an exact rational"),
+        ("--matrix", '[[3, 4], [2, "x"]]', "--matrix: matrix entry (1, 1): not a rational number: 'x'"),
+        ("--matrix", "[[3, 4], [2]]", "--matrix: ragged matrix"),
+        ("--gram", '{"rows": 2}', "--gram: expected a matrix (a list of rows), got dict"),
+        ("--gram", '[[1, 0], [0, "-2/0"]]', "--gram: matrix entry (1, 1): zero denominator in '-2/0'"),
+    ],
+    ids=["zero-denominator", "row-not-list", "bool", "float", "bad-string", "ragged", "gram-object",
+         "gram-zero-denominator"],
+)
+def test_cli_lattice_input_fails_closed(tmp_path, capsys, command, option, text, message):
+    """A malformed matrix file is a usage error: exit 2 and one line naming
+    the option and the entry, never a traceback or a silently read value."""
+    files = {"--gram": "[[1,0],[0,-2]]", "--matrix": "[[3,4],[2,3]]", option: text}
+    args = [command]
+    for opt, content in files.items():
+        path = tmp_path / f"{opt[2:]}.json"
+        path.write_text(content)
+        args += [opt, str(path)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1

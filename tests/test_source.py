@@ -101,3 +101,19 @@ def test_only_scalars_reads_the_polynomial_fraction():
             if isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
                 found.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
     assert not found, found
+
+
+def test_hyperbolic_clears_each_input_only_at_its_boundary():
+    """Inside ``hyperbolic.py`` only the boundary helper ``_exact`` converts
+    or clears a matrix; every other function receives its integer rows."""
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    callers = {}
+    for top in tree.body:
+        defs = [top] if isinstance(top, ast.FunctionDef) else [
+            f for f in getattr(top, "body", []) if isinstance(f, ast.FunctionDef)]
+        for fn in defs:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                        node.func.id in ("rational_matrix", "_cleared"):
+                    callers.setdefault(node.func.id, set()).add(fn.name)
+    assert callers == {"_cleared": {"_exact"}}, callers
