@@ -211,13 +211,13 @@ class Form:
         return f"Form({self})"
 
 
-def wedge(a: Form, b: Form) -> Form:
-    """Graded-commutative exterior product with canonical output."""
-    a._check_mate(b)
-    out = {}
-    table = a.presentation.table
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
+def _add_products(out, terms, pairs):
+    """Add the exterior product of the term dict ``terms`` and the
+    (indices, coefficient) pairs into the term dict ``out``, dropping sums
+    that vanish; returns ``out``.  Every product of exterior monomials goes
+    through here (d keeps its own loop in ``_d_terms``)."""
+    for ia, ca in terms.items():
+        for ib, cb in pairs:
             merged, sign = _merge_signed(ia, ib)
             if merged is None:
                 continue
@@ -230,7 +230,13 @@ def wedge(a: Form, b: Form) -> Form:
                 out.pop(merged, None)
             else:
                 out[merged] = s
-    return Form(a.presentation, out, _canonical=True)
+    return out
+
+
+def wedge(a: Form, b: Form) -> Form:
+    """Graded-commutative exterior product with canonical output."""
+    a._check_mate(b)
+    return Form(a.presentation, _add_products({}, a.terms, b.terms.items()), _canonical=True)
 
 
 def wedge_all(forms: Sequence[Form]) -> Form:

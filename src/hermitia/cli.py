@@ -29,14 +29,20 @@ def _read_text(path):
         return fh.read()
 
 
-def _load_rational_rows(path, option):
-    """The exact matrix in a JSON file; a malformed one is a usage error
-    (``LatticeError`` is a ``ValueError``) naming the option."""
+def _load(path, option, build):
+    """``build`` applied to the JSON in a file; a value it refuses is a usage
+    error (``LatticeError`` is a ``ValueError``) naming the option."""
     data = json.loads(_read_text(path))
     try:
-        return hyperbolic.rational_matrix(data)
+        return build(data)
     except hyperbolic.LatticeError as e:
         raise ValueError(f"{option}: {e}") from None
+
+
+def _load_isometry(args):
+    """The lattice of ``--gram`` and the ``--matrix`` of its rank."""
+    lattice = _load(args.gram, "--gram", hyperbolic.QuadraticLattice)
+    return lattice, _load(args.matrix, "--matrix", lattice.endomorphism)
 
 
 def _seed_from_env(explicit):
@@ -100,13 +106,11 @@ def _fmt12(x):
 
 def _cmd_classify(args):
     try:
-        gram = _load_rational_rows(args.gram, "--gram")
-        matrix = _load_rational_rows(args.matrix, "--matrix")
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+        lattice, matrix = _load_isometry(args)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        lattice = hyperbolic.QuadraticLattice(gram)
         result = hyperbolic.classify(matrix, lattice)
     except hyperbolic.LatticeError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -142,16 +146,14 @@ def _jsonable(obj):
 
 def _cmd_power(args):
     try:
-        gram = _load_rational_rows(args.gram, "--gram")
-        matrix = _load_rational_rows(args.matrix, "--matrix")
+        lattice, matrix = _load_isometry(args)
         seed_vector = None
         if args.seed_vector:
-            seed_vector = json.loads(_read_text(args.seed_vector))
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+            seed_vector = _load(args.seed_vector, "--seed-vector", lattice.seed_vector)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        lattice = hyperbolic.QuadraticLattice(gram)
         result = hyperbolic.power_iterate(
             matrix,
             lattice,

@@ -13,7 +13,8 @@ d d^c a = 2 i del(delbar(a)) on pure-bidegree inputs, so every
 The operators act on the complex coframe of the structure's ComplexModel.
 A real-basis form is converted once in and once out; a form over the
 model's complex presentation (``model.cpres``) is acted on in place, so
-del(delbar(omega^k)) computed there pays for one conversion in total.
+del(delbar(omega^k)) computed there pays for one conversion in total.  The
+conversions and the pullback by J multiply monomials in cealg's one kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linear
-from .cealg import Form, FormError, LieAlgebraPresentation, PresentationError
+from .cealg import Form, FormError, LieAlgebraPresentation, PresentationError, _add_products
 from .scalars import Scalar
 
 
@@ -119,25 +120,13 @@ class AlmostComplexStructure:
 
     def pullback_one_form(self, form: Form) -> Form:
         """alpha o J on a 1-form: e^r o J is row r of the matrix."""
-        pres = self.presentation
+        if any(len(idx) != 1 for idx in form.terms):
+            raise FormError("pullback_one_form expects a 1-form")
         out = {}
-        for idx, c in form.terms.items():
-            if len(idx) != 1:
-                raise FormError("pullback_one_form expects a 1-form")
-            r = idx[0]
-            for s in range(1, pres.dim + 1):
-                m = self.matrix[r - 1][s - 1]
-                if m.is_zero():
-                    continue
-                key = (s,)
-                v = c * m
-                acc = out.get(key)
-                acc = v if acc is None else acc + v
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return Form(pres, out, _canonical=True)
+        for (r,), c in form.terms.items():
+            row = [((s,), m) for s, m in enumerate(self.matrix[r - 1], 1) if not m.is_zero()]
+            _add_products(out, {(): c}, row)
+        return Form(self.presentation, out, _canonical=True)
 
     def apply_to_one_form(self, form: Form) -> Form:
         """J alpha = -(alpha o J), extended complex-linearly."""
@@ -248,8 +237,9 @@ class ComplexModel:
 
     Complex generator k <= m is eta_k; generator m + k is its conjugate.
     del, delbar and the bigrading act on ``cpres`` forms (d_split_complex).
-    The change of basis is an algebra isomorphism; to_complex and to_real
-    keep nothing, so a caller that needs a form in both bases holds both.
+    The change of basis is an algebra isomorphism, applied as the wedge of
+    the generators' images; to_complex and to_real keep nothing, so a caller
+    that needs a form in both bases holds both.
     """
 
     def __init__(self, J: AlmostComplexStructure):
@@ -290,7 +280,8 @@ class ComplexModel:
         half = table.scalar(Fraction(1, 2))
         half_i = half * i_unit
 
-        # sparse expansion rows: real generator r -> [(complex index, coeff)]
+        # the image of each generator as sparse 1-form term pairs
+        # ((index,), coeff): real generator r -> its complex expansion
         self._real_to_cx = []
         for r in range(n):
             pairs = [
@@ -298,12 +289,10 @@ class ComplexModel:
                 for x, y in zip(rinv[r][:m], rinv[r][m:])
             ]
             cx = [x + y for x, y in pairs] + [x - y for x, y in pairs]
-            self._real_to_cx.append([(j + 1, c) for j, c in enumerate(cx) if not c.is_zero()])
+            self._real_to_cx.append([((j + 1,), c) for j, c in enumerate(cx) if not c.is_zero()])
         # complex generator a -> its real expansion: eta_a, then the conjugates
-        self._cx_to_real = [
-            [(idx[0], c) for idx, c in sorted(eta.terms.items())] for eta in self.eta_forms
-        ]
-        self._cx_to_real += [[(s, c.conjugate()) for s, c in row] for row in self._cx_to_real]
+        self._cx_to_real = [sorted(eta.terms.items()) for eta in self.eta_forms]
+        self._cx_to_real += [[(idx, c.conjugate()) for idx, c in row] for row in self._cx_to_real]
 
         names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(
             f"zb{k}" for k in range(1, m + 1)
@@ -357,38 +346,17 @@ class ComplexModel:
         return Form(self.cpres, out, _canonical=True)
 
     def _substitute(self, terms, rows):
-        """Expand each generator through the sparse substitution rows."""
-        from .cealg import _merge_signed
-
+        """The change of basis is an algebra map, so a monomial goes to the
+        wedge of its generators' images ``rows[r - 1]``: a chain of
+        ``_add_products`` calls, the last of which adds into the result (a
+        degree-0 term is multiplied by the unit)."""
         out = {}
+        unit = [((), self.real.table.one)]
         for idx, coeff in terms.items():
             partial = {(): coeff}
-            for r in idx:
-                nxt = {}
-                for pidx, pc in partial.items():
-                    for tgt, tc in rows[r - 1]:
-                        merged, sign = _merge_signed(pidx, (tgt,))
-                        if merged is None:
-                            continue
-                        v = pc * tc
-                        if sign < 0:
-                            v = -v
-                        acc = nxt.get(merged)
-                        acc = v if acc is None else acc + v
-                        if acc.is_zero():
-                            nxt.pop(merged, None)
-                        else:
-                            nxt[merged] = acc
-                partial = nxt
-                if not partial:
-                    break
-            for pidx, pc in partial.items():
-                acc = out.get(pidx)
-                acc = pc if acc is None else acc + pc
-                if acc.is_zero():
-                    out.pop(pidx, None)
-                else:
-                    out[pidx] = acc
+            for r in idx[:-1]:
+                partial = _add_products({}, partial, rows[r - 1])
+            _add_products(out, partial, rows[idx[-1] - 1] if idx else unit)
         return out
 
     # -- conversions ------------------------------------------------------------

@@ -175,8 +175,7 @@ def _shifted(m, u, w=1):
 class QuadraticLattice:
     """An exact symmetric Gram matrix G = H / e with its cached signature.
 
-    ``cleared`` holds the integer rows H and the positive denominator e;
-    ``gram`` is G as rows of Fractions, built on first read."""
+    ``cleared`` holds the integer rows H and the positive denominator e."""
 
     def __init__(self, gram):
         self.cleared = h = _exact(gram)
@@ -190,14 +189,24 @@ class QuadraticLattice:
         # H = e G with e > 0 has the signature of G
         self.signature = congruence_signature(_fractions(h.rows), operator.not_, Fraction)
 
-    @functools.cached_property
-    def gram(self):
-        h, e = self.cleared
-        return tuple(tuple(Fraction(x, e) for x in row) for row in h)
-
     @property
     def dim(self):
         return len(self.cleared.rows)
+
+    def endomorphism(self, matrix):
+        """``matrix`` validated as ``_Exact(A, d)``; LatticeError unless it
+        is dim x dim."""
+        m = _exact(matrix)
+        a, n = m.rows, self.dim
+        if len(a) != n or any(len(r) != n for r in a):
+            raise LatticeError(f"matrix is {len(a)}x{len(a[0]) if a else 0}, lattice has rank {n}")
+        return m
+
+    def seed_vector(self, v):
+        """``v`` validated as a list of dim rationals (Fractions)."""
+        if not isinstance(v, (list, tuple)) or len(v) != self.dim:
+            raise LatticeError(f"seed vector must be a list of {self.dim} entries")
+        return [_as_fraction(x, f"seed vector entry {k}") for k, x in enumerate(v)]
 
     def value(self, v, w=None):
         w = v if w is None else w
@@ -229,11 +238,7 @@ def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
     """Exact test M^T G M = G, run as A^T H A = d^2 H over the integers for
     M = A / d and G = H / e; the residual M^T G M - G is that difference
     divided by d^2 e."""
-    a, d = _exact(matrix)
-    if len(a) != lattice.dim or any(len(r) != lattice.dim for r in a):
-        raise LatticeError(
-            f"matrix is {len(a)}x{len(a[0]) if a else 0}, lattice has rank {lattice.dim}"
-        )
+    a, d = lattice.endomorphism(matrix)
     h, e = lattice.cleared
     d2 = d * d
     cols, ha_cols = tuple(zip(*a)), tuple(zip(*lattice._times(a)))
@@ -928,10 +933,7 @@ def power_iterate(
     if seed_vector is None:
         x = np.ones(n) / np.sqrt(n)
     else:
-        if not isinstance(seed_vector, (list, tuple)) or len(seed_vector) != n:
-            raise LatticeError(f"seed vector must be a list of {n} entries")
-        x = np.array([float(_as_fraction(v, f"seed vector entry {k}"))
-                      for k, v in enumerate(seed_vector)])
+        x = np.array([float(v) for v in lattice.seed_vector(seed_vector)])
         nx = np.linalg.norm(x)
         if nx == 0:
             raise PowerIterationError("seed vector is zero")
@@ -1023,29 +1025,24 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     if best is None:
         raise LatticeError("matrix has no eigenvalues (empty spectrum?)")
     lo, hi = best
-    # rational bounds on sqrt: s1^2 <= lo, s2^2 >= hi, s2 - s1 small
-    s1, s2 = Fraction(0), max(Fraction(1), hi)
+    # rational bounds on sqrt: s_lo^2 <= lo, s_hi^2 >= hi, s_hi - s_lo small
+    s2 = max(Fraction(1), hi)
     while s2 * s2 < hi:
         s2 *= 2
-    # bisect lower bound up
-    a, b = Fraction(0), s2
+    s_lo = _bisect(Fraction(0), s2, lambda x: x * x <= lo, width / 2)[0]
+    return s_lo, _bisect(s_lo, s2, lambda x: x * x < hi, width / 2)[1]
+
+
+def _bisect(a, b, below, width):
+    """Halve [a, b] at most 200 times, until it is narrower than ``width``:
+    a midpoint where ``below`` holds becomes the lower end, any other the
+    upper end."""
     for _ in range(200):
         mid = (a + b) / 2
-        if mid * mid <= lo:
+        if below(mid):
             a = mid
         else:
             b = mid
-        if b - a < width / 2:
+        if b - a < width:
             break
-    s_lo = a
-    a2_, b2_ = s_lo, s2
-    for _ in range(200):
-        mid = (a2_ + b2_) / 2
-        if mid * mid >= hi:
-            b2_ = mid
-        else:
-            a2_ = mid
-        if b2_ - a2_ < width / 2:
-            break
-    s_hi = b2_
-    return s_lo, s_hi
+    return a, b

@@ -86,6 +86,24 @@ COEFF = _Type(
     "a coefficient (string or finite number)",
     lambda v: isinstance(v, str) or INT.test(v) or (isinstance(v, float) and math.isfinite(v)),
 )
+
+
+def _is_rational(v):
+    """An integer, a finite number or a string that Fraction reads."""
+    if isinstance(v, str):
+        try:
+            Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return COEFF.test(v)
+
+
+RATIONALS = _Type(
+    'a list of rationals (integers, finite numbers or strings such as "3/4")',
+    lambda v: isinstance(v, list) and all(map(_is_rational, v)),
+)
+INTERVAL = _Type("a list of two rationals", lambda v: RATIONALS.test(v) and len(v) == 2)
 OPTIONAL_OBJECT = _Type("null or an object", lambda v: v is None or isinstance(v, dict))
 # a positivity_falsify sample count: at least one draw, and bounded work
 MAX_SAMPLES = 10**6
@@ -387,7 +405,13 @@ class BuildContext:
         if kind == "wedge":
             return wedge_all(_one_basis([self.resolve_form(s) for s in spec["wedge"]]))
         if kind == "power":
-            return wedge_power(self.resolve_form(spec["base"]), int(spec["power"]))
+            try:
+                base, k = spec["base"], int(spec["power"])
+            except (KeyError, TypeError, ValueError):
+                raise ManifestError(
+                    f"a power spec needs an integer 'power' and a 'base': {spec!r}"
+                ) from None
+            return wedge_power(self.resolve_form(base), k)
         if kind == "combo":
             forms = _one_basis([self.resolve_form(sub) for _c, sub in spec["combo"]])
             out = Form.zero(forms[0].presentation if forms else self.presentation)
@@ -838,7 +862,7 @@ def _h_matrix_isometry(ctx, check, seed):
     return _verdict(ok), detail
 
 
-@_check("char_poly_equals", endo=STR, expect=LIST)
+@_check("char_poly_equals", endo=STR, expect=RATIONALS)
 def _h_char_poly_equals(ctx, check, seed):
     rows = ctx.rational_endo(check["endo"])
     cp = hyperbolic.char_poly(rows)
@@ -847,7 +871,7 @@ def _h_char_poly_equals(ctx, check, seed):
     return _verdict(ok), {"char_poly_ascending": [str(c) for c in cp]}
 
 
-@_check("spectral_radius_in", endo=STR, interval=LIST)
+@_check("spectral_radius_in", endo=STR, interval=INTERVAL)
 def _h_spectral_radius_in(ctx, check, seed):
     rows = ctx.rational_endo(check["endo"])
     lo_t, hi_t = (Fraction(str(x)) for x in check["interval"])

@@ -10,6 +10,7 @@ from conftest import make_at4, make_fp_solv8, make_hk12, random_form
 from hermitia.builders import builtin
 from hermitia.cealg import (
     Form,
+    FormError,
     LieAlgebraPresentation,
     abelian,
     direct_sum,
@@ -113,6 +114,14 @@ def test_coframe_defining_property(solv8_I):
     # eta(JX) = i eta(X), i.e. eta o J = i eta
     for eta in coframe_10(solv8_I):
         assert solv8_I.pullback_one_form(eta) == solv8_I.presentation.table.i * eta
+
+
+@pytest.mark.parametrize("degrees", [(2,), (1, 2)], ids=["two-form", "mixed"])
+def test_pullback_one_form_refuses_other_degrees(solv8_I, degrees):
+    pres = solv8_I.presentation
+    form = pres.form([(1, tuple(range(1, k + 1))) for k in degrees])
+    with pytest.raises(FormError, match="expects a 1-form"):
+        solv8_I.pullback_one_form(form)
 
 
 def test_coframe_solv8_spans_top_form(solv8_I):

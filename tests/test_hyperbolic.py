@@ -323,6 +323,31 @@ def test_spectral_radius_interval_examples():
     assert hi3 - lo3 < Fraction(1, 10**10)
 
 
+def test_spectral_radius_interval_endpoints_pinned():
+    """The exact endpoints of the examples above, so a change to the
+    square-root bisection that moves either bound shows here."""
+    a8 = [
+        [1, 0, 1, 0, -1, -1, 0, 1],
+        [0, -1, 0, -1, -1, 0, 1, 1],
+        [-1, 0, 1, 0, 0, 1, 1, 1],
+        [0, 1, 0, -1, 1, 1, 1, 0],
+        [1, 1, 0, -1, 1, 0, 1, 0],
+        [1, 0, -1, -1, 0, -1, 0, -1],
+        [0, -1, -1, -1, -1, 0, 1, 0],
+        [-1, -1, -1, 0, 0, 1, 0, -1],
+    ]
+    expected = [
+        (a8, "22801602418694809727619/9444732965739290427392",
+         "1566914186987265643945869477399933/649037107316853453566312041152512"),
+        (PELL, "440383502426830153778475/75557863725914323419136",
+         "484206781601146428365267025280563925/83076749736557242056487941267521536"),
+        ([["3/2", 2], [1, "3/2"]], "220191751213426867287447/75557863725914323419136",
+         "30262923850361868791291357393472105/10384593717069655257060992658440192"),
+    ]
+    for m, lo, hi in expected:
+        assert spectral_radius_interval(m) == (Fraction(lo), Fraction(hi))
+
+
 def test_char_poly_block_product_audit():
     rng = random.Random(44)
     for _ in range(30):

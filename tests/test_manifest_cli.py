@@ -501,3 +501,81 @@ def test_cli_lattice_input_fails_closed(tmp_path, capsys, command, option, text,
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, files, message",
+    [
+        ("classify", {"--gram": "[[1,2],[0,-2]]"}, "--gram: gram matrix is not symmetric"),
+        ("classify", {"--matrix": "[[1,0,0],[0,1,0],[0,0,1]]"},
+         "--matrix: matrix is 3x3, lattice has rank 2"),
+        ("power", {"--seed-vector": "[1, 2, 3]"},
+         "--seed-vector: seed vector must be a list of 2 entries"),
+    ],
+    ids=["asymmetric-gram", "matrix-rank", "seed-vector-length"],
+)
+def test_cli_lattice_shape_errors_exit_two(tmp_path, capsys, command, files, message):
+    """Inputs that do not fit together are usage errors (exit 2), not failed
+    checks (exit 1)."""
+    args = [command]
+    for opt, content in {"--gram": "[[1,0],[0,-2]]", "--matrix": "[[3,4],[2,3]]", **files}.items():
+        path = tmp_path / f"{opt[2:]}.json"
+        path.write_text(content)
+        args += [opt, str(path)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def _lemma61_check(check_id, **params):
+    data = json.loads(builtin("lemma61").to_json())
+    k = next(k for k, c in enumerate(data["checks"]) if c["id"] == check_id)
+    data["checks"][k].update(params)
+    return data, k
+
+
+@pytest.mark.parametrize(
+    "check_id, params, message",
+    [
+        ("char-poly", {"expect": ["1", "i", "1"]}, ".expect: expected a list of rationals"),
+        ("char-poly", {"expect": ["1", "1/0"]}, ".expect: expected a list of rationals"),
+        ("spectral-radius", {"interval": ["2", "3", "4"]}, ".interval: expected a list of two rationals"),
+        ("spectral-radius", {"interval": ["2", None]}, ".interval: expected a list of two rationals"),
+    ],
+    ids=["imaginary-coefficient", "zero-denominator", "three-endpoints", "null-endpoint"],
+)
+def test_lattice_check_lists_fail_closed_at_load(check_id, params, message):
+    data, k = _lemma61_check(check_id, **params)
+    with pytest.raises(ManifestError) as info:
+        Manifest(data)
+    assert str(info.value).startswith(f"checks[{k}]{message}")
+
+
+@pytest.mark.parametrize(
+    "check_id, convert",
+    [
+        ("char-poly", lambda c: {"expect": [float(x) for x in c["expect"]]}),
+        ("char-poly", lambda c: {"expect": [int(x) for x in c["expect"]]}),
+        ("spectral-radius", lambda c: {"interval": [float(x) for x in c["interval"]]}),
+    ],
+    ids=["float-coefficients", "int-coefficients", "float-interval"],
+)
+def test_lattice_check_lists_accept_numbers(check_id, convert):
+    data = json.loads(builtin("lemma61").to_json())
+    check = next(c for c in data["checks"] if c["id"] == check_id)
+    check.update(convert(check))
+    assert run_check(Manifest(data), only=check_id).outcomes[-1].verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"power": 2}, {"power": "two", "base": "eta"}, {"power": None, "base": "eta"}],
+    ids=["missing-base", "unreadable-power", "null-power"],
+)
+def test_power_spec_without_base_or_integer_is_manifest_error(spec):
+    data = _mini_manifest(checks=[{"id": "probe", "kind": "d_zero", "form": spec}])
+    outcome = run_check(Manifest(data), only="probe").outcomes[-1]
+    assert outcome.verdict == "error"
+    assert outcome.detail == {
+        "reason": f"a power spec needs an integer 'power' and a 'base': {spec!r}"
+    }

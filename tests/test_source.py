@@ -117,3 +117,19 @@ def test_hyperbolic_clears_each_input_only_at_its_boundary():
                         node.func.id in ("rational_matrix", "_cleared"):
                     callers.setdefault(node.func.id, set()).add(fn.name)
     assert callers == {"_cleared": {"_exact"}}, callers
+
+
+def test_exterior_products_share_one_kernel():
+    """Every product of exterior monomials goes through
+    ``cealg._add_products``; only d (``_d_terms``) keeps its own loop, so
+    ``_merge_signed`` is called in those two functions and nowhere else."""
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    f = node.func if isinstance(node, ast.Call) else None
+                    if getattr(f, "id", getattr(f, "attr", None)) == "_merge_signed":
+                        callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"cealg.py:_add_products", "cealg.py:_d_terms"}, callers
