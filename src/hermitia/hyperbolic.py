@@ -24,15 +24,16 @@ positive integer d; a bad entry raises LatticeError naming its (row, col),
 and rows of plain ints build no Fraction.  The entries pass ``(A, d)`` to
 each other and to the kernels, which never clear again; a lattice keeps its
 Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
-Z[x]: Berkowitz's division-free characteristic polynomial (memoized on A,
-so ``power_iterate`` after ``classify`` on one matrix reuses it), the
+Z[x]: Berkowitz's division-free characteristic polynomial (run on each
+diagonal block of the block-triangular form, and memoized on A), the
 isometry test, r(M), the squarefree part and the Sturm chain (primitive
 pseudo-remainder sequences), Sturm sign evaluation and the Q(lambda)
 eigenvector (integer triples) each scale back to the same rationals they
 would have produced over Q.  The minimal polynomial of a hyperbolic
 eigenvalue of an integral characteristic polynomial with constant term +-1
 is its squarefree part without cyclotomic factors; sympy factors only a
-non-integral one.
+non-integral one.  ``power_iterate`` after ``classify`` of one matrix on one
+Gram matrix reads classify's hyperbolic verdict instead of testing again.
 """
 
 from __future__ import annotations
@@ -135,12 +136,6 @@ def _cleared(m):
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
 
-def rational_matrix(rows):
-    """The validated matrix as rows of Fractions."""
-    a, d = _exact(rows)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
-
-
 def _fractions(a):
     """Integer rows as rows of Fractions, for divisions; zeros share one."""
     return [[Fraction(x) if x else _ZERO for x in row] for row in a]
@@ -156,9 +151,13 @@ def _floats(a, d):
 
 
 def _mat_mul(a, b):
-    """The product of two integer matrices."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+    """The product of two integer matrices: each row of A B is the
+    combination of B's rows weighted by the nonzero entries of A's row."""
+    zero = (0,) * len(b[0]) if b else ()
+    return tuple(
+        tuple(map(sum, zip(*([x * y for y in b[k]] for k, x in enumerate(row) if x)))) or zero
+        for row in a
+    )
 
 
 def _shifted(m, u, w=1):
@@ -216,14 +215,6 @@ class QuadraticLattice:
         )
         return total / self.cleared.denom
 
-    def _times(self, a):
-        """H A for integer rows A, from the nonzero entries of H."""
-        zero = (0,) * len(a[0]) if a else ()
-        return tuple(
-            tuple(map(sum, zip(*([g * x for x in a[k]] for k, g in row)))) if row else zero
-            for row in self._nonzero
-        )
-
     def __repr__(self):
         return f"QuadraticLattice(dim={self.dim}, signature={self.signature})"
 
@@ -241,7 +232,7 @@ def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
     a, d = lattice.endomorphism(matrix)
     h, e = lattice.cleared
     d2 = d * d
-    cols, ha_cols = tuple(zip(*a)), tuple(zip(*lattice._times(a)))
+    cols, ha_cols = tuple(zip(*a)), tuple(zip(*_mat_mul(h, a)))
     # A^T H A is symmetric: test the entries on and above the diagonal
     if all(
         sum(map(operator.mul, cols[i], ha_cols[j])) == d2 * h[i][j]
@@ -404,18 +395,79 @@ def char_poly(matrix):
     n = len(a)
     if any(len(r) != n for r in a):
         raise LatticeError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [Fraction(1)]
     return [Fraction(c, d**i) for i, c in enumerate(_berkowitz(a))][::-1]
 
 
 @functools.lru_cache(maxsize=8)
 def _berkowitz(a):
     """The coefficients of det(t I - A) from t^n down to t^0, for integer
-    rows A (a tuple of tuples), by the division-free Berkowitz algorithm.
-    Memoized on A: ``power_iterate`` after ``classify`` on one matrix
-    reuses the polynomial.  The result is a tuple, so no caller can change
-    what the next one gets."""
+    rows A (a tuple of tuples).
+
+    Ordering the strongly connected components of the digraph i -> j
+    (A_ij != 0, i != j) topologically permutes A to block-triangular form, a
+    similarity, so det(t I - A) is the product over the components of the
+    characteristic polynomials of their principal submatrices; each comes
+    from the division-free Berkowitz loop.  Memoized on A, so a repeated
+    call on one matrix reuses the polynomial.  The result is a tuple, so no
+    caller can change what the next one gets."""
+    out = [1]
+    for block in _components(a):
+        q = _berkowitz_dense([[a[i][j] for j in block] for i in block])
+        prod = [0] * (len(out) + len(q) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(q):
+                prod[i + j] += x * y
+        out = prod
+    return tuple(out)
+
+
+def _components(a):
+    """The strongly connected components of the digraph i -> j for
+    A_ij != 0, i != j, each as its indices in increasing order: Tarjan's
+    algorithm with an explicit stack, so no dimension meets the recursion
+    limit.  A vertex's ``low`` becomes n once its component is out, so it
+    no longer lowers another's."""
+    n = len(a)
+    succ = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(a)]
+    index, low = [n] * n, [n] * n
+    stack, comps = [], []
+    count = 0
+    for root in range(n):
+        if index[root] < n:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] == n:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        low[comp[-1]] = n
+                    comps.append(sorted(comp))
+                else:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comps
+
+
+def _berkowitz_dense(a):
+    """The coefficients of det(t I - A) from t^n down to t^0, for n >= 1
+    integer rows A, by the division-free Berkowitz algorithm."""
     n = len(a)
     # iteratively build the coefficient vector via Toeplitz products
     vec = [1, -a[0][0]]
@@ -431,7 +483,7 @@ def _berkowitz(a):
         toep = [1, -a[k][k]] + [-p for p in prods]
         # vec_i = sum_j toep_(i-j) vec_j
         vec = [sum(map(operator.mul, toep[i::-1], vec)) for i in range(k + 2)]
-    return tuple(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +784,7 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
     p = char_poly(m)
     chain = sturm_chain(p)
     off_unit = real_roots_outside_unit(p, chain)
+    _remember_verdict((m, lattice.cleared), bool(off_unit))
     if off_unit:
         # take the interval with the largest absolute value endpoints
         best = max(off_unit, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
@@ -788,6 +841,18 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             "eigenvalue_one_q_values": [str(lattice.value(v)) for v in fixed],
         },
     )
+
+
+# classify's boolean hyperbolic verdict on the last 8 (M, lattice.cleared)
+# pairs, oldest first, for power_iterate to read
+_VERDICTS = {}
+
+
+def _remember_verdict(key, hyperbolic):
+    _VERDICTS.pop(key, None)
+    _VERDICTS[key] = hyperbolic
+    if len(_VERDICTS) > 8:
+        del _VERDICTS[next(iter(_VERDICTS))]
 
 
 def _lorentzian(lattice):
@@ -913,17 +978,22 @@ def power_iterate(
     """Normalized power iteration toward the dominant eigenvector.
 
     Requires a hyperbolic isometry (otherwise there is no dominant
-    eigenvalue and the call fails).  When the iteration stalls for 50 steps
-    (a seed exactly inside the complementary invariant subspace) one
-    deterministic perturbation of size 1e-8 is injected before giving up.
+    eigenvalue and the call fails); after ``classify`` of the same matrix on
+    the same Gram matrix the test reads its verdict.  When the iteration
+    stalls for 50 steps (a seed exactly inside the complementary invariant
+    subspace) one deterministic perturbation of size 1e-8 is injected before
+    giving up.
     """
     m = _exact(matrix)
-    # classify's hyperbolic test, without its certificate work
-    if not (
-        verify_isometry(m, lattice).ok
-        and _lorentzian(lattice)
-        and real_roots_outside_unit(p := char_poly(m), sturm_chain(p))
-    ):
+    hyperbolic = _VERDICTS.get((m, lattice.cleared))
+    if hyperbolic is None:
+        # classify's hyperbolic test, without its certificate work
+        hyperbolic = (
+            verify_isometry(m, lattice).ok
+            and _lorentzian(lattice)
+            and real_roots_outside_unit(p := char_poly(m), sturm_chain(p))
+        )
+    if not hyperbolic:
         # classify raises the refusal, or names the label that has no dominant eigenvalue
         label = classify(m, lattice).label
         raise PowerIterationError(f"no dominant eigenvalue: isometry is {label}")

@@ -71,6 +71,11 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+def fraction_rows(rows):
+    """An exact matrix (ints, Fractions or strings) as rows of Fractions."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
 def is_zero_matrix(m):
     return all(x == 0 for row in m for x in row)
 

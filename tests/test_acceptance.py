@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_zero_matrix, make_at4, make_fp_solv8, make_hk12, mat_mul, random_form
+from conftest import (
+    fraction_rows,
+    is_zero_matrix,
+    make_at4,
+    make_fp_solv8,
+    make_hk12,
+    mat_mul,
+    random_form,
+)
 from hermitia.builders import builtin, sasaki_kahler_suspension
 from hermitia.cealg import wedge, wedge_power
 from hermitia.complexops import AlmostComplexStructure, bidegree
@@ -22,7 +30,6 @@ from hermitia.hyperbolic import (
     invariant_classes,
     poly_eval_matrix,
     power_iterate,
-    rational_matrix,
     real_roots_outside_unit,
     refine_interval,
     squarefree_part,
@@ -138,14 +145,14 @@ def test_criterion_5_trichotomy_suite():
 
         rng = random.Random(5005)
         gens = [
-            rational_matrix(pell),
-            rational_matrix([[3, -4], [-2, 3]]),
-            rational_matrix([[1, 0], [0, -1]]),
-            rational_matrix([[-1, 0], [0, -1]]),
+            fraction_rows(pell),
+            fraction_rows([[3, -4], [-2, 3]]),
+            fraction_rows([[1, 0], [0, -1]]),
+            fraction_rows([[-1, 0], [0, -1]]),
         ]
         seen = {"hyperbolic": 0, "elliptic": 0, "parabolic": 0}
         for _ in range(100):
-            m = rational_matrix([[1, 0], [0, 1]])
+            m = fraction_rows([[1, 0], [0, 1]])
             for _k in range(rng.randint(1, 6)):
                 m = mat_mul(m, gens[rng.randrange(4)])
             assert verify_isometry(m, lorentz).ok
@@ -167,8 +174,8 @@ def test_criterion_6_invariant_class_negativity():
     with criterion(6, "50 random hyperbolic isometries of rank-3 lattices: every invariant "
                       "class has exact q < 0"):
         rng = random.Random(6006)
-        pell = rational_matrix([[3, 4], [2, 3]])
-        pell_inv = rational_matrix([[3, -4], [-2, 3]])
+        pell = fraction_rows([[3, 4], [2, 3]])
+        pell_inv = fraction_rows([[3, -4], [-2, 3]])
         for _ in range(50):
             c = Fraction(rng.randint(1, 12), rng.randint(1, 5))
             lat = QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -c]])

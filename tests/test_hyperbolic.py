@@ -1,6 +1,7 @@
 """Quadratic lattices, the isometry trichotomy, invariant classes, power
 iteration, exact characteristic polynomials and Sturm machinery."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_zero_matrix, mat_mul
+from conftest import fraction_rows, is_zero_matrix, mat_mul
 from hermitia.hyperbolic import (
     Classification,
     LatticeError,
@@ -31,7 +32,6 @@ from hermitia.hyperbolic import (
     poly_eval_matrix,
     poly_mul,
     power_iterate,
-    rational_matrix,
     real_roots_outside_unit,
     refine_interval,
     sign_variations,
@@ -175,20 +175,19 @@ def test_trichotomy_exclusive_on_random_words(lorentz2):
         poly_eval_matrix,
         real_roots_outside_unit,
         squarefree_part,
-        rational_matrix,
         sturm_chain,
     )
 
     rng = random.Random(42)
-    pell = rational_matrix(PELL)
-    pell_inv = rational_matrix([[3, -4], [-2, 3]])
-    refl = rational_matrix([[1, 0], [0, -1]])
-    neg = rational_matrix([[-1, 0], [0, -1]])
+    pell = fraction_rows(PELL)
+    pell_inv = fraction_rows([[3, -4], [-2, 3]])
+    refl = fraction_rows([[1, 0], [0, -1]])
+    neg = fraction_rows([[-1, 0], [0, -1]])
     gens = [pell, pell_inv, refl, neg]
     labels = {"hyperbolic": 0, "elliptic": 0, "parabolic": 0}
     for _ in range(100):
         word_len = rng.randint(1, 6)
-        m = rational_matrix([[1, 0], [0, 1]])
+        m = fraction_rows([[1, 0], [0, 1]])
         for _k in range(word_len):
             m = mat_mul(m, gens[rng.randrange(4)])
         assert verify_isometry(m, lorentz2).ok
@@ -230,12 +229,12 @@ def test_invariant_classes_examples(lorentz2):
 
 def test_invariant_classes_randomized_negativity():
     rng = random.Random(43)
-    pell = rational_matrix(PELL)
-    pell_inv = rational_matrix([[3, -4], [-2, 3]])
+    pell = fraction_rows(PELL)
+    pell_inv = fraction_rows([[3, -4], [-2, 3]])
     for _ in range(50):
         c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         lat = QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -c]])
-        word = rational_matrix([[1, 0], [0, 1]])
+        word = fraction_rows([[1, 0], [0, 1]])
         for _k in range(rng.randint(1, 4)):
             word = mat_mul(word, pell if rng.random() < 0.7 else pell_inv)
         if word == ((1, 0), (0, 1)):
@@ -407,10 +406,6 @@ def square(elements, max_n=5):
     )
 
 
-def _fmat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def _fmul(a, b):
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
              for j in range(len(b[0]))] for i in range(len(a))]
@@ -431,8 +426,8 @@ def conjugated_isometries(draw):
     sp = sympy.Matrix(p)
     assume(sp.det() != 0)
     p_inv = [[Fraction(int(x.p), int(x.q)) for x in sp.inv().row(i)] for i in range(n)]
-    g2 = _fmul(_fmul(_ftranspose(p), _fmat(gram)), p)
-    m2 = _fmul(_fmul(p_inv, _fmat(m)), p)
+    g2 = _fmul(_fmul(_ftranspose(p), fraction_rows(gram)), p)
+    m2 = _fmul(_fmul(p_inv, fraction_rows(m)), p)
     return g2, m2
 
 
@@ -465,7 +460,7 @@ def test_verify_isometry_matches_fraction_residual(pair, bump, where):
 @given(p=st.lists(rationals, max_size=6), m=square(rationals, 4))
 def test_poly_eval_matrix_matches_fraction_horner(p, m):
     n = len(m)
-    m = _fmat(m)
+    m = fraction_rows(m)
     ref = [[Fraction(0)] * n for _ in range(n)]
     for c in reversed(p):
         ref = _fmul(ref, m)
@@ -499,22 +494,26 @@ def test_sturm_count_matches_sympy(roots, rest, a, b):
 @given(pair=conjugated_isometries(), bump=rationals)
 def test_power_iterate_refuses_like_classify(pair, bump):
     """power_iterate raises what it raised when it ran classify first: the
-    classify refusal, or the label without a dominant eigenvalue."""
+    classify refusal, or the label without a dominant eigenvalue; the same
+    with classify's verdict remembered and without it."""
+    from hermitia import hyperbolic
+
     gram, m = pair
     m[0][-1] += bump
     lattice = QuadraticLattice(gram)
     try:
         label = classify(m, lattice).label
     except LatticeError as e:
-        with pytest.raises(LatticeError) as err:
+        error, message = LatticeError, str(e)
+    else:
+        if label == "hyperbolic":
+            return
+        error, message = PowerIterationError, f"no dominant eigenvalue: isometry is {label}"
+    for _ in ("remembered", "cold"):
+        with pytest.raises(error) as err:
             power_iterate(m, lattice)
-        assert str(err.value) == str(e)
-        return
-    if label == "hyperbolic":
-        return
-    with pytest.raises(PowerIterationError) as err:
-        power_iterate(m, lattice)
-    assert str(err.value) == f"no dominant eigenvalue: isometry is {label}"
+        assert str(err.value) == message
+        hyperbolic._VERDICTS.clear()
 
 
 @pytest.mark.parametrize(
@@ -533,6 +532,9 @@ def test_power_iterate_refuses_like_classify(pair, bump):
     ids=["elliptic-2", "elliptic-3", "parabolic", "non-isometry", "definite", "signature-2-1"],
 )
 def test_power_iterate_error_messages(gram, m, error, message):
+    from hermitia import hyperbolic
+
+    hyperbolic._VERDICTS.clear()
     with pytest.raises(error) as err:
         power_iterate(m, QuadraticLattice(gram))
     assert type(err.value) is error and str(err.value) == message
@@ -820,17 +822,22 @@ def test_rational_isometry_classifies_through_sympy(monkeypatch, gram, m, degree
     assert float(a) - 1e-9 <= power_iterate(m, lattice).lam <= float(b) + 1e-9
 
 
-def test_lattices_cycle_makes_no_factor_list_call(monkeypatch):
-    """Integral isometries of diag(1, -1, .., -1) in dims 8-24, each a product
-    of 2-5 reflections conjugated by a signed permutation, as the lattices
-    benchmark draws them: none reaches sympy's factoring."""
-    calls = _counting_factor_list(monkeypatch)
-    rng = random.Random(20220826)
-    degrees = set()
+def lattice_cycle(seed=20220826):
+    """17 integral isometries of diag(1, -1, .., -1) in dims 8-24, each a
+    product of 2-5 reflections conjugated by a signed permutation, as the
+    lattices benchmark draws them; yields (n, M)."""
+    rng = random.Random(seed)
     for n in range(8, 25):
         m = reflection_product(rng, n, 2 + n % 4)
         perm, sign = [0] + rng.sample(range(1, n), n - 1), [rng.choice((-1, 1)) for _ in range(n)]
-        m = [[sign[i] * sign[j] * m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        yield n, [[sign[i] * sign[j] * m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_lattices_cycle_makes_no_factor_list_call(monkeypatch):
+    """No input of the lattice cycle reaches sympy's factoring."""
+    calls = _counting_factor_list(monkeypatch)
+    degrees = set()
+    for n, m in lattice_cycle():
         lattice = QuadraticLattice(lorentz_gram(n))
         res = classify(m, lattice)
         if res.label == "hyperbolic":
@@ -839,6 +846,26 @@ def test_lattices_cycle_makes_no_factor_list_call(monkeypatch):
     assert calls == []
     # both the quadratic-field and the numeric eigenvector paths were taken
     assert 2 in degrees and max(degrees) > 2
+
+
+# sha256 of the lattice cycle's labels, characteristic polynomials and exact
+# certificate fields, as computed with the dense Berkowitz loop
+PINNED_CYCLE = "0b825f38f7dc57134fb44f45d85579920269ae38920a6fb04354291d4ab28a49"
+NUMERIC_FIELDS = ("eigenvector", "eigenvector_residual")
+
+
+def test_lattice_cycle_certificates_are_pinned():
+    """Labels, characteristic polynomials and sorted exact certificate items
+    of the lattice cycle keep their bytes.  A numeric eigenvector's fields
+    come from numpy and are left out, so the hash does not depend on BLAS."""
+    digest = hashlib.sha256()
+    for n, m in lattice_cycle():
+        res = classify(m, QuadraticLattice(lorentz_gram(n)))
+        cert = res.certificate
+        if cert.get("eigenvector_field") == "numeric":
+            cert = {k: v for k, v in cert.items() if k not in NUMERIC_FIELDS}
+        digest.update(repr((res.label, char_poly(m), sorted(cert.items()))).encode())
+    assert digest.hexdigest() == PINNED_CYCLE
 
 
 # -- the boundary: one validation and one clearing per public call ------------
@@ -861,7 +888,7 @@ def test_every_public_entry_fails_closed(lorentz2, matrix, message):
     """Each public entry raises LatticeError naming the bad entry: no
     ZeroDivisionError or TypeError, and no bool read as an integer."""
     calls = [
-        rational_matrix, QuadraticLattice, char_poly, kernel_basis, spectral_radius_interval,
+        QuadraticLattice, char_poly, kernel_basis, spectral_radius_interval,
         lambda m: classify(m, lorentz2),
         lambda m: power_iterate(m, lorentz2),
         lambda m: invariant_classes(m, lorentz2),
@@ -906,8 +933,9 @@ def test_mixed_rows_clear_to_integer_rows_and_one_denominator():
 
     assert _exact([["3/2", 2], [Fraction(1, 3), "-5"]]) == (((9, 12), (2, -30)), 6)
     assert _exact([["6/2", 4], [2, 3]]) == (((3, 4), (2, 3)), 1)
-    assert rational_matrix([["3/2", 2], [1, 0]]) == (
-        (Fraction(3, 2), Fraction(2)), (Fraction(1), Fraction(0)))
+    # M = [[3/2, 2], [1, 0]] is A / 2, and det(t I - M) = t^2 - 3/2 t - 2
+    assert _exact([["3/2", 2], [1, 0]]) == (((3, 4), (2, 0)), 2)
+    assert char_poly([["3/2", 2], [1, 0]]) == [Fraction(-2), Fraction(-3, 2), Fraction(1)]
 
 
 def _four_ways(rows, d):
@@ -951,23 +979,30 @@ def test_representations_of_one_isometry_agree(seed, n, count, d):
     assert all(r == results[0] for r in results[1:])
 
 
-def test_char_poly_memo_serves_power_iterate_after_classify():
+def test_char_poly_memo_serves_power_iterate_after_classify(monkeypatch):
+    """power_iterate after classify on one matrix reads classify's verdict:
+    the pair runs Berkowitz once and builds one Sturm chain of the
+    characteristic polynomial (and one of its Pell factor)."""
     from hermitia import hyperbolic
 
     berkowitz = hyperbolic._berkowitz
     assert berkowitz.cache_info().maxsize == 8
     berkowitz.cache_clear()
+    built = []
+    real = hyperbolic.sturm_chain
+    monkeypatch.setattr(hyperbolic, "sturm_chain", lambda p: built.append(list(p)) or real(p))
     m = [[3, 4, 0], [2, 3, 0], [0, 0, -1]]
     lattice = QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -1]])
     assert classify(m, lattice).label == "hyperbolic"
     power_iterate(m, lattice)
     info = berkowitz.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
+    pell = [Fraction(1), Fraction(-6), Fraction(1)]
+    assert built == [char_poly(m), pell]
     # one entry changed: its own polynomial, not the cached one
     other = [[3, 4, 0], [2, 3, 0], [0, 0, 1]]
     p = char_poly(other)
     assert berkowitz.cache_info().misses == 2
-    pell = [Fraction(1), Fraction(-6), Fraction(1)]
     assert p == poly_mul(pell, [Fraction(-1), Fraction(1)])
     assert char_poly(m) == poly_mul(pell, [Fraction(1), Fraction(1)])
 
@@ -993,3 +1028,91 @@ def test_numeric_entries_round_like_fractions(rows, d):
 
     got = _floats(rows, d)
     assert [[float(Fraction(x, d)) for x in row] for row in rows] == got.tolist()
+
+
+# -- Berkowitz per strongly connected block -----------------------------------
+
+
+@st.composite
+def permuted_block_triangular(draw):
+    """P T P^T for a permutation P and an integer block-upper-triangular T
+    of dimension 0-14 with blocks of 1-5: zero, diagonal, a permutation
+    matrix (one cycle per block), blocks of varied density, or dense."""
+    n = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("zero", "diagonal", "permutation", "blocks", "dense")))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(5, n - sum(sizes)))))
+    block = [k for k, size in enumerate(sizes) for _ in range(size)]
+    first = [block.index(block[i]) for i in range(n)]
+    entry = st.integers(-4, 4).filter(bool)
+    density = draw(st.integers(1, 10))
+
+    def t(i, j):
+        if kind == "zero":
+            return 0
+        if kind == "diagonal":
+            return draw(entry) if i == j else 0
+        if kind == "permutation":
+            # i -> its successor in the cycle through i's block
+            nxt = i + 1 if i + 1 < n and block[i + 1] == block[i] else first[i]
+            return int(j == nxt)
+        if kind == "dense":
+            return draw(entry)
+        if block[i] > block[j] or draw(st.integers(1, 10)) > density:
+            return 0
+        return draw(entry)
+
+    rows = [[t(i, j) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return tuple(tuple(rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=permuted_block_triangular())
+def test_block_berkowitz_equals_the_dense_loop(a):
+    """det(t I - A) from the diagonal blocks of A's block-triangular form
+    equals the dense Berkowitz loop on the whole of A, coefficient for
+    coefficient."""
+    from hermitia.hyperbolic import _berkowitz, _berkowitz_dense
+
+    assert _berkowitz.__wrapped__(a) == (tuple(_berkowitz_dense(a)) if a else (1,))
+
+
+def _reachable(a, i):
+    seen, todo = {i}, [i]
+    while todo:
+        v = todo.pop()
+        for w, x in enumerate(a[v]):
+            if x and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_dense_loop_sees_no_block_above_the_largest_component(monkeypatch):
+    """On a 24-dim reflection product the dense loop runs once per strongly
+    connected component, never on more indices than the largest one has."""
+    from hermitia import hyperbolic
+
+    m = reflection_product(random.Random(7), 24, 4)
+    reach = [_reachable(m, i) for i in range(24)]
+    largest = max(sum(1 for j in reach[i] if i in reach[j]) for i in range(24))
+    sizes = []
+    real = hyperbolic._berkowitz_dense
+    monkeypatch.setattr(hyperbolic, "_berkowitz_dense", lambda b: sizes.append(len(b)) or real(b))
+    hyperbolic._berkowitz.cache_clear()
+    p = char_poly(m)
+    assert largest < 24 and sum(sizes) == 24 and max(sizes) == largest
+    assert p == [Fraction(c) for c in real(m)][::-1]
+
+
+def test_char_poly_of_a_long_shift_does_not_recurse():
+    """The component search keeps its own stack: the 1100-dim upper shift,
+    a path longer than the recursion limit, gives t^1100."""
+    from hermitia import hyperbolic
+
+    n = 1100
+    shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    assert char_poly(shift) == [Fraction(0)] * n + [Fraction(1)]
+    hyperbolic._berkowitz.cache_clear()

@@ -114,7 +114,7 @@ def test_hyperbolic_clears_each_input_only_at_its_boundary():
         for fn in defs:
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
-                        node.func.id in ("rational_matrix", "_cleared"):
+                        node.func.id == "_cleared":
                     callers.setdefault(node.func.id, set()).add(fn.name)
     assert callers == {"_cleared": {"_exact"}}, callers
 
