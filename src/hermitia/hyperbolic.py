@@ -27,7 +27,11 @@ Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
 Z[x]: Berkowitz's division-free characteristic polynomial (run on each
 diagonal block of the block-triangular form, and memoized on A), the
 isometry test, r(M), the squarefree part and the Sturm chain (primitive
-pseudo-remainder sequences), Sturm sign evaluation and the Q(lambda)
+pseudo-remainder sequences), Sturm sign evaluation, the bisections of
+``refine_interval`` and ``spectral_radius_interval`` (integer numerators
+over one denominator Q 2^k; the refinement reads only the sign of the
+squarefree member at each midpoint), the Gram matrix's signature (a
+division-free congruence), the lattice values q(v, w) and the Q(lambda)
 eigenvector (integer triples) each scale back to the same rationals they
 would have produced over Q.  The minimal polynomial of a hyperbolic
 eigenvalue of an integral characteristic polynomial with constant term +-1
@@ -136,6 +140,13 @@ def _cleared(m):
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
 
+def _over_common(v):
+    """A vector of rationals as integer numerators over their least common
+    denominator."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def _fractions(a):
     """Integer rows as rows of Fractions, for divisions; zeros share one."""
     return [[Fraction(x) if x else _ZERO for x in row] for row in a]
@@ -186,7 +197,9 @@ class QuadraticLattice:
         # each row of H as its nonzero (column, entry) pairs
         self._nonzero = tuple(tuple((k, g) for k, g in enumerate(row) if g) for row in h.rows)
         # H = e G with e > 0 has the signature of G
-        self.signature = congruence_signature(_fractions(h.rows), operator.not_, Fraction)
+        self.signature = congruence_signature(
+            [list(r) for r in h.rows], operator.not_, int, operator.floordiv
+        )
 
     @property
     def dim(self):
@@ -208,12 +221,13 @@ class QuadraticLattice:
         return [_as_fraction(x, f"seed vector entry {k}") for k, x in enumerate(v)]
 
     def value(self, v, w=None):
-        w = v if w is None else w
-        total = sum(
-            (g * v[i] * w[j] for i, row in enumerate(self._nonzero) for j, g in row),
-            Fraction(0),
-        )
-        return total / self.cleared.denom
+        """q(v, w) = v^T G w for rational vectors (ints or Fractions), as
+        one integer sum over the vectors' common denominators, then one
+        division."""
+        v, v_den = _over_common(v)
+        w, w_den = (v, v_den) if w is None else _over_common(w)
+        total = sum(x * sum(g * w[j] for j, g in row) for x, row in zip(v, self._nonzero) if x)
+        return Fraction(total, v_den * w_den * self.cleared.denom)
 
     def __repr__(self):
         return f"QuadraticLattice(dim={self.dim}, signature={self.signature})"
@@ -559,21 +573,48 @@ def isolate_real_roots(chain, lo, hi):
 
 
 def refine_interval(chain, a, b, width=Fraction(1, 10**12)):
-    """Bisect an isolating interval (a, b] below the given width; ``chain``
-    is the Sturm chain of the polynomial.  Each step evaluates the chain at
-    the midpoint only: the left end moves only past an interval without a
-    root, so its sign variations stay those at the original a."""
-    va = sign_variations(chain, a)
-    found = va - sign_variations(chain, b)
+    """Bisect an isolating interval (a, b] of a root lambda until it is at
+    most ``width`` wide; ``chain`` is the Sturm chain of the polynomial.
+
+    The Sturm counts V(a) - V(b) = 1 certify that lambda is the only root
+    in (a, b] of the chain's squarefree member p0, and a simple one, so p0
+    changes sign at lambda and nowhere else in (a, b].  Each of the
+    V(b) - V(+inf) roots above b flips the sign of p0 once more, so p0 has
+    the sign sigma = sign(lc p0) (-1)^(V(b) - V(+inf)) just right of
+    lambda, and lambda lies in (a, mid] exactly when p0(mid) = 0 or p0(mid)
+    has the sign sigma: the intervals are those of bisecting by Sturm
+    counts.  The ends are integer numerators over one denominator Q 2^k, and
+    each step is one homogeneous integer Horner sum of p0, with the
+    coefficients scaled by powers of Q once and by powers of 2 as shifts."""
+    if width <= 0:
+        raise LatticeError(f"refine width must be positive, got {width}")
+    width = Fraction(width)
+    vb = sign_variations(chain, b)
+    found = sign_variations(chain, a) - vb
     if found != 1:
         raise LatticeError(f"({a}, {b}] holds {found} roots, not exactly one")
-    while b - a > width:
-        mid = (a + b) / 2
-        if va - sign_variations(chain, mid) == 1:
-            b = mid
+    p0 = chain[0]
+    lead = [q[-1] > 0 for q in chain]
+    v_inf = sum(1 for x, y in zip(lead, lead[1:]) if x != y)
+    sigma = (p0[-1] > 0) == ((vb - v_inf) % 2 == 0)  # p0 > 0 just right of lambda
+    den = math.lcm(a.denominator, b.denominator)
+    lo = a.numerator * (den // a.denominator)
+    hi = b.numerator * (den // b.denominator)
+    # p0(m / (den 2^k)) (den 2^k)^deg = sum_j (c_(deg-j) den^j << k j) m^(deg-j)
+    scaled = [c * den**j for j, c in enumerate(reversed(p0))]
+    w_num, w_den = width.numerator, width.denominator
+    k = 0
+    while (hi - lo) * w_den > w_num * (den << k):
+        mid = lo + hi  # the midpoint's numerator over den 2^(k+1)
+        k += 1
+        v = 0
+        for j, c in enumerate(scaled):
+            v = v * mid + (c << k * j)
+        if v == 0 or (v > 0) == sigma:
+            lo, hi = lo << 1, mid
         else:
-            a = mid
-    return a, b
+            lo, hi = mid, hi << 1
+    return Fraction(lo, den << k), Fraction(hi, den << k)
 
 
 def real_roots_outside_unit(p, chain):
@@ -869,15 +910,24 @@ def _eigenvector_int_kernel(m, lam):
 
 
 def _quad_q_value(lattice, v):
-    """q(v, v) for a vector over Q(lambda), as a pair (a, b) = a + b lambda."""
-    total_a = total_b = Fraction(0)
-    for i, row in enumerate(lattice._nonzero):
-        for j, g in row:
-            prod = v[i] * v[j]
-            total_a += g * prod.a
-            total_b += g * prod.b
-    e = lattice.cleared.denom
-    return total_a / e, total_b / e
+    """q(v, v) for a vector over Q(lambda), as a pair (a, b) = a + b lambda.
+
+    With every entry (A + B y) / D over the entries' common denominator D,
+    q(v, v) = sum_i v_i (sum_j h_ij v_j) / e is one integer sum in Z[y],
+    where y^2 = S y + T, then one division; y = L lambda."""
+    s, t, lcm = v[0]._f
+    den = math.lcm(*(x._t[2] for x in v))
+    nums = [(x._t[0] * (den // x._t[2]), x._t[1] * (den // x._t[2])) for x in v]
+    total_a = total_b = 0
+    for (a, b), row in zip(nums, lattice._nonzero):
+        if a or b:
+            c = sum(g * nums[j][0] for j, g in row)
+            e = sum(g * nums[j][1] for j, g in row)
+            be = b * e
+            total_a += a * c + be * t
+            total_b += a * e + b * c + be * s
+    d = den * den * lattice.cleared.denom
+    return Fraction(total_a, d), Fraction(total_b * lcm, d)
 
 
 def _numeric_eigenvector(m, lam):
@@ -1071,8 +1121,11 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     Sturm counting on the squarefree part of its characteristic polynomial),
     the spectral radius of M is the square root of the largest absolute
     eigenvalue of M^2, and rational bounds follow by bisection.  Raises when
-    the square has non-real spectrum.
+    the square has non-real spectrum, and on a width that is not positive.
     """
+    if width <= 0:
+        raise LatticeError(f"spectral radius width must be positive, got {width}")
+    width = Fraction(width)
     a, d = _exact(matrix)
     # M^2 = A^2 / d^2, squared over the integers
     p2 = char_poly(_Exact(_mat_mul(a, a), d * d))
@@ -1099,20 +1152,32 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     s2 = max(Fraction(1), hi)
     while s2 * s2 < hi:
         s2 *= 2
-    s_lo = _bisect(Fraction(0), s2, lambda x: x * x <= lo, width / 2)[0]
-    return s_lo, _bisect(s_lo, s2, lambda x: x * x < hi, width / 2)[1]
+    top, den = s2.numerator, s2.denominator
+    half = width / 2
+    # x = m / w: x^2 <= lo as m^2 lo.den <= lo.num w^2, and x^2 < hi alike
+    s_lo, _, den = _bisect(
+        0, top, den, lambda m, w: m * m * lo.denominator <= lo.numerator * w * w, half
+    )
+    _, s_hi, den_hi = _bisect(
+        s_lo, top * (den // s2.denominator), den,
+        lambda m, w: m * m * hi.denominator < hi.numerator * w * w, half,
+    )
+    return Fraction(s_lo, den), Fraction(s_hi, den_hi)
 
 
-def _bisect(a, b, below, width):
-    """Halve [a, b] at most 200 times, until it is narrower than ``width``:
-    a midpoint where ``below`` holds becomes the lower end, any other the
-    upper end."""
+def _bisect(a, b, den, below, width):
+    """Halve [a / den, b / den] at most 200 times, until it is narrower than
+    ``width``: a midpoint m / w where ``below(m, w)`` holds becomes the lower
+    end, any other the upper end.  The ends stay integer numerators over one
+    denominator, doubled at each step; returns them and that denominator."""
+    w_num, w_den = width.numerator, width.denominator
     for _ in range(200):
-        mid = (a + b) / 2
-        if below(mid):
-            a = mid
+        mid = a + b
+        den <<= 1
+        if below(mid, den):
+            a, b = mid, b << 1
         else:
-            b = mid
-        if b - a < width:
+            a, b = a << 1, mid
+        if (b - a) * w_den < w_num * den:
             break
-    return a, b
+    return a, b, den

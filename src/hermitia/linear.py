@@ -2,14 +2,17 @@
 diagonalization, and matrix identities over the scalar field.
 
 ``rref`` and ``congruence_signature`` are hermitia's only eliminations.
-Their field contract: entries support ``+``, ``-``, ``*`` and ``/`` among
-themselves, and the caller passes the exact zero test.  One loop therefore
-serves the scalar field (zero test ``Scalar.is_zero``; the greedy coframe
-and half-frame selections are read off its pivot columns), the rationals of
-``scalars._alg_inverse`` and ``hyperbolic.kernel_basis`` (``operator.not_``)
-and the quadratic field Q(lambda) of ``hyperbolic._eigenvector_quadratic``.
-Every pivot decision is that zero test on exact values; nothing here is
-numeric.
+``rref``'s field contract: entries support ``+``, ``-``, ``*`` and ``/``
+among themselves, and the caller passes the exact zero test.  One loop
+therefore serves the scalar field (zero test ``Scalar.is_zero``; the greedy
+coframe and half-frame selections are read off its pivot columns), the
+rationals of ``scalars._alg_inverse`` and ``hyperbolic.kernel_basis``
+(``operator.not_``) and the quadratic field Q(lambda) of
+``hyperbolic._eigenvector_quadratic``.  ``congruence_signature`` needs only
+``+``, ``-``, ``*`` and an exact division the caller passes, so it runs on
+the integer Gram matrices of ``hyperbolic.QuadraticLattice`` as well as on
+Q(i) scalars.  Every pivot decision is a zero test on exact values; nothing
+here is numeric.
 
 ``solve``, ``rank``, ``invert``, ``det`` and ``hermitian_signature`` are the
 scalar-field entry points.  ``perfbench/tracer.py`` wraps them by name, so
@@ -19,6 +22,7 @@ Matrices are tuples/lists of rows of scalars.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -111,13 +115,27 @@ def rref(rows, ncols, is_zero):
     return pivots, values, swaps
 
 
-def congruence_signature(a, is_zero, to_rational):
+def congruence_signature(a, is_zero, to_rational, exact_div):
     """Signature (p, q, z) of a Hermitian matrix, given as a list of row
-    lists that is diagonalized in place by congruence.  Entries need
-    ``conjugate()`` (the identity on a real field); ``to_rational`` maps each
-    diagonal value to the rational whose sign is counted."""
+    lists that is reduced in place by congruence with no field division, so
+    integer rows stay integers.  Entries need ``conjugate()`` (the identity on
+    a real field); ``to_rational`` maps a diagonal value to the rational whose
+    sign is counted, and ``exact_div(x, y)`` divides where y is known to
+    divide x (``//`` on integers, ``/`` on a field).
+
+    A pivot d with column f below it is eliminated by row r <- d row r -
+    f_r row p, then the same on columns: a congruence by an invertible matrix
+    with the real d on its diagonal, which turns the trailing block X into
+    d (d X - f f^*).  The factor d and the previous pivot pi divide that
+    exactly (Sylvester's identity, as in Bareiss's elimination), so the
+    block is kept as (d X - f f^*) / pi, whose entries are minors of the
+    input and do not grow from step to step.  Each trailing block is thus a
+    nonzero real multiple pi S of the Schur complement S, and a pivot counts
+    positive when it has the sign of pi.  A pivot whose column is already
+    zero leaves the block and pi as they are."""
     n = len(a)
     p = q = 0
+    pi, pi_positive = 1, True  # the last pivot that eliminated
     for pos in range(n):
         piv = next((k for k in range(pos, n) if not is_zero(a[k][k])), None)
         if piv is None:
@@ -133,25 +151,25 @@ def congruence_signature(a, is_zero, to_rational):
             f = a[r][c]
             a[r] = [x + f * y for x, y in zip(a[r], a[c])]
             fc = f.conjugate()
-            for row in a:
+            for row in a[pos:]:
                 row[r] = row[r] + fc * row[c]
             piv = r
         if piv != pos:
             a[piv], a[pos] = a[pos], a[piv]
-            for row in a:
+            for row in a[pos:]:
                 row[piv], row[pos] = row[pos], row[piv]
         d = a[pos][pos]
-        if to_rational(d) > 0:
+        if (to_rational(d) > 0) == pi_positive:
             p += 1
         else:
             q += 1
-        factors = {r: a[r][pos] / d for r in range(pos + 1, n) if not is_zero(a[r][pos])}
-        for r, f in factors.items():
-            a[r] = [x - f * y for x, y in zip(a[r], a[pos])]
-        for r, f in factors.items():
-            fc = f.conjugate()
-            for row in a:
-                row[r] = row[r] - fc * row[pos]
+        if all(is_zero(a[r][pos]) for r in range(pos + 1, n)):
+            continue
+        prow = a[pos][pos + 1:]
+        for row in a[pos + 1:]:
+            f = row[pos]
+            row[pos + 1:] = [exact_div(d * x - f * y, pi) for x, y in zip(row[pos + 1:], prow)]
+        pi, pi_positive = d, to_rational(d) > 0
     return p, q, 0
 
 
@@ -210,7 +228,7 @@ def hermitian_signature(rows, table):
             if not (rows[r][c] - rows[c][r].conjugate()).is_zero():
                 raise LinearError("matrix is not Hermitian")
     return congruence_signature(
-        [list(row) for row in rows], _zero_test(table), _require_real_rational
+        [list(row) for row in rows], _zero_test(table), _require_real_rational, operator.truediv
     )
 
 

@@ -21,6 +21,7 @@ from hermitia.hyperbolic import (
     _cyclotomic,
     _cyclotomic_free,
     _min_poly_factor_for_interval,
+    _quad_q_value,
     _QuadNumber,
     char_poly,
     classify,
@@ -669,18 +670,126 @@ def _refine_reference(chain, a, b, width):
     return a, b
 
 
+WIDTHS = (Fraction(1, 1000), Fraction(1, 10**12), Fraction(1, 4 * 10**12))
+# dyadic roots land on bisection midpoints and on interval ends
+dyadic = st.builds(lambda k, e: Fraction(k, 2**e), st.integers(-40, 40), st.integers(0, 4))
+
+
 @PROPERTY
-@given(roots=st.lists(rationals, min_size=1, max_size=5), rest=st.lists(rationals, min_size=1, max_size=3),
-       lo=rationals, span=st.integers(1, 20))
+@given(roots=st.lists(st.one_of(rationals, dyadic), min_size=1, max_size=5),
+       rest=st.lists(rationals, min_size=1, max_size=3), lo=rationals, span=st.integers(1, 20))
 def test_bisection_keeps_the_reference_intervals(roots, rest, lo, span):
-    """Reusing the fixed endpoint's sign count changes no interval."""
+    """Reusing the fixed endpoint's sign count, and refining by the sign of
+    the squarefree member alone, change no interval."""
     assume(rest[-1] != 0)
     chain = sturm_chain(_poly_with_roots(roots, rest))
     ivs = isolate_real_roots(chain, lo, lo + span)
     assert ivs == _isolate_reference(chain, lo, lo + span)
     for a, b in ivs:
-        width = Fraction(1, 1000)
-        assert refine_interval(chain, a, b, width) == _refine_reference(chain, a, b, width)
+        for width in WIDTHS:
+            assert refine_interval(chain, a, b, width) == _refine_reference(chain, a, b, width)
+
+
+@pytest.mark.parametrize("roots, rest", [
+    # isolating (0, 4] splits at 2: the root 1 is the midpoint of (0, 2],
+    # then the right end of every later interval; 2 is the right end of
+    # (1, 2] and the left end of its neighbour (2, 4], whose midpoint is 3
+    ([1, 2, 3], [1]),
+    # the same with a repeated root and an irreducible factor x^2 - 2
+    ([1, 1, 2, 3, 3], [-2, 0, 1]),
+    # roots at dyadic midpoints several halvings deep, and a negative one
+    ([Fraction(5, 8), Fraction(3, 4), Fraction(-7, 16), 4], [3]),
+    ([Fraction(1, 2**20), Fraction(-1, 2**20), Fraction(1, 3)], [-1]),
+])
+def test_refined_roots_at_midpoints_and_ends(roots, rest):
+    p = _poly_with_roots([Fraction(r) for r in roots], [Fraction(c) for c in rest])
+    chain = sturm_chain(p)
+    ivs = isolate_real_roots(chain, Fraction(-4), Fraction(4))
+    assert ivs == _isolate_reference(chain, Fraction(-4), Fraction(4))
+    ends = {end for iv in ivs for end in iv}
+    for a, b in ivs:
+        for width in WIDTHS:
+            got = refine_interval(chain, a, b, width)
+            assert got == _refine_reference(chain, a, b, width)
+            assert got[1] - got[0] <= width
+            ends.update(got)
+    assert ends & {Fraction(r) for r in roots}  # some root is an interval end
+
+
+def test_refine_interval_builds_a_constant_number_of_fractions(monkeypatch):
+    """The bisection runs on integers: one call builds the same few
+    Fractions at width 1e-3 as at 1e-300."""
+    p = _poly_with_roots([Fraction(1, 3)], [Fraction(-2), Fraction(0), Fraction(1)])
+    chain = sturm_chain(p)
+    (a, b), = isolate_real_roots(chain, Fraction(1), Fraction(2))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for width in (Fraction(1, 10**3), Fraction(1, 10**300)):
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        made.clear()
+        got = refine_interval(chain, a, b, width)
+        monkeypatch.undo()
+        counts.append(len(made))
+        assert got == _refine_reference(chain, a, b, width)
+    assert counts[0] == counts[1] <= 3
+
+
+@pytest.mark.parametrize("width", [0, Fraction(0), Fraction(-1, 10**12), -1])
+def test_non_positive_widths_raise(width):
+    """Such a width would bisect forever; only the raise is tested."""
+    chain = sturm_chain([Fraction(-2), Fraction(0), Fraction(1)])
+    with pytest.raises(LatticeError, match=f"width must be positive, got {width}"):
+        refine_interval(chain, Fraction(1), Fraction(2), width)
+    with pytest.raises(LatticeError, match=f"width must be positive, got {width}"):
+        spectral_radius_interval(PELL, width)
+
+
+def _spectral_radius_reference(matrix, width=Fraction(1, 10**10)):
+    """spectral_radius_interval with Fraction bisections throughout."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    sf, _ = squarefree_part(char_poly(_fmul(m, m)))
+    chain = sturm_chain(sf)
+    bound = 1 + max((abs(c) for c in sf[:-1]), default=Fraction(0)) / abs(sf[-1])
+    if count_roots_halfopen(chain, -bound, bound) != len(sf) - 1:
+        return None
+    lo, hi = max(
+        (sorted(map(abs, _refine_reference(chain, a, b, width / 4))) for a, b in
+         _isolate_reference(chain, -bound, bound)),
+        key=lambda ab: ab[1],
+    )
+
+    def bisect(a, b, below):
+        for _ in range(200):
+            mid = (a + b) / 2
+            a, b = (mid, b) if below(mid) else (a, mid)
+            if b - a < width / 2:
+                break
+        return a, b
+
+    s2 = max(Fraction(1), hi)
+    while s2 * s2 < hi:
+        s2 *= 2
+    s_lo = bisect(Fraction(0), s2, lambda x: x * x <= lo)[0]
+    return s_lo, bisect(s_lo, s2, lambda x: x * x < hi)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.lists(rationals, min_size=15, max_size=15), n=st.integers(1, 5))
+def test_spectral_radius_matches_fraction_bisection(entries, n):
+    """Symmetric rational matrices have real spectra, so every draw is
+    certified; the integer bisections give the Fraction ones' ends."""
+    it = iter(entries)
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(it)
+    assert spectral_radius_interval(m) == _spectral_radius_reference(m)
 
 
 def _quad_reference(op, x, y, s, t):
@@ -711,6 +820,44 @@ def test_quad_number_triples_match_fraction_pairs(x, y, s, t, op):
     num_a, num_b, den = got._t
     assert den > 0 and math.gcd(num_a, num_b, den) == 1
     assert all(isinstance(v, int) for v in got._t + got._f)
+
+
+@st.composite
+def rational_grams(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.one_of(st.just(Fraction(0)), rationals))
+    return g
+
+
+@PROPERTY
+@given(data=st.data(), gram=rational_grams())
+def test_lattice_values_match_a_fraction_sum(data, gram):
+    n = len(gram)
+    entries = st.one_of(rationals, small)
+    v = data.draw(st.lists(entries, min_size=n, max_size=n))
+    w = data.draw(st.lists(entries, min_size=n, max_size=n))
+    lattice = QuadraticLattice(gram)
+    for x, y in ((v, v), (v, w)):
+        expected = sum((gram[i][j] * x[i] * y[j] for i in range(n) for j in range(n)), Fraction(0))
+        got = lattice.value(x) if y is x else lattice.value(x, y)
+        assert got == expected and isinstance(got, Fraction)
+
+
+@PROPERTY
+@given(data=st.data(), gram=rational_grams(), s=rationals, t=rationals)
+def test_quadratic_q_values_match_a_fraction_sum(data, gram, s, t):
+    n = len(gram)
+    v = [_QuadNumber(*data.draw(st.tuples(rationals, rationals)), s, t) for _ in range(n)]
+    total_a = total_b = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            prod = v[i] * v[j]
+            total_a += gram[i][j] * prod.a
+            total_b += gram[i][j] * prod.b
+    assert _quad_q_value(QuadraticLattice(gram), v) == (total_a, total_b)
 
 
 def _root(rng, n):

@@ -1,7 +1,9 @@
 """The exact row-reduction kernel and the congruence signature over the three
 fields hermitia eliminates in: Fraction, Q(i) scalars and Q(lambda)."""
 
+import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +214,114 @@ def test_hermitian_signature_matches_eigenvalue_signs(a):
     num = np.array([[complex(_sympy(x)) for x in row] for row in h])
     evs = np.linalg.eigvalsh(num)
     assert linear.hermitian_signature(h, QI) == _numeric_signature(evs, np.max(np.abs(evs)))
+
+
+def _signature_reference(a, is_zero, to_rational):
+    """Congruence diagonalization with field division, the loop that
+    ``congruence_signature`` ran before it became division-free: a pivot d
+    clears each row and column below it with the factor a_rp / d."""
+    n = len(a)
+    p = q = 0
+    for pos in range(n):
+        piv = next((k for k in range(pos, n) if not is_zero(a[k][k])), None)
+        if piv is None:
+            hot = next(
+                ((r, c) for r in range(pos, n) for c in range(r + 1, n) if not is_zero(a[r][c])),
+                None,
+            )
+            if hot is None:
+                return p, q, n - pos
+            r, c = hot
+            f = a[r][c]
+            a[r] = [x + f * y for x, y in zip(a[r], a[c])]
+            for row in a:
+                row[r] = row[r] + f.conjugate() * row[c]
+            piv = r
+        if piv != pos:
+            a[piv], a[pos] = a[pos], a[piv]
+            for row in a:
+                row[piv], row[pos] = row[pos], row[piv]
+        d = a[pos][pos]
+        if to_rational(d) > 0:
+            p += 1
+        else:
+            q += 1
+        factors = {r: a[r][pos] / d for r in range(pos + 1, n) if not is_zero(a[r][pos])}
+        for r, f in factors.items():
+            a[r] = [x - f * y for x, y in zip(a[r], a[pos])]
+        for r, f in factors.items():
+            for row in a:
+                row[r] = row[r] - f.conjugate() * row[pos]
+    return p, q, 0
+
+
+def _hermitian(a, zero_diagonal):
+    """a + a^*, with the diagonal zeroed on request."""
+    n = len(a)
+    h = [[a[i][j] + a[j][i].conjugate() for j in range(n)] for i in range(n)]
+    if zero_diagonal:
+        for i in range(n):
+            h[i][i] = h[i][i] - h[i][i]
+    return h
+
+
+@PROPERTY
+@given(a=square(st.integers(-9, 9), 7), zero_diagonal=st.booleans())
+def test_division_free_signature_matches_the_division_loop_on_integers(a, zero_diagonal):
+    gram = _hermitian(a, zero_diagonal)
+    expected = _signature_reference(
+        [[Fraction(x) for x in row] for row in gram], operator.not_, Fraction
+    )
+    rows = [list(row) for row in gram]
+    assert linear.congruence_signature(rows, operator.not_, int, operator.floordiv) == expected
+    assert all(isinstance(x, int) for row in rows for x in row)
+    assert QuadraticLattice(gram).signature == expected
+
+
+@PROPERTY
+@given(a=square(rationals, 6), zero_diagonal=st.booleans())
+def test_division_free_signature_matches_the_division_loop_on_rationals(a, zero_diagonal):
+    gram = _hermitian(a, zero_diagonal)
+    expected = _signature_reference([list(row) for row in gram], operator.not_, Fraction)
+    rows = [list(row) for row in gram]
+    assert linear.congruence_signature(rows, operator.not_, Fraction, operator.truediv) == expected
+    assert QuadraticLattice(gram).signature == expected
+
+
+@PROPERTY
+@given(a=gaussian_matrices(5), zero_diagonal=st.booleans())
+def test_division_free_signature_matches_the_division_loop_over_q_i(a, zero_diagonal):
+    h = _hermitian(a, zero_diagonal)
+    expected = _signature_reference(
+        [list(row) for row in h], Scalar.is_zero, linear._require_real_rational
+    )
+    assert linear.hermitian_signature(h, QI) == expected
+
+
+def test_signature_of_zero_diagonal_forms():
+    assert QuadraticLattice([[0, 1], [1, 0]]).signature == (1, 1, 0)
+    assert QuadraticLattice([[0, 1, 0], [1, 0, 0], [0, 0, 0]]).signature == (1, 1, 1)
+    assert QuadraticLattice([[0, 2, 3], [2, 0, 5], [3, 5, 0]]).signature == (1, 2, 0)
+    i = QI.i
+    h = ((QI.zero, i), (-i, QI.zero))
+    assert linear.hermitian_signature(h, QI) == (1, 1, 0)
+
+
+def test_signature_entries_stay_the_size_of_minors():
+    """Each eliminated block is divided by the previous pivot, so on a dense
+    24 x 24 integer form no entry outgrows Hadamard's bound on the minors;
+    without that division entry lengths would grow geometrically."""
+    rng = random.Random(24)
+    n, top = 24, 9
+    a = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+    gram = _hermitian(a, False)
+    rows = [list(row) for row in gram]
+    got = linear.congruence_signature(rows, operator.not_, int, operator.floordiv)
+    assert got == _signature_reference(
+        [[Fraction(x) for x in row] for row in gram], operator.not_, Fraction
+    )
+    hadamard_bits = n * math.log2(2 * top * math.sqrt(n)) + 1
+    assert max(abs(x).bit_length() for row in rows for x in row) <= hadamard_bits
 
 
 SQRT2 = SymbolTable([Symbol("s", relation=(2, "2"))])
