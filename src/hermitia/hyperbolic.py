@@ -31,13 +31,18 @@ pseudo-remainder sequences), Sturm sign evaluation, the bisections of
 ``refine_interval`` and ``spectral_radius_interval`` (integer numerators
 over one denominator Q 2^k; the refinement reads only the sign of the
 squarefree member at each midpoint), the Gram matrix's signature (a
-division-free congruence), the lattice values q(v, w) and the Q(lambda)
-eigenvector (integer triples) each scale back to the same rationals they
-would have produced over Q.  The minimal polynomial of a hyperbolic
-eigenvalue of an integral characteristic polynomial with constant term +-1
-is its squarefree part without cyclotomic factors; sympy factors only a
-non-integral one.  ``power_iterate`` after ``classify`` of one matrix on one
-Gram matrix reads classify's hyperbolic verdict instead of testing again.
+division-free congruence), the lattice values q(v, w) and the exact
+eigenvector of a rational or quadratic hyperbolic eigenvalue each scale
+back to the same rationals they would have produced over Q.  That
+eigenvector needs no elimination: for p = f g with f the eigenvalue's
+minimal polynomial, Cayley-Hamilton turns a nonzero column of g(M) into it,
+by integer matrix-vector products (``_eigenvector_coordinates``); only
+``kernel_basis`` row reduces, over Q.  The minimal polynomial of a
+hyperbolic eigenvalue of an integral characteristic polynomial with constant
+term +-1 is its squarefree part without cyclotomic factors; sympy factors
+only a non-integral one.  ``power_iterate`` after ``classify`` of one matrix
+on one Gram matrix reads classify's hyperbolic verdict instead of testing
+again.
 """
 
 from __future__ import annotations
@@ -171,12 +176,12 @@ def _mat_mul(a, b):
     )
 
 
-def _shifted(m, u, w=1):
-    """w A - d u I for M = A / d: an integer multiple of M - (u / w) I."""
+def _shifted(m, u):
+    """A - d u I for M = A / d: an integer multiple of M - u I."""
     a, d = m
     du = d * u
     return _Exact(
-        tuple(tuple(w * x - du if i == j else w * x for j, x in enumerate(row))
+        tuple(tuple(x - du if i == j else x for j, x in enumerate(row))
               for i, row in enumerate(a)),
         1,
     )
@@ -323,15 +328,9 @@ def _divmod_int(p, q):
     return quo, poly_trim(r[:dq])
 
 
-def _int_coeffs(p):
-    """Integers c and a positive integer L with p = c / L."""
-    lcm = math.lcm(*(x.denominator for x in p))
-    return [x.numerator * (lcm // x.denominator) for x in p], lcm
-
-
 def _int_poly(p):
     """The primitive integer positive multiple of a rational polynomial."""
-    c, _ = _int_coeffs(poly_trim(list(p)))
+    c, _ = _over_common(poly_trim(list(p)))
     return _primitive(c) if c else []
 
 
@@ -373,7 +372,7 @@ def _horner(p, m):
     n = len(a)
     if not p:
         return tuple((0,) * n for _ in range(n)), 1
-    c, lc = _int_coeffs(p)
+    c, lc = _over_common(p)
     deg = len(c) - 1
     out = tuple(tuple(c[deg] * (i == j) for j in range(n)) for i in range(n))
     for k in range(deg - 1, -1, -1):
@@ -621,16 +620,13 @@ def real_roots_outside_unit(p, chain):
     """Isolating intervals for real roots of p with absolute value above 1;
     ``chain`` is the Sturm chain of p."""
     bound = cauchy_bound(p)
-    out = []
-    out.extend(isolate_real_roots(chain, Fraction(1), bound))
-    out.extend(isolate_real_roots(chain, -bound, Fraction(-1)))
-    # drop an interval that only captured the endpoint -1 as a root
-    res = []
-    for a, b in out:
-        if b == -1:
-            continue
-        res.append((a, b))
-    return res
+    below = isolate_real_roots(chain, -bound, Fraction(-1))
+    # an interval (a, -1] isolates -1 itself exactly when -1 is a root
+    if below and below[-1][1] == -1 and not sum(
+        c if k % 2 == 0 else -c for k, c in enumerate(chain[0])
+    ):
+        below.pop()
+    return isolate_real_roots(chain, Fraction(1), bound) + below
 
 
 # ---------------------------------------------------------------------------
@@ -711,104 +707,67 @@ def _cyclotomic(k):
     return tuple(phi)
 
 
-class _QuadNumber:
-    """a + b x in Q(x) = Q[x]/(x^2 - s x - t), held as a normalized integer
-    triple (A, B, D) meaning (A + B y) / D, with D > 0 and gcd(A, B, D) = 1.
+def _eigenvector_coordinates(m, p, f):
+    """An eigenvector of M = A / d for a simple eigenvalue lambda with
+    minimal polynomial f (primitive over Z, degree k) and characteristic
+    polynomial p, as k integer vectors w_0, .., w_(k-1): the eigenvector is
+    sum_i lambda^i w_i, up to a nonzero rational factor.
 
-    y = L x for L the lcm of the denominators of s and t, so y^2 = S y + T
-    with the integers S = L s and T = L^2 t; the field is the triple
-    (S, T, L).  ``a`` and ``b`` are the Fraction coordinates in 1, x."""
-
-    __slots__ = ("_t", "_f")
-
-    def __init__(self, a, b, s, t):
-        self._f = f = _QuadNumber._field(s, t)
-        a, b = Fraction(a), Fraction(b) / f[2]
-        d = math.lcm(a.denominator, b.denominator)
-        self._t = (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
-
-    @staticmethod
-    def _field(s, t):
-        s, t = Fraction(s), Fraction(t)
-        lcm = math.lcm(s.denominator, t.denominator)
-        return int(s * lcm), int(t * lcm * lcm), lcm
-
-    @staticmethod
-    def _of(a, b, d, f):
-        g = math.gcd(a, b, d)
-        if d < 0:
-            g = -g
-        x = object.__new__(_QuadNumber)
-        x._t = (a // g, b // g, d // g) if g != 1 else (a, b, d)
-        x._f = f
-        return x
-
-    @property
-    def a(self):
-        return Fraction(self._t[0], self._t[2])
-
-    @property
-    def b(self):
-        return Fraction(self._t[1] * self._f[2], self._t[2])
-
-    def __bool__(self):
-        return bool(self._t[0] or self._t[1])
-
-    def __neg__(self):
-        a, b, d = self._t
-        return _QuadNumber._of(-a, -b, d, self._f)
-
-    def __sub__(self, o):
-        a, b, d = self._t
-        c, e, h = o._t
-        if d == h:
-            return _QuadNumber._of(a - c, b - e, d, self._f)
-        return _QuadNumber._of(a * h - c * d, b * h - e * d, d * h, self._f)
-
-    def __mul__(self, o):
-        a, b, d = self._t
-        c, e, h = o._t
-        s, t, _ = self._f
-        be = b * e
-        # (a + b y)(c + e y) = ac + (ae + bc) y + be y^2, y^2 = S y + T
-        return _QuadNumber._of(a * c + be * t, a * e + b * c + be * s, d * h, self._f)
-
-    def __truediv__(self, o):
-        a, b, d = self._t
-        c, e, h = o._t
-        s, t, _ = self._f
-        # conjugate root y' = S - y, y y' = -T, so the norm of c + e y is
-        # n = c^2 + c e S - e^2 T and (c + e y)^-1 = (c + e S - e y) / n
-        n = c * c + c * e * s - e * e * t
-        if n == 0:
-            raise ZeroDivisionError("non-invertible quadratic element")
-        u, w = c + e * s, -e
-        bw = b * w
-        return _QuadNumber._of(h * (a * u + bw * t), h * (a * w + b * u + bw * s), d * n, self._f)
-
-
-def _eigenvector_quadratic(m, s, t):
-    """Exact kernel vector of (M - lambda I) over Q(lambda), lambda^2 = s lambda + t.
-
-    Row reduces L A - d y I, which is L d (M - lambda I) for M = A / d and
-    y = L lambda: the same kernel, from integer entries."""
+    p = f g with g over Z (Gauss), and g(M) != 0 since lambda is simple, so
+    some column z of g(M) is nonzero and f(M) z = p(M) e_j = 0
+    (Cayley-Hamilton).  From f(x) - f(y) = (x - y) sum_i y^i sum_j
+    f_(j+1+i) x^j, the vector v = sum_i lambda^i u_i with
+    u_i = sum_j f_(j+1+i) M^j z has (M - lambda) v = f(M) z = 0, and
+    u_(k-1) = f_k z != 0.  On integers: z is d^deg(g) g(M) e_j by Horner,
+    U_i = d^(k-1-i) u_i by U_(k-1) = f_k z and U_i = A U_(i+1) +
+    d^(k-1-i) f_(i+1) z, and w_i = d^i U_i, so d^(k-1) v = sum_i lambda^i w_i."""
     a, d = m
     n = len(a)
-    f = _QuadNumber._field(s, t)
-    lcm = f[2]
-    rows = [
-        [_QuadNumber._of(lcm * x, -d if i == j else 0, 1, f) for j, x in enumerate(row)]
-        for i, row in enumerate(a)
+    g = _divmod_int(_int_poly(p), f)[0]
+    rows = [[(col, x) for col, x in enumerate(row) if x] for row in a]
+
+    def times_a(v):
+        return [sum(x * v[col] for col, x in row) for row in rows]
+
+    top = len(g) - 1
+    for j in range(n):
+        z = [0] * n
+        z[j] = g[top]
+        for i in range(top - 1, -1, -1):
+            z = times_a(z)
+            z[j] += g[i] * d ** (top - i)
+        if any(z):
+            break
+    else:
+        raise LatticeError("g(M) = 0: the eigenvalue is not simple (internal error)")
+    k = len(f) - 1
+    us = [[f[k] * x for x in z]]
+    for i in range(k - 2, -1, -1):
+        c = f[i + 1] * d ** (k - 1 - i)
+        us.append([y + c * x for y, x in zip(times_a(us[-1]), z)])
+    return [[d**i * x for x in u] for i, u in enumerate(reversed(us))]
+
+
+def _eigenvector_quadratic(m, p, f):
+    """The eigenvector for an eigenvalue lambda with quadratic minimal
+    polynomial f, as pairs (a, b) of Fractions meaning a + b lambda, divided
+    by its last nonzero entry: the vector that the free column of the reduced
+    echelon form of M - lambda I over Q(lambda) gives.
+
+    For f's primitive multiple (F0, F1, F2) the norm of c + e lambda is
+    N / F2 with N = F2 c^2 - F1 c e + F0 e^2, and
+    (a + b lambda) / (c + e lambda) = (a (F2 c - F1 e) + F0 b e
+    + F2 (b c - a e) lambda) / N."""
+    f = _int_poly(f)
+    f0, f1, f2 = f
+    w0, w1 = _eigenvector_coordinates(m, p, f)
+    c, e = next((x, y) for x, y in zip(reversed(w0), reversed(w1)) if x or y)
+    norm = f2 * c * c - f1 * c * e + f0 * e * e
+    u = f2 * c - f1 * e
+    return [
+        (Fraction(x * u + f0 * y * e, norm), Fraction(f2 * (y * c - x * e), norm))
+        for x, y in zip(w0, w1)
     ]
-    pivots, _, _ = rref(rows, n, operator.not_)
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        raise LatticeError("eigenvalue has no kernel (internal error)")
-    v = [_QuadNumber._of(0, 0, 1, f)] * n
-    v[free] = _QuadNumber._of(1, 0, 1, f)
-    for row, col in zip(rows, pivots):
-        v[col] = -row[free]
-    return v
 
 
 def classify(matrix, lattice: QuadraticLattice) -> Classification:
@@ -837,18 +796,17 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             "min_poly_degree": len(factor) - 1,
         }
         if len(factor) == 2:
-            lam = -factor[0] / factor[1]
-            ev = _eigenvector_int_kernel(m, lam)
+            ev = _eigenvector_int_kernel(m, p, factor)
             cert["eigenvector"] = ev
             cert["eigenvector_field"] = "rational"
             cert["q_value"] = lattice.value(ev)
         elif len(factor) == 3:
             s = -factor[1] / factor[2]
             t = -factor[0] / factor[2]
-            v = _eigenvector_quadratic(m, s, t)
-            cert["eigenvector"] = [(x.a, x.b) for x in v]
+            v = _eigenvector_quadratic(m, p, factor)
+            cert["eigenvector"] = v
             cert["eigenvector_field"] = f"quadratic: x^2 = {s}*x + {t}"
-            cert["q_value"] = _quad_q_value(lattice, v)
+            cert["q_value"] = _quad_q_value(lattice, v, s, t)
         else:
             lam_num = float((a + b) / 2)
             vec, res = _numeric_eigenvector(m, lam_num)
@@ -902,32 +860,36 @@ def _lorentzian(lattice):
     return p_ == 1 and z_ == 0 and q_ >= 1
 
 
-def _eigenvector_int_kernel(m, lam):
-    basis = kernel_basis(_shifted(m, lam.numerator, lam.denominator))
-    if not basis:
-        raise LatticeError("rational eigenvalue has empty kernel (internal error)")
-    return basis[0]
+def _eigenvector_int_kernel(m, p, f):
+    """The eigenvector for a rational eigenvalue with minimal polynomial f:
+    the primitive integer vector whose last nonzero entry is positive, which
+    is what ``kernel_basis`` gives for the one-dimensional kernel."""
+    (v,) = _eigenvector_coordinates(m, p, _int_poly(f))
+    g = math.gcd(*v)
+    if next(x for x in reversed(v) if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in v)
 
 
-def _quad_q_value(lattice, v):
-    """q(v, v) for a vector over Q(lambda), as a pair (a, b) = a + b lambda.
+def _quad_q_value(lattice, v, s, t):
+    """q(v, v) for a vector of pairs (a, b) meaning a + b lambda, with
+    lambda^2 = s lambda + t, as a pair in the same coordinates.
 
-    With every entry (A + B y) / D over the entries' common denominator D,
-    q(v, v) = sum_i v_i (sum_j h_ij v_j) / e is one integer sum in Z[y],
-    where y^2 = S y + T, then one division; y = L lambda."""
-    s, t, lcm = v[0]._f
-    den = math.lcm(*(x._t[2] for x in v))
-    nums = [(x._t[0] * (den // x._t[2]), x._t[1] * (den // x._t[2])) for x in v]
-    total_a = total_b = 0
+    With the 2n coordinates over one common denominator D and H = e G,
+    sum_ij h_ij v_i v_j = P + Q lambda + R lambda^2 is one integer sum, and
+    q(v, v) = (P + R t + (Q + R s) lambda) / (D^2 e)."""
+    flat, den = _over_common([x for pair in v for x in pair])
+    nums = list(zip(flat[::2], flat[1::2]))
+    p = q = r = 0
     for (a, b), row in zip(nums, lattice._nonzero):
         if a or b:
             c = sum(g * nums[j][0] for j, g in row)
             e = sum(g * nums[j][1] for j, g in row)
-            be = b * e
-            total_a += a * c + be * t
-            total_b += a * e + b * c + be * s
+            p += a * c
+            q += a * e + b * c
+            r += b * e
     d = den * den * lattice.cleared.denom
-    return Fraction(total_a, d), Fraction(total_b * lcm, d)
+    return Fraction(p + r * t, d), Fraction(q + r * s, d)
 
 
 def _numeric_eigenvector(m, lam):

@@ -2,13 +2,13 @@
 diagonalization, and matrix identities over the scalar field.
 
 ``rref`` and ``congruence_signature`` are hermitia's only eliminations.
-``rref``'s field contract: entries support ``+``, ``-``, ``*`` and ``/``
-among themselves, and the caller passes the exact zero test.  One loop
-therefore serves the scalar field (zero test ``Scalar.is_zero``; the greedy
-coframe and half-frame selections are read off its pivot columns), the
-rationals of ``scalars._alg_inverse`` and ``hyperbolic.kernel_basis``
-(``operator.not_``) and the quadratic field Q(lambda) of
-``hyperbolic._eigenvector_quadratic``.  ``congruence_signature`` needs only
+``rref``'s field contract: entries are ``Scalar``s or ``Fraction``s, which
+support ``+``, ``-``, ``*`` and ``/`` among themselves, and the caller
+passes the exact zero test.  One loop therefore serves the scalar field
+(zero test ``Scalar.is_zero``; the greedy coframe and half-frame selections
+are read off its pivot columns) and the rationals of
+``scalars._alg_inverse`` and ``hyperbolic.kernel_basis``
+(``operator.not_``).  ``congruence_signature`` needs only
 ``+``, ``-``, ``*`` and an exact division the caller passes, so it runs on
 the integer Gram matrices of ``hyperbolic.QuadraticLattice`` as well as on
 Q(i) scalars.  Every pivot decision is a zero test on exact values; nothing

@@ -4,6 +4,7 @@ iteration, exact characteristic polynomials and Sturm machinery."""
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,6 @@ from hermitia.hyperbolic import (
     _cyclotomic_free,
     _min_poly_factor_for_interval,
     _quad_q_value,
-    _QuadNumber,
     char_poly,
     classify,
     count_roots_halfopen,
@@ -120,6 +120,36 @@ def test_classify_pell_hyperbolic(lorentz2):
     assert res.certificate["min_poly_degree"] == 2
     # exact eigenvector over the quadratic field with q-value zero
     assert res.certificate["q_value"] == (Fraction(0), Fraction(0))
+
+
+def test_classify_negated_pell_hyperbolic(lorentz2):
+    """-PELL has the eigenvalue -3 - 2 sqrt 2 below -1, and -1 is no
+    eigenvalue: its isolating interval (a, -1] must be kept."""
+    neg = [[-3, -4], [-2, -3]]
+    res = classify(neg, lorentz2)
+    assert res.label == "hyperbolic"
+    a, b = res.certificate["lambda_interval"]
+    assert float(a) < -3 - 2 * math.sqrt(2) < float(b)
+    assert b - a < Fraction(1, 10**12)
+    assert Fraction("-5.9") < a and b < Fraction("-5.8")
+    assert res.certificate["eigenvector_field"] == "quadratic: x^2 = -6*x + -1"
+    assert res.certificate["q_value"] == (Fraction(0), Fraction(0))
+    assert float(a) - 1e-9 <= power_iterate(neg, lorentz2).lam <= float(b) + 1e-9
+
+
+def test_interval_at_minus_one_dropped_only_for_the_root_minus_one():
+    # (t^2 + 6 t + 1)(t + 1): -1 is a root on the unit circle, -3 - 2 sqrt 2 is not
+    p = poly_mul([Fraction(1), Fraction(6), Fraction(1)], [Fraction(1), Fraction(1)])
+    (a, b), = real_roots_outside_unit(p, sturm_chain(p))
+    assert a < -3 - 2 * math.sqrt(2) < b < -1
+    # t^2 + 6 t + 1 alone: its root below -1 is isolated in (a, -1]
+    p = [Fraction(1), Fraction(6), Fraction(1)]
+    (a, b), = real_roots_outside_unit(p, sturm_chain(p))
+    assert b == -1 and a < -3 - 2 * math.sqrt(2)
+    # (t + 1)^2 (t - 1): no root off the unit circle
+    p = poly_mul(poly_mul([Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]),
+                 [Fraction(-1), Fraction(1)])
+    assert real_roots_outside_unit(p, sturm_chain(p)) == []
 
 
 def test_classify_identity_elliptic(lorentz2):
@@ -792,34 +822,10 @@ def test_spectral_radius_matches_fraction_bisection(entries, n):
     assert spectral_radius_interval(m) == _spectral_radius_reference(m)
 
 
-def _quad_reference(op, x, y, s, t):
-    """Fraction-pair arithmetic in Q[x]/(x^2 - s x - t)."""
+def _quad_mul(x, y, s, t):
+    """(a + b x)(c + d x) in Q[x]/(x^2 - s x - t), as a pair."""
     (a, b), (c, d) = x, y
-    if op == "-":
-        return a - c, b - d
-    if op == "*":
-        return a * c + b * d * t, a * d + b * c + b * d * s
-    n = c * c + c * d * s - d * d * t
-    return _quad_reference("*", x, ((c + d * s) / n, -d / n), s, t)
-
-
-@PROPERTY
-@given(x=st.tuples(rationals, rationals), y=st.tuples(rationals, rationals),
-       s=rationals, t=rationals, op=st.sampled_from("-*/"))
-def test_quad_number_triples_match_fraction_pairs(x, y, s, t, op):
-    qx, qy = _QuadNumber(*x, s, t), _QuadNumber(*y, s, t)
-    n = y[0] * y[0] + y[0] * y[1] * s - y[1] * y[1] * t
-    if op == "/" and n == 0:
-        with pytest.raises(ZeroDivisionError, match="non-invertible quadratic element"):
-            qx / qy
-        return
-    got = {"-": qx.__sub__, "*": qx.__mul__, "/": qx.__truediv__}[op](qy)
-    assert (got.a, got.b) == _quad_reference(op, x, y, s, t)
-    assert ((-got).a, (-got).b) == (-got.a, -got.b)
-    assert bool(got) == (got.a != 0 or got.b != 0)
-    num_a, num_b, den = got._t
-    assert den > 0 and math.gcd(num_a, num_b, den) == 1
-    assert all(isinstance(v, int) for v in got._t + got._f)
+    return a * c + b * d * t, a * d + b * c + b * d * s
 
 
 @st.composite
@@ -850,14 +856,15 @@ def test_lattice_values_match_a_fraction_sum(data, gram):
 @given(data=st.data(), gram=rational_grams(), s=rationals, t=rationals)
 def test_quadratic_q_values_match_a_fraction_sum(data, gram, s, t):
     n = len(gram)
-    v = [_QuadNumber(*data.draw(st.tuples(rationals, rationals)), s, t) for _ in range(n)]
+    v = [data.draw(st.tuples(rationals, rationals)) for _ in range(n)]
     total_a = total_b = Fraction(0)
     for i in range(n):
         for j in range(n):
-            prod = v[i] * v[j]
-            total_a += gram[i][j] * prod.a
-            total_b += gram[i][j] * prod.b
-    assert _quad_q_value(QuadraticLattice(gram), v) == (total_a, total_b)
+            a, b = _quad_mul(v[i], v[j], s, t)
+            total_a += gram[i][j] * a
+            total_b += gram[i][j] * b
+    got = _quad_q_value(QuadraticLattice(gram), v, s, t)
+    assert got == (total_a, total_b) and all(isinstance(x, Fraction) for x in got)
 
 
 def _root(rng, n):
@@ -967,6 +974,98 @@ def test_rational_isometry_classifies_through_sympy(monkeypatch, gram, m, degree
     assert res.certificate["q_value"] in (0, (0, 0))
     a, b = res.certificate["lambda_interval"]
     assert float(a) - 1e-9 <= power_iterate(m, lattice).lam <= float(b) + 1e-9
+
+
+_FIELD = re.compile(r"quadratic: x\^2 = (\S+)\*x \+ (\S+)")
+
+
+def _check_exact_eigenvector(m, res):
+    """The hyperbolic certificate's exact eigenvector v satisfies
+    (M - x I) v = 0 mod f and is normalized: a rational one is the primitive
+    integer vector with positive last nonzero entry, a quadratic one has the
+    last nonzero entry 1; f has a root in the certified interval."""
+    m = fraction_rows(m)
+    cert = res.certificate
+    lo, hi = cert["lambda_interval"]
+    v = cert["eigenvector"]
+    if cert["eigenvector_field"] == "rational":
+        assert cert["min_poly_degree"] == 1
+        assert all(isinstance(x, Fraction) and x.denominator == 1 for x in v)
+        assert math.gcd(*(int(x) for x in v)) == 1
+        k = max(i for i, x in enumerate(v) if x)
+        assert v[k] > 0
+        lam = sum(x * y for x, y in zip(m[k], v)) / v[k]
+        assert lo < lam <= hi
+        assert [sum(x * y for x, y in zip(row, v)) for row in m] == [lam * x for x in v]
+        assert kernel_basis([[x - lam * (i == j) for j, x in enumerate(row)]
+                             for i, row in enumerate(m)]) == [tuple(v)]
+        return
+    assert cert["min_poly_degree"] == 2
+    s, t = (Fraction(x) for x in _FIELD.fullmatch(cert["eigenvector_field"]).groups())
+    assert (lo * lo - s * lo - t) * (hi * hi - s * hi - t) <= 0
+    assert [x for x in v if any(x)][-1] == (1, 0)
+    for row, (a, b) in zip(m, v):
+        mv = (sum(x * c for x, (c, _) in zip(row, v)), sum(x * e for x, (_, e) in zip(row, v)))
+        assert mv == _quad_mul((0, 1), (a, b), s, t)
+
+
+# hyperbolic (gram, isometry) pairs: a rational eigenvalue (2, through sympy),
+# quadratic ones through the integral path and through sympy, and negations
+HYPERBOLIC = [
+    ([[1, 0], [0, -1]], [["5/4", "3/4"], ["3/4", "5/4"]]),
+    ([[1, 0], [0, -1]], [["-5/4", "-3/4"], ["-3/4", "-5/4"]]),
+    (DIAG12, PELL),
+    (DIAG12, [[-3, -4], [-2, -3]]),
+    ([[1, 0, 0], [0, -2, 0], [0, 0, -1]], [["9/7", "8/7", 0], ["4/7", "9/7", 0], [0, 0, 1]]),
+    ([[1, 0, 0], [0, -2, 0], [0, 0, -1]], [[3, 4, 0], [2, 3, 0], [0, 0, -1]]),
+]
+
+
+@pytest.mark.parametrize("gram, m", HYPERBOLIC)
+def test_exact_eigenvectors_verify(gram, m):
+    res = classify(m, QuadraticLattice(gram))
+    assert res.label == "hyperbolic"
+    _check_exact_eigenvector(m, res)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_conjugated_exact_eigenvectors_verify(data):
+    """P^T G P and P^-1 M P for random rational P: non-integral matrices
+    (d > 1) with rational and quadratic eigenvalues."""
+    gram, m = data.draw(st.sampled_from(HYPERBOLIC))
+    n = len(m)
+    p = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    sp = sympy.Matrix(p)
+    assume(sp.det() != 0)
+    p_inv = [[Fraction(int(x.p), int(x.q)) for x in sp.inv().row(i)] for i in range(n)]
+    g2 = _fmul(_fmul(_ftranspose(p), fraction_rows(gram)), p)
+    m2 = _fmul(_fmul(p_inv, fraction_rows(m)), p)
+    res = classify(m2, QuadraticLattice(g2))
+    assert res.label == "hyperbolic"
+    _check_exact_eigenvector(m2, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 12), count=st.integers(3, 4),
+       sign=st.sampled_from((1, -1)))
+def test_reflection_product_eigenvectors_verify(seed, n, count, sign):
+    """Integral isometries whose hyperbolic eigenvalue is quadratic, as for
+    about 40% of products of three reflections, and their negations."""
+    m = [[sign * x for x in row] for row in reflection_product(random.Random(seed), n, count)]
+    res = classify(m, QuadraticLattice(lorentz_gram(n)))
+    assume(res.label == "hyperbolic" and res.certificate["min_poly_degree"] <= 2)
+    _check_exact_eigenvector(m, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 12), count=st.integers(2, 6))
+def test_negation_keeps_the_label(seed, n, count):
+    """-M is an isometry with the negated eigenvalues, so it has M's kind."""
+    m = reflection_product(random.Random(seed), n, count)
+    lattice = QuadraticLattice(lorentz_gram(n))
+    neg = [[-x for x in row] for row in m]
+    assert classify(neg, lattice).label == classify(m, lattice).label
 
 
 def lattice_cycle(seed=20220826):

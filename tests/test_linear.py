@@ -1,5 +1,6 @@
-"""The exact row-reduction kernel and the congruence signature over the three
-fields hermitia eliminates in: Fraction, Q(i) scalars and Q(lambda)."""
+"""The exact row-reduction kernel and the congruence signature over the two
+fields hermitia eliminates in, Fraction and Q(i) scalars, and the
+Cayley-Hamilton eigenvector over Q(lambda) that needs no elimination."""
 
 import math
 import operator
@@ -17,7 +18,6 @@ from hermitia.hyperbolic import (
     QuadraticLattice,
     _eigenvector_quadratic,
     _exact,
-    _QuadNumber,
     char_poly,
     kernel_basis,
 )
@@ -25,8 +25,6 @@ from hermitia.scalars import Scalar, ScalarError, Symbol, SymbolTable, _alg_inve
 
 PROPERTY = settings(max_examples=60, deadline=None)
 QI = SymbolTable()
-# lambda^2 = lambda + 1: the golden ratio, an irreducible quadratic
-GOLDEN = (Fraction(1), Fraction(1))
 
 small = st.integers(-4, 4)
 rationals = st.builds(Fraction, small, st.integers(1, 3))
@@ -36,14 +34,9 @@ def gaussian(a, b):
     return QI.scalar(a) + QI.scalar(b) * QI.i
 
 
-def quad(a, b=Fraction(0)):
-    return _QuadNumber(Fraction(a), Fraction(b), *GOLDEN)
-
-
 FIELDS = {
     "fraction": (st.builds(Fraction, small), operator.not_, Fraction(1), Fraction(0)),
     "gaussian": (st.builds(gaussian, rationals, small), Scalar.is_zero, QI.one, QI.zero),
-    "golden": (st.builds(quad, small, small), operator.not_, quad(1), quad(0)),
 }
 
 
@@ -54,10 +47,9 @@ def square(elements, max_n=4):
 
 
 def dot(row, col, zero):
-    # Q(lambda) numbers only subtract, so sums are written as differences
     acc = zero
     for x, y in zip(row, col):
-        acc = acc - (-(x * y)) if isinstance(acc, _QuadNumber) else acc + x * y
+        acc = acc + x * y
     return acc
 
 
@@ -94,8 +86,6 @@ def _sympy_det(a):
 
 
 def _sympy(x):
-    if isinstance(x, _QuadNumber):
-        return x.a + x.b * (1 + sympy.sqrt(5)) / 2
     if isinstance(x, Scalar):
         re, im = (x + x.conjugate()) / 2, (x - x.conjugate()) / (2 * QI.i)
         return sympy.Rational(re.as_rational()) + sympy.I * sympy.Rational(im.as_rational())
@@ -356,13 +346,17 @@ def test_quadratic_eigenvector_is_an_eigenvector(block, rest, p):
     diag[0][:2], diag[1][:2] = [Fraction(a), Fraction(b)], [Fraction(c), Fraction(d)]
     for i in range(k):
         diag[2 + i][2:] = [Fraction(x) for x in rest[i]]
+    # the construction needs lambda simple: no root of x^2 - s x - t in rest
+    y = sympy.Symbol("y")
+    assume(sympy.rem(sympy.Matrix(rest).charpoly(y).as_expr(), y**2 - s * y - t, y) != 0)
     pm = sympy.Matrix(n, n, lambda i, j: p[i][j] if i < len(p) and j < len(p) else int(i == j))
     assume(pm.det() != 0)
     conj = pm * sympy.Matrix(diag) * pm.inv()
     m = [[Fraction(int(x.p), int(x.q)) for x in conj.row(i)] for i in range(n)]
-    v = _eigenvector_quadratic(_exact(m), s, t)  # the kernel takes cleared rows
-    assert any(v)
-    lam, zero = _QuadNumber(Fraction(0), Fraction(1), s, t), _QuadNumber(Fraction(0), Fraction(0), s, t)
-    for i in range(n):
-        mv = dot([_QuadNumber(x, Fraction(0), s, t) for x in m[i]], v, zero)
-        assert not (mv - lam * v[i])
+    # the kernel takes cleared rows
+    v = _eigenvector_quadratic(_exact(m), char_poly(m), [-t, -s, Fraction(1)])
+    assert [e for e in v if any(e)][-1] == (1, 0)
+    ones, lams = [u for u, _ in v], [w for _, w in v]
+    for row, (u, w) in zip(m, v):
+        # (M v)_i = lambda v_i = lambda (u + w lambda) = w t + (u + w s) lambda
+        assert (dot(row, ones, 0), dot(row, lams, 0)) == (w * t, u + w * s)

@@ -133,3 +133,18 @@ def test_exterior_products_share_one_kernel():
                     if getattr(f, "id", getattr(f, "attr", None)) == "_merge_signed":
                         callers.add(f"{path.name}:{fn.name}")
     assert callers == {"cealg.py:_add_products", "cealg.py:_d_terms"}, callers
+
+
+def test_hyperbolic_row_reduces_only_in_kernel_basis():
+    """Inside ``hyperbolic.py`` only ``kernel_basis`` names ``rref``: the
+    hyperbolic eigenvectors come from Cayley-Hamilton, so no second field
+    (such as Q(lambda)) is row reduced there."""
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    users = set()
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom):
+            continue
+        for node in ast.walk(top):
+            if getattr(node, "id", getattr(node, "attr", None)) == "rref":
+                users.add(getattr(top, "name", "<module>"))
+    assert users == {"kernel_basis"}, users
