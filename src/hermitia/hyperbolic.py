@@ -27,22 +27,26 @@ Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
 Z[x]: Berkowitz's division-free characteristic polynomial (run on each
 diagonal block of the block-triangular form, and memoized on A), the
 isometry test, r(M), the squarefree part and the Sturm chain (primitive
-pseudo-remainder sequences), Sturm sign evaluation, the bisections of
-``refine_interval`` and ``spectral_radius_interval`` (integer numerators
-over one denominator Q 2^k; the refinement reads only the sign of the
-squarefree member at each midpoint), the Gram matrix's signature (a
-division-free congruence), the lattice values q(v, w) and the exact
-eigenvector of a rational or quadratic hyperbolic eigenvalue each scale
-back to the same rationals they would have produced over Q.  That
-eigenvector needs no elimination: for p = f g with f the eigenvalue's
-minimal polynomial, Cayley-Hamilton turns a nonzero column of g(M) into it,
-by integer matrix-vector products (``_eigenvector_coordinates``); only
-``kernel_basis`` row reduces, over Q.  The minimal polynomial of a
-hyperbolic eigenvalue of an integral characteristic polynomial with constant
-term +-1 is its squarefree part without cyclotomic factors; sympy factors
-only a non-integral one.  ``power_iterate`` after ``classify`` of one matrix
-on one Gram matrix reads classify's hyperbolic verdict instead of testing
-again.
+pseudo-remainder sequences), the Gram matrix's signature (a division-free
+congruence), the lattice values q(v, w) (of x + lambda y from q(x), q(x, y)
+and q(y)) and the exact eigenvector of a rational or quadratic hyperbolic
+eigenvalue each scale back to the same rationals they would have produced
+over Q.  Every Sturm root search takes a point as integers u / w: one
+evaluator, ``_at``, gives w^deg q(u / w) for the sign counts, the refinement
+and the test of the root -1; isolation halves integer ends whose denominator
+doubles at each halving, building Fractions only for the intervals it
+returns; and one loop with no step cap, ``_bisect``, halves while wider than
+the asked width, for ``refine_interval`` (reading the sign of the squarefree
+member alone) and both square-root bounds of ``spectral_radius_interval``.
+The exact eigenvector needs no elimination: for p = f g with f the
+eigenvalue's minimal polynomial, Cayley-Hamilton turns a nonzero column of
+g(M) into it, by integer matrix-vector products
+(``_eigenvector_coordinates``); only ``kernel_basis`` row reduces, over Q.
+The minimal polynomial of a hyperbolic eigenvalue of an integral
+characteristic polynomial with constant term +-1 is its squarefree part
+without cyclotomic factors; sympy factors only a non-integral one.
+``power_iterate`` after ``classify`` of one matrix on one Gram matrix reads
+classify's hyperbolic verdict instead of testing again.
 """
 
 from __future__ import annotations
@@ -522,20 +526,25 @@ def sturm_chain(p):
     return chain
 
 
+def _at(q, u, w):
+    """The integer w^deg q(u / w) = sum_k c_k u^k w^(deg - k) for integers u
+    and w > 0: it has the sign of q(u / w)."""
+    v, wk = 0, 1
+    for c in reversed(q):
+        v = v * u + c * wk
+        wk *= w
+    return v
+
+
+def _variations(chain, u, w):
+    """Sign changes along the chain at u / w, for w > 0."""
+    signs = [v > 0 for v in (_at(q, u, w) for q in chain) if v]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
 def sign_variations(chain, x):
-    """Sign changes along the chain at x = u / w, evaluated as the integer
-    w^deg q(u / w) = sum_k c_k u^k w^(deg - k), which has the sign of q(x)."""
-    u, w = x.numerator, x.denominator
-    signs = []
-    for q in chain:
-        v = 0
-        wk = 1
-        for c in reversed(q):
-            v = v * u + c * wk
-            wk *= w
-        if v != 0:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    """Sign changes along the chain at the rational x."""
+    return _variations(chain, x.numerator, x.denominator)
 
 
 def count_roots_halfopen(chain, a, b):
@@ -551,24 +560,24 @@ def cauchy_bound(p):
 
 def isolate_real_roots(chain, lo, hi):
     """Disjoint isolating intervals (a, b] for the distinct roots in (lo, hi]
-    of the polynomial whose Sturm chain is ``chain``."""
+    of the polynomial whose Sturm chain is ``chain``, in increasing order.
+
+    The ends are integer numerators over one denominator per interval, which
+    doubles at each halving; only the returned ends become Fractions."""
+    (a, b), den = _over_common((lo, hi))
+    work = [(a, b, den, _variations(chain, a, den), _variations(chain, b, den))]
     out = []
-
-    def rec(a, b, va, vb):
-        k = va - vb
-        if k == 0:
-            return
-        if k == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        vm = sign_variations(chain, mid)
-        # half-open intervals: a root exactly at mid lands in (a, mid]
-        rec(a, mid, va, vm)
-        rec(mid, b, vm, vb)
-
-    rec(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))
-    return sorted(out)
+    while work:
+        a, b, den, va, vb = work.pop()
+        if va - vb == 1:
+            out.append((Fraction(a, den), Fraction(b, den)))
+        elif va > vb:
+            # half-open intervals: a root exactly at the midpoint lands in (a, mid];
+            # the right half goes on the stack first, so the left one is done first
+            mid, den = a + b, den << 1
+            vm = _variations(chain, mid, den)
+            work += [(mid, b << 1, den, vm, vb), (a << 1, mid, den, va, vm)]
+    return out
 
 
 def refine_interval(chain, a, b, width=Fraction(1, 10**12)):
@@ -582,38 +591,41 @@ def refine_interval(chain, a, b, width=Fraction(1, 10**12)):
     the sign sigma = sign(lc p0) (-1)^(V(b) - V(+inf)) just right of
     lambda, and lambda lies in (a, mid] exactly when p0(mid) = 0 or p0(mid)
     has the sign sigma: the intervals are those of bisecting by Sturm
-    counts.  The ends are integer numerators over one denominator Q 2^k, and
-    each step is one homogeneous integer Horner sum of p0, with the
-    coefficients scaled by powers of Q once and by powers of 2 as shifts."""
+    counts, found by ``_bisect`` from one evaluation of p0 per step."""
     if width <= 0:
         raise LatticeError(f"refine width must be positive, got {width}")
-    width = Fraction(width)
     vb = sign_variations(chain, b)
     found = sign_variations(chain, a) - vb
     if found != 1:
         raise LatticeError(f"({a}, {b}] holds {found} roots, not exactly one")
     p0 = chain[0]
     lead = [q[-1] > 0 for q in chain]
-    v_inf = sum(1 for x, y in zip(lead, lead[1:]) if x != y)
+    v_inf = sum(map(operator.ne, lead, lead[1:]))
     sigma = (p0[-1] > 0) == ((vb - v_inf) % 2 == 0)  # p0 > 0 just right of lambda
-    den = math.lcm(a.denominator, b.denominator)
-    lo = a.numerator * (den // a.denominator)
-    hi = b.numerator * (den // b.denominator)
-    # p0(m / (den 2^k)) (den 2^k)^deg = sum_j (c_(deg-j) den^j << k j) m^(deg-j)
-    scaled = [c * den**j for j, c in enumerate(reversed(p0))]
+
+    def upper(m, w):
+        v = _at(p0, m, w)
+        return v == 0 or (v > 0) == sigma
+
+    (lo, hi), den = _over_common((a, b))
+    lo, hi, den = _bisect(lo, hi, den, upper, Fraction(width))
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _bisect(a, b, den, upper, width):
+    """Halve [a / den, b / den] while it is wider than ``width``: a midpoint
+    m / w where ``upper(m, w)`` holds becomes the upper end, any other the
+    lower end.  The ends stay integer numerators over one denominator,
+    doubled at each step; returns them and that denominator.  ``width`` must
+    be positive, else the loop would not end."""
     w_num, w_den = width.numerator, width.denominator
-    k = 0
-    while (hi - lo) * w_den > w_num * (den << k):
-        mid = lo + hi  # the midpoint's numerator over den 2^(k+1)
-        k += 1
-        v = 0
-        for j, c in enumerate(scaled):
-            v = v * mid + (c << k * j)
-        if v == 0 or (v > 0) == sigma:
-            lo, hi = lo << 1, mid
+    while (b - a) * w_den > w_num * den:
+        mid, den = a + b, den << 1
+        if upper(mid, den):
+            a, b = a << 1, mid
         else:
-            lo, hi = mid, hi << 1
-    return Fraction(lo, den << k), Fraction(hi, den << k)
+            a, b = mid, b << 1
+    return a, b, den
 
 
 def real_roots_outside_unit(p, chain):
@@ -622,9 +634,7 @@ def real_roots_outside_unit(p, chain):
     bound = cauchy_bound(p)
     below = isolate_real_roots(chain, -bound, Fraction(-1))
     # an interval (a, -1] isolates -1 itself exactly when -1 is a root
-    if below and below[-1][1] == -1 and not sum(
-        c if k % 2 == 0 else -c for k, c in enumerate(chain[0])
-    ):
+    if below and below[-1][1] == -1 and not _at(chain[0], -1, 1):
         below.pop()
     return isolate_real_roots(chain, Fraction(1), bound) + below
 
@@ -873,23 +883,11 @@ def _eigenvector_int_kernel(m, p, f):
 
 def _quad_q_value(lattice, v, s, t):
     """q(v, v) for a vector of pairs (a, b) meaning a + b lambda, with
-    lambda^2 = s lambda + t, as a pair in the same coordinates.
-
-    With the 2n coordinates over one common denominator D and H = e G,
-    sum_ij h_ij v_i v_j = P + Q lambda + R lambda^2 is one integer sum, and
-    q(v, v) = (P + R t + (Q + R s) lambda) / (D^2 e)."""
-    flat, den = _over_common([x for pair in v for x in pair])
-    nums = list(zip(flat[::2], flat[1::2]))
-    p = q = r = 0
-    for (a, b), row in zip(nums, lattice._nonzero):
-        if a or b:
-            c = sum(g * nums[j][0] for j, g in row)
-            e = sum(g * nums[j][1] for j, g in row)
-            p += a * c
-            q += a * e + b * c
-            r += b * e
-    d = den * den * lattice.cleared.denom
-    return Fraction(p + r * t, d), Fraction(q + r * s, d)
+    lambda^2 = s lambda + t, as a pair in the same coordinates: for
+    v = x + lambda y, q(v) = q(x) + t q(y) + (2 q(x, y) + s q(y)) lambda."""
+    x, y = zip(*v)
+    qy = lattice.value(y)
+    return lattice.value(x) + t * qy, 2 * lattice.value(x, y) + s * qy
 
 
 def _numeric_eigenvector(m, lam):
@@ -918,16 +916,15 @@ def kernel_basis(matrix):
     for free in range(cols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
+        v = [0] * cols
+        v[free] = 1
         for row, col in zip(m, pivots):
             v[col] = -row[free]
-        den_lcm = math.lcm(*(x.denominator for x in v))
-        v = [x * den_lcm for x in v]
-        num_gcd = math.gcd(*(x.numerator for x in v))
-        if num_gcd > 1:
-            v = [x / num_gcd for x in v]
-        basis.append(tuple(v))
+        # primitive over the lcm L of its denominators: each prime power that
+        # exactly divides L exactly divides some entry's denominator, and
+        # that entry's numerator over L is prime to it
+        v, _ = _over_common(v)
+        basis.append(tuple(map(Fraction, v)))
     return basis
 
 
@@ -1110,36 +1107,17 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     if best is None:
         raise LatticeError("matrix has no eigenvalues (empty spectrum?)")
     lo, hi = best
-    # rational bounds on sqrt: s_lo^2 <= lo, s_hi^2 >= hi, s_hi - s_lo small
+    # rational bounds s_lo^2 <= lo and s_hi^2 >= hi by bisecting [0, s2], for
+    # s2 = max(1, hi) >= sqrt(hi); x = m / w has x^2 > lo as
+    # m^2 lo.den > lo.num w^2, and x^2 >= hi alike
     s2 = max(Fraction(1), hi)
-    while s2 * s2 < hi:
-        s2 *= 2
-    top, den = s2.numerator, s2.denominator
+    top = s2.numerator
     half = width / 2
-    # x = m / w: x^2 <= lo as m^2 lo.den <= lo.num w^2, and x^2 < hi alike
     s_lo, _, den = _bisect(
-        0, top, den, lambda m, w: m * m * lo.denominator <= lo.numerator * w * w, half
+        0, top, s2.denominator, lambda m, w: m * m * lo.denominator > lo.numerator * w * w, half
     )
     _, s_hi, den_hi = _bisect(
         s_lo, top * (den // s2.denominator), den,
-        lambda m, w: m * m * hi.denominator < hi.numerator * w * w, half,
+        lambda m, w: m * m * hi.denominator >= hi.numerator * w * w, half,
     )
     return Fraction(s_lo, den), Fraction(s_hi, den_hi)
-
-
-def _bisect(a, b, den, below, width):
-    """Halve [a / den, b / den] at most 200 times, until it is narrower than
-    ``width``: a midpoint m / w where ``below(m, w)`` holds becomes the lower
-    end, any other the upper end.  The ends stay integer numerators over one
-    denominator, doubled at each step; returns them and that denominator."""
-    w_num, w_den = width.numerator, width.denominator
-    for _ in range(200):
-        mid = a + b
-        den <<= 1
-        if below(mid, den):
-            a, b = mid, b << 1
-        else:
-            a, b = a << 1, mid
-        if (b - a) * w_den < w_num * den:
-            break
-    return a, b, den

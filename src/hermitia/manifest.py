@@ -282,7 +282,8 @@ class Manifest:
         return BuildContext(self, pres)
 
     def _term(self, t):
-        if not isinstance(t, (list, tuple)) or len(t) != 2:
+        if not (isinstance(t, (list, tuple)) and len(t) == 2 and COEFF.test(t[0])
+                and isinstance(t[1], (list, tuple))):
             raise ManifestError(f"form terms are [coefficient, [indices]]: got {t!r}")
         coeff, idx = t
         for nm in idx:
@@ -322,7 +323,7 @@ class BuildContext:
     def attached(self, section, name):
         """The structure ``name`` of ``section`` ("endomorphisms",
         "bilinears" or "forms") attached to the presentation."""
-        found = getattr(self.presentation, section).get(name)
+        found = getattr(self.presentation, section).get(name) if isinstance(name, str) else None
         if found is None:
             raise ManifestError(f"unknown {section[:-1]} {name!r}")
         return found
@@ -378,6 +379,8 @@ class BuildContext:
         (kind,) = keys
         if kind == "name":
             return self.attached("forms", spec["name"])
+        if kind in ("terms", "wedge", "combo"):
+            _typed(spec[kind], LIST, f"{kind} in form spec {spec!r}")
         if kind == "terms":
             return self.presentation.form(
                 [self.manifest._term(t) for t in spec["terms"]]
@@ -413,6 +416,12 @@ class BuildContext:
                 ) from None
             return wedge_power(self.resolve_form(base), k)
         if kind == "combo":
+            for entry in spec["combo"]:
+                if not (isinstance(entry, list) and len(entry) == 2 and COEFF.test(entry[0])):
+                    raise ManifestError(
+                        f"combo entry {entry!r} in form spec {spec!r}: "
+                        "expected [coefficient, form spec]"
+                    )
             forms = _one_basis([self.resolve_form(sub) for _c, sub in spec["combo"]])
             out = Form.zero(forms[0].presentation if forms else self.presentation)
             for (coeff, _sub), form in zip(spec["combo"], forms):

@@ -720,6 +720,19 @@ def test_bisection_keeps_the_reference_intervals(roots, rest, lo, span):
             assert refine_interval(chain, a, b, width) == _refine_reference(chain, a, b, width)
 
 
+@pytest.mark.parametrize("width, expected", [
+    (Fraction(1), (1, 2)),
+    (Fraction(1, 4), (Fraction(5, 4), Fraction(3, 2))),
+    (Fraction(1, 5), (Fraction(11, 8), Fraction(3, 2))),
+])
+def test_refine_interval_stops_at_the_width(width, expected):
+    """Halving stops as soon as the interval is at most ``width`` wide, an
+    interval that already is one included."""
+    chain = sturm_chain([Fraction(-2), Fraction(0), Fraction(1)])
+    got = refine_interval(chain, Fraction(1), Fraction(2), width)
+    assert got == expected == _refine_reference(chain, Fraction(1), Fraction(2), width)
+
+
 @pytest.mark.parametrize("roots, rest", [
     # isolating (0, 4] splits at 2: the root 1 is the midpoint of (0, 2],
     # then the right end of every later interval; 2 is the right end of
@@ -746,12 +759,8 @@ def test_refined_roots_at_midpoints_and_ends(roots, rest):
     assert ends & {Fraction(r) for r in roots}  # some root is an interval end
 
 
-def test_refine_interval_builds_a_constant_number_of_fractions(monkeypatch):
-    """The bisection runs on integers: one call builds the same few
-    Fractions at width 1e-3 as at 1e-300."""
-    p = _poly_with_roots([Fraction(1, 3)], [Fraction(-2), Fraction(0), Fraction(1)])
-    chain = sturm_chain(p)
-    (a, b), = isolate_real_roots(chain, Fraction(1), Fraction(2))
+def _fractions_made(monkeypatch, call):
+    """call() and the number of Fractions it builds."""
     made = []
     new = Fraction.__new__
 
@@ -759,15 +768,39 @@ def test_refine_interval_builds_a_constant_number_of_fractions(monkeypatch):
         made.append(args)
         return new(cls, *args, **kwargs)
 
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        got = call()
+    finally:
+        monkeypatch.undo()
+    return got, len(made)
+
+
+def test_refine_interval_builds_a_constant_number_of_fractions(monkeypatch):
+    """The bisection runs on integers: one call builds the same few
+    Fractions at width 1e-3 as at 1e-300."""
+    p = _poly_with_roots([Fraction(1, 3)], [Fraction(-2), Fraction(0), Fraction(1)])
+    chain = sturm_chain(p)
+    (a, b), = isolate_real_roots(chain, Fraction(1), Fraction(2))
     counts = []
     for width in (Fraction(1, 10**3), Fraction(1, 10**300)):
-        monkeypatch.setattr(Fraction, "__new__", counting)
-        made.clear()
-        got = refine_interval(chain, a, b, width)
-        monkeypatch.undo()
-        counts.append(len(made))
+        got, made = _fractions_made(monkeypatch, lambda: refine_interval(chain, a, b, width))
+        counts.append(made)
         assert got == _refine_reference(chain, a, b, width)
     assert counts[0] == counts[1] <= 3
+
+
+@pytest.mark.parametrize("gap", [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**60)])
+def test_isolate_real_roots_builds_only_the_fractions_it_returns(monkeypatch, gap):
+    """Isolation runs on integer ends however deep it halves: the roots
+    1/3 and 1/3 + gap take about log2(1 / gap) halvings to separate, and
+    the only Fractions built are the two ends of each returned interval."""
+    roots = [Fraction(1, 3), Fraction(1, 3) + gap, Fraction(-5, 7)]
+    chain = sturm_chain(_poly_with_roots(roots, [Fraction(1)]))
+    lo, hi = Fraction(-4), Fraction(4)
+    ivs, made = _fractions_made(monkeypatch, lambda: isolate_real_roots(chain, lo, hi))
+    assert ivs == _isolate_reference(chain, lo, hi)
+    assert len(ivs) == 3 and made == 2 * len(ivs)
 
 
 @pytest.mark.parametrize("width", [0, Fraction(0), Fraction(-1, 10**12), -1])
@@ -795,18 +828,23 @@ def _spectral_radius_reference(matrix, width=Fraction(1, 10**10)):
     )
 
     def bisect(a, b, below):
-        for _ in range(200):
+        while b - a > width / 2:
             mid = (a + b) / 2
             a, b = (mid, b) if below(mid) else (a, mid)
-            if b - a < width / 2:
-                break
         return a, b
 
     s2 = max(Fraction(1), hi)
-    while s2 * s2 < hi:
-        s2 *= 2
     s_lo = bisect(Fraction(0), s2, lambda x: x * x <= lo)[0]
     return s_lo, bisect(s_lo, s2, lambda x: x * x < hi)[1]
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**10), Fraction(1, 10**40)])
+def test_spectral_radius_interval_is_as_narrow_as_asked_for_large_entries(width):
+    """The square-root bisections start from [0, max(1, r^2)], which for
+    r = 3e30 takes more than 200 halvings to narrow to 1e-10."""
+    r = 3 * 10**30
+    lo, hi = spectral_radius_interval([[r, 0], [0, 1]], width)
+    assert lo <= r <= hi and hi - lo <= width
 
 
 @settings(max_examples=40, deadline=None)

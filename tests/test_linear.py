@@ -167,6 +167,7 @@ def test_kernel_basis_is_a_basis_of_the_kernel(data, m, n):
     assert len(basis) == n - sympy.Matrix(rows).rank()
     for v in basis:
         assert all(x.denominator == 1 for x in v)
+        assert math.gcd(*(x.numerator for x in v)) == 1
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
     assert sympy.Matrix([list(v) for v in basis] or [[0] * n]).rank() == len(basis)
 

@@ -579,3 +579,49 @@ def test_power_spec_without_base_or_integer_is_manifest_error(spec):
     assert outcome.detail == {
         "reason": f"a power spec needs an integer 'power' and a 'base': {spec!r}"
     }
+
+
+@pytest.mark.parametrize(
+    "name, check_id, key, spec, reason",
+    [
+        ("pseudoHK12", "omega-jk-in-coframe", "lhs",
+         {"combo": [["1", "omega_J", "omega_K"], ["i", "omega_K"]]},
+         "combo entry ['1', 'omega_J', 'omega_K'] in form spec {spec!r}: "
+         "expected [coefficient, form spec]"),
+        ("pseudoHK12", "omega-jk-in-coframe", "lhs", {"combo": True},
+         "combo in form spec {spec!r}: expected a list, got bool"),
+        ("pseudoHK12", "omega-jk-in-coframe", "lhs", {"combo": 1.5},
+         "combo in form spec {spec!r}: expected a list, got float"),
+        ("pseudoHK12", "omega-jk-in-coframe", "lhs", {"combo": [[["1"], "omega_J"]]},
+         "combo entry [['1'], 'omega_J'] in form spec {spec!r}: "
+         "expected [coefficient, form spec]"),
+        ("AT4", "structure-equation", "equals", {"terms": True},
+         "terms in form spec {spec!r}: expected a list, got bool"),
+        ("AT4", "structure-equation", "equals", {"wedge": "omega0"},
+         "wedge in form spec {spec!r}: expected a list, got \"omega0\""),
+        ("AT4", "structure-equation", "equals", {"terms": [[None, ["e3", "e4", "e5"]]]},
+         "form terms are [coefficient, [indices]]: got [None, ['e3', 'e4', 'e5']]"),
+        ("AT4", "structure-equation", "equals", {"terms": [["2*a", 1.5]]},
+         "form terms are [coefficient, [indices]]: got ['2*a', 1.5]"),
+    ],
+    ids=["combo-triple", "combo-bool", "combo-float", "combo-list-coefficient",
+         "terms-bool", "wedge-string", "terms-null-coefficient", "terms-float-indices"],
+)
+def test_malformed_form_specs_are_manifest_errors(name, check_id, key, spec, reason):
+    """A form spec whose ``terms``, ``wedge`` or ``combo`` is not a list, or
+    whose term or combo entry is not a [coefficient, ..] pair, ends as an
+    error verdict that names it, not as raw Python text."""
+    data = json.loads(builtin(name).to_json())
+    next(c for c in data["checks"] if c["id"] == check_id)[key] = spec
+    outcome = run_check(Manifest(data), only=check_id).outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == ("error", {"reason": reason.format(spec=spec)})
+
+
+@pytest.mark.parametrize("endo", [{}, ["A"], 5])
+def test_commute_endos_that_are_not_names_are_manifest_errors(endo):
+    data = json.loads(builtin("lemma61").to_json())
+    next(c for c in data["checks"] if c["id"] == "A-commutes-J")["endos"] = [endo, "J"]
+    outcome = run_check(Manifest(data), only="A-commutes-J").outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == (
+        "error", {"reason": f"unknown endomorphism {endo!r}"}
+    )

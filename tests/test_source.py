@@ -148,3 +148,17 @@ def test_hyperbolic_row_reduces_only_in_kernel_basis():
             if getattr(node, "id", getattr(node, "attr", None)) == "rref":
                 users.add(getattr(top, "name", "<module>"))
     assert users == {"kernel_basis"}, users
+
+
+def test_hyperbolic_bisects_in_one_loop():
+    """Every bisection of ``hyperbolic.py`` to a width runs in ``_bisect``:
+    the root refinement and the two square-root bounds of the spectral
+    radius call it, and nothing else does."""
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    callers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bisect":
+                    callers.add(fn.name)
+    assert callers == {"refine_interval", "spectral_radius_interval"}, callers
