@@ -302,10 +302,18 @@ class ComplexModel:
         # element ([T01, T01] in T01) and no (2,0) part in d of a (0,1) element
         # ([T10, T10] in T10).  Real structure constants make the second the
         # conjugate of the first; complex ones do not, so both are tested.
+        # Each real 2-monomial is substituted once, and the d of every element
+        # is a combination of those images: the (0,1) half reuses them all.
         coframe = list(self.eta_forms) + [eta.conjugate() for eta in self.eta_forms]
+        images = {}
         dgen = {}
         for a, element in enumerate(coframe):
-            cterms = self._substitute(pres.d(element).terms, self._real_to_cx)
+            cterms = {}
+            for mono, c in pres.d(element).terms.items():
+                image = images.get(mono)
+                if image is None:
+                    image = images[mono] = self._substitute({mono: one}, self._real_to_cx)
+                _add_products(cterms, image, [((), c)])
             bad = (0, 2) if a < m else (2, 0)
             if any(self.bidegree_of_indices(idx) == bad for idx in cterms):
                 kind = "(1,0)" if a < m else "(0,1)"

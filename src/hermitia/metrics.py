@@ -9,11 +9,17 @@ of omega once, in the complex coframe, as a ladder omega_c, omega_c^2, ...
 that every predicate shares: pluriclosed, astheno-Kahler and k-pluriclosed
 take del(delbar(.)) of a rung (memoized per k), and balanced is d of the top
 rung omega_c^(m-1) (to_complex is an algebra isomorphism that commutes with
-d).  A residual left in the coframe is converted to the real basis only when
-the report's ``residual`` is read.  Positivity of (p,p)-forms is
-only falsifiable here (sampling decomposable tuples with a fixed, seeded
-generator) or certifiable syntactically through an explicit strongly
-positive decomposition.
+d).  Each rung follows from the last by expansion along the smallest index,
+omega^k = k * sum_a R_a ^ (omega^(k-1))_{>a}, with R_a the terms of omega_c
+whose first index is a and (.)_{>a} the terms whose first index exceeds a.
+In a nonzero product of k terms of omega_c the smallest index a lies in
+exactly one factor, a term of R_a, and every other factor lies above a; the
+k places of that factor give the k.  So no pair that shares index a is
+tried, where a wedge with all of omega_c tries them all.  A residual left
+in the coframe is converted to the real basis only when the report's
+``residual`` is read.  Positivity of (p,p)-forms is only falsifiable here
+(sampling decomposable tuples with a fixed, seeded generator) or certifiable
+syntactically through an explicit strongly positive decomposition.
 """
 
 from __future__ import annotations
@@ -55,6 +61,14 @@ class PredicateReport:
         return f"PredicateReport({self.kind!r}, passed={self.passed})"
 
 
+def _by_first_index(terms):
+    """The term dict split by the first index of each monomial."""
+    buckets = {}
+    for idx, c in terms.items():
+        buckets.setdefault(idx[0], {})[idx] = c
+    return buckets
+
+
 def _vanishing(kind: str, res: Form) -> PredicateReport:
     """The report of the statement ``res = 0``."""
     zero = res.is_zero()
@@ -81,17 +95,43 @@ class HermitianCandidate:
             raise MetricError(f"fundamental form is not of pure bidegree (1,1): {bg.bidegrees()}")
         self.omega = omega
         self._powers = [self.omega_c]
+        self._rows = {
+            a: Form(self.omega_c.presentation, terms, _canonical=True)
+            for a, terms in _by_first_index(self.omega_c.terms).items()
+        }
         self._del_delbar = {}
 
     def power(self, k: int) -> Form:
-        """omega_c^k (k >= 1) in the complex coframe: each new rung of the
-        ladder is one wedge with omega_c."""
+        """omega_c^k (k >= 1) in the complex coframe, memoized.  A new rung
+        comes from the last by expansion along the smallest index: with R_a
+        the terms of omega_c whose first index is a,
+
+            omega^k = k * sum_a R_a ^ (omega^(k-1))_{>a},
+
+        where (.)_{>a} keeps the terms whose first index exceeds a.  Walking
+        a downwards, the tail (omega^(k-1))_{>a} grows by one bucket of the
+        last rung per step, and each step is one wedge of R_a with it."""
         if k < 1:
             raise MetricError(f"omega powers start at 1, got {k}")
         ladder = self._powers
         while len(ladder) < k:
-            ladder.append(wedge(ladder[-1], self.omega_c))
+            ladder.append(self._next_rung(ladder[-1], len(ladder) + 1))
         return ladder[k - 1]
+
+    def _next_rung(self, last: Form, k: int) -> Form:
+        cpres = last.presentation
+        buckets = _by_first_index(last.terms)
+        tail = {}
+        out = {}
+        for a in sorted(self._rows.keys() | buckets.keys(), reverse=True):
+            row = self._rows.get(a)
+            if row is not None and tail:
+                # every product here has smallest index a, so the steps'
+                # monomials are disjoint
+                out.update(wedge(row, Form(cpres, dict(tail), _canonical=True)).terms)
+            tail.update(buckets.get(a, ()))
+        scale = cpres.table.scalar(k)
+        return Form(cpres, {idx: c * scale for idx, c in out.items()}, _canonical=True)
 
     def del_delbar_power(self, k: int) -> Form:
         """del(delbar(omega^k)), evaluated in the complex coframe on the

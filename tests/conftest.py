@@ -6,7 +6,10 @@ the differential is expanded factor by factor from its definition, so the
 two paths can disagree if either has a sign bug.
 """
 
+import importlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,19 @@ def oracle_d(a: Form) -> Form:
             sign = pres.table.scalar((-1) ** pos)
             out = out + (c * sign) * oracle_wedge(dg, rest)
     return out
+
+
+# -- the benchmark's own modules ---------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench(name):
+    """A module of the benchmark in perfbench/, imported as the benchmark
+    imports it: its modules import each other by bare name."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)
 
 
 # -- model fixtures ------------------------------------------------------------

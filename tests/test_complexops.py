@@ -336,12 +336,12 @@ def test_complex_frame_del_delbar_power_matches_real_round_trip(name, omega, end
         assert cand.del_delbar_power(k) == _real_round_trip(cand, k)
 
 
-@settings(max_examples=12, deadline=None)
-@given(data=st.data())
-def test_property_del_delbar_power_on_random_11_forms(structure, data):
+def draw_hermitian_candidate(data, J, empty_rows=frozenset()):
+    """A candidate omega = i sum h_ab eta_a ^ conj(eta_b) with a random
+    Gaussian-integer Hermitian h; the rows and columns in ``empty_rows`` are
+    zero."""
     from hermitia.metrics import HermitianCandidate
 
-    J, _symbols = structure
     model = J.model()
     table = J.presentation.table
     m = model.m
@@ -354,13 +354,39 @@ def test_property_del_delbar_power_on_random_11_forms(structure, data):
             h[a, b] = table.scalar(x) + table.scalar(y) * table.i
             h[b, a] = h[a, b].conjugate()
     omega_c = sum(
-        (table.i * c * model.eta_monomial((a,), (b,)) for (a, b), c in h.items()),
+        (
+            table.i * c * model.eta_monomial((a,), (b,))
+            for (a, b), c in h.items()
+            if a not in empty_rows and b not in empty_rows
+        ),
         Form.zero(model.cpres),
     )
-    cand = HermitianCandidate(J, model.to_real(omega_c))
+    return HermitianCandidate(J, model.to_real(omega_c))
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_property_del_delbar_power_on_random_11_forms(structure, data):
+    J, _symbols = structure
+    cand = draw_hermitian_candidate(data, J)
+    m = cand.m
     # the real-basis side is the slow one: k = 3 on pseudoHK12 takes seconds
     k = data.draw(st.integers(1, min(m - 1, 2)))
     assert cand.del_delbar_power(k) == _real_round_trip(cand, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_power_ladder_is_the_wedge_power(structure, data):
+    """The ladder's expansion along the smallest index gives omega_c^k key
+    for key, past the top degree too; zero diagonal entries and empty rows
+    leave buckets of omega_c and of the last rung empty."""
+    J, _symbols = structure
+    m = J.model().m
+    empty = data.draw(st.sets(st.integers(1, m), max_size=m))
+    cand = draw_hermitian_candidate(data, J, empty)
+    for k in range(1, m + 2):
+        assert cand.power(k) == wedge_power(cand.omega_c, k)
 
 
 @PROPERTY

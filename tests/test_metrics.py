@@ -1,11 +1,12 @@
 """Metric predicates, Lee form solving, torsion, signatures, positivity."""
 
+import functools
 import random
 
 import pytest
 
-from conftest import make_at4, make_fp_solv8, make_hk12
-from hermitia import cealg, metrics
+from conftest import make_at4, make_fp_solv8, make_hk12, perfbench
+from hermitia import Manifest, cealg, metrics
 from hermitia.builders import builtin, sasaki_kahler_suspension
 from hermitia.cealg import abelian, wedge, wedge_power
 from hermitia.complexops import AlmostComplexStructure, fundamental_form
@@ -61,7 +62,6 @@ def _ladder_candidates():
 
 
 def test_predicates_share_one_power_ladder(monkeypatch):
-    c = _suspension8_candidate()
     calls = []
     original = cealg.wedge
 
@@ -72,20 +72,74 @@ def test_predicates_share_one_power_ladder(monkeypatch):
     # both bindings, so that wedges made through cealg.wedge_power count too
     monkeypatch.setattr(metrics, "wedge", counting)
     monkeypatch.setattr(cealg, "wedge", counting)
-    assert is_pluriclosed(c).passed
-    assert not is_balanced(c).passed
-    assert is_astheno(c).passed
-    assert all(is_k_pluriclosed(c, k).passed for k in range(1, c.m))
-    # one wedge per rung omega^2 .. omega^(m-1)
-    assert len(calls) == c.m - 2 == 4
+    fresh = _suspension8_candidate()
+    fresh.power(fresh.m - 1)
+    ladder = len(calls)
+    assert ladder > 0
+
+    def predicates(c):
+        assert is_pluriclosed(c).passed
+        assert not is_balanced(c).passed
+        assert is_astheno(c).passed
+        assert all(is_k_pluriclosed(c, k).passed for k in range(1, c.m))
+
+    c = _suspension8_candidate()
+    calls.clear()
+    predicates(c)
+    # together they build the ladder omega^2 .. omega^(m-1) once ..
+    assert len(calls) == ladder
+    calls.clear()
+    predicates(c)
+    # .. and a second round reads it back
+    assert not calls
 
 
 def test_power_ladder_matches_wedge_power():
     for c in _ladder_candidates():
-        for k in range(c.m, 0, -1):  # from the top, then reading the ladder back
+        for k in range(c.m + 1, 0, -1):  # from past the top, then reading the ladder back
             assert c.power(k) == wedge_power(c.omega_c, k)
         with pytest.raises(MetricError):
             c.power(0)
+
+
+def test_power_ladder_pairs_each_row_with_the_later_tail(monkeypatch):
+    """Each wedge of the ladder takes the terms of omega_c with one first
+    index a and the last rung's terms whose first index exceeds a, so it
+    tries no pair that shares index a.  Mutants that fill the tail with
+    first index >= a, or bucket by the last index, still give the right
+    rungs (their extra products vanish or are overwritten), and are caught
+    here."""
+    pairs = []
+    original = cealg.wedge
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(metrics, "wedge", recording)
+    for c in _ladder_candidates():
+        c.power(c.m)
+    assert pairs
+    for row, tail in pairs:
+        firsts = {idx[0] for idx in row.terms}
+        assert len(firsts) == 1
+        assert min(idx[0] for idx in tail.terms) > firsts.pop()
+
+
+@functools.lru_cache(maxsize=None)
+def _suspension_cycle(seed):
+    return perfbench("workloads").Hermitian(seed).cycle()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("template", range(9))
+def test_power_ladder_on_suspension_templates(seed, template):
+    """The benchmark's nine shear templates: each rung equals the wedge
+    power in the coframe of a random shear basis."""
+    manifest = Manifest.from_json(_suspension_cycle(seed)[template].payload)
+    c = manifest.build().candidate("omega", "J")
+    for k in range(1, c.m + 2):
+        assert c.power(k) == wedge_power(c.omega_c, k)
 
 
 def test_balanced_residual_is_the_real_basis_differential():
