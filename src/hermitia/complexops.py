@@ -15,6 +15,13 @@ A real-basis form is converted once in and once out; a form over the
 model's complex presentation (``model.cpres``) is acted on in place, so
 del(delbar(omega^k)) computed there pays for one conversion in total.  The
 conversions and the pullback by J multiply monomials in cealg's one kernel.
+
+Building a model reads J by its nonzero entries.  The structure's checks
+square J from its nonzero products; the coframe is read off the rows of J;
+the change of basis inverts only the m x m block J[sigma, tau] of the
+selected rows on the other indices; and with real structure constants the
+(0,1) half of the coframe's differential is the conjugate of the (1,0) half,
+so only the (1,0) half is substituted and tested.
 """
 
 from __future__ import annotations
@@ -57,12 +64,24 @@ class AlmostComplexStructure:
         if n % 2:
             raise IntegrabilityError("almost complex structures need even dimension")
         table = presentation.table
-        square = linear.mat_mul(self.matrix, self.matrix, table)
-        # entry by entry: -1 on the diagonal, 0 elsewhere
-        if any(x != (-1 if r == c else 0) for r, row in enumerate(square) for c, x in enumerate(row)):
-            raise IntegrabilityError(f"{name}^2 != -Id")
+        # the rows by their nonzero entries (column, value), listed once: the
+        # checks, the pullback and the coframe read only those
+        rows = self._rows = tuple(
+            tuple((c, x) for c, x in enumerate(row) if not x.is_zero()) for row in self.matrix
+        )
+        # J^2 row by row from the nonzero products: -1 on the diagonal, 0
+        # elsewhere
+        zero, minus_one = table.zero, -table.one
+        for r, row in enumerate(rows):
+            square = {}
+            for s, x in row:
+                for c, y in rows[s]:
+                    acc = square.get(c)
+                    square[c] = x * y if acc is None else acc + x * y
+            if square.pop(r, zero) != minus_one or any(not v.is_zero() for v in square.values()):
+                raise IntegrabilityError(f"{name}^2 != -Id")
         # the conjugate of a (1,0) form is a (0,1) form only for a real J
-        if any(x != x.conjugate() for row in self.matrix for x in row):
+        if any(x != x.conjugate() for row in rows for _c, x in row):
             raise IntegrabilityError(f"{name} has a non-real entry")
         self._model = None
         self._nijenhuis = None
@@ -124,8 +143,7 @@ class AlmostComplexStructure:
             raise FormError("pullback_one_form expects a 1-form")
         out = {}
         for (r,), c in form.terms.items():
-            row = [((s,), m) for s, m in enumerate(self.matrix[r - 1], 1) if not m.is_zero()]
-            _add_products(out, {(): c}, row)
+            _add_products(out, {(): c}, [((s + 1,), m) for s, m in self._rows[r - 1]])
         return Form(self.presentation, out, _canonical=True)
 
     def apply_to_one_form(self, form: Form) -> Form:
@@ -264,32 +282,67 @@ class ComplexModel:
         pivots = linear.rref(duals, 2 * n, Scalar.is_zero)[0]
         self.sigma = tuple(c // 2 + 1 for c in pivots if c % 2 == 0)
 
+        # eta_r = e^r - i (e^r o J), and e^r o J is row r of J
         i_unit = table.i
         self.eta_forms = []
         for r in self.sigma:
-            er = pres.generator(r)
-            self.eta_forms.append(er - i_unit * J.pullback_one_form(er))
+            terms = {(r,): one}
+            for s, x in J._rows[r - 1]:
+                c = -(x * i_unit)
+                terms[(s + 1,)] = one + c if s + 1 == r else c
+            self.eta_forms.append(Form(pres, terms, _canonical=True))
 
         # change of basis.  R stacks the real rows e^r and e^r o J (r in
         # sigma); the complex rows eta_r = e^r - i e^r o J and their
         # conjugates are C = [[I, -iI], [I, iI]] R, so C^-1 = R^-1 M with
-        # M = 1/2 [[I, I], [iI, -iI]] and only the real R is inverted.
-        rows = [[one if s == r else zero for s in range(1, n + 1)] for r in self.sigma]
-        rows += [list(J.matrix[r - 1]) for r in self.sigma]
-        rinv = linear.invert(rows, table)
+        # M = 1/2 [[I, I], [iI, -iI]] and only the real R is inverted.  With
+        # tau the other indices, R = [[I, 0], [B, A]] in the column order
+        # (sigma, tau), for B = J[sigma, sigma] and A = J[sigma, tau]; so
+        # R^-1 = [[I, 0], [-A^-1 B, A^-1]], and only the m x m block A is
+        # inverted.  A is invertible because R is: the selection makes the
+        # rows of R a basis.  The inverse stays a ``linear.invert`` call
+        # until the selection ``rref`` and the inverse are one elimination
+        # (ROADMAP item 1): ``perfbench/tracer.py`` requires the
+        # ``linear.invert`` span to fire on the manifest workloads.
+
+        # the position of each real index (0-based) in sigma and in tau
+        in_sigma = {r - 1: k for k, r in enumerate(self.sigma)}
+        tau = [t for t in range(1, n + 1) if t - 1 not in in_sigma]
+        in_tau = {t - 1: k for k, t in enumerate(tau)}
+        a_rows = [[zero] * m for _ in range(m)]
+        b_rows = [[] for _ in range(m)]  # the nonzero (position, entry) of B
+        for k, r in enumerate(self.sigma):
+            for c, x in J._rows[r - 1]:
+                if c in in_tau:
+                    a_rows[k][in_tau[c]] = x
+                else:
+                    b_rows[k].append((in_sigma[c], x))
+        a_inv = linear.invert(a_rows, table)
         half = table.scalar(Fraction(1, 2))
         half_i = half * i_unit
 
         # the image of each generator as sparse 1-form term pairs
-        # ((index,), coeff): real generator r -> its complex expansion
-        self._real_to_cx = []
-        for r in range(n):
+        # ((index,), coeff): e^r for r in sigma is (eta_r + conj eta_r) / 2,
+        # and e^t for t in tau is read off its row of R^-1 (x on the rows
+        # e^s, y on the rows e^s o J) as x / 2 + i y / 2 on eta_s and
+        # x / 2 - i y / 2 on conj eta_s
+        self._real_to_cx = [None] * n
+        for k, r in enumerate(self.sigma):
+            self._real_to_cx[r - 1] = [((k + 1,), half), ((m + k + 1,), half)]
+        for t, y_row in zip(tau, a_inv):
+            x_row = [zero] * m
+            for s, y in enumerate(y_row):
+                if not y.is_zero():
+                    for k, b in b_rows[s]:
+                        x_row[k] = x_row[k] - y * b
             pairs = [
-                (x if x.is_zero() else half * x, y if y.is_zero() else half_i * y)
-                for x, y in zip(rinv[r][:m], rinv[r][m:])
+                (k, x if x.is_zero() else half * x, y if y.is_zero() else half_i * y)
+                for k, (x, y) in enumerate(zip(x_row, y_row))
+                if not (x.is_zero() and y.is_zero())
             ]
-            cx = [x + y for x, y in pairs] + [x - y for x, y in pairs]
-            self._real_to_cx.append([((j + 1,), c) for j, c in enumerate(cx) if not c.is_zero()])
+            self._real_to_cx[t - 1] = [((k + 1,), x + y) for k, x, y in pairs] + [
+                ((m + k + 1,), x - y) for k, x, y in pairs
+            ]
         # complex generator a -> its real expansion: eta_a, then the conjugates
         self._cx_to_real = [sorted(eta.terms.items()) for eta in self.eta_forms]
         self._cx_to_real += [[(idx, c.conjugate()) for idx, c in row] for row in self._cx_to_real]
@@ -300,11 +353,19 @@ class ComplexModel:
         # differential of the complex coframe, rewritten in the coframe itself.
         # The algebraic Newlander-Nirenberg test: no (0,2) part in d of a (1,0)
         # element ([T01, T01] in T01) and no (2,0) part in d of a (0,1) element
-        # ([T10, T10] in T10).  Real structure constants make the second the
-        # conjugate of the first; complex ones do not, so both are tested.
-        # Each real 2-monomial is substituted once, and the d of every element
-        # is a combination of those images: the (0,1) half reuses them all.
-        coframe = list(self.eta_forms) + [eta.conjugate() for eta in self.eta_forms]
+        # ([T10, T10] in T10).  With real structure constants d commutes with
+        # conjugation (J is real too), so d(conj eta_a) = conj(d eta_a): the
+        # (0,1) half is the conjugate of the (1,0) half, and its (2,0) test is
+        # the conjugate of the (0,2) test.  Complex constants break that, so
+        # then both halves are substituted and tested.  Each real 2-monomial
+        # is substituted once, and the d of every element is a combination of
+        # those images.
+        real_constants = all(
+            c == c.conjugate() for terms in pres.d_gen.values() for c in terms.values()
+        )
+        coframe = list(self.eta_forms)
+        if not real_constants:
+            coframe += [eta.conjugate() for eta in self.eta_forms]
         images = {}
         dgen = {}
         for a, element in enumerate(coframe):
@@ -323,6 +384,10 @@ class ComplexModel:
                 )
             if cterms:
                 dgen[a + 1] = cterms
+        if real_constants:
+            for a in range(1, m + 1):
+                if a in dgen:
+                    dgen[m + a] = self._conjugate_terms(dgen[a])
         self.cpres = CoframePresentation(
             self,
             {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
@@ -342,16 +407,19 @@ class ComplexModel:
         monomial maps to a (q,p) one."""
         if not self.cpres.same_algebra(cform.presentation):
             raise FormError("form does not live over this model's complex coframe")
+        return Form(self.cpres, self._conjugate_terms(cform.terms), _canonical=True)
+
+    def _conjugate_terms(self, terms):
         m = self.m
         out = {}
-        for idx, c in cform.terms.items():
+        for idx, c in terms.items():
             p = self.bidegree_of_indices(idx)[0]
             # idx is sorted, so its holomorphic indices come first; moving the
             # q antiholomorphic ones to the front costs the sign (-1)^(p q)
             mapped = tuple(k - m for k in idx[p:]) + tuple(k + m for k in idx[:p])
             cc = c.conjugate()
             out[mapped] = -cc if p * (len(idx) - p) % 2 else cc
-        return Form(self.cpres, out, _canonical=True)
+        return out
 
     def _substitute(self, terms, rows):
         """The change of basis is an algebra map, so a monomial goes to the

@@ -1097,27 +1097,34 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
         raise LatticeError(
             "spectral radius certification requires M^2 to have all-real spectrum"
         )
-    # the largest |root| of p2
-    best = None
-    for a, b in isolate_real_roots(chain, -bound, bound):
-        a2, b2 = refine_interval(chain, a, b, width=width / 4)
-        lo, hi = (abs(x) for x in sorted((a2, b2), key=abs))
-        if best is None or hi > best[1]:
-            best = (lo, hi)
-    if best is None:
+    roots = [refine_interval(chain, a, b, width=width / 4)
+             for a, b in isolate_real_roots(chain, -bound, bound)]
+    if not roots:
         raise LatticeError("matrix has no eigenvalues (empty spectrum?)")
-    lo, hi = best
-    # rational bounds s_lo^2 <= lo and s_hi^2 >= hi by bisecting [0, s2], for
-    # s2 = max(1, hi) >= sqrt(hi); x = m / w has x^2 > lo as
-    # m^2 lo.den > lo.num w^2, and x^2 >= hi alike
-    s2 = max(Fraction(1), hi)
-    top = s2.numerator
+    target = width / 4
     half = width / 2
-    s_lo, _, den = _bisect(
-        0, top, s2.denominator, lambda m, w: m * m * lo.denominator > lo.numerator * w * w, half
-    )
-    _, s_hi, den_hi = _bisect(
-        s_lo, top * (den // s2.denominator), den,
-        lambda m, w: m * m * hi.denominator >= hi.numerator * w * w, half,
-    )
-    return Fraction(s_lo, den), Fraction(s_hi, den_hi)
+    while True:
+        # the k-th root's |root| lies between the least and the largest |x|
+        # on its interval, so the largest |root| lies in [lo, hi]
+        lo = max(min(abs(a), abs(b)) if a * b >= 0 else Fraction(0) for a, b in roots)
+        hi = max(max(abs(a), abs(b)) for a, b in roots)
+        # rational bounds s_lo^2 <= lo and s_hi^2 >= hi by bisecting [0, s2],
+        # for s2 = max(1, hi) >= sqrt(hi); x = m / w has x^2 > lo as
+        # m^2 lo.den > lo.num w^2, and x^2 >= hi alike
+        s2 = max(Fraction(1), hi)
+        top = s2.numerator
+        s_lo, _, den = _bisect(
+            0, top, s2.denominator,
+            lambda m, w: m * m * lo.denominator > lo.numerator * w * w, half,
+        )
+        _, s_hi, den_hi = _bisect(
+            s_lo, top * (den // s2.denominator), den,
+            lambda m, w: m * m * hi.denominator >= hi.numerator * w * w, half,
+        )
+        if Fraction(s_hi, den_hi) - Fraction(s_lo, den) <= width:
+            return Fraction(s_lo, den), Fraction(s_hi, den_hi)
+        # near 0 the square root stretches the interval: sqrt(hi) - sqrt(lo)
+        # can reach sqrt(hi - lo), so the roots of p2 are refined on to
+        # (width / 4)^2, and further while the result is still too wide
+        target = min(target / 4, (width / 4) ** 2)
+        roots = [refine_interval(chain, a, b, width=target) for a, b in roots]

@@ -1,6 +1,7 @@
 """Complex structures: integrability, coframes, bigrading, del/delbar/dc."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -528,6 +529,113 @@ def test_coframe_selection_is_greedy_on_builtins(name):
         assert J.model().sigma == _greedy_sigma(J)
 
 
+def _dense_model_reference(J):
+    """(sigma, real-to-complex rows, complex-to-real rows, d of the coframe)
+    by the dense construction: the coframe through ``pullback_one_form``,
+    the whole 2m x 2m change of basis inverted, and d of both halves
+    substituted and tested.  Raises IntegrabilityError as the model does."""
+    from fractions import Fraction
+
+    from hermitia import linear
+    from hermitia.cealg import _add_products
+    from hermitia.scalars import Scalar
+
+    pres = J.presentation
+    table = pres.table
+    n, m = pres.dim, pres.dim // 2
+    zero, one, i_unit = table.zero, table.one, table.i
+    duals = [
+        [x for r in range(n) for x in (one if i == r else zero, J.matrix[r][i])]
+        for i in range(n)
+    ]
+    pivots = linear.rref(duals, 2 * n, Scalar.is_zero)[0]
+    sigma = tuple(c // 2 + 1 for c in pivots if c % 2 == 0)
+    etas = [pres.generator(r) - i_unit * J.pullback_one_form(pres.generator(r)) for r in sigma]
+
+    rows = [[one if s == r else zero for s in range(1, n + 1)] for r in sigma]
+    rows += [list(J.matrix[r - 1]) for r in sigma]
+    rinv = linear.invert(rows, table)
+    half = table.scalar(Fraction(1, 2))
+    real_to_cx = []
+    for r in range(n):
+        pairs = [(half * x, half * i_unit * y) for x, y in zip(rinv[r][:m], rinv[r][m:])]
+        cx = [x + y for x, y in pairs] + [x - y for x, y in pairs]
+        real_to_cx.append([((j + 1,), c) for j, c in enumerate(cx) if not c.is_zero()])
+    cx_to_real = [sorted(eta.terms.items()) for eta in etas]
+    cx_to_real += [[(idx, c.conjugate()) for idx, c in row] for row in cx_to_real]
+
+    def substitute(terms):
+        out = {}
+        for idx, coeff in terms.items():
+            partial = {(): coeff}
+            for r in idx:
+                partial = _add_products({}, partial, real_to_cx[r - 1])
+            for k, c in partial.items():
+                acc = out.get(k)
+                out[k] = c if acc is None else acc + c
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    d_gen = {}
+    for a, element in enumerate(etas + [eta.conjugate() for eta in etas]):
+        cterms = substitute(pres.d(element).terms)
+        bad = (0, 2) if a < m else (2, 0)
+        if any((sum(k <= m for k in idx), sum(k > m for k in idx)) == bad for idx in cterms):
+            kind = "(1,0)" if a < m else "(0,1)"
+            raise IntegrabilityError(
+                f"non-integrable structure: d of a {kind} coframe "
+                f"element has a ({bad[0]},{bad[1]}) component"
+            )
+        if cterms:
+            d_gen[a + 1] = cterms
+    return sigma, real_to_cx, cx_to_real, d_gen
+
+
+def _symbolic_structure():
+    """fp_solv8's I beside the square root [[0, -b], [1/b, 0]] of -Id on
+    R^2: a structure whose matrix holds a free symbol."""
+    base = make_fp_solv8()
+    I = AlmostComplexStructure.from_action(base, {1: "-e2", 3: "e8", 4: "e5", 6: "e7"})
+    pres = direct_sum(base, abelian(2))
+    mat = [[str(x) for x in row] + ["0", "0"] for row in I.matrix]
+    mat += [["0"] * 8 + ["0", "-b"], ["0"] * 8 + ["1/b", "0"]]
+    return AlmostComplexStructure(pres, mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["fp_solv8", "AT4", "pseudoHK12", "symbolic"]),
+    data=st.data(),
+)
+def test_model_equals_dense_reference_on_conjugated_structures(
+    which, data, solv8_I, at4_J, hk12_I
+):
+    """The selection, both change-of-basis maps and the differential of the
+    coframe are the dense construction's key for key, and a structure one
+    rejects the other rejects with the same message."""
+    J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}.get(which)
+    K = _random_conjugate(J if J is not None else _symbolic_structure(), data)
+    if K is None:
+        return
+    try:
+        expected = _dense_model_reference(K)
+    except IntegrabilityError as err:
+        with pytest.raises(IntegrabilityError, match=re.escape(str(err))):
+            ComplexModel(K)
+        return
+    model = ComplexModel(K)
+    got = (model.sigma, model._real_to_cx, model._cx_to_real, model.cpres.d_gen)
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", ["AT4", "fp_solv8", "pseudoHK12", "lemma61"])
+def test_model_equals_dense_reference_on_builtins(name):
+    for J in _structures(builtin(name).build().presentation):
+        if J.nijenhuis_vanishes().passed:
+            model = J.model()
+            got = (model.sigma, model._real_to_cx, model._cx_to_real, model.cpres.d_gen)
+            assert got == _dense_model_reference(J)
+
+
 # Non-integrable square roots of -Id on non-abelian algebras, with the
 # witnesses (nonzero entries only), the `integrable` check's detail and the
 # model() error text of the N(e_a, e_b) loop, as recorded before the
@@ -655,9 +763,12 @@ def test_non_real_structure_is_rejected():
     from hermitia.manifest import Manifest, run_check
 
     pres = abelian(2)
-    i_id = [[pres.table.i, pres.table.zero], [pres.table.zero, pres.table.i]]
-    with pytest.raises(IntegrabilityError, match="J has a non-real entry"):
-        AlmostComplexStructure(pres, i_id)
+    i, zero = pres.table.i, pres.table.zero
+    # [[0, i], [i, 0]] also squares to -Id; its diagonal is zero, and each
+    # of its nonzero entries is non-real
+    for bad in ([[i, zero], [zero, i]], [[zero, i], [i, zero]]):
+        with pytest.raises(IntegrabilityError, match="^J has a non-real entry$"):
+            AlmostComplexStructure(pres, bad)
     manifest = {
         "name": "complex_endo",
         "dimension": 2,
@@ -675,10 +786,11 @@ def test_square_is_compared_with_minus_identity_entry_by_entry():
     root of -Id with a free symbol in it passes."""
     from hermitia.scalars import Symbol, SymbolTable
 
-    pres = abelian(2)
-    for bad in ([[0, 1], [1, 0]], [[1, 1], [-2, 1]]):
+    # the last squares to -Id but for the entries (1, 4) = -1 and (2, 3) = 1
+    off = [[0, -1, 1, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    for bad in ([[0, 1], [1, 0]], [[1, 1], [-2, 1]], off):
         with pytest.raises(IntegrabilityError, match=r"^J\^2 != -Id$"):
-            AlmostComplexStructure(pres, bad)
+            AlmostComplexStructure(abelian(len(bad)), bad)
     symbolic = abelian(2, table=SymbolTable([Symbol("b")]))
     J = AlmostComplexStructure(symbolic, [["0", "-b"], ["1/b", "0"]])
     assert J.matrix[0][1] == -symbolic.table.symbol("b")

@@ -821,11 +821,8 @@ def _spectral_radius_reference(matrix, width=Fraction(1, 10**10)):
     bound = 1 + max((abs(c) for c in sf[:-1]), default=Fraction(0)) / abs(sf[-1])
     if count_roots_halfopen(chain, -bound, bound) != len(sf) - 1:
         return None
-    lo, hi = max(
-        (sorted(map(abs, _refine_reference(chain, a, b, width / 4))) for a, b in
-         _isolate_reference(chain, -bound, bound)),
-        key=lambda ab: ab[1],
-    )
+    roots = [_refine_reference(chain, a, b, width / 4)
+             for a, b in _isolate_reference(chain, -bound, bound)]
 
     def bisect(a, b, below):
         while b - a > width / 2:
@@ -833,9 +830,35 @@ def _spectral_radius_reference(matrix, width=Fraction(1, 10**10)):
             a, b = (mid, b) if below(mid) else (a, mid)
         return a, b
 
-    s2 = max(Fraction(1), hi)
-    s_lo = bisect(Fraction(0), s2, lambda x: x * x <= lo)[0]
-    return s_lo, bisect(s_lo, s2, lambda x: x * x < hi)[1]
+    target = width / 4
+    while True:
+        lo = max(min(abs(a), abs(b)) if a * b >= 0 else Fraction(0) for a, b in roots)
+        hi = max(max(abs(a), abs(b)) for a, b in roots)
+        s2 = max(Fraction(1), hi)
+        s_lo = bisect(Fraction(0), s2, lambda x: x * x <= lo)[0]
+        s_hi = bisect(s_lo, s2, lambda x: x * x < hi)[1]
+        if s_hi - s_lo <= width:
+            return s_lo, s_hi
+        target = min(target / 4, (width / 4) ** 2)
+        roots = [_refine_reference(chain, a, b, target) for a, b in roots]
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**10), Fraction(1, 1000), Fraction(5)])
+@pytest.mark.parametrize("matrix, radius", [
+    ([[0, 1], [0, 0]], 0),
+    ([[0, 0], [0, 0]], 0),
+    ([[0]], 0),
+    ([["1/1000000", 0], [0, 0]], Fraction(1, 10**6)),
+    ([["1/100000000000", 0], [0, 0]], Fraction(1, 10**11)),
+])
+def test_spectral_radius_interval_is_as_narrow_as_asked_near_zero(matrix, radius, width):
+    """Near 0 the square root stretches the interval of the root of p(M^2):
+    one of width w / 4 gives sqrt(w / 4), so that root is refined on.  The
+    roots 0 and 1e-12 of p(M^2) have intervals of equal absolute reach, and
+    the radius is taken from both."""
+    lo, hi = spectral_radius_interval(matrix, width)
+    assert lo <= radius <= hi and hi - lo <= width
+    assert (lo, hi) == _spectral_radius_reference(matrix, width)
 
 
 @pytest.mark.parametrize("width", [Fraction(1, 10**10), Fraction(1, 10**40)])
