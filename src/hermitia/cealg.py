@@ -249,13 +249,16 @@ def wedge_all(forms: Sequence[Form]) -> Form:
 
 
 def wedge_power(a: Form, k: int) -> Form:
+    """a^k for k >= 1; the ladder stops at the first zero product."""
     if k < 0:
         raise FormError("negative wedge power")
-    out = None
-    for _ in range(k):
-        out = a if out is None else wedge(out, a)
-    if out is None:
+    if k == 0:
         raise FormError("wedge_power with k = 0 has no top-level unit form")
+    out = a
+    for _ in range(k - 1):
+        if out.is_zero():
+            break
+        out = wedge(out, a)
     return out
 
 

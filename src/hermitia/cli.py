@@ -57,15 +57,11 @@ def _seed_from_env(explicit):
     return DEFAULT_SEED
 
 
-def _cmd_check(args):
+def _run(manifest, args):
+    """Run the manifest's checks and write the report; a ManifestError (an
+    unknown ``--only`` id, a bad seed) is a usage error."""
     try:
-        manifest = Manifest.from_json(_read_text(args.manifest))
-        seed = _seed_from_env(args.seed)
-    except (ManifestError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = run_check(manifest, only=args.only, seed=seed)
+        report = run_check(manifest, only=args.only, seed=_seed_from_env(args.seed))
     except ManifestError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -75,6 +71,15 @@ def _cmd_check(args):
     else:
         sys.stdout.write(report.to_text(include_timing))
     return EXIT_PASS if report.overall == "pass" else EXIT_FAIL
+
+
+def _cmd_check(args):
+    try:
+        manifest = Manifest.from_json(_read_text(args.manifest))
+    except (ManifestError, OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    return _run(manifest, args)
 
 
 def _cmd_builtin(args):
@@ -86,18 +91,7 @@ def _cmd_builtin(args):
     if args.emit:
         sys.stdout.write(manifest.to_json())
         return EXIT_PASS
-    try:
-        seed = _seed_from_env(args.seed)
-    except ManifestError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_check(manifest, only=args.only, seed=seed)
-    include_timing = not args.no_timing
-    if args.report == "json":
-        sys.stdout.write(report.to_json(include_timing))
-    else:
-        sys.stdout.write(report.to_text(include_timing))
-    return EXIT_PASS if report.overall == "pass" else EXIT_FAIL
+    return _run(manifest, args)
 
 
 def _fmt12(x):

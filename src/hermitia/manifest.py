@@ -28,10 +28,11 @@ are combined in the real basis, and reported forms are always real.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -66,25 +67,56 @@ def _fmt_float(x):
 @dataclass(frozen=True)
 class _Type:
     """A JSON value type of the manifest schema: what it is called in errors
-    and the README, and its membership test."""
+    and the README, its membership test, and the type of what it holds: of
+    every list entry or object value, a tuple of types for the positions of a
+    fixed-length list, or a ``_Record`` for the keys of an object (or a
+    function from the object and its path to that record)."""
 
     label: str
     test: Callable
+    of: object = None
+
+
+@dataclass(frozen=True)
+class _Record:
+    fields: dict  # {key: (type, default)}
+    alternatives: tuple = ()  # groups of keys of which an object gives exactly one
 
 
 def _enum(*values):
     return _Type(" or ".join(json.dumps(v) for v in values), lambda v: v in values)
 
 
-OBJECT = _Type("an object", lambda v: isinstance(v, dict))
 LIST = _Type("a list", lambda v: isinstance(v, list))
+OBJECT = _Type("an object", lambda v: isinstance(v, dict))
+
+
+def _list_of(item):
+    return replace(LIST, of=item)
+
+
+def _map_of(value):
+    return replace(OBJECT, of=value)
+
+
+def _entry(label, *positions, optional=0):
+    """A list of one value of each type in ``positions``; the last
+    ``optional`` of them may be left out."""
+    lengths = range(len(positions) - optional, len(positions) + 1)
+    return _Type(label, lambda v: LIST.test(v) and len(v) in lengths, positions)
+
+
 STR = _Type("a string", lambda v: isinstance(v, str))
-SPEC = _Type("a form spec (string or object)", lambda v: isinstance(v, (str, dict)))
+NAME = _Type("a nonempty string", lambda v: isinstance(v, str) and v != "")
 BOOL = _Type("a boolean", lambda v: isinstance(v, bool))
 INT = _Type("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+NATURAL = _Type("a non-negative integer", lambda v: INT.test(v) and v >= 0)
+POSITIVE = _Type("a positive integer", lambda v: INT.test(v) and v > 0)
+NUMBER = _Type(
+    "a finite number", lambda v: INT.test(v) or (isinstance(v, float) and math.isfinite(v))
+)
 COEFF = _Type(
-    "a coefficient (string or finite number)",
-    lambda v: isinstance(v, str) or INT.test(v) or (isinstance(v, float) and math.isfinite(v)),
+    "a coefficient (string or finite number)", lambda v: isinstance(v, str) or NUMBER.test(v)
 )
 
 
@@ -101,26 +133,21 @@ def _is_rational(v):
 
 RATIONALS = _Type(
     'a list of rationals (integers, finite numbers or strings such as "3/4")',
-    lambda v: isinstance(v, list) and all(map(_is_rational, v)),
+    lambda v: LIST.test(v) and all(map(_is_rational, v)),
 )
 INTERVAL = _Type("a list of two rationals", lambda v: RATIONALS.test(v) and len(v) == 2)
-OPTIONAL_OBJECT = _Type("null or an object", lambda v: v is None or isinstance(v, dict))
 # a positivity_falsify sample count: at least one draw, and bounded work
 MAX_SAMPLES = 10**6
 SAMPLES = _Type(
     f"an integer from 1 to {MAX_SAMPLES}", lambda v: INT.test(v) and 1 <= v <= MAX_SAMPLES
 )
+NAMES = _list_of(STR)
+# coframe indices; their range 1..m is known only once the structure is built
+INDICES = _list_of(INT)
+TERMS = _list_of(_entry("[coefficient, [generator names]]", COEFF, NAMES))
+MATRIX = _list_of(_list_of(COEFF))
 
 _REQUIRED = object()
-
-
-def _typed(value, kind: _Type, path):
-    """``value`` if it has the JSON type ``kind``; else a ManifestError
-    naming the manifest path."""
-    if not kind.test(value):
-        got = json.dumps(value) if isinstance(value, str) else type(value).__name__
-        raise ManifestError(f"{path}: expected {kind.label}, got {got}")
-    return value
 
 
 def _fields(params):
@@ -133,49 +160,107 @@ def _defaults(fields):
     return {k: d for k, (_, d) in fields.items() if d is not _REQUIRED}
 
 
-def _record(obj, fields, path, alternatives=()):
-    """Check the JSON object ``obj`` against ``fields``: no unknown key,
-    every required key present and every value of its type.  Of the key
-    groups in ``alternatives`` exactly one is given, and only its keys are
-    required."""
-    _typed(obj, OBJECT, path)
+# A form spec is the name of an attached form or an object with one
+# constructor; the types of its keys refer back to SPEC.
+_SPEC_FIELDS = {}
+SPEC = _Type(
+    "a form spec (string or object)",
+    lambda v: isinstance(v, (str, dict)),
+    _Record(_SPEC_FIELDS, (
+        ("name",), ("terms",), ("eta_terms", "endo"), ("d_of",), ("wedge",), ("power", "base"),
+        ("combo",),
+    )),
+)
+_SPEC_FIELDS.update(_fields({
+    "name": STR,
+    "terms": TERMS,
+    "eta_terms": _list_of(_entry(
+        "[coefficient, [holo]] or [coefficient, [holo], [anti]]", COEFF, INDICES, INDICES,
+        optional=1,
+    )),
+    "endo": STR,
+    "d_of": SPEC,
+    "wedge": _list_of(SPEC),
+    "power": POSITIVE,
+    "base": SPEC,
+    "combo": _list_of(_entry("[coefficient, form spec]", COEFF, SPEC)),
+}))
+DECOMPOSITION = _list_of(_entry("[coefficient, [factors]]", COEFF, _list_of(_Type(
+    "a form spec or a coframe index", lambda v: SPEC.test(v) or INT.test(v), SPEC.of
+))))
+SIGNATURE = _entry("a list [positive, negative, zero] of counts", NATURAL, NATURAL, NATURAL)
+
+
+def _typed(value, kind: _Type, path):
+    """Check that ``value`` has the JSON type ``kind`` down to its leaves; a
+    ManifestError names the manifest path of the first value that does not."""
+    if not kind.test(value):
+        got = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+        raise ManifestError(f"{path or 'manifest'}: expected {kind.label}, got {got}")
+    of = kind.of(value, path) if callable(kind.of) else kind.of
+    if isinstance(of, _Record) and OBJECT.test(value):
+        _record(value, of, path)
+    elif isinstance(of, tuple):
+        for k, (x, t) in enumerate(zip(value, of)):
+            _typed(x, t, f"{path}[{k}]")
+    elif isinstance(of, _Type):
+        is_map = OBJECT.test(value)
+        # leaf entries are tested in one pass; a path is made only for a failure
+        if of.of is None and all(map(of.test, value.values() if is_map else value)):
+            return
+        for k, x in value.items() if is_map else enumerate(value):
+            _typed(x, of, f"{path}.{k}" if is_map else f"{path}[{k}]")
+
+
+def _record(obj, record: _Record, path):
+    """Check the JSON object ``obj`` against ``record``: no unknown key, every
+    required key present and every value of its type.  Of the key groups in
+    its alternatives exactly one is given, and only its keys are required."""
     prefix = f"{path}." if path else ""
     for key in obj:
-        if key not in fields:
+        if key not in record.fields:
             raise ManifestError(f"{prefix}{key}: unknown parameter")
     not_chosen = set()
-    if alternatives:
-        chosen = [g for g in alternatives if any(k in obj for k in g)]
+    if record.alternatives:
+        chosen = [g for g in record.alternatives if any(k in obj for k in g)]
         if len(chosen) != 1:
-            either = " or ".join(" with ".join(g) for g in alternatives)
+            either = " or ".join(" with ".join(g) for g in record.alternatives)
             raise ManifestError(f"{path}: expected exactly one of {either}")
-        not_chosen = {k for g in alternatives for k in g} - set(chosen[0])
-    for key, (kind, default) in fields.items():
+        not_chosen = {k for g in record.alternatives for k in g} - set(chosen[0])
+    for key, (kind, default) in record.fields.items():
         if key in obj:
             _typed(obj[key], kind, f"{prefix}{key}")
         elif default is _REQUIRED and key not in not_chosen:
             raise ManifestError(f"{prefix}{key}: missing required parameter")
 
 
-_SYMBOL_FIELDS = _fields({
+def _check_kind(check, path):
+    """The record the check's kind declares."""
+    kind = check.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ManifestError(f"{path}.kind: unknown check kind {kind!r}")
+    return _KINDS[kind]
+
+
+_RELATION = _Record(_fields({"power": INT, "rhs": STR}))
+_SYMBOL = _Record(_fields({
     "name": STR,
-    "relation": (OPTIONAL_OBJECT, None),
+    "relation": (_Type("null or an object", lambda v: v is None or OBJECT.test(v), _RELATION), None),
     "sign_hint": (_enum(None, "positive", "negative", "unknown"), None),
-})
-_RELATION_FIELDS = _fields({"power": INT, "rhs": STR})
+}))
 _MANIFEST_FIELDS = _fields({
-    "schema": (STR, SCHEMA),
-    "name": STR,
+    "schema": (_enum(SCHEMA), SCHEMA),
+    "name": NAME,
     "comment": (STR, ""),
-    "symbols": (LIST, []),
-    "dimension": INT,
-    "basis": LIST,
-    "differential": (OBJECT, {}),
-    "endomorphisms": (OBJECT, {}),
-    "bilinears": (OBJECT, {}),
-    "forms": (OBJECT, {}),
-    "valuations": (OBJECT, {}),
-    "checks": (LIST, []),
+    "symbols": (_list_of(_map_of(_SYMBOL)), []),
+    "dimension": POSITIVE,
+    "basis": NAMES,
+    "differential": (_map_of(TERMS), {}),
+    "endomorphisms": (_map_of(MATRIX), {}),
+    "bilinears": (_map_of(MATRIX), {}),
+    "forms": (_map_of(TERMS), {}),
+    "valuations": (_map_of(_map_of(NUMBER)), {}),
+    "checks": (_list_of(_map_of(_check_kind)), []),
 })
 
 
@@ -183,57 +268,11 @@ class Manifest:
     """Validated manifest data; ``build`` materializes the presentation."""
 
     def __init__(self, data: dict):
-        if not isinstance(data, dict):
-            raise ManifestError("manifest must be a JSON object")
-        _record(data, _MANIFEST_FIELDS, "")
-        data = {**_defaults(_MANIFEST_FIELDS), **data}
-        self.name = data["name"]
-        if not self.name:
-            raise ManifestError("name: expected a nonempty string")
-        self.comment = data["comment"]
-        self.symbols = list(data["symbols"])
-        self.dimension = data["dimension"]
-        if self.dimension <= 0:
-            raise ManifestError("dimension: expected a positive integer")
-        self.basis = list(data["basis"])
+        _typed(data, _map_of(_Record(_MANIFEST_FIELDS)), "")
+        for key, value in {**_defaults(_MANIFEST_FIELDS), **data}.items():
+            setattr(self, key, copy.copy(value))
         if len(self.basis) != self.dimension:
             raise ManifestError("basis must list one name per dimension")
-        for k, b in enumerate(self.basis):
-            _typed(b, STR, f"basis[{k}]")
-        self.differential = dict(data["differential"])
-        self.endomorphisms = dict(data["endomorphisms"])
-        self.bilinears = dict(data["bilinears"])
-        self.forms = dict(data["forms"])
-        self.valuations = dict(data["valuations"])
-        self.checks = list(data["checks"])
-        for k, s in enumerate(self.symbols):
-            _record(s, _SYMBOL_FIELDS, f"symbols[{k}]")
-            if s.get("relation") is not None:
-                _record(s["relation"], _RELATION_FIELDS, f"symbols[{k}].relation")
-        for section, table in (("differential", self.differential), ("forms", self.forms)):
-            for nm, terms in table.items():
-                for k, t in enumerate(_typed(terms, LIST, f"{section}.{nm}")):
-                    _typed(t, LIST, f"{section}.{nm}[{k}]")
-                    if len(t) != 2:
-                        raise ManifestError(
-                            f"{section}.{nm}[{k}]: expected [coefficient, [indices]], got {t!r}"
-                        )
-                    _typed(t[0], COEFF, f"{section}.{nm}[{k}][0]")
-                    _typed(t[1], LIST, f"{section}.{nm}[{k}][1]")
-        for section, table in (("endomorphisms", self.endomorphisms), ("bilinears", self.bilinears)):
-            for nm, rows in table.items():
-                for k, row in enumerate(_typed(rows, LIST, f"{section}.{nm}")):
-                    for j, x in enumerate(_typed(row, LIST, f"{section}.{nm}[{k}]")):
-                        _typed(x, COEFF, f"{section}.{nm}[{k}][{j}]")
-        for nm, v in self.valuations.items():
-            _typed(v, OBJECT, f"valuations.{nm}")
-        for k, c in enumerate(self.checks):
-            kind = _typed(c, OBJECT, f"checks[{k}]").get("kind")
-            if not isinstance(kind, str) or kind not in _KINDS:
-                raise ManifestError(f"checks[{k}].kind: unknown check kind {kind!r}")
-            _record(c, _KINDS[kind].fields, f"checks[{k}]", _KINDS[kind].alternatives)
-            if not c["id"]:
-                raise ManifestError(f"checks[{k}].id: expected a nonempty string")
         ids = [c["id"] for c in self.checks]
         if len(set(ids)) != len(ids):
             raise ManifestError("check ids must be unique")
@@ -241,13 +280,14 @@ class Manifest:
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
         try:
-            data = json.loads(text)
+            return cls(json.loads(text))
         except json.JSONDecodeError as e:
             raise ManifestError(f"malformed JSON at byte offset {e.pos}: {e.msg}") from None
-        return cls(data)
+        except RecursionError:
+            raise ManifestError("manifest nests too deeply") from None
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _MANIFEST_FIELDS if k != "schema"} | {"schema": SCHEMA}
+        return {k: getattr(self, k) for k in _MANIFEST_FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -261,10 +301,9 @@ class Manifest:
                 Symbol(s["name"], relation=relation, sign_hint=s.get("sign_hint"))
             )
         table = SymbolTable(symbols)
-        name_ok = set(self.basis)
         diff = {}
         for gen, terms in self.differential.items():
-            if gen not in name_ok:
+            if gen not in self.basis:
                 raise ManifestError(f"differential refers to unknown generator {gen!r}")
             diff[self.basis.index(gen) + 1] = [
                 (coeff, tuple(self.basis.index(nm) + 1 for nm in idx))
@@ -282,9 +321,6 @@ class Manifest:
         return BuildContext(self, pres)
 
     def _term(self, t):
-        if not (isinstance(t, (list, tuple)) and len(t) == 2 and COEFF.test(t[0])
-                and isinstance(t[1], (list, tuple))):
-            raise ManifestError(f"form terms are [coefficient, [indices]]: got {t!r}")
         coeff, idx = t
         for nm in idx:
             if nm not in self.basis:
@@ -301,9 +337,8 @@ def _one_basis(forms):
 
 
 def _coframe_indices(indices, m, what):
-    """``indices``, a JSON list of (1,0)-coframe indices, as a tuple; each
-    must be an integer in 1..m, else ``what`` is named in a ManifestError."""
-    if not isinstance(indices, list) or not all(INT.test(k) and 1 <= k <= m for k in indices):
+    """The (1,0)-coframe ``indices`` as a tuple, if each is in 1..m."""
+    if not all(1 <= k <= m for k in indices):
         raise ManifestError(f"{what}: expected a list of coframe indices in 1..{m}")
     return tuple(indices)
 
@@ -323,7 +358,7 @@ class BuildContext:
     def attached(self, section, name):
         """The structure ``name`` of ``section`` ("endomorphisms",
         "bilinears" or "forms") attached to the presentation."""
-        found = getattr(self.presentation, section).get(name) if isinstance(name, str) else None
+        found = getattr(self.presentation, section).get(name)
         if found is None:
             raise ManifestError(f"unknown {section[:-1]} {name!r}")
         return found
@@ -369,38 +404,22 @@ class BuildContext:
         (1,0)-coframe of its structure and stays there through ``power`` and
         ``d_of``; ``combo`` and ``wedge`` keep one basis when their operands
         share it and convert every operand to the real basis when they do not."""
-        if isinstance(spec, str):
+        if STR.test(spec):
             spec = {"name": spec}
-        if not isinstance(spec, dict):
-            raise ManifestError(f"bad form specification: {spec!r}")
-        keys = set(spec) & {"name", "terms", "eta_terms", "d_of", "wedge", "power", "combo"}
-        if len(keys) != 1:
-            raise ManifestError(f"a form spec needs exactly one constructor key: {spec!r}")
-        (kind,) = keys
+        kind = next(group[0] for group in SPEC.of.alternatives if group[0] in spec)
         if kind == "name":
             return self.attached("forms", spec["name"])
-        if kind in ("terms", "wedge", "combo"):
-            _typed(spec[kind], LIST, f"{kind} in form spec {spec!r}")
         if kind == "terms":
-            return self.presentation.form(
-                [self.manifest._term(t) for t in spec["terms"]]
-            )
+            return self.presentation.form([self.manifest._term(t) for t in spec["terms"]])
         if kind == "eta_terms":
-            endo = spec.get("endo")
-            if endo is None:
-                raise ManifestError("eta_terms specs need an 'endo' field")
-            model = self.acs(endo).model()
+            model = self.acs(spec["endo"]).model()
             m = model.m
             terms = []
-            for entry in _typed(spec["eta_terms"], LIST, "eta_terms"):
-                what = f"eta_terms entry {json.dumps(entry)}"
-                if not (isinstance(entry, list) and len(entry) in (2, 3) and COEFF.test(entry[0])):
-                    raise ManifestError(
-                        f"{what}: expected [coefficient, [holo]] or [coefficient, [holo], [anti]]"
-                    )
-                holo = _coframe_indices(entry[1], m, what)
-                anti = _coframe_indices(entry[2], m, what) if len(entry) == 3 else ()
-                terms.append((self.table.scalar(entry[0]), holo + tuple(m + b for b in anti)))
+            for entry in spec["eta_terms"]:
+                coeff, holo, *anti = entry
+                anti = anti[0] if anti else []
+                _coframe_indices(holo + anti, m, f"eta_terms entry {json.dumps(entry)}")
+                terms.append((self.table.scalar(coeff), (*holo, *(m + b for b in anti))))
             return model.cpres.form(terms)
         if kind == "d_of":
             sub = self.resolve_form(spec["d_of"])
@@ -408,26 +427,12 @@ class BuildContext:
         if kind == "wedge":
             return wedge_all(_one_basis([self.resolve_form(s) for s in spec["wedge"]]))
         if kind == "power":
-            try:
-                base, k = spec["base"], int(spec["power"])
-            except (KeyError, TypeError, ValueError):
-                raise ManifestError(
-                    f"a power spec needs an integer 'power' and a 'base': {spec!r}"
-                ) from None
-            return wedge_power(self.resolve_form(base), k)
-        if kind == "combo":
-            for entry in spec["combo"]:
-                if not (isinstance(entry, list) and len(entry) == 2 and COEFF.test(entry[0])):
-                    raise ManifestError(
-                        f"combo entry {entry!r} in form spec {spec!r}: "
-                        "expected [coefficient, form spec]"
-                    )
-            forms = _one_basis([self.resolve_form(sub) for _c, sub in spec["combo"]])
-            out = Form.zero(forms[0].presentation if forms else self.presentation)
-            for (coeff, _sub), form in zip(spec["combo"], forms):
-                out = out + self.table.scalar(coeff) * form
-            return out
-        raise ManifestError(f"unhandled form spec {spec!r}")
+            return wedge_power(self.resolve_form(spec["base"]), spec["power"])
+        forms = _one_basis([self.resolve_form(sub) for _c, sub in spec["combo"]])
+        out = Form.zero(forms[0].presentation if forms else self.presentation)
+        for (coeff, _sub), form in zip(spec["combo"], forms):
+            out = out + self.table.scalar(coeff) * form
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +518,9 @@ def serialize_matrix(m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Kind:
-    fields: dict  # {key: (type, default)}, the common keys included
-    alternatives: tuple  # groups of keys of which a check gives exactly one
-
-
 _HANDLERS = {}  # kind -> handler(ctx, check, seed) -> (verdict, detail)
-_KINDS = {}  # kind -> _Kind
-_COMMON = {"id": STR, "kind": STR, "informational": (BOOL, False)}
+_KINDS = {}  # kind -> _Record, the common keys included
+_COMMON = {"id": NAME, "kind": STR, "informational": (BOOL, False)}
 _VALUATION = (STR, "default")
 
 
@@ -535,7 +534,7 @@ def _check(kind, *alternatives, **params):
 
     def register(handler):
         _HANDLERS[kind] = handler
-        _KINDS[kind] = _Kind(fields, alternatives)
+        _KINDS[kind] = _Record(fields, alternatives)
         return handler
 
     return register
@@ -630,7 +629,7 @@ def _h_lee_form(ctx, check, seed):
 
 
 @_check("bismut_torsion", omega=STR, endo=STR, expect_closed=(BOOL, True),
-        expect_form=(LIST, None), up_to_sign=(BOOL, False))
+        expect_form=(TERMS, None), up_to_sign=(BOOL, False))
 def _h_bismut_torsion(ctx, check, seed):
     cand = ctx.candidate(check["omega"], check["endo"])
     t, dt = metrics.bismut_torsion(cand)
@@ -664,7 +663,7 @@ def _h_weil_torsion_identity(ctx, check, seed):
 
 
 @_check("gram_signature", ("bilinear",), ("omega", "endo"), bilinear=STR, omega=STR, endo=STR,
-        valuation=_VALUATION, expect=(LIST, None))
+        valuation=_VALUATION, expect=(SIGNATURE, None))
 def _h_gram_signature(ctx, check, seed):
     valuation = ctx.valuation(check["valuation"])
     if "bilinear" in check:
@@ -684,7 +683,7 @@ def _h_gram_signature(ctx, check, seed):
     return "pass", detail
 
 
-@_check("positivity_falsify", form=SPEC, endo=STR, samples=(SAMPLES, 10000), seed=(INT, None),
+@_check("positivity_falsify", form=SPEC, endo=STR, samples=(SAMPLES, 10000), seed=(NATURAL, None),
         valuation=_VALUATION, expect=(_enum("violation", "no_violation"), "no_violation"))
 def _h_positivity_falsify(ctx, check, seed):
     form = real_basis(ctx.resolve_form(check["form"]))
@@ -709,23 +708,23 @@ def _h_positivity_falsify(ctx, check, seed):
     return "fail", detail
 
 
-@_check("strong_positivity_certificate", form=SPEC, endo=STR, decomposition=LIST,
+@_check("strong_positivity_certificate", form=SPEC, endo=STR, decomposition=DECOMPOSITION,
         valuation=_VALUATION)
 def _h_strong_positivity_certificate(ctx, check, seed):
     form = real_basis(ctx.resolve_form(check["form"]))
     J = ctx.acs(check["endo"])
     model = J.model()
     decomposition = []
-    for coeff, tuple_spec in check["decomposition"]:
+    for coeff, factors in check["decomposition"]:
         xs = []
-        for xi in tuple_spec:
-            if SPEC.test(xi):
+        for xi in factors:
+            if not INT.test(xi):
                 xs.append(real_basis(ctx.resolve_form(xi)))
-            elif INT.test(xi) and 1 <= xi <= model.m:
+            elif 1 <= xi <= model.m:
                 xs.append(model.eta(xi))
             else:
                 raise ManifestError(
-                    f"decomposition factor {json.dumps(xi)}: expected a form spec "
+                    f"decomposition factor {xi}: expected a form spec "
                     f"or a coframe index in 1..{model.m}"
                 )
         decomposition.append((coeff, tuple(xs)))
@@ -826,7 +825,8 @@ def _h_form_equals(ctx, check, seed):
     return _equal_verdict(ctx.resolve_form(check["lhs"]), ctx.resolve_form(check["rhs"]))
 
 
-@_check("obstruction_pairing", **_TRIPLE, alpha=SPEC, beta_etas=LIST, matrix=LIST, expect=COEFF)
+@_check("obstruction_pairing", **_TRIPLE, alpha=SPEC, beta_etas=INDICES, matrix=MATRIX,
+        expect=COEFF)
 def _h_obstruction_pairing(ctx, check, seed):
     t = ctx.triple(check["I"], check["J"], check["K"])
     alpha = ctx.resolve_form(check["alpha"])
@@ -844,7 +844,7 @@ def _h_det_equals(ctx, check, seed):
     return _verdict((value - ctx.table.scalar(check["expect"])).is_zero()), {"det": str(value)}
 
 
-@_check("commute", endos=LIST)
+@_check("commute", endos=NAMES)
 def _h_commute(ctx, check, seed):
     names = check["endos"]
     mats = [ctx.attached("endomorphisms", nm) for nm in names]
@@ -909,6 +909,11 @@ def _h_top_coefficient_equals(ctx, check, seed):
     return _verdict((value - ctx.table.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
 
 
+# the errors a check reports in its own words; any other is the last resort's
+_FORESEEN = (ManifestError, ScalarError, FormError, PresentationError, MetricError,
+             QuaternionError, hyperbolic.LatticeError, linear.LinearError)
+
+
 def run_check(manifest: Manifest, only=None, seed=None) -> Report:
     """Execute the manifest's checks (Jacobi implicitly first) and report.
 
@@ -916,6 +921,8 @@ def run_check(manifest: Manifest, only=None, seed=None) -> Report:
     ``seed`` feeds the samplers (env HERMITIA_SEED, handled by the CLI,
     overrides the built-in default)."""
     seed = DEFAULT_SEED if seed is None else int(seed)
+    if seed < 0:
+        raise ManifestError(f"seed: expected a non-negative integer, got {seed}")
     try:
         ctx = manifest.build()
     except (ScalarError, PresentationError, FormError) as e:
@@ -943,16 +950,7 @@ def run_check(manifest: Manifest, only=None, seed=None) -> Report:
             else:
                 reason = "skipped: the presentation fails the Jacobi gate"
                 verdict, detail = "error", {"reason": reason}
-        except (
-            ManifestError,
-            ScalarError,
-            FormError,
-            PresentationError,
-            MetricError,
-            QuaternionError,
-            hyperbolic.LatticeError,
-            linear.LinearError,
-        ) as e:
+        except _FORESEEN as e:
             verdict, detail = "error", {"reason": str(e)}
         except Exception as e:  # last resort: an unforeseen failure is never a pass
             verdict, detail = "error", {"reason": f"{type(e).__name__}: {e}"}

@@ -101,6 +101,27 @@ def test_d_at4_fundamental_form_matches_frozen_value():
     assert at4.d(wedge_power(w0, 2)).is_zero()
 
 
+def test_wedge_power_stops_at_the_first_zero_product(monkeypatch):
+    """On a 6-dimensional algebra w0^4 = 0, so any higher power costs the
+    same three products (a power of 10^12 used to take 10^12 - 1)."""
+    from hermitia import cealg
+
+    at4 = make_at4()
+    w0 = at4.form([(1, (1, 2)), (1, (3, 4)), (1, (5, 6))])
+    calls = []
+    original = cealg.wedge
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(cealg, "wedge", counting)
+    assert wedge_power(w0, 3) == at4.form([(6, (1, 2, 3, 4, 5, 6))])
+    calls.clear()
+    assert wedge_power(w0, 1000).is_zero()
+    assert len(calls) == 3
+
+
 def test_d_agrees_with_oracle_randomized():
     at4 = make_at4()
     rng = random.Random(14)

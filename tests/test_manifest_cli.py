@@ -313,30 +313,75 @@ def test_run_check_unexpected_exception_is_error_verdict(monkeypatch):
     assert rep.overall == "fail"
 
 
+def _by_id(data, check_id):
+    return next(c for c in data["checks"] if c["id"] == check_id)
+
+
+def _decomposition(term):
+    """A mutation adding a strong_positivity_certificate check with the one
+    decomposition term ``term``."""
+    return lambda d: d["checks"].append({
+        "id": "probe", "kind": "strong_positivity_certificate", "form": "omega_I", "endo": "I",
+        "decomposition": [term],
+    })
+
+
+def _falsified_at(values, seed=None):
+    """A mutation setting AT4's default valuation to ``values`` and adding a
+    positivity_falsify check of a form whose coefficients need it."""
+    check = {"id": "probe", "kind": "positivity_falsify", "form": {"combo": [["a", "omega0"]]},
+             "endo": "J", "samples": 10}
+    return lambda d: (
+        d["valuations"].update(default=values),
+        d["checks"].append(check if seed is None else {**check, "seed": seed}),
+    )
+
+
 @pytest.mark.parametrize(
-    "mutate, message",
+    "name, mutate, message",
     [
-        (lambda d: d["differential"].update(e1=5), "differential.e1: expected "),
-        (lambda d: d["forms"].update(eta=5), "forms.eta: expected "),
-        (lambda d: d.update(checks="x"), "checks: expected "),
-        (lambda d: d["endomorphisms"].update(J=5), "endomorphisms.J: expected "),
-        (lambda d: d.update(valuations=5), "valuations: expected "),
-        (lambda d: d.update(symbols=[5]), "symbols[0]: expected "),
-        (lambda d: d["differential"]["e1"].append(["1", 5]), "differential.e1[1][1]: expected "),
-        (lambda d: d.update(basis=5), "basis: expected "),
-        (lambda d: d["basis"].__setitem__(0, []), "basis[0]: expected "),
-        (lambda d: d["symbols"][0].update(relation=5), "symbols[0].relation: expected "),
-        (lambda d: d.update(symbols=[{"name": 5}]), "symbols[0].name: expected "),
-        (lambda d: d.update(symbols=[{}]), "symbols[0].name: missing required parameter"),
-        (lambda d: d["differential"]["e1"][0].__setitem__(0, [1]), "differential.e1[0][0]: expected "),
-        (lambda d: d["forms"]["omega0"][0].__setitem__(0, None), "forms.omega0[0][0]: expected "),
-        (lambda d: d["endomorphisms"]["J"][0].__setitem__(0, {}), "endomorphisms.J[0][0]: expected "),
-        (lambda d: d["endomorphisms"]["J"][1].__setitem__(0, float("inf")), "endomorphisms.J[1][0]: expected "),
+        ("AT4", lambda d: d["differential"].update(e1=5), "differential.e1: expected "),
+        ("AT4", lambda d: d["forms"].update(eta=5), "forms.eta: expected "),
+        ("AT4", lambda d: d.update(checks="x"), "checks: expected "),
+        ("AT4", lambda d: d["endomorphisms"].update(J=5), "endomorphisms.J: expected "),
+        ("AT4", lambda d: d.update(valuations=5), "valuations: expected "),
+        ("AT4", lambda d: d.update(symbols=[5]), "symbols[0]: expected "),
+        ("AT4", lambda d: d["differential"]["e1"].append(["1", 5]), "differential.e1[1][1]: expected "),
+        ("AT4", lambda d: d.update(basis=5), "basis: expected "),
+        ("AT4", lambda d: d["basis"].__setitem__(0, []), "basis[0]: expected "),
+        ("AT4", lambda d: d["symbols"][0].update(relation=5), "symbols[0].relation: expected "),
+        ("AT4", lambda d: d.update(symbols=[{"name": 5}]), "symbols[0].name: expected "),
+        ("AT4", lambda d: d.update(symbols=[{}]), "symbols[0].name: missing required parameter"),
+        ("AT4", lambda d: d["differential"]["e1"][0].__setitem__(0, [1]), "differential.e1[0][0]: expected "),
+        ("AT4", lambda d: d["forms"]["omega0"][0].__setitem__(0, None), "forms.omega0[0][0]: expected "),
+        ("AT4", lambda d: d["endomorphisms"]["J"][0].__setitem__(0, {}), "endomorphisms.J[0][0]: expected "),
+        ("AT4", lambda d: d["endomorphisms"]["J"][1].__setitem__(0, float("inf")), "endomorphisms.J[1][0]: expected "),
         (
+            "AT4",
             lambda d: d["symbols"][0].update(relation={"power": "2", "rhs": "3"}),
             "symbols[0].relation.power: expected ",
         ),
-        (lambda d: d["symbols"][0].update(sign_hint="big"), "symbols[0].sign_hint: expected "),
+        ("AT4", lambda d: d["symbols"][0].update(sign_hint="big"), "symbols[0].sign_hint: expected "),
+        ("pseudoHK12", lambda d: _by_id(d, "no-hkt-for-this-form")["omega20"].update(endo=["I"]),
+         "checks[7].omega20.endo: expected a string, got list"),
+        ("pseudoHK12", lambda d: _by_id(d, "obstruction-pairing")["matrix"][0].__setitem__(0, [1]),
+         "checks[11].matrix[0][0]: expected a coefficient (string or finite number), got list"),
+        ("pseudoHK12", lambda d: _by_id(d, "obstruction-pairing")["matrix"].__setitem__(0, True),
+         "checks[11].matrix[0]: expected a list, got true"),
+        ("pseudoHK12", _decomposition(["1", [1], 3]),
+         "checks[12].decomposition[0]: expected [coefficient, [factors]], got list"),
+        ("pseudoHK12", _decomposition(True),
+         "checks[12].decomposition[0]: expected [coefficient, [factors]], got true"),
+        ("pseudoHK12", _decomposition(["1", 2.5]),
+         "checks[12].decomposition[0][1]: expected a list, got 2.5"),
+        ("pseudoHK12", _decomposition([[1], [1]]),
+         "checks[12].decomposition[0][0]: expected a coefficient (string or finite number), got list"),
+        ("AT4", _falsified_at({"a": [1]}), "valuations.default.a: expected a finite number, got list"),
+        ("AT4", _falsified_at({"a": "abc"}), 'valuations.default.a: expected a finite number, got "abc"'),
+        ("AT4", _falsified_at({"a": None}), "valuations.default.a: expected a finite number, got null"),
+        ("AT4", _falsified_at({"a": {}}), "valuations.default.a: expected a finite number, got dict"),
+        ("AT4", _falsified_at({"a": True}), "valuations.default.a: expected a finite number, got true"),
+        ("AT4", _falsified_at({"a": 1}, seed=-1), "checks[11].seed: expected a non-negative integer, got -1"),
     ],
     ids=[
         "differential.e1", "forms.eta", "checks", "endomorphisms.J", "valuations", "symbols",
@@ -344,17 +389,29 @@ def test_run_check_unexpected_exception_is_error_verdict(monkeypatch):
         "differential.coefficient", "forms.coefficient", "matrix.coefficient", "matrix.infinite",
         "symbols.relation.power",
         "symbols.sign_hint",
+        "hkt.endo-list", "matrix.entry-list", "matrix.row-bool", "decomposition.triple",
+        "decomposition.bool", "decomposition.float-factors", "decomposition.list-coefficient",
+        "valuation.list", "valuation.string", "valuation.null", "valuation.object", "valuation.bool",
+        "positivity.negative-seed",
     ],
 )
-def test_cli_check_wrongly_typed_field_exit_two(tmp_path, capsys, mutate, message):
-    data = json.loads(builtin("AT4").to_json())
+def test_cli_check_wrongly_typed_field_exit_two(tmp_path, capsys, name, mutate, message):
+    """A value of the wrong JSON type, at any depth, fails at load with exit 2
+    and one line naming its path, before any check runs."""
+    data = json.loads(builtin(name).to_json())
     mutate(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["check", str(bad)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
+
+
+class AtLoad(str):
+    """The expectation that the manifest is refused at load, with this
+    message: a JSON path, then the type expected there."""
 
 
 _ETA_RHS = {"eta_terms": [["1", [], [1]]], "endo": "I"}
@@ -378,19 +435,21 @@ _ETA_RHS = {"eta_terms": [["1", [], [1]]], "endo": "I"}
         ),
         (
             {"kind": "d_zero", "form": {"eta_terms": [["1", [True]]], "endo": "I"}},
-            'eta_terms entry ["1", [true]]: expected a list of coframe indices in 1..6',
+            AtLoad("checks[12].form.eta_terms[0][1][0]: expected an integer, got true"),
         ),
         (
             {"kind": "d_zero", "form": {"eta_terms": [["1"]], "endo": "I"}},
-            'eta_terms entry ["1"]: expected [coefficient, [holo]] or [coefficient, [holo], [anti]]',
+            AtLoad("checks[12].form.eta_terms[0]: "
+                   "expected [coefficient, [holo]] or [coefficient, [holo], [anti]], got list"),
         ),
         (
             {"kind": "d_zero", "form": {"eta_terms": [[[1], [1]]], "endo": "I"}},
-            'eta_terms entry [[1], [1]]: expected [coefficient, [holo]] or [coefficient, [holo], [anti]]',
+            AtLoad("checks[12].form.eta_terms[0][0]: "
+                   "expected a coefficient (string or finite number), got list"),
         ),
         (
             {"kind": "d_zero", "form": {"eta_terms": "x", "endo": "I"}},
-            'eta_terms: expected a list, got "x"',
+            AtLoad('checks[12].form.eta_terms: expected a list, got "x"'),
         ),
         (
             {"kind": "obstruction_pairing", "I": "I", "J": "J", "K": "K",
@@ -414,14 +473,20 @@ _ETA_RHS = {"eta_terms": [["1", [], [1]]], "endo": "I"}
          "list-coefficient", "not-a-list", "beta-etas-7", "decomposition-0", "decomposition-7"],
 )
 def test_cli_check_bad_coframe_index_is_error_verdict(tmp_path, capsys, check, reason):
-    """A coframe index outside 1..m, or an eta_terms entry of the wrong
-    shape, ends as an error verdict that names the entry (exit 1)."""
+    """A coframe index outside 1..m ends as an error verdict that names the
+    entry (exit 1): the range is known only once the structure is built.  An
+    index or entry of the wrong JSON type is refused at load (exit 2)."""
     data = json.loads(builtin("pseudoHK12").to_json())
     data["checks"].append({"id": "probe", **check})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert main(["check", str(bad), "--only", "probe", "--report", "json", "--no-timing"]) == 1
-    probe = json.loads(capsys.readouterr().out)["checks"][-1]
+    code = main(["check", str(bad), "--only", "probe", "--report", "json", "--no-timing"])
+    out, err = capsys.readouterr()
+    if isinstance(reason, AtLoad):
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+        return
+    assert code == 1
+    probe = json.loads(out)["checks"][-1]
     assert (probe["id"], probe["verdict"]) == ("probe", "error")
     assert probe["detail"] == {"reason": reason}
 
@@ -454,6 +519,37 @@ def test_cli_seed_env_override(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 99
+
+
+@pytest.mark.parametrize(
+    "args, seed_env, message",
+    [
+        (["builtin", "AT4", "--only", "nope"], None, "no check with id 'nope'"),
+        (["check", "at4.json", "--only", "nope"], None, "no check with id 'nope'"),
+        (["builtin", "AT4", "--seed", "-1"], None, "seed: expected a non-negative integer, got -1"),
+        (["check", "at4.json"], "-3", "seed: expected a non-negative integer, got -3"),
+        (["check", "bytes.json"], None,
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (["check", "deep.json"], None, "manifest nests too deeply"),
+    ],
+    ids=["builtin-unknown-only", "check-unknown-only", "negative-seed", "negative-env-seed",
+         "not-utf8", "deep-nesting"],
+)
+def test_cli_run_errors_exit_two(tmp_path, capsys, monkeypatch, args, seed_env, message):
+    """An input refused before any check runs, by ``check`` or ``builtin``,
+    exits 2 with one line and no traceback."""
+    files = {
+        "at4.json": builtin("AT4").to_json().encode(),
+        "bytes.json": b"\xff\xfe{",
+        "deep.json": b"[" * 100000,
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    if seed_env is not None:
+        monkeypatch.setenv("HERMITIA_SEED", seed_env)
+    args = [str(tmp_path / a) if a in files else a for a in args]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -568,60 +664,76 @@ def test_lattice_check_lists_accept_numbers(check_id, convert):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [{"power": 2}, {"power": "two", "base": "eta"}, {"power": None, "base": "eta"}],
+    "spec, message",
+    [
+        ({"power": 2}, "checks[0].form.base: missing required parameter"),
+        ({"power": "two", "base": "eta"}, 'checks[0].form.power: expected a positive integer, got "two"'),
+        ({"power": None, "base": "eta"}, "checks[0].form.power: expected a positive integer, got null"),
+    ],
     ids=["missing-base", "unreadable-power", "null-power"],
 )
-def test_power_spec_without_base_or_integer_is_manifest_error(spec):
+def test_power_spec_without_base_or_integer_is_manifest_error(spec, message):
     data = _mini_manifest(checks=[{"id": "probe", "kind": "d_zero", "form": spec}])
-    outcome = run_check(Manifest(data), only="probe").outcomes[-1]
-    assert outcome.verdict == "error"
-    assert outcome.detail == {
-        "reason": f"a power spec needs an integer 'power' and a 'base': {spec!r}"
-    }
+    with pytest.raises(ManifestError) as info:
+        Manifest(data)
+    assert str(info.value) == message
+
+
+_COEFF_EXPECTED = "expected a coefficient (string or finite number)"
 
 
 @pytest.mark.parametrize(
-    "name, check_id, key, spec, reason",
+    "name, check_id, key, spec, message",
     [
         ("pseudoHK12", "omega-jk-in-coframe", "lhs",
          {"combo": [["1", "omega_J", "omega_K"], ["i", "omega_K"]]},
-         "combo entry ['1', 'omega_J', 'omega_K'] in form spec {spec!r}: "
-         "expected [coefficient, form spec]"),
+         "checks[3].lhs.combo[0]: expected [coefficient, form spec], got list"),
         ("pseudoHK12", "omega-jk-in-coframe", "lhs", {"combo": True},
-         "combo in form spec {spec!r}: expected a list, got bool"),
+         "checks[3].lhs.combo: expected a list, got true"),
         ("pseudoHK12", "omega-jk-in-coframe", "lhs", {"combo": 1.5},
-         "combo in form spec {spec!r}: expected a list, got float"),
+         "checks[3].lhs.combo: expected a list, got 1.5"),
         ("pseudoHK12", "omega-jk-in-coframe", "lhs", {"combo": [[["1"], "omega_J"]]},
-         "combo entry [['1'], 'omega_J'] in form spec {spec!r}: "
-         "expected [coefficient, form spec]"),
+         f"checks[3].lhs.combo[0][0]: {_COEFF_EXPECTED}, got list"),
         ("AT4", "structure-equation", "equals", {"terms": True},
-         "terms in form spec {spec!r}: expected a list, got bool"),
+         "checks[4].equals.terms: expected a list, got true"),
         ("AT4", "structure-equation", "equals", {"wedge": "omega0"},
-         "wedge in form spec {spec!r}: expected a list, got \"omega0\""),
+         'checks[4].equals.wedge: expected a list, got "omega0"'),
         ("AT4", "structure-equation", "equals", {"terms": [[None, ["e3", "e4", "e5"]]]},
-         "form terms are [coefficient, [indices]]: got [None, ['e3', 'e4', 'e5']]"),
+         f"checks[4].equals.terms[0][0]: {_COEFF_EXPECTED}, got null"),
         ("AT4", "structure-equation", "equals", {"terms": [["2*a", 1.5]]},
-         "form terms are [coefficient, [indices]]: got ['2*a', 1.5]"),
+         "checks[4].equals.terms[0][1]: expected a list, got 1.5"),
+        ("AT4", "structure-equation", "equals", {"name": "omega0", "base": "omega0"},
+         "checks[4].equals: expected exactly one of name or terms or eta_terms with endo or d_of "
+         "or wedge or power with base or combo"),
+        ("AT4", "structure-equation", "equals", {"name": "omega0", "note": "extra"},
+         "checks[4].equals.note: unknown parameter"),
+        ("pseudoHK12", "alpha1-del-exact", "form", {"eta_terms": [["1", [1, 3, 5, 6]]]},
+         "checks[8].form.endo: missing required parameter"),
+        ("pseudoHK12", "beta-closed", "form", {"d_of": {"wedge": [{"d_of": 5}]}},
+         "checks[10].form.d_of.wedge[0].d_of: expected a form spec (string or object), got 5"),
     ],
     ids=["combo-triple", "combo-bool", "combo-float", "combo-list-coefficient",
-         "terms-bool", "wedge-string", "terms-null-coefficient", "terms-float-indices"],
+         "terms-bool", "wedge-string", "terms-null-coefficient", "terms-float-indices",
+         "two-constructors", "extra-key", "eta-terms-without-endo", "nested-spec"],
 )
-def test_malformed_form_specs_are_manifest_errors(name, check_id, key, spec, reason):
-    """A form spec whose ``terms``, ``wedge`` or ``combo`` is not a list, or
-    whose term or combo entry is not a [coefficient, ..] pair, ends as an
-    error verdict that names it, not as raw Python text."""
+def test_malformed_form_specs_are_manifest_errors(name, check_id, key, spec, message):
+    """A form spec is checked at load down to its leaves: a ``terms``,
+    ``wedge`` or ``combo`` that is not a list, a term or combo entry that is
+    not a [coefficient, ..] pair, a key no constructor takes or a nested spec
+    of the wrong type is a ManifestError naming its path."""
     data = json.loads(builtin(name).to_json())
-    next(c for c in data["checks"] if c["id"] == check_id)[key] = spec
-    outcome = run_check(Manifest(data), only=check_id).outcomes[-1]
-    assert (outcome.verdict, outcome.detail) == ("error", {"reason": reason.format(spec=spec)})
+    _by_id(data, check_id)[key] = spec
+    with pytest.raises(ManifestError) as info:
+        Manifest(data)
+    assert str(info.value) == message
 
 
-@pytest.mark.parametrize("endo", [{}, ["A"], 5])
-def test_commute_endos_that_are_not_names_are_manifest_errors(endo):
+@pytest.mark.parametrize(
+    "endo, got", [({}, "dict"), (["A"], "list"), (5, "5")], ids=["endo0", "endo1", "5"]
+)
+def test_commute_endos_that_are_not_names_are_manifest_errors(endo, got):
     data = json.loads(builtin("lemma61").to_json())
-    next(c for c in data["checks"] if c["id"] == "A-commutes-J")["endos"] = [endo, "J"]
-    outcome = run_check(Manifest(data), only="A-commutes-J").outcomes[-1]
-    assert (outcome.verdict, outcome.detail) == (
-        "error", {"reason": f"unknown endomorphism {endo!r}"}
-    )
+    _by_id(data, "A-commutes-J")["endos"] = [endo, "J"]
+    with pytest.raises(ManifestError) as info:
+        Manifest(data)
+    assert str(info.value) == f"checks[4].endos[0]: expected a string, got {got}"
