@@ -14,6 +14,8 @@ Mixed-degree forms are allowed.
 
 from __future__ import annotations
 
+from functools import cached_property
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import linear
@@ -215,7 +217,8 @@ def _add_products(out, terms, pairs):
     """Add the exterior product of the term dict ``terms`` and the
     (indices, coefficient) pairs into the term dict ``out``, dropping sums
     that vanish; returns ``out``.  Every product of exterior monomials goes
-    through here (d keeps its own loop in ``_d_terms``)."""
+    through here (the derivations d, del and delbar keep their own loop in
+    ``_d_terms``)."""
     for ia, ca in terms.items():
         for ib, cb in pairs:
             merged, sign = _merge_signed(ia, ib)
@@ -230,6 +233,34 @@ def _add_products(out, terms, pairs):
                 out.pop(merged, None)
             else:
                 out[merged] = s
+    return out
+
+
+def _d_terms(d_gen, terms):
+    """The degree-one derivation with generator table ``d_gen`` (generator
+    index -> 2-form terms) applied to the term dict ``terms``: d with the
+    presentation's table, del or delbar with a complex model's halves."""
+    out = {}
+    for idx, c in terms.items():
+        for pos, g in enumerate(idx):
+            dg = d_gen.get(g)
+            if not dg:
+                continue
+            rest = idx[:pos] + idx[pos + 1 :]
+            neg = pos & 1
+            for pair, c2 in dg.items():
+                merged, sign = _merge_signed(pair, rest)
+                if merged is None:
+                    continue
+                cc = c * c2
+                if (sign < 0) != bool(neg):
+                    cc = -cc
+                s = out.get(merged)
+                s = cc if s is None else s + cc
+                if s.is_zero():
+                    out.pop(merged, None)
+                else:
+                    out[merged] = s
     return out
 
 
@@ -249,16 +280,24 @@ def wedge_all(forms: Sequence[Form]) -> Form:
 
 
 def wedge_power(a: Form, k: int) -> Form:
-    """a^k for k >= 1; the ladder stops at the first zero product."""
+    """a^k for k >= 1.  The 0-form part c of a is central and N = a - c is
+    nilpotent, so a^k = sum_j C(k, j) c^(k-j) N^j, and the ladder of N^j
+    stops at the first zero product: at most dim wedges, whatever k is."""
     if k < 0:
         raise FormError("negative wedge power")
     if k == 0:
         raise FormError("wedge_power with k = 0 has no top-level unit form")
-    out = a
-    for _ in range(k - 1):
-        if out.is_zero():
+    pres = a.presentation
+    c = a.terms.get((), pres.table.zero)
+    rest = Form(pres, {idx: x for idx, x in a.terms.items() if idx}, _canonical=True)
+    out = Form(pres, {} if c.is_zero() else {(): c**k}, _canonical=True)
+    power = rest  # N^j
+    for j in range(1, min(k, pres.dim) + 1):
+        if j > 1:
+            power = wedge(power, rest)
+        if power.is_zero():
             break
-        out = wedge(out, a)
+        out = out + power.scale(c ** (k - j) * comb(k, j))
     return out
 
 
@@ -340,15 +379,6 @@ class LieAlgebraPresentation:
             if terms:
                 self.d_gen[gen] = terms
 
-        self._signature = (
-            self.dim,
-            self.names,
-            tuple(
-                (g, tuple(sorted((i, c.key()) for i, c in t.items())))
-                for g, t in sorted(self.d_gen.items())
-            ),
-            self.table._sig,
-        )
         self._jacobi = None
 
         self.endomorphisms = {}
@@ -375,6 +405,22 @@ class LieAlgebraPresentation:
             return self._name_index[name]
         except KeyError:
             raise PresentationError(f"unknown generator name {name!r}") from None
+
+    @cached_property
+    def _signature(self):
+        """The algebra's identity for ``same_algebra``: dimension, names,
+        structure constants and symbol table.  Built on the first comparison
+        of two distinct presentations; a complex model's coframe is compared
+        by identity and never builds it."""
+        return (
+            self.dim,
+            self.names,
+            tuple(
+                (g, tuple(sorted((i, c.key()) for i, c in t.items())))
+                for g, t in sorted(self.d_gen.items())
+            ),
+            self.table._sig,
+        )
 
     def same_algebra(self, other):
         return self is other or self._signature == other._signature
@@ -414,36 +460,12 @@ class LieAlgebraPresentation:
     def d_of_generator(self, k) -> Form:
         return Form(self, dict(self.d_gen.get(k, {})), _canonical=True)
 
-    def _d_terms(self, terms):
-        out = {}
-        for idx, c in terms.items():
-            for pos, g in enumerate(idx):
-                dg = self.d_gen.get(g)
-                if not dg:
-                    continue
-                rest = idx[:pos] + idx[pos + 1 :]
-                neg = pos & 1
-                for pair, c2 in dg.items():
-                    merged, sign = _merge_signed(pair, rest)
-                    if merged is None:
-                        continue
-                    cc = c * c2
-                    if (sign < 0) != bool(neg):
-                        cc = -cc
-                    s = out.get(merged)
-                    s = cc if s is None else s + cc
-                    if s.is_zero():
-                        out.pop(merged, None)
-                    else:
-                        out[merged] = s
-        return out
-
     def jacobi_check(self) -> JacobiReport:
         """d(d e^k) for every generator; pass iff all vanish."""
         if self._jacobi is None:
             residuals = {}
             for g in range(1, self.dim + 1):
-                dd = self._d_terms(self.d_gen.get(g, {}))
+                dd = _d_terms(self.d_gen, self.d_gen.get(g, {}))
                 if dd:
                     residuals[g] = Form(self, dd, _canonical=True)
             self._jacobi = JacobiReport(residuals)
@@ -462,7 +484,7 @@ class LieAlgebraPresentation:
         if not self.same_algebra(form.presentation):
             raise FormError("form does not live over this presentation")
         self.require_jacobi()
-        return Form(self, self._d_terms(form.terms), _canonical=True)
+        return Form(self, _d_terms(self.d_gen, form.terms), _canonical=True)
 
     # -- brackets (derived) ------------------------------------------------------
 

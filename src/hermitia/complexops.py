@@ -15,6 +15,11 @@ A real-basis form is converted once in and once out; a form over the
 model's complex presentation (``model.cpres``) is acted on in place, so
 del(delbar(omega^k)) computed there pays for one conversion in total.  The
 conversions and the pullback by J multiply monomials in cealg's one kernel.
+del and delbar are derivations: the model splits d of its coframe once into
+their generator tables, and each operator runs cealg's derivation kernel on
+one table, so it neither takes the full d nor sorts terms by bidegree.
+Integrability is decided only when the model is built, by the same pass
+that fills the tables.
 
 Building a model reads J by its nonzero entries.  The structure's checks
 square J from its nonzero products; the coframe is read off the rows of J;
@@ -29,7 +34,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linear
-from .cealg import Form, FormError, LieAlgebraPresentation, PresentationError, _add_products
+from .cealg import (
+    Form,
+    FormError,
+    LieAlgebraPresentation,
+    PresentationError,
+    _add_products,
+    _d_terms,
+)
 from .scalars import Scalar
 
 
@@ -254,7 +266,10 @@ class ComplexModel:
     presentation ``cpres``, with exact change of basis in both directions.
 
     Complex generator k <= m is eta_k; generator m + k is its conjugate.
-    del, delbar and the bigrading act on ``cpres`` forms (d_split_complex).
+    ``del_gen`` and ``delbar_gen`` split d of each generator into the part
+    that adds a holomorphic index and the rest; del and delbar are the
+    derivations with those tables (``derive``, ``d_split_complex``) and act
+    on ``cpres`` forms.  A non-integrable J has no model: the split raises.
     The change of basis is an algebra isomorphism, applied as the wedge of
     the generators' images; to_complex and to_real keep nothing, so a caller
     that needs a form in both bases holds both.
@@ -351,15 +366,11 @@ class ComplexModel:
             f"zb{k}" for k in range(1, m + 1)
         )
         # differential of the complex coframe, rewritten in the coframe itself.
-        # The algebraic Newlander-Nirenberg test: no (0,2) part in d of a (1,0)
-        # element ([T01, T01] in T01) and no (2,0) part in d of a (0,1) element
-        # ([T10, T10] in T10).  With real structure constants d commutes with
-        # conjugation (J is real too), so d(conj eta_a) = conj(d eta_a): the
-        # (0,1) half is the conjugate of the (1,0) half, and its (2,0) test is
-        # the conjugate of the (0,2) test.  Complex constants break that, so
-        # then both halves are substituted and tested.  Each real 2-monomial
-        # is substituted once, and the d of every element is a combination of
-        # those images.
+        # With real structure constants d commutes with conjugation (J is real
+        # too), so d(conj eta_a) = conj(d eta_a): the (0,1) half is the
+        # conjugate of the (1,0) half.  Complex constants break that, so then
+        # both halves are substituted.  Each real 2-monomial is substituted
+        # once, and the d of every element is a combination of those images.
         real_constants = all(
             c == c.conjugate() for terms in pres.d_gen.values() for c in terms.values()
         )
@@ -375,19 +386,37 @@ class ComplexModel:
                 if image is None:
                     image = images[mono] = self._substitute({mono: one}, self._real_to_cx)
                 _add_products(cterms, image, [((), c)])
-            bad = (0, 2) if a < m else (2, 0)
-            if any(self.bidegree_of_indices(idx) == bad for idx in cterms):
-                kind = "(1,0)" if a < m else "(0,1)"
-                raise IntegrabilityError(
-                    f"non-integrable structure: d of a {kind} coframe "
-                    f"element has a ({bad[0]},{bad[1]}) component"
-                )
             if cterms:
                 dgen[a + 1] = cterms
         if real_constants:
             for a in range(1, m + 1):
                 if a in dgen:
                     dgen[m + a] = self._conjugate_terms(dgen[a])
+        # split d of the coframe into the generator tables of del and delbar:
+        # a term of d eta_g with one holomorphic index more than eta_g is
+        # del, one with as many is delbar.  Any other is the algebraic
+        # Newlander-Nirenberg test failing: a (0,2) part in d of a (1,0)
+        # element ([T01, T01] not in T01) or a (2,0) part in d of a (0,1)
+        # element ([T10, T10] not in T10).  del and delbar are derivations,
+        # so these tables are all they need.
+        self.del_gen, self.delbar_gen = {}, {}
+        for g, cterms in dgen.items():
+            own = int(g <= m)  # holomorphic indices of eta_g
+            bad = (0, 2) if own else (2, 0)
+            dl, db = {}, {}
+            for idx, c in cterms.items():
+                holo = (idx[0] <= m) + (idx[1] <= m)
+                if holo == bad[0]:
+                    kind = "(1,0)" if own else "(0,1)"
+                    raise IntegrabilityError(
+                        f"non-integrable structure: d of a {kind} coframe "
+                        f"element has a ({bad[0]},{bad[1]}) component"
+                    )
+                (dl if holo > own else db)[idx] = c
+            if dl:
+                self.del_gen[g] = dl
+            if db:
+                self.delbar_gen[g] = db
         self.cpres = CoframePresentation(
             self,
             {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
@@ -464,32 +493,16 @@ class ComplexModel:
             pq: Form(self.cpres, t, _canonical=True) for pq, t in buckets.items()
         }
 
+    def derive(self, gen, cform: Form) -> Form:
+        """The derivation with generator table ``gen`` (``del_gen`` or
+        ``delbar_gen``) applied to a coframe form."""
+        if not self.cpres.same_algebra(cform.presentation):
+            raise FormError("form does not live over this model's complex coframe")
+        return Form(self.cpres, _d_terms(gen, cform.terms), _canonical=True)
+
     def d_split_complex(self, cform: Form):
-        """(del part, delbar part) of d on a complex-basis form; a component
-        of d outside {(p+1,q), (p,q+1)} raises (non-integrability signal)."""
-        del_terms = {}
-        delbar_terms = {}
-        for (p, q), comp in self.split_bidegrees(cform).items():
-            for idx, c in self.cpres.d(comp).terms.items():
-                pq2 = self.bidegree_of_indices(idx)
-                if pq2 == (p + 1, q):
-                    bucket = del_terms
-                elif pq2 == (p, q + 1):
-                    bucket = delbar_terms
-                else:
-                    raise IntegrabilityError(
-                        f"d maps bidegree {(p, q)} into {pq2}: structure is not integrable"
-                    )
-                acc = bucket.get(idx)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    bucket.pop(idx, None)
-                else:
-                    bucket[idx] = acc
-        return (
-            Form(self.cpres, del_terms, _canonical=True),
-            Form(self.cpres, delbar_terms, _canonical=True),
-        )
+        """(del part, delbar part) of d on a complex-basis form."""
+        return self.derive(self.del_gen, cform), self.derive(self.delbar_gen, cform)
 
 
 class BigradedForm:
@@ -559,12 +572,12 @@ def bidegree(a: Form, J: AlmostComplexStructure) -> BigradedForm:
 
 def del_(a: Form, J: AlmostComplexStructure) -> Form:
     model, ca, back = _lift(a, J)
-    return back(model.d_split_complex(ca)[0])
+    return back(model.derive(model.del_gen, ca))
 
 
 def delbar(a: Form, J: AlmostComplexStructure) -> Form:
     model, ca, back = _lift(a, J)
-    return back(model.d_split_complex(ca)[1])
+    return back(model.derive(model.delbar_gen, ca))
 
 
 def dc(a: Form, J: AlmostComplexStructure) -> Form:

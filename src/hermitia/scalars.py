@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
@@ -857,6 +858,21 @@ class Scalar:
     # -- printing ----------------------------------------------------------------
 
     def __str__(self):
+        try:
+            return self._text()
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            digits = max(
+                _digit_count(n)
+                for part in (self.num, self.den)
+                for c in part.values()
+                for n in (c.numerator, c.denominator)
+            )
+            raise ScalarError(
+                f"scalar too long to print: a coefficient has {digits} digits "
+                f"(the limit is {sys.get_int_max_str_digits()})"
+            ) from None
+
+    def _text(self):
         num_s, num_simple = _poly_str(self.table, self.num)
         if self.den == {_ONE_MONO: Fraction(1)}:
             return num_s
@@ -949,6 +965,17 @@ def evaluate(s: Scalar, valuation, relation_tol=1e-7) -> complex:
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
+
+
+def _digit_count(n):
+    """The number of decimal digits of the integer n, without printing it."""
+    n = abs(n)
+    # (bit length - 1) * log10(2), less one for rounding, is at most the
+    # exponent of the leading digit
+    d = max(1, int((n.bit_length() - 1) * 0.30102999566398120) - 1)
+    while 10**d <= n:
+        d += 1
+    return d
 
 
 def _mono_str(table, mono):

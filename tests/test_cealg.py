@@ -122,6 +122,35 @@ def test_wedge_power_stops_at_the_first_zero_product(monkeypatch):
     assert len(calls) == 3
 
 
+def test_wedge_power_with_a_constant_part_is_the_binomial_sum(monkeypatch):
+    """A base c + N with c a nonzero 0-form: the power equals the k - 1
+    products of the plain ladder, and a power of 10^9 takes at most dim
+    wedges, so it finishes at once."""
+    from hermitia import cealg
+
+    at4 = make_at4()
+    rng = random.Random(41)
+    for c in ("2", "-1", "1+i", "a"):
+        for _ in range(4):
+            a = random_form(at4, rng, degrees=(1, 2, 3)) + at4.form([(c, ())])
+            ladder = a
+            for k in range(1, 9):
+                assert wedge_power(a, k) == ladder, (c, k)
+                ladder = wedge(ladder, a)
+    base = at4.form([(1, ()), (1, (1,)), (1, (2,))])
+    calls = []
+    original = cealg.wedge
+
+    def counting(x, y):
+        calls.append(None)
+        return original(x, y)
+
+    monkeypatch.setattr(cealg, "wedge", counting)
+    got = wedge_power(base, 10**9)
+    assert got == at4.form([(1, ()), (10**9, (1,)), (10**9, (2,))])
+    assert len(calls) <= at4.dim
+
+
 def test_d_agrees_with_oracle_randomized():
     at4 = make_at4()
     rng = random.Random(14)
@@ -278,3 +307,19 @@ def test_mixed_degree_forms_allowed():
     assert f.degrees() == [1, 2, 3]
     with pytest.raises(FormError):
         f.degree()
+
+
+def test_signature_is_built_on_the_first_comparison_of_two_presentations():
+    """same_algebra answers identity without the signature; two distinct
+    presentations build theirs once, and a complex model's coframe, compared
+    by identity only, never does."""
+    from hermitia.complexops import AlmostComplexStructure
+
+    p, q = make_at4(), make_at4()
+    assert p.same_algebra(p) and "_signature" not in vars(p)
+    assert p.same_algebra(q)
+    assert "_signature" in vars(p) and "_signature" in vars(q)
+    assert not p.same_algebra(abelian(6, table=p.table))
+    model = AlmostComplexStructure.from_action(p, {1: "e2", 3: "e4", 5: "e6"}).model()
+    model.to_real(model.to_complex(p.generator(1)))
+    assert "_signature" not in vars(model.cpres)

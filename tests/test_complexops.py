@@ -636,6 +636,136 @@ def test_model_equals_dense_reference_on_builtins(name):
             assert got == _dense_model_reference(J)
 
 
+# -- del and delbar: the model's generator tables against the bidegree split ------
+
+
+def _d_split_reference(model, cform):
+    """(del part, delbar part) of d by the split the tables replaced: the
+    full d of each bidegree bucket, each output term sorted by its
+    bidegree.  A component outside (p+1,q), (p,q+1) raises."""
+    del_terms, delbar_terms = {}, {}
+    for (p, q), comp in model.split_bidegrees(cform).items():
+        for idx, c in model.cpres.d(comp).terms.items():
+            pq2 = model.bidegree_of_indices(idx)
+            if pq2 == (p + 1, q):
+                bucket = del_terms
+            elif pq2 == (p, q + 1):
+                bucket = delbar_terms
+            else:
+                raise IntegrabilityError(f"d maps bidegree {(p, q)} into {pq2}")
+            acc = bucket.get(idx)
+            acc = c if acc is None else acc + c
+            if acc.is_zero():
+                bucket.pop(idx, None)
+            else:
+                bucket[idx] = acc
+    return del_terms, delbar_terms
+
+
+def _complex_constant_structure():
+    """fp_solv8's I on the algebra whose structure constants are fp_solv8's
+    times 1 + 2i.  d^2 = 0 and the bidegree test are homogeneous in the
+    constants, so I stays integrable; d no longer commutes with conjugation,
+    so the conjugate half of the coframe is substituted on its own."""
+    base = make_fp_solv8()
+    lam = base.table.parse("1+2*i")
+    pres = LieAlgebraPresentation(
+        base.dim,
+        {g: [(lam * c, idx) for idx, c in t.items()] for g, t in base.d_gen.items()},
+        names=base.names,
+        table=base.table,
+    )
+    return AlmostComplexStructure.from_action(pres, {1: "-e2", 3: "e8", 4: "e5", 6: "e7"})
+
+
+def _split_structures():
+    """Every integrable structure of the built-ins, the complex-constant
+    structure and the symbolic one, by name."""
+    out = {"complex-constants": _complex_constant_structure(), "symbolic": _symbolic_structure()}
+    for name in ("AT4", "fp_solv8", "pseudoHK12", "lemma61"):
+        for J in _structures(builtin(name).build().presentation):
+            if J.nijenhuis_vanishes().passed:
+                out[f"{name}:{J.name}"] = J
+    return out
+
+
+SPLIT_STRUCTURES = _split_structures()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.sampled_from(sorted(SPLIT_STRUCTURES)),
+    conjugate=st.booleans(),
+    data=st.data(),
+)
+def test_property_d_split_equals_the_bidegree_split(which, conjugate, data):
+    """On a random mixed-degree coframe form, del and delbar from the tables
+    equal the bidegree split of the full d term for term; each half of a
+    pure (p,q) part has bidegree (p+1,q) or (p,q+1); and del + delbar = d.
+    The structure is taken as it is or conjugated by a random P (P J P^-1,
+    when that is integrable)."""
+    J = SPLIT_STRUCTURES[which]
+    if conjugate:
+        J = _random_conjugate(J, data)
+        if J is None or not J.nijenhuis_vanishes().passed:
+            return
+    model = J.model()
+    symbols = tuple(model.real.table.names[1:])
+    cf = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    dl, db = model.d_split_complex(cf)
+    assert (dl.terms, db.terms) == _d_split_reference(model, cf)
+    assert dl + db == model.cpres.d(cf)
+    assert (del_(cf, J), delbar(cf, J)) == (dl, db)
+    for (p, q), part in model.split_bidegrees(cf).items():
+        dl, db = model.d_split_complex(part)
+        assert {model.bidegree_of_indices(idx) for idx in dl.terms} <= {(p + 1, q)}
+        assert {model.bidegree_of_indices(idx) for idx in db.terms} <= {(p, q + 1)}
+
+
+def test_complex_constants_split_each_half_on_its_own():
+    """With complex constants the tables of conj(eta_a) are not the
+    conjugates of eta_a's tables, and both still split d."""
+    model = SPLIT_STRUCTURES["complex-constants"].model()
+    m = model.m
+    conj = model._conjugate_terms
+    mirrored = all(
+        model.del_gen.get(m + a, {}) == conj(model.delbar_gen.get(a, {}))
+        and model.delbar_gen.get(m + a, {}) == conj(model.del_gen.get(a, {}))
+        for a in range(1, m + 1)
+    )
+    assert not mirrored
+    for g in range(1, 2 * m + 1):
+        eta = model.cpres.generator(g)
+        dl, db = model.d_split_complex(eta)
+        assert (dl.terms, db.terms) == _d_split_reference(model, eta)
+
+
+def test_operators_take_neither_the_full_d_nor_a_bidegree_per_term(monkeypatch, hk12_I):
+    """del, delbar, d^c and d_split_complex run on the model's tables: the
+    full differential of the coframe and the per-term bidegree test are never
+    called."""
+    model = hk12_I.model()
+    cf = model.cpres.form([(1, (1, 8)), ("i", (2, 3, 9)), (2, (4,))])
+    expected = _d_split_reference(model, cf)
+
+    def refuse(*_args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(LieAlgebraPresentation, "d", refuse)
+    monkeypatch.setattr(ComplexModel, "bidegree_of_indices", refuse)
+    dl, db = model.d_split_complex(cf)
+    assert (dl.terms, db.terms) == expected
+    assert (del_(cf, hk12_I).terms, delbar(cf, hk12_I).terms) == expected
+    assert dc(cf, hk12_I) == model.cpres.table.i * (db - dl)
+
+
+def test_d_split_refuses_a_form_of_another_coframe():
+    ctx = builtin("pseudoHK12").build()
+    mi, mj = ctx.acs("I").model(), ctx.acs("J").model()
+    with pytest.raises(FormError, match="complex coframe"):
+        mi.d_split_complex(mj.cpres.generator(1))
+
+
 # Non-integrable square roots of -Id on non-abelian algebras, with the
 # witnesses (nonzero entries only), the `integrable` check's detail and the
 # model() error text of the N(e_a, e_b) loop, as recorded before the

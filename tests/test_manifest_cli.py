@@ -737,3 +737,29 @@ def test_commute_endos_that_are_not_names_are_manifest_errors(endo, got):
     with pytest.raises(ManifestError) as info:
         Manifest(data)
     assert str(info.value) == f"checks[4].endos[0]: expected a string, got {got}"
+
+
+@pytest.mark.parametrize(
+    "power, base, verdict, detail",
+    [
+        (20000, [["2", []], ["1", ["e1"]]], "error",
+         {"reason": "scalar too long to print: a coefficient has 6021 digits (the limit is 4300)"}),
+        (10**9, [["1", []], ["1", ["e1"]]], "fail", {"difference": [["1000000000", ["e1"]]]}),
+    ],
+    ids=["digits-past-the-limit", "power-10-to-the-9"],
+)
+def test_huge_power_of_a_base_with_a_constant_fails_closed(power, base, verdict, detail):
+    """(c + N)^k is a binomial sum of at most dim wedges, so a huge power
+    finishes at once; a coefficient too long to print is an error verdict in
+    the check's own words, not the last resort's."""
+    import time
+
+    data = json.loads(builtin("AT4").to_json())
+    data["checks"].append({
+        "id": "probe", "kind": "form_equals",
+        "lhs": {"power": power, "base": {"terms": base}}, "rhs": {"terms": [["1", []]]},
+    })
+    start = time.perf_counter()
+    outcome = run_check(Manifest(data), only="probe").outcomes[-1]
+    assert time.perf_counter() - start < 1.0
+    assert (outcome.verdict, outcome.detail) == (verdict, detail)

@@ -466,3 +466,17 @@ def test_gaussian_arithmetic_never_multiplies_polynomials(monkeypatch):
     assert not calls, calls
     assert all(v._t is not None for v in values)
     assert values[3] * y == x and not calls
+
+
+def test_a_scalar_past_the_digit_limit_refuses_to_print(table):
+    """Python refuses to print an integer of more than its digit limit; the
+    scalar names the digit count in a ScalarError instead."""
+    big = table.scalar(2) ** 20000
+    with pytest.raises(ScalarError, match=r"^scalar too long to print: a coefficient has 6021 digits"):
+        str(big)
+    with pytest.raises(ScalarError, match="has 6021 digits"):
+        str(table.scalar(1) / (big * table.symbol("b") + 1))
+    gaussian = SymbolTable()
+    with pytest.raises(ScalarError, match="has 6021 digits"):
+        str(gaussian.scalar(2) ** 20000 * gaussian.i / 3)
+    assert str(gaussian.scalar(2) ** 4000) == str(2**4000)
