@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import linear
-from .scalars import Scalar, ScalarError, SymbolTable
+from .scalars import Scalar, ScalarError, SymbolTable, check_power_size
 
 
 class PresentationError(ValueError):
@@ -282,13 +282,16 @@ def wedge_all(forms: Sequence[Form]) -> Form:
 def wedge_power(a: Form, k: int) -> Form:
     """a^k for k >= 1.  The 0-form part c of a is central and N = a - c is
     nilpotent, so a^k = sum_j C(k, j) c^(k-j) N^j, and the ladder of N^j
-    stops at the first zero product: at most dim wedges, whatever k is."""
+    stops at the first zero product: at most dim wedges, whatever k is.  A
+    c^k far too long to print is refused before it is built
+    (``scalars.check_power_size``)."""
     if k < 0:
         raise FormError("negative wedge power")
     if k == 0:
         raise FormError("wedge_power with k = 0 has no top-level unit form")
     pres = a.presentation
     c = a.terms.get((), pres.table.zero)
+    check_power_size(c, k)
     rest = Form(pres, {idx: x for idx, x in a.terms.items() if idx}, _canonical=True)
     out = Form(pres, {} if c.is_zero() else {(): c**k}, _canonical=True)
     power = rest  # N^j

@@ -315,10 +315,11 @@ class ComplexModel:
         # (sigma, tau), for B = J[sigma, sigma] and A = J[sigma, tau]; so
         # R^-1 = [[I, 0], [-A^-1 B, A^-1]], and only the m x m block A is
         # inverted.  A is invertible because R is: the selection makes the
-        # rows of R a basis.  The inverse stays a ``linear.invert`` call
-        # until the selection ``rref`` and the inverse are one elimination
-        # (ROADMAP item 1): ``perfbench/tracer.py`` requires the
-        # ``linear.invert`` span to fire on the manifest workloads.
+        # rows of R a basis.  The selection ``rref`` and this inverse stay two
+        # eliminations while ``perfbench/tracer.py`` wraps ``linear.invert``
+        # by name and requires its span to fire on the manifest workloads;
+        # merging them waits for spans recorded in the library (ROADMAP
+        # item 1b).
 
         # the position of each real index (0-based) in sigma and in tau
         in_sigma = {r - 1: k for k, r in enumerate(self.sigma)}

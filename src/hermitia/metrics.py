@@ -4,33 +4,55 @@ equation, plus Bismut torsion, coframe Gram matrices with exact or numeric
 signatures, and positivity testing for (p,p)-forms.
 
 Every predicate is a vanishing statement evaluated in exact arithmetic; the
-report carries the residual form on failure.  A candidate builds the powers
-of omega once, in the complex coframe, as a ladder omega_c, omega_c^2, ...
-that every predicate shares: pluriclosed, astheno-Kahler and k-pluriclosed
-take del(delbar(.)) of a rung (memoized per k), and balanced is d of the top
-rung omega_c^(m-1) (to_complex is an algebra isomorphism that commutes with
-d).  Each rung follows from the last by expansion along the smallest index,
-omega^k = k * sum_a R_a ^ (omega^(k-1))_{>a}, with R_a the terms of omega_c
-whose first index is a and (.)_{>a} the terms whose first index exceeds a.
-In a nonzero product of k terms of omega_c the smallest index a lies in
-exactly one factor, a term of R_a, and every other factor lies above a; the
-k places of that factor give the k.  So no pair that shares index a is
-tried, where a wedge with all of omega_c tries them all.  A residual left
-in the coframe is converted to the real basis only when the report's
-``residual`` is read.  Positivity of (p,p)-forms is only falsifiable here
-(sampling decomposable tuples with a fixed, seeded generator) or certifiable
-syntactically through an explicit strongly positive decomposition.
+report carries the residual form on failure.  A candidate keeps omega in the
+complex coframe as omega_c = sum_ab w_ab eta_a ^ conj(eta_b).
+
+Balanced, d(omega^(m-1)) = (m-1) d omega ^ omega^(m-2) = 0, is decided by
+the Lefschetz criterion when W = (w_ab) is invertible: wedging with
+omega^(m-2) is injective on L(1-forms) and kills exactly the primitive
+3-forms, so the product vanishes iff d omega is primitive, i.e. its
+contraction with W^-1, sum_ab (W^-1)_ba A_(a, m+b, k) for A the
+antisymmetric coefficients of d omega_c, is zero for every index k.
+Pluriclosed is del(delbar(omega)) = 0.  Astheno-Kahler and k-pluriclosed
+read del(delbar(omega^k)) (memoized per k), and for k >= 2 the Leibniz rule
+
+    del delbar (omega^k) = k omega^(k-1) ^ del delbar omega
+                           + k (k-1) omega^(k-2) ^ del omega ^ delbar omega
+
+shows it vanishes for every k once del delbar omega = 0 and the single
+wedge del omega ^ delbar omega = 0.
+
+The powers of omega_c are built, once, as a ladder omega_c, omega_c^2, ...
+only where these shortcuts do not decide: for a degenerate W (balanced is
+then d of the top rung omega_c^(m-1); to_complex is an algebra isomorphism
+that commutes with d), for del(delbar(omega^k)) when del delbar omega or del
+omega ^ delbar omega is nonzero, and when a balanced report's residual, d of
+the top rung, is read.  Each rung follows from the last by expansion along
+the smallest index, omega^k = k * sum_a R_a ^ (omega^(k-1))_{>a}, with R_a
+the terms of omega_c whose first index is a and (.)_{>a} the terms whose
+first index exceeds a.  In a nonzero product of k terms of omega_c the
+smallest index a lies in exactly one factor, a term of R_a, and every other
+factor lies above a; the k places of that factor give the k.  So no pair
+that shares index a is tried, where a wedge with all of omega_c tries them
+all.  A residual left in the coframe is converted to the real basis only
+when the report's ``residual`` is read.  Positivity of (p,p)-forms is only
+falsifiable here (sampling decomposable tuples with a fixed, seeded
+generator) or certifiable syntactically through an explicit strongly
+positive decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import linear
 from .cealg import Form, solve_combination, wedge
 from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar, real_basis
+from .scalars import ScalarError
 
 
 class MetricError(ValueError):
@@ -39,10 +61,13 @@ class MetricError(ValueError):
 
 class PredicateReport:
     """A predicate's verdict.  ``residual`` is None on a pass and otherwise
-    the nonzero form in the real basis; a residual given over a complex
-    coframe is converted on its first read."""
+    the nonzero form in the real basis.  It may be given as a function that
+    computes it, and a residual over a complex coframe is converted to the
+    real basis; both happen on the first read."""
 
-    def __init__(self, kind: str, passed: bool, residual: Form | None = None, notes=None):
+    def __init__(
+        self, kind: str, passed: bool, residual: Form | Callable[[], Form] | None = None, notes=None
+    ):
         self.kind = kind
         self.passed = passed
         self._residual = residual
@@ -50,9 +75,12 @@ class PredicateReport:
 
     @property
     def residual(self) -> Form | None:
-        if self._residual is not None:
-            self._residual = real_basis(self._residual)
-        return self._residual
+        res = self._residual
+        if callable(res):
+            res = res()
+        if res is not None:
+            res = self._residual = real_basis(res)
+        return res
 
     def __bool__(self):
         return self.passed
@@ -78,8 +106,8 @@ def _vanishing(kind: str, res: Form) -> PredicateReport:
 class HermitianCandidate:
     """A real (1,1)-form with respect to a named integrable structure; the
     form is also kept in the structure's complex coframe as ``omega_c``,
-    together with the ladder of its powers there and the memo of
-    del(delbar(omega^k))."""
+    together with the ladder of its powers there, the memo of
+    del(delbar(omega^k)) and the Leibniz test that decides it for k >= 2."""
 
     def __init__(self, J: AlmostComplexStructure, omega: Form):
         self.J = J
@@ -134,15 +162,74 @@ class HermitianCandidate:
         return Form(cpres, {idx: c * scale for idx, c in out.items()}, _canonical=True)
 
     def del_delbar_power(self, k: int) -> Form:
-        """del(delbar(omega^k)), evaluated in the complex coframe on the
-        ladder's k-th rung; the result is converted to the real basis once
-        per k."""
+        """del(delbar(omega^k)) in the real basis, memoized per k.  For
+        k >= 2 it is zero when ``leibniz_zero`` holds; otherwise it is
+        evaluated in the complex coframe on the ladder's k-th rung and
+        converted to the real basis once."""
         res = self._del_delbar.get(k)
         if res is None:
-            J = self.J
-            res = J.model().to_real(del_(delbar(self.power(k), J), J))
+            if k >= 2 and self.leibniz_zero:
+                res = Form.zero(self.presentation)
+            else:
+                J = self.J
+                half = self._d_omega[1] if k == 1 else delbar(self.power(k), J)
+                res = J.model().to_real(del_(half, J))
             self._del_delbar[k] = res
         return res
+
+    @cached_property
+    def _d_omega(self):
+        """(del omega_c, delbar omega_c): the (2,1) and (1,2) parts of
+        d omega_c, which pluriclosed, the Leibniz test and balanced share."""
+        J = self.J
+        return del_(self.omega_c, J), delbar(self.omega_c, J)
+
+    @cached_property
+    def leibniz_zero(self) -> bool:
+        """Whether del delbar omega = 0 and del omega ^ delbar omega = 0, so
+        that by the Leibniz rule
+
+            del delbar (omega^k) = k omega^(k-1) ^ del delbar omega
+                                   + k (k-1) omega^(k-2) ^ del omega ^ delbar omega
+
+        del(delbar(omega^k)) vanishes for every k.  The wedge is taken only
+        when omega is pluriclosed."""
+        return self.del_delbar_power(1).is_zero() and wedge(*self._d_omega).is_zero()
+
+    def d_omega_primitive(self) -> bool | None:
+        """Whether d omega is primitive, i.e. its contraction with the inverse
+        of W = (w_ab), omega_c = sum_ab w_ab eta_a ^ conj(eta_b), vanishes:
+
+            sum_ab (W^-1)_ba A_(a, m+b, k) = 0 for every index k,
+
+        with A the antisymmetric coefficient of d omega_c = del omega_c +
+        delbar omega_c, signed by the sort of (a, m+b, k).  None when W is not
+        invertible (omega is degenerate)."""
+        m = self.m
+        table = self.presentation.table
+        coeff = self.omega_c.terms
+        w = [[coeff.get((a, m + b), table.zero) for b in range(1, m + 1)] for a in range(1, m + 1)]
+        try:
+            w_inv = linear.invert(w, table)
+        except (linear.LinearError, ScalarError):
+            return None
+        # the nonzero (W^-1)_ba by the pair (a, m+b) they contract
+        pairing = {
+            (a + 1, m + b + 1): y for b, row in enumerate(w_inv) for a, y in enumerate(row)
+            if not y.is_zero()
+        }
+        del_omega, delbar_omega = self._d_omega
+        trace = {}
+        for (i, j, l), x in (*del_omega.terms.items(), *delbar_omega.terms.items()):
+            # each pair of the monomial, with the third index k and the sign
+            # that sorts (a, m+b, k)
+            for pair, k, flip in (((i, j), l, False), ((i, l), j, True), ((j, l), i, False)):
+                y = pairing.get(pair)
+                if y is not None:
+                    t = -(y * x) if flip else y * x
+                    acc = trace.get(k)
+                    trace[k] = t if acc is None else acc + t
+        return all(v.is_zero() for v in trace.values())
 
     def __repr__(self):
         return f"HermitianCandidate(m={self.m}, omega={self.omega})"
@@ -153,10 +240,19 @@ def is_kahler(c: HermitianCandidate) -> PredicateReport:
 
 
 def is_balanced(c: HermitianCandidate) -> PredicateReport:
-    """d(omega^(m-1)) = 0, taken in the coframe on the ladder's top rung."""
+    """d(omega^(m-1)) = 0: d omega is primitive for a nondegenerate omega,
+    and otherwise d of the ladder's top rung vanishes.  The residual, d of
+    the top rung, is built when it is read."""
     if c.m < 2:
         raise MetricError("balanced needs complex dimension >= 2")
-    return _vanishing("balanced", c.J.model().cpres.d(c.power(c.m - 1)))
+
+    def top():
+        return c.J.model().cpres.d(c.power(c.m - 1))
+
+    primitive = c.d_omega_primitive()
+    if primitive is None:
+        return _vanishing("balanced", top())
+    return PredicateReport("balanced", primitive, None if primitive else top)
 
 
 def is_pluriclosed(c: HermitianCandidate) -> PredicateReport:

@@ -32,7 +32,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 from typing import Iterable, Mapping
 
 from .linear import rref
@@ -976,6 +976,45 @@ def _digit_count(n):
     while 10**d <= n:
         d += 1
     return d
+
+
+# A power c^k whose digit bound is past the int-to-str limit but within this
+# factor of it is still built, cheaply, so that printing it names its exact
+# digit count; past the factor it is refused unbuilt, since at a manifest
+# power such as 10^9 building it alone takes minutes.
+_UNBUILT_POWER_FACTOR = 10
+
+
+def power_digits(c: Scalar, k: int) -> float:
+    """A number of decimal digits that the longest integer written in c^k
+    exceeds, found without building c^k; 0 unless c lies in Q(i) with
+    |c| other than 0 or 1.
+
+    Write c^k = x + y i with x and y in lowest terms.  For |c| > 1 one of the
+    numerators of x and y is at least |c|^k / sqrt(2), so it has more than
+    k log10|c| - 0.16 digits.  For |c| < 1 the least common denominator of x
+    and y times c^k is a nonzero Gaussian integer, so it is at least |c|^-k
+    and one of the two denominators has more than k |log10|c|| / 2 digits."""
+    if c.is_zero() or not c.is_gaussian_rational():
+        return 0.0
+    norm = (c * c.conjugate()).as_rational()  # |c|^2
+    if norm == 1:
+        return 0.0
+    log_abs = (log10(norm.numerator) - log10(norm.denominator)) / 2
+    return max(0.0, k * log_abs - 0.16) if log_abs > 0 else -k * log_abs / 2
+
+
+def check_power_size(c: Scalar, k: int):
+    """Raise ScalarError, without building c^k, when ``power_digits`` of it
+    exceeds ``_UNBUILT_POWER_FACTOR`` times Python's int-to-str limit (no
+    limit, no refusal)."""
+    limit = sys.get_int_max_str_digits()
+    digits = power_digits(c, k)
+    if limit and digits > _UNBUILT_POWER_FACTOR * limit:
+        raise ScalarError(
+            f"scalar too long to print: a power would have a coefficient of at least "
+            f"{int(digits)} digits (the limit is {limit})"
+        )
 
 
 def _mono_str(table, mono):

@@ -12,8 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from hermitia.cealg import Form, LieAlgebraPresentation
+from hermitia.metrics import HermitianCandidate
 from hermitia.scalars import Symbol, SymbolTable
 
 
@@ -110,13 +112,16 @@ def make_fp_solv8():
     return LieAlgebraPresentation(8, diff, table=table)
 
 
-def make_at4():
-    table = SymbolTable([Symbol("a", sign_hint="positive")])
+def make_at4(table=None, weight="a"):
+    """AT4's algebra; ``weight`` names a symbol of ``table`` (by default a
+    table with the free symbol a)."""
+    if table is None:
+        table = SymbolTable([Symbol("a", sign_hint="positive")])
     diff = {
-        1: [("a", (1, 5))],
-        2: [("a", (2, 5))],
-        3: [("-a", (3, 5))],
-        4: [("-a", (4, 5))],
+        1: [(weight, (1, 5))],
+        2: [(weight, (2, 5))],
+        3: [("-" + weight, (3, 5))],
+        4: [("-" + weight, (4, 5))],
     }
     return LieAlgebraPresentation(6, diff, table=table)
 
@@ -163,3 +168,29 @@ def random_form(pres, rng, max_terms=3, degrees=(1, 2, 3), symbol_names=()):
             c = c * pres.table.i
         terms.append((c, idx))
     return pres.form(terms)
+
+
+def draw_hermitian_candidate(data, J, empty_rows=frozenset()):
+    """A candidate omega = i sum h_ab eta_a ^ conj(eta_b) with a random
+    Gaussian-integer Hermitian h; the rows and columns in ``empty_rows`` are
+    zero."""
+    model = J.model()
+    table = J.presentation.table
+    m = model.m
+    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    h = {}
+    for a in range(1, m + 1):
+        h[a, a] = table.scalar(data.draw(st.integers(-2, 2)))
+        for b in range(a + 1, m + 1):
+            x, y = data.draw(entry)
+            h[a, b] = table.scalar(x) + table.scalar(y) * table.i
+            h[b, a] = h[a, b].conjugate()
+    omega_c = sum(
+        (
+            table.i * c * model.eta_monomial((a,), (b,))
+            for (a, b), c in h.items()
+            if a not in empty_rows and b not in empty_rows
+        ),
+        Form.zero(model.cpres),
+    )
+    return HermitianCandidate(J, model.to_real(omega_c))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_at4, make_fp_solv8, make_hk12, random_form
+from conftest import draw_hermitian_candidate, make_at4, make_fp_solv8, make_hk12, random_form
 from hermitia.builders import builtin
 from hermitia.cealg import (
     Form,
@@ -335,34 +335,6 @@ def test_complex_frame_del_delbar_power_matches_real_round_trip(name, omega, end
     cand = builtin(name).build().candidate(omega, endo)
     for k in range(1, cand.m):
         assert cand.del_delbar_power(k) == _real_round_trip(cand, k)
-
-
-def draw_hermitian_candidate(data, J, empty_rows=frozenset()):
-    """A candidate omega = i sum h_ab eta_a ^ conj(eta_b) with a random
-    Gaussian-integer Hermitian h; the rows and columns in ``empty_rows`` are
-    zero."""
-    from hermitia.metrics import HermitianCandidate
-
-    model = J.model()
-    table = J.presentation.table
-    m = model.m
-    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-    h = {}
-    for a in range(1, m + 1):
-        h[a, a] = table.scalar(data.draw(st.integers(-2, 2)))
-        for b in range(a + 1, m + 1):
-            x, y = data.draw(entry)
-            h[a, b] = table.scalar(x) + table.scalar(y) * table.i
-            h[b, a] = h[a, b].conjugate()
-    omega_c = sum(
-        (
-            table.i * c * model.eta_monomial((a,), (b,))
-            for (a, b), c in h.items()
-            if a not in empty_rows and b not in empty_rows
-        ),
-        Form.zero(model.cpres),
-    )
-    return HermitianCandidate(J, model.to_real(omega_c))
 
 
 @settings(max_examples=12, deadline=None)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import perfbench
 from hermitia.builders import builtin
 from hermitia.cli import main
 from hermitia.manifest import Manifest, ManifestError, run_check
@@ -103,6 +104,57 @@ def test_failed_balanced_check_reports_the_real_basis_residual():
     assert json.dumps(outcome.detail, sort_keys=True) == (
         '{"residual": [["-6", ["e1", "e2", "e4", "e5", "e6", "e7", "e8"]]]}'
     )
+
+
+def _kt_times_kt(checks):
+    """Two copies of the Kodaira-Thurston model: omega is pluriclosed, and
+    neither astheno-Kahler nor balanced."""
+    names = [f"f{k}" for k in range(1, 9)]
+    J = [["0"] * 8 for _ in range(8)]
+    for a, b in ((0, 3), (1, 2), (4, 7), (5, 6)):
+        J[b][a], J[a][b] = "1", "-1"
+    return Manifest({
+        "schema": "hermitia-manifest/1", "name": "KTxKT", "symbols": [], "dimension": 8,
+        "basis": names, "differential": {"f1": [["1", ["f2", "f3"]]], "f5": [["1", ["f6", "f7"]]]},
+        "endomorphisms": {"J": J}, "bilinears": {}, "valuations": {},
+        "forms": {"omega": [["1", [names[a], names[b]]] for a, b in ((0, 3), (1, 2), (4, 7), (5, 6))]},
+        "checks": [dict(check, id="probe", omega="omega", endo="J", expect=True) for check in checks],
+    })
+
+
+def _hermitian_rational_expecting_balanced():
+    """A benchmark input (k = 4, three shears, seed 7) whose balanced check
+    expects true; its omega is not balanced."""
+    data = json.loads(perfbench("workloads").Hermitian(7).cycle()[2].payload)
+    for check in data["checks"]:
+        if check["id"] == "balanced":
+            check.update(id="probe", expect=True)
+    return Manifest(data)
+
+
+ASTHENO_RESIDUAL = [["-i", ["f1", "f2", "f3", "f6", "f7", "f8"]], ["i", ["f2", "f3", "f4", "f5", "f6", "f7"]]]
+
+
+@pytest.mark.parametrize(
+    "manifest, residual",
+    [
+        (_hermitian_rational_expecting_balanced,
+         [["-6", ["f1", "f2", "f3", "f4", "f5", "f6", "f8"]],
+          ["6", ["f2", "f3", "f4", "f5", "f6", "f7", "f8"]]]),
+        (lambda: _kt_times_kt([{"kind": "astheno"}]), ASTHENO_RESIDUAL),
+        (lambda: _kt_times_kt([{"kind": "k_pluriclosed", "k": 2}]), ASTHENO_RESIDUAL),
+        (lambda: _kt_times_kt([{"kind": "balanced"}]),
+         [["6", ["f1", "f2", "f3", "f4", "f6", "f7", "f8"]],
+          ["6", ["f2", "f3", "f4", "f5", "f6", "f7", "f8"]]]),
+    ],
+    ids=["hermitian_rational-balanced", "KTxKT-astheno", "KTxKT-2-pluriclosed", "KTxKT-balanced"],
+)
+def test_failed_power_checks_print_the_ladder_residual(manifest, residual):
+    """A verdict decided without the power ladder still prints, when it
+    differs from its expect, the residual that d or del delbar of the
+    ladder's rung gives."""
+    outcome = run_check(manifest(), only="probe").outcomes[-1]
+    assert (outcome.verdict, outcome.detail) == ("fail", {"residual": residual})
 
 
 def test_matched_balanced_check_converts_nothing_to_the_real_basis(monkeypatch):
@@ -745,13 +797,17 @@ def test_commute_endos_that_are_not_names_are_manifest_errors(endo, got):
         (20000, [["2", []], ["1", ["e1"]]], "error",
          {"reason": "scalar too long to print: a coefficient has 6021 digits (the limit is 4300)"}),
         (10**9, [["1", []], ["1", ["e1"]]], "fail", {"difference": [["1000000000", ["e1"]]]}),
+        (10**9, [["2", []], ["1", ["e1"]]], "error",
+         {"reason": "scalar too long to print: a power would have a coefficient of at least "
+                    "301029995 digits (the limit is 4300)"}),
     ],
-    ids=["digits-past-the-limit", "power-10-to-the-9"],
+    ids=["digits-past-the-limit", "power-10-to-the-9", "unbuilt-power-of-2"],
 )
 def test_huge_power_of_a_base_with_a_constant_fails_closed(power, base, verdict, detail):
     """(c + N)^k is a binomial sum of at most dim wedges, so a huge power
     finishes at once; a coefficient too long to print is an error verdict in
-    the check's own words, not the last resort's."""
+    the check's own words, not the last resort's, and a c^k far past the
+    limit is refused before it is built."""
     import time
 
     data = json.loads(builtin("AT4").to_json())
@@ -763,3 +819,35 @@ def test_huge_power_of_a_base_with_a_constant_fails_closed(power, base, verdict,
     outcome = run_check(Manifest(data), only="probe").outcomes[-1]
     assert time.perf_counter() - start < 1.0
     assert (outcome.verdict, outcome.detail) == (verdict, detail)
+
+
+def _at4_probe(check, **sections):
+    data = json.loads(builtin("AT4").to_json())
+    for section, entries in sections.items():
+        data[section].update(entries)
+    data["checks"].append(dict(check, id="probe"))
+    return run_check(Manifest(data), only="probe").outcomes[-1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a float tolerance decides the verdict")
+def test_negative_decomposition_coefficient_near_zero_is_not_certified():
+    """a - 1 is negative at a = 1 - 1e-13, so the decomposition is no
+    strong positivity certificate; the 1e-12 tolerance lets it pass."""
+    outcome = _at4_probe(
+        {"kind": "strong_positivity_certificate", "form": {"terms": [["2*a-2", ["e1", "e2"]]]},
+         "endo": "J", "decomposition": [["a-1", [1]]], "valuation": "near"},
+        valuations={"near": {"a": 1 - 1e-13}},
+    )
+    assert outcome.verdict == "fail"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a float tolerance decides the verdict")
+def test_small_positive_gram_entry_is_not_degenerate():
+    """diag(a, 1, 1, 1, 1, 1) at a = 1e-10 has signature (6, 0, 0); the
+    numeric eigenvalue cut-off of 1e-9 counts a as zero."""
+    diag = [["a" if i == j == 0 else "1" if i == j else "0" for j in range(6)] for i in range(6)]
+    outcome = _at4_probe(
+        {"kind": "gram_signature", "bilinear": "diag", "valuation": "tiny", "expect": [5, 0, 1]},
+        valuations={"tiny": {"a": 1e-10}}, bilinears={"diag": diag},
+    )
+    assert outcome.verdict == "fail"

@@ -4,12 +4,14 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_at4, make_fp_solv8, make_hk12, perfbench
-from hermitia import Manifest, cealg, metrics
+from conftest import draw_hermitian_candidate, make_at4, make_fp_solv8, make_hk12, perfbench
+from hermitia import Manifest, cealg, linear, metrics
 from hermitia.builders import builtin, sasaki_kahler_suspension
-from hermitia.cealg import abelian, wedge, wedge_power
-from hermitia.complexops import AlmostComplexStructure, fundamental_form
+from hermitia.cealg import Form, LieAlgebraPresentation, abelian, direct_sum, wedge, wedge_power
+from hermitia.complexops import AlmostComplexStructure, del_, delbar, fundamental_form
 from hermitia.metrics import (
     HermitianCandidate,
     MetricError,
@@ -25,6 +27,7 @@ from hermitia.metrics import (
     positivity_falsify,
     strong_positivity_certificate,
 )
+from hermitia.scalars import Symbol, SymbolTable
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +89,17 @@ def test_predicates_share_one_power_ladder(monkeypatch):
     c = _suspension8_candidate()
     calls.clear()
     predicates(c)
-    # together they build the ladder omega^2 .. omega^(m-1) once ..
+    # balanced reads d omega against W^-1, and astheno and every k share the
+    # one Leibniz wedge del omega ^ delbar omega: no rung is built ..
+    assert len(calls) == 1
+    calls.clear()
+    # .. until the balanced residual is read, which builds the ladder once ..
+    assert not is_balanced(c).residual.is_zero()
     assert len(calls) == ladder
     calls.clear()
     predicates(c)
-    # .. and a second round reads it back
+    is_balanced(c).residual
+    # .. and a later round reads it all back
     assert not calls
 
 
@@ -152,6 +161,159 @@ def test_balanced_residual_is_the_real_basis_differential():
         else:
             assert rep.residual == expected
             assert rep.residual.presentation is c.presentation
+
+
+def _transported(J, omega, shears):
+    """J and omega carried to the basis f^a = sum_b P_ab e^b of the same
+    algebra, P the product of the shears I + c E_ij (0-based i != j).  Every
+    verdict stays; the coframe of the new J mixes the old one, so omega_c
+    gets complex off-diagonal coefficients."""
+    pres = J.presentation
+    n, table = pres.dim, pres.table
+    p = linear.identity(table, n)
+    for i, j, c in shears:
+        shear = [list(row) for row in linear.identity(table, n)]
+        shear[i][j] = table.scalar(c)
+        p = linear.mat_mul(p, shear, table)
+    q = linear.invert(p, table)
+    # e^b = sum_c q_bc f^c, multiplied out over an abelian algebra in f
+    flat = abelian(n, table=table)
+    images = [flat.form([(x, (c + 1,)) for c, x in enumerate(row)]) for row in q]
+
+    def in_f(form):
+        out = Form.zero(flat)
+        for idx, x in form.terms.items():
+            term = flat.form([(x, ())])
+            for b in idx:
+                term = wedge(term, images[b - 1])
+            out = out + term
+        return [(x, idx) for idx, x in out.terms.items()]
+
+    differential = {}
+    for a, row in enumerate(p):
+        d_f = sum((x * pres.d_of_generator(b + 1) for b, x in enumerate(row)), Form.zero(pres))
+        if not d_f.is_zero():
+            differential[a + 1] = in_f(d_f)
+    new = LieAlgebraPresentation(n, differential, table=table)
+    matrix = linear.mat_mul(linear.mat_mul(p, J.matrix, table), q, table)
+    return AlmostComplexStructure(new, matrix), new.form(in_f(omega))
+
+
+def _at4_over(table, weight):
+    """AT4 with the weight ``weight`` in place of a, its J and omega0."""
+    p = make_at4(table, weight)
+    J = AlmostComplexStructure.from_action(p, {1: "e2", 3: "e4", 5: "e6"})
+    return J, p.form([(1, (1, 2)), (1, (3, 4)), (1, (5, 6))])
+
+
+def _kt_times_kt():
+    """KT x KT: two copies of the Kodaira-Thurston model (the suspension
+    with an empty Kahler block), m = 4; omega_tilde is pluriclosed but not
+    astheno-Kahler."""
+    kt = sasaki_kahler_suspension(0)
+    p = direct_sum(kt, kt)
+    return AlmostComplexStructure(p, p.endomorphisms["Itilde"]), p.forms["omega_tilde"]
+
+
+def _hermitian_rational(template):
+    c = Manifest.from_json(_suspension_cycle(7)[template].payload).build().candidate("omega", "J")
+    return c.J, c.omega
+
+
+# (J, omega) builders: AT4's omega0 is balanced, with a free symbol a and
+# with a relation symbol s^2 = 2 as its weight; the others are not balanced
+STRUCTURES = {
+    "AT4": lambda: _at4_over(SymbolTable([Symbol("a", sign_hint="positive")]), "a"),
+    "AT4 over s^2 = 2": lambda: _at4_over(SymbolTable([Symbol("s", relation=(2, "2"))]), "s"),
+    "KT x KT": _kt_times_kt,
+    **{f"hermitian_rational #{t}": functools.partial(_hermitian_rational, t) for t in (0, 3, 4)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _structure(name):
+    return STRUCTURES[name]()
+
+
+def _ladder_balanced(c):
+    return c.J.model().cpres.d(c.power(c.m - 1)).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_balanced_by_lefschetz_agrees_with_the_ladder(data):
+    """The contraction of d omega with W^-1 gives the ladder's verdict on
+    every nondegenerate candidate, and a degenerate one falls back to the
+    ladder.  The structures' own forms in a sheared basis are balanced with
+    complex off-diagonal W, where a wrong sign or a transposed W^-1 shows."""
+    J, omega = _structure(data.draw(st.sampled_from(sorted(STRUCTURES))))
+    n = J.presentation.dim
+    shear = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((-1, 1)))
+    shears = data.draw(st.lists(shear.filter(lambda s: s[0] != s[1]), min_size=1, max_size=3))
+    J, omega = _transported(J, omega, shears)
+    if data.draw(st.booleans()):
+        c = HermitianCandidate(J, omega)
+    else:
+        m = J.model().m
+        c = draw_hermitian_candidate(data, J, data.draw(st.sets(st.integers(1, m), max_size=1)))
+    degenerate = linear.det(coframe_gram(c), c.presentation.table).is_zero()
+    primitive = c.d_omega_primitive()
+    assert (primitive is None) == degenerate
+    assert is_balanced(c).passed == _ladder_balanced(c)
+    if not degenerate:
+        assert primitive == _ladder_balanced(c)
+
+
+def test_own_forms_in_a_sheared_basis_stay_balanced():
+    """The property's balanced inputs: AT4's omega0 over both tables, with
+    W complex and not symmetric after the shears."""
+    for name in ("AT4", "AT4 over s^2 = 2"):
+        c = HermitianCandidate(*_transported(*_structure(name), [(0, 3, 1), (4, 1, -1), (2, 0, 1)]))
+        w = coframe_gram(c)
+        assert any(not (x - y).is_zero() for row, col in zip(w, zip(*w)) for x, y in zip(row, col))
+        assert c.d_omega_primitive() is True
+        assert is_balanced(c).passed and _ladder_balanced(c)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_property_del_delbar_of_a_power_follows_leibniz(data):
+    """del delbar (omega^k) = k omega^(k-1) ^ del delbar omega
+    + k (k-1) omega^(k-2) ^ del omega ^ delbar omega, for k = 1 .. m-1, and
+    the candidate's memo agrees with it."""
+    name = data.draw(st.sampled_from(["KT x KT"] + [s for s in STRUCTURES if s.startswith("herm")]))
+    J, _omega = _structure(name)
+    c = draw_hermitian_candidate(data, J)
+    model, om = J.model(), c.omega_c
+    table = c.presentation.table
+    ddb = del_(delbar(om, J), J)
+    pair = wedge(del_(om, J), delbar(om, J))
+
+    def power(j):
+        return model.cpres.form([(1, ())]) if j == 0 else wedge_power(om, j)
+
+    for k in range(1, c.m):
+        lhs = del_(delbar(wedge_power(om, k), J), J)
+        rhs = wedge(power(k - 1), ddb).scale(table.scalar(k))
+        if k >= 2:
+            rhs = rhs + wedge(power(k - 2), pair).scale(table.scalar(k * (k - 1)))
+        assert lhs == rhs
+        assert c.del_delbar_power(k) == model.to_real(lhs)
+
+
+def test_kt_times_kt_is_pluriclosed_but_not_astheno():
+    """del delbar omega = 0 alone does not decide k >= 2: here del omega ^
+    delbar omega is nonzero, and the astheno residual is the ladder's."""
+    c = HermitianCandidate(*_kt_times_kt())
+    assert is_pluriclosed(c).passed
+    assert not c.leibniz_zero
+    J = c.J
+    expected = J.model().to_real(del_(delbar(wedge_power(c.omega_c, 2), J), J))
+    assert not expected.is_zero()
+    for rep in (is_astheno(c), is_k_pluriclosed(c, 2)):
+        assert not rep.passed
+        assert rep.residual == expected
+    assert is_k_pluriclosed(c, 3).passed == c.del_delbar_power(3).is_zero()
 
 
 def test_candidate_validation_rejects_non_real():

@@ -480,3 +480,17 @@ def test_a_scalar_past_the_digit_limit_refuses_to_print(table):
     with pytest.raises(ScalarError, match="has 6021 digits"):
         str(gaussian.scalar(2) ** 20000 * gaussian.i / 3)
     assert str(gaussian.scalar(2) ** 4000) == str(2**4000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(-60, 60), b=st.integers(-60, 60), d=st.integers(1, 60), k=st.integers(1, 80)
+)
+def test_property_power_digits_is_a_lower_bound(a, b, d, k):
+    """Some integer printed in c^k has more digits than ``power_digits``
+    says, for c = (a + b i) / d."""
+    table = SymbolTable()
+    c = (table.scalar(a) + table.scalar(b) * table.i) / d
+    bound = scalars_module.power_digits(c, k)
+    written = [n for x in (c**k).num.values() for n in (x.numerator, x.denominator)]
+    assert bound < max((len(str(abs(n))) for n in written), default=1)
