@@ -23,10 +23,12 @@ that fills the tables.
 
 Building a model reads J by its nonzero entries.  The structure's checks
 square J from its nonzero products; the coframe is read off the rows of J;
-the change of basis inverts only the m x m block J[sigma, tau] of the
-selected rows on the other indices; and with real structure constants the
-(0,1) half of the coframe's differential is the conjugate of the (1,0) half,
-so only the (1,0) half is substituted and tested.
+one row reduction of the columns e^1, e^1 o J, e^2, e^2 o J, .. selects the
+coframe by its pivots and, since its even columns are the identity, leaves
+there the inverse of the selected rows, which is the change of basis; and
+with real structure constants the (0,1) half of the coframe's differential
+is the conjugate of the (1,0) half, so only the (1,0) half is substituted
+and tested.
 """
 
 from __future__ import annotations
@@ -307,58 +309,26 @@ class ComplexModel:
                 terms[(s + 1,)] = one + c if s + 1 == r else c
             self.eta_forms.append(Form(pres, terms, _canonical=True))
 
-        # change of basis.  R stacks the real rows e^r and e^r o J (r in
-        # sigma); the complex rows eta_r = e^r - i e^r o J and their
-        # conjugates are C = [[I, -iI], [I, iI]] R, so C^-1 = R^-1 M with
-        # M = 1/2 [[I, I], [iI, -iI]] and only the real R is inverted.  With
-        # tau the other indices, R = [[I, 0], [B, A]] in the column order
-        # (sigma, tau), for B = J[sigma, sigma] and A = J[sigma, tau]; so
-        # R^-1 = [[I, 0], [-A^-1 B, A^-1]], and only the m x m block A is
-        # inverted.  A is invertible because R is: the selection makes the
-        # rows of R a basis.  The selection ``rref`` and this inverse stay two
-        # eliminations while ``perfbench/tracer.py`` wraps ``linear.invert``
-        # by name and requires its span to fire on the manifest workloads;
-        # merging them waits for spans recorded in the library (ROADMAP
-        # item 1b).
-
-        # the position of each real index (0-based) in sigma and in tau
-        in_sigma = {r - 1: k for k, r in enumerate(self.sigma)}
-        tau = [t for t in range(1, n + 1) if t - 1 not in in_sigma]
-        in_tau = {t - 1: k for k, t in enumerate(tau)}
-        a_rows = [[zero] * m for _ in range(m)]
-        b_rows = [[] for _ in range(m)]  # the nonzero (position, entry) of B
-        for k, r in enumerate(self.sigma):
-            for c, x in J._rows[r - 1]:
-                if c in in_tau:
-                    a_rows[k][in_tau[c]] = x
-                else:
-                    b_rows[k].append((in_sigma[c], x))
-        a_inv = linear.invert(a_rows, table)
+        # change of basis.  The reduction multiplies ``duals`` by P^-1, for P
+        # its pivot columns e^s and e^s o J (s in sigma), and the even columns
+        # e^1, .., e^n are the identity; so even column 2(t-1) ends as the
+        # coordinates of e^t on the pivots, x_k on e^(sigma_k) in row 2k and
+        # y_k on e^(sigma_k) o J in row 2k+1.  With e^s = (eta_s + conj
+        # eta_s) / 2 and e^s o J = i (eta_s - conj eta_s) / 2, the image of
+        # e^t as sparse 1-form term pairs ((index,), coeff) is x / 2 + i y / 2
+        # on eta_k and x / 2 - i y / 2 on conj eta_k.
         half = table.scalar(Fraction(1, 2))
         half_i = half * i_unit
-
-        # the image of each generator as sparse 1-form term pairs
-        # ((index,), coeff): e^r for r in sigma is (eta_r + conj eta_r) / 2,
-        # and e^t for t in tau is read off its row of R^-1 (x on the rows
-        # e^s, y on the rows e^s o J) as x / 2 + i y / 2 on eta_s and
-        # x / 2 - i y / 2 on conj eta_s
-        self._real_to_cx = [None] * n
-        for k, r in enumerate(self.sigma):
-            self._real_to_cx[r - 1] = [((k + 1,), half), ((m + k + 1,), half)]
-        for t, y_row in zip(tau, a_inv):
-            x_row = [zero] * m
-            for s, y in enumerate(y_row):
-                if not y.is_zero():
-                    for k, b in b_rows[s]:
-                        x_row[k] = x_row[k] - y * b
+        pair_rows = list(enumerate(zip(duals[0::2], duals[1::2])))
+        self._real_to_cx = []
+        for col in range(0, 2 * n, 2):
             pairs = [
-                (k, x if x.is_zero() else half * x, y if y.is_zero() else half_i * y)
-                for k, (x, y) in enumerate(zip(x_row, y_row))
-                if not (x.is_zero() and y.is_zero())
+                (k, half * x_row[col], half_i * y_row[col])
+                for k, (x_row, y_row) in pair_rows
+                if not (x_row[col].is_zero() and y_row[col].is_zero())
             ]
-            self._real_to_cx[t - 1] = [((k + 1,), x + y) for k, x, y in pairs] + [
-                ((m + k + 1,), x - y) for k, x, y in pairs
-            ]
+            holo = [((k + 1,), x + y) for k, x, y in pairs]
+            self._real_to_cx.append(holo + [((m + k + 1,), x - y) for k, x, y in pairs])
         # complex generator a -> its real expansion: eta_a, then the conjugates
         self._cx_to_real = [sorted(eta.terms.items()) for eta in self.eta_forms]
         self._cx_to_real += [[(idx, c.conjugate()) for idx, c in row] for row in self._cx_to_real]

@@ -6,7 +6,8 @@ diagonalization, and matrix identities over the scalar field.
 support ``+``, ``-``, ``*`` and ``/`` among themselves, and the caller
 passes the exact zero test.  One loop therefore serves the scalar field
 (zero test ``Scalar.is_zero``; the greedy coframe and half-frame selections
-are read off its pivot columns) and the rationals of
+are read off its pivot columns, and the coframe's change of basis off its
+reduced columns) and the rationals of
 ``scalars._alg_inverse`` and ``hyperbolic.kernel_basis``
 (``operator.not_``).  ``congruence_signature`` needs only
 ``+``, ``-``, ``*`` and an exact division the caller passes, so it runs on
@@ -218,15 +219,23 @@ def det(rows, table):
     return out
 
 
-def hermitian_signature(rows, table):
-    """Signature (p, q, z) of an exact Hermitian matrix by congruence
-    diagonalization.  Entries must be symbol free; diagonal values come out
-    as real rationals whose signs are counted exactly."""
+def hermitian_violation(rows):
+    """The first (r, c), row-major, with rows[r][c] != conj(rows[c][r]), or
+    None when the square matrix is Hermitian."""
     n = len(rows)
     for r in range(n):
         for c in range(n):
             if not (rows[r][c] - rows[c][r].conjugate()).is_zero():
-                raise LinearError("matrix is not Hermitian")
+                return r, c
+    return None
+
+
+def hermitian_signature(rows, table):
+    """Signature (p, q, z) of an exact Hermitian matrix by congruence
+    diagonalization.  Entries must be symbol free; diagonal values come out
+    as real rationals whose signs are counted exactly."""
+    if hermitian_violation(rows) is not None:
+        raise LinearError("matrix is not Hermitian")
     return congruence_signature(
         [list(row) for row in rows], _zero_test(table), _require_real_rational, operator.truediv
     )

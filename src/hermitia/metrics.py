@@ -196,6 +196,16 @@ class HermitianCandidate:
         when omega is pluriclosed."""
         return self.del_delbar_power(1).is_zero() and wedge(*self._d_omega).is_zero()
 
+    @cached_property
+    def w(self) -> tuple:
+        """W = (w_ab), omega_c = sum_ab w_ab eta_a ^ conj(eta_b), as rows."""
+        m = self.m
+        zero = self.presentation.table.zero
+        coeff = self.omega_c.terms
+        return tuple(
+            tuple(coeff.get((a, m + b), zero) for b in range(1, m + 1)) for a in range(1, m + 1)
+        )
+
     def d_omega_primitive(self) -> bool | None:
         """Whether d omega is primitive, i.e. its contraction with the inverse
         of W = (w_ab), omega_c = sum_ab w_ab eta_a ^ conj(eta_b), vanishes:
@@ -206,11 +216,8 @@ class HermitianCandidate:
         delbar omega_c, signed by the sort of (a, m+b, k).  None when W is not
         invertible (omega is degenerate)."""
         m = self.m
-        table = self.presentation.table
-        coeff = self.omega_c.terms
-        w = [[coeff.get((a, m + b), table.zero) for b in range(1, m + 1)] for a in range(1, m + 1)]
         try:
-            w_inv = linear.invert(w, table)
+            w_inv = linear.invert(self.w, self.presentation.table)
         except (linear.LinearError, ScalarError):
             return None
         # the nonzero (W^-1)_ba by the pair (a, m+b) they contract
@@ -311,23 +318,10 @@ def bismut_torsion(c: HermitianCandidate):
 
 
 def coframe_gram(c: HermitianCandidate):
-    """The Hermitian matrix h with omega = i sum h_ab eta_a ^ conj(eta_b)."""
-    com = c.omega_c
-    table = c.presentation.table
-    m = c.m
-    minus_i = -table.i
-    rows = []
-    for a in range(1, m + 1):
-        row = []
-        for b in range(1, m + 1):
-            coeff = com.terms.get(tuple(sorted((a, m + b))))
-            if coeff is None:
-                row.append(table.zero)
-            else:
-                # index pair (a, m+b) is already increasing, no reorder sign
-                row.append(minus_i * coeff)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """The Hermitian matrix h with omega = i sum h_ab eta_a ^ conj(eta_b),
+    that is h = -i W."""
+    minus_i = -c.presentation.table.i
+    return tuple(tuple(minus_i * x for x in row) for row in c.w)
 
 
 @dataclass

@@ -137,13 +137,8 @@ class HKTCandidate:
         self.frame, self.coefficients = _half_frame_decomposition(triple, self.omega_c)
 
     def hermitian_violation(self):
-        a = self.coefficients
-        k = len(a)
-        for r in range(k):
-            for s in range(k):
-                if not (a[r][s] - a[s][r].conjugate()).is_zero():
-                    return (self.frame[r], self.frame[s])
-        return None
+        hot = linear.hermitian_violation(self.coefficients)
+        return None if hot is None else (self.frame[hot[0]], self.frame[hot[1]])
 
 
 def _half_frame(triple: HypercomplexTriple):
@@ -325,10 +320,8 @@ def hkt_obstruction(
     if len(a_matrix) != k or any(len(r) != k for r in a_matrix):
         raise QuaternionError(f"the Hermitian matrix must be {k}x{k} over the half frame {frame}")
     rows = [[table.scalar(x) for x in row] for row in a_matrix]
-    for r in range(k):
-        for s in range(k):
-            if not (rows[r][s] - rows[s][r].conjugate()).is_zero():
-                raise QuaternionError("the coefficient matrix is not Hermitian")
+    if linear.hermitian_violation(rows) is not None:
+        raise QuaternionError("the coefficient matrix is not Hermitian")
     omega_t = Form.zero(model.cpres)
     for r in range(k):
         for s in range(k):

@@ -32,7 +32,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from math import gcd, log10
+from math import gcd, lcm, log10
 from typing import Iterable, Mapping
 
 from .linear import rref
@@ -987,19 +987,32 @@ _UNBUILT_POWER_FACTOR = 10
 
 def power_digits(c: Scalar, k: int) -> float:
     """A number of decimal digits that the longest integer written in c^k
-    exceeds, found without building c^k; 0 unless c lies in Q(i) with
-    |c| other than 0 or 1.
+    exceeds, found without building c^k; 0 unless c lies in Q(i) and is
+    neither 0 nor one of the units 1, -1, i, -i.
 
     Write c^k = x + y i with x and y in lowest terms.  For |c| > 1 one of the
     numerators of x and y is at least |c|^k / sqrt(2), so it has more than
     k log10|c| - 0.16 digits.  For |c| < 1 the least common denominator of x
     and y times c^k is a nonzero Gaussian integer, so it is at least |c|^-k
-    and one of the two denominators has more than k |log10|c|| / 2 digits."""
+    and one of the two denominators has more than k |log10|c|| / 2 digits.
+
+    For |c| = 1 write c = (a + b i) / d with d the least common denominator
+    of its parts, so gcd(a, b, d) = 1 and a^2 + b^2 = d^2.  Then gcd(a, b) =
+    1, and d is odd since a square is not 2 mod 4.  A Gaussian prime that
+    divides both a + b i and a - b i divides 2a, 2b and d^2, hence the
+    coprime 2 and d^2: there is none.  So no rational prime p dividing d
+    divides (a + b i)^k = X + Y i, or it would divide the conjugate
+    (a - b i)^k too.  The least common denominator of x = X / d^k and
+    y = Y / d^k is therefore d^k; it is at most the product of the two
+    denominators, so one of them has more than k log10(d) / 2 digits.  The
+    units 1, -1, i and -i have d = 1."""
     if c.is_zero() or not c.is_gaussian_rational():
         return 0.0
     norm = (c * c.conjugate()).as_rational()  # |c|^2
     if norm == 1:
-        return 0.0
+        real = ((c + c.conjugate()) / 2).as_rational()
+        imag = ((c.conjugate() - c) * c.table.i / 2).as_rational()
+        return k * log10(lcm(real.denominator, imag.denominator)) / 2
     log_abs = (log10(norm.numerator) - log10(norm.denominator)) / 2
     return max(0.0, k * log_abs - 0.16) if log_abs > 0 else -k * log_abs / 2
 

@@ -800,8 +800,14 @@ def test_commute_endos_that_are_not_names_are_manifest_errors(endo, got):
         (10**9, [["2", []], ["1", ["e1"]]], "error",
          {"reason": "scalar too long to print: a power would have a coefficient of at least "
                     "301029995 digits (the limit is 4300)"}),
+        (10**9, [["3/5+4/5*i", []], ["1", ["e1"]]], "error",
+         {"reason": "scalar too long to print: a power would have a coefficient of at least "
+                    "349485002 digits (the limit is 4300)"}),
     ],
-    ids=["digits-past-the-limit", "power-10-to-the-9", "unbuilt-power-of-2"],
+    ids=[
+        "digits-past-the-limit", "power-10-to-the-9", "unbuilt-power-of-2",
+        "unbuilt-power-on-the-unit-circle",
+    ],
 )
 def test_huge_power_of_a_base_with_a_constant_fails_closed(power, base, verdict, detail):
     """(c + N)^k is a binomial sum of at most dim wedges, so a huge power

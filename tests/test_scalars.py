@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermitia import scalars as scalars_module
@@ -484,13 +484,23 @@ def test_a_scalar_past_the_digit_limit_refuses_to_print(table):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    a=st.integers(-60, 60), b=st.integers(-60, 60), d=st.integers(1, 60), k=st.integers(1, 80)
+    a=st.integers(-60, 60),
+    b=st.integers(-60, 60),
+    d=st.integers(1, 60),
+    k=st.integers(1, 80),
+    on_the_circle=st.booleans(),
 )
-def test_property_power_digits_is_a_lower_bound(a, b, d, k):
+def test_property_power_digits_is_a_lower_bound(a, b, d, k, on_the_circle):
     """Some integer printed in c^k has more digits than ``power_digits``
-    says, for c = (a + b i) / d."""
+    says, for c = (a + b i) / d, and on the unit circle for
+    c = (a + b i) / (a - b i), which is every c in Q(i) with |c| = 1."""
     table = SymbolTable()
-    c = (table.scalar(a) + table.scalar(b) * table.i) / d
+    z = table.scalar(a) + table.scalar(b) * table.i
+    if on_the_circle:
+        assume(not z.is_zero())
+        c = z / z.conjugate()
+    else:
+        c = z / d
     bound = scalars_module.power_digits(c, k)
     written = [n for x in (c**k).num.values() for n in (x.numerator, x.denominator)]
     assert bound < max((len(str(abs(n))) for n in written), default=1)

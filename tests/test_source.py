@@ -150,6 +150,23 @@ def test_hyperbolic_row_reduces_only_in_kernel_basis():
     assert users == {"kernel_basis"}, users
 
 
+def test_complex_model_reduces_once_and_inverts_nothing():
+    """In ``complexops.py`` only ``ComplexModel.__init__`` names ``rref``, in
+    its one call, and nothing names ``invert``: the coframe selection and the
+    change of basis come from a single reduction."""
+    tree = ast.parse((SRC / "complexops.py").read_text(encoding="utf-8"))
+    model = next(top for top in tree.body if getattr(top, "name", None) == "ComplexModel")
+    init = next(f for f in model.body if getattr(f, "name", None) == "__init__")
+
+    def naming(node, name):
+        return [n for n in ast.walk(node) if getattr(n, "id", getattr(n, "attr", None)) == name]
+
+    reductions = naming(init, "rref")
+    calls = [n for n in ast.walk(init) if isinstance(n, ast.Call) and n.func in reductions]
+    assert naming(tree, "rref") == reductions and len(calls) == 1, reductions
+    assert naming(tree, "invert") == []
+
+
 def test_hyperbolic_bisects_in_one_loop():
     """Every bisection of ``hyperbolic.py`` to a width runs in ``_bisect``:
     the root refinement and the two square-root bounds of the spectral
