@@ -22,23 +22,16 @@ read del(delbar(omega^k)) (memoized per k), and for k >= 2 the Leibniz rule
 shows it vanishes for every k once del delbar omega = 0 and the single
 wedge del omega ^ delbar omega = 0.
 
-The powers of omega_c are built, once, as a ladder omega_c, omega_c^2, ...
+The powers omega_c^k are a memo keyed by k over ``cealg.wedge_power``, built
 only where these shortcuts do not decide: for a degenerate W (balanced is
-then d of the top rung omega_c^(m-1); to_complex is an algebra isomorphism
-that commutes with d), for del(delbar(omega^k)) when del delbar omega or del
-omega ^ delbar omega is nonzero, and when a balanced report's residual, d of
-the top rung, is read.  Each rung follows from the last by expansion along
-the smallest index, omega^k = k * sum_a R_a ^ (omega^(k-1))_{>a}, with R_a
-the terms of omega_c whose first index is a and (.)_{>a} the terms whose
-first index exceeds a.  In a nonzero product of k terms of omega_c the
-smallest index a lies in exactly one factor, a term of R_a, and every other
-factor lies above a; the k places of that factor give the k.  So no pair
-that shares index a is tried, where a wedge with all of omega_c tries them
-all.  A residual left in the coframe is converted to the real basis only
-when the report's ``residual`` is read.  Positivity of (p,p)-forms is only
-falsifiable here (sampling decomposable tuples with a fixed, seeded
-generator) or certifiable syntactically through an explicit strongly
-positive decomposition.
+then d omega_c^(m-1) = 0; to_complex is an algebra isomorphism that commutes
+with d), for del(delbar(omega^k)) when del delbar omega or del omega ^
+delbar omega is nonzero, and when a balanced report's residual d
+omega_c^(m-1) is read.  A residual left in the coframe is converted to the
+real basis only when the report's ``residual`` is read.  Positivity of
+(p,p)-forms is only falsifiable here (sampling decomposable tuples with a
+fixed, seeded generator) or certifiable syntactically through an explicit
+strongly positive decomposition.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import linear
-from .cealg import Form, solve_combination, wedge
+from .cealg import Form, solve_combination, wedge, wedge_power
 from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar, real_basis
 from .scalars import ScalarError
 
@@ -89,14 +82,6 @@ class PredicateReport:
         return f"PredicateReport({self.kind!r}, passed={self.passed})"
 
 
-def _by_first_index(terms):
-    """The term dict split by the first index of each monomial."""
-    buckets = {}
-    for idx, c in terms.items():
-        buckets.setdefault(idx[0], {})[idx] = c
-    return buckets
-
-
 def _vanishing(kind: str, res: Form) -> PredicateReport:
     """The report of the statement ``res = 0``."""
     zero = res.is_zero()
@@ -104,10 +89,10 @@ def _vanishing(kind: str, res: Form) -> PredicateReport:
 
 
 class HermitianCandidate:
-    """A real (1,1)-form with respect to a named integrable structure; the
-    form is also kept in the structure's complex coframe as ``omega_c``,
-    together with the ladder of its powers there, the memo of
-    del(delbar(omega^k)) and the Leibniz test that decides it for k >= 2."""
+    """A real (1,1)-form with respect to a named integrable structure, kept
+    also in the structure's complex coframe as ``omega_c``, with per-k memos
+    of omega_c^k (``wedge_power``) and of del(delbar(omega^k)), and the
+    Leibniz test that decides the latter for k >= 2."""
 
     def __init__(self, J: AlmostComplexStructure, omega: Form):
         self.J = J
@@ -122,50 +107,22 @@ class HermitianCandidate:
         if not bg.is_pure(1, 1):
             raise MetricError(f"fundamental form is not of pure bidegree (1,1): {bg.bidegrees()}")
         self.omega = omega
-        self._powers = [self.omega_c]
-        self._rows = {
-            a: Form(self.omega_c.presentation, terms, _canonical=True)
-            for a, terms in _by_first_index(self.omega_c.terms).items()
-        }
+        self._powers = {}
         self._del_delbar = {}
 
     def power(self, k: int) -> Form:
-        """omega_c^k (k >= 1) in the complex coframe, memoized.  A new rung
-        comes from the last by expansion along the smallest index: with R_a
-        the terms of omega_c whose first index is a,
-
-            omega^k = k * sum_a R_a ^ (omega^(k-1))_{>a},
-
-        where (.)_{>a} keeps the terms whose first index exceeds a.  Walking
-        a downwards, the tail (omega^(k-1))_{>a} grows by one bucket of the
-        last rung per step, and each step is one wedge of R_a with it."""
+        """omega_c^k (k >= 1) in the complex coframe, memoized per k."""
         if k < 1:
             raise MetricError(f"omega powers start at 1, got {k}")
-        ladder = self._powers
-        while len(ladder) < k:
-            ladder.append(self._next_rung(ladder[-1], len(ladder) + 1))
-        return ladder[k - 1]
-
-    def _next_rung(self, last: Form, k: int) -> Form:
-        cpres = last.presentation
-        buckets = _by_first_index(last.terms)
-        tail = {}
-        out = {}
-        for a in sorted(self._rows.keys() | buckets.keys(), reverse=True):
-            row = self._rows.get(a)
-            if row is not None and tail:
-                # every product here has smallest index a, so the steps'
-                # monomials are disjoint
-                out.update(wedge(row, Form(cpres, dict(tail), _canonical=True)).terms)
-            tail.update(buckets.get(a, ()))
-        scale = cpres.table.scalar(k)
-        return Form(cpres, {idx: c * scale for idx, c in out.items()}, _canonical=True)
+        res = self._powers.get(k)
+        if res is None:
+            res = self._powers[k] = wedge_power(self.omega_c, k)
+        return res
 
     def del_delbar_power(self, k: int) -> Form:
-        """del(delbar(omega^k)) in the real basis, memoized per k.  For
-        k >= 2 it is zero when ``leibniz_zero`` holds; otherwise it is
-        evaluated in the complex coframe on the ladder's k-th rung and
-        converted to the real basis once."""
+        """del(delbar(omega^k)) in the real basis, memoized per k: zero for
+        k >= 2 when ``leibniz_zero`` holds, else evaluated on omega_c^k in
+        the complex coframe and converted to the real basis once."""
         res = self._del_delbar.get(k)
         if res is None:
             if k >= 2 and self.leibniz_zero:
@@ -248,8 +205,7 @@ def is_kahler(c: HermitianCandidate) -> PredicateReport:
 
 def is_balanced(c: HermitianCandidate) -> PredicateReport:
     """d(omega^(m-1)) = 0: d omega is primitive for a nondegenerate omega,
-    and otherwise d of the ladder's top rung vanishes.  The residual, d of
-    the top rung, is built when it is read."""
+    and otherwise d omega_c^(m-1) = 0.  That residual is built when read."""
     if c.m < 2:
         raise MetricError("balanced needs complex dimension >= 2")
 
@@ -330,6 +286,7 @@ class SignatureResult:
     signature: tuple
     exact: bool
     degenerate: bool
+    eigenvalues: tuple | None = None  # ascending; set only when counted numerically
 
 
 def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> SignatureResult:
@@ -353,16 +310,14 @@ def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> Signa
         return SignatureResult(mat, (p, q, z), exact=True, degenerate=z > 0)
     if valuation is None:
         raise MetricError("matrix has symbols: a valuation is required for the signature")
-    num = np.array(
-        [[x.evaluate(valuation) for x in row] for row in mat], dtype=complex
-    )
+    num = np.array([[x.evaluate(valuation) for x in row] for row in mat], dtype=complex)
     if np.max(np.abs(num - num.conj().T)) > 1e-9 * max(1.0, np.max(np.abs(num))):
         raise MetricError("matrix is not Hermitian at the valuation")
     evs = np.linalg.eigvalsh((num + num.conj().T) / 2)
     p = int(np.sum(evs > 1e-9))
     q = int(np.sum(evs < -1e-9))
     z = len(evs) - p - q
-    return SignatureResult(mat, (p, q, z), exact=False, degenerate=z > 0)
+    return SignatureResult(mat, (p, q, z), False, z > 0, tuple(map(float, evs)))
 
 
 @dataclass

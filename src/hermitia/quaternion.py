@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linear
 from .cealg import Form, FormError, solve_combination, top_coefficient, wedge, wedge_power
 from .complexops import AlmostComplexStructure, _lift, bidegree, del_
+from .metrics import MetricError, gram_and_signature
 from .scalars import Scalar
 
 
@@ -207,26 +206,19 @@ def check_hkt(c: HKTCandidate, valuation=None) -> QuaternionReport:
 
 
 def _positive_definite_check(c: HKTCandidate, valuation):
-    table = c.presentation.table
-    mat = c.coefficients
-    if all(x.is_gaussian_rational() for row in mat for x in row):
-        p, q, z = linear.hermitian_signature(mat, table)
-        ok = q == 0 and z == 0
-        return SubCheck("coefficient matrix positive definite", ok, f"signature {(p, q, z)}")
-    if valuation is None:
-        return SubCheck(
-            "coefficient matrix positive definite",
-            False,
-            "matrix has symbols and no valuation was supplied",
-        )
-    num = np.array([[x.evaluate(valuation) for x in row] for row in mat], dtype=complex)
-    evs = np.linalg.eigvalsh((num + num.conj().T) / 2)
-    ok = bool(np.all(evs > 1e-9))
-    return SubCheck(
-        "coefficient matrix positive definite",
-        ok,
-        f"eigenvalues {[float(f'{v:.6g}') for v in evs]}",
-    )
+    name = "coefficient matrix positive definite"
+    try:
+        res = gram_and_signature(c.coefficients, valuation, table=c.presentation.table)
+    except MetricError:
+        if valuation is not None:
+            raise
+        return SubCheck(name, False, "matrix has symbols and no valuation was supplied")
+    _p, q, z = res.signature
+    if res.eigenvalues is None:
+        detail = f"signature {res.signature}"
+    else:
+        detail = f"eigenvalues {[float(f'{v:.6g}') for v in res.eigenvalues]}"
+    return SubCheck(name, q == 0 and z == 0, detail)
 
 
 def check_quaternionic_balanced(c: HKTCandidate) -> QuaternionReport:

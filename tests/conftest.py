@@ -7,13 +7,16 @@ two paths can disagree if either has a sign bug.
 """
 
 import importlib
+import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from hermitia import linear
 from hermitia.cealg import Form, LieAlgebraPresentation
 from hermitia.metrics import HermitianCandidate
 from hermitia.scalars import Symbol, SymbolTable
@@ -66,6 +69,20 @@ def oracle_d(a: Form) -> Form:
             sign = pres.table.scalar((-1) ** pos)
             out = out + (c * sign) * oracle_wedge(dg, rest)
     return out
+
+
+def power_by_minors(c: HermitianCandidate, k: int) -> Form:
+    """omega_c^k from the minors of W = c.w, with no wedge: the coefficient
+    of eta_A ^ conj(eta_B) is (-1)^(k(k-1)/2) k! det W[A, B], for A and B
+    k-subsets of 1..m (zero once k > m)."""
+    m, table = c.m, c.presentation.table
+    scale = table.scalar((-1) ** (k * (k - 1) // 2) * math.factorial(k))
+    terms = {}
+    for rows in combinations(range(m), k):
+        for cols in combinations(range(m), k):
+            minor = linear.det([[c.w[a][b] for b in cols] for a in rows], table)
+            terms[tuple(a + 1 for a in rows) + tuple(m + b + 1 for b in cols)] = scale * minor
+    return Form(c.omega_c.presentation, terms)
 
 
 # -- the benchmark's own modules ---------------------------------------------

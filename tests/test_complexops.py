@@ -1,5 +1,6 @@
 """Complex structures: integrability, coframes, bigrading, del/delbar/dc."""
 
+import functools
 import random
 import re
 
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_hermitian_candidate, make_at4, make_fp_solv8, make_hk12, random_form
+from conftest import (
+    draw_hermitian_candidate,
+    make_at4,
+    make_fp_solv8,
+    make_hk12,
+    power_by_minors,
+    random_form,
+)
 from hermitia.builders import builtin
 from hermitia.cealg import (
     Form,
@@ -351,15 +359,14 @@ def test_property_del_delbar_power_on_random_11_forms(structure, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_property_power_ladder_is_the_wedge_power(structure, data):
-    """The ladder's expansion along the smallest index gives omega_c^k key
-    for key, past the top degree too; zero diagonal entries and empty rows
-    leave buckets of omega_c and of the last rung empty."""
+    """omega_c^k equals its minors key for key, past the top degree too,
+    also when zero diagonal entries and empty rows make minors vanish."""
     J, _symbols = structure
     m = J.model().m
     empty = data.draw(st.sets(st.integers(1, m), max_size=m))
     cand = draw_hermitian_candidate(data, J, empty)
     for k in range(1, m + 2):
-        assert cand.power(k) == wedge_power(cand.omega_c, k)
+        assert cand.power(k) == power_by_minors(cand, k)
 
 
 @PROPERTY
@@ -650,9 +657,11 @@ def _complex_constant_structure():
     return AlmostComplexStructure.from_action(pres, {1: "-e2", 3: "e8", 4: "e5", 6: "e7"})
 
 
+@functools.lru_cache(maxsize=None)
 def _split_structures():
     """Every integrable structure of the built-ins, the complex-constant
-    structure and the symbolic one, by name."""
+    structure and the symbolic one, by name.  Built on first use, so that a
+    defect in building them fails the tests that use them, by name."""
     out = {"complex-constants": _complex_constant_structure(), "symbolic": _symbolic_structure()}
     for name in ("AT4", "fp_solv8", "pseudoHK12", "lemma61"):
         for J in _structures(builtin(name).build().presentation):
@@ -661,22 +670,16 @@ def _split_structures():
     return out
 
 
-SPLIT_STRUCTURES = _split_structures()
-
-
 @settings(max_examples=100, deadline=None)
-@given(
-    which=st.sampled_from(sorted(SPLIT_STRUCTURES)),
-    conjugate=st.booleans(),
-    data=st.data(),
-)
-def test_property_d_split_equals_the_bidegree_split(which, conjugate, data):
+@given(conjugate=st.booleans(), data=st.data())
+def test_property_d_split_equals_the_bidegree_split(conjugate, data):
     """On a random mixed-degree coframe form, del and delbar from the tables
     equal the bidegree split of the full d term for term; each half of a
     pure (p,q) part has bidegree (p+1,q) or (p,q+1); and del + delbar = d.
     The structure is taken as it is or conjugated by a random P (P J P^-1,
     when that is integrable)."""
-    J = SPLIT_STRUCTURES[which]
+    structures = _split_structures()
+    J = structures[data.draw(st.sampled_from(sorted(structures)))]
     if conjugate:
         J = _random_conjugate(J, data)
         if J is None or not J.nijenhuis_vanishes().passed:
@@ -697,7 +700,7 @@ def test_property_d_split_equals_the_bidegree_split(which, conjugate, data):
 def test_complex_constants_split_each_half_on_its_own():
     """With complex constants the tables of conj(eta_a) are not the
     conjugates of eta_a's tables, and both still split d."""
-    model = SPLIT_STRUCTURES["complex-constants"].model()
+    model = _split_structures()["complex-constants"].model()
     m = model.m
     conj = model._conjugate_terms
     mirrored = all(

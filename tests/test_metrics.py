@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_hermitian_candidate, make_at4, make_fp_solv8, make_hk12, perfbench
+from conftest import (
+    draw_hermitian_candidate,
+    make_at4,
+    make_fp_solv8,
+    make_hk12,
+    perfbench,
+    power_by_minors,
+)
 from hermitia import Manifest, cealg, linear, metrics
 from hermitia.builders import builtin, sasaki_kahler_suspension
 from hermitia.cealg import Form, LieAlgebraPresentation, abelian, direct_sum, wedge, wedge_power
@@ -104,35 +111,14 @@ def test_predicates_share_one_power_ladder(monkeypatch):
 
 
 def test_power_ladder_matches_wedge_power():
+    """Each power equals its minors, past the top degree too, whether the
+    memo is filled from the top down or from the bottom up."""
     for c in _ladder_candidates():
-        for k in range(c.m + 1, 0, -1):  # from past the top, then reading the ladder back
-            assert c.power(k) == wedge_power(c.omega_c, k)
+        top = c.m + 1
+        for k in (*range(top, 0, -1), *range(1, top + 1)):
+            assert c.power(k) == power_by_minors(c, k)
         with pytest.raises(MetricError):
             c.power(0)
-
-
-def test_power_ladder_pairs_each_row_with_the_later_tail(monkeypatch):
-    """Each wedge of the ladder takes the terms of omega_c with one first
-    index a and the last rung's terms whose first index exceeds a, so it
-    tries no pair that shares index a.  Mutants that fill the tail with
-    first index >= a, or bucket by the last index, still give the right
-    rungs (their extra products vanish or are overwritten), and are caught
-    here."""
-    pairs = []
-    original = cealg.wedge
-
-    def recording(a, b):
-        pairs.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(metrics, "wedge", recording)
-    for c in _ladder_candidates():
-        c.power(c.m)
-    assert pairs
-    for row, tail in pairs:
-        firsts = {idx[0] for idx in row.terms}
-        assert len(firsts) == 1
-        assert min(idx[0] for idx in tail.terms) > firsts.pop()
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,12 +129,12 @@ def _suspension_cycle(seed):
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("template", range(9))
 def test_power_ladder_on_suspension_templates(seed, template):
-    """The benchmark's nine shear templates: each rung equals the wedge
-    power in the coframe of a random shear basis."""
+    """The benchmark's nine shear templates: each power of omega_c equals
+    its minors in the coframe of a random shear basis."""
     manifest = Manifest.from_json(_suspension_cycle(seed)[template].payload)
     c = manifest.build().candidate("omega", "J")
     for k in range(1, c.m + 2):
-        assert c.power(k) == wedge_power(c.omega_c, k)
+        assert c.power(k) == power_by_minors(c, k)
 
 
 def test_balanced_residual_is_the_real_basis_differential():

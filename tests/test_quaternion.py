@@ -129,9 +129,10 @@ def test_flat8_hkt_and_balanced(flat8_triple):
     assert check_quaternionic_balanced(cand).passed
 
 
-def test_hkt_positivity_fails_at_negative_valuation(hk12_triple):
-    # same shape as the standard form but with a symbolic first coefficient
-    sym_table = SymbolTable([Symbol("a11")])
+def _hk12_candidate(a11):
+    """The standard HKT form of pseudoHK12 with first coefficient ``a11`` (a
+    number, or a name that becomes a symbol of the table)."""
+    sym_table = SymbolTable([Symbol(a11)] if isinstance(a11, str) else [])
     p = make_hk12(table=sym_table)
     I = AlmostComplexStructure.from_action(
         p, {"f1": "f3", "f2": "f4", "f5": "-f7", "f6": "-f8", "f9": "f10", "f11": "-f12"},
@@ -143,15 +144,36 @@ def test_hkt_positivity_fails_at_negative_valuation(hk12_triple):
     )
     t = HypercomplexTriple.from_ij(I, J)
     m = I.model()
-    omega = m.to_real(
-        sym_table.symbol("a11") * m.eta_monomial((1, 3))
-        + m.eta_monomial((2, 4))
-        + m.eta_monomial((5, 6))
-    )
-    cand = HKTCandidate(t, omega)
+    coeff = sym_table.symbol(a11) if isinstance(a11, str) else sym_table.scalar(a11)
+    omega = m.to_real(coeff * m.eta_monomial((1, 3)) + m.eta_monomial((2, 4)) + m.eta_monomial((5, 6)))
+    return HKTCandidate(t, omega)
+
+
+def test_hkt_positivity_fails_at_negative_valuation():
+    # same shape as the standard form but with a symbolic first coefficient
+    cand = _hk12_candidate("a11")
     rep_neg = check_hkt(cand, valuation={"a11": -1.0})
     names = [c.name for c in rep_neg.failed_checks()]
     assert "coefficient matrix positive definite" in names
+
+
+@pytest.mark.parametrize(
+    "a11, valuation, passed, detail",
+    [
+        (1, None, True, "signature (3, 0, 0)"),
+        (-2, None, False, "signature (2, 1, 0)"),
+        ("a11", {"a11": 0.5}, True, "eigenvalues [0.5, 1.0, 1.0]"),
+        ("a11", {"a11": -1 / 3}, False, "eigenvalues [-0.333333, 1.0, 1.0]"),
+        ("a11", None, False, "matrix has symbols and no valuation was supplied"),
+    ],
+)
+def test_hkt_positivity_detail_is_pinned(a11, valuation, passed, detail):
+    """The positivity subcheck's detail, byte for byte: the exact signature
+    of a symbol-free matrix, the numeric eigenvalues (6 significant digits)
+    of a symbolic one at a valuation, and the refusal without one."""
+    rep = check_hkt(_hk12_candidate(a11), valuation=valuation)
+    (sub,) = [c for c in rep.checks if c.name == "coefficient matrix positive definite"]
+    assert (sub.passed, sub.detail) == (passed, detail)
 
 
 def test_del_primitive_examples(hk12_triple):

@@ -179,3 +179,25 @@ def test_hyperbolic_bisects_in_one_loop():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bisect":
                     callers.add(fn.name)
     assert callers == {"refine_interval", "spectral_radius_interval"}, callers
+
+
+def test_omega_powers_are_the_wedge_power():
+    """``HermitianCandidate.power`` is a memo over ``cealg.wedge_power``: the
+    expansion kernel it replaced (``_next_rung``, ``_by_first_index``) is
+    not named in ``metrics.py``."""
+    text = (SRC / "metrics.py").read_text(encoding="utf-8")
+    assert "_next_rung" not in text and "_by_first_index" not in text
+    tree = ast.parse(text)
+    cand = next(top for top in tree.body if getattr(top, "name", None) == "HermitianCandidate")
+    power = next(f for f in cand.body if getattr(f, "name", None) == "power")
+    called = {getattr(n.func, "id", None) for n in ast.walk(power) if isinstance(n, ast.Call)}
+    assert "wedge_power" in called
+
+
+def test_quaternion_does_not_import_numpy():
+    """The HKT positivity check counts eigenvalues through
+    ``metrics.gram_and_signature``, so ``quaternion.py`` needs no numpy."""
+    tree = ast.parse((SRC / "quaternion.py").read_text(encoding="utf-8"))
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert not [m for m in modules if m and m.split(".")[0] == "numpy"], modules
