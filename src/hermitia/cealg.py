@@ -397,11 +397,17 @@ class LieAlgebraPresentation:
     # -- helpers -----------------------------------------------------------
 
     def _as_matrix(self, rows):
+        """``rows`` as an n x n tuple of tuples of this table's scalars; one
+        that already is one is returned as it is."""
         n = self.dim
-        rows = list(rows)
+        rows = rows if type(rows) is tuple else tuple(rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise PresentationError(f"matrices attached to this presentation must be {n}x{n}")
-        return tuple(tuple(self.table.scalar(x) for x in r) for r in rows)
+        table = self.table
+        if all(type(r) is tuple and all(type(x) is Scalar and x.table is table for x in r)
+               for r in rows):
+            return rows
+        return tuple(tuple(table.scalar(x) for x in r) for r in rows)
 
     def index_of(self, name):
         try:

@@ -23,12 +23,12 @@ that fills the tables.
 
 Building a model reads J by its nonzero entries.  The structure's checks
 square J from its nonzero products; the coframe is read off the rows of J;
-one row reduction of the columns e^1, e^1 o J, e^2, e^2 o J, .. selects the
-coframe by its pivots and, since its even columns are the identity, leaves
-there the inverse of the selected rows, which is the change of basis; and
-with real structure constants the (0,1) half of the coframe's differential
-is the conjugate of the (1,0) half, so only the (1,0) half is substituted
-and tested.
+one row reduction of the n x n matrix whose column t is eta_t, with row c
+delta_ct - i J_tc, selects the coframe by its m pivot columns and leaves in
+reduced row k the coordinates A_tk of eta_t = sum_k A_tk eta_(sigma_k), from
+which the change of basis follows in closed form; and with real structure
+constants the (0,1) half of the coframe's differential is the conjugate of
+the (1,0) half, so only the (1,0) half is substituted and tested.
 """
 
 from __future__ import annotations
@@ -287,48 +287,40 @@ class ComplexModel:
         self.m = m
 
         # greedy coframe selection: the lowest real indices r whose e^r is not
-        # in the span of the chosen pairs e^s, e^s o J.  Those are the pivots
-        # of the columns e^1, e^1 o J, e^2, e^2 o J, ...: the span of the
-        # chosen pairs is J-invariant and J^2 = -Id, so e^r o J is a pivot
-        # exactly when e^r is, and the even pivots are the selection.
-        zero, one = table.zero, table.one
-        duals = [
-            [x for r in range(n) for x in (one if i == r else zero, J.matrix[r][i])]
-            for i in range(n)
+        # in the span of the chosen pairs e^s, e^s o J.  That span is
+        # J-invariant, so e^r lies in it exactly when eta_r = e^r - i (e^r o J)
+        # lies in the span of the chosen eta_s, and the selection is the pivot
+        # columns of the matrix whose column t is eta_t.  e^t o J is row t of
+        # J, so row c of that matrix is delta_ct - i J_tc.
+        one, minus_i = table.one, -table.i
+        etas = []
+        for t, row in enumerate(J._rows):
+            terms = {t: one}
+            for c, x in row:
+                y = x * minus_i
+                terms[c] = one + y if c == t else y
+            etas.append(terms)
+        rows = [{} for _ in range(n)]
+        for t, terms in enumerate(etas):
+            for c, y in terms.items():
+                rows[c][t] = y
+        pivots = linear.rref(rows, n, Scalar.is_zero)[0]
+        self.sigma = tuple(t + 1 for t in pivots)
+        self.eta_forms = [
+            Form(pres, {(c + 1,): y for c, y in etas[t].items()}, _canonical=True) for t in pivots
         ]
-        pivots = linear.rref(duals, 2 * n, Scalar.is_zero)[0]
-        self.sigma = tuple(c // 2 + 1 for c in pivots if c % 2 == 0)
 
-        # eta_r = e^r - i (e^r o J), and e^r o J is row r of J
-        i_unit = table.i
-        self.eta_forms = []
-        for r in self.sigma:
-            terms = {(r,): one}
-            for s, x in J._rows[r - 1]:
-                c = -(x * i_unit)
-                terms[(s + 1,)] = one + c if s + 1 == r else c
-            self.eta_forms.append(Form(pres, terms, _canonical=True))
-
-        # change of basis.  The reduction multiplies ``duals`` by P^-1, for P
-        # its pivot columns e^s and e^s o J (s in sigma), and the even columns
-        # e^1, .., e^n are the identity; so even column 2(t-1) ends as the
-        # coordinates of e^t on the pivots, x_k on e^(sigma_k) in row 2k and
-        # y_k on e^(sigma_k) o J in row 2k+1.  With e^s = (eta_s + conj
-        # eta_s) / 2 and e^s o J = i (eta_s - conj eta_s) / 2, the image of
-        # e^t as sparse 1-form term pairs ((index,), coeff) is x / 2 + i y / 2
-        # on eta_k and x / 2 - i y / 2 on conj eta_k.
+        # change of basis.  Reduced row k holds A_tk in column t, for eta_t =
+        # sum_k A_tk eta_(sigma_k); with e^t = (eta_t + conj eta_t) / 2 and a
+        # real J, the image of e^t as sparse 1-form term pairs ((index,),
+        # coeff) is A_tk / 2 on eta_k and conj(A_tk) / 2 on conj eta_k.
         half = table.scalar(Fraction(1, 2))
-        half_i = half * i_unit
-        pair_rows = list(enumerate(zip(duals[0::2], duals[1::2])))
+        reduced = list(enumerate(rows[:m]))
         self._real_to_cx = []
-        for col in range(0, 2 * n, 2):
-            pairs = [
-                (k, half * x_row[col], half_i * y_row[col])
-                for k, (x_row, y_row) in pair_rows
-                if not (x_row[col].is_zero() and y_row[col].is_zero())
-            ]
-            holo = [((k + 1,), x + y) for k, x, y in pairs]
-            self._real_to_cx.append(holo + [((m + k + 1,), x - y) for k, x, y in pairs])
+        for t in range(n):
+            pairs = [(k, half * row[t]) for k, row in reduced if t in row]
+            holo = [((k + 1,), a) for k, a in pairs]
+            self._real_to_cx.append(holo + [((m + k + 1,), a.conjugate()) for k, a in pairs])
         # complex generator a -> its real expansion: eta_a, then the conjugates
         self._cx_to_real = [sorted(eta.terms.items()) for eta in self.eta_forms]
         self._cx_to_real += [[(idx, c.conjugate()) for idx, c in row] for row in self._cx_to_real]

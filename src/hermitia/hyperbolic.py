@@ -156,14 +156,6 @@ def _over_common(v):
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def _fractions(a):
-    """Integer rows as rows of Fractions, for divisions; zeros share one."""
-    return [[Fraction(x) if x else _ZERO for x in row] for row in a]
-
-
-_ZERO = Fraction(0)
-
-
 def _floats(a, d):
     """A / d as a numpy array; each entry is float(Fraction(x, d)), since
     int true division rounds correctly."""
@@ -909,8 +901,9 @@ def _numeric_eigenvector(m, lam):
 def kernel_basis(matrix):
     """Exact kernel basis of a rational matrix, integer-cleared.  The
     reduced row echelon form of A = d M is that of M, so it is taken of A."""
-    m = _fractions(_exact(matrix).rows)
-    cols = len(m[0]) if m else 0
+    a = _exact(matrix).rows
+    cols = len(a[0]) if a else 0
+    m = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
     pivots, _, _ = rref(m, cols, operator.not_)
     basis = []
     for free in range(cols):
@@ -919,7 +912,7 @@ def kernel_basis(matrix):
         v = [0] * cols
         v[free] = 1
         for row, col in zip(m, pivots):
-            v[col] = -row[free]
+            v[col] = -row.get(free, 0)
         # primitive over the lcm L of its denominators: each prime power that
         # exactly divides L exactly divides some entry's denominator, and
         # that entry's numerator over L is prime to it

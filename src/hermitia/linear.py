@@ -2,14 +2,16 @@
 diagonalization, and matrix identities over the scalar field.
 
 ``rref`` and ``congruence_signature`` are hermitia's only eliminations.
-``rref``'s field contract: entries are ``Scalar``s or ``Fraction``s, which
-support ``+``, ``-``, ``*`` and ``/`` among themselves, and the caller
-passes the exact zero test.  One loop therefore serves the scalar field
-(zero test ``Scalar.is_zero``; the greedy coframe and half-frame selections
-are read off its pivot columns, and the coframe's change of basis off its
-reduced columns) and the rationals of
-``scalars._alg_inverse`` and ``hyperbolic.kernel_basis``
-(``operator.not_``).  ``congruence_signature`` needs only
+``rref`` reduces rows held as ``{column: value}`` dicts with the zeros
+absent, so its work follows the nonzeros.  Its field contract: entries are
+``Scalar``s or ``Fraction``s, which support ``+``, ``-``, ``*`` and ``/``
+among themselves, and the caller passes the exact zero test.  Its callers:
+``solve``, ``rank``, ``invert`` and ``det`` here and the coframe selection of
+``complexops.ComplexModel`` (which reads its change of basis off the reduced
+rows) and the half frame of ``quaternion._half_frame``, all over the scalar
+field with ``Scalar.is_zero``; ``scalars._alg_inverse`` and
+``hyperbolic.kernel_basis`` over the rationals with ``operator.not_``.
+``congruence_signature`` needs only
 ``+``, ``-``, ``*`` and an exact division the caller passes, so it runs on
 the integer Gram matrices of ``hyperbolic.QuadraticLattice`` as well as on
 Q(i) scalars.  Every pivot decision is a zero test on exact values; nothing
@@ -18,7 +20,7 @@ here is numeric.
 ``solve``, ``rank``, ``invert``, ``det`` and ``hermitian_signature`` are the
 scalar-field entry points.  ``perfbench/tracer.py`` wraps them by name, so
 they stay separate functions; ``rank`` has no caller in the package.
-Matrices are tuples/lists of rows of scalars.
+Their matrices are tuples/lists of rows of scalars.
 """
 
 from __future__ import annotations
@@ -85,9 +87,12 @@ def is_zero_matrix(a):
 
 
 def rref(rows, ncols, is_zero):
-    """Bring ``rows``, a list of row lists, to reduced row echelon form on its
-    first ``ncols`` columns, in place; further columns (right-hand sides) are
-    carried along.  Pivots are the first nonzero entry of their column.
+    """Bring ``rows``, a list of rows held as ``{column: value}`` dicts with
+    the zero entries absent, to reduced row echelon form on the columns
+    below ``ncols``, in place; further columns (right-hand sides) are
+    carried along.  Pivots are the first nonzero entry of their column, in
+    row order.  A row is scaled and eliminated by its entries only, and an
+    entry that cancels is deleted, so the work follows the nonzeros.
 
     Returns (pivot columns, pivot values before scaling, number of row
     swaps), which is what solving, inverting and determinants need.
@@ -99,18 +104,27 @@ def rref(rows, ncols, is_zero):
         top = len(pivots)
         if top == m:
             break
-        pr = next((r for r in range(top, m) if not is_zero(rows[r][col])), None)
+        pr = next((r for r in range(top, m) if col in rows[r]), None)
         if pr is None:
             continue
         if pr != top:
             rows[top], rows[pr] = rows[pr], rows[top]
             swaps += 1
         pv = rows[top][col]
-        prow = rows[top] = [x if is_zero(x) else x / pv for x in rows[top]]
-        for r in range(m):
-            f = rows[r][col]
-            if r != top and not is_zero(f):
-                rows[r] = [x if is_zero(y) else x - f * y for x, y in zip(rows[r], prow)]
+        prow = rows[top] = {c: x / pv for c, x in rows[top].items()}
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or r == top:
+                continue
+            f = -f
+            for c, y in prow.items():
+                x = row.get(c)
+                if x is None:
+                    row[c] = f * y
+                elif is_zero(x := x + f * y):
+                    del row[c]
+                else:
+                    row[c] = x
         pivots.append(col)
         values.append(pv)
     return pivots, values, swaps
@@ -179,38 +193,45 @@ def _zero_test(table):
     return type(table.zero).is_zero
 
 
+def _dict_rows(rows):
+    """Scalar rows as the ``{column: value}`` dicts of their nonzeros."""
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+
+
 def solve(rows, rhs, table):
     """Solve A x = b exactly.  Returns (solution, free_count) or (None, None)
     when the system is inconsistent; free variables are set to zero."""
     n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    aug = _dict_rows(list(row) + [b] for row, b in zip(rows, rhs))
     pivots, _, _ = rref(aug, n, _zero_test(table))
-    if any(not row[n].is_zero() for row in aug[len(pivots):]):
+    if any(n in row for row in aug[len(pivots):]):
         return None, None
     x = [table.zero] * n
     for row, col in zip(aug, pivots):
-        x[col] = row[n]
+        x[col] = row.get(n, table.zero)
     return x, n - len(pivots)
 
 
 def rank(rows, table):
     ncols = len(rows[0]) if rows else 0
-    return len(rref([list(r) for r in rows], ncols, _zero_test(table))[0])
+    return len(rref(_dict_rows(rows), ncols, _zero_test(table))[0])
 
 
 def invert(rows, table):
     n = len(rows)
-    one, zero = table.one, table.zero
-    aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
+    aug = _dict_rows(rows)
+    for i, row in enumerate(aug):
+        row[n + i] = table.one
     pivots, _, _ = rref(aug, n, _zero_test(table))
     if len(pivots) < n:
         raise LinearError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
+    zero = table.zero
+    return tuple(tuple(row.get(c, zero) for c in range(n, 2 * n)) for row in aug)
 
 
 def det(rows, table):
     n = len(rows)
-    pivots, values, swaps = rref([list(r) for r in rows], n, _zero_test(table))
+    pivots, values, swaps = rref(_dict_rows(rows), n, _zero_test(table))
     if len(pivots) < n:
         return table.zero
     out = -table.one if swaps % 2 else table.one

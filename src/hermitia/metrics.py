@@ -100,7 +100,7 @@ class HermitianCandidate:
         if self.presentation.dim % 2:
             raise MetricError("odd-dimensional presentation")
         self.m = self.presentation.dim // 2
-        if not (omega.conjugate() - omega).is_zero():
+        if any(c != c.conjugate() for c in omega.terms.values()):
             raise MetricError("fundamental form candidate is not real")
         self.omega_c = J.model().to_complex(omega)
         bg = bidegree(self.omega_c, J)

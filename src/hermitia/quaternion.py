@@ -157,11 +157,11 @@ def _half_frame(triple: HypercomplexTriple):
         model.to_complex(triple.J.apply_to_one_form(model.eta(r).conjugate()))
         for r in range(1, m + 1)
     ]
-    zero, one = table.zero, table.one
-    coords = [
-        [x for r, jb in enumerate(jbars) for x in (one if i == r else zero, jb.terms.get((i + 1,), zero))]
-        for i in range(n)
-    ]
+    coords = [{} for _ in range(n)]
+    for r, jb in enumerate(jbars):
+        coords[r][2 * r] = table.one
+        for (i,), x in jb.terms.items():
+            coords[i - 1][2 * r + 1] = x
     pivots = linear.rref(coords, 2 * m, Scalar.is_zero)[0]
     # m/2 pairs span the (1,0) forms when J anticommutes with I; a J that
     # does not can yield more, and the first m/2 are the frame

@@ -404,14 +404,15 @@ def _alg_inverse(table, u):
     pos = {m: j for j, m in enumerate(basis)}
     n = len(basis)
     # solve M x = e_0, where column j of M holds the coordinates of u * basis[j]
-    mat = [[Fraction(0)] * n + [Fraction(1 if i == 0 else 0)] for i in range(n)]
+    mat = [{} for _ in range(n)]
+    mat[0][n] = Fraction(1)
     for j, b in enumerate(basis):
         for m, c in _poly_mul(table, u, {b: Fraction(1)}).items():
             mat[pos[m]][j] = c
     pivots, _, _ = rref(mat, n, operator.not_)
-    if any(row[n] for row in mat[len(pivots):]):
+    if any(n in row for row in mat[len(pivots):]):
         raise ScalarError("element is a zero divisor (reducible relation?)")
-    out = {basis[col]: row[n] for row, col in zip(mat, pivots) if row[n]}
+    out = {basis[col]: row[n] for row, col in zip(mat, pivots) if n in row}
     # verify (cheap, defends against zero divisors with consistent systems)
     if _poly_mul(table, u, out) != {_ONE_MONO: Fraction(1)}:
         raise ScalarError("element is a zero divisor (reducible relation?)")
@@ -578,7 +579,9 @@ class Scalar:
     relations, the fraction gcd-cancelled, and the denominator normalized so
     its leading coefficient (graded-lex over free symbols) is exactly 1.
     ``num`` and ``den`` read the canonical fraction of either kind; zero is
-    ``({}, {1: 1})``.
+    ``({}, {1: 1})``.  ``+``, ``*``, ``/`` and negation compute two triples
+    of one table inline; only an operand of another table, an int or a
+    Fraction goes through ``_coerce``.
     """
 
     __slots__ = ("table", "_t", "_num", "den", "_key")
@@ -674,16 +677,27 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is Scalar and other.table is self.table:
+            o = other
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
         x, y = self._t, o._t
         if x is not None and y is not None:
-            a1, b1, d1 = x
+            a1, b1, d = x
             a2, b2, d2 = y
-            if d1 == d2:
-                return _reduced(self.table, a1 + a2, b1 + b2, d1)
-            return _reduced(self.table, a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+            if d == d2:
+                a, b = a1 + a2, b1 + b2
+            else:
+                a, b, d = a1 * d2 + a2 * d, b1 * d2 + b2 * d, d * d2
+            if d != 1 and (g := gcd(a, b, d)) != 1:
+                a, b, d = a // g, b // g, d // g
+            s = _new(Scalar)
+            s.table = self.table
+            s._t = (a, b, d)
+            s._num = None
+            s.den = _ONE_POLY
+            s._key = None
+            return s
         t = self.table
         sden, oden = self.den, o.den
         if sden == oden:
@@ -700,7 +714,13 @@ class Scalar:
     def __neg__(self):
         x = self._t
         if x is not None:
-            return _gaussian(self.table, -x[0], -x[1], x[2])
+            s = _new(Scalar)
+            s.table = self.table
+            s._t = (-x[0], -x[1], x[2])
+            s._num = None
+            s.den = _ONE_POLY
+            s._key = None
+            return s
         return Scalar(self.table, _poly_neg(self._num), self.den, _normalized=True)
 
     def __sub__(self, other):
@@ -716,14 +736,24 @@ class Scalar:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is Scalar and other.table is self.table:
+            o = other
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
         x, y = self._t, o._t
         if x is not None and y is not None:
             a1, b1, d1 = x
             a2, b2, d2 = y
-            return _reduced(self.table, a1 * a2 - b1 * b2, a1 * b2 + a2 * b1, d1 * d2)
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + a2 * b1, d1 * d2
+            if d != 1 and (g := gcd(a, b, d)) != 1:
+                a, b, d = a // g, b // g, d // g
+            s = _new(Scalar)
+            s.table = self.table
+            s._t = (a, b, d)
+            s._num = None
+            s.den = _ONE_POLY
+            s._key = None
+            return s
         t = self.table
         if _is_one_poly(self.den) and _is_one_poly(o.den):
             # products of reduced polynomials over denominator 1 are canonical
@@ -733,22 +763,30 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is Scalar and other.table is self.table:
+            o = other
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        if o.is_zero():
-            raise ScalarError("division by a scalar that normalizes to zero")
         x, y = self._t, o._t
         if x is not None and y is not None:
             # multiply by the conjugate of the divisor over its norm
             a1, b1, d1 = x
             a2, b2, d2 = y
-            return _reduced(
-                self.table,
-                (a1 * a2 + b1 * b2) * d2,
-                (b1 * a2 - a1 * b2) * d2,
-                d1 * (a2 * a2 + b2 * b2),
-            )
+            if not (a2 or b2):
+                raise ScalarError("division by a scalar that normalizes to zero")
+            a, b = (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2
+            d = d1 * (a2 * a2 + b2 * b2)
+            if d != 1 and (g := gcd(a, b, d)) != 1:
+                a, b, d = a // g, b // g, d // g
+            s = _new(Scalar)
+            s.table = self.table
+            s._t = (a, b, d)
+            s._num = None
+            s.den = _ONE_POLY
+            s._key = None
+            return s
+        if o.is_zero():
+            raise ScalarError("division by a scalar that normalizes to zero")
         t = self.table
         return Scalar(t, _poly_mul(t, self.num, o.den), _poly_mul(t, self.den, o.num))
 
@@ -899,17 +937,6 @@ def _gaussian(table, a, b, d) -> Scalar:
     s.den = _ONE_POLY
     s._key = None
     return s
-
-
-def _reduced(table, a, b, d) -> Scalar:
-    """(a + b*i)/d for any integers with d > 0, normalized."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    return _gaussian(table, a, b, d)
 
 
 def _triple(num):

@@ -523,10 +523,13 @@ def _dense_model_reference(J):
     table = pres.table
     n, m = pres.dim, pres.dim // 2
     zero, one, i_unit = table.zero, table.one, table.i
-    duals = [
-        [x for r in range(n) for x in (one if i == r else zero, J.matrix[r][i])]
-        for i in range(n)
-    ]
+    # column 2r is e^r and column 2r + 1 is e^r o J, which is row r of J
+    duals = [{} for _ in range(n)]
+    for r in range(n):
+        duals[r][2 * r] = one
+        for i, x in enumerate(J.matrix[r]):
+            if not x.is_zero():
+                duals[i][2 * r + 1] = x
     pivots = linear.rref(duals, 2 * n, Scalar.is_zero)[0]
     sigma = tuple(c // 2 + 1 for c in pivots if c % 2 == 0)
     etas = [pres.generator(r) - i_unit * J.pullback_one_form(pres.generator(r)) for r in sigma]

@@ -68,16 +68,99 @@ def test_rref_inverse_times_matrix_is_identity(field, data):
     elements, is_zero, one, zero = FIELDS[field]
     a = data.draw(square(elements))
     n = len(a)
-    aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(a)]
+    aug = [{c: x for c, x in enumerate(row) if not is_zero(x)} for row in a]
+    for i, row in enumerate(aug):
+        row[n + i] = one
     pivots, _, _ = linear.rref(aug, n, is_zero)
     if len(pivots) < n:
         assert _sympy_det(a) == 0
         return
-    inv = [row[n:] for row in aug]
+    inv = [[row.get(c, zero) for c in range(n, 2 * n)] for row in aug]
     for i in range(n):
         for j in range(n):
             prod = dot(inv[i], [a[k][j] for k in range(n)], zero)
             assert equal(prod, one if i == j else zero, is_zero)
+
+
+QIA = SymbolTable([Symbol("a")])
+A = sympy.Symbol("a")
+
+
+def _rational(x):
+    return x, sympy.Rational(x)
+
+
+def _gaussian_pair(re, im):
+    return gaussian(re, im), sympy.Rational(re) + sympy.I * im
+
+
+def _over_qia(p, q, r, s):
+    """(p + q i + r a) / s in Q(i)(a), with its sympy value."""
+    value = (QIA.scalar(p) + QIA.scalar(q) * QIA.i + QIA.scalar(r) * QIA.symbol("a")) / s
+    return value, (p + q * sympy.I + r * A) / s
+
+
+# entries with their sympy values, and the zero test of each field
+SPARSE_FIELDS = {
+    "Q": (st.builds(_rational, rationals), operator.not_),
+    "Q(i)": (st.builds(_gaussian_pair, rationals, small), Scalar.is_zero),
+    "Q(i)(a)": (st.builds(_over_qia, small, small, small, st.integers(1, 3)), Scalar.is_zero),
+}
+
+
+def _as_sympy(x):
+    if isinstance(x, Scalar):
+        return sympy.sympify(str(x).replace("^", "**"), locals={"i": sympy.I, "a": A})
+    return sympy.Rational(x)
+
+
+@pytest.mark.parametrize("field", sorted(SPARSE_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 5))
+def test_rref_matches_sympy_on_sparse_matrices(field, data, m, n):
+    """Pivot columns and reduced rows are sympy's, and the reduced rows keep
+    no zero entry."""
+    entries, is_zero = SPARSE_FIELDS[field]
+    # about two entries in three are zero
+    cell = st.one_of(st.none(), st.none(), entries.filter(lambda x: x[1] != 0))
+    cells = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    rows = [{c: x[0] for c, x in enumerate(row) if x is not None} for row in cells]
+    pivots, _, _ = linear.rref(rows, n, is_zero)
+    expected, expected_pivots = sympy.Matrix(
+        m, n, lambda r, c: 0 if cells[r][c] is None else cells[r][c][1]
+    ).rref(simplify=True)
+    assert tuple(pivots) == expected_pivots
+    for r, row in enumerate(rows):
+        assert not any(is_zero(x) for x in row.values())
+        for c in range(n):
+            got = _as_sympy(row[c]) if c in row else 0
+            assert sympy.cancel(got - expected[r, c]) == 0, (r, c)
+
+
+def test_rref_pivots_on_the_first_nonzero_of_each_column():
+    """The pivot of a column is its first nonzero row at or below the next
+    pivot position; each pivot that is not already in place costs one swap."""
+    rows = [{1: Fraction(1)}, {0: Fraction(2)}, {0: Fraction(3), 1: Fraction(5)}]
+    pivots, values, swaps = linear.rref(rows, 2, operator.not_)
+    assert (pivots, values, swaps) == ([0, 1], [Fraction(2), Fraction(1)], 1)
+    assert rows == [{0: Fraction(1)}, {1: Fraction(1)}, {}]
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        # one swap puts the anti-diagonal in place
+        ([[0, 0, 2], [0, 3, 0], [5, 0, 0]], -30),
+        # a cyclic permutation takes two swaps
+        ([[0, 7, 0], [0, 0, 1], [4, 0, 0]], 28),
+        # one swap, then a negative pivot
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2),
+    ],
+)
+def test_det_counts_the_row_swaps(entries, expected):
+    a = [[QI.scalar(x) for x in row] for row in entries]
+    assert linear.det(a, QI) == expected
+    assert _sympy_det(entries) == expected
 
 
 def _sympy_det(a):

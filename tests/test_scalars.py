@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: parsing, normalization, conjugation, evaluation."""
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -466,6 +468,67 @@ def test_gaussian_arithmetic_never_multiplies_polynomials(monkeypatch):
     assert not calls, calls
     assert all(v._t is not None for v in values)
     assert values[3] * y == x and not calls
+
+
+def _qi_value(table, re, im):
+    """re + im i in a gaussian table, built from its normalized triple
+    without any scalar arithmetic."""
+    d = lcm(re.denominator, im.denominator)
+    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    return scalars_module._gaussian(table, a, b, d)
+
+
+_PARTS = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+_PAIRS = st.tuples(_PARTS, _PARTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_PAIRS, y=_PAIRS)
+def test_property_gaussian_fast_paths_match_a_pair_oracle(x, y):
+    """Same-table products, sums, differences, quotients and negations give
+    the normalized triple (gcd 1, positive denominator) of the value that
+    (real, imaginary) Fraction pairs compute."""
+    (a, b), (c, d) = x, y
+    xs, ys = _qi_value(_QI, a, b), _qi_value(_QI, c, d)
+    cases = [
+        (xs * ys, (a * c - b * d, a * d + b * c)),
+        (xs + ys, (a + c, b + d)),
+        (xs - ys, (a - c, b - d)),
+        (-xs, (-a, -b)),
+    ]
+    if c or d:
+        norm = c * c + d * d
+        cases.append((xs / ys, ((a * c + b * d) / norm, (b * c - a * d) / norm)))
+    for got, (re, im) in cases:
+        assert type(got) is Scalar and got.table is _QI
+        p, q, den = got._t
+        assert den > 0 and gcd(p, q, den) == 1
+        assert got._t == _qi_value(_QI, re, im)._t
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_PAIRS, y=_PAIRS, k=st.integers(-50, 50), q=_PARTS)
+def test_gaussian_operands_off_the_fast_path_give_the_same_values(x, y, k, q):
+    """An operand from a compatible table that is another object, an int or
+    a Fraction is coerced and gives the value of the same-table operation,
+    in the left operand's table."""
+    other = SymbolTable()
+    assert other is not _QI and other.compatible(_QI)
+    xs = _qi_value(_QI, *x)
+    ops = [operator.add, operator.sub, operator.mul]
+    for y_same, y_other in [
+        (_qi_value(_QI, *y), _qi_value(other, *y)),
+        (_qi_value(_QI, Fraction(k), Fraction(0)), k),
+        (_qi_value(_QI, q, Fraction(0)), q),
+    ]:
+        for op in ops + [operator.truediv] * (not y_same.is_zero()):
+            got = op(xs, y_other)
+            assert got.table is _QI and got._t == op(xs, y_same)._t
+        if isinstance(y_other, Scalar):
+            continue
+        for op in ops + [operator.truediv] * (not xs.is_zero()):
+            got = op(y_other, xs)
+            assert got.table is _QI and got._t == op(y_same, xs)._t
 
 
 def test_a_scalar_past_the_digit_limit_refuses_to_print(table):

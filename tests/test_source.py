@@ -201,3 +201,27 @@ def test_quaternion_does_not_import_numpy():
     modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert not [m for m in modules if m and m.split(".")[0] == "numpy"], modules
+
+
+def test_linear_defines_one_elimination():
+    """``linear.rref`` is the package's one row reduction, over rows held as
+    ``{column: value}`` dicts: no dense or sparse twin is defined beside it,
+    in ``linear.py`` or elsewhere."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and "rref" in node.name.lower():
+                found.append(f"{path.name}:{node.name}")
+    assert found == ["linear.py:rref"], found
+
+
+def test_scalar_subtraction_is_addition_of_the_negation():
+    """``Scalar.__sub__`` returns ``self + (-o)``, so subtraction runs the
+    same-table fast path of ``__add__`` and is counted as an addition by the
+    benchmark's tracer."""
+    tree = ast.parse((SRC / "scalars.py").read_text(encoding="utf-8"))
+    cls = next(top for top in tree.body if getattr(top, "name", None) == "Scalar")
+    sub = next(f for f in cls.body if getattr(f, "name", None) == "__sub__")
+    returned = sub.body[-1]
+    assert isinstance(returned, ast.Return)
+    assert ast.unparse(returned.value) == "self + -o"
