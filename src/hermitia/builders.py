@@ -44,9 +44,7 @@ def almost_abelian(derivation, flat_extra=0, table=None, name_prefix="e"):
         table = SymbolTable()
     dim = m + 1 + flat_extra
     names = tuple(f"{name_prefix}{k}" for k in range(1, dim + 1))
-    # coerce entries through a size-m matrix on a scratch presentation
-    scratch = LieAlgebraPresentation(m, {}, table=table)
-    dmat = scratch._as_matrix(derivation)
+    dmat = tuple(tuple(table.scalar(x) for x in r) for r in derivation)
     susp = m + 1
     differential = {}
     for i in range(m):
@@ -70,7 +68,6 @@ def almost_abelian(derivation, flat_extra=0, table=None, name_prefix="e"):
         if linear.is_zero_matrix(power):
             nilpotent = True
             break
-    pres.forms = dict(pres.forms)
     pres.endomorphisms["D_ideal"] = _embed_top_left(dmat, dim, table)
     meta = {"trace_zero": tr.is_zero(), "nilpotent_derivation": nilpotent}
     pres.metadata = meta

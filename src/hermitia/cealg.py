@@ -9,7 +9,9 @@ construction time and gates every downstream differential operation.
 Forms are sparse sums of (coefficient, strictly increasing index tuple)
 terms with a unique canonical representation: repeated indices vanish, terms
 with zero coefficients are dropped, and term order is (degree, indices).
-Mixed-degree forms are allowed.
+Mixed-degree forms are allowed.  Every term list that becomes a form (the
+public ``Form`` constructor, ``LieAlgebraPresentation.form`` and each
+structure equation) is made canonical in one place, ``_collect``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,31 @@ def _sort_signed(indices):
     return tuple(idx), sign
 
 
+def _collect(presentation, pairs):
+    """The canonical term dict of (coefficient, index tuple) pairs with
+    integer indices: each coefficient lifted into the presentation's table,
+    an index outside 1..dim refused, the indices sorted with their
+    permutation sign, repeated-index terms and zero sums dropped."""
+    scalar, dim = presentation.table.scalar, presentation.dim
+    out = {}
+    for coeff, indices in pairs:
+        c = scalar(coeff)
+        if indices and not (1 <= min(indices) and max(indices) <= dim):
+            raise FormError(f"index out of range in {tuple(indices)}")
+        idx, sign = _sort_signed(indices)
+        if idx is None:
+            continue
+        if sign < 0:
+            c = -c
+        s = out.get(idx)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(idx, None)
+        else:
+            out[idx] = s
+    return out
+
+
 class Form:
     """A sparse exterior form over a fixed presentation."""
 
@@ -84,13 +111,7 @@ class Form:
         if _canonical:
             self.terms = terms
         else:
-            clean = {}
-            for idx, c in terms.items():
-                c = presentation.table.scalar(c)
-                if c.is_zero():
-                    continue
-                clean[idx] = c
-            self.terms = clean
+            self.terms = _collect(presentation, ((c, idx) for idx, c in terms.items()))
 
     # -- constructors --------------------------------------------------------
 
@@ -332,7 +353,8 @@ class LieAlgebraPresentation:
     ``differential`` maps generator index (1-based) to the 2-form d e^k; the
     bracket is derived from it where needed.  Named endomorphisms (acting on
     the vector basis, column convention), bilinear Gram matrices and forms may
-    be attached; attachments do not affect algebra identity.
+    be attached to the ``endomorphisms``, ``bilinears`` and ``forms`` dicts;
+    attachments do not affect algebra identity.
     """
 
     def __init__(
@@ -341,9 +363,6 @@ class LieAlgebraPresentation:
         differential: Mapping[int, Iterable] | None = None,
         names: Sequence[str] | None = None,
         table: SymbolTable | None = None,
-        endomorphisms=None,
-        bilinears=None,
-        forms=None,
     ):
         if dim <= 0:
             raise PresentationError("dimension must be positive")
@@ -362,37 +381,19 @@ class LieAlgebraPresentation:
         for gen, two_form in (differential or {}).items():
             if not 1 <= gen <= dim:
                 raise PresentationError(f"differential refers to generator {gen} outside 1..{dim}")
-            terms = {}
-            for coeff, indices in two_form:
-                coeff = self.table.scalar(coeff)
-                idx, sign = _sort_signed(tuple(indices))
-                if idx is None:
-                    continue
-                if len(idx) != 2:
-                    raise PresentationError("structure equations must be 2-forms")
-                if not all(1 <= k <= dim for k in idx):
-                    raise PresentationError(f"index out of range in d of generator {gen}")
-                c = coeff if sign == 1 else -coeff
-                s = terms.get(idx)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(idx, None)
-                else:
-                    terms[idx] = s
+            try:
+                terms = _collect(self, two_form)
+            except FormError:
+                raise PresentationError(f"index out of range in d of generator {gen}") from None
+            if any(len(idx) != 2 for idx in terms):
+                raise PresentationError("structure equations must be 2-forms")
             if terms:
                 self.d_gen[gen] = terms
 
         self._jacobi = None
-
         self.endomorphisms = {}
         self.bilinears = {}
         self.forms = {}
-        for name, mat in (endomorphisms or {}).items():
-            self.endomorphisms[name] = self._as_matrix(mat)
-        for name, mat in (bilinears or {}).items():
-            self.bilinears[name] = self._as_matrix(mat)
-        for name, f in (forms or {}).items():
-            self.forms[name] = f if isinstance(f, Form) else self.form(f)
 
     # -- helpers -----------------------------------------------------------
 
@@ -436,25 +437,11 @@ class LieAlgebraPresentation:
 
     def form(self, terms) -> Form:
         """Build a form from (coefficient, index-or-name tuple) pairs."""
-        out = {}
-        for coeff, indices in terms:
-            coeff = self.table.scalar(coeff)
-            resolved = tuple(
-                self.index_of(k) if isinstance(k, str) else int(k) for k in indices
-            )
-            if not all(1 <= k <= self.dim for k in resolved):
-                raise FormError(f"index out of range in {resolved}")
-            idx, sign = _sort_signed(resolved)
-            if idx is None:
-                continue
-            c = coeff if sign == 1 else -coeff
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return Form(self, out, _canonical=True)
+        resolved = (
+            (c, tuple(self.index_of(k) if isinstance(k, str) else int(k) for k in indices))
+            for c, indices in terms
+        )
+        return Form(self, _collect(self, resolved), _canonical=True)
 
     def generator(self, k) -> Form:
         if isinstance(k, str):
@@ -592,13 +579,12 @@ def direct_sum(g1: LieAlgebraPresentation, g2: LieAlgebraPresentation, names=Non
 
     remap1 = table.remapper(g1.table)
     remap2 = table.remapper(g2.table)
-    differential = {}
-    for g, t in g1.d_gen.items():
-        differential[g] = [(remap1(c), idx) for idx, c in t.items()]
-    for g, t in g2.d_gen.items():
-        differential[g + n1] = [
-            (remap2(c), tuple(k + n1 for k in idx)) for idx, c in t.items()
-        ]
+
+    def embed_terms(terms, remap, shift):
+        return [(remap(c), tuple(k + shift for k in idx)) for idx, c in terms.items()]
+
+    differential = {g: embed_terms(t, remap1, 0) for g, t in g1.d_gen.items()}
+    differential.update({g + n1: embed_terms(t, remap2, n1) for g, t in g2.d_gen.items()})
     p = LieAlgebraPresentation(n1 + n2, differential, names=names, table=table)
 
     def embed_blocks(m1, m2):
@@ -619,17 +605,12 @@ def direct_sum(g1: LieAlgebraPresentation, g2: LieAlgebraPresentation, names=Non
         )
     for name in sorted(set(g1.bilinears) | set(g2.bilinears)):
         p.bilinears[name] = embed_blocks(g1.bilinears.get(name), g2.bilinears.get(name))
+    empty = Form.zero(p)
     for name in sorted(set(g1.forms) | set(g2.forms)):
-        terms = {}
-        f1 = g1.forms.get(name)
-        f2 = g2.forms.get(name)
-        if f1 is not None:
-            for idx, c in f1.terms.items():
-                terms[idx] = remap1(c)
-        if f2 is not None:
-            for idx, c in f2.terms.items():
-                terms[tuple(k + n1 for k in idx)] = remap2(c)
-        p.forms[name] = Form(p, terms, _canonical=True)
+        p.forms[name] = p.form(
+            embed_terms(g1.forms.get(name, empty).terms, remap1, 0)
+            + embed_terms(g2.forms.get(name, empty).terms, remap2, n1)
+        )
     return p
 
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import builders, hyperbolic
-from .manifest import DEFAULT_SEED, Manifest, ManifestError, run_check
+from .manifest import DEFAULT_SEED, Manifest, ManifestError, _fmt_float, run_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -134,7 +134,7 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _fmt_float(obj)
     return obj
 
 
@@ -159,11 +159,11 @@ def _cmd_power(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
     out = {
-        "lambda": float(f"{result.lam:.12g}"),
-        "eta": [float(f"{v:.12g}") for v in result.eta],
-        "q_value": float(f"{result.q_value:.12g}"),
+        "lambda": _fmt_float(result.lam),
+        "eta": [_fmt_float(v) for v in result.eta],
+        "q_value": _fmt_float(result.q_value),
         "iterations": result.iterations,
-        "final_residual": float(f"{result.residuals[-1]:.12g}"),
+        "final_residual": _fmt_float(result.residuals[-1]),
     }
     sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     return EXIT_PASS

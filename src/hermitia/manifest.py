@@ -301,14 +301,12 @@ class Manifest:
                 Symbol(s["name"], relation=relation, sign_hint=s.get("sign_hint"))
             )
         table = SymbolTable(symbols)
+        index = {nm: k for k, nm in enumerate(self.basis, 1)}
         diff = {}
         for gen, terms in self.differential.items():
-            if gen not in self.basis:
+            if gen not in index:
                 raise ManifestError(f"differential refers to unknown generator {gen!r}")
-            diff[self.basis.index(gen) + 1] = [
-                (coeff, tuple(self.basis.index(nm) + 1 for nm in idx))
-                for coeff, idx in (self._term(t) for t in terms)
-            ]
+            diff[index[gen]] = [self._term(t, index) for t in terms]
         pres = LieAlgebraPresentation(
             self.dimension, diff, names=self.basis, table=table
         )
@@ -317,15 +315,17 @@ class Manifest:
         for nm, rows in self.bilinears.items():
             pres.bilinears[nm] = pres._as_matrix(rows)
         for nm, terms in self.forms.items():
-            pres.forms[nm] = pres.form([self._term(t) for t in terms])
+            pres.forms[nm] = pres.form([self._term(t, index) for t in terms])
         return BuildContext(self, pres)
 
-    def _term(self, t):
-        coeff, idx = t
-        for nm in idx:
-            if nm not in self.basis:
-                raise ManifestError(f"unknown generator {nm!r} in a form term")
-        return coeff, tuple(idx)
+    @staticmethod
+    def _term(t, index):
+        """A manifest term [coeff, names] as (coeff, generator indices)."""
+        coeff, names = t
+        try:
+            return coeff, tuple(index[nm] for nm in names)
+        except KeyError as e:
+            raise ManifestError(f"unknown generator {e.args[0]!r} in a form term") from None
 
 
 def _one_basis(forms):
@@ -410,7 +410,8 @@ class BuildContext:
         if kind == "name":
             return self.attached("forms", spec["name"])
         if kind == "terms":
-            return self.presentation.form([self.manifest._term(t) for t in spec["terms"]])
+            index = self.presentation._name_index
+            return self.presentation.form([self.manifest._term(t, index) for t in spec["terms"]])
         if kind == "eta_terms":
             model = self.acs(spec["endo"]).model()
             m = model.m

@@ -584,7 +584,7 @@ class Scalar:
     Fraction goes through ``_coerce``.
     """
 
-    __slots__ = ("table", "_t", "_num", "den", "_key")
+    __slots__ = ("table", "_t", "_num", "den")
 
     def __init__(self, table, num, den, _normalized=False):
         self.table = table
@@ -592,7 +592,6 @@ class Scalar:
             num, den = _canonical_fraction(table, num, den)
         self._num = num
         self.den = den
-        self._key = None
         self._t = (
             _triple(num)
             if table.gaussian and _is_one_poly(den) and all(not m or m == _I_MONO for m in num)
@@ -616,12 +615,7 @@ class Scalar:
     # -- canonical key, equality, hashing -----------------------------------
 
     def key(self):
-        if self._key is None:
-            self._key = (
-                tuple(sorted(self.num.items())),
-                tuple(sorted(self.den.items())),
-            )
-        return self._key
+        return tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))
 
     def __eq__(self, other):
         x = self._t
@@ -696,7 +690,6 @@ class Scalar:
             s._t = (a, b, d)
             s._num = None
             s.den = _ONE_POLY
-            s._key = None
             return s
         t = self.table
         sden, oden = self.den, o.den
@@ -719,7 +712,6 @@ class Scalar:
             s._t = (-x[0], -x[1], x[2])
             s._num = None
             s.den = _ONE_POLY
-            s._key = None
             return s
         return Scalar(self.table, _poly_neg(self._num), self.den, _normalized=True)
 
@@ -752,7 +744,6 @@ class Scalar:
             s._t = (a, b, d)
             s._num = None
             s.den = _ONE_POLY
-            s._key = None
             return s
         t = self.table
         if _is_one_poly(self.den) and _is_one_poly(o.den):
@@ -783,7 +774,6 @@ class Scalar:
             s._t = (a, b, d)
             s._num = None
             s.den = _ONE_POLY
-            s._key = None
             return s
         if o.is_zero():
             raise ScalarError("division by a scalar that normalizes to zero")
@@ -935,7 +925,6 @@ def _gaussian(table, a, b, d) -> Scalar:
     s._t = (a, b, d)
     s._num = None
     s.den = _ONE_POLY
-    s._key = None
     return s
 
 

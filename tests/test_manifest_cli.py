@@ -857,3 +857,29 @@ def test_small_positive_gram_entry_is_not_degenerate():
         valuations={"tiny": {"a": 1e-10}}, bilinears={"diag": diag},
     )
     assert outcome.verdict == "fail"
+
+
+def test_cli_classify_and_power_json_bytes_are_pinned(tmp_path, capsys):
+    """The JSON reports of ``classify`` and ``power`` for a hyperbolic
+    isometry, byte for byte: exact certificate entries print as fraction
+    strings and floats are rounded to 12 significant digits."""
+    gram = tmp_path / "g.json"
+    gram.write_text("[[1,0],[0,-2]]")
+    mat = tmp_path / "m.json"
+    mat.write_text("[[3,4],[2,3]]")
+    assert main(["classify", "--gram", str(gram), "--matrix", str(mat), "--report", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "certificate": {\n    "eigenvector": [\n      [\n        "-3/2",\n'
+        '        "1/2"\n      ],\n      [\n        "1",\n        "0"\n      ]\n    ],\n'
+        '    "eigenvector_field": "quadratic: x^2 = 6*x + -1",\n'
+        '    "interval_width": "3/4398046511104",\n    "lambda_interval": [\n'
+        '      "25633693581211/4398046511104",\n      "12816846790607/2199023255552"\n'
+        '    ],\n    "min_poly_degree": 2,\n    "q_value": [\n      "0",\n      "0"\n'
+        '    ]\n  },\n  "label": "hyperbolic"\n}\n'
+    )
+    assert main(["power", "--gram", str(gram), "--matrix", str(mat), "--tol", "1e-10"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "eta": [\n    0.816496580926,\n    0.577350269192\n  ],\n'
+        '  "final_residual": 1.75280035387e-11,\n  "iterations": 7,\n'
+        '  "lambda": 5.82842712475,\n  "q_value": -8.76390840603e-12\n}\n'
+    )

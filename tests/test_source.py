@@ -225,3 +225,19 @@ def test_scalar_subtraction_is_addition_of_the_negation():
     returned = sub.body[-1]
     assert isinstance(returned, ast.Return)
     assert ast.unparse(returned.value) == "self + -o"
+
+
+def test_term_lists_share_one_canonicalizer():
+    """Every term list that becomes a form is sorted through
+    ``cealg._collect``; besides it only ``Form.coefficient`` sorts an index
+    tuple, so ``_sort_signed`` is called in those two functions alone."""
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    f = node.func if isinstance(node, ast.Call) else None
+                    if getattr(f, "id", getattr(f, "attr", None)) == "_sort_signed":
+                        callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"cealg.py:_collect", "cealg.py:coefficient"}, callers
