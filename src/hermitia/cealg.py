@@ -79,12 +79,16 @@ def _sort_signed(indices):
 def _collect(presentation, pairs):
     """The canonical term dict of (coefficient, index tuple) pairs with
     integer indices: each coefficient lifted into the presentation's table,
-    an index outside 1..dim refused, the indices sorted with their
-    permutation sign, repeated-index terms and zero sums dropped."""
+    an index whose type is not ``int`` (so a bool too) or that lies outside
+    1..dim refused, the indices sorted with their permutation sign,
+    repeated-index terms and zero sums dropped."""
     scalar, dim = presentation.table.scalar, presentation.dim
     out = {}
     for coeff, indices in pairs:
         c = scalar(coeff)
+        for k in indices:
+            if type(k) is not int:
+                raise FormError(f"index {k!r} is not an integer in {tuple(indices)}")
         if indices and not (1 <= min(indices) and max(indices) <= dim):
             raise FormError(f"index out of range in {tuple(indices)}")
         idx, sign = _sort_signed(indices)
@@ -383,8 +387,8 @@ class LieAlgebraPresentation:
                 raise PresentationError(f"differential refers to generator {gen} outside 1..{dim}")
             try:
                 terms = _collect(self, two_form)
-            except FormError:
-                raise PresentationError(f"index out of range in d of generator {gen}") from None
+            except FormError as e:
+                raise PresentationError(f"{e} in d of generator {gen}") from None
             if any(len(idx) != 2 for idx in terms):
                 raise PresentationError("structure equations must be 2-forms")
             if terms:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import builders, hyperbolic
-from .manifest import DEFAULT_SEED, Manifest, ManifestError, _fmt_float, run_check
+from .manifest import DEFAULT_SEED, Manifest, ManifestError, _fmt_float, json_text, run_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -111,12 +111,7 @@ def _cmd_classify(args):
         return EXIT_FAIL
     if args.report == "json":
         cert = _jsonable(result.certificate)
-        sys.stdout.write(
-            json.dumps(
-                {"label": result.label, "certificate": cert}, indent=2, sort_keys=True
-            )
-            + "\n"
-        )
+        sys.stdout.write(json_text({"label": result.label, "certificate": cert}) + "\n")
     else:
         if result.label == "hyperbolic":
             a, b = result.certificate["lambda_interval"]
@@ -165,7 +160,7 @@ def _cmd_power(args):
         "iterations": result.iterations,
         "final_residual": _fmt_float(result.residuals[-1]),
     }
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json_text(out) + "\n")
     return EXIT_PASS
 
 

@@ -6,9 +6,14 @@ A manifest resolves names against its own declarations (symbols, basis,
 endomorphisms, bilinears, forms); the Jacobi gate is implicitly the first
 check.  Each check kind is declared once, by ``_check`` on its handler,
 with the types of its parameters; a manifest whose checks do not match
-their declarations is a parse error.  Reports are deterministic: canonical
-scalar strings, floats printed to 12 significant digits, sorted keys, and
-timing excluded on request.
+their declarations is a parse error.  The declared ``_Type`` tree is the one
+statement of the schema: each type is compiled once, on first use, into a
+checker closure that walks an accepted manifest without formatting a path
+and names the path of the first value it refuses.  Reports are
+deterministic: canonical scalar strings, floats printed to 12 significant
+digits, sorted keys, and timing excluded on request.  Reports and emitted
+manifests are written by ``json_text``, byte for byte what
+``json.dumps(obj, indent=2, sort_keys=True)`` prints.
 
 Form specifications (the ``form``/``equals``/``alpha`` style parameters)
 are nested objects:
@@ -29,6 +34,7 @@ are combined in the real basis, and reported forms are always real.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import time
@@ -64,20 +70,85 @@ def _fmt_float(x):
     return float(f"{float(x):.12g}")
 
 
-@dataclass(frozen=True)
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, written
+    in one pass into one list of chunks (with ``indent`` set, json falls back
+    to its generator-based encoder)."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write(value, out, newline):
+    """Append the chunks of ``value`` at the indentation ``newline`` carries.
+    What json would print another way (a non-finite float, a subclass of int
+    or float, a dict with a key that is not a string, an unknown type) is
+    json's own output for that subtree, re-indented: a JSON string holds no
+    raw newline."""
+    t = type(value)
+    if t is str:
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if value else "false")
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif t is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif t is list or t is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            if type(x) is str:
+                out.append(_encode_str(x))
+            else:
+                _write(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif t is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(sep)
+            out.append(_encode_str(k))
+            out.append(": ")
+            x = value[k]
+            if type(x) is str:
+                out.append(_encode_str(x))
+            else:
+                _write(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+
+
+@dataclass(frozen=True, eq=False)
 class _Type:
     """A JSON value type of the manifest schema: what it is called in errors
     and the README, its membership test, and the type of what it holds: of
     every list entry or object value, a tuple of types for the positions of a
     fixed-length list, or a ``_Record`` for the keys of an object (or a
-    function from the object and its path to that record)."""
+    function from the object to that record).  Types hash by identity: each
+    is compiled once, by ``_checker``."""
 
     label: str
     test: Callable
     of: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Record:
     fields: dict  # {key: (type, default)}
     alternatives: tuple = ()  # groups of keys of which an object gives exactly one
@@ -191,54 +262,126 @@ DECOMPOSITION = _list_of(_entry("[coefficient, [factors]]", COEFF, _list_of(_Typ
 SIGNATURE = _entry("a list [positive, negative, zero] of counts", NATURAL, NATURAL, NATURAL)
 
 
-def _typed(value, kind: _Type, path):
-    """Check that ``value`` has the JSON type ``kind`` down to its leaves; a
-    ManifestError names the manifest path of the first value that does not."""
-    if not kind.test(value):
+class _Rejected(Exception):
+    """A value refused by a compiled checker: the end of its error line and
+    the path segments from the value out to the manifest, innermost first.
+    The path is joined only when the refusal becomes a ManifestError."""
+
+    def __init__(self, tail, *segments):
+        super().__init__(tail)
+        self.tail = tail
+        self.segments = list(segments)
+
+    def line(self):
+        path = "".join(reversed(self.segments)).removeprefix(".")
+        return f"{path or 'manifest'}{self.tail}"
+
+
+@functools.cache
+def _checker(kind):
+    """The checker compiled from a ``_Type`` or ``_Record``, once: a function
+    of a JSON value that returns if the value has the type down to its leaves
+    and raises ``_Rejected`` at the first value that does not, in declaration
+    order."""
+    return _compile_record(kind) if isinstance(kind, _Record) else _compile_type(kind)
+
+
+def _compile_type(kind: _Type):
+    test, label, of = kind.test, kind.label, kind.of
+
+    def refuse(value):
         got = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
-        raise ManifestError(f"{path or 'manifest'}: expected {kind.label}, got {got}")
-    of = kind.of(value, path) if callable(kind.of) else kind.of
-    if isinstance(of, _Record) and OBJECT.test(value):
-        _record(value, of, path)
+        return _Rejected(f": expected {label}, got {got}")
+
+    if of is None:
+        def check(value):
+            if not test(value):
+                raise refuse(value)
+    elif isinstance(of, _Record) or callable(of):
+        # the keys of an object: a record, or the record a function picks for it
+        fixed = _checker(of) if isinstance(of, _Record) else None
+
+        def check(value):
+            if not test(value):
+                raise refuse(value)
+            if isinstance(value, dict):
+                (fixed or _checker(of(value)))(value)
     elif isinstance(of, tuple):
-        for k, (x, t) in enumerate(zip(value, of)):
-            _typed(x, t, f"{path}[{k}]")
-    elif isinstance(of, _Type):
-        is_map = OBJECT.test(value)
-        # leaf entries are tested in one pass; a path is made only for a failure
-        if of.of is None and all(map(of.test, value.values() if is_map else value)):
-            return
-        for k, x in value.items() if is_map else enumerate(value):
-            _typed(x, of, f"{path}.{k}" if is_map else f"{path}[{k}]")
+        positions = tuple(map(_checker, of))
+
+        def check(value):
+            if not test(value):
+                raise refuse(value)
+            k = 0
+            try:
+                for k, (x, position) in enumerate(zip(value, positions)):
+                    position(x)
+            except _Rejected as r:
+                r.segments.append(f"[{k}]")
+                raise
+    else:
+        entry = _checker(of)
+        # leaf entries are tested in one pass; the loop runs only to name a failure
+        leaf = of.test if of.of is None else None
+
+        def check(value):
+            if not test(value):
+                raise refuse(value)
+            is_map = isinstance(value, dict)
+            if leaf is not None and all(map(leaf, value.values() if is_map else value)):
+                return
+            k = 0
+            try:
+                for k, x in value.items() if is_map else enumerate(value):
+                    entry(x)
+            except _Rejected as r:
+                r.segments.append(f".{k}" if is_map else f"[{k}]")
+                raise
+    return check
 
 
-def _record(obj, record: _Record, path):
-    """Check the JSON object ``obj`` against ``record``: no unknown key, every
+def _compile_record(record: _Record):
+    """The checker of a JSON object against ``record``: no unknown key, every
     required key present and every value of its type.  Of the key groups in
     its alternatives exactly one is given, and only its keys are required."""
-    prefix = f"{path}." if path else ""
-    for key in obj:
-        if key not in record.fields:
-            raise ManifestError(f"{prefix}{key}: unknown parameter")
-    not_chosen = set()
-    if record.alternatives:
-        chosen = [g for g in record.alternatives if any(k in obj for k in g)]
-        if len(chosen) != 1:
-            either = " or ".join(" with ".join(g) for g in record.alternatives)
-            raise ManifestError(f"{path}: expected exactly one of {either}")
-        not_chosen = {k for g in record.alternatives for k in g} - set(chosen[0])
-    for key, (kind, default) in record.fields.items():
-        if key in obj:
-            _typed(obj[key], kind, f"{prefix}{key}")
-        elif default is _REQUIRED and key not in not_chosen:
-            raise ManifestError(f"{prefix}{key}: missing required parameter")
+    known = frozenset(record.fields)
+    # compiled on the first call, when the types that hold this record (a
+    # form spec's keys hold form specs) have their checkers
+    fields = []
+    group_of = {key: group for group in record.alternatives for key in group}
+    not_chosen = {group: frozenset(group_of) - set(group) for group in record.alternatives}
+    either = " or ".join(" with ".join(g) for g in record.alternatives)
+
+    def check(obj):
+        if not fields:
+            fields.extend((key, _checker(kind), default is _REQUIRED)
+                          for key, (kind, default) in record.fields.items())
+        if not known.issuperset(obj):
+            key = next(k for k in obj if k not in known)
+            raise _Rejected(": unknown parameter", f".{key}")
+        skip = ()
+        if group_of:
+            chosen = {group_of[k] for k in obj if k in group_of}
+            if len(chosen) != 1:
+                raise _Rejected(f": expected exactly one of {either}")
+            skip = not_chosen[chosen.pop()]
+        for key, value_check, required in fields:
+            if key in obj:
+                try:
+                    value_check(obj[key])
+                except _Rejected as r:
+                    r.segments.append(f".{key}")
+                    raise
+            elif required and key not in skip:
+                raise _Rejected(": missing required parameter", f".{key}")
+    return check
 
 
-def _check_kind(check, path):
+def _check_kind(check):
     """The record the check's kind declares."""
     kind = check.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise ManifestError(f"{path}.kind: unknown check kind {kind!r}")
+        raise _Rejected(f": unknown check kind {kind!r}", ".kind")
     return _KINDS[kind]
 
 
@@ -262,13 +405,17 @@ _MANIFEST_FIELDS = _fields({
     "valuations": (_map_of(_map_of(NUMBER)), {}),
     "checks": (_list_of(_map_of(_check_kind)), []),
 })
+_MANIFEST = _map_of(_Record(_MANIFEST_FIELDS))
 
 
 class Manifest:
     """Validated manifest data; ``build`` materializes the presentation."""
 
     def __init__(self, data: dict):
-        _typed(data, _map_of(_Record(_MANIFEST_FIELDS)), "")
+        try:
+            _checker(_MANIFEST)(data)
+        except _Rejected as r:
+            raise ManifestError(r.line()) from None
         for key, value in {**_defaults(_MANIFEST_FIELDS), **data}.items():
             setattr(self, key, copy.copy(value))
         if len(self.basis) != self.dimension:
@@ -290,7 +437,7 @@ class Manifest:
         return {k: getattr(self, k) for k in _MANIFEST_FIELDS}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
     def build(self) -> "BuildContext":
         symbols = []
@@ -488,7 +635,7 @@ class Report:
         }
 
     def to_json(self, include_timing=True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict(include_timing)) + "\n"
 
     def to_text(self, include_timing=True) -> str:
         lines = []

@@ -131,3 +131,25 @@ def test_direct_sum_embeds_attached_forms():
     assert s.forms["contact"] == s.form([(1, (1,)), (1, (4,))])
     one_sided = direct_sum(abelian(2), h)
     assert one_sided.forms["Phi"] == one_sided.form([(1, (4, 5))])
+
+
+def test_form_constructor_refuses_a_fractional_index():
+    """A float index used to pass the range check and build a form whose
+    ``str`` raised ``TypeError``."""
+    with pytest.raises(FormError, match="index 1.5 is not an integer"):
+        Form(abelian(3), {(1.5,): 1})
+
+
+def test_form_constructor_refuses_a_name_index():
+    """``Form`` takes integer indices (``pres.form`` resolves names); a name
+    used to raise a bare ``TypeError`` from the range check."""
+    with pytest.raises(FormError, match="index 'e1' is not an integer"):
+        Form(abelian(3), {("e1",): 1})
+
+
+def test_bool_indices_are_refused_in_forms_and_structure_equations():
+    """``True`` used to stand quietly for generator 1."""
+    with pytest.raises(FormError, match="index True is not an integer"):
+        Form(abelian(3), {(True, 2): 1})
+    with pytest.raises(PresentationError, match="index True is not an integer .* generator 3"):
+        LieAlgebraPresentation(3, {3: [(1, (True, 2))]})

@@ -883,3 +883,61 @@ def test_cli_classify_and_power_json_bytes_are_pinned(tmp_path, capsys):
         '  "final_residual": 1.75280035387e-11,\n  "iterations": 7,\n'
         '  "lambda": 5.82842712475,\n  "q_value": -8.76390840603e-12\n}\n'
     )
+
+
+def _check_probe(**check):
+    return lambda d: d["checks"].append({"id": "probe", **check})
+
+
+_EITHER_SPEC = ("expected exactly one of name or terms or eta_terms with endo or d_of or wedge "
+                "or power with base or combo")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(dimension="3"), 'dimension: expected a positive integer, got "3"'),
+        (lambda d: d["differential"].update(e1=[["1", "e2"]]),
+         'differential.e1[0][1]: expected a list, got "e2"'),
+        (lambda d: d["differential"].update(e1=[["1", ["e2"], ["e3"]]]),
+         "differential.e1[0]: expected [coefficient, [generator names]], got list"),
+        (lambda d: d.update(extra_field=1), "extra_field: unknown parameter"),
+        (_check_probe(kind="jacobi", bogus=1), "checks[2].bogus: unknown parameter"),
+        (lambda d: d.pop("dimension"), "dimension: missing required parameter"),
+        (_check_probe(kind="d_zero"), "checks[2].form: missing required parameter"),
+        (_check_probe(kind="d_zero", form={}), f"checks[2].form: {_EITHER_SPEC}"),
+        (_check_probe(kind="d_zero", form={"name": "eta", "d_of": "eta"}),
+         f"checks[2].form: {_EITHER_SPEC}"),
+        (_check_probe(kind="frobnicate"), "checks[2].kind: unknown check kind 'frobnicate'"),
+        (_check_probe(kind=7), "checks[2].kind: unknown check kind 7"),
+        (_check_probe(kind="d_zero", form={"d_of": {"wedge": ["eta", {"d_of": []}]}}),
+         "checks[2].form.d_of.wedge[1].d_of: expected a form spec (string or object), got list"),
+        (_check_probe(kind="d_zero", form={"eta_terms": [["1", [1], [2], [3]]], "endo": "J"}),
+         "checks[2].form.eta_terms[0]: "
+         "expected [coefficient, [holo]] or [coefficient, [holo], [anti]], got list"),
+        (lambda d: d.update(valuations={"v": {"a": 1, "b": float("nan")}}),
+         "valuations.v.b: expected a finite number, got NaN"),
+        (lambda d: d.update(symbols=[{"name": "a", "relation": {"power": 2}}]),
+         "symbols[0].relation.rhs: missing required parameter"),
+        (lambda d: d.update(symbols=[{"name": "a", "relation": ["2", "3"]}]),
+         "symbols[0].relation: expected null or an object, got list"),
+        (lambda d: d.update(symbols=[{"name": "a", "sign_hint": "big"}]),
+         'symbols[0].sign_hint: expected null or "positive" or "negative" or "unknown", got "big"'),
+        (lambda d: d["endomorphisms"].update(J=[["1", "0"], "x"]),
+         'endomorphisms.J[1]: expected a list, got "x"'),
+        (lambda d: d.clear(), "name: missing required parameter"),
+    ],
+    ids=["leaf", "entry-position", "entry-length", "unknown-key", "unknown-check-key",
+         "missing-key", "missing-check-key", "spec-neither", "spec-both", "unknown-kind",
+         "kind-not-a-string", "nested-spec", "optional-entry-length", "valuation-number",
+         "relation-missing-key", "relation-type", "enum", "matrix-row", "empty-manifest"],
+)
+def test_manifest_load_error_lines_are_pinned(mutate, message):
+    """Each way a manifest can fail its declared types, one per branch of the
+    load check, and the exact line of its ManifestError: the first failing
+    value in declaration order, named by its path."""
+    data = _mini_manifest()
+    mutate(data)
+    with pytest.raises(ManifestError) as info:
+        Manifest.from_json(json.dumps(data))
+    assert str(info.value) == message

@@ -241,3 +241,36 @@ def test_term_lists_share_one_canonicalizer():
                     if getattr(f, "id", getattr(f, "attr", None)) == "_sort_signed":
                         callers.add(f"{path.name}:{fn.name}")
     assert callers == {"cealg.py:_collect", "cealg.py:coefficient"}, callers
+
+
+def test_indented_json_has_one_writer():
+    """Every indent-2 JSON output (``Manifest.to_json``, ``Report.to_json``,
+    the ``classify --report json`` and ``power`` outputs of the CLI) is
+    written by ``manifest.json_text``; the only ``json.dumps`` with an
+    ``indent`` is its fallback in ``_write``."""
+    indented, writers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "dumps" and any(k.arg == "indent" for k in node.keywords):
+                    indented.add(f"{path.name}:{fn.name}")
+                if name == "json_text":
+                    writers.add(f"{path.name}:{fn.name}")
+    assert indented == {"manifest.py:_write"}, indented
+    assert writers == {"manifest.py:to_json", "cli.py:_cmd_classify", "cli.py:_cmd_power"}, writers
+    manifest = ast.parse((SRC / "manifest.py").read_text(encoding="utf-8"))
+    classes = {"Manifest", "Report"}
+    owners = {
+        cls.name for cls in manifest.body
+        if isinstance(cls, ast.ClassDef) and cls.name in classes
+        for fn in cls.body if getattr(fn, "name", None) == "to_json"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "json_text"
+    }
+    assert owners == classes, owners
