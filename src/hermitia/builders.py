@@ -10,11 +10,7 @@ all of its declared checks.
 from __future__ import annotations
 
 from . import linear
-from .cealg import (
-    Form,
-    LieAlgebraPresentation,
-    wedge,
-)
+from .cealg import LieAlgebraPresentation, wedge
 from .complexops import AlmostComplexStructure
 from .manifest import Manifest
 from .scalars import SymbolTable
@@ -111,16 +107,11 @@ def sasaki_kahler_suspension(kahler_dim: int) -> LieAlgebraPresentation:
     eta = pres.generator(1)
     phi = pres.d_of_generator(1)
     dt = pres.generator(t_idx)
-    omega_base = Form.zero(pres)
-    for j in range(kahler_dim // 2):
-        a, b = 4 + 2 * j, 5 + 2 * j
-        omega_base = omega_base + pres.form([(1, (a, b))])
+    pairs = [(a, a + 1) for a in range(4, 4 + kahler_dim, 2)]
+    omega_base = pres.form([(1, pair) for pair in pairs])
     omega_tilde = wedge(eta, dt) + phi + omega_base
-    action = {1: t_idx, 2: 3}
-    for j in range(kahler_dim // 2):
-        action[4 + 2 * j] = 5 + 2 * j
-    act = {k: f"e{v}" for k, v in action.items()}
-    itilde = AlmostComplexStructure.from_action(pres, act, name="Itilde")
+    action = {1: (1, t_idx), 2: (1, 3), **{a: (1, b) for a, b in pairs}}
+    itilde = AlmostComplexStructure.from_action(pres, action, name="Itilde")
     check = pres.d(omega_tilde) - wedge(phi, dt)
     if not check.is_zero():
         raise BuilderError("internal verification failed: d omega_tilde != Phi ^ dt")

@@ -12,6 +12,11 @@ with zero coefficients are dropped, and term order is (degree, indices).
 Mixed-degree forms are allowed.  Every term list that becomes a form (the
 public ``Form`` constructor, ``LieAlgebraPresentation.form`` and each
 structure equation) is made canonical in one place, ``_collect``.
+
+A generator reference is a name, which goes through ``index_of``, or an
+``int`` (not a bool) in 1..dim; ``LieAlgebraPresentation.form`` reads every
+reference by this rule, and each other reader goes through it (``resolve``).
+``direct_sum`` joins the summands' symbol tables with ``SymbolTable.merge``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import linear
-from .scalars import Scalar, ScalarError, SymbolTable, check_power_size
+from .scalars import Scalar, SymbolTable, check_power_size
 
 
 class PresentationError(ValueError):
@@ -422,10 +427,10 @@ class LieAlgebraPresentation:
 
     @cached_property
     def _signature(self):
-        """The algebra's identity for ``same_algebra``: dimension, names,
-        structure constants and symbol table.  Built on the first comparison
-        of two distinct presentations; a complex model's coframe is compared
-        by identity and never builds it."""
+        """The algebra's identity for ``same_algebra`` besides its symbol
+        table: dimension, names and structure constants.  Built on the first
+        comparison of two distinct presentations; a complex model's coframe
+        is compared by identity and never builds it."""
         return (
             self.dim,
             self.names,
@@ -433,24 +438,30 @@ class LieAlgebraPresentation:
                 (g, tuple(sorted((i, c.key()) for i, c in t.items())))
                 for g, t in sorted(self.d_gen.items())
             ),
-            self.table._sig,
         )
 
     def same_algebra(self, other):
-        return self is other or self._signature == other._signature
+        return self is other or (
+            self.table.compatible(other.table) and self._signature == other._signature
+        )
 
     def form(self, terms) -> Form:
-        """Build a form from (coefficient, index-or-name tuple) pairs."""
+        """Build a form from (coefficient, tuple of generator references)
+        pairs: a name goes through ``index_of``, and ``_collect`` takes an
+        ``int`` (not a bool) in 1..dim as it is and refuses anything else."""
         resolved = (
-            (c, tuple(self.index_of(k) if isinstance(k, str) else int(k) for k in indices))
+            (c, tuple(self.index_of(k) if isinstance(k, str) else k for k in indices))
             for c, indices in terms
         )
         return Form(self, _collect(self, resolved), _canonical=True)
 
     def generator(self, k) -> Form:
-        if isinstance(k, str):
-            k = self.index_of(k)
         return self.form([(1, (k,))])
+
+    def resolve(self, ref) -> int:
+        """The index of one generator reference, read as ``form`` reads it."""
+        ((k,),) = self.generator(ref).terms
+        return k
 
     def volume_form(self) -> Form:
         return self.form([(1, tuple(range(1, self.dim + 1)))])
@@ -458,7 +469,7 @@ class LieAlgebraPresentation:
     # -- differential ----------------------------------------------------------
 
     def d_of_generator(self, k) -> Form:
-        return Form(self, dict(self.d_gen.get(k, {})), _canonical=True)
+        return Form(self, dict(self.d_gen.get(self.resolve(k), {})), _canonical=True)
 
     def jacobi_check(self) -> JacobiReport:
         """d(d e^k) for every generator; pass iff all vanish."""
@@ -491,6 +502,7 @@ class LieAlgebraPresentation:
     def bracket_coefficients(self, i, j):
         """[e_i, e_j] = sum_k c_k e_k derived from the structure equations;
         returns the dense coefficient list (c_1 .. c_n)."""
+        i, j = self.resolve(i), self.resolve(j)
         zero = self.table.zero
         out = [zero] * self.dim
         if i == j:
@@ -564,7 +576,7 @@ def direct_sum(g1: LieAlgebraPresentation, g2: LieAlgebraPresentation, names=Non
     """
     g1.require_jacobi()
     g2.require_jacobi()
-    table = _merge_tables(g1.table, g2.table)
+    table = g1.table.merge(g2.table)
     n1, n2 = g1.dim, g2.dim
     if names is not None:
         names = tuple(names)
@@ -620,34 +632,3 @@ def direct_sum(g1: LieAlgebraPresentation, g2: LieAlgebraPresentation, names=Non
 
 def abelian(dim: int, names=None, table=None) -> LieAlgebraPresentation:
     return LieAlgebraPresentation(dim, {}, names=names, table=table)
-
-
-def _merge_tables(t1: SymbolTable, t2: SymbolTable) -> SymbolTable:
-    if t1.compatible(t2):
-        return t1
-    from .scalars import Symbol
-
-    symbols = []
-    seen = {}
-    for t in (t1, t2):
-        for idx, name in enumerate(t.names):
-            if idx == 0:
-                continue
-            rel = t.relations.get(idx)
-            rel_key = (rel[0], tuple(sorted(rel[1].items()))) if rel else None
-            hint = t.sign_hints.get(idx)
-            if name in seen:
-                if seen[name] != (rel_key, hint):
-                    raise ScalarError(
-                        f"symbol {name!r} is declared incompatibly in the two summands"
-                    )
-                continue
-            seen[name] = (rel_key, hint)
-            rel_text = None
-            if rel is not None:
-                # re-render the relation rhs against t's names
-                from .scalars import _poly_str
-
-                rel_text = (rel[0], _poly_str(t, rel[1])[0])
-            symbols.append(Symbol(name, relation=rel_text, sign_hint=hint))
-    return SymbolTable(symbols)

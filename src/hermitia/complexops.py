@@ -102,28 +102,20 @@ class AlmostComplexStructure:
 
     @classmethod
     def from_action(cls, presentation, action, name="J"):
-        """Build J from a partial basis action {index or name: (coeff, index)
-        or signed name like "-e2"}; the remaining half is forced by J^2 = -Id.
+        """Build J from a partial basis action {generator: (coeff, generator)
+        or signed name like "-e2"}, each generator a reference that
+        ``presentation.resolve`` reads; the remaining half is forced by
+        J^2 = -Id.
         """
         n = presentation.dim
         table = presentation.table
         cols = {}
-
-        def res(x):
-            return presentation.index_of(x) if isinstance(x, str) else int(x)
-
         for src, dst in action.items():
-            j = res(src)
             if isinstance(dst, str):
-                sgn = 1
-                if dst.startswith("-"):
-                    sgn, dst = -1, dst[1:]
-                i, c = res(dst), table.scalar(sgn)
+                coeff, tgt = (-1, dst[1:]) if dst.startswith("-") else (1, dst)
             else:
                 coeff, tgt = dst
-                i = res(tgt)
-                c = table.scalar(coeff)
-            cols[j] = (i, c)
+            cols[presentation.resolve(src)] = (presentation.resolve(tgt), table.scalar(coeff))
         for j, (i, c) in list(cols.items()):
             if i not in cols:
                 cols[i] = (j, -c)
@@ -439,13 +431,20 @@ class ComplexModel:
             raise FormError("form does not live over this model's complex coframe")
         return Form(self.real, self._substitute(cform.terms, self._cx_to_real), _canonical=True)
 
+    def _coframe(self, indices):
+        """``indices`` as a tuple, if each is an ``int`` (not a bool) in 1..m."""
+        indices = tuple(indices)
+        if not all(type(a) is int and 1 <= a <= self.m for a in indices):
+            raise FormError(f"coframe indices {indices} are not all integers in 1..{self.m}")
+        return indices
+
     def eta(self, a: int) -> Form:
         """The a-th coframe element (1-based) as a real-basis form."""
-        return self.eta_forms[a - 1]
+        return self.eta_forms[self._coframe((a,))[0] - 1]
 
     def eta_monomial(self, etas, conj_etas=()) -> Form:
         """eta_{a1} ^ .. ^ eta_{ap} ^ conj(eta_{b1}) ^ .. as a complex form."""
-        idx = tuple(etas) + tuple(self.m + b for b in conj_etas)
+        idx = self._coframe(etas) + tuple(self.m + b for b in self._coframe(conj_etas))
         return self.cpres.form([(1, idx)])
 
     def split_bidegrees(self, cform: Form):

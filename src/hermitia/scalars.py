@@ -24,6 +24,10 @@ Zero has a unique representation, so equality of canonical forms decides
 equality of values.  ``key()``, hashes and printed forms depend only on the
 value, not on how it is stored.  All operations are pure; scalars are
 immutable.
+
+A ``SymbolTable`` keeps its declarations (``symbols``), and only this module
+reads their relations and sign hints: ``merge`` joins two tables by name, as
+a direct sum of presentations needs, and ``remapper`` carries scalars across.
 """
 
 from __future__ import annotations
@@ -111,14 +115,14 @@ class SymbolTable:
     """
 
     def __init__(self, symbols: Iterable[Symbol] = ()):
+        self.symbols = tuple(symbols)  # the declarations, in order; symbols[k - 1] has index k
         self.names = ["i"]
         self.relations = {0: (2, {_ONE_MONO: Fraction(-1)})}
-        self.sign_hints = {}
         self._index = {"i": 0}
         self._parsed = {}  # expression string -> Scalar; the table is fixed after __init__
         # while only i is related, values with no free symbol are integer triples
         self.gaussian = True
-        for sym in symbols:
+        for sym in self.symbols:
             self._declare(sym)
         self._sig = (
             tuple(self.names),
@@ -131,8 +135,6 @@ class SymbolTable:
         idx = len(self.names)
         self.names.append(sym.name)
         self._index[sym.name] = idx
-        if sym.sign_hint:
-            self.sign_hints[idx] = sym.sign_hint
         if sym.relation is not None:
             k, rhs_text = sym.relation
             rhs = _parse_poly(self, rhs_text)
@@ -172,8 +174,30 @@ class SymbolTable:
     def compatible(self, other):
         return self is other or self._sig == other._sig
 
-    def __len__(self):
-        return len(self.names)
+    def merge(self, other: "SymbolTable") -> "SymbolTable":
+        """The table declaring this table's symbols, then the new names of
+        ``other``, from the original declarations; this table itself when
+        ``other`` adds no name.  A name declared in both must carry the same
+        sign hint (``None`` included) and the same relation, compared as a
+        polynomial over the declared names, not over table indices."""
+        new = []
+        for k, sym in enumerate(other.symbols, 1):
+            mine = self._index.get(sym.name)
+            if mine is None:
+                new.append(sym)
+            elif (hint := self.symbols[mine - 1].sign_hint) != sym.sign_hint:
+                raise ScalarError(f"symbol {sym.name!r} is declared with the sign hints "
+                                  f"{hint!r} and {sym.sign_hint!r}")
+            elif self._named_relation(mine) != other._named_relation(k):
+                raise ScalarError(f"symbol {sym.name!r} is declared with two different relations")
+        return SymbolTable(self.symbols + tuple(new)) if new else self
+
+    def _named_relation(self, idx):
+        """The relation of symbol ``idx`` with each monomial a set of (name,
+        exponent) pairs; None if the symbol is free."""
+        rel = self.relations.get(idx)
+        return rel and (rel[0], {
+            frozenset((self.names[j], e) for j, e in m): c for m, c in rel[1].items()})
 
     def __repr__(self):
         return f"SymbolTable({self.names[1:]!r})"
@@ -835,7 +859,7 @@ class Scalar:
             name = t.names[idx]
             v = complex(valuation[name])
             vals[idx] = v
-            hint = t.sign_hints.get(idx)
+            hint = t.symbols[idx - 1].sign_hint
             if hint in ("positive", "negative"):
                 if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
                     raise EvaluationError(f"symbol {name!r} with a sign hint must be real")

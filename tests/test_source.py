@@ -274,3 +274,35 @@ def test_indented_json_has_one_writer():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "json_text"
     }
     assert owners == classes, owners
+
+
+def test_only_scalars_reads_a_symbol_tables_storage():
+    """Symbol tables are joined by ``SymbolTable.merge`` and compared by
+    ``SymbolTable.compatible``, so no module but ``scalars.py`` reads a
+    table's ``relations``, ``sign_hints`` or ``_sig`` or imports the
+    polynomial printer ``_poly_str``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("relations", "sign_hints", "_sig"):
+                found.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_poly_str" for a in node.names):
+                found.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+    assert not found, found
+
+
+def test_complexops_resolves_no_generator_reference():
+    """Generator references are resolved by the presentation
+    (``LieAlgebraPresentation.resolve``): ``complexops.py`` calls no
+    ``index_of`` and applies ``int`` to no name, attribute or item."""
+    tree = ast.parse((SRC / "complexops.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            on_ref = any(isinstance(a, (ast.Name, ast.Attribute, ast.Subscript)) for a in node.args)
+            if name == "index_of" or (name == "int" and on_ref):
+                found.append(node.lineno)
+    assert not found, found
