@@ -30,7 +30,6 @@ from .complexops import (
     IntegrabilityError,
     bidegree,
     coframe_10,
-    conjugate_form,
     dc,
     del_,
     delbar,

@@ -12,6 +12,9 @@ with zero coefficients are dropped, and term order is (degree, indices).
 Mixed-degree forms are allowed.  Every term list that becomes a form (the
 public ``Form`` constructor, ``LieAlgebraPresentation.form`` and each
 structure equation) is made canonical in one place, ``_collect``.
+``Form.conjugate`` is complex conjugation in the form's own basis, as its
+presentation defines it (a complex coframe also swaps each generator with
+its conjugate).
 
 A generator reference is a name, which goes through ``index_of``, or an
 ``int`` (not a bool) in 1..dim; ``LieAlgebraPresentation.form`` reads every
@@ -189,12 +192,9 @@ class Form:
     __rmul__ = __mul__
 
     def conjugate(self):
-        """Conjugate every coefficient (i -> -i)."""
-        return Form(
-            self.presentation,
-            {i: c.conjugate() for i, c in self.terms.items()},
-            _canonical=True,
-        )
+        """Complex conjugation in the form's own basis (``conjugate_terms``)."""
+        pres = self.presentation
+        return Form(pres, pres.conjugate_terms(self.terms), _canonical=True)
 
     def coefficient(self, indices):
         idx, sign = _sort_signed(indices)
@@ -462,6 +462,10 @@ class LieAlgebraPresentation:
         """The index of one generator reference, read as ``form`` reads it."""
         ((k,),) = self.generator(ref).terms
         return k
+
+    def conjugate_terms(self, terms):
+        """The conjugate's terms: the generators are real, so i -> -i."""
+        return {idx: c.conjugate() for idx, c in terms.items()}
 
     def volume_form(self) -> Form:
         return self.form([(1, tuple(range(1, self.dim + 1)))])

@@ -15,11 +15,13 @@ A real-basis form is converted once in and once out; a form over the
 model's complex presentation (``model.cpres``) is acted on in place, so
 del(delbar(omega^k)) computed there pays for one conversion in total.  The
 conversions and the pullback by J multiply monomials in cealg's one kernel.
-del and delbar are derivations: the model splits d of its coframe once into
-their generator tables, and each operator runs cealg's derivation kernel on
-one table, so it neither takes the full d nor sorts terms by bidegree.
-Integrability is decided only when the model is built, by the same pass
-that fills the tables.
+A coframe form is also conjugated in place: ``Form.conjugate`` asks its
+presentation, and the coframe swaps eta_k with its conjugate with the sign
+(-1)^(pq) on a (p,q) monomial.  del and delbar are derivations: the model
+splits d of its coframe once into their generator tables, and each operator
+runs cealg's derivation kernel on one table, so it neither takes the full d
+nor sorts terms by bidegree.  Integrability is decided only when the model
+is built, by the same pass that fills the tables.
 
 Building a model reads J by its nonzero entries.  The structure's checks
 square J from its nonzero products; the coframe is read off the rows of J;
@@ -240,6 +242,20 @@ class AlmostComplexStructure:
         return f"AlmostComplexStructure({self.name}, dim={self.presentation.dim})"
 
 
+def _conjugate_coframe_terms(terms, m):
+    """Conjugate coframe terms: every coefficient conjugated and eta_k (k <= m)
+    swapped with its conjugate, so a (p,q) monomial maps to a (q,p) one."""
+    out = {}
+    for idx, c in terms.items():
+        p = sum(1 for k in idx if k <= m)
+        # idx is sorted, so its holomorphic indices come first; moving the
+        # q antiholomorphic ones to the front costs the sign (-1)^(p q)
+        mapped = tuple(k - m for k in idx[p:]) + tuple(k + m for k in idx[:p])
+        cc = c.conjugate()
+        out[mapped] = -cc if p * (len(idx) - p) % 2 else cc
+    return out
+
+
 class CoframePresentation(LieAlgebraPresentation):
     """The complex presentation of a ComplexModel: generators eta_1 .. eta_m
     and their conjugates.  ``model`` leads back to the structure, so a form
@@ -253,6 +269,9 @@ class CoframePresentation(LieAlgebraPresentation):
         """Only the coframe itself: the coframes of two structures can share
         their structure equations, and their forms must still not mix."""
         return self is other
+
+    def conjugate_terms(self, terms):
+        return _conjugate_coframe_terms(terms, self.model.m)
 
 
 class ComplexModel:
@@ -314,8 +333,8 @@ class ComplexModel:
             holo = [((k + 1,), a) for k, a in pairs]
             self._real_to_cx.append(holo + [((m + k + 1,), a.conjugate()) for k, a in pairs])
         # complex generator a -> its real expansion: eta_a, then the conjugates
-        self._cx_to_real = [sorted(eta.terms.items()) for eta in self.eta_forms]
-        self._cx_to_real += [[(idx, c.conjugate()) for idx, c in row] for row in self._cx_to_real]
+        coframe = self.eta_forms + [eta.conjugate() for eta in self.eta_forms]
+        self._cx_to_real = [sorted(eta.terms.items()) for eta in coframe]
 
         names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(
             f"zb{k}" for k in range(1, m + 1)
@@ -329,12 +348,9 @@ class ComplexModel:
         real_constants = all(
             c == c.conjugate() for terms in pres.d_gen.values() for c in terms.values()
         )
-        coframe = list(self.eta_forms)
-        if not real_constants:
-            coframe += [eta.conjugate() for eta in self.eta_forms]
         images = {}
         dgen = {}
-        for a, element in enumerate(coframe):
+        for a, element in enumerate(self.eta_forms if real_constants else coframe):
             cterms = {}
             for mono, c in pres.d(element).terms.items():
                 image = images.get(mono)
@@ -346,7 +362,7 @@ class ComplexModel:
         if real_constants:
             for a in range(1, m + 1):
                 if a in dgen:
-                    dgen[m + a] = self._conjugate_terms(dgen[a])
+                    dgen[m + a] = _conjugate_coframe_terms(dgen[a], m)
         # split d of the coframe into the generator tables of del and delbar:
         # a term of d eta_g with one holomorphic index more than eta_g is
         # del, one with as many is delbar.  Any other is the algebraic
@@ -384,26 +400,6 @@ class ComplexModel:
     def bidegree_of_indices(self, idx):
         p = sum(1 for k in idx if k <= self.m)
         return p, len(idx) - p
-
-    def conjugate(self, cform: Form) -> Form:
-        """The complex conjugate of a coframe form: every coefficient is
-        conjugated and eta_k trades places with its conjugate, so a (p,q)
-        monomial maps to a (q,p) one."""
-        if not self.cpres.same_algebra(cform.presentation):
-            raise FormError("form does not live over this model's complex coframe")
-        return Form(self.cpres, self._conjugate_terms(cform.terms), _canonical=True)
-
-    def _conjugate_terms(self, terms):
-        m = self.m
-        out = {}
-        for idx, c in terms.items():
-            p = self.bidegree_of_indices(idx)[0]
-            # idx is sorted, so its holomorphic indices come first; moving the
-            # q antiholomorphic ones to the front costs the sign (-1)^(p q)
-            mapped = tuple(k - m for k in idx[p:]) + tuple(k + m for k in idx[:p])
-            cc = c.conjugate()
-            out[mapped] = -cc if p * (len(idx) - p) % 2 else cc
-        return out
 
     def _substitute(self, terms, rows):
         """The change of basis is an algebra map, so a monomial goes to the
@@ -547,15 +543,6 @@ def dc(a: Form, J: AlmostComplexStructure) -> Form:
     model, ca, back = _lift(a, J)
     dl, db = model.d_split_complex(ca)
     return back(model.cpres.table.i * (db - dl))
-
-
-def conjugate_form(a: Form, J: AlmostComplexStructure | None = None) -> Form:
-    """The complex conjugate of ``a``; swaps (p,q) and (q,p) components.  A
-    real-basis form has its coefficients conjugated; a form over a complex
-    coframe is conjugated there (``ComplexModel.conjugate``), so J is not
-    needed to tell the two apart."""
-    pres = a.presentation
-    return pres.model.conjugate(a) if isinstance(pres, CoframePresentation) else a.conjugate()
 
 
 def weil_operator(a: Form, J: AlmostComplexStructure) -> Form:

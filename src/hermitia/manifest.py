@@ -52,7 +52,7 @@ from .cealg import (
     wedge_all,
     wedge_power,
 )
-from .complexops import AlmostComplexStructure, IntegrabilityError, del_, real_basis, weil_operator
+from .complexops import AlmostComplexStructure, IntegrabilityError, dc, del_, real_basis, weil_operator
 from .metrics import HermitianCandidate, MetricError
 from .quaternion import HKTCandidate, HypercomplexTriple, QuaternionError
 from .scalars import ScalarError, Symbol, SymbolTable
@@ -654,6 +654,8 @@ class Report:
 
 
 def serialize_form(f: Form):
+    """[coefficient, names] pairs of ``f`` in the real basis, converted here."""
+    f = real_basis(f)
     return [[str(c), [f.presentation.names[k - 1] for k in idx]] for idx, c in f.sorted_terms()]
 
 
@@ -804,10 +806,11 @@ def _h_bismut_torsion(ctx, check, seed):
 @_check("weil_torsion_identity", omega=STR, endo=STR)
 def _h_weil_torsion_identity(ctx, check, seed):
     cand = ctx.candidate(check["omega"], check["endo"])
-    J = cand.J
-    t, _dt = metrics.bismut_torsion(cand)
-    via_weil = weil_operator(ctx.presentation.d(weil_operator(cand.omega, J)), J)
-    via_weil_short = weil_operator(ctx.presentation.d(cand.omega), J)
+    J, omega = cand.J, cand.omega_c
+    d = J.model().cpres.d
+    t = -dc(omega, J)
+    via_weil = weil_operator(d(weil_operator(omega, J)), J)
+    via_weil_short = weil_operator(d(omega), J)
     ok = (t - via_weil).is_zero() and (via_weil - via_weil_short).is_zero()
     return _verdict(ok), {}
 
@@ -836,7 +839,7 @@ def _h_gram_signature(ctx, check, seed):
 @_check("positivity_falsify", form=SPEC, endo=STR, samples=(SAMPLES, 10000), seed=(NATURAL, None),
         valuation=_VALUATION, expect=(_enum("violation", "no_violation"), "no_violation"))
 def _h_positivity_falsify(ctx, check, seed):
-    form = real_basis(ctx.resolve_form(check["form"]))
+    form = ctx.resolve_form(check["form"])
     J = ctx.acs(check["endo"])
     verdict = metrics.positivity_falsify(
         form,
@@ -936,12 +939,12 @@ def _h_del_exact(ctx, check, seed):
     rep = quaternion.del_primitive(form, J)
     detail = {}
     if rep.exists and rep.primitive is not None:
-        detail["primitive"] = serialize_form(real_basis(rep.primitive))
+        detail["primitive"] = serialize_form(rep.primitive)
     return _verdict(rep.exists == check["expect"]), detail
 
 
 def _zero_verdict(res, expect):
-    detail = {"residual": serialize_form(real_basis(res))} if expect and not res.is_zero() else {}
+    detail = {"residual": serialize_form(res)} if expect and not res.is_zero() else {}
     return _verdict(res.is_zero() == expect), detail
 
 
@@ -960,7 +963,7 @@ def _h_d_zero(ctx, check, seed):
 def _equal_verdict(lhs, rhs):
     lhs, rhs = _one_basis([lhs, rhs])
     diff = lhs - rhs
-    detail = {} if diff.is_zero() else {"difference": serialize_form(real_basis(diff))}
+    detail = {} if diff.is_zero() else {"difference": serialize_form(diff)}
     return _verdict(diff.is_zero()), detail
 
 
@@ -1053,8 +1056,7 @@ def _h_trace_zero(ctx, check, seed):
 
 @_check("top_coefficient_equals", form=SPEC, volume=SPEC, expect=COEFF)
 def _h_top_coefficient_equals(ctx, check, seed):
-    a = real_basis(ctx.resolve_form(check["form"]))
-    vol = real_basis(ctx.resolve_form(check["volume"]))
+    a, vol = _one_basis([ctx.resolve_form(check[k]) for k in ("form", "volume")])
     value = top_coefficient(a, vol)
     return _verdict((value - ctx.table.scalar(check["expect"])).is_zero()), {"coefficient": str(value)}
 

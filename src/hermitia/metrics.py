@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linear
 from .cealg import Form, solve_combination, wedge, wedge_power
-from .complexops import AlmostComplexStructure, bidegree, dc, del_, delbar, real_basis
+from .complexops import AlmostComplexStructure, _lift, bidegree, dc, del_, delbar, real_basis
 from .scalars import ScalarError
 
 
@@ -268,8 +268,9 @@ def lee_form(c: HermitianCandidate) -> LeeFormSolution:
 
 
 def bismut_torsion(c: HermitianCandidate):
-    """The torsion 3-form -d^c(omega) together with its differential."""
-    t = -dc(c.omega, c.J)
+    """The torsion 3-form -d^c(omega) and its differential in the real
+    basis: d^c is taken on omega_c and the torsion converted once."""
+    t = c.J.model().to_real(-dc(c.omega_c, c.J))
     return t, c.presentation.d(t)
 
 
@@ -346,11 +347,11 @@ def positivity_falsify(
     numpy's PCG64 generator seeded with ``seed`` and evaluates
     i^p a(v_1, conj v_1, ..., v_p, conj v_p).  Returns a certified violation
     (witness tuple and value) or an inconclusive "no_violation" verdict.
+    ``a`` may be given in the real basis or a complex coframe.
     """
     if not (a.conjugate() - a).is_zero():
         raise MetricError("positivity applies to real forms")
-    model = J.model()
-    ca = model.to_complex(a)
+    model, ca, _back = _lift(a, J)
     if ca.is_zero():
         return PositivityVerdict("no_violation", 0)
     bidegs = {model.bidegree_of_indices(idx) for idx in ca.terms}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import linear
 from .cealg import Form, FormError, solve_combination, top_coefficient, wedge, wedge_power
-from .complexops import AlmostComplexStructure, _lift, bidegree, del_
+from .complexops import AlmostComplexStructure, _lift, bidegree, del_, real_basis
 from .metrics import MetricError, gram_and_signature
 from .scalars import Scalar
 
@@ -197,12 +197,16 @@ def check_hkt(c: HKTCandidate, valuation=None) -> QuaternionReport:
             "" if viol is None else f"entry pair {viol}",
         )
     )
-    I = c.triple.I
-    res = I.model().to_real(del_(c.omega_c, I))
-    checks.append(SubCheck("del Omega = 0", res.is_zero(), "" if res.is_zero() else str(res)))
+    res = del_(c.omega_c, c.triple.I)
+    checks.append(_zero_check("del Omega = 0", res))
     if viol is None:
         checks.append(_positive_definite_check(c, valuation))
     return QuaternionReport("hkt", checks)
+
+
+def _zero_check(name, res: Form) -> SubCheck:
+    """The subcheck ``res = 0``; only a nonzero residual goes to the real basis."""
+    return SubCheck(name, res.is_zero(), "" if res.is_zero() else str(real_basis(res)))
 
 
 def _positive_definite_check(c: HKTCandidate, valuation):
@@ -228,13 +232,8 @@ def check_quaternionic_balanced(c: HKTCandidate) -> QuaternionReport:
     if q == 1:
         checks.append(SubCheck("del Omega^0 = 0", True, "trivial at quaternionic dimension 1"))
     else:
-        I = c.triple.I
-        res = I.model().to_real(del_(wedge_power(c.omega_c, q - 1), I))
-        checks.append(
-            SubCheck(
-                f"del Omega^{q - 1} = 0", res.is_zero(), "" if res.is_zero() else str(res)
-            )
-        )
+        res = del_(wedge_power(c.omega_c, q - 1), c.triple.I)
+        checks.append(_zero_check(f"del Omega^{q - 1} = 0", res))
     return QuaternionReport("quaternionic_balanced", checks)
 
 
@@ -319,6 +318,6 @@ def hkt_obstruction(
         for s in range(k):
             if not rows[r][s].is_zero():
                 omega_t = omega_t + rows[r][s] * basis[r * k + s]
-    beta_bar = model.conjugate(beta_c)
+    beta_bar = beta_c.conjugate()
     vol = wedge(beta_c, beta_bar)
     return top_coefficient(wedge(wedge(omega_t, alpha_c), beta_bar), vol)

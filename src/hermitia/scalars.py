@@ -28,6 +28,8 @@ immutable.
 A ``SymbolTable`` keeps its declarations (``symbols``), and only this module
 reads their relations and sign hints: ``merge`` joins two tables by name, as
 a direct sum of presentations needs, and ``remapper`` carries scalars across.
+Scalars of two tables mix only when the tables are ``compatible`` (the same
+names, relations and sign hints), and are equal only then or within Q(i).
 """
 
 from __future__ import annotations
@@ -127,6 +129,7 @@ class SymbolTable:
         self._sig = (
             tuple(self.names),
             tuple(sorted((i, k, tuple(sorted(p.items()))) for i, (k, p) in self.relations.items())),
+            tuple(sym.sign_hint for sym in self.symbols),
         )
 
     def _declare(self, sym: Symbol):
@@ -646,6 +649,9 @@ class Scalar:
         if isinstance(other, Scalar):
             if x is not None and other._t is not None:
                 return x == other._t
+            if not (self.table.compatible(other.table)
+                    or self.is_gaussian_rational() and other.is_gaussian_rational()):
+                return False
         elif isinstance(other, (int, Fraction)):
             if x is not None:
                 return not x[1] and x[0] == other.numerator and x[2] == other.denominator

@@ -293,7 +293,7 @@ def test_criterion_8e_conjugation():
             assert conj.conjugate() == f
             cf = model.to_complex(f)
             cconj = model.to_complex(conj)
-            assert model.conjugate(cf) == cconj
+            assert cf.conjugate() == cconj
 
 
 def test_criterion_9_suspension_construction():

@@ -10,9 +10,15 @@ from hermitia.builders import builtin
 from hermitia.manifest import Manifest, run_check
 
 VOLUME = {"terms": [["1", ["e1", "e2", "e3", "e4", "e5", "e6"]]]}
+TOP_ETA = {"eta_terms": [["1", [1, 2, 3], [1, 2, 3]]], "endo": "J"}
 MINUS_OMEGA = {"combo": [["-1", "omega0"]]}
 VIOLATION = (
     '{"samples": 1, "status": "violation", "value": -0.5, "witness": '
+    "[[[0.576766332128, -0.250514704203], [-0.722234179108, -0.0824405076658], "
+    "[0.118155264344, 0.249406631496]]]}"
+)
+ETA_VIOLATION = (
+    '{"samples": 1, "status": "violation", "value": -0.395417018898, "witness": '
     "[[[0.576766332128, -0.250514704203], [-0.722234179108, -0.0824405076658], "
     "[0.118155264344, 0.249406631496]]]}"
 )
@@ -48,17 +54,19 @@ def at4():
 
 
 @pytest.mark.parametrize(
-    "form, expect, verdict, coefficient",
+    "form, volume, expect, verdict, coefficient",
     [
         # z1^z2^z3^zb1^zb2^zb3 against the real volume e1^..^e6
-        ({"eta_terms": [["1", [1, 2, 3], [1, 2, 3]]], "endo": "J"}, "-8*i", "pass", "-8*i"),
-        ({"eta_terms": [["1", [1, 2, 3], [1, 2, 3]]], "endo": "J"}, "8*i", "fail", "-8*i"),
-        ({"power": 3, "base": "omega0"}, "6", "pass", "6"),
+        (TOP_ETA, VOLUME, "-8*i", "pass", "-8*i"),
+        (TOP_ETA, VOLUME, "8*i", "fail", "-8*i"),
+        ({"power": 3, "base": "omega0"}, VOLUME, "6", "pass", "6"),
+        # both in the coframe of J, where they are compared in place
+        (TOP_ETA, {"eta_terms": [["2", [1, 2, 3], [1, 2, 3]]], "endo": "J"}, "1/2", "pass", "1/2"),
     ],
-    ids=["eta-terms", "eta-terms-wrong", "omega-cubed"],
+    ids=["eta-terms", "eta-terms-wrong", "omega-cubed", "one-coframe"],
 )
-def test_top_coefficient_equals(at4, form, expect, verdict, coefficient):
-    check = {"kind": "top_coefficient_equals", "form": form, "volume": VOLUME, "expect": expect}
+def test_top_coefficient_equals(at4, form, volume, expect, verdict, coefficient):
+    check = {"kind": "top_coefficient_equals", "form": form, "volume": volume, "expect": expect}
     assert _outcome(at4, check) == (verdict, json.dumps({"coefficient": coefficient}))
 
 
@@ -70,8 +78,13 @@ def test_top_coefficient_equals(at4, form, expect, verdict, coefficient):
         ("omega0", "no_violation", "pass",
          '{"note": "sampling evidence only; positivity is not certified", '
          '"samples": 10, "status": "no_violation"}'),
+        # i z1^zb1 and its negative, sampled in the coframe of J
+        ({"eta_terms": [["-i", [1], [1]]], "endo": "J"}, "violation", "pass", ETA_VIOLATION),
+        ({"eta_terms": [["i", [1], [1]]], "endo": "J"}, "violation", "fail",
+         '{"samples": 10, "status": "no_violation"}'),
     ],
-    ids=["seeded-violation", "unexpected-violation", "no-violation"],
+    ids=["seeded-violation", "unexpected-violation", "no-violation", "coframe-violation",
+         "coframe-no-violation"],
 )
 def test_positivity_falsify_samples(at4, form, expect, verdict, detail):
     """-omega0 is violated by the first draw of seed 3; omega0 survives all

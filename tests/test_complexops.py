@@ -33,12 +33,12 @@ from hermitia.complexops import (
     IntegrabilityError,
     bidegree,
     coframe_10,
-    conjugate_form,
     dc,
     del_,
     delbar,
     fundamental_form,
     nijenhuis_vanishes,
+    real_basis,
     weil_operator,
 )
 
@@ -248,9 +248,9 @@ def test_conjugation_involution_and_swap(hk12_I):
     rng = random.Random(29)
     for _ in range(60):
         f = random_form(hk12_I.presentation, rng, degrees=(1, 2, 3))
-        assert conjugate_form(conjugate_form(f, hk12_I), hk12_I) == f
+        assert f.conjugate().conjugate() == f
         bg = bidegree(f, hk12_I)
-        bgc = bidegree(conjugate_form(f, hk12_I), hk12_I)
+        bgc = bidegree(f.conjugate(), hk12_I)
         for (p, q), comp in bg.components.items():
             assert bgc.component(q, p) == comp.conjugate()
 
@@ -264,7 +264,7 @@ def test_weil_operator_fixes_real_11(solv8_I):
 def test_conjugate_of_coframe(hk12_I):
     etas = coframe_10(hk12_I)
     p = hk12_I.presentation
-    assert conjugate_form(etas[0], hk12_I) == p.generator(1) - p.table.i * p.generator(3)
+    assert etas[0].conjugate() == p.generator(1) - p.table.i * p.generator(3)
 
 
 def test_fundamental_form_rejects_incompatible_metric():
@@ -377,16 +377,42 @@ def test_property_coframe_conjugation_matches_real(structure, data):
     J, symbols = structure
     model = J.model()
     f_c = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
-    conj = conjugate_form(f_c, J)
+    conj = f_c.conjugate()
     assert conj.presentation is model.cpres
     assert model.to_real(conj) == model.to_real(f_c).conjugate()
-    assert conjugate_form(conj) == f_c
-    assert model.conjugate(f_c) == conj
+    assert conj.conjugate() == f_c
 
 
-def test_conjugate_form_of_a_coframe_generator(hk12_I):
+@pytest.fixture(scope="module", params=["AT4", "fp_solv8", "pseudoHK12"])
+def conjugation_structure(request, at4_J, solv8_I, hk12_I):
+    """(structure, symbol names usable in its coefficients); AT4 has its free
+    weight a."""
+    return {"AT4": (at4_J, ("a",)), "fp_solv8": (solv8_I, ("b",)),
+            "pseudoHK12": (hk12_I, ())}[request.param]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_conjugation_in_both_bases(conjugation_structure, data):
+    """``Form.conjugate`` is complex conjugation in the form's own basis: it
+    commutes with both changes of basis, is an involution in each, and takes
+    a (p,q) monomial of the coframe to a (q,p) one."""
+    J, symbols = conjugation_structure
+    model = J.model()
+    a = build_form(J.presentation, data.draw(form_terms(J.presentation.dim, symbols)))
+    c = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    assert model.to_complex(a.conjugate()) == model.to_complex(a).conjugate()
+    assert real_basis(c.conjugate()) == real_basis(c).conjugate()
+    assert a.conjugate().conjugate() == a and c.conjugate().conjugate() == c
+    for idx in c.terms:
+        (image,) = model.cpres.form([(1, idx)]).conjugate().terms
+        p, q = model.bidegree_of_indices(idx)
+        assert model.bidegree_of_indices(image) == (q, p)
+
+
+def test_conjugate_of_a_coframe_generator(hk12_I):
     model = hk12_I.model()
-    assert conjugate_form(model.cpres.generator(1), hk12_I) == model.eta_monomial((), (1,))
+    assert model.cpres.generator(1).conjugate() == model.eta_monomial((), (1,))
 
 
 # -- integrability: the (0,2) test of the complex model against the N loop -------
@@ -705,7 +731,7 @@ def test_complex_constants_split_each_half_on_its_own():
     conjugates of eta_a's tables, and both still split d."""
     model = _split_structures()["complex-constants"].model()
     m = model.m
-    conj = model._conjugate_terms
+    conj = model.cpres.conjugate_terms
     mirrored = all(
         model.del_gen.get(m + a, {}) == conj(model.delbar_gen.get(a, {}))
         and model.delbar_gen.get(m + a, {}) == conj(model.del_gen.get(a, {}))
@@ -917,6 +943,4 @@ def test_forms_over_two_coframes_do_not_mix():
         eta_i + eta_j
     with pytest.raises(FormError):
         mi.to_real(eta_j)
-    with pytest.raises(FormError):
-        mi.conjugate(eta_j)
     assert del_(eta_j, ctx.acs("I")) == del_(mj.to_real(eta_j), ctx.acs("I"))

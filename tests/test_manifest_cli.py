@@ -173,6 +173,58 @@ def test_matched_balanced_check_converts_nothing_to_the_real_basis(monkeypatch):
     assert calls == []
 
 
+@pytest.fixture
+def conversions(monkeypatch):
+    """The number of ``ComplexModel.to_complex`` and ``to_real`` calls, by
+    name, counted from here on."""
+    from hermitia.complexops import ComplexModel
+
+    counts = {"to_complex": 0, "to_real": 0}
+    for name in counts:
+        original = getattr(ComplexModel, name)
+
+        def counting(model, form, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(model, form)
+
+        monkeypatch.setattr(ComplexModel, name, counting)
+    return counts
+
+
+def test_weil_torsion_identity_converts_nothing(conversions):
+    """-d^c omega, W d W omega and W d omega are compared in the coframe."""
+    from hermitia.manifest import _HANDLERS
+
+    ctx = builtin("fp_solv8").build()
+    ctx.candidate("omega", "I")
+    conversions.update(to_complex=0, to_real=0)
+    check = {"id": "torsion-via-weil", "kind": "weil_torsion_identity", "omega": "omega",
+             "endo": "I"}
+    assert _HANDLERS["weil_torsion_identity"](ctx, check, 0) == ("pass", {})
+    assert conversions == {"to_complex": 0, "to_real": 0}
+
+
+def test_bismut_torsion_converts_the_torsion_once(conversions):
+    """d^c is taken on omega_c, and only the torsion goes to the real basis."""
+    from hermitia.metrics import bismut_torsion
+
+    cand = builtin("fp_solv8").build().candidate("omega", "I")
+    conversions.update(to_complex=0, to_real=0)
+    t, dt = bismut_torsion(cand)
+    assert conversions == {"to_complex": 0, "to_real": 1}
+    assert (str(t), dt.is_zero()) == ("-e1^e2^e3", True)
+
+
+def test_builtin_models_convert_within_budget(conversions):
+    """The four built-in models, built and checked once, convert at most 12
+    forms to the coframe and 7 back."""
+    from hermitia.builders import BUILTIN_NAMES
+
+    for name in BUILTIN_NAMES:
+        assert run_check(Manifest.from_json(builtin(name).to_json())).overall == "pass"
+    assert conversions["to_complex"] <= 12 and conversions["to_real"] <= 7, conversions
+
+
 def test_report_determinism_byte_identical():
     for name in ("AT4", "fp_solv8", "pseudoHK12", "lemma61"):
         r1 = run_check(builtin(name), seed=123).to_json(include_timing=False)

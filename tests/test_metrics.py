@@ -487,6 +487,19 @@ def test_positivity_falsifier_examples(flat_candidate):
     assert positivity_falsify(prod, J, samples=3000, seed=5).status == "no_violation"
 
 
+def test_positivity_falsifier_reads_a_coframe_form_in_place(flat_candidate):
+    """i eta_1 ^ conj(eta_1) is real in the coframe too, and is sampled there
+    as in the real basis."""
+    J = flat_candidate.J
+    m = J.model()
+    w = J.presentation.table.i * m.eta_monomial((1,), (1,))
+    assert (w.conjugate() - w).is_zero()
+    for form in (w, -w):
+        got = positivity_falsify(form, J, samples=500, seed=5)
+        want = positivity_falsify(m.to_real(form), J, samples=500, seed=5)
+        assert (got.status, got.samples, got.value) == (want.status, want.samples, want.value)
+
+
 def test_positivity_falsifier_deterministic(flat_candidate):
     J = flat_candidate.J
     m = J.model()

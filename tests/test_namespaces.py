@@ -130,6 +130,34 @@ def test_direct_sum_compares_relations_over_names():
     assert s.table.scalar("u^4") == 2
 
 
+def test_tables_differing_in_a_sign_hint_are_incompatible():
+    t1 = SymbolTable([Symbol("a", sign_hint="positive")])
+    t2 = SymbolTable([Symbol("a", sign_hint="negative")])
+    assert not t1.compatible(t2)
+    assert t1.symbol("a") != t2.symbol("a")
+    with pytest.raises(ScalarError, match="incompatible symbol table"):
+        t1.scalar(t2.symbol("a"))
+    g1, g2 = abelian(2, table=t1), abelian(2, table=t2)
+    assert not g1.same_algebra(g2)
+    with pytest.raises(FormError, match="mismatched presentations"):
+        g1.form([("a", (1,))]) + g2.form([("a", (2,))])
+
+
+def test_scalars_of_incompatible_tables_are_never_equal():
+    a = SymbolTable([Symbol("a")]).symbol("a")
+    b = SymbolTable([Symbol("b")]).symbol("b")
+    assert a != b and not a == b
+    with pytest.raises(ScalarError, match="incompatible symbol tables"):
+        a + b
+
+
+def test_gaussian_values_of_incompatible_tables_compare_by_value():
+    t1, t2 = SymbolTable([Symbol("a")]), SymbolTable([Symbol("s", (2, "2"))])
+    for text in ("0", "1/2", "i", "3-2*i"):
+        assert t1.scalar(text) == t2.scalar(text)
+    assert t1.scalar("i") != t2.scalar("-i")
+
+
 def test_merge_refuses_a_different_relation():
     t1 = SymbolTable([Symbol("s", (2, "2")), Symbol("u", (2, "s"))])
     t2 = SymbolTable([Symbol("s", (2, "2")), Symbol("u", (2, "2*s"))])

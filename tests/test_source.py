@@ -306,3 +306,58 @@ def test_complexops_resolves_no_generator_reference():
             if name == "index_of" or (name == "int" and on_ref):
                 found.append(node.lineno)
     assert not found, found
+
+
+def _functions(tree):
+    """(qualified name, node) of every function and method of a module."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{top.name}.{fn.name}", fn
+
+
+def _called(node):
+    """The names of the functions and methods ``node`` calls."""
+    return {
+        getattr(n.func, "id", getattr(n.func, "attr", None))
+        for n in ast.walk(node) if isinstance(n, ast.Call)
+    }
+
+
+def test_forms_have_one_conjugation():
+    """``Form.conjugate`` is complex conjugation in the form's own basis:
+    no module defines ``conjugate_form`` or ``ComplexModel.conjugate``, only
+    ``Form.conjugate`` builds a form from conjugated terms, and it asks the
+    presentation for them (``conjugate_terms``)."""
+    defined, builders, askers = set(), set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{name}"
+            if name.split(".")[-1] in ("conjugate", "conjugate_form"):
+                defined.add(where)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Form":
+                    if _called(node) & {"conjugate", "conjugate_terms"}:
+                        builders.add(where)
+            if "conjugate_terms" in _called(fn):
+                askers.add(where)
+    assert defined == {"cealg.py:Form.conjugate", "scalars.py:Scalar.conjugate",
+                       "scalars.py:conjugate"}, defined
+    assert builders == {"cealg.py:Form.conjugate"}, builders
+    assert askers == {"cealg.py:Form.conjugate"}, askers
+
+
+def test_manifest_prints_forms_in_whatever_basis_they_come():
+    """``serialize_form`` takes a form to the real basis itself, so no
+    argument of a ``serialize_form(...)`` call in ``manifest.py`` is wrapped
+    in ``real_basis``."""
+    tree = ast.parse((SRC / "manifest.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "serialize_form"
+        and any("real_basis" in _called(arg) for arg in node.args)
+    ]
+    assert not found, found
