@@ -199,7 +199,7 @@ class QuadraticLattice:
         self._nonzero = tuple(tuple((k, g) for k, g in enumerate(row) if g) for row in h.rows)
         # H = e G with e > 0 has the signature of G
         self.signature = congruence_signature(
-            [list(r) for r in h.rows], operator.not_, int, operator.floordiv
+            [list(r) for r in h.rows], operator.not_, lambda d: d > 0, operator.floordiv
         )
 
     @property
@@ -407,7 +407,6 @@ def char_poly(matrix):
     return [Fraction(c, d**i) for i, c in enumerate(_berkowitz(a))][::-1]
 
 
-@functools.lru_cache(maxsize=8)
 def _berkowitz(a):
     """The coefficients of det(t I - A) from t^n down to t^0, for integer
     rows A (a tuple of tuples).
@@ -416,9 +415,7 @@ def _berkowitz(a):
     (A_ij != 0, i != j) topologically permutes A to block-triangular form, a
     similarity, so det(t I - A) is the product over the components of the
     characteristic polynomials of their principal submatrices; each comes
-    from the division-free Berkowitz loop.  Memoized on A, so a repeated
-    call on one matrix reuses the polynomial.  The result is a tuple, so no
-    caller can change what the next one gets."""
+    from the division-free Berkowitz loop."""
     out = [1]
     for block in _components(a):
         q = _berkowitz_dense([[a[i][j] for j in block] for i in block])

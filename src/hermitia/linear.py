@@ -12,10 +12,10 @@ rows) and the half frame of ``quaternion._half_frame``, all over the scalar
 field with ``Scalar.is_zero``; ``scalars._alg_inverse`` and
 ``hyperbolic.kernel_basis`` over the rationals with ``operator.not_``.
 ``congruence_signature`` needs only
-``+``, ``-``, ``*`` and an exact division the caller passes, so it runs on
-the integer Gram matrices of ``hyperbolic.QuadraticLattice`` as well as on
-Q(i) scalars.  Every pivot decision is a zero test on exact values; nothing
-here is numeric.
+``+``, ``-``, ``*``, an exact division and a sign test the caller passes,
+so it runs on the integer Gram matrices of ``hyperbolic.QuadraticLattice``
+as well as on scalars, whose signs ``Scalar.sign_at`` decides.  Every pivot
+decision is an exact zero or sign test; nothing here is numeric.
 
 ``solve``, ``rank``, ``invert``, ``det`` and ``hermitian_signature`` are the
 scalar-field entry points.  ``perfbench/tracer.py`` wraps them by name, so
@@ -26,11 +26,10 @@ Their matrices are tuples/lists of rows of scalars.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .scalars import Scalar, SymbolTable
+    from .scalars import SymbolTable
 
 
 class LinearError(ValueError):
@@ -130,13 +129,13 @@ def rref(rows, ncols, is_zero):
     return pivots, values, swaps
 
 
-def congruence_signature(a, is_zero, to_rational, exact_div):
+def congruence_signature(a, is_zero, positive, exact_div):
     """Signature (p, q, z) of a Hermitian matrix, given as a list of row
     lists that is reduced in place by congruence with no field division, so
     integer rows stay integers.  Entries need ``conjugate()`` (the identity on
-    a real field); ``to_rational`` maps a diagonal value to the rational whose
-    sign is counted, and ``exact_div(x, y)`` divides where y is known to
-    divide x (``//`` on integers, ``/`` on a field).
+    a real field); ``positive`` decides whether a (real) diagonal value is
+    positive, and ``exact_div(x, y)`` divides where y is known to divide x
+    (``//`` on integers, ``/`` on a field).
 
     A pivot d with column f below it is eliminated by row r <- d row r -
     f_r row p, then the same on columns: a congruence by an invertible matrix
@@ -174,7 +173,8 @@ def congruence_signature(a, is_zero, to_rational, exact_div):
             for row in a[pos:]:
                 row[piv], row[pos] = row[pos], row[piv]
         d = a[pos][pos]
-        if (to_rational(d) > 0) == pi_positive:
+        d_positive = positive(d)
+        if d_positive == pi_positive:
             p += 1
         else:
             q += 1
@@ -184,7 +184,7 @@ def congruence_signature(a, is_zero, to_rational, exact_div):
         for row in a[pos + 1:]:
             f = row[pos]
             row[pos + 1:] = [exact_div(d * x - f * y, pi) for x, y in zip(row[pos + 1:], prow)]
-        pi, pi_positive = d, to_rational(d) > 0
+        pi, pi_positive = d, d_positive
     return p, q, 0
 
 
@@ -251,20 +251,18 @@ def hermitian_violation(rows):
     return None
 
 
-def hermitian_signature(rows, table):
+def hermitian_signature(rows, table, valuation=None):
     """Signature (p, q, z) of an exact Hermitian matrix by congruence
-    diagonalization.  Entries must be symbol free; diagonal values come out
-    as real rationals whose signs are counted exactly."""
+    diagonalization.  Each diagonal value is real, and ``Scalar.sign_at``
+    decides its sign: exactly when it is rational, else at the valuation."""
     if hermitian_violation(rows) is not None:
         raise LinearError("matrix is not Hermitian")
+
+    def positive(d):
+        if (sign := d.sign_at(valuation or {})) is None:
+            raise LinearError(f"the sign of the pivot {d} is not decided at the valuation")
+        return sign > 0
+
     return congruence_signature(
-        [list(row) for row in rows], _zero_test(table), _require_real_rational, operator.truediv
+        [list(row) for row in rows], _zero_test(table), positive, operator.truediv
     )
-
-
-def _require_real_rational(s: Scalar) -> Fraction:
-    if not (s - s.conjugate()).is_zero():
-        raise LinearError(f"expected a real value, got {s}")
-    if not s.is_rational():
-        raise LinearError(f"signature needs symbol-free entries, got {s}")
-    return s.as_rational()

@@ -1,7 +1,7 @@
 """Hermitian metric predicates on invariant (1,1)-forms: Kahler, balanced,
 pluriclosed, astheno-Kahler, k-pluriclosed and the conformally Kahler
-equation, plus Bismut torsion, coframe Gram matrices with exact or numeric
-signatures, and positivity testing for (p,p)-forms.
+equation, plus Bismut torsion, coframe Gram matrices with exact signatures,
+and positivity testing for (p,p)-forms.
 
 Every predicate is a vanishing statement evaluated in exact arithmetic; the
 report carries the residual form on failure.  A candidate keeps omega in the
@@ -32,11 +32,17 @@ real basis only when the report's ``residual`` is read.  Positivity of
 (p,p)-forms is only falsifiable here (sampling decomposable tuples with a
 fixed, seeded generator) or certifiable syntactically through an explicit
 strongly positive decomposition.
+
+At a valuation, signatures, certificate coefficients and sampled violations
+are decided on ``Scalar.at``'s exact value: a free symbol's number is the
+dyadic rational it is, a related symbol's number selects the real root of
+its relation nearest it, and sign hints are checked exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -285,9 +291,8 @@ def coframe_gram(c: HermitianCandidate):
 class SignatureResult:
     matrix: tuple
     signature: tuple
-    exact: bool
+    exact: bool  # the signature holds for every value of the symbols
     degenerate: bool
-    eigenvalues: tuple | None = None  # ascending; set only when counted numerically
 
 
 def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> SignatureResult:
@@ -295,9 +300,10 @@ def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> Signa
 
     For a Hermitian candidate the matrix is its coframe Gram matrix; a raw
     square Scalar matrix (a bilinear form on the real basis) is used as is.
-    Symbol-free matrices are diagonalized by exact congruence; otherwise
-    eigenvalue signs are counted numerically at the valuation, flagging
-    near-zero eigenvalues (|ev| < 1e-9) as degenerate.
+    A matrix with symbols is first taken at the valuation entry by entry
+    (``Scalar.at``); then every matrix is diagonalized by exact congruence.
+    ``exact`` says the matrix had no symbols, so the signature holds for
+    every value of them.
     """
     if isinstance(candidate_or_matrix, HermitianCandidate):
         mat = coframe_gram(candidate_or_matrix)
@@ -306,19 +312,12 @@ def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> Signa
         mat = tuple(tuple(r) for r in candidate_or_matrix)
         if table is None:
             table = mat[0][0].table
-    if all(x.is_gaussian_rational() for row in mat for x in row):
-        p, q, z = linear.hermitian_signature(mat, table)
-        return SignatureResult(mat, (p, q, z), exact=True, degenerate=z > 0)
-    if valuation is None:
+    exact = all(x.is_gaussian_rational() for row in mat for x in row)
+    if not exact and valuation is None:
         raise MetricError("matrix has symbols: a valuation is required for the signature")
-    num = np.array([[x.evaluate(valuation) for x in row] for row in mat], dtype=complex)
-    if np.max(np.abs(num - num.conj().T)) > 1e-9 * max(1.0, np.max(np.abs(num))):
-        raise MetricError("matrix is not Hermitian at the valuation")
-    evs = np.linalg.eigvalsh((num + num.conj().T) / 2)
-    p = int(np.sum(evs > 1e-9))
-    q = int(np.sum(evs < -1e-9))
-    z = len(evs) - p - q
-    return SignatureResult(mat, (p, q, z), False, z > 0, tuple(map(float, evs)))
+    valued = mat if exact else tuple(tuple(x.at(valuation) for x in row) for row in mat)
+    p, q, z = linear.hermitian_signature(valued, table, valuation)
+    return SignatureResult(mat, (p, q, z), exact, z > 0)
 
 
 @dataclass
@@ -345,8 +344,12 @@ def positivity_falsify(
 
     Draws ``samples`` pseudorandom p-tuples of unit (1,0) vectors from
     numpy's PCG64 generator seeded with ``seed`` and evaluates
-    i^p a(v_1, conj v_1, ..., v_p, conj v_p).  Returns a certified violation
-    (witness tuple and value) or an inconclusive "no_violation" verdict.
+    i^p a(v_1, conj v_1, ..., v_p, conj v_p).  A sample whose float value
+    is negative is evaluated again exactly, at its floats taken as dyadic
+    rationals (``Scalar.at`` for the coefficients, ``linear.det``), and is a
+    violation only if the real part is negative there.  Returns a certified
+    violation (witness tuple and float value) or an inconclusive
+    "no_violation" verdict.
     ``a`` may be given in the real basis or a complex coframe.
     """
     if not (a.conjugate() - a).is_zero():
@@ -362,18 +365,38 @@ def positivity_falsify(
         raise MetricError(f"positivity applies to (p,p)-forms, got {(p, q)}")
     valuation = valuation or {}
     m = model.m
+    table = ca.presentation.table.related
     terms = []
     scale = 0.0
     for idx, cval in ca.terms.items():
         cnum = cval.evaluate(valuation)
         holo = [k - 1 for k in idx if k <= m]
         anti = [k - m - 1 for k in idx if k > m]
-        terms.append((holo, anti, cnum))
+        terms.append((holo, anti, cnum, cval.at(valuation)))
         scale += abs(cnum)
+
+    def exactly_negative(witness):
+        """Whether the real part of the form's value at the witness, with
+        every float taken as the dyadic rational it is, is negative."""
+        i, zero = table.i, table.zero
+        vecs = [[table.scalar(Fraction(z.real)) + i * Fraction(z.imag) for z in v] for v in witness]
+        total = zero
+        for holo, anti, _cnum, c in terms:
+            rows = [[zero] * (2 * p) for _ in range(2 * p)]
+            for t, v in enumerate(vecs):
+                for rpos, aa in enumerate(holo):
+                    rows[rpos][2 * t] = v[aa]
+                for rpos, bb in enumerate(anti):
+                    rows[p + rpos][2 * t + 1] = v[bb].conjugate()
+            total = total + c * linear.det(rows, table)
+        value = (-i) ** p * total
+        return (value + value.conjugate()).sign_at(valuation) == -1
+
     rng = np.random.default_rng(seed)
     # evaluation constant fixed so that i * eta ^ conj(eta) (and products of
     # such blocks) come out nonnegative on every decomposable tuple
     ipow = (-1j) ** p
+    # the tolerance only picks the samples that are checked exactly
     tol = 1e-9 * max(1.0, scale)
     for batch_start in range(0, samples, 512):
         count = min(512, samples - batch_start)
@@ -383,7 +406,7 @@ def positivity_falsify(
         vs = vs / norms
         values = np.zeros(count, dtype=complex)
         mats = np.zeros((count, 2 * p, 2 * p), dtype=complex)
-        for holo, anti, cnum in terms:
+        for holo, anti, cnum, _c in terms:
             mats[:] = 0
             for rpos, aa in enumerate(holo):
                 mats[:, rpos, 0::2] = vs[:, :, aa]
@@ -392,13 +415,12 @@ def positivity_falsify(
             values += cnum * np.linalg.det(mats)
         values = ipow * values
         real = values.real
-        bad = np.where(real < -tol)[0]
-        if bad.size:
-            k = int(bad[0])
+        for k in np.where(real < -tol)[0]:
             witness = [list(map(complex, vs[k, t])) for t in range(p)]
-            return PositivityVerdict(
-                "violation", batch_start + k + 1, witness=witness, value=float(real[k])
-            )
+            if exactly_negative(witness):
+                return PositivityVerdict(
+                    "violation", batch_start + int(k) + 1, witness=witness, value=float(real[k])
+                )
     return PositivityVerdict("no_violation", samples)
 
 
@@ -419,8 +441,9 @@ def strong_positivity_certificate(
     valuation=None,
 ) -> CertificateReport:
     """Verify that ``a`` equals i^p sum_j c_j xi_j1 ^ conj(xi_j1) ^ ... with
-    the stated coefficients, and that every coefficient is nonnegative
-    (exactly if rational, else under the valuation)."""
+    the stated coefficients, and that every coefficient is real and
+    nonnegative, exactly: at the valuation (``Scalar.sign_at``) unless it is
+    rational."""
     pres = a.presentation
     table = pres.table
     if not decomposition:
@@ -431,15 +454,14 @@ def strong_positivity_certificate(
         coeff = table.scalar(coeff)
         if len(tuple_of_forms) != p:
             raise MetricError("decomposition tuples must share one length p")
-        if coeff.is_rational():
-            if coeff.as_rational() < 0:
-                return CertificateReport(False, notes={"negative_coefficient": str(coeff)})
-        else:
-            if valuation is None:
-                raise MetricError("symbolic coefficients need a valuation")
-            v = coeff.evaluate(valuation)
-            if abs(v.imag) > 1e-9 or v.real < -1e-12:
-                return CertificateReport(False, notes={"negative_coefficient": str(coeff)})
+        if not coeff.is_gaussian_rational() and valuation is None:
+            raise MetricError("symbolic coefficients need a valuation")
+        value = coeff.at(valuation or {})
+        sign = value.sign_at(valuation) if value == value.conjugate() else -1
+        if sign is None:
+            raise MetricError(f"the sign of the coefficient {coeff} is not decided at the valuation")
+        if sign < 0:
+            return CertificateReport(False, notes={"negative_coefficient": str(coeff)})
         block = None
         for xi in tuple_of_forms:
             if not bidegree(xi, J).is_pure(1, 0):

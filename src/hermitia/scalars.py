@@ -30,15 +30,22 @@ reads their relations and sign hints: ``merge`` joins two tables by name, as
 a direct sum of presentations needs, and ``remapper`` carries scalars across.
 Scalars of two tables mix only when the tables are ``compatible`` (the same
 names, relations and sign hints), and are equal only then or within Q(i).
+
+At a valuation (symbol names -> real numbers) ``Scalar.at`` is exact: a free
+symbol's number is the dyadic rational it is, a related symbol's number
+selects the real root of its relation nearest it, and sign hints are checked
+exactly.  ``Scalar.sign_at`` refines those roots by interval arithmetic.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm, log10
+from functools import cached_property
+from math import ceil, floor, gcd, isfinite, lcm, log10, prod
 from typing import Iterable, Mapping
 
 from .linear import rref
@@ -79,8 +86,8 @@ class Symbol:
 
     ``relation`` is a pair ``(k, rhs)`` with ``k >= 2`` and ``rhs`` an
     expression string over previously declared symbols; ``sign_hint`` is one
-    of ``"positive"``, ``"negative"``, ``"unknown"`` and is consulted only by
-    numeric evaluation sanity checks.
+    of ``"positive"``, ``"negative"``, ``"unknown"`` and is consulted only
+    at a valuation, where ``Scalar.at`` checks it exactly.
     """
 
     __slots__ = ("name", "relation", "sign_hint")
@@ -160,6 +167,13 @@ class SymbolTable:
                         )
             self.relations[idx] = (k, rhs)
             self.gaussian = False
+
+    @cached_property
+    def related(self) -> "SymbolTable":
+        """The table of this table's related symbols only, where ``Scalar.at``
+        puts its values; this table itself when it declares no free symbol."""
+        related = tuple(sym for sym in self.symbols if sym.relation is not None)
+        return self if len(related) == len(self.symbols) else SymbolTable(related)
 
     @property
     def _alg_indices(self):
@@ -841,77 +855,67 @@ class Scalar:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, valuation: Mapping[str, complex], relation_tol=1e-7) -> complex:
-        """Evaluate numerically at the valuation (a map symbol name -> number).
+    def at(self, valuation: Mapping[str, float]) -> "Scalar":
+        """The exact value at the valuation (symbol name -> finite real) over
+        ``table.related``.  A free symbol's number is the dyadic rational it
+        is.  A related symbol's number selects the real root of s^k = rhs
+        nearest it; a tie, or rhs < 0 with k even, is refused.  Every symbol
+        needed must be valued; sign hints are checked exactly."""
+        return self._at(valuation)[0]
 
-        Every symbol occurring in the scalar must be valued; values must
-        satisfy the declared relations within ``relation_tol`` (relative) and
-        respect sign hints.  A denominator within 1e-12 of zero is an error.
-        """
-        t = self.table
-        needed = set()
-        for part in (self.num, self.den):
-            for m in part:
-                for idx, _e in m:
-                    if idx != 0:
-                        needed.add(idx)
-        vals = {0: 1j}
+    def _at(self, valuation):
+        """``at`` and the signs of the selected roots, by related index."""
+        t, rt = self.table, self.table.related
+        needed = {idx for part in (self.num, self.den) for m in part for idx, _e in m if idx}
+        for idx in range(len(t.names) - 1, 0, -1):  # relations refer to earlier symbols
+            if idx in needed and idx in t.relations:
+                needed.update(j for m in t.relations[idx][1] for j, _e in m)
+        values, signs = {0: rt.i}, {}
         for idx in sorted(needed):
             name = t.names[idx]
-            if name not in valuation:
-                raise EvaluationError(f"missing value for symbol {name!r}")
-        # check relations and hints for every valued symbol we rely on
-        for idx in sorted(needed):
-            name = t.names[idx]
-            v = complex(valuation[name])
-            vals[idx] = v
+            v = valuation.get(name)
+            if not (isinstance(v, numbers.Rational) or isinstance(v, numbers.Real) and isfinite(v)):
+                raise EvaluationError(f"symbol {name!r} needs a finite real value, got {v!r}")
+            if idx in t.relations:
+                j = rt.index_of(name)
+                sign = signs[j] = _root_sign(rt, j, v, signs)
+                values[idx] = rt.symbol(name)
+            else:
+                sign = (v > 0) - (v < 0)
+                values[idx] = rt.scalar(Fraction(v))
             hint = t.symbols[idx - 1].sign_hint
-            if hint in ("positive", "negative"):
-                if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
-                    raise EvaluationError(f"symbol {name!r} with a sign hint must be real")
-                if hint == "positive" and v.real <= 0:
-                    raise EvaluationError(f"symbol {name!r} is hinted positive but valued {v.real}")
-                if hint == "negative" and v.real >= 0:
-                    raise EvaluationError(f"symbol {name!r} is hinted negative but valued {v.real}")
-            rel = t.relations.get(idx)
-            if rel is not None:
-                k, rhs = rel
-                rhs_val = 0.0
-                for m, c in rhs.items():
-                    term = complex(float(c))
-                    for j, e in m:
-                        jname = t.names[j]
-                        if j in vals:
-                            term *= vals[j] ** e
-                        elif jname in valuation:
-                            term *= complex(valuation[jname]) ** e
-                        else:
-                            raise EvaluationError(
-                                f"missing value for symbol {jname!r} (needed by the relation of {name!r})"
-                            )
-                    rhs_val += term
-                lhs_val = v**k
-                scale = max(1.0, abs(lhs_val), abs(rhs_val))
-                if abs(lhs_val - rhs_val) > relation_tol * scale:
-                    raise EvaluationError(
-                        f"valuation violates the relation {name}^{k}: "
-                        f"|{lhs_val:.6g} - {rhs_val:.6g}| > {relation_tol:g} (relative)"
-                    )
+            if hint == "positive" and sign <= 0 or hint == "negative" and sign >= 0:
+                raise EvaluationError(f"symbol {name!r} is hinted {hint} but valued {v}")
 
-        def ev(poly):
-            total = 0j
+        def value(poly):
+            total = rt.zero
             for m, c in poly.items():
-                term = complex(float(c))
-                for idx, e in m:
-                    term *= vals[idx] ** e
-                total += term
+                total = total + prod((values[j] ** e for j, e in m), start=rt.scalar(c))
             return total
 
-        den_val = ev(self.den)
-        scale = max(1.0, max((abs(float(c)) for c in self.den.values()), default=1.0))
-        if abs(den_val) < 1e-12 * scale:
+        den = value(self.den)
+        if den.is_zero():
             raise EvaluationError("denominator evaluates to zero")
-        return ev(self.num) / den_val
+        return value(self.num) / den, signs
+
+    def sign_at(self, valuation: Mapping[str, float]) -> int | None:
+        """The sign of this real scalar at the valuation: exact for a rational
+        value, else by interval arithmetic on the selected roots; None when
+        ``_SIGN_BITS`` bits leave 0 in the interval."""
+        if self.is_rational():
+            x = self.as_rational()
+            return (x > 0) - (x < 0)
+        v, signs = self._at(valuation)
+        if v != v.conjugate():
+            raise EvaluationError(f"{self} is not real at the valuation")
+        return _poly_sign(v.table, v.num, signs)
+
+    def evaluate(self, valuation: Mapping[str, float]) -> complex:
+        """The complex float of ``at(valuation)``."""
+        v, signs = self._at(valuation)
+        roots = {j: float(lo) for j, (lo, _hi) in _root_boxes(v.table, signs, 64).items()}
+        roots[0] = 1j
+        return sum((float(c) * prod(roots[j] ** e for j, e in m) for m, c in v.num.items()), 0j)
 
     # -- printing ----------------------------------------------------------------
 
@@ -1004,8 +1008,74 @@ def conjugate(s: Scalar) -> Scalar:
     return s.conjugate()
 
 
-def evaluate(s: Scalar, valuation, relation_tol=1e-7) -> complex:
-    return s.evaluate(valuation, relation_tol=relation_tol)
+evaluate = Scalar.evaluate
+
+_SIGN_BITS = 4096  # the finest root precision of ``sign_at``, doubling from 16 bits
+
+
+def _root_sign(table, idx, number, signs) -> int:
+    """The sign of the real root of s^k = rhs (symbol ``idx``) nearest
+    ``number``, given the ``signs`` of the earlier roots: with k odd the one
+    real root, with k even and rhs > 0 the root of ``number``'s sign."""
+    k, rhs = table.relations[idx]
+    name, text = table.names[idx], table.symbols[idx - 1].relation[1]
+    c = _poly_sign(table, rhs, signs)
+    if c is None or c < 0 and k % 2 == 0:
+        raise EvaluationError(f"{name}^{k} = {text} has no real root decided at the valuation")
+    if k % 2:
+        return c
+    if c and not number:
+        raise EvaluationError(f"{name} = {number!r} is equally near the roots "
+                              f"-({text})^(1/{k}) and ({text})^(1/{k})")
+    return c and (1 if number > 0 else -1)
+
+
+def _poly_sign(table, poly, signs) -> int | None:
+    """The sign of a real polynomial over the related symbols at the roots
+    of the given ``signs``; None if ``_SIGN_BITS`` bits leave 0 in its interval."""
+    bits = 16
+    while bits <= _SIGN_BITS:
+        lo, hi = _interval(poly, _root_boxes(table, signs, bits))
+        if lo > 0 or hi < 0 or lo == hi == 0:
+            return (lo > 0) - (hi < 0)
+        bits *= 2
+    return None
+
+
+def _root_boxes(table, signs, bits):
+    """Intervals around the roots of the given ``signs``: |s| = |rhs|^(1/k)
+    lies between integer k-th roots at the scale 2^bits of rhs's interval."""
+    boxes, scale = {}, 1 << bits
+    for idx, sign in sorted(signs.items()):
+        k, rhs = table.relations[idx]
+        lo, hi = _interval(rhs, boxes)
+        if sign < 0 and k % 2:  # the root of a negative rhs
+            lo, hi = -hi, -lo
+        r_lo = Fraction(_iroot(floor(max(lo, 0) * scale**k), k), scale)
+        r_hi = Fraction(_iroot(ceil(hi * scale**k), k) + 1, scale)
+        boxes[idx] = (r_lo, r_hi) if sign > 0 else (-r_hi, -r_lo)
+    return boxes
+
+
+def _interval(poly, boxes):
+    """An interval holding the polynomial's value, by interval arithmetic."""
+    lo = hi = 0
+    for m, c in poly.items():
+        a = b = c
+        for idx, e in m:
+            x, y = boxes[idx]
+            for _ in range(e):
+                a, b = min(a * x, a * y, b * x, b * y), max(a * x, a * y, b * x, b * y)
+        lo, hi = lo + a, hi + b
+    return lo, hi
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for an integer n >= 0, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while x and (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,10 @@ def test_hermitian_signature_matches_eigenvalue_signs(a):
     assert linear.hermitian_signature(h, QI) == _numeric_signature(evs, np.max(np.abs(evs)))
 
 
+def _positive(d):
+    return d > 0
+
+
 def _signature_reference(a, is_zero, to_rational):
     """Congruence diagonalization with field division, the loop that
     ``congruence_signature`` ran before it became division-free: a pivot d
@@ -347,7 +351,7 @@ def test_division_free_signature_matches_the_division_loop_on_integers(a, zero_d
         [[Fraction(x) for x in row] for row in gram], operator.not_, Fraction
     )
     rows = [list(row) for row in gram]
-    assert linear.congruence_signature(rows, operator.not_, int, operator.floordiv) == expected
+    assert linear.congruence_signature(rows, operator.not_, _positive, operator.floordiv) == expected
     assert all(isinstance(x, int) for row in rows for x in row)
     assert QuadraticLattice(gram).signature == expected
 
@@ -358,7 +362,7 @@ def test_division_free_signature_matches_the_division_loop_on_rationals(a, zero_
     gram = _hermitian(a, zero_diagonal)
     expected = _signature_reference([list(row) for row in gram], operator.not_, Fraction)
     rows = [list(row) for row in gram]
-    assert linear.congruence_signature(rows, operator.not_, Fraction, operator.truediv) == expected
+    assert linear.congruence_signature(rows, operator.not_, _positive, operator.truediv) == expected
     assert QuadraticLattice(gram).signature == expected
 
 
@@ -367,7 +371,7 @@ def test_division_free_signature_matches_the_division_loop_on_rationals(a, zero_
 def test_division_free_signature_matches_the_division_loop_over_q_i(a, zero_diagonal):
     h = _hermitian(a, zero_diagonal)
     expected = _signature_reference(
-        [list(row) for row in h], Scalar.is_zero, linear._require_real_rational
+        [list(row) for row in h], Scalar.is_zero, Scalar.as_rational
     )
     assert linear.hermitian_signature(h, QI) == expected
 
@@ -390,7 +394,7 @@ def test_signature_entries_stay_the_size_of_minors():
     a = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
     gram = _hermitian(a, False)
     rows = [list(row) for row in gram]
-    got = linear.congruence_signature(rows, operator.not_, int, operator.floordiv)
+    got = linear.congruence_signature(rows, operator.not_, _positive, operator.floordiv)
     assert got == _signature_reference(
         [[Fraction(x) for x in row] for row in gram], operator.not_, Fraction
     )

@@ -887,28 +887,28 @@ def _at4_probe(check, **sections):
     return run_check(Manifest(data), only="probe").outcomes[-1]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a float tolerance decides the verdict")
 def test_negative_decomposition_coefficient_near_zero_is_not_certified():
-    """a - 1 is negative at a = 1 - 1e-13, so the decomposition is no
-    strong positivity certificate; the 1e-12 tolerance lets it pass."""
+    """a - 1 is negative at a = 1 - 1e-13, exactly -901/2^53, so the
+    decomposition is no strong positivity certificate."""
     outcome = _at4_probe(
         {"kind": "strong_positivity_certificate", "form": {"terms": [["2*a-2", ["e1", "e2"]]]},
          "endo": "J", "decomposition": [["a-1", [1]]], "valuation": "near"},
         valuations={"near": {"a": 1 - 1e-13}},
     )
-    assert outcome.verdict == "fail"
+    assert (outcome.verdict, outcome.detail) == ("fail", {"negative_coefficient": "-1+a"})
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a float tolerance decides the verdict")
 def test_small_positive_gram_entry_is_not_degenerate():
-    """diag(a, 1, 1, 1, 1, 1) at a = 1e-10 has signature (6, 0, 0); the
-    numeric eigenvalue cut-off of 1e-9 counts a as zero."""
+    """diag(a, 1, 1, 1, 1, 1) at a = 1e-10 has signature (6, 0, 0), decided
+    exactly at the valuation."""
     diag = [["a" if i == j == 0 else "1" if i == j else "0" for j in range(6)] for i in range(6)]
     outcome = _at4_probe(
         {"kind": "gram_signature", "bilinear": "diag", "valuation": "tiny", "expect": [5, 0, 1]},
         valuations={"tiny": {"a": 1e-10}}, bilinears={"diag": diag},
     )
     assert outcome.verdict == "fail"
+    assert outcome.detail["signature"] == [6, 0, 0]
+    assert (outcome.detail["exact"], outcome.detail["degenerate"]) == (False, False)
 
 
 def test_cli_classify_and_power_json_bytes_are_pinned(tmp_path, capsys):

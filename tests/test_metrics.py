@@ -2,9 +2,11 @@
 
 import functools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -474,6 +476,66 @@ def test_gram_signature_symbolic_needs_valuation():
     assert res_neg.signature == (2, 1, 0)
 
 
+def test_gram_signature_at_a_relation_root():
+    """s2 - 99/70 is negative at s2 = +sqrt 2 and s2 - 140/99 positive; at
+    -sqrt 2 both are negative.  The signs come from refined roots."""
+    t = SymbolTable([Symbol("s2", relation=(2, "2"))])
+    s2 = t.symbol("s2")
+
+    def signature(x, number):
+        res = gram_and_signature(((x, t.zero), (t.zero, t.one)), {"s2": number}, t)
+        assert not res.exact
+        return res.signature
+
+    assert signature(s2 - Fraction(99, 70), 1.4142) == (1, 1, 0)
+    assert signature(s2 - Fraction(140, 99), 1.4142) == (2, 0, 0)
+    assert signature(s2 - Fraction(140, 99), -1.4142) == (1, 1, 0)
+
+
+_S2B = SymbolTable([Symbol("s2", relation=(2, "2")), Symbol("b")])
+
+
+@st.composite
+def _s2b_scalars(draw):
+    """p + q s2 + r b + (u + w b) i with small integers."""
+    p, q, r, u, w = (draw(st.integers(-3, 3)) for _ in range(5))
+    s2, b = _S2B.symbol("s2"), _S2B.symbol("b")
+    return p + q * s2 + r * b + (u + w * b) * _S2B.i
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 4),
+    s2=st.sampled_from([1.4142, -1.4142]),
+    b=st.builds(lambda k, e: k / 2**e, st.integers(-64, 64), st.integers(0, 4)),
+)
+def test_exact_signature_at_a_valuation_matches_numpy(data, n, s2, b):
+    """Where numpy's smallest |eigenvalue| exceeds 1e-6, the exact signature
+    at a valuation equals the count of numpy's eigenvalue signs."""
+    a = [[data.draw(_s2b_scalars()) for _ in range(n)] for _ in range(n)]
+    h = tuple(tuple(a[i][j] + a[j][i].conjugate() for j in range(n)) for i in range(n))
+    val = {"s2": s2, "b": b}
+    evs = np.linalg.eigvalsh(np.array([[x.evaluate(val) for x in row] for row in h]))
+    assume(np.min(np.abs(evs)) > 1e-6)
+    res = gram_and_signature(h, val, table=_S2B)
+    assert res.signature == (int(np.sum(evs > 0)), int(np.sum(evs < 0)), 0)
+
+
+def test_positivity_falsifier_rechecks_a_violation_exactly(flat_candidate, monkeypatch):
+    """A sampled violation stands only if the form is negative at its
+    witness exactly.  With the coefficients' floats negated, every sample
+    of i eta_1 ^ conj(eta_1) looks negative, and none is."""
+    from hermitia.scalars import Scalar
+
+    J = flat_candidate.J
+    m = J.model()
+    pos = m.to_real(J.presentation.table.i * m.eta_monomial((1,), (1,)))
+    evaluate = Scalar.evaluate
+    monkeypatch.setattr(Scalar, "evaluate", lambda s, valuation: -evaluate(s, valuation))
+    assert positivity_falsify(pos, J, samples=300, seed=5).status == "no_violation"
+
+
 def test_positivity_falsifier_examples(flat_candidate):
     J = flat_candidate.J
     m = J.model()
@@ -534,6 +596,20 @@ def test_strong_positivity_certificate_roundtrip(flat_candidate):
     assert not bad.valid and bad.residual is not None
 
 
+def test_strong_positivity_undecided_coefficient_sign_is_an_error():
+    """s^2 = 4 is reducible, so s - 2 is a nonzero scalar whose value at
+    the root 2 is 0: its sign is not decided, and the check refuses."""
+    table = SymbolTable([Symbol("s", relation=(2, "4"))])
+    p = LieAlgebraPresentation(2, {}, table=table)
+    J = AlmostComplexStructure.from_action(p, {1: "e2"})
+    coeff = table.symbol("s") - 2
+    form = p.form([(coeff, (1, 2))])
+    with pytest.raises(MetricError, match="not decided"):
+        strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation={"s": 3.0})
+    bad = strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation={"s": -3.0})
+    assert bad.notes == {"negative_coefficient": "-2+s"}
+
+
 def test_strong_positivity_rejects_negative_coefficient(flat_candidate):
     J = flat_candidate.J
     m = J.model()
@@ -541,3 +617,6 @@ def test_strong_positivity_rejects_negative_coefficient(flat_candidate):
         -flat_candidate.omega, J, [("-1/2", (m.eta(1),)), ("-1/2", (m.eta(2),))]
     )
     assert not cert.valid
+    # a non-real coefficient is not nonnegative, and needs no valuation
+    cert = strong_positivity_certificate(flat_candidate.omega, J, [("i", (m.eta(1),))])
+    assert cert.notes == {"negative_coefficient": "i"}

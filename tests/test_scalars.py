@@ -188,17 +188,26 @@ def test_evaluate_free_symbol(table):
     assert parse_expr("b", table).evaluate({"b": 2.7518}) == pytest.approx(2.7518)
 
 
-def test_evaluate_respects_relation_tolerance(table):
-    s = parse_expr("s2", table)
-    assert s.evaluate({"s2": 1.41421356}) == pytest.approx(2**0.5, abs=1e-7)
-    with pytest.raises(EvaluationError):
-        s.evaluate({"s2": 1.5})
+def test_evaluate_selects_the_nearest_root():
+    """A related symbol's number selects the real root of its relation that
+    lies nearest it; a number equally near two roots is refused, naming
+    both."""
+    t = SymbolTable([Symbol("s2", relation=(2, "2"))])
+    s = t.symbol("s2")
+    assert s.evaluate({"s2": 1.4142}) == pytest.approx(2**0.5, rel=1e-15)
+    assert s.evaluate({"s2": -1.4142}) == pytest.approx(-(2**0.5), rel=1e-15)
+    assert (s - Fraction(99, 70)).sign_at({"s2": 1.4142}) == -1
+    assert (s - Fraction(140, 99)).sign_at({"s2": 1.4142}) == 1
+    assert (s + Fraction(99, 70)).sign_at({"s2": -1.4142}) == 1
+    with pytest.raises(EvaluationError, match=r"equally near the roots -\(2\)\^\(1/2\) and \(2\)\^\(1/2\)"):
+        s.at({"s2": 0.0})
 
 
 def test_evaluate_zero_denominator(table):
     s = parse_expr("1/(b-2)", table)
-    with pytest.raises(EvaluationError):
-        s.evaluate({"b": 2.0 + 1e-15})
+    with pytest.raises(EvaluationError, match="denominator"):
+        s.evaluate({"b": 2.0})
+    assert s.at({"b": 2.0 + 2**-51}) == 2**51
 
 
 def test_evaluate_missing_symbol(table):
@@ -209,6 +218,61 @@ def test_evaluate_missing_symbol(table):
 def test_evaluate_sign_hint(table):
     with pytest.raises(EvaluationError):
         parse_expr("b", table).evaluate({"b": -1.0})
+
+
+def test_at_takes_floats_as_exact_dyadic_rationals(table):
+    """a - 1 at a = 1 - 1e-13 is the exact difference of the float and 1;
+    b's positive hint holds at 1e-300 exactly."""
+    v = parse_expr("a-1", table).at({"a": 1 - 1e-13})
+    assert v == Fraction(-901, 9007199254740992)
+    assert v.table is table.related and table.related.names == ["i", "s2", "s3"]
+    assert parse_expr("a-1", table).sign_at({"a": 1 - 1e-13}) == -1
+    assert parse_expr("b", table).sign_at({"b": 1e-300}) == 1
+
+
+@pytest.mark.parametrize("value", [1j, float("nan"), float("inf"), "1"])
+def test_at_refuses_a_value_that_is_not_a_finite_real(table, value):
+    with pytest.raises(EvaluationError, match="finite real"):
+        parse_expr("a", table).at({"a": value})
+
+
+def test_evaluate_tower_of_relations():
+    """r^2 = 1 + s2 over s2^2 = 2: s2's root is selected first, and r's
+    relation is solved at it."""
+    t = SymbolTable([Symbol("s2", relation=(2, "2")), Symbol("r", relation=(2, "1+s2"))])
+    r = t.symbol("r")
+    root = (1 + 2**0.5) ** 0.5
+    assert r.evaluate({"s2": 1.0, "r": 2.0}) == pytest.approx(root, rel=1e-15)
+    assert r.evaluate({"s2": 1.0, "r": -0.5}) == pytest.approx(-root, rel=1e-15)
+    assert (r - Fraction(15537739, 10**7)).sign_at({"s2": 1.0, "r": 1.0}) == 1
+    assert (r - Fraction(15537740, 10**7)).sign_at({"s2": 1.0, "r": 1.0}) == -1
+    with pytest.raises(EvaluationError, match="no real root"):
+        r.at({"s2": -1.0, "r": 1.0})
+    with pytest.raises(EvaluationError, match="'s2' needs a finite real value, got None"):
+        r.at({"r": 1.0})
+
+
+def test_evaluate_odd_relation_has_one_real_root():
+    """c^3 = -2 has the one real root -2^(1/3), whatever c is valued."""
+    t = SymbolTable([Symbol("c", relation=(3, "-2"), sign_hint="negative"), Symbol("b")])
+    c = t.symbol("c")
+    for number in (5.0, 0.0, -1.0):
+        assert c.evaluate({"c": number}) == pytest.approx(-(2 ** (1 / 3)), rel=1e-15)
+    assert str((c * t.symbol("b")).at({"c": 0.0, "b": 0.5})) == "1/2*c"
+    assert (c + Fraction(126, 100)).sign_at({"c": 1.0}) == 1
+    assert (c + Fraction(12599, 10000)).sign_at({"c": 1.0}) == -1
+    hinted = SymbolTable([Symbol("c", relation=(3, "-2"), sign_hint="positive")])
+    with pytest.raises(EvaluationError, match="hinted positive"):
+        hinted.symbol("c").at({"c": 1.0})
+
+
+def test_sign_at_of_a_value_zero_only_at_one_root_is_undecided():
+    """s^2 = 4 is reducible: s - 2 is a nonzero scalar whose value at the
+    root 2 is 0, so no refinement separates it, and the sign is None."""
+    t = SymbolTable([Symbol("s", relation=(2, "4"))])
+    s = t.symbol("s")
+    assert (s - 2).sign_at({"s": -1.0}) == -1
+    assert (s - 2).sign_at({"s": 1.0}) is None
 
 
 def test_print_parse_roundtrip_examples(table):
@@ -278,6 +342,34 @@ def test_evaluation_is_multiplicative(x, y):
     val = {"s2": 2**0.5, "b": 1.25}
     vx, vy, vxy = x.evaluate(val), y.evaluate(val), (x * y).evaluate(val)
     assert abs(vxy - vx * vy) <= 1e-9 * max(1.0, abs(vx * vy))
+
+
+# in [-4, 4], where a float evaluation errs by far less than 1e-6
+dyadics = st.integers(-(2**12), 2**12).map(lambda n: n / 2**10)
+roots_of_two = st.sampled_from([1.4142, -1.4142])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars(), scalars(), dyadics, roots_of_two)
+def test_at_is_a_ring_homomorphism(x, y, b, s2):
+    """``at`` maps b to its exact dyadic value and keeps s2 and i."""
+    val = {"s2": s2, "b": b}
+    related = _TABLE.related
+    assert _TABLE.symbol("b").at(val) == related.scalar(Fraction(b))
+    assert _TABLE.symbol("s2").at(val) == related.symbol("s2")
+    assert (x + y).at(val) == x.at(val) + y.at(val)
+    assert (x * y).at(val) == x.at(val) * y.at(val)
+    assert x.conjugate().at(val) == x.at(val).conjugate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars(), dyadics, roots_of_two)
+def test_sign_at_agrees_with_the_float_sign(x, b, s2):
+    val = {"s2": s2, "b": b}
+    real = x + x.conjugate()
+    f = real.evaluate(val).real
+    assume(abs(f) > 1e-6)
+    assert real.sign_at(val) == (1 if f > 0 else -1)
 
 
 @settings(max_examples=100, deadline=None)

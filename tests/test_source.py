@@ -195,12 +195,29 @@ def test_omega_powers_are_the_wedge_power():
 
 
 def test_quaternion_does_not_import_numpy():
-    """The HKT positivity check counts eigenvalues through
+    """The HKT positivity check takes its exact signature from
     ``metrics.gram_and_signature``, so ``quaternion.py`` needs no numpy."""
     tree = ast.parse((SRC / "quaternion.py").read_text(encoding="utf-8"))
     modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert not [m for m in modules if m and m.split(".")[0] == "numpy"], modules
+
+
+def test_no_float_decides_a_sign_at_a_valuation():
+    """Signs at a valuation come from ``Scalar.at`` and ``Scalar.sign_at``:
+    no numeric eigenvalues and no relation tolerance anywhere in the
+    package, and ``Scalar.evaluate``'s float is read only by
+    ``metrics.positivity_falsify``'s sampler."""
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "eigvalsh" not in text and "relation_tol" not in text, path.name
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "evaluate"):
+                    callers.append(f"{path.name}:{getattr(top, 'name', None)}")
+    assert callers == ["metrics.py:positivity_falsify"]
 
 
 def test_linear_defines_one_elimination():
