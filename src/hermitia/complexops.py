@@ -20,8 +20,16 @@ presentation, and the coframe swaps eta_k with its conjugate with the sign
 (-1)^(pq) on a (p,q) monomial.  del and delbar are derivations: the model
 splits d of its coframe once into their generator tables, and each operator
 runs cealg's derivation kernel on one table, so it neither takes the full d
-nor sorts terms by bidegree.  Integrability is decided only when the model
-is built, by the same pass that fills the tables.
+nor sorts terms by bidegree.
+
+Integrability is decided once, when the model is built, by the pass that
+fills the tables: a term of d of a coframe element that is neither del nor
+delbar is forbidden (the algebraic Newlander-Nirenberg condition).  The
+forbidden parts are the Nijenhuis tensor itself, since z(N(X, Y)) =
+-4 beta(X, Y) for the forbidden part beta of d z, so the same pass names
+the witnesses N(e_a, e_b) != 0 through the change of basis back to the real
+coframe.  A non-integrable J has no model; the error carries the witnesses,
+and the structure keeps them as its ``NijenhuisReport``.
 
 Building a model reads J by its nonzero entries.  The structure's checks
 square J from its nonzero products; the coframe is read off the rows of J;
@@ -30,7 +38,7 @@ delta_ct - i J_tc, selects the coframe by its m pivot columns and leaves in
 reduced row k the coordinates A_tk of eta_t = sum_k A_tk eta_(sigma_k), from
 which the change of basis follows in closed form; and with real structure
 constants the (0,1) half of the coframe's differential is the conjugate of
-the (1,0) half, so only the (1,0) half is substituted and tested.
+the (1,0) half, so only the (1,0) half is substituted.
 """
 
 from __future__ import annotations
@@ -50,7 +58,13 @@ from .scalars import Scalar
 
 
 class IntegrabilityError(PresentationError):
-    pass
+    """A matrix that is no almost complex structure, or a structure that is
+    not integrable; the complex model's split then carries the witnesses of
+    N != 0, as ``NijenhuisReport`` lists them."""
+
+    def __init__(self, message, witnesses=()):
+        super().__init__(message)
+        self.witnesses = list(witnesses)
 
 
 class NijenhuisReport:
@@ -131,20 +145,6 @@ class AlmostComplexStructure:
 
     # -- basic actions -------------------------------------------------------
 
-    def apply_to_vector(self, coeffs):
-        """J acting on a vector given by dense basis coefficients."""
-        n = self.presentation.dim
-        table = self.presentation.table
-        out = [table.zero] * n
-        for j, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            for i in range(n):
-                m = self.matrix[i][j]
-                if not m.is_zero():
-                    out[i] = out[i] + m * c
-        return out
-
     def pullback_one_form(self, form: Form) -> Form:
         """alpha o J on a 1-form: e^r o J is row r of the matrix."""
         if any(len(idx) != 1 for idx in form.terms):
@@ -164,73 +164,24 @@ class AlmostComplexStructure:
         """Pass iff N(e_a, e_b) = [e_a,e_b] + J[Je_a,e_b] + J[e_a,Je_b] - [Je_a,Je_b]
         vanishes on all basis pairs a < b.
 
-        The verdict comes from building the complex model, whose bidegree test
-        on d of the coframe (no (0,2) part on a (1,0) element, no (2,0) part
-        on a (0,1) element) is the algebraic Newlander-Nirenberg condition;
-        the N(e_a, e_b) witnesses are computed only when that test fails."""
+        The verdict and the witnesses both come from building the complex
+        model: its bidegree split of d of the coframe is the algebraic
+        Newlander-Nirenberg test, and its forbidden parts are N itself."""
         if self._nijenhuis is None:
             try:
                 self.model()
             except IntegrabilityError:
-                if self._nijenhuis is None:
-                    raise
+                pass
         return self._nijenhuis
 
-    def _nijenhuis_witnesses(self):
-        """(a, b, coefficient list of N(e_a, e_b)) for every basis pair a < b
-        on which the Nijenhuis tensor does not vanish."""
-        pres = self.presentation
-        pres.require_jacobi()
-        n = pres.dim
-        table = pres.table
-        zero = table.zero
-        brackets = [
-            [pres.bracket_coefficients(i + 1, j + 1) for j in range(n)] for i in range(n)
-        ]
-
-        def bracket_vec(u, v):
-            out = [zero] * n
-            for i, ci in enumerate(u):
-                if ci.is_zero():
-                    continue
-                for j, cj in enumerate(v):
-                    if cj.is_zero():
-                        continue
-                    bk = brackets[i][j]
-                    f = ci * cj
-                    for k in range(n):
-                        if not bk[k].is_zero():
-                            out[k] = out[k] + f * bk[k]
-            return out
-
-        basis = []
-        for a in range(n):
-            v = [zero] * n
-            v[a] = table.one
-            basis.append(v)
-        jbasis = [self.apply_to_vector(v) for v in basis]
-
-        witnesses = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                t1 = brackets[a][b]
-                t2 = self.apply_to_vector(bracket_vec(jbasis[a], basis[b]))
-                t3 = self.apply_to_vector(bracket_vec(basis[a], jbasis[b]))
-                t4 = bracket_vec(jbasis[a], jbasis[b])
-                total = [t1[k] + t2[k] + t3[k] - t4[k] for k in range(n)]
-                if any(not c.is_zero() for c in total):
-                    witnesses.append((a + 1, b + 1, total))
-        return witnesses
-
     def model(self) -> "ComplexModel":
-        if self._model is None and self._nijenhuis is None:
+        if self._nijenhuis is None:
             try:
                 self._model = ComplexModel(self)
-            except IntegrabilityError:
-                witnesses = self._nijenhuis_witnesses()
-                if not witnesses:  # the two tests disagree: never pass silently
-                    raise
-                self._nijenhuis = NijenhuisReport(witnesses)
+            except IntegrabilityError as err:
+                if not err.witnesses:  # a forbidden part always names a pair
+                    raise RuntimeError("internal error: no Nijenhuis witness") from err
+                self._nijenhuis = NijenhuisReport(err.witnesses)
             else:
                 self._nijenhuis = NijenhuisReport([])
         if self._model is None:
@@ -365,35 +316,55 @@ class ComplexModel:
                     dgen[m + a] = _conjugate_coframe_terms(dgen[a], m)
         # split d of the coframe into the generator tables of del and delbar:
         # a term of d eta_g with one holomorphic index more than eta_g is
-        # del, one with as many is delbar.  Any other is the algebraic
-        # Newlander-Nirenberg test failing: a (0,2) part in d of a (1,0)
-        # element ([T01, T01] not in T01) or a (2,0) part in d of a (0,1)
-        # element ([T10, T10] not in T10).  del and delbar are derivations,
-        # so these tables are all they need.
+        # del, one with as many is delbar.  Any other is forbidden, the
+        # algebraic Newlander-Nirenberg test failing: a (0,2) part in d of a
+        # (1,0) element ([T01, T01] not in T01) or a (2,0) part in d of a
+        # (0,1) element ([T10, T10] not in T10).  del and delbar are
+        # derivations, so these tables are all they need.
         self.del_gen, self.delbar_gen = {}, {}
+        forbidden = {}
         for g, cterms in dgen.items():
             own = int(g <= m)  # holomorphic indices of eta_g
-            bad = (0, 2) if own else (2, 0)
-            dl, db = {}, {}
+            banned = 2 - 2 * own  # those of its forbidden part
+            dl, db, bad = {}, {}, {}
             for idx, c in cterms.items():
                 holo = (idx[0] <= m) + (idx[1] <= m)
-                if holo == bad[0]:
-                    kind = "(1,0)" if own else "(0,1)"
-                    raise IntegrabilityError(
-                        f"non-integrable structure: d of a {kind} coframe "
-                        f"element has a ({bad[0]},{bad[1]}) component"
-                    )
-                (dl if holo > own else db)[idx] = c
-            if dl:
-                self.del_gen[g] = dl
-            if db:
-                self.delbar_gen[g] = db
+                (bad if holo == banned else dl if holo > own else db)[idx] = c
+            for gen, part in ((self.del_gen, dl), (self.delbar_gen, db), (forbidden, bad)):
+                if part:
+                    gen[g] = part
+        if forbidden:
+            kind, part = ("(1,0)", "(0,2)") if min(forbidden) <= m else ("(0,1)", "(2,0)")
+            raise IntegrabilityError(
+                f"non-integrable structure: d of a {kind} coframe element has a {part} component",
+                self._nijenhuis_from(forbidden),
+            )
         self.cpres = CoframePresentation(
             self,
             {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
             names=names,
         )
         self.cpres.require_jacobi()
+
+    def _nijenhuis_from(self, forbidden):
+        """(a, b, coefficient list of N(e_a, e_b)) for every pair a < b on
+        which N does not vanish, read off the forbidden parts beta_g of d of
+        the complex generators z_g.  For a (1,0) generator (z_g o J = i z_g)
+        and its (0,2) part, or a (0,1) one and its (2,0) part, z_g(N(X, Y)) =
+        -4 beta_g(X, Y); and e^r = sum_g C_rg z_g (``_real_to_cx``), so
+        coordinate r of N(e_a, e_b) is the (a, b) coefficient of the real form
+        -4 sum_g C_rg beta_g."""
+        n = self.real.dim
+        zero, minus_four = self.real.table.zero, self.real.table.scalar(-4)
+        vectors = {}
+        for r, row in enumerate(self._real_to_cx):
+            terms = {}
+            for (g,), c in row:
+                if g in forbidden:
+                    _add_products(terms, forbidden[g], [((), minus_four * c)])
+            for pair, v in self._substitute(terms, self._cx_to_real).items():
+                vectors.setdefault(pair, [zero] * n)[r] = v
+        return [(a, b, v) for (a, b), v in sorted(vectors.items())]
 
     # -- index helpers ---------------------------------------------------------
 

@@ -25,9 +25,9 @@ and rows of plain ints build no Fraction.  The entries pass ``(A, d)`` to
 each other and to the kernels, which never clear again; a lattice keeps its
 Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
 Z[x]: Berkowitz's division-free characteristic polynomial (run on each
-diagonal block of the block-triangular form, and memoized on A), the
-isometry test, r(M), the squarefree part and the Sturm chain (primitive
-pseudo-remainder sequences), the Gram matrix's signature (a division-free
+diagonal block of the block-triangular form), the isometry test, r(M),
+the squarefree part and the Sturm chain (primitive pseudo-remainder
+sequences), the Gram matrix's signature (a division-free
 congruence), the lattice values q(v, w) (of x + lambda y from q(x), q(x, y)
 and q(y)) and the exact eigenvector of a rational or quadratic hyperbolic
 eigenvalue each scale back to the same rationals they would have produced
@@ -275,18 +275,6 @@ def poly_trim(p):
     return p
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def _primitive(p):
     """p over Z divided by the positive gcd of its coefficients."""
     c = math.gcd(*p)
@@ -345,13 +333,6 @@ def _squarefree_int(q):
 
 def poly_derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def poly_eval(p, x):
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
 
 
 def poly_eval_matrix(p, matrix):

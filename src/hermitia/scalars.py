@@ -165,6 +165,11 @@ class SymbolTable:
                             f"{self.names[j]!r}; relations may only use earlier "
                             "symbols that carry relations themselves"
                         )
+            constant = rhs.get(_ONE_MONO, Fraction(0))
+            if set(rhs) <= {_ONE_MONO} and _splits_over_gaussians(k, constant):
+                raise ScalarError(
+                    f"relation for {sym.name} is reducible: x^{k} - ({rhs_text}) factors over Q(i)"
+                )
             self.relations[idx] = (k, rhs)
             self.gaussian = False
 
@@ -1068,6 +1073,26 @@ def _interval(poly, boxes):
                 a, b = min(a * x, a * y, b * x, b * y), max(a * x, a * y, b * x, b * y)
         lo, hi = lo + a, hi + b
     return lo, hi
+
+
+def _splits_over_gaussians(k, c):
+    """Whether x^k - c factors over Q(i), for a rational c.  By Capelli's
+    theorem it does iff c = 0, or c is a p-th power in Q(i) for a prime p
+    dividing k, or 4 | k and c is in -4 Q(i)^4.  -4 = (1+i)^4, so the last
+    case is a square; a rational p-th power in Q(i) is a rational one for odd
+    p, and a rational square up to sign for p = 2 (-1 = i^2).  So x^k - c
+    factors iff c = 0 or |c| is a rational d-th power for some d > 1 dividing
+    k."""
+    num, den = abs(c.numerator), c.denominator
+    if num in (0, den):  # c = 0, or |c| = 1, which is every d-th power
+        return True
+    # |c| = r^d with r != 1 needs 2^d <= num or den, so d is below the larger
+    # bit length
+    top = min(k, max(num.bit_length(), den.bit_length()))
+    return any(
+        k % d == 0 and _iroot(num, d) ** d == num and _iroot(den, d) ** d == den
+        for d in range(2, top + 1)
+    )
 
 
 def _iroot(n, k):

@@ -106,6 +106,15 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+def poly_mul(p, q):
+    """The product of two coefficient lists, constant term first."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def fraction_rows(rows):
     """An exact matrix (ints, Fractions or strings) as rows of Fractions."""
     return tuple(tuple(Fraction(x) for x in row) for row in rows)

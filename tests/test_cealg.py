@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_at4, oracle_d, oracle_wedge, random_form
+from conftest import make_at4, oracle_d, oracle_wedge, poly_mul, random_form
 from hermitia.cealg import (
     Form,
     FormError,
@@ -280,7 +280,7 @@ def test_direct_sum_conflicting_symbols_error():
 
 def test_direct_sum_char_poly_blocks():
     # characteristic polynomial of a block sum is the product of blocks
-    from hermitia.hyperbolic import char_poly, poly_mul
+    from hermitia.hyperbolic import char_poly
 
     rng = random.Random(18)
     for _ in range(20):

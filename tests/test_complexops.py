@@ -418,10 +418,40 @@ def test_conjugate_of_a_coframe_generator(hk12_I):
 # -- integrability: the (0,2) test of the complex model against the N loop -------
 
 
-def _loop_verdict(J):
-    """The verdict of the N(e_a, e_b) loop alone, on a fresh copy of J."""
-    fresh = AlmostComplexStructure(J.presentation, J.matrix, name=J.name)
-    return not fresh._nijenhuis_witnesses()
+def _nijenhuis_oracle(J):
+    """(a, b, coefficient list of N(e_a, e_b)) for every basis pair a < b on
+    which N(e_a, e_b) = [e_a,e_b] + J[Je_a,e_b] + J[e_a,Je_b] - [Je_a,Je_b]
+    does not vanish, by the dense loop over the brackets of the real basis."""
+    pres = J.presentation
+    pres.require_jacobi()
+    n = pres.dim
+    zero = pres.table.zero
+    brackets = [[pres.bracket_coefficients(i + 1, j + 1) for j in range(n)] for i in range(n)]
+
+    def apply(v):
+        return [sum((J.matrix[i][j] * v[j] for j in range(n)), zero) for i in range(n)]
+
+    def bracket(u, v):
+        out = [zero] * n
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                f = ui * vj
+                if not f.is_zero():
+                    out = [o + f * c for o, c in zip(out, brackets[i][j])]
+        return out
+
+    basis = [[pres.table.one if k == a else zero for k in range(n)] for a in range(n)]
+    jbasis = [apply(v) for v in basis]
+    witnesses = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            t2 = apply(bracket(jbasis[a], basis[b]))
+            t3 = apply(bracket(basis[a], jbasis[b]))
+            t4 = bracket(jbasis[a], jbasis[b])
+            total = [x + y + z - w for x, y, z, w in zip(brackets[a][b], t2, t3, t4)]
+            if any(not c.is_zero() for c in total):
+                witnesses.append((a + 1, b + 1, total))
+    return witnesses
 
 
 def _structures(pres):
@@ -438,7 +468,7 @@ def test_model_integrability_agrees_with_loop_on_builtins(name):
     structures = list(_structures(pres))
     assert structures or name == "lemma61"
     for J in structures:
-        assert J.nijenhuis_vanishes().passed == _loop_verdict(J)
+        assert J.nijenhuis_vanishes().witnesses == _nijenhuis_oracle(J)
 
 
 def _conjugated(J, entries):
@@ -460,19 +490,21 @@ def _conjugated(J, entries):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    which=st.sampled_from(["fp_solv8", "AT4", "pseudoHK12"]),
+    which=st.sampled_from(["fp_solv8", "AT4", "pseudoHK12", "complex-counterexample"]),
     data=st.data(),
 )
 def test_model_integrability_agrees_with_loop_on_conjugated_structures(
     which, data, solv8_I, at4_J, hk12_I
 ):
     """P J P^-1 for a random rational P is a square root of -Id that is
-    integrable or not, depending on P; both tests must say the same."""
-    J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}[which]
-    K = _random_conjugate(J, data)
+    integrable or not, depending on P; the model's split names exactly the
+    witnesses of the dense loop, also under complex structure constants,
+    where the (1,0) half of the coframe alone may pass."""
+    J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}.get(which)
+    K = _random_conjugate(J if J is not None else _complex_constant_counterexample(), data)
     if K is None:
         return
-    assert K.nijenhuis_vanishes().passed == _loop_verdict(K)
+    assert K.nijenhuis_vanishes().witnesses == _nijenhuis_oracle(K)
 
 
 def _random_conjugate(J, data):
@@ -838,7 +870,7 @@ def test_non_integrable_structures_keep_their_witnesses(case):
     pres = make()
     J = AlmostComplexStructure.from_action(pres, action)
     rep = J.nijenhuis_vanishes()
-    assert not rep.passed and not _loop_verdict(J)
+    assert not rep.passed and rep.witnesses == _nijenhuis_oracle(J)
     assert [
         [a, b, {k + 1: str(c) for k, c in enumerate(v) if not c.is_zero()}]
         for a, b, v in rep.witnesses
@@ -857,11 +889,10 @@ def test_non_integrable_structures_keep_their_witnesses(case):
         ComplexModel(fresh)
 
 
-def test_complex_structure_constants_are_tested_on_both_halves():
-    """With complex structure constants d(conj eta) is not conj(d eta): here
-    d eta_1 = d eta_2 = 0 but d(conj eta_1) = eta_1 ^ eta_2, so [T10, T10]
-    leaves T10 and N != 0 although no (1,0) element has a (0,2) part."""
-    from hermitia.manifest import Manifest, run_check
+def _complex_constant_counterexample():
+    """A structure on an algebra with complex structure constants where
+    d eta_1 = d eta_2 = 0 but d(conj eta_1) = eta_1 ^ eta_2: [T10, T10]
+    leaves T10, so N != 0, although no (1,0) element has a (0,2) part."""
     from hermitia.scalars import SymbolTable
 
     table = SymbolTable()
@@ -878,9 +909,18 @@ def test_complex_structure_constants_are_tested_on_both_halves():
         table=table,
     )
     assert pres.jacobi_check().passed
-    J = AlmostComplexStructure.from_action(pres, {1: "e2", 3: "e4"})
-    assert not _loop_verdict(J)
-    assert not J.nijenhuis_vanishes().passed
+    return AlmostComplexStructure.from_action(pres, {1: "e2", 3: "e4"})
+
+
+def test_complex_structure_constants_are_tested_on_both_halves():
+    """With complex structure constants d(conj eta) is not conj(d eta), so
+    the (0,1) half of the coframe is tested on its own."""
+    from hermitia.manifest import Manifest, run_check
+
+    J = _complex_constant_counterexample()
+    pres = J.presentation
+    rep = J.nijenhuis_vanishes()
+    assert not rep.passed and rep.witnesses == _nijenhuis_oracle(J)
     with pytest.raises(IntegrabilityError, match=r"N\(e_1, e_3\) != 0"):
         J.model()
     fresh = AlmostComplexStructure(pres, J.matrix)
@@ -889,6 +929,19 @@ def test_complex_structure_constants_are_tested_on_both_halves():
     outcome = run_check(Manifest(_integrable_check_manifest(pres, J))).outcomes[-1]
     assert outcome.verdict == "fail"
     assert outcome.detail["witness_pair"] == ["e1", "e3"]
+
+
+def test_the_model_error_carries_the_nijenhuis_witnesses():
+    """ComplexModel(J) on a non-integrable J raises with the witnesses of the
+    dense loop; an error that is no integrability verdict carries none."""
+    for J in (_complex_constant_counterexample(),
+              AlmostComplexStructure.from_action(make_at4(), {1: "e3", 2: "e5", 4: "e6"})):
+        with pytest.raises(IntegrabilityError) as err:
+            ComplexModel(AlmostComplexStructure(J.presentation, J.matrix))
+        assert err.value.witnesses == _nijenhuis_oracle(J) != []
+    with pytest.raises(IntegrabilityError) as err:
+        AlmostComplexStructure(abelian(2), [[0, 1], [1, 0]])
+    assert err.value.witnesses == []
 
 
 def test_non_real_structure_is_rejected():

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rows, is_zero_matrix, mat_mul
+from conftest import fraction_rows, is_zero_matrix, mat_mul, poly_mul
 from hermitia.hyperbolic import (
     Classification,
     LatticeError,
@@ -29,9 +29,7 @@ from hermitia.hyperbolic import (
     invariant_classes,
     isolate_real_roots,
     kernel_basis,
-    poly_eval,
     poly_eval_matrix,
-    poly_mul,
     power_iterate,
     real_roots_outside_unit,
     refine_interval,
@@ -44,6 +42,14 @@ from hermitia.hyperbolic import (
 
 PELL = [[3, 4], [2, 3]]
 DIAG12 = [[1, 0], [0, -2]]
+
+
+def poly_eval(p, x):
+    """p(x) by Horner's rule, for a coefficient list p, constant term first."""
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
 
 
 @pytest.fixture(scope="module")

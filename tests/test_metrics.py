@@ -597,17 +597,20 @@ def test_strong_positivity_certificate_roundtrip(flat_candidate):
 
 
 def test_strong_positivity_undecided_coefficient_sign_is_an_error():
-    """s^2 = 4 is reducible, so s - 2 is a nonzero scalar whose value at
-    the root 2 is 0: its sign is not decided, and the check refuses."""
-    table = SymbolTable([Symbol("s", relation=(2, "4"))])
+    """t^2 = 2 is reducible over Q(i, s) with s^2 = 2, so s - t is a nonzero
+    scalar whose value at s = t = sqrt 2 is 0: its sign is not decided, and
+    the check refuses."""
+    table = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("t", relation=(2, "2"))])
     p = LieAlgebraPresentation(2, {}, table=table)
     J = AlmostComplexStructure.from_action(p, {1: "e2"})
-    coeff = table.symbol("s") - 2
+    coeff = table.symbol("s") - table.symbol("t")
     form = p.form([(coeff, (1, 2))])
+    valuation = {"s": 1.4, "t": 1.4}
     with pytest.raises(MetricError, match="not decided"):
-        strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation={"s": 3.0})
-    bad = strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation={"s": -3.0})
-    assert bad.notes == {"negative_coefficient": "-2+s"}
+        strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation=valuation)
+    valuation["s"] = -1.4
+    bad = strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation=valuation)
+    assert bad.notes == {"negative_coefficient": "s-t"}
 
 
 def test_strong_positivity_rejects_negative_coefficient(flat_candidate):

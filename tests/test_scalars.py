@@ -267,12 +267,32 @@ def test_evaluate_odd_relation_has_one_real_root():
 
 
 def test_sign_at_of_a_value_zero_only_at_one_root_is_undecided():
-    """s^2 = 4 is reducible: s - 2 is a nonzero scalar whose value at the
-    root 2 is 0, so no refinement separates it, and the sign is None."""
-    t = SymbolTable([Symbol("s", relation=(2, "4"))])
-    s = t.symbol("s")
-    assert (s - 2).sign_at({"s": -1.0}) == -1
-    assert (s - 2).sign_at({"s": 1.0}) is None
+    """t^2 = 2 is irreducible over Q(i) but not over Q(i, s) with s^2 = 2:
+    s - t is a nonzero scalar whose value at s = t = sqrt 2 is 0, so no
+    refinement separates it, and the sign is None."""
+    t = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("t", relation=(2, "2"))])
+    diff = t.symbol("s") - t.symbol("t")
+    assert not diff.is_zero()
+    assert diff.sign_at({"s": -1.0, "t": 1.0}) == -1
+    assert diff.sign_at({"s": 1.0, "t": 1.0}) is None
+
+
+REDUCIBLE = [(2, "4"), (2, "-9/4"), (2, "-1"), (2, "0"), (3, "8"), (3, "-27/8"), (3, "1"),
+             (4, "-4"), (4, "-64"), (6, "-8"), (6, "9"), (9, "-1/8"), (15, "32")]
+IRREDUCIBLE = [(2, "2"), (2, "-2"), (3, "4"), (4, "8"), (4, "-2"), (5, "16"), (6, "12"), (8, "-3")]
+
+
+@pytest.mark.parametrize("k, rhs", REDUCIBLE + IRREDUCIBLE)
+def test_relation_is_refused_iff_reducible_over_gaussians(k, rhs):
+    """x^k - c factors over Q(i) (Capelli) iff c = 0 or |c| is a rational
+    d-th power for a d > 1 dividing k; -1 = i^2 and -4 = (1+i)^4 are squares
+    there.  A reducible relation would make the ring no field, so it is
+    refused; an irreducible one is declared."""
+    if (k, rhs) in REDUCIBLE:
+        with pytest.raises(ScalarError, match="is reducible"):
+            SymbolTable([Symbol("s", relation=(k, rhs))])
+    else:
+        assert SymbolTable([Symbol("s", relation=(k, rhs))]).relations[1][0] == k
 
 
 def test_print_parse_roundtrip_examples(table):

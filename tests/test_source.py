@@ -167,6 +167,19 @@ def test_complex_model_reduces_once_and_inverts_nothing():
     assert naming(tree, "invert") == []
 
 
+def test_complexops_decides_integrability_once():
+    """The complex model's split decides integrability and names the
+    Nijenhuis witnesses: nothing in ``complexops.py`` names a bracket of the
+    real basis, a dense J action on vectors or a second evaluation of N."""
+    tree = ast.parse((SRC / "complexops.py").read_text(encoding="utf-8"))
+    names = {
+        getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+        for n in ast.walk(tree)
+    }
+    gone = {"bracket_coefficients", "apply_to_vector", "_nijenhuis_witnesses"}
+    assert not names & gone, names & gone
+
+
 def test_hyperbolic_bisects_in_one_loop():
     """Every bisection of ``hyperbolic.py`` to a width runs in ``_bisect``:
     the root refinement and the two square-root bounds of the spectral
