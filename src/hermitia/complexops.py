@@ -54,7 +54,6 @@ from .cealg import (
     _add_products,
     _d_terms,
 )
-from .scalars import Scalar
 
 
 class IntegrabilityError(PresentationError):
@@ -266,7 +265,7 @@ class ComplexModel:
         for t, terms in enumerate(etas):
             for c, y in terms.items():
                 rows[c][t] = y
-        pivots = linear.rref(rows, n, Scalar.is_zero)[0]
+        pivots = linear.rref(rows, n)[0]
         self.sigma = tuple(t + 1 for t in pivots)
         self.eta_forms = [
             Form(pres, {(c + 1,): y for c, y in etas[t].items()}, _canonical=True) for t in pivots

@@ -25,22 +25,24 @@ and rows of plain ints build no Fraction.  The entries pass ``(A, d)`` to
 each other and to the kernels, which never clear again; a lattice keeps its
 Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
 Z[x]: Berkowitz's division-free characteristic polynomial (run on each
-diagonal block of the block-triangular form), the isometry test, r(M),
-the squarefree part and the Sturm chain (primitive pseudo-remainder
-sequences), the Gram matrix's signature (a division-free
-congruence), the lattice values q(v, w) (of x + lambda y from q(x), q(x, y)
-and q(y)) and the exact eigenvector of a rational or quadratic hyperbolic
-eigenvalue each scale back to the same rationals they would have produced
-over Q.  Every Sturm root search takes a point as integers u / w: one
-evaluator, ``_at``, gives w^deg q(u / w) for the sign counts, the refinement
-and the test of the root -1; isolation halves integer ends whose denominator
-doubles at each halving, building Fractions only for the intervals it
-returns; and one loop with no step cap, ``_bisect``, halves while wider than
-the asked width, for ``refine_interval`` (reading the sign of the squarefree
-member alone) and both square-root bounds of ``spectral_radius_interval``.
-The exact eigenvector needs no elimination: for p = f g with f the
-eigenvalue's minimal polynomial, Cayley-Hamilton turns a nonzero column of
-g(M) into it, by integer matrix-vector products
+diagonal block of the block-triangular form), the isometry test, r(M), the
+squarefree part and the Sturm chain (primitive pseudo-remainder sequences),
+the Gram matrix's signature (a division-free congruence), the lattice values
+q(v, w) (of x + lambda y from q(x), q(x, y) and q(y)) and the exact
+eigenvector of a rational or quadratic hyperbolic eigenvalue each scale back
+to the same rationals they would have produced over Q; their matrix products
+(A^T H A, Horner's r(M), A^2) run on the sparse kernel ``linear.product``,
+not on ``linear.mat_mul``, which ``perfbench/tracer.py`` counts as
+scalar-field work.  Every Sturm root search takes a point as integers u / w:
+one evaluator, ``_at``, gives w^deg q(u / w) for the sign counts, the
+refinement and the test of the root -1; isolation halves integer ends whose
+denominator doubles at each halving, building Fractions only for the
+intervals it returns; and one loop with no step cap, ``_bisect``, halves
+while wider than the asked width, for ``refine_interval`` (reading the sign
+of the squarefree member alone) and both square-root bounds of
+``spectral_radius_interval``.  The exact eigenvector needs no elimination:
+for p = f g with f the eigenvalue's minimal polynomial, Cayley-Hamilton
+turns a nonzero column of g(M) into it, by integer matrix-vector products
 (``_eigenvector_coordinates``); only ``kernel_basis`` row reduces, over Q.
 The minimal polynomial of a hyperbolic eigenvalue of an integral
 characteristic polynomial with constant term +-1 is its squarefree part
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 import sympy
 
-from .linear import congruence_signature, rref
+from .linear import congruence_signature, product, rref
 
 
 class LatticeError(ValueError):
@@ -162,16 +164,6 @@ def _floats(a, d):
     return np.array([[x / d for x in row] for row in a], dtype=float)
 
 
-def _mat_mul(a, b):
-    """The product of two integer matrices: each row of A B is the
-    combination of B's rows weighted by the nonzero entries of A's row."""
-    zero = (0,) * len(b[0]) if b else ()
-    return tuple(
-        tuple(map(sum, zip(*([x * y for y in b[k]] for k, x in enumerate(row) if x)))) or zero
-        for row in a
-    )
-
-
 def _shifted(m, u):
     """A - d u I for M = A / d: an integer multiple of M - u I."""
     a, d = m
@@ -199,7 +191,7 @@ class QuadraticLattice:
         self._nonzero = tuple(tuple((k, g) for k, g in enumerate(row) if g) for row in h.rows)
         # H = e G with e > 0 has the signature of G
         self.signature = congruence_signature(
-            [list(r) for r in h.rows], operator.not_, lambda d: d > 0, operator.floordiv
+            [list(r) for r in h.rows], lambda d: d > 0, operator.floordiv
         )
 
     @property
@@ -247,7 +239,7 @@ def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
     a, d = lattice.endomorphism(matrix)
     h, e = lattice.cleared
     d2 = d * d
-    cols, ha_cols = tuple(zip(*a)), tuple(zip(*_mat_mul(h, a)))
+    cols, ha_cols = tuple(zip(*a)), tuple(zip(*product(h, a, 0)))
     # A^T H A is symmetric: test the entries on and above the diagonal
     if all(
         sum(map(operator.mul, cols[i], ha_cols[j])) == d2 * h[i][j]
@@ -255,7 +247,7 @@ def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
         for j in range(i, len(a))
     ):
         return IsometryCheck(True)
-    lhs = _mat_mul(cols, tuple(zip(*ha_cols)))
+    lhs = product(cols, tuple(zip(*ha_cols)), 0)
     den = d2 * e
     res = tuple(
         tuple(Fraction(x - d2 * y, den) for x, y in zip(rl, rh)) for rl, rh in zip(lhs, h)
@@ -356,7 +348,7 @@ def _horner(p, m):
         ck = c[k] * d ** (deg - k)
         out = tuple(
             tuple(x + ck * (i == j) for j, x in enumerate(row))
-            for i, row in enumerate(_mat_mul(out, a))
+            for i, row in enumerate(product(out, a, 0))
         )
     return out, lc * d**deg
 
@@ -882,7 +874,7 @@ def kernel_basis(matrix):
     a = _exact(matrix).rows
     cols = len(a[0]) if a else 0
     m = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
-    pivots, _, _ = rref(m, cols, operator.not_)
+    pivots, _, _ = rref(m, cols)
     basis = []
     for free in range(cols):
         if free in pivots:
@@ -1058,7 +1050,7 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
     width = Fraction(width)
     a, d = _exact(matrix)
     # M^2 = A^2 / d^2, squared over the integers
-    p2 = char_poly(_Exact(_mat_mul(a, a), d * d))
+    p2 = char_poly(_Exact(product(a, a, 0), d * d))
     sf, _g = squarefree_part(p2)
     chain = sturm_chain(sf)  # also the chain of p2, which has the same roots
     # every root lies strictly inside (-bound, bound), so none sits at -bound

@@ -1,26 +1,27 @@
-"""Exact linear algebra: one row-reduction kernel, one congruence
-diagonalization, and matrix identities over the scalar field.
+"""Exact linear algebra: one row reduction, one congruence diagonalization,
+one sparse matrix product, and matrix identities over the scalar field.
 
-``rref`` and ``congruence_signature`` are hermitia's only eliminations.
+The kernels ``rref``, ``congruence_signature`` and ``product`` take entries
+under one contract: ``+``, ``-``, ``*`` and ``/`` among themselves,
+``conjugate()``, and truthiness as the exact zero test.  ints, ``Fraction``s
+and ``Scalar``s all meet it, so no caller passes a zero test.  ``rref``
+divides by its pivots and so takes a field (``Fraction``s or ``Scalar``s);
+``congruence_signature`` divides only exactly, with the ``exact_div`` that
+its caller passes beside a sign test, so it also runs on the integer Gram
+matrices of ``hyperbolic.QuadraticLattice``; ``product`` does not divide.
 ``rref`` reduces rows held as ``{column: value}`` dicts with the zeros
-absent, so its work follows the nonzeros.  Its field contract: entries are
-``Scalar``s or ``Fraction``s, which support ``+``, ``-``, ``*`` and ``/``
-among themselves, and the caller passes the exact zero test.  Its callers:
-``solve``, ``rank``, ``invert`` and ``det`` here and the coframe selection of
-``complexops.ComplexModel`` (which reads its change of basis off the reduced
-rows) and the half frame of ``quaternion._half_frame``, all over the scalar
-field with ``Scalar.is_zero``; ``scalars._alg_inverse`` and
-``hyperbolic.kernel_basis`` over the rationals with ``operator.not_``.
-``congruence_signature`` needs only
-``+``, ``-``, ``*``, an exact division and a sign test the caller passes,
-so it runs on the integer Gram matrices of ``hyperbolic.QuadraticLattice``
-as well as on scalars, whose signs ``Scalar.sign_at`` decides.  Every pivot
-decision is an exact zero or sign test; nothing here is numeric.
+absent, and ``product`` lists each row of b by its nonzeros once, so their
+work follows the nonzeros.  ``rref`` and ``congruence_signature`` are
+hermitia's only eliminations, and ``product`` is its one product of two
+matrices.  Every pivot decision is an exact zero or sign test; nothing here
+is numeric.
 
-``solve``, ``rank``, ``invert``, ``det`` and ``hermitian_signature`` are the
-scalar-field entry points.  ``perfbench/tracer.py`` wraps them by name, so
-they stay separate functions; ``rank`` has no caller in the package.
-Their matrices are tuples/lists of rows of scalars.
+``solve``, ``rank``, ``invert``, ``det``, ``hermitian_signature`` and
+``mat_mul`` are the scalar-field entry points.  ``perfbench/tracer.py``
+wraps them by name, so they stay separate functions; that is also why
+``mat_mul`` (``product`` from ``table.zero``) and ``product`` are two names:
+``hyperbolic`` calls the kernel, so lattice work fires no ``linear`` span.
+``rank`` has no caller in the package.
 """
 
 from __future__ import annotations
@@ -44,21 +45,8 @@ def identity(table: SymbolTable, n):
 
 
 def mat_mul(a, b, table):
-    """a b, with work proportional to the nonzero products: each row of b is
-    listed by its nonzero entries once.  Every entry still sums its products
-    from ``table.zero`` in increasing inner index."""
-    zero = table.zero
-    width = len(b[0])
-    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
-    out = []
-    for row in a:
-        acc = [zero] * width
-        for x, nonzero in zip(row, b_rows):
-            if nonzero and not x.is_zero():
-                for j, y in nonzero:
-                    acc[j] = acc[j] + x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    """a b over the scalar field (``product`` from ``table.zero``)."""
+    return product(a, b, table.zero)
 
 
 def mat_add(a, b):
@@ -82,10 +70,10 @@ def mat_eq(a, b):
 
 
 def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
+    return not any(map(any, a))
 
 
-def rref(rows, ncols, is_zero):
+def rref(rows, ncols):
     """Bring ``rows``, a list of rows held as ``{column: value}`` dicts with
     the zero entries absent, to reduced row echelon form on the columns
     below ``ncols``, in place; further columns (right-hand sides) are
@@ -120,7 +108,7 @@ def rref(rows, ncols, is_zero):
                 x = row.get(c)
                 if x is None:
                     row[c] = f * y
-                elif is_zero(x := x + f * y):
+                elif not (x := x + f * y):
                     del row[c]
                 else:
                     row[c] = x
@@ -129,7 +117,7 @@ def rref(rows, ncols, is_zero):
     return pivots, values, swaps
 
 
-def congruence_signature(a, is_zero, positive, exact_div):
+def congruence_signature(a, positive, exact_div):
     """Signature (p, q, z) of a Hermitian matrix, given as a list of row
     lists that is reduced in place by congruence with no field division, so
     integer rows stay integers.  Entries need ``conjugate()`` (the identity on
@@ -151,12 +139,9 @@ def congruence_signature(a, is_zero, positive, exact_div):
     p = q = 0
     pi, pi_positive = 1, True  # the last pivot that eliminated
     for pos in range(n):
-        piv = next((k for k in range(pos, n) if not is_zero(a[k][k])), None)
+        piv = next((k for k in range(pos, n) if a[k][k]), None)
         if piv is None:
-            hot = next(
-                ((r, c) for r in range(pos, n) for c in range(r + 1, n) if not is_zero(a[r][c])),
-                None,
-            )
+            hot = next(((r, c) for r in range(pos, n) for c in range(r + 1, n) if a[r][c]), None)
             if hot is None:
                 return p, q, n - pos
             r, c = hot
@@ -178,7 +163,7 @@ def congruence_signature(a, is_zero, positive, exact_div):
             p += 1
         else:
             q += 1
-        if all(is_zero(a[r][pos]) for r in range(pos + 1, n)):
+        if not any(a[r][pos] for r in range(pos + 1, n)):
             continue
         prow = a[pos][pos + 1:]
         for row in a[pos + 1:]:
@@ -188,14 +173,26 @@ def congruence_signature(a, is_zero, positive, exact_div):
     return p, q, 0
 
 
-def _zero_test(table):
-    """``Scalar.is_zero``, found without importing scalars at run time."""
-    return type(table.zero).is_zero
+def product(a, b, zero):
+    """a b, with work proportional to the nonzero products: each row of b is
+    listed by its nonzero entries once.  Every entry sums its products from
+    ``zero`` in increasing inner index; an empty b gives rows of width 0."""
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for x, nonzero in zip(row, b_rows):
+            if nonzero and x:
+                for j, y in nonzero:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _dict_rows(rows):
     """Scalar rows as the ``{column: value}`` dicts of their nonzeros."""
-    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 def solve(rows, rhs, table):
@@ -203,7 +200,7 @@ def solve(rows, rhs, table):
     when the system is inconsistent; free variables are set to zero."""
     n = len(rows[0]) if rows else 0
     aug = _dict_rows(list(row) + [b] for row, b in zip(rows, rhs))
-    pivots, _, _ = rref(aug, n, _zero_test(table))
+    pivots, _, _ = rref(aug, n)
     if any(n in row for row in aug[len(pivots):]):
         return None, None
     x = [table.zero] * n
@@ -212,9 +209,9 @@ def solve(rows, rhs, table):
     return x, n - len(pivots)
 
 
-def rank(rows, table):
+def rank(rows):
     ncols = len(rows[0]) if rows else 0
-    return len(rref(_dict_rows(rows), ncols, _zero_test(table))[0])
+    return len(rref(_dict_rows(rows), ncols)[0])
 
 
 def invert(rows, table):
@@ -222,7 +219,7 @@ def invert(rows, table):
     aug = _dict_rows(rows)
     for i, row in enumerate(aug):
         row[n + i] = table.one
-    pivots, _, _ = rref(aug, n, _zero_test(table))
+    pivots, _, _ = rref(aug, n)
     if len(pivots) < n:
         raise LinearError("matrix is singular")
     zero = table.zero
@@ -231,7 +228,7 @@ def invert(rows, table):
 
 def det(rows, table):
     n = len(rows)
-    pivots, values, swaps = rref(_dict_rows(rows), n, _zero_test(table))
+    pivots, values, swaps = rref(_dict_rows(rows), n)
     if len(pivots) < n:
         return table.zero
     out = -table.one if swaps % 2 else table.one
@@ -243,15 +240,11 @@ def det(rows, table):
 def hermitian_violation(rows):
     """The first (r, c), row-major, with rows[r][c] != conj(rows[c][r]), or
     None when the square matrix is Hermitian."""
-    n = len(rows)
-    for r in range(n):
-        for c in range(n):
-            if not (rows[r][c] - rows[c][r].conjugate()).is_zero():
-                return r, c
-    return None
+    n = range(len(rows))
+    return next(((r, c) for r in n for c in n if rows[r][c] - rows[c][r].conjugate()), None)
 
 
-def hermitian_signature(rows, table, valuation=None):
+def hermitian_signature(rows, valuation=None):
     """Signature (p, q, z) of an exact Hermitian matrix by congruence
     diagonalization.  Each diagonal value is real, and ``Scalar.sign_at``
     decides its sign: exactly when it is rational, else at the valuation."""
@@ -263,6 +256,4 @@ def hermitian_signature(rows, table, valuation=None):
             raise LinearError(f"the sign of the pivot {d} is not decided at the valuation")
         return sign > 0
 
-    return congruence_signature(
-        [list(row) for row in rows], _zero_test(table), positive, operator.truediv
-    )
+    return congruence_signature([list(row) for row in rows], positive, operator.truediv)

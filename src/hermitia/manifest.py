@@ -821,7 +821,7 @@ def _h_gram_signature(ctx, check, seed):
     valuation = ctx.valuation(check["valuation"])
     if "bilinear" in check:
         mat = ctx.attached("bilinears", check["bilinear"])
-        res = metrics.gram_and_signature(mat, valuation, table=ctx.table)
+        res = metrics.gram_and_signature(mat, valuation)
     else:
         cand = ctx.candidate(check["omega"], check["endo"])
         res = metrics.gram_and_signature(cand, valuation)

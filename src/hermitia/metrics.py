@@ -22,16 +22,16 @@ read del(delbar(omega^k)) (memoized per k), and for k >= 2 the Leibniz rule
 shows it vanishes for every k once del delbar omega = 0 and the single
 wedge del omega ^ delbar omega = 0.
 
-The powers omega_c^k are a memo keyed by k over ``cealg.wedge_power``, built
-only where these shortcuts do not decide: for a degenerate W (balanced is
-then d omega_c^(m-1) = 0; to_complex is an algebra isomorphism that commutes
-with d), for del(delbar(omega^k)) when del delbar omega or del omega ^
-delbar omega is nonzero, and when a balanced report's residual d
-omega_c^(m-1) is read.  A residual left in the coframe is converted to the
-real basis only when the report's ``residual`` is read.  Positivity of
-(p,p)-forms is only falsifiable here (sampling decomposable tuples with a
-fixed, seeded generator) or certifiable syntactically through an explicit
-strongly positive decomposition.
+The powers omega_c^k are one ladder, each rung one wedge by omega_c above
+the last, built only where these shortcuts do not decide: for a degenerate
+W (balanced is then d omega_c^(m-1) = 0; to_complex is an algebra
+isomorphism that commutes with d), for del(delbar(omega^k)) when del delbar
+omega or del omega ^ delbar omega is nonzero, and when a balanced report's
+residual d omega_c^(m-1) is read.  A residual left in the coframe is
+converted to the real basis only when the report's ``residual`` is read.
+Positivity of (p,p)-forms is only falsifiable here (sampling decomposable
+tuples with a fixed, seeded generator) or certifiable syntactically through
+an explicit strongly positive decomposition.
 
 At a valuation, signatures, certificate coefficients and sampled violations
 are decided on ``Scalar.at``'s exact value: a free symbol's number is the
@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import linear
-from .cealg import Form, solve_combination, wedge, wedge_power
+from .cealg import Form, solve_combination, wedge
 from .complexops import AlmostComplexStructure, _lift, bidegree, dc, del_, delbar, real_basis
 from .scalars import ScalarError
 
@@ -96,8 +96,8 @@ def _vanishing(kind: str, res: Form) -> PredicateReport:
 
 class HermitianCandidate:
     """A real (1,1)-form with respect to a named integrable structure, kept
-    also in the structure's complex coframe as ``omega_c``, with per-k memos
-    of omega_c^k (``wedge_power``) and of del(delbar(omega^k)), and the
+    also in the structure's complex coframe as ``omega_c``, with the ladder
+    of omega_c^k and a per-k memo of del(delbar(omega^k)), and the
     Leibniz test that decides the latter for k >= 2."""
 
     def __init__(self, J: AlmostComplexStructure, omega: Form):
@@ -113,17 +113,19 @@ class HermitianCandidate:
         if not bg.is_pure(1, 1):
             raise MetricError(f"fundamental form is not of pure bidegree (1,1): {bg.bidegrees()}")
         self.omega = omega
-        self._powers = {}
+        self._powers = [self.omega_c]  # the ladder omega_c, omega_c^2, ..
         self._del_delbar = {}
 
     def power(self, k: int) -> Form:
-        """omega_c^k (k >= 1) in the complex coframe, memoized per k."""
+        """omega_c^k (k >= 1) in the complex coframe: omega_c has no 0-form
+        part, so omega_c^k = omega_c^(k-1) ^ omega_c as in ``wedge_power``.
+        The ladder grows by one wedge per missing rung, up to its first zero."""
         if k < 1:
             raise MetricError(f"omega powers start at 1, got {k}")
-        res = self._powers.get(k)
-        if res is None:
-            res = self._powers[k] = wedge_power(self.omega_c, k)
-        return res
+        powers = self._powers
+        while len(powers) < k and not powers[-1].is_zero():
+            powers.append(wedge(powers[-1], self.omega_c))
+        return powers[min(k, len(powers)) - 1]
 
     def del_delbar_power(self, k: int) -> Form:
         """del(delbar(omega^k)) in the real basis, memoized per k: zero for
@@ -295,7 +297,7 @@ class SignatureResult:
     degenerate: bool
 
 
-def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> SignatureResult:
+def gram_and_signature(candidate_or_matrix, valuation=None) -> SignatureResult:
     """Gram matrix plus signature (p, q, z).
 
     For a Hermitian candidate the matrix is its coframe Gram matrix; a raw
@@ -305,18 +307,13 @@ def gram_and_signature(candidate_or_matrix, valuation=None, table=None) -> Signa
     ``exact`` says the matrix had no symbols, so the signature holds for
     every value of them.
     """
-    if isinstance(candidate_or_matrix, HermitianCandidate):
-        mat = coframe_gram(candidate_or_matrix)
-        table = candidate_or_matrix.presentation.table
-    else:
-        mat = tuple(tuple(r) for r in candidate_or_matrix)
-        if table is None:
-            table = mat[0][0].table
+    c = candidate_or_matrix
+    mat = coframe_gram(c) if isinstance(c, HermitianCandidate) else tuple(map(tuple, c))
     exact = all(x.is_gaussian_rational() for row in mat for x in row)
     if not exact and valuation is None:
         raise MetricError("matrix has symbols: a valuation is required for the signature")
     valued = mat if exact else tuple(tuple(x.at(valuation) for x in row) for row in mat)
-    p, q, z = linear.hermitian_signature(valued, table, valuation)
+    p, q, z = linear.hermitian_signature(valued, valuation)
     return SignatureResult(mat, (p, q, z), exact, z > 0)
 
 

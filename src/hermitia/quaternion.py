@@ -162,7 +162,7 @@ def _half_frame(triple: HypercomplexTriple):
         coords[r][2 * r] = table.one
         for (i,), x in jb.terms.items():
             coords[i - 1][2 * r + 1] = x
-    pivots = linear.rref(coords, 2 * m, Scalar.is_zero)[0]
+    pivots = linear.rref(coords, 2 * m)[0]
     # m/2 pairs span the (1,0) forms when J anticommutes with I; a J that
     # does not can yield more, and the first m/2 are the frame
     frame = [c // 2 + 1 for c in pivots if c % 2 == 0][: m // 2]
@@ -212,7 +212,7 @@ def _zero_check(name, res: Form) -> SubCheck:
 def _positive_definite_check(c: HKTCandidate, valuation):
     name = "coefficient matrix positive definite"
     try:
-        res = gram_and_signature(c.coefficients, valuation, table=c.presentation.table)
+        res = gram_and_signature(c.coefficients, valuation)
     except MetricError:
         if valuation is not None:
             raise

@@ -21,7 +21,8 @@ A scalar is stored in one of two ways:
   result with no free symbol in a gaussian table becomes a triple again.
 
 Zero has a unique representation, so equality of canonical forms decides
-equality of values.  ``key()``, hashes and printed forms depend only on the
+equality of values; a scalar is falsy exactly at zero, as an int or a
+``Fraction`` is.  ``key()``, hashes and printed forms depend only on the
 value, not on how it is stored.  All operations are pure; scalars are
 immutable.
 
@@ -40,7 +41,6 @@ exactly.  ``Scalar.sign_at`` refines those roots by interval arithmetic.
 from __future__ import annotations
 
 import numbers
-import operator
 import re
 import sys
 from fractions import Fraction
@@ -165,13 +165,27 @@ class SymbolTable:
                             f"{self.names[j]!r}; relations may only use earlier "
                             "symbols that carry relations themselves"
                         )
-            constant = rhs.get(_ONE_MONO, Fraction(0))
-            if set(rhs) <= {_ONE_MONO} and _splits_over_gaussians(k, constant):
+            if set(rhs) <= {_ONE_MONO} and (over := self._splitting(k, rhs.get(_ONE_MONO, 0))):
                 raise ScalarError(
-                    f"relation for {sym.name} is reducible: x^{k} - ({rhs_text}) factors over Q(i)"
+                    f"relation for {sym.name} is reducible: x^{k} - ({rhs_text}) factors over {over}"
                 )
             self.relations[idx] = (k, rhs)
             self.gaussian = False
+
+    def _splitting(self, k, c):
+        """A field over which x^k - c factors, for a rational c, or None: Q(i)
+        by Capelli's test, else for an even k Q(i, s) with an earlier
+        s^k' = a, k' even, a rational and x^2 - c/a factoring over Q(i), as
+        sqrt c = sqrt(c/a) s^(k'/2) then lies in the field.  Products of
+        several right sides, odd primes and irrational right sides are not
+        tested."""
+        if _splits_over_gaussians(k, c):
+            return "Q(i)"
+        for j, (kj, a) in self.relations.items():
+            rational = set(a) == {_ONE_MONO}
+            if rational and k % 2 == kj % 2 == 0 and _splits_over_gaussians(2, c / a[_ONE_MONO]):
+                return f"Q(i, {self.names[j]})"
+        return None
 
     @cached_property
     def related(self) -> "SymbolTable":
@@ -455,7 +469,7 @@ def _alg_inverse(table, u):
     for j, b in enumerate(basis):
         for m, c in _poly_mul(table, u, {b: Fraction(1)}).items():
             mat[pos[m]][j] = c
-    pivots, _, _ = rref(mat, n, operator.not_)
+    pivots, _, _ = rref(mat, n)
     if any(n in row for row in mat[len(pivots):]):
         raise ScalarError("element is a zero divisor (reducible relation?)")
     out = {basis[col]: row[n] for row, col in zip(mat, pivots) if n in row}
@@ -684,9 +698,12 @@ class Scalar:
 
     def is_zero(self):
         x = self._t
-        if x is None:
-            return not self._num
-        return not x[0] and not x[1]
+        return not self._num if x is None else not (x[0] or x[1])
+
+    def __bool__(self):
+        """False exactly at zero, as for ints and Fractions."""
+        x = self._t
+        return bool(self._num) if x is None else bool(x[0] or x[1])
 
     def is_rational(self):
         x = self._t

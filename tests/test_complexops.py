@@ -531,7 +531,7 @@ def _greedy_sigma(J):
     chosen, sigma = [], []
     for r in range(n):
         unit = [table.one if s == r else table.zero for s in range(n)]
-        if linear.rank(chosen + [unit], table) > linear.rank(chosen, table):
+        if linear.rank(chosen + [unit]) > linear.rank(chosen):
             sigma.append(r + 1)
             chosen += [unit, list(J.matrix[r])]
     return tuple(sigma)
@@ -575,7 +575,6 @@ def _dense_model_reference(J):
 
     from hermitia import linear
     from hermitia.cealg import _add_products
-    from hermitia.scalars import Scalar
 
     pres = J.presentation
     table = pres.table
@@ -588,7 +587,7 @@ def _dense_model_reference(J):
         for i, x in enumerate(J.matrix[r]):
             if not x.is_zero():
                 duals[i][2 * r + 1] = x
-    pivots = linear.rref(duals, 2 * n, Scalar.is_zero)[0]
+    pivots = linear.rref(duals, 2 * n)[0]
     sigma = tuple(c // 2 + 1 for c in pivots if c % 2 == 0)
     etas = [pres.generator(r) - i_unit * J.pullback_one_form(pres.generator(r)) for r in sigma]
 

@@ -340,6 +340,18 @@ def test_cli_power_identity_exit_one(tmp_path):
     assert "no dominant eigenvalue" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "power"])
+def test_cli_empty_lattice_is_refused_by_its_signature(tmp_path, command):
+    """An empty Gram matrix and an empty matrix reach the exact kernels with
+    no row to read a width from; the command refuses the signature (0, 0, 0)
+    with exit 1 and one line, not a traceback."""
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    code, out, err = _run_cli([command, "--gram", str(empty), "--matrix", str(empty)])
+    assert (code, out) == (1, "")
+    assert err == "error: classification requires signature (1, n, 0), got (0, 0, 0); refusing to guess\n"
+
+
 def test_cli_classify_rational_entries(tmp_path):
     gram = tmp_path / "g.json"
     gram.write_text('[[0,0,"1/2"],[0,-1,0],["1/2",0,0]]')

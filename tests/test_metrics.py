@@ -112,6 +112,28 @@ def test_predicates_share_one_power_ladder(monkeypatch):
     assert not calls
 
 
+def test_power_ladder_extends_from_the_largest_built_power(monkeypatch):
+    """power(k) adds one wedge per missing rung above the largest power
+    already built: power(1) .. power(5) in turn take 4 wedges, not the 10 of
+    rebuilding each power from omega_c, and asking again takes none."""
+    calls = []
+    original = cealg.wedge
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(metrics, "wedge", counting)
+    monkeypatch.setattr(cealg, "wedge", counting)
+    c = _suspension8_candidate()
+    for k in range(1, 6):
+        c.power(k)
+    assert len(calls) == 4
+    for k in range(5, 0, -1):
+        c.power(k)
+    assert len(calls) == 4
+
+
 def test_power_ladder_matches_wedge_power():
     """Each power equals its minors, past the top degree too, whether the
     memo is filled from the top down or from the bottom up."""
@@ -446,7 +468,7 @@ def test_gram_signature_bilinear_matrix():
 
     t = SymbolTable()
     h = [[t.scalar(1 if i == j and i % 2 == 0 else -1 if i == j else 0) for j in range(8)] for i in range(8)]
-    res = gram_and_signature(h, table=t)
+    res = gram_and_signature(h)
     assert res.signature == (4, 4, 0)
 
 
@@ -483,7 +505,7 @@ def test_gram_signature_at_a_relation_root():
     s2 = t.symbol("s2")
 
     def signature(x, number):
-        res = gram_and_signature(((x, t.zero), (t.zero, t.one)), {"s2": number}, t)
+        res = gram_and_signature(((x, t.zero), (t.zero, t.one)), {"s2": number})
         assert not res.exact
         return res.signature
 
@@ -518,7 +540,7 @@ def test_exact_signature_at_a_valuation_matches_numpy(data, n, s2, b):
     val = {"s2": s2, "b": b}
     evs = np.linalg.eigvalsh(np.array([[x.evaluate(val) for x in row] for row in h]))
     assume(np.min(np.abs(evs)) > 1e-6)
-    res = gram_and_signature(h, val, table=_S2B)
+    res = gram_and_signature(h, val)
     assert res.signature == (int(np.sum(evs > 0)), int(np.sum(evs < 0)), 0)
 
 
@@ -597,20 +619,21 @@ def test_strong_positivity_certificate_roundtrip(flat_candidate):
 
 
 def test_strong_positivity_undecided_coefficient_sign_is_an_error():
-    """t^2 = 2 is reducible over Q(i, s) with s^2 = 2, so s - t is a nonzero
-    scalar whose value at s = t = sqrt 2 is 0: its sign is not decided, and
-    the check refuses."""
-    table = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("t", relation=(2, "2"))])
+    """t^2 = 6 is reducible over Q(i, s, u) with s^2 = 2 and u^2 = 3, so
+    t - s u is a nonzero scalar whose value at s = sqrt 2, u = sqrt 3,
+    t = sqrt 6 is 0: its sign is not decided, and the check refuses."""
+    table = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("u", relation=(2, "3")),
+                         Symbol("t", relation=(2, "6"))])
     p = LieAlgebraPresentation(2, {}, table=table)
     J = AlmostComplexStructure.from_action(p, {1: "e2"})
-    coeff = table.symbol("s") - table.symbol("t")
+    coeff = table.symbol("t") - table.symbol("s") * table.symbol("u")
     form = p.form([(coeff, (1, 2))])
-    valuation = {"s": 1.4, "t": 1.4}
+    valuation = {"s": 1.4, "u": 1.7, "t": 2.4}
     with pytest.raises(MetricError, match="not decided"):
         strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation=valuation)
-    valuation["s"] = -1.4
+    valuation["t"] = -2.4
     bad = strong_positivity_certificate(form, J, [(coeff, (J.model().eta(1),))], valuation=valuation)
-    assert bad.notes == {"negative_coefficient": "s-t"}
+    assert bad.notes == {"negative_coefficient": "t-s*u"}
 
 
 def test_strong_positivity_rejects_negative_coefficient(flat_candidate):

@@ -32,12 +32,23 @@ def _allowed(earlier, relation):
         sym.name == "s" and sym.relation for sym in earlier)
 
 
+def _declares(symbols):
+    """Whether the declarations make a table: a relation that factors over
+    the field of the earlier ones (b^2 = 2 after a^2 = 2) is refused."""
+    try:
+        SymbolTable(symbols)
+    except ScalarError:
+        return False
+    return True
+
+
 @st.composite
 def declarations(draw):
     """A valid declaration list over the names a, b, s, u in any order."""
     out = []
     for name in draw(st.lists(st.sampled_from("absu"), unique=True, max_size=4)):
-        relation = draw(st.sampled_from([r for r in RELATIONS if _allowed(out, r)]))
+        relation = draw(st.sampled_from([
+            r for r in RELATIONS if _allowed(out, r) and _declares(out + [Symbol(name, r)])]))
         out.append(Symbol(name, relation, draw(st.sampled_from(HINTS))))
     return out
 
@@ -46,7 +57,8 @@ def declarations(draw):
 def table_pairs(draw):
     """Two declaration lists; where both declare a name, the second may
     repeat the first's declaration, its right side retyped to equal text.
-    A right side that no longer finds s related is dropped."""
+    A right side that no longer finds s related, or that the earlier
+    declarations make reducible, is dropped."""
     first = draw(declarations())
     own = {sym.name: sym for sym in first}
     second = []
@@ -54,7 +66,7 @@ def table_pairs(draw):
         twin = own.get(sym.name)
         if twin is not None and draw(st.booleans()):
             sym = Symbol(sym.name, RETYPED.get(twin.relation, twin.relation), twin.sign_hint)
-        if not _allowed(second, sym.relation):
+        if not (_allowed(second, sym.relation) and _declares(second + [sym])):
             sym = Symbol(sym.name, None, sym.sign_hint)
         second.append(sym)
     return first, second
@@ -88,8 +100,15 @@ def test_merge_keeps_declarations_and_refuses_exactly_the_conflicts(pair):
         with pytest.raises(ScalarError, match="is declared with"):
             direct_sum(g1, g2)
         return
-    merged = t1.merge(t2)
     new = tuple(sym for sym in d2 if sym.name not in first)
+    if not _declares(tuple(d1) + new):
+        # each table is a field, but together they declare a reducible tower
+        with pytest.raises(ScalarError, match="is reducible"):
+            t1.merge(t2)
+        with pytest.raises(ScalarError, match="is reducible"):
+            direct_sum(g1, g2)
+        return
+    merged = t1.merge(t2)
     assert merged.symbols == tuple(d1) + new
     assert (merged is t1) == (not new)
     s = direct_sum(g1, g2)

@@ -329,7 +329,6 @@ def _greedy_half_frame(t):
     from hermitia import linear
 
     model = t.I.model()
-    table = t.presentation.table
     n = t.presentation.dim
 
     def row(form):
@@ -339,7 +338,7 @@ def _greedy_half_frame(t):
     for r in range(1, model.m + 1):
         eta = model.eta(r)
         if len(frame) < model.m // 2 and (
-            linear.rank(chosen + [row(eta)], table) > linear.rank(chosen, table)
+            linear.rank(chosen + [row(eta)]) > linear.rank(chosen)
         ):
             frame.append(r)
             chosen += [row(eta), row(t.J.apply_to_one_form(eta.conjugate()))]

@@ -267,14 +267,16 @@ def test_evaluate_odd_relation_has_one_real_root():
 
 
 def test_sign_at_of_a_value_zero_only_at_one_root_is_undecided():
-    """t^2 = 2 is irreducible over Q(i) but not over Q(i, s) with s^2 = 2:
-    s - t is a nonzero scalar whose value at s = t = sqrt 2 is 0, so no
-    refinement separates it, and the sign is None."""
-    t = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("t", relation=(2, "2"))])
-    diff = t.symbol("s") - t.symbol("t")
+    """t^2 = 6 is irreducible over Q(i, s) and over Q(i, u) but not over
+    Q(i, s, u) with s^2 = 2 and u^2 = 3: t - s u is a nonzero scalar whose
+    value at s = sqrt 2, u = sqrt 3, t = sqrt 6 is 0, so no refinement
+    separates it, and the sign is None."""
+    t = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("u", relation=(2, "3")),
+                     Symbol("t", relation=(2, "6"))])
+    diff = t.symbol("t") - t.symbol("s") * t.symbol("u")
     assert not diff.is_zero()
-    assert diff.sign_at({"s": -1.0, "t": 1.0}) == -1
-    assert diff.sign_at({"s": 1.0, "t": 1.0}) is None
+    assert diff.sign_at({"s": 1.0, "u": 1.0, "t": -1.0}) == -1
+    assert diff.sign_at({"s": 1.0, "u": 1.0, "t": 1.0}) is None
 
 
 REDUCIBLE = [(2, "4"), (2, "-9/4"), (2, "-1"), (2, "0"), (3, "8"), (3, "-27/8"), (3, "1"),
@@ -293,6 +295,48 @@ def test_relation_is_refused_iff_reducible_over_gaussians(k, rhs):
             SymbolTable([Symbol("s", relation=(k, rhs))])
     else:
         assert SymbolTable([Symbol("s", relation=(k, rhs))]).relations[1][0] == k
+
+
+TOWER_REDUCIBLE = [[(2, "2"), (2, "2")], [(2, "2"), (2, "8")], [(2, "2"), (2, "-2")],
+                   [(2, "2"), (4, "8")]]
+TOWER_IRREDUCIBLE = [[(2, "2"), (2, "3")], [(2, "2"), (2, "6")], [(3, "2"), (2, "2")],
+                     [(2, "2"), (2, "3"), (2, "6")]]
+
+
+@pytest.mark.parametrize("relations", TOWER_REDUCIBLE + TOWER_IRREDUCIBLE)
+def test_relation_with_a_square_root_in_an_earlier_symbol_is_refused(relations):
+    """t^k = c with k even is refused when c or -c is a rational square times
+    the rational right side a of one earlier s^k' = a with k' even: s^(k'/2)
+    and i give sqrt c, and x^k - c = (x^(k/2) - sqrt c)(x^(k/2) + sqrt c).
+    Any other tower is declared."""
+    symbols = [Symbol(f"s{j}", relation=rel) for j, rel in enumerate(relations)]
+    if relations in TOWER_REDUCIBLE:
+        with pytest.raises(ScalarError, match=r"relation for s1 is reducible: .* over Q\(i, s0\)"):
+            SymbolTable(symbols)
+    else:
+        assert len(SymbolTable(symbols).relations) == len(relations) + 1
+
+
+_BOOL_TABLES = {
+    "Q(i)": (SymbolTable(), "i"),
+    "Q(i)(a)": (SymbolTable([Symbol("a")]), "a"),
+    "Q(i, s)": (SymbolTable([Symbol("s", relation=(2, "2"))]), "s"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_BOOL_TABLES))
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(st.integers(-2, 2), min_size=4, max_size=4), den=st.integers(0, 2))
+def test_scalar_is_falsy_exactly_at_zero(field, coeffs, den):
+    """bool(x) is the zero test: p + q i + r t + u t^2 over a chosen
+    denominator, where t is i, a free symbol or s with s^2 = 2, so that
+    u t^2 cancels p in some draws (i^2 = -1, s^2 = 2)."""
+    t, name = _BOOL_TABLES[field]
+    p, q, r, u = coeffs
+    x = t.symbol(name)
+    value = (p + q * t.i + r * x + u * x * x) / [t.one, t.scalar(3), 3 + x * x][den]
+    assert bool(value) == (not value.is_zero())
+    assert bool(value) == (value != t.zero)
 
 
 def test_print_parse_roundtrip_examples(table):

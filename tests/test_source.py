@@ -195,16 +195,18 @@ def test_hyperbolic_bisects_in_one_loop():
 
 
 def test_omega_powers_are_the_wedge_power():
-    """``HermitianCandidate.power`` is a memo over ``cealg.wedge_power``: the
-    expansion kernel it replaced (``_next_rung``, ``_by_first_index``) is
-    not named in ``metrics.py``."""
+    """``HermitianCandidate.power`` builds omega_c^k as ``cealg.wedge_power``
+    does for a form with no 0-form part, one ``wedge`` by omega_c per rung,
+    on one ladder: it does not call ``wedge_power``, which would rebuild
+    the lower rungs, and the expansion kernel it replaced (``_next_rung``,
+    ``_by_first_index``) is not named in ``metrics.py``."""
     text = (SRC / "metrics.py").read_text(encoding="utf-8")
     assert "_next_rung" not in text and "_by_first_index" not in text
     tree = ast.parse(text)
     cand = next(top for top in tree.body if getattr(top, "name", None) == "HermitianCandidate")
     power = next(f for f in cand.body if getattr(f, "name", None) == "power")
     called = {getattr(n.func, "id", None) for n in ast.walk(power) if isinstance(n, ast.Call)}
-    assert "wedge_power" in called
+    assert "wedge" in called and "wedge_power" not in called
 
 
 def test_quaternion_does_not_import_numpy():
@@ -243,6 +245,41 @@ def test_linear_defines_one_elimination():
             if isinstance(node, ast.FunctionDef) and "rref" in node.name.lower():
                 found.append(f"{path.name}:{node.name}")
     assert found == ["linear.py:rref"], found
+
+
+def test_linear_kernels_take_no_zero_test():
+    """Truthiness is the zero test of ints, Fractions and scalars alike, so
+    ``rref`` and ``congruence_signature`` take no ``is_zero`` parameter and
+    ``linear`` keeps no helper that finds one (``_zero_test``)."""
+    tree = ast.parse((SRC / "linear.py").read_text(encoding="utf-8"))
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("rref", "congruence_signature"):
+        assert "is_zero" not in [a.arg for a in defs[name].args.args], name
+    assert "_zero_test" not in defs
+
+
+def test_hyperbolic_multiplies_on_the_linear_kernel_outside_every_span():
+    """``hyperbolic`` keeps no matrix product of its own (``_mat_mul``), and
+    it names no ``linear`` function that ``perfbench/tracer.py`` wraps, so
+    lattice work fires no ``linear.*`` span."""
+    import importlib.util
+
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spanned = {attr for targets in tracer.SPANS.values() for mod, attr in targets if mod == "linear"}
+    assert "mat_mul" in spanned
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    assert "_mat_mul" not in {getattr(n, "name", None) for n in ast.walk(tree)}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "linear":
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linear":
+            named.add(node.attr)
+    assert "product" in named
+    assert not named & spanned, named & spanned
 
 
 def test_scalar_subtraction_is_addition_of_the_negation():
