@@ -8,17 +8,26 @@ earlier; normalization keeps every exponent of a related symbol below ``k``.
 The built-in symbol ``i`` has the relation ``i^2 = -1``.  Symbols without a
 relation are free (transcendental) and are treated as real under conjugation.
 
-A scalar is stored in one of two ways:
+A scalar is stored in one of three ways:
 
 * In a table whose only relation is ``i^2 = -1`` (``SymbolTable.gaussian``),
   every value with no free symbol lies in Q(i) and is held as one integer
   triple ``(a, b, d)`` meaning ``(a + b*i)/d`` with ``d > 0`` and
-  ``gcd(a, b, d) = 1``.  Arithmetic on two such values uses ``int``
-  operations only; the polynomial ``num``/``den`` view is built on demand.
-* Every other value (one with a free symbol, or any value of a table that
-  declares its own relations) is held as the polynomial fraction itself.
-  An operation with an operand of this kind takes the polynomial path, and a
-  result with no free symbol in a gaussian table becomes a triple again.
+  ``gcd(a, b, d) = 1``.
+* In such a table, a value with a free symbol and denominator 1 is held the
+  same way, as integer terms ``{free monomial: (a, b)}`` over one integer
+  ``d > 0`` with the gcd of every ``a``, every ``b`` and ``d`` equal to 1.
+* Every other value (a quotient by a non-constant polynomial, or any value
+  of a table that declares its own relations) is held as the polynomial
+  fraction itself, over ``Fraction`` coefficients.
+
+``+``, ``-``, ``*``, negation, conjugation and ``==`` on values of the two
+integer kinds, and ``/`` of one by a value in Q(i), use ``int`` operations
+only, with ``i^2 = -1`` applied inline; the polynomial ``num``/``den`` view
+is built only when something reads it.  Any other operation takes the
+polynomial path, and a result in a gaussian table whose denominator is 1
+becomes one of the integer kinds again: a triple when no free symbol is
+left.
 
 Zero has a unique representation, so equality of canonical forms decides
 equality of values; a scalar is falsy exactly at zero, as an int or a
@@ -72,7 +81,7 @@ class EvaluationError(ScalarError):
 Monomial = tuple
 _ONE_MONO: Monomial = ()
 _I_MONO: Monomial = ((0, 1),)
-_ONE_POLY = {_ONE_MONO: Fraction(1)}  # shared denominator of every triple; never mutated
+_ONE_POLY = {_ONE_MONO: Fraction(1)}  # shared denominator of the integer kinds; never mutated
 
 
 def _is_one_poly(p):
@@ -129,7 +138,7 @@ class SymbolTable:
         self.relations = {0: (2, {_ONE_MONO: Fraction(-1)})}
         self._index = {"i": 0}
         self._parsed = {}  # expression string -> Scalar; the table is fixed after __init__
-        # while only i is related, values with no free symbol are integer triples
+        # while only i is related, values with denominator 1 are held on integers
         self.gaussian = True
         for sym in self.symbols:
             self._declare(sym)
@@ -174,17 +183,21 @@ class SymbolTable:
 
     def _splitting(self, k, c):
         """A field over which x^k - c factors, for a rational c, or None: Q(i)
-        by Capelli's test, else for an even k Q(i, s) with an earlier
-        s^k' = a, k' even, a rational and x^2 - c/a factoring over Q(i), as
-        sqrt c = sqrt(c/a) s^(k'/2) then lies in the field.  Products of
-        several right sides, odd primes and irrational right sides are not
-        tested."""
+        by Capelli's test, else Q(i, s) for an earlier s^k' = a with a
+        rational, a prime p dividing k and k', and x^p - c/a^e factoring over
+        Q(i) for some e in 1..p-1: then x^p - c has the root
+        (c/a^e)^(1/p) s^(e k'/p) in the field, and x^k - c the factor
+        x^(k/p) minus it.  Products of several right sides and irrational
+        right sides are not tested."""
         if _splits_over_gaussians(k, c):
             return "Q(i)"
         for j, (kj, a) in self.relations.items():
-            rational = set(a) == {_ONE_MONO}
-            if rational and k % 2 == kj % 2 == 0 and _splits_over_gaussians(2, c / a[_ONE_MONO]):
-                return f"Q(i, {self.names[j]})"
+            if set(a) != {_ONE_MONO}:
+                continue
+            a = a[_ONE_MONO]
+            for p in _prime_factors(gcd(k, kj)):
+                if any(_splits_over_gaussians(p, c / a**e) for e in range(1, p)):
+                    return f"Q(i, {self.names[j]})"
         return None
 
     @cached_property
@@ -244,6 +257,8 @@ class SymbolTable:
         """Lift an int, float, Fraction, expression string or Scalar into
         this table's ring.  Scalars are immutable, so each expression string
         is parsed once per table; a string that fails to parse is not kept."""
+        if type(value) is int and self.gaussian:
+            return _gaussian(self, value, 0, 1)
         if isinstance(value, Scalar):
             if not self.compatible(value.table):
                 raise ScalarError("scalar belongs to an incompatible symbol table")
@@ -277,6 +292,8 @@ class SymbolTable:
         idx = self._index.get(name)
         if idx is None:
             raise ScalarError(f"undeclared identifier {name!r}")
+        if self.gaussian:
+            return _int_scalar(self, {((idx, 1),): (1, 0)}, 1)
         return Scalar(self, {((idx, 1),): Fraction(1)}, {_ONE_MONO: Fraction(1)}, _normalized=True)
 
     def parse(self, text) -> "Scalar":
@@ -295,8 +312,12 @@ class SymbolTable:
             }
 
         def remap(s: Scalar) -> Scalar:
-            if s._t is not None and self.gaussian:
-                return _gaussian(self, *s._t)
+            if self.gaussian:
+                if s._t is not None:
+                    return _gaussian(self, *s._t)
+                if s._p is not None:
+                    terms, d = s._p
+                    return _int_scalar(self, remap_poly(terms), d)
             return Scalar(self, remap_poly(s.num), remap_poly(s.den))
 
         return remap
@@ -428,6 +449,14 @@ def _free_grlex_key(free_mono):
     return (sum(e for _i, e in free_mono), free_mono)
 
 
+def _monomial_order_key(mono):
+    """Graded lex with the lower symbol index more significant.  Unlike
+    ``_free_grlex_key`` (c > b but b*b > b*c), this order is kept by
+    multiplication, so the leading monomial of a product is the product of
+    the leading monomials, which exact division needs."""
+    return (sum(e for _i, e in mono), tuple((-i, e) for i, e in mono))
+
+
 def _by_free_monomial(p, alg_set):
     """Group as {free monomial: {algebraic monomial: coeff}}."""
     out = {}
@@ -525,7 +554,7 @@ def _poly_divexact(table, f, g):
     gf = _by_free_monomial(g, alg)
     if not gf:
         raise ScalarError("division by zero")
-    glead = max(gf, key=_free_grlex_key)
+    glead = max(gf, key=_monomial_order_key)
     ginv = _alg_inverse(table, gf[glead])
     out = {}
     rem = dict(f)
@@ -535,7 +564,7 @@ def _poly_divexact(table, f, g):
         if guard > 10000:
             raise ScalarError("exact division failed to terminate")
         rf = _by_free_monomial(rem, alg)
-        rlead = max(rf, key=_free_grlex_key)
+        rlead = max(rf, key=_monomial_order_key)
         # monomial quotient
         ge = dict(glead)
         diff = {}
@@ -633,18 +662,19 @@ class Scalar:
     """One value of a symbol table's coefficient ring.
 
     Supports +, -, *, /, ** with other scalars or ints/Fractions.  In a
-    gaussian table a value with no free symbol is the integer triple ``_t``
-    (see the module docstring); every other value is a canonical fraction of
-    reduced polynomials: numerator and denominator reduced modulo all
-    relations, the fraction gcd-cancelled, and the denominator normalized so
-    its leading coefficient (graded-lex over free symbols) is exactly 1.
-    ``num`` and ``den`` read the canonical fraction of either kind; zero is
-    ``({}, {1: 1})``.  ``+``, ``*``, ``/`` and negation compute two triples
-    of one table inline; only an operand of another table, an int or a
-    Fraction goes through ``_coerce``.
+    gaussian table a value with denominator 1 is held on integers (see the
+    module docstring): one with no free symbol as the triple ``_t``, one with
+    a free symbol as the terms and denominator ``_p``.  Every other value is
+    a canonical fraction of reduced polynomials: numerator and denominator
+    reduced modulo all relations, the fraction gcd-cancelled, and the
+    denominator normalized so its leading coefficient (graded-lex over free
+    symbols) is exactly 1.  ``num`` and ``den`` read the canonical fraction
+    of every kind; zero is ``({}, {1: 1})``.  ``+``, ``*``, ``/`` and
+    negation compute two triples of one table inline; only an operand of
+    another table, an int or a Fraction goes through ``_coerce``.
     """
 
-    __slots__ = ("table", "_t", "_num", "den")
+    __slots__ = ("table", "_t", "_p", "_num", "den")
 
     def __init__(self, table, num, den, _normalized=False):
         self.table = table
@@ -652,23 +682,25 @@ class Scalar:
             num, den = _canonical_fraction(table, num, den)
         self._num = num
         self.den = den
-        self._t = (
-            _triple(num)
-            if table.gaussian and _is_one_poly(den) and all(not m or m == _I_MONO for m in num)
-            else None
-        )
+        if table.gaussian and _is_one_poly(den):
+            self._t, self._p = _int_kinds(*_int_terms(num))
+        else:
+            self._t = self._p = None
 
     @property
     def num(self):
-        """The numerator {monomial: Fraction}; a triple builds it on first read."""
+        """The numerator {monomial: Fraction}; the integer kinds build it on
+        first read."""
         num = self._num
         if num is None:
-            a, b, d = self._t
+            x = self._t
+            terms, d = ({_ONE_MONO: x[:2]}, x[2]) if x is not None else self._p
             num = {}
-            if a:
-                num[_ONE_MONO] = Fraction(a, d)
-            if b:
-                num[_I_MONO] = Fraction(b, d)
+            for m, (a, b) in terms.items():
+                if a:
+                    num[m] = Fraction(a, d)
+                if b:
+                    num[_I_MONO + m] = Fraction(b, d)
             self._num = num
         return num
 
@@ -685,9 +717,15 @@ class Scalar:
             if not (self.table.compatible(other.table)
                     or self.is_gaussian_rational() and other.is_gaussian_rational()):
                 return False
+            if self._p is not None or other._p is not None:
+                # compatible gaussian tables: a value with denominator 1 is
+                # held on integers, and those forms are canonical
+                return self._p == other._p
         elif isinstance(other, (int, Fraction)):
             if x is not None:
                 return not x[1] and x[0] == other.numerator and x[2] == other.denominator
+            if self._p is not None:
+                return False
             other = self.table.scalar(other)
         else:
             return NotImplemented
@@ -698,18 +736,23 @@ class Scalar:
 
     def is_zero(self):
         x = self._t
-        return not self._num if x is None else not (x[0] or x[1])
+        if x is not None:
+            return not (x[0] or x[1])
+        return self._p is None and not self._num
 
     def __bool__(self):
         """False exactly at zero, as for ints and Fractions."""
         x = self._t
-        return bool(self._num) if x is None else bool(x[0] or x[1])
+        if x is not None:
+            return bool(x[0] or x[1])
+        return self._p is not None or bool(self._num)
 
     def is_rational(self):
         x = self._t
         if x is not None:
             return not x[1]
-        return self.den == _ONE_POLY and (not self._num or set(self._num) == {_ONE_MONO})
+        return self._p is None and self.den == _ONE_POLY and (
+            not self._num or set(self._num) == {_ONE_MONO})
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -723,6 +766,8 @@ class Scalar:
         """True when no declared symbol occurs, i.e. the value lies in Q(i)."""
         if self._t is not None:
             return True
+        if self._p is not None:
+            return False
         return all(idx == 0 for part in (self._num, self.den) for mono in part for idx, _e in mono)
 
     # -- ring operations -----------------------------------------------------
@@ -754,10 +799,13 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (a, b, d)
+            s._p = None
             s._num = None
             s.den = _ONE_POLY
             return s
         t = self.table
+        if (p := _int_form(self)) is not None and (q := _int_form(o)) is not None:
+            return _int_add(t, p, q)
         sden, oden = self.den, o.den
         if sden == oden:
             total = _poly_add(self.num, o.num)
@@ -776,9 +824,13 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (-x[0], -x[1], x[2])
+            s._p = None
             s._num = None
             s.den = _ONE_POLY
             return s
+        if (p := self._p) is not None:
+            terms, d = p
+            return _int_scalar(self.table, {m: (-a, -b) for m, (a, b) in terms.items()}, d)
         return Scalar(self.table, _poly_neg(self._num), self.den, _normalized=True)
 
     def __sub__(self, other):
@@ -808,10 +860,19 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (a, b, d)
+            s._p = None
             s._num = None
             s.den = _ONE_POLY
             return s
         t = self.table
+        if x is not None:
+            if (q := o._p) is not None:
+                return _int_scale(t, q, *x)
+        elif (p := self._p) is not None:
+            if y is not None:
+                return _int_scale(t, p, *y)
+            if (q := o._p) is not None:
+                return _int_mul(t, p, q)
         if _is_one_poly(self.den) and _is_one_poly(o.den):
             # products of reduced polynomials over denominator 1 are canonical
             return Scalar(t, _poly_mul(t, self.num, o.num), self.den, _normalized=True)
@@ -838,12 +899,16 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (a, b, d)
+            s._p = None
             s._num = None
             s.den = _ONE_POLY
             return s
         if o.is_zero():
             raise ScalarError("division by a scalar that normalizes to zero")
         t = self.table
+        if y is not None and (p := self._p) is not None:
+            a2, b2, d2 = y
+            return _int_scale(t, p, a2 * d2, -b2 * d2, a2 * a2 + b2 * b2)
         return Scalar(t, _poly_mul(t, self.num, o.den), _poly_mul(t, self.den, o.num))
 
     def __rtruediv__(self, other):
@@ -873,6 +938,9 @@ class Scalar:
         x = self._t
         if x is not None:
             return _gaussian(self.table, x[0], -x[1], x[2])
+        if (p := self._p) is not None:
+            terms, d = p
+            return _int_scalar(self.table, {m: (a, -b) for m, (a, b) in terms.items()}, d)
         return Scalar(self.table, _poly_conj(self._num), _poly_conj(self.den), _normalized=True)
 
     # -- evaluation ------------------------------------------------------------
@@ -958,7 +1026,7 @@ class Scalar:
 
     def _text(self):
         num_s, num_simple = _poly_str(self.table, self.num)
-        if self.den == {_ONE_MONO: Fraction(1)}:
+        if _is_one_poly(self.den):
             return num_s
         den_s, den_simple = _poly_str(self.table, self.den)
         if not num_simple:
@@ -979,18 +1047,118 @@ def _gaussian(table, a, b, d) -> Scalar:
     s = _new(Scalar)
     s.table = table
     s._t = (a, b, d)
+    s._p = None
     s._num = None
     s.den = _ONE_POLY
     return s
 
 
-def _triple(num):
-    """The normalized triple of a canonical numerator over Q(i)."""
-    x = num.get(_ONE_MONO, 0)
-    y = num.get(_I_MONO, 0)
-    dx, dy = x.denominator, y.denominator
-    d = dx * dy // gcd(dx, dy)
-    return (x.numerator * (d // dx), y.numerator * (d // dy), d)
+# ---------------------------------------------------------------------------
+# the integer kinds of a gaussian table: terms {free monomial: (a, b)} over
+# one denominator d > 0, the value sum (a + b*i)/d * monomial
+# ---------------------------------------------------------------------------
+
+
+def _int_terms(num):
+    """The integer terms and least denominator of a canonical numerator."""
+    d = 1
+    for c in num.values():
+        d = lcm(d, c.denominator)
+    terms = {}
+    for m, c in num.items():
+        n = c.numerator * (d // c.denominator)
+        if m and m[0][0] == 0:  # i times a free monomial
+            a, b = terms.get(m[1:], (0, 0))
+            terms[m[1:]] = (a, b + n)
+        else:
+            a, b = terms.get(m, (0, 0))
+            terms[m] = (a + n, b)
+    return terms, d
+
+
+def _int_kinds(terms, d):
+    """``(_t, _p)`` for normalized integer terms: a triple when no free
+    monomial occurs."""
+    if len(terms) > 1 or terms and _ONE_MONO not in terms:
+        return None, (terms, d)
+    a, b = terms.get(_ONE_MONO, (0, 0))
+    return (a, b, d), None
+
+
+def _int_scalar(table, terms, d) -> Scalar:
+    """The scalar of normalized integer terms over d."""
+    s = _new(Scalar)
+    s.table = table
+    s._t, s._p = _int_kinds(terms, d)
+    s._num = None
+    s.den = _ONE_POLY
+    return s
+
+
+def _int_value(table, terms, d) -> Scalar:
+    """The scalar of integer terms over d, after dividing out their gcd."""
+    if d != 1:
+        g = d
+        for a, b in terms.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        if g != 1:
+            d //= g
+            terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
+    return _int_scalar(table, terms, d)
+
+
+def _int_form(s):
+    """The integer terms and denominator of a scalar held on integers, else None."""
+    x = s._t
+    if x is None:
+        return s._p
+    return ({_ONE_MONO: x[:2]} if x[0] or x[1] else {}), x[2]
+
+
+def _int_add(table, p, q):
+    (pt, pd), (qt, qd) = p, q
+    g = gcd(pd, qd)
+    f, h = qd // g, pd // g
+    out = dict(pt) if f == 1 else {m: (a * f, b * f) for m, (a, b) in pt.items()}
+    for m, (a, b) in qt.items():
+        if h != 1:
+            a, b = a * h, b * h
+        c = out.get(m)
+        if c is not None:
+            a, b = a + c[0], b + c[1]
+            if not (a or b):
+                del out[m]
+                continue
+        out[m] = (a, b)
+    return _int_value(table, out, pd * f)
+
+
+def _int_scale(table, p, a2, b2, d2):
+    """p times (a2 + b2*i)/d2, for integers a2, b2 and d2 > 0."""
+    if not (a2 or b2):
+        return _gaussian(table, 0, 0, 1)
+    terms, d = p
+    out = {m: (a * a2 - b * b2, a * b2 + a2 * b) for m, (a, b) in terms.items()}
+    return _int_value(table, out, d * d2)
+
+
+def _int_mul(table, p, q):
+    (pt, pd), (qt, qd) = p, q
+    out = {}
+    for m1, (a1, b1) in pt.items():
+        for m2, (a2, b2) in qt.items():
+            m = _mono_mul(m1, m2)
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + a2 * b1
+            c = out.get(m)
+            if c is not None:
+                a, b = a + c[0], b + c[1]
+                if not (a or b):
+                    del out[m]
+                    continue
+            out[m] = (a, b)
+    return _int_value(table, out, pd * qd)
 
 
 def _canonical_fraction(table, num, den):
@@ -1112,6 +1280,19 @@ def _splits_over_gaussians(k, c):
     )
 
 
+def _prime_factors(n):
+    """The distinct primes dividing the integer n >= 1, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
 def _iroot(n, k):
     """floor(n^(1/k)) for an integer n >= 0, by Newton's method from above."""
     x = 1 << -(-n.bit_length() // k)
@@ -1204,12 +1385,13 @@ def _poly_str(table, poly):
     pieces = []
     for mono, coeff in items:
         ms = _mono_str(table, mono)
+        size = abs(coeff)
         if not ms:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
+            body = str(size)
+        elif size == 1:
             body = ms
         else:
-            body = f"{abs(coeff)}*{ms}"
+            body = f"{size}*{ms}"
         pieces.append(("-" if coeff < 0 else "+", body))
     sign, body = pieces[0]
     text = ("-" if sign == "-" else "") + body

@@ -96,6 +96,9 @@ def test_division_by_algebraic_clears_denominator(table):
 def test_polynomial_cancellation(table):
     assert parse_expr("(b^2-1)/(b-1)", table) == parse_expr("b+1", table)
     assert parse_expr("(a*b+a)/(b+1)", table) == parse_expr("a", table)
+    # a gcd whose terms lead in another order than the dividend's
+    assert parse_expr("(a*b+b^2)/(a+b)", table) == parse_expr("b", table)
+    assert parse_expr("(s2*a*b+b^2)/(s2*a+b)", table) == parse_expr("b", table)
 
 
 def test_conjugation(table):
@@ -309,8 +312,27 @@ def test_relation_with_a_square_root_in_an_earlier_symbol_is_refused(relations):
     the rational right side a of one earlier s^k' = a with k' even: s^(k'/2)
     and i give sqrt c, and x^k - c = (x^(k/2) - sqrt c)(x^(k/2) + sqrt c).
     Any other tower is declared."""
+    _assert_tower_refused_iff(relations, relations in TOWER_REDUCIBLE)
+
+
+ODD_TOWER_REDUCIBLE = [[(3, "2"), (3, "2")], [(3, "2"), (3, "4")], [(6, "2"), (3, "2")],
+                       [(3, "2"), (6, "-32")], [(5, "3"), (5, "9")]]
+ODD_TOWER_IRREDUCIBLE = [[(3, "2"), (3, "3")], [(3, "2"), (3, "6")], [(5, "3"), (3, "3")]]
+
+
+@pytest.mark.parametrize("relations", ODD_TOWER_REDUCIBLE + ODD_TOWER_IRREDUCIBLE)
+def test_relation_with_an_odd_prime_root_in_an_earlier_symbol_is_refused(relations):
+    """t^k = c is refused when, for the rational right side a of one earlier
+    s^k' = a and an odd prime p dividing k and k', c/a^e is a rational p-th
+    power r^p for some e in 1..p-1: then r s^(e k'/p) is a p-th root of c,
+    and x^(k/p) minus it divides x^k - c.  With no common prime, or no such
+    e, the tower is declared."""
+    _assert_tower_refused_iff(relations, relations in ODD_TOWER_REDUCIBLE)
+
+
+def _assert_tower_refused_iff(relations, reducible):
     symbols = [Symbol(f"s{j}", relation=rel) for j, rel in enumerate(relations)]
-    if relations in TOWER_REDUCIBLE:
+    if reducible:
         with pytest.raises(ScalarError, match=r"relation for s1 is reducible: .* over Q\(i, s0\)"):
             SymbolTable(symbols)
     else:
@@ -723,3 +745,122 @@ def test_property_power_digits_is_a_lower_bound(a, b, d, k, on_the_circle):
     bound = scalars_module.power_digits(c, k)
     written = [n for x in (c**k).num.values() for n in (x.numerator, x.denominator)]
     assert bound < max((len(str(abs(n))) for n in written), default=1)
+
+
+# -- gaussian polynomials on integers against a Fraction-path oracle ---------
+
+_FREE = ("a", "b", "c")
+_GP = SymbolTable([Symbol(n) for n in _FREE])
+# the same ring, but a declared relation keeps every value on the polynomial path
+_GP_ORACLE = SymbolTable([Symbol(n) for n in _FREE] + [Symbol("r", relation=(2, "3"))])
+
+_COEFFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+def _gp_trees():
+    """Polynomials in a, b, c over Q(i), and quotients of them by a Q(i)
+    constant, a symbol or a symbol plus a constant, so that values with a
+    non-constant denominator mix in."""
+    leaves = st.one_of(_COEFFS, st.just("i"), st.sampled_from(_FREE))
+    divisors = st.one_of(_COEFFS, st.just("i"), st.sampled_from(_FREE),
+                         st.tuples(st.just("+"), st.sampled_from(_FREE), _COEFFS))
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(st.tuples(st.sampled_from("+-*"), kids, kids),
+                               st.tuples(st.just("/"), kids, divisors)),
+        max_leaves=8,
+    )
+
+
+def _assert_held_canonically(value):
+    """Denominator 1 means integer storage: the triple with no free symbol,
+    else integer terms with a free monomial over d > 0 and gcd 1."""
+    if value.den != {(): Fraction(1)}:
+        assert value._t is None and value._p is None
+    elif not any(idx for m in value.num for idx, _e in m):
+        assert value._p is None and value._t is not None
+    else:
+        terms, d = value._p
+        assert value._t is None and d > 0 and any(terms)
+        assert gcd(d, *(n for ab in terms.values() for n in ab)) == 1
+        assert all(a or b for a, b in terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gp_trees(), _gp_trees(), st.integers(0, 3))
+def test_property_gaussian_polynomials_match_a_fraction_path_oracle(tx, ty, k):
+    """+ - * / ** conjugation and negation print as the oracle's values do;
+    each value equals, and hashes as, the same value brought in from the
+    oracle's canonical fraction."""
+    x, y = _build(tx, _GP), _build(ty, _GP)
+    ox, oy = _build(tx, _GP_ORACLE), _build(ty, _GP_ORACLE)
+    assert ox._t is None and ox._p is None
+    ops = {
+        "+": operator.add, "-": operator.sub, "*": operator.mul,
+        "**": lambda u, _v: u**k, "conj": lambda u, _v: u.conjugate(), "neg": lambda u, _v: -u,
+    }
+    if y:
+        ops["/"] = operator.truediv
+    for op, f in ops.items():
+        got, want = f(x, y), f(ox, oy)
+        assert str(got) == str(want), op
+        assert got.key() == want.key(), op
+        again = Scalar(_GP, want.num, want.den)
+        assert got == again and hash(got) == hash(again), op
+        _assert_held_canonically(got)
+    if y:
+        back = (x / y) * y
+        assert back == x and hash(back) == hash(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gp_trees(), _PARTS, _PARTS)
+def test_a_sum_that_cancels_to_a_constant_is_the_triple(tree, re, im):
+    x, c = _build(tree, _GP), _qi_value(_GP, re, im)
+    left = (x + c) - x
+    assert left._p is None and left._t == c._t
+    assert left == c and hash(left) == hash(c)
+    assert (x - x)._t == (0, 0, 1) and (x * 0)._t == (0, 0, 1)
+    a = _GP.symbol("a")
+    assert ((a + _GP.i) - a)._t == (0, 1, 1) and (a + _GP.i) - a == _GP.i
+
+
+def test_integer_and_fraction_kinds_compare_by_value():
+    """A polynomial, a quotient and a constant of one table are never equal
+    to each other, and a polynomial equals no int or Fraction."""
+    a, b = _GP.symbol("a"), _GP.symbol("b")
+    poly, quotient = a * b + _GP.i, (a * b + _GP.i) / b
+    assert poly._p is not None and quotient._p is None and quotient._t is None
+    assert poly != quotient and poly != 1 and poly != Fraction(1, 2) and poly != _GP.i
+    assert quotient * b == poly and poly / b == quotient
+    assert a * b / 2 == SymbolTable([Symbol(n) for n in _FREE]).parse("a*b/2")
+    assert a != SymbolTable([Symbol("b"), Symbol("a")]).symbol("b")
+
+
+def test_remapped_polynomial_keeps_integer_terms():
+    """Carried into a table that orders the symbols otherwise, a polynomial
+    is the same value, still held on integers."""
+    old, new = SymbolTable([Symbol("b"), Symbol("a")]), SymbolTable([Symbol("a"), Symbol("b")])
+    text = "a*b^2 + i*b/3 - 1/2"
+    moved = new.remapper(old)(old.parse(text))
+    assert moved._p is not None and moved == new.parse(text) and str(moved) == str(new.parse(text))
+
+
+@pytest.mark.parametrize("name", ["AT4", "fp_solv8", "pseudoHK12"])
+def test_symbolic_builtins_never_multiply_polynomials(name, monkeypatch):
+    """The free-symbol values of the built-ins have denominator 1, so every
+    check runs on integer terms."""
+    from hermitia.builders import builtin
+    from hermitia.manifest import run_check
+
+    manifest = builtin(name)
+    calls = []
+    real = scalars_module._poly_mul
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scalars_module, "_poly_mul", counting)
+    assert run_check(manifest).overall == "pass"
+    assert len(calls) == 0
