@@ -10,13 +10,14 @@ differential is fixed as d^c = i (delbar - del); with this choice
 d d^c a = 2 i del(delbar(a)) on pure-bidegree inputs, so every
 "d d^c (omega^k) = 0" style condition is tested through del(delbar(.)).
 
-The operators act on the complex coframe of the structure's ComplexModel.
-A real-basis form is converted once in and once out; a form over the
-model's complex presentation (``model.cpres``) is acted on in place, so
+The operators act on the complex coframe of the structure, which is its
+ComplexModel: a presentation in its own right, whose generators are the
+coframe and its conjugates.  A real-basis form is converted once in and
+once out; a form over the model is acted on in place, so
 del(delbar(omega^k)) computed there pays for one conversion in total.  The
 conversions and the pullback by J multiply monomials in cealg's one kernel.
 A coframe form is also conjugated in place: ``Form.conjugate`` asks its
-presentation, and the coframe swaps eta_k with its conjugate with the sign
+presentation, and the model swaps eta_k with its conjugate with the sign
 (-1)^(pq) on a (p,q) monomial.  del and delbar are derivations: the model
 splits d of its coframe once into their generator tables, and each operator
 runs cealg's derivation kernel on one table, so it neither takes the full d
@@ -206,40 +207,24 @@ def _conjugate_coframe_terms(terms, m):
     return out
 
 
-class CoframePresentation(LieAlgebraPresentation):
-    """The complex presentation of a ComplexModel: generators eta_1 .. eta_m
-    and their conjugates.  ``model`` leads back to the structure, so a form
-    over a coframe can always be taken to the real basis."""
-
-    def __init__(self, model: "ComplexModel", differential, names):
-        super().__init__(model.real.dim, differential, names=names, table=model.real.table)
-        self.model = model
-
-    def same_algebra(self, other):
-        """Only the coframe itself: the coframes of two structures can share
-        their structure equations, and their forms must still not mix."""
-        return self is other
-
-    def conjugate_terms(self, terms):
-        return _conjugate_coframe_terms(terms, self.model.m)
-
-
-class ComplexModel:
-    """The (1,0)-coframe of an integrable structure and the induced complex
-    presentation ``cpres``, with exact change of basis in both directions.
+class ComplexModel(LieAlgebraPresentation):
+    """The complex coframe of an integrable structure, as a presentation:
+    generators eta_1 .. eta_m (z1 .. zm) and their conjugates (zb1 .. zbm),
+    whose structure equations are d of the coframe rewritten in the coframe,
+    with exact change of basis to and from the real presentation ``real``.
 
     Complex generator k <= m is eta_k; generator m + k is its conjugate.
     ``del_gen`` and ``delbar_gen`` split d of each generator into the part
     that adds a holomorphic index and the rest; del and delbar are the
     derivations with those tables (``derive``, ``d_split_complex``) and act
-    on ``cpres`` forms.  A non-integrable J has no model: the split raises.
-    The change of basis is an algebra isomorphism, applied as the wedge of
-    the generators' images; to_complex and to_real keep nothing, so a caller
-    that needs a form in both bases holds both.
+    on forms over the model.  A non-integrable J has no model: the split
+    raises.  The change of basis is an algebra isomorphism, applied as the
+    wedge of the generators' images; to_complex and to_real keep nothing, so
+    a caller that needs a form in both bases holds both.  The model keeps no
+    reference to its structure, so the two hold no cycle.
     """
 
     def __init__(self, J: AlmostComplexStructure):
-        self.J = J
         pres = J.presentation
         self.real = pres
         table = pres.table
@@ -286,9 +271,6 @@ class ComplexModel:
         coframe = self.eta_forms + [eta.conjugate() for eta in self.eta_forms]
         self._cx_to_real = [sorted(eta.terms.items()) for eta in coframe]
 
-        names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(
-            f"zb{k}" for k in range(1, m + 1)
-        )
         # differential of the complex coframe, rewritten in the coframe itself.
         # With real structure constants d commutes with conjugation (J is real
         # too), so d(conj eta_a) = conj(d eta_a): the (0,1) half is the
@@ -338,12 +320,20 @@ class ComplexModel:
                 f"non-integrable structure: d of a {kind} coframe element has a {part} component",
                 self._nijenhuis_from(forbidden),
             )
-        self.cpres = CoframePresentation(
-            self,
-            {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
-            names=names,
+        names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(f"zb{k}" for k in range(1, m + 1))
+        super().__init__(
+            n, {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
+            names=names, table=table,
         )
-        self.cpres.require_jacobi()
+        self.require_jacobi()
+
+    def same_algebra(self, other):
+        """Only the coframe itself: the coframes of two structures can share
+        their structure equations, and their forms must still not mix."""
+        return self is other
+
+    def conjugate_terms(self, terms):
+        return _conjugate_coframe_terms(terms, self.m)
 
     def _nijenhuis_from(self, forbidden):
         """(a, b, coefficient list of N(e_a, e_b)) for every pair a < b on
@@ -390,10 +380,10 @@ class ComplexModel:
     def to_complex(self, form: Form) -> Form:
         if not self.real.same_algebra(form.presentation):
             raise FormError("form does not live over this model's presentation")
-        return Form(self.cpres, self._substitute(form.terms, self._real_to_cx), _canonical=True)
+        return Form(self, self._substitute(form.terms, self._real_to_cx), _canonical=True)
 
     def to_real(self, cform: Form) -> Form:
-        if not self.cpres.same_algebra(cform.presentation):
+        if not self.same_algebra(cform.presentation):
             raise FormError("form does not live over this model's complex coframe")
         return Form(self.real, self._substitute(cform.terms, self._cx_to_real), _canonical=True)
 
@@ -411,22 +401,20 @@ class ComplexModel:
     def eta_monomial(self, etas, conj_etas=()) -> Form:
         """eta_{a1} ^ .. ^ eta_{ap} ^ conj(eta_{b1}) ^ .. as a complex form."""
         idx = self._coframe(etas) + tuple(self.m + b for b in self._coframe(conj_etas))
-        return self.cpres.form([(1, idx)])
+        return self.form([(1, idx)])
 
     def split_bidegrees(self, cform: Form):
         buckets = {}
         for idx, c in cform.terms.items():
             buckets.setdefault(self.bidegree_of_indices(idx), {})[idx] = c
-        return {
-            pq: Form(self.cpres, t, _canonical=True) for pq, t in buckets.items()
-        }
+        return {pq: Form(self, t, _canonical=True) for pq, t in buckets.items()}
 
     def derive(self, gen, cform: Form) -> Form:
         """The derivation with generator table ``gen`` (``del_gen`` or
         ``delbar_gen``) applied to a coframe form."""
-        if not self.cpres.same_algebra(cform.presentation):
+        if not self.same_algebra(cform.presentation):
             raise FormError("form does not live over this model's complex coframe")
-        return Form(self.cpres, _d_terms(gen, cform.terms), _canonical=True)
+        return Form(self, _d_terms(gen, cform.terms), _canonical=True)
 
     def d_split_complex(self, cform: Form):
         """(del part, delbar part) of d on a complex-basis form."""
@@ -441,11 +429,11 @@ class BigradedForm:
 
     def __init__(self, model, parts, back):
         self.model = model
-        self.parts = parts  # {(p, q): Form over model.cpres}
+        self.parts = parts  # {(p, q): Form over model}
         self._back = back  # model.to_real, or the identity for complex input
 
     def component(self, p, q) -> Form:
-        return self._back(self.parts.get((p, q), Form.zero(self.model.cpres)))
+        return self._back(self.parts.get((p, q), Form.zero(self.model)))
 
     @property
     def components(self):
@@ -458,7 +446,7 @@ class BigradedForm:
         terms = {}
         for part in self.parts.values():
             terms.update(part.terms)
-        return self._back(Form(self.model.cpres, terms, _canonical=True))
+        return self._back(Form(self.model, terms, _canonical=True))
 
     def is_pure(self, p, q):
         return set(self.parts) <= {(p, q)}
@@ -480,7 +468,7 @@ def real_basis(a: Form) -> Form:
     """``a`` in the real basis: a form over a structure's complex coframe is
     converted back, any other form is returned as it is."""
     pres = a.presentation
-    return pres.model.to_real(a) if isinstance(pres, CoframePresentation) else a
+    return pres.to_real(a) if isinstance(pres, ComplexModel) else a
 
 
 def _lift(a: Form, J: AlmostComplexStructure):
@@ -488,7 +476,7 @@ def _lift(a: Form, J: AlmostComplexStructure):
     A form over another structure's coframe is taken to the real basis
     first, and answers for it come back in the real basis."""
     model = J.model()
-    if a.presentation is model.cpres:
+    if a.presentation is model:
         return model, a, lambda f: f
     return model, model.to_complex(real_basis(a)), model.to_real
 
@@ -512,7 +500,7 @@ def dc(a: Form, J: AlmostComplexStructure) -> Form:
     """d^c = i (delbar - del)."""
     model, ca, back = _lift(a, J)
     dl, db = model.d_split_complex(ca)
-    return back(model.cpres.table.i * (db - dl))
+    return back(model.table.i * (db - dl))
 
 
 def weil_operator(a: Form, J: AlmostComplexStructure) -> Form:
@@ -523,7 +511,7 @@ def weil_operator(a: Form, J: AlmostComplexStructure) -> Form:
     for idx, c in ca.terms.items():
         p, q = model.bidegree_of_indices(idx)
         out[idx] = c * table.i ** ((p - q) % 4)
-    return back(Form(model.cpres, out, _canonical=True))
+    return back(Form(model, out, _canonical=True))
 
 
 def fundamental_form(J: AlmostComplexStructure, gram) -> Form:

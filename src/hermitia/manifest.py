@@ -568,7 +568,7 @@ class BuildContext:
                 anti = anti[0] if anti else []
                 _coframe_indices(holo + anti, m, f"eta_terms entry {json.dumps(entry)}")
                 terms.append((self.table.scalar(coeff), (*holo, *(m + b for b in anti))))
-            return model.cpres.form(terms)
+            return model.form(terms)
         if kind == "d_of":
             sub = self.resolve_form(spec["d_of"])
             return sub.presentation.d(sub)
@@ -807,7 +807,7 @@ def _h_bismut_torsion(ctx, check, seed):
 def _h_weil_torsion_identity(ctx, check, seed):
     cand = ctx.candidate(check["omega"], check["endo"])
     J, omega = cand.J, cand.omega_c
-    d = J.model().cpres.d
+    d = J.model().d
     t = -dc(omega, J)
     via_weil = weil_operator(d(weil_operator(omega, J)), J)
     via_weil_short = weil_operator(d(omega), J)

@@ -218,7 +218,7 @@ def is_balanced(c: HermitianCandidate) -> PredicateReport:
         raise MetricError("balanced needs complex dimension >= 2")
 
     def top():
-        return c.J.model().cpres.d(c.power(c.m - 1))
+        return c.J.model().d(c.power(c.m - 1))
 
     primitive = c.d_omega_primitive()
     if primitive is None:

@@ -168,7 +168,7 @@ def _half_frame(triple: HypercomplexTriple):
     frame = [c // 2 + 1 for c in pivots if c % 2 == 0][: m // 2]
     # eta_r is complex generator r, so each basis element is built in the coframe
     return frame, [
-        wedge(model.cpres.generator(r), jbars[s - 1]) for r in frame for s in frame
+        wedge(model.generator(r), jbars[s - 1]) for r in frame for s in frame
     ]
 
 
@@ -256,7 +256,7 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
 
     m = model.m
     unknowns = list(combinations(range(1, m + 1), p - 1))
-    cols = [del_(model.cpres.form([(1, idx)]), J) for idx in unknowns]
+    cols = [del_(model.form([(1, idx)]), J) for idx in unknowns]
     sol, _free = solve_combination(cols, cform)
     if sol is None:
         return PrimitiveReport(False)
@@ -264,7 +264,7 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     for coeff, idx in zip(sol, unknowns):
         if not coeff.is_zero():
             terms[idx] = coeff
-    candidate = Form(model.cpres, terms, _canonical=True)
+    candidate = Form(model, terms, _canonical=True)
     if not (del_(candidate, J) - cform).is_zero():
         raise QuaternionError("primitive verification failed")
     return PrimitiveReport(True, back(candidate))
@@ -299,7 +299,7 @@ def hkt_obstruction(
     prim = del_primitive(alpha_c, t.I)
     if not prim.exists:
         raise QuaternionError("alpha is not del-exact: no primitive found")
-    if not model.cpres.d(beta_c).is_zero():
+    if not model.d(beta_c).is_zero():
         raise QuaternionError("beta is not closed")
     frame, basis = t.half_frame()
     k = len(frame)
@@ -309,7 +309,7 @@ def hkt_obstruction(
     rows = [[table.scalar(x) for x in row] for row in a_matrix]
     if linear.hermitian_violation(rows) is not None:
         raise QuaternionError("the coefficient matrix is not Hermitian")
-    omega_t = Form.zero(model.cpres)
+    omega_t = Form.zero(model)
     for r in range(k):
         for s in range(k):
             if not rows[r][s].is_zero():

@@ -669,19 +669,20 @@ class Scalar:
     reduced modulo all relations, the fraction gcd-cancelled, and the
     denominator normalized so its leading coefficient (graded-lex over free
     symbols) is exactly 1.  ``num`` and ``den`` read the canonical fraction
-    of every kind; zero is ``({}, {1: 1})``.  ``+``, ``*``, ``/`` and
-    negation compute two triples of one table inline; only an operand of
-    another table, an int or a Fraction goes through ``_coerce``.
+    of every kind, held as the pair ``_f`` (filled on the first read of
+    ``num`` for the integer kinds); zero is ``({}, {1: 1})``.  ``+``, ``*``,
+    ``/`` and negation compute two triples of one table inline; only an
+    operand of another table, an int or a Fraction goes through
+    ``_coerce``.
     """
 
-    __slots__ = ("table", "_t", "_p", "_num", "den")
+    __slots__ = ("table", "_t", "_p", "_f")
 
     def __init__(self, table, num, den, _normalized=False):
         self.table = table
         if not _normalized:
             num, den = _canonical_fraction(table, num, den)
-        self._num = num
-        self.den = den
+        self._f = (num, den)
         if table.gaussian and _is_one_poly(den):
             self._t, self._p = _int_kinds(*_int_terms(num))
         else:
@@ -689,10 +690,10 @@ class Scalar:
 
     @property
     def num(self):
-        """The numerator {monomial: Fraction}; the integer kinds build it on
-        first read."""
-        num = self._num
-        if num is None:
+        """The numerator {monomial: Fraction}; the integer kinds build the
+        fraction view ``_f`` on first read."""
+        f = self._f
+        if f is None:
             x = self._t
             terms, d = ({_ONE_MONO: x[:2]}, x[2]) if x is not None else self._p
             num = {}
@@ -701,8 +702,14 @@ class Scalar:
                     num[m] = Fraction(a, d)
                 if b:
                     num[_I_MONO + m] = Fraction(b, d)
-            self._num = num
-        return num
+            f = self._f = (num, _ONE_POLY)
+        return f[0]
+
+    @property
+    def den(self):
+        """The denominator {monomial: Fraction}; 1 for the integer kinds."""
+        f = self._f
+        return _ONE_POLY if f is None else f[1]
 
     # -- canonical key, equality, hashing -----------------------------------
 
@@ -738,21 +745,21 @@ class Scalar:
         x = self._t
         if x is not None:
             return not (x[0] or x[1])
-        return self._p is None and not self._num
+        return self._p is None and not self._f[0]
 
     def __bool__(self):
         """False exactly at zero, as for ints and Fractions."""
         x = self._t
         if x is not None:
             return bool(x[0] or x[1])
-        return self._p is not None or bool(self._num)
+        return self._p is not None or bool(self._f[0])
 
     def is_rational(self):
         x = self._t
         if x is not None:
             return not x[1]
-        return self._p is None and self.den == _ONE_POLY and (
-            not self._num or set(self._num) == {_ONE_MONO})
+        return self._p is None and self._f[1] == _ONE_POLY and (
+            not self._f[0] or set(self._f[0]) == {_ONE_MONO})
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -760,7 +767,7 @@ class Scalar:
         x = self._t
         if x is not None:
             return Fraction(x[0], x[2])
-        return self._num.get(_ONE_MONO, Fraction(0))
+        return self._f[0].get(_ONE_MONO, Fraction(0))
 
     def is_gaussian_rational(self):
         """True when no declared symbol occurs, i.e. the value lies in Q(i)."""
@@ -768,7 +775,7 @@ class Scalar:
             return True
         if self._p is not None:
             return False
-        return all(idx == 0 for part in (self._num, self.den) for mono in part for idx, _e in mono)
+        return all(idx == 0 for part in self._f for mono in part for idx, _e in mono)
 
     # -- ring operations -----------------------------------------------------
 
@@ -799,9 +806,7 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (a, b, d)
-            s._p = None
-            s._num = None
-            s.den = _ONE_POLY
+            s._p = s._f = None
             return s
         t = self.table
         if (p := _int_form(self)) is not None and (q := _int_form(o)) is not None:
@@ -824,14 +829,13 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (-x[0], -x[1], x[2])
-            s._p = None
-            s._num = None
-            s.den = _ONE_POLY
+            s._p = s._f = None
             return s
         if (p := self._p) is not None:
             terms, d = p
             return _int_scalar(self.table, {m: (-a, -b) for m, (a, b) in terms.items()}, d)
-        return Scalar(self.table, _poly_neg(self._num), self.den, _normalized=True)
+        num, den = self._f
+        return Scalar(self.table, _poly_neg(num), den, _normalized=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -860,9 +864,7 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (a, b, d)
-            s._p = None
-            s._num = None
-            s.den = _ONE_POLY
+            s._p = s._f = None
             return s
         t = self.table
         if x is not None:
@@ -899,9 +901,7 @@ class Scalar:
             s = _new(Scalar)
             s.table = self.table
             s._t = (a, b, d)
-            s._p = None
-            s._num = None
-            s.den = _ONE_POLY
+            s._p = s._f = None
             return s
         if o.is_zero():
             raise ScalarError("division by a scalar that normalizes to zero")
@@ -941,7 +941,8 @@ class Scalar:
         if (p := self._p) is not None:
             terms, d = p
             return _int_scalar(self.table, {m: (a, -b) for m, (a, b) in terms.items()}, d)
-        return Scalar(self.table, _poly_conj(self._num), _poly_conj(self.den), _normalized=True)
+        num, den = self._f
+        return Scalar(self.table, _poly_conj(num), _poly_conj(den), _normalized=True)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -1047,9 +1048,7 @@ def _gaussian(table, a, b, d) -> Scalar:
     s = _new(Scalar)
     s.table = table
     s._t = (a, b, d)
-    s._p = None
-    s._num = None
-    s.den = _ONE_POLY
+    s._p = s._f = None
     return s
 
 
@@ -1090,8 +1089,7 @@ def _int_scalar(table, terms, d) -> Scalar:
     s = _new(Scalar)
     s.table = table
     s._t, s._p = _int_kinds(terms, d)
-    s._num = None
-    s.den = _ONE_POLY
+    s._f = None
     return s
 
 
@@ -1467,7 +1465,9 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
-            value = value ** self.uint()
+            exponent = self.uint()
+            check_power_size(value, exponent)
+            value = value ** exponent
         return value
 
     def uint(self):

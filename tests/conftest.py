@@ -217,6 +217,6 @@ def draw_hermitian_candidate(data, J, empty_rows=frozenset()):
             for (a, b), c in h.items()
             if a not in empty_rows and b not in empty_rows
         ),
-        Form.zero(model.cpres),
+        Form.zero(model),
     )
     return HermitianCandidate(J, model.to_real(omega_c))

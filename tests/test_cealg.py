@@ -322,4 +322,4 @@ def test_signature_is_built_on_the_first_comparison_of_two_presentations():
     assert not p.same_algebra(abelian(6, table=p.table))
     model = AlmostComplexStructure.from_action(p, {1: "e2", 3: "e4", 5: "e6"}).model()
     model.to_real(model.to_complex(p.generator(1)))
-    assert "_signature" not in vars(model.cpres)
+    assert "_signature" not in vars(model)

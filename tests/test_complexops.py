@@ -316,7 +316,7 @@ def test_property_conversions_invert(structure, data):
     model = J.model()
     f = build_form(J.presentation, data.draw(form_terms(J.presentation.dim, symbols)))
     assert model.to_real(model.to_complex(f)) == f
-    cg = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    cg = build_form(model, data.draw(form_terms(model.dim, symbols)))
     assert model.to_complex(model.to_real(cg)) == cg
 
 
@@ -325,9 +325,9 @@ def test_property_conversions_invert(structure, data):
 def test_property_native_del_plus_delbar_is_d(structure, data):
     J, symbols = structure
     model = J.model()
-    cf = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    cf = build_form(model, data.draw(form_terms(model.dim, symbols)))
     dl, db = del_(cf, J), delbar(cf, J)
-    assert dl + db == model.cpres.d(cf)
+    assert dl + db == model.d(cf)
     f = model.to_real(cf)
     assert model.to_real(dl) == del_(f, J)
     assert model.to_real(db) == delbar(f, J)
@@ -376,9 +376,9 @@ def test_property_coframe_conjugation_matches_real(structure, data):
     real basis it is coefficient conjugation."""
     J, symbols = structure
     model = J.model()
-    f_c = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    f_c = build_form(model, data.draw(form_terms(model.dim, symbols)))
     conj = f_c.conjugate()
-    assert conj.presentation is model.cpres
+    assert conj.presentation is model
     assert model.to_real(conj) == model.to_real(f_c).conjugate()
     assert conj.conjugate() == f_c
 
@@ -400,19 +400,19 @@ def test_property_conjugation_in_both_bases(conjugation_structure, data):
     J, symbols = conjugation_structure
     model = J.model()
     a = build_form(J.presentation, data.draw(form_terms(J.presentation.dim, symbols)))
-    c = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    c = build_form(model, data.draw(form_terms(model.dim, symbols)))
     assert model.to_complex(a.conjugate()) == model.to_complex(a).conjugate()
     assert real_basis(c.conjugate()) == real_basis(c).conjugate()
     assert a.conjugate().conjugate() == a and c.conjugate().conjugate() == c
     for idx in c.terms:
-        (image,) = model.cpres.form([(1, idx)]).conjugate().terms
+        (image,) = model.form([(1, idx)]).conjugate().terms
         p, q = model.bidegree_of_indices(idx)
         assert model.bidegree_of_indices(image) == (q, p)
 
 
 def test_conjugate_of_a_coframe_generator(hk12_I):
     model = hk12_I.model()
-    assert model.cpres.generator(1).conjugate() == model.eta_monomial((), (1,))
+    assert model.generator(1).conjugate() == model.eta_monomial((), (1,))
 
 
 # -- integrability: the (0,2) test of the complex model against the N loop -------
@@ -662,7 +662,7 @@ def test_model_equals_dense_reference_on_conjugated_structures(
             ComplexModel(K)
         return
     model = ComplexModel(K)
-    got = (model.sigma, model._real_to_cx, model._cx_to_real, model.cpres.d_gen)
+    got = (model.sigma, model._real_to_cx, model._cx_to_real, model.d_gen)
     assert got == expected
 
 
@@ -671,7 +671,7 @@ def test_model_equals_dense_reference_on_builtins(name):
     for J in _structures(builtin(name).build().presentation):
         if J.nijenhuis_vanishes().passed:
             model = J.model()
-            got = (model.sigma, model._real_to_cx, model._cx_to_real, model.cpres.d_gen)
+            got = (model.sigma, model._real_to_cx, model._cx_to_real, model.d_gen)
             assert got == _dense_model_reference(J)
 
 
@@ -684,7 +684,7 @@ def _d_split_reference(model, cform):
     bidegree.  A component outside (p+1,q), (p,q+1) raises."""
     del_terms, delbar_terms = {}, {}
     for (p, q), comp in model.split_bidegrees(cform).items():
-        for idx, c in model.cpres.d(comp).terms.items():
+        for idx, c in model.d(comp).terms.items():
             pq2 = model.bidegree_of_indices(idx)
             if pq2 == (p + 1, q):
                 bucket = del_terms
@@ -746,10 +746,10 @@ def test_property_d_split_equals_the_bidegree_split(conjugate, data):
             return
     model = J.model()
     symbols = tuple(model.real.table.names[1:])
-    cf = build_form(model.cpres, data.draw(form_terms(model.cpres.dim, symbols)))
+    cf = build_form(model, data.draw(form_terms(model.dim, symbols)))
     dl, db = model.d_split_complex(cf)
     assert (dl.terms, db.terms) == _d_split_reference(model, cf)
-    assert dl + db == model.cpres.d(cf)
+    assert dl + db == model.d(cf)
     assert (del_(cf, J), delbar(cf, J)) == (dl, db)
     for (p, q), part in model.split_bidegrees(cf).items():
         dl, db = model.d_split_complex(part)
@@ -762,7 +762,7 @@ def test_complex_constants_split_each_half_on_its_own():
     conjugates of eta_a's tables, and both still split d."""
     model = _split_structures()["complex-constants"].model()
     m = model.m
-    conj = model.cpres.conjugate_terms
+    conj = model.conjugate_terms
     mirrored = all(
         model.del_gen.get(m + a, {}) == conj(model.delbar_gen.get(a, {}))
         and model.delbar_gen.get(m + a, {}) == conj(model.del_gen.get(a, {}))
@@ -770,7 +770,7 @@ def test_complex_constants_split_each_half_on_its_own():
     )
     assert not mirrored
     for g in range(1, 2 * m + 1):
-        eta = model.cpres.generator(g)
+        eta = model.generator(g)
         dl, db = model.d_split_complex(eta)
         assert (dl.terms, db.terms) == _d_split_reference(model, eta)
 
@@ -780,7 +780,7 @@ def test_operators_take_neither_the_full_d_nor_a_bidegree_per_term(monkeypatch, 
     full differential of the coframe and the per-term bidegree test are never
     called."""
     model = hk12_I.model()
-    cf = model.cpres.form([(1, (1, 8)), ("i", (2, 3, 9)), (2, (4,))])
+    cf = model.form([(1, (1, 8)), ("i", (2, 3, 9)), (2, (4,))])
     expected = _d_split_reference(model, cf)
 
     def refuse(*_args):
@@ -791,14 +791,14 @@ def test_operators_take_neither_the_full_d_nor_a_bidegree_per_term(monkeypatch, 
     dl, db = model.d_split_complex(cf)
     assert (dl.terms, db.terms) == expected
     assert (del_(cf, hk12_I).terms, delbar(cf, hk12_I).terms) == expected
-    assert dc(cf, hk12_I) == model.cpres.table.i * (db - dl)
+    assert dc(cf, hk12_I) == model.table.i * (db - dl)
 
 
 def test_d_split_refuses_a_form_of_another_coframe():
     ctx = builtin("pseudoHK12").build()
     mi, mj = ctx.acs("I").model(), ctx.acs("J").model()
     with pytest.raises(FormError, match="complex coframe"):
-        mi.d_split_complex(mj.cpres.generator(1))
+        mi.d_split_complex(mj.generator(1))
 
 
 # Non-integrable square roots of -Id on non-abelian algebras, with the
@@ -989,10 +989,42 @@ def test_forms_over_two_coframes_do_not_mix():
 
     ctx = builtin("pseudoHK12").build()
     mi, mj = ctx.acs("I").model(), ctx.acs("J").model()
-    eta_i, eta_j = mi.cpres.generator(1), mj.cpres.generator(1)
+    eta_i, eta_j = mi.generator(1), mj.generator(1)
     assert eta_i != eta_j
     with pytest.raises(FormError):
         eta_i + eta_j
     with pytest.raises(FormError):
         mi.to_real(eta_j)
     assert del_(eta_j, ctx.acs("I")) == del_(mj.to_real(eta_j), ctx.acs("I"))
+
+
+def test_a_request_leaves_no_structure_or_model_to_the_cyclic_collector():
+    """A model keeps no reference to its structure and is its own coframe
+    presentation, so the structures, models and Nijenhuis reports of a
+    ``run_check`` are freed by reference counting: with the collector off,
+    a collection after the runs finds none of them."""
+    import gc
+
+    from hermitia.builders import BUILTIN_NAMES
+    from hermitia.complexops import NijenhuisReport
+    from hermitia.manifest import run_check
+
+    manifests = [builtin(name) for name in BUILTIN_NAMES]
+    for manifest in manifests:  # warm up: parse caches and lazy imports
+        run_check(manifest)
+    enabled, debug, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for manifest in manifests:
+            assert run_check(manifest).overall == "pass"
+        gc.collect()
+        kinds = {type(o) for o in gc.garbage[start:]}
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[start:]
+        if enabled:
+            gc.enable()
+    left = kinds & {ComplexModel, AlmostComplexStructure, NijenhuisReport}
+    assert not left, left

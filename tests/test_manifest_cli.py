@@ -1,5 +1,6 @@
 """Manifest parsing, check orchestration, reports and the command line."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -615,6 +616,23 @@ def test_cli_builtin_report_equals_golden(name, capsys):
     assert main(["builtin", name, "--report", "json", "--no-timing"]) == 0
     golden = (GOLDENS / f"{name}.report.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+# sha256 of `hermitia builtin NAME --emit`: the emitted manifests are part
+# of the output that a refactor keeps byte for byte
+EMIT_SHA256 = {
+    "AT4": "2e2ba1a4323f3ea6e2d59cc62f33b462b65a6a7be49d8e2fe5c86ae16a2d2309",
+    "fp_solv8": "865e27e97e69fd263884a092ec037a3b69310c1c2c9fbcbe7ca93a68a129f68c",
+    "lemma61": "9340db0f2d72606d447f9a0ebb25c87ff741c426f21e60f1f0cb46416b055ad3",
+    "pseudoHK12": "f54fc30fceaae16611c087bd13437f0136a9d9fad3eade324afe5a9df2a1ebd9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_SHA256))
+def test_cli_builtin_emit_is_pinned(name, capsys):
+    assert main(["builtin", name, "--emit"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == EMIT_SHA256[name]
 
 
 def test_cli_usage_error_exit_two():

@@ -87,8 +87,8 @@ def test_eta_terms_stay_in_the_coframe(hk12_ctx):
     model = hk12_ctx.acs("I").model()
     spec = {"eta_terms": [["1", [1, 3]], ["1", [2, 4]], ["1", [5, 6]]], "endo": "I"}
     form = hk12_ctx.resolve_form(spec)
-    assert form.presentation is model.cpres and len(form.terms) == 3
-    assert hk12_ctx.resolve_form({"power": 2, "base": spec}).presentation is model.cpres
+    assert form.presentation is model and len(form.terms) == 3
+    assert hk12_ctx.resolve_form({"power": 2, "base": spec}).presentation is model
     mixed = hk12_ctx.resolve_form({"combo": [["1", spec], ["1", "omega_J"]]})
     assert mixed.presentation is hk12_ctx.presentation
 

@@ -246,7 +246,7 @@ def _structure(name):
 
 
 def _ladder_balanced(c):
-    return c.J.model().cpres.d(c.power(c.m - 1)).is_zero()
+    return c.J.model().d(c.power(c.m - 1)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,7 +300,7 @@ def test_property_del_delbar_of_a_power_follows_leibniz(data):
     pair = wedge(del_(om, J), delbar(om, J))
 
     def power(j):
-        return model.cpres.form([(1, ())]) if j == 0 else wedge_power(om, j)
+        return model.form([(1, ())]) if j == 0 else wedge_power(om, j)
 
     for k in range(1, c.m):
         lhs = del_(delbar(wedge_power(om, k), J), J)

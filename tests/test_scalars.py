@@ -709,6 +709,17 @@ def test_gaussian_operands_off_the_fast_path_give_the_same_values(x, y, k, q):
             assert got.table is _QI and got._t == op(y_same, xs)._t
 
 
+def test_parsed_power_too_long_to_print_is_refused_before_it_is_built():
+    """``^`` in an expression sizes the power first, as ``wedge_power`` does:
+    3^1000000 (477121 digits) is refused at once instead of being built, and
+    a power that prints is built as before."""
+    table = SymbolTable([Symbol("a")])
+    with pytest.raises(ScalarError, match=r"^scalar too long to print: a power would have"):
+        table.scalar("3^1000000")
+    assert table.scalar("3^10000") == table.scalar(3) ** 10000
+    assert table.scalar("(a+1)^3") == (table.symbol("a") + 1) ** 3
+
+
 def test_a_scalar_past_the_digit_limit_refuses_to_print(table):
     """Python refuses to print an integer of more than its digit limit; the
     scalar names the digit count in a ScalarError instead."""

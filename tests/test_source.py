@@ -167,6 +167,30 @@ def test_complex_model_reduces_once_and_inverts_nothing():
     assert naming(tree, "invert") == []
 
 
+def test_the_complex_model_is_its_own_coframe_presentation():
+    """``ComplexModel`` is the coframe's presentation: ``src/`` names no
+    separate coframe class and no ``cpres`` link to one, and the model's
+    ``__init__`` stores no reference to its structure, so neither pair
+    holds a reference cycle."""
+    found = [
+        f"{path.relative_to(SRC.parent)}: {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in ("CoframePresentation", "cpres")
+        if word in path.read_text(encoding="utf-8")
+    ]
+    assert not found, found
+    tree = ast.parse((SRC / "complexops.py").read_text(encoding="utf-8"))
+    model = next(top for top in tree.body if getattr(top, "name", None) == "ComplexModel")
+    assert [getattr(b, "id", None) for b in model.bases] == ["LieAlgebraPresentation"]
+    init = next(f for f in model.body if getattr(f, "name", None) == "__init__")
+    stored = {
+        n.attr for n in ast.walk(init)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and getattr(n.value, "id", None) == "self"
+    }
+    assert "J" not in stored and "m" in stored, stored
+
+
 def test_complexops_decides_integrability_once():
     """The complex model's split decides integrability and names the
     Nijenhuis witnesses: nothing in ``complexops.py`` names a bracket of the
