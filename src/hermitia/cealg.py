@@ -143,13 +143,6 @@ class Form:
             raise FormError(f"form is not homogeneous (degrees {ds})")
         return ds[0]
 
-    def homogeneous_part(self, k):
-        return Form(
-            self.presentation,
-            {idx: c for idx, c in self.terms.items() if len(idx) == k},
-            _canonical=True,
-        )
-
     # -- ring structure --------------------------------------------------------
 
     def _check_mate(self, other):
@@ -466,9 +459,6 @@ class LieAlgebraPresentation:
     def conjugate_terms(self, terms):
         """The conjugate's terms: the generators are real, so i -> -i."""
         return {idx: c.conjugate() for idx, c in terms.items()}
-
-    def volume_form(self) -> Form:
-        return self.form([(1, tuple(range(1, self.dim + 1)))])
 
     # -- differential ----------------------------------------------------------
 

@@ -39,12 +39,22 @@ delta_ct - i J_tc, selects the coframe by its m pivot columns and leaves in
 reduced row k the coordinates A_tk of eta_t = sum_k A_tk eta_(sigma_k), from
 which the change of basis follows in closed form; and with real structure
 constants the (0,1) half of the coframe's differential is the conjugate of
-the (1,0) half, so only the (1,0) half is substituted.
+the (1,0) half, so only the (1,0) half is substituted.  The split yields
+canonical tables, which the model keeps as its structure equations without
+collecting them again.  d^2 = 0 on the coframe is not recomputed: the
+coframe's d is the real d carried through an algebra isomorphism, so the
+model's Jacobi report is the real presentation's, which the build has
+already required; the tests recompute it on the coframe's tables as an
+oracle.  The map from the coframe back to the real basis, which only
+``to_real`` and the Nijenhuis witnesses read, is built on first read, and
+del of the (p,0)-monomials (``del_columns``) once per degree p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 from . import linear
 from .cealg import (
@@ -222,6 +232,11 @@ class ComplexModel(LieAlgebraPresentation):
     wedge of the generators' images; to_complex and to_real keep nothing, so
     a caller that needs a form in both bases holds both.  The model keeps no
     reference to its structure, so the two hold no cycle.
+
+    The model's Jacobi report is that of ``real``: d^2 = 0 holds on the
+    coframe because it holds on the real basis, and the tests check it on
+    the model's own tables.  ``_cx_to_real`` (complex generator -> real
+    expansion) is built on first read.
     """
 
     def __init__(self, J: AlmostComplexStructure):
@@ -267,9 +282,6 @@ class ComplexModel(LieAlgebraPresentation):
             pairs = [(k, half * row[t]) for k, row in reduced if t in row]
             holo = [((k + 1,), a) for k, a in pairs]
             self._real_to_cx.append(holo + [((m + k + 1,), a.conjugate()) for k, a in pairs])
-        # complex generator a -> its real expansion: eta_a, then the conjugates
-        coframe = self.eta_forms + [eta.conjugate() for eta in self.eta_forms]
-        self._cx_to_real = [sorted(eta.terms.items()) for eta in coframe]
 
         # differential of the complex coframe, rewritten in the coframe itself.
         # With real structure constants d commutes with conjugation (J is real
@@ -280,9 +292,12 @@ class ComplexModel(LieAlgebraPresentation):
         real_constants = all(
             c == c.conjugate() for terms in pres.d_gen.values() for c in terms.values()
         )
+        coframe = self.eta_forms
+        if not real_constants:
+            coframe = coframe + [eta.conjugate() for eta in coframe]
         images = {}
         dgen = {}
-        for a, element in enumerate(self.eta_forms if real_constants else coframe):
+        for a, element in enumerate(coframe):
             cterms = {}
             for mono, c in pres.d(element).terms.items():
                 image = images.get(mono)
@@ -321,11 +336,18 @@ class ComplexModel(LieAlgebraPresentation):
                 self._nijenhuis_from(forbidden),
             )
         names = tuple(f"z{k}" for k in range(1, m + 1)) + tuple(f"zb{k}" for k in range(1, m + 1))
-        super().__init__(
-            n, {g: [(c, idx) for idx, c in t.items()] for g, t in dgen.items()},
-            names=names, table=table,
-        )
-        self.require_jacobi()
+        super().__init__(n, names=names, table=table)
+        self.d_gen = dgen
+        self._jacobi = pres.jacobi_check()
+        self._del_columns = {}
+
+    @cached_property
+    def _cx_to_real(self):
+        """Complex generator a -> its real expansion as sorted term pairs:
+        eta_a, then the conjugates.  Only ``to_real`` and the Nijenhuis
+        witnesses read it, so it is built on first read."""
+        coframe = self.eta_forms + [eta.conjugate() for eta in self.eta_forms]
+        return [sorted(eta.terms.items()) for eta in coframe]
 
     def same_algebra(self, other):
         """Only the coframe itself: the coframes of two structures can share
@@ -419,6 +441,16 @@ class ComplexModel(LieAlgebraPresentation):
     def d_split_complex(self, cform: Form):
         """(del part, delbar part) of d on a complex-basis form."""
         return self.derive(self.del_gen, cform), self.derive(self.delbar_gen, cform)
+
+    def del_columns(self, p):
+        """The (p,0)-monomials z_I (I increasing, in lexicographic order) and
+        del z_I of each as a term dict, built once per degree p.  They are
+        term dicts, not forms, so nothing the model keeps points back at it."""
+        if p not in self._del_columns:
+            monomials = list(combinations(range(1, self.m + 1), p))
+            columns = [_d_terms(self.del_gen, {idx: self.table.one}) for idx in monomials]
+            self._del_columns[p] = (monomials, columns)
+        return self._del_columns[p]
 
 
 class BigradedForm:

@@ -492,7 +492,7 @@ def _coframe_indices(indices, m, what):
 
 class BuildContext:
     """A materialized manifest: the presentation plus caches for derived
-    structures (complex structures, candidates, triples)."""
+    structures (complex structures, candidates, triples, HKT candidates)."""
 
     def __init__(self, manifest: Manifest, presentation: LieAlgebraPresentation):
         self.manifest = manifest
@@ -501,6 +501,7 @@ class BuildContext:
         self._acs = {}
         self._candidates = {}
         self._triples = {}
+        self._hkt_candidates = {}
 
     def attached(self, section, name):
         """The structure ``name`` of ``section`` ("endomorphisms",
@@ -530,6 +531,16 @@ class BuildContext:
                 self.acs(i_name), self.acs(j_name), self.acs(k_name)
             )
         return self._triples[key]
+
+    def hkt_candidate(self, i_name, j_name, k_name, omega20) -> HKTCandidate:
+        """The candidate of the triple's names and an ``omega20`` spec, built
+        once however many checks read it."""
+        key = (i_name, j_name, k_name, json.dumps(omega20, sort_keys=True))
+        if key not in self._hkt_candidates:
+            self._hkt_candidates[key] = HKTCandidate(
+                self.triple(i_name, j_name, k_name), self.resolve_form(omega20)
+            )
+        return self._hkt_candidates[key]
 
     def valuation(self, name):
         """The valuation ``name``; None for an undeclared "default"."""
@@ -911,14 +922,9 @@ def _h_pseudo_hyperkahler(ctx, check, seed):
     return _verdict(rep.passed), detail
 
 
-def _hkt_candidate(ctx, check):
-    t = ctx.triple(check["I"], check["J"], check["K"])
-    return HKTCandidate(t, ctx.resolve_form(check["omega20"]))
-
-
 @_check("hkt", **_TRIPLE, omega20=SPEC, valuation=_VALUATION, expect=(BOOL, True))
 def _h_hkt(ctx, check, seed):
-    cand = _hkt_candidate(ctx, check)
+    cand = ctx.hkt_candidate(check["I"], check["J"], check["K"], check["omega20"])
     rep = quaternion.check_hkt(cand, valuation=ctx.valuation(check["valuation"]))
     detail = {"subchecks": [[c.name, c.passed, c.detail] for c in rep.checks]}
     return _verdict(rep.passed == check["expect"]), detail
@@ -926,7 +932,7 @@ def _h_hkt(ctx, check, seed):
 
 @_check("quaternionic_balanced", **_TRIPLE, omega20=SPEC, expect=(BOOL, True))
 def _h_quaternionic_balanced(ctx, check, seed):
-    cand = _hkt_candidate(ctx, check)
+    cand = ctx.hkt_candidate(check["I"], check["J"], check["K"], check["omega20"])
     rep = quaternion.check_quaternionic_balanced(cand)
     detail = {"subchecks": [[c.name, c.passed, c.detail] for c in rep.checks]}
     return _verdict(rep.passed == check["expect"]), detail

@@ -41,9 +41,6 @@ class QuaternionReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def failed_checks(self):
-        return [c for c in self.checks if not c.passed]
-
     def __bool__(self):
         return self.passed
 
@@ -64,14 +61,6 @@ class HypercomplexTriple:
         if self._frame is None:
             self._frame = _half_frame(self)
         return self._frame
-
-    @classmethod
-    def from_ij(cls, I, J, name="K"):
-        table = I.presentation.table
-        K = AlmostComplexStructure(
-            I.presentation, linear.mat_mul(I.matrix, J.matrix, table), name=name
-        )
-        return cls(I, J, K)
 
 
 def check_hypercomplex(t: HypercomplexTriple) -> QuaternionReport:
@@ -242,7 +231,9 @@ class PrimitiveReport:
 def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     """Solve del(x) = form exactly for x of bidegree (p-1, 0); the primitive
     witnesses del-exactness constructively.  A form over the complex coframe
-    of J is solved in place and its primitive stays there."""
+    of J is solved in place and its primitive stays there.  The columns, del
+    of each (p-1,0)-monomial, are the model's ``del_columns``, built once per
+    degree for every form solved over it."""
     model, cform, back = _lift(form, J)
     if cform.is_zero():
         return PrimitiveReport(True, back(cform))
@@ -252,12 +243,8 @@ def del_primitive(form: Form, J: AlmostComplexStructure) -> PrimitiveReport:
     (p, q), = degs
     if q != 0 or p < 1:
         raise FormError(f"del-exactness applies to (p,0)-forms with p >= 1, got {(p, q)}")
-    from itertools import combinations
-
-    m = model.m
-    unknowns = list(combinations(range(1, m + 1), p - 1))
-    cols = [del_(model.form([(1, idx)]), J) for idx in unknowns]
-    sol, _free = solve_combination(cols, cform)
+    unknowns, columns = model.del_columns(p - 1)
+    sol, _free = solve_combination([Form(model, t, _canonical=True) for t in columns], cform)
     if sol is None:
         return PrimitiveReport(False)
     terms = {}

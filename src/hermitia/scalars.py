@@ -54,7 +54,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, isfinite, lcm, log10, prod
+from math import ceil, comb, floor, gcd, isfinite, lcm, log10, prod
 from typing import Iterable, Mapping
 
 from .linear import rref
@@ -216,9 +216,6 @@ class SymbolTable:
             return self._index[name]
         except KeyError:
             raise ParseError(f"undeclared identifier {name!r}", offset) from None
-
-    def name_of(self, idx):
-        return self.names[idx]
 
     def compatible(self, other):
         return self is other or self._sig == other._sig
@@ -426,6 +423,18 @@ def _reduce_poly(table: SymbolTable, p):
 
 def _poly_mul(table, p, q):
     return _reduce_poly(table, _poly_mul_raw(p, q))
+
+
+def _poly_pow(table, p, n):
+    """p^n for n >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else _poly_mul(table, out, p)
+        n >>= 1
+        if not n:
+            return out
+        p = _poly_mul(table, p, p)
 
 
 def _poly_conj(p):
@@ -920,6 +929,16 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ScalarError("exponents must be non-negative integers")
+        if n > 1 and not _is_one_poly(self.den):
+            # a canonical fraction's numerator and denominator are coprime,
+            # and so are their powers, so no gcd is taken.  The leading free
+            # monomial L of the denominator has the coefficient 1, and L^n
+            # leads its power with the coefficient 1: under ``_free_grlex_key``
+            # (compare the (symbol, exponent) pairs from the lowest symbol on)
+            # M N lies below L^2 for any M, N up to L but not both L
+            t = self.table
+            num, den = _poly_pow(t, self.num, n), _poly_pow(t, self.den, n)
+            return Scalar(t, num, den, _normalized=True)
         out = self.table.one
         base = self
         while n:
@@ -1322,10 +1341,28 @@ def _digit_count(n):
 _UNBUILT_POWER_FACTOR = 10
 
 
+def _monomial_coefficient(c: Scalar):
+    """q in Q(i) with c = q m for a monomial m in the free symbols, or None;
+    then c^k = q^k m^k.  (A canonical denominator with one free monomial
+    has the coefficient 1 on it.)"""
+    rels = c.table.relations
+    num, den = (_by_free_monomial(part, rels) for part in (c.num, c.den))
+    if len(num) != 1 or len(den) != 1 or list(den.values()) != [_ONE_POLY]:
+        return None
+    (alg,) = num.values()
+    if not set(alg) <= {_ONE_MONO, _I_MONO}:
+        return None
+    table = c.table
+    return table.scalar(alg.get(_ONE_MONO, 0)) + table.scalar(alg.get(_I_MONO, 0)) * table.i
+
+
 def power_digits(c: Scalar, k: int) -> float:
     """A number of decimal digits that the longest integer written in c^k
-    exceeds, found without building c^k; 0 unless c lies in Q(i) and is
-    neither 0 nor one of the units 1, -1, i, -i.
+    exceeds, found without building c^k; 0 unless c = q m with q in Q(i)
+    and m a monomial in the free symbols (``_monomial_coefficient``; m = 1
+    when c lies in Q(i)), and q is neither 0 nor one of the units 1, -1, i,
+    -i.  The integers written in c^k = q^k m^k are those of q^k, so the rest
+    speaks of q as c.
 
     Write c^k = x + y i with x and y in lowest terms.  For |c| > 1 one of the
     numerators of x and y is at least |c|^k / sqrt(2), so it has more than
@@ -1343,8 +1380,11 @@ def power_digits(c: Scalar, k: int) -> float:
     y = Y / d^k is therefore d^k; it is at most the product of the two
     denominators, so one of them has more than k log10(d) / 2 digits.  The
     units 1, -1, i and -i have d = 1."""
-    if c.is_zero() or not c.is_gaussian_rational():
+    if c.is_zero():
         return 0.0
+    if not c.is_gaussian_rational():
+        q = _monomial_coefficient(c)
+        return 0.0 if q is None else power_digits(q, k)
     norm = (c * c.conjugate()).as_rational()  # |c|^2
     if norm == 1:
         real = ((c + c.conjugate()) / 2).as_rational()
@@ -1354,16 +1394,50 @@ def power_digits(c: Scalar, k: int) -> float:
     return max(0.0, k * log_abs - 0.16) if log_abs > 0 else -k * log_abs / 2
 
 
+# A power of a value with free symbols is expanded; one whose numerator or
+# denominator could have more free monomials than this is refused unbuilt.
+# (a+b+1)^30, with 496, takes about 0.05 s and (a+1)^499 about 0.2 s over
+# Q(i), and about three times as long in a table that declares a relation.
+_POWER_MONOMIALS = 500
+
+
+def power_monomials(c: Scalar, k: int) -> int:
+    """A number of free monomials that neither the numerator nor the
+    denominator of c^k exceeds, found without building c^k.  A polynomial
+    with t free monomials, of total degree at most D in v free symbols, has
+    a k-th power with at most min(C(k + t - 1, t - 1), C(k D + v, v)) of
+    them: each is a product of k of the t, of degree at most k D."""
+    if c._t is not None:
+        return 1
+    rels = c.table.relations
+    most = 1
+    for part in (c.num, c.den):
+        free = {_mono_split(mono, rels)[0] for mono in part}
+        t = len(free)
+        if t > 1:
+            v = len({idx for mono in free for idx, _e in mono})
+            degree = max(sum(e for _idx, e in mono) for mono in free)
+            most = max(most, min(comb(k + t - 1, t - 1), comb(k * degree + v, v)))
+    return most
+
+
 def check_power_size(c: Scalar, k: int):
     """Raise ScalarError, without building c^k, when ``power_digits`` of it
     exceeds ``_UNBUILT_POWER_FACTOR`` times Python's int-to-str limit (no
-    limit, no refusal)."""
+    limit, no refusal), or when ``power_monomials`` of it exceeds
+    ``_POWER_MONOMIALS``."""
     limit = sys.get_int_max_str_digits()
     digits = power_digits(c, k)
     if limit and digits > _UNBUILT_POWER_FACTOR * limit:
         raise ScalarError(
             f"scalar too long to print: a power would have a coefficient of at least "
             f"{int(digits)} digits (the limit is {limit})"
+        )
+    monomials = power_monomials(c, k)
+    if monomials > _POWER_MONOMIALS:
+        raise ScalarError(
+            f"scalar too large to expand: a power could have {monomials} monomials "
+            f"(the limit is {_POWER_MONOMIALS})"
         )
 
 

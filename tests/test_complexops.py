@@ -21,6 +21,7 @@ from hermitia.cealg import (
     Form,
     FormError,
     LieAlgebraPresentation,
+    _d_terms,
     abelian,
     direct_sum,
     wedge,
@@ -673,6 +674,67 @@ def test_model_equals_dense_reference_on_builtins(name):
             model = J.model()
             got = (model.sigma, model._real_to_cx, model._cx_to_real, model.d_gen)
             assert got == _dense_model_reference(J)
+
+
+# -- d^2 = 0 on the coframe: a test oracle, not a build step ----------------------
+
+
+def _d_squared_witnesses(d_gen, dim):
+    """The generators g whose d(d z_g), recomputed from the table ``d_gen``,
+    is not zero.  The model takes d^2 = 0 from the real presentation; this
+    recomputes it on the coframe's own tables."""
+    return [g for g in range(1, dim + 1) if _d_terms(d_gen, d_gen.get(g, {}))]
+
+
+@pytest.mark.parametrize("name", ["AT4", "fp_solv8", "pseudoHK12", "lemma61"])
+def test_coframe_d_squared_vanishes_on_builtins(name):
+    """Every integrable structure of a built-in has d^2 = 0 on its coframe,
+    and the model's Jacobi report is the real presentation's."""
+    models = [
+        J.model()
+        for J in _structures(builtin(name).build().presentation)
+        if J.nijenhuis_vanishes().passed
+    ]
+    assert models
+    for model in models:
+        assert _d_squared_witnesses(model.d_gen, model.dim) == []
+        assert model.jacobi_check() is model.real.jacobi_check()
+        assert model.jacobi_check().passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["fp_solv8", "AT4", "pseudoHK12", "symbolic"]),
+    data=st.data(),
+)
+def test_coframe_d_squared_vanishes_on_conjugated_structures(
+    which, data, solv8_I, at4_J, hk12_I
+):
+    """d^2 = 0 on the coframe of the structures that
+    ``test_model_equals_dense_reference_on_conjugated_structures`` draws."""
+    J = {"fp_solv8": solv8_I, "AT4": at4_J, "pseudoHK12": hk12_I}.get(which)
+    K = _random_conjugate(J if J is not None else _symbolic_structure(), data)
+    if K is None or not K.nijenhuis_vanishes().passed:
+        return
+    model = K.model()
+    assert _d_squared_witnesses(model.d_gen, model.dim) == []
+    assert model.jacobi_check() is model.real.jacobi_check()
+
+
+def test_coframe_d_squared_oracle_names_a_generator_for_every_sign_mutant(solv8_I):
+    """Flipping the sign of any one coefficient of fp_solv8's coframe tables
+    breaks d^2 = 0, and the oracle names a generator.  (On AT4, pseudoHK12
+    and lemma61 d^2 = 0 does not depend on those signs, which is why the
+    dense-reference tests stay the main guard of the tables.)"""
+    model = solv8_I.model()
+    mutants = 0
+    for g, terms in model.d_gen.items():
+        for idx in terms:
+            d_gen = {h: dict(t) for h, t in model.d_gen.items()}
+            d_gen[g][idx] = -d_gen[g][idx]
+            assert _d_squared_witnesses(d_gen, model.dim), (g, idx)
+            mutants += 1
+    assert mutants == 14
 
 
 # -- del and delbar: the model's generator tables against the bidegree split ------

@@ -686,6 +686,22 @@ def test_cli_run_errors_exit_two(tmp_path, capsys, monkeypatch, args, seed_env, 
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("power", ["(a+1)^1000", "(a+a^2+1)^100000", "(1/(a+1))^1000"])
+def test_cli_check_power_past_the_monomial_limit_exit_two(tmp_path, capsys, power):
+    """A structure-equation coefficient whose expansion could pass the
+    monomial limit is refused, unbuilt, when the manifest materializes:
+    exit 2 with one line, and no traceback."""
+    data = json.loads(builtin("AT4").to_json())
+    data["differential"]["e1"][0][0] = power
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: manifest does not materialize: scalar too large to expand: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "samples", [0, -5, 10**6 + 1, True, 2.5], ids=["zero", "negative", "above-bound", "bool", "float"]
 )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_hk12
 from hermitia.cealg import FormError, abelian
 from hermitia.complexops import AlmostComplexStructure, bidegree
+from hermitia.linear import mat_mul
 from hermitia.quaternion import (
     HKTCandidate,
     HypercomplexTriple,
@@ -21,6 +22,14 @@ from hermitia.quaternion import (
 from hermitia.scalars import Symbol, SymbolTable
 
 
+def _triple(I, J):
+    """(I, J, K = IJ), K built from the product as a manifest attaches it."""
+    table = I.presentation.table
+    return HypercomplexTriple(
+        I, J, AlmostComplexStructure(I.presentation, mat_mul(I.matrix, J.matrix, table), name="K")
+    )
+
+
 @pytest.fixture(scope="module")
 def hk12_triple():
     p = make_hk12()
@@ -32,7 +41,7 @@ def hk12_triple():
         p, {"f1": "f5", "f2": "f6", "f3": "f7", "f4": "f8", "f9": "f11", "f10": "f12"},
         name="J",
     )
-    return HypercomplexTriple.from_ij(I, J)
+    return _triple(I, J)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +49,7 @@ def flat8_triple():
     a8 = abelian(8)
     I = AlmostComplexStructure.from_action(a8, {1: "e3", 2: "e4", 5: "-e7", 6: "-e8"}, name="I")
     J = AlmostComplexStructure.from_action(a8, {1: "-e5", 2: "-e6", 3: "-e7", 4: "-e8"}, name="J")
-    return HypercomplexTriple.from_ij(I, J)
+    return _triple(I, J)
 
 
 def test_hypercomplex_pass(hk12_triple, flat8_triple):
@@ -56,7 +65,7 @@ def test_hypercomplex_fails_with_flipped_k(flat8_triple):
     )
     rep = check_hypercomplex(bad)
     assert not rep.passed
-    names = [c.name for c in rep.failed_checks()]
+    names = [c.name for c in rep.checks if not c.passed]
     assert "IJ = K" in names and "JI = -K" in names
 
 
@@ -69,24 +78,24 @@ def test_pseudo_hyperkahler_hk12(hk12_triple):
     # f1 ^ f10 is not closed (d(f1^f10) = f1^f9^f10), breaking closedness
     rep = check_pseudo_hyperkahler(hk12_triple, wI + p.form([(1, (1, 10))]), wJ, wK)
     assert not rep.passed
-    assert any("d omega_I" in c.name for c in rep.failed_checks())
+    assert any("d omega_I" in c.name for c in rep.checks if not c.passed)
     # f1 ^ f9 happens to be closed but is not of type (1,1) for I
     rep2 = check_pseudo_hyperkahler(hk12_triple, wI + p.form([(1, (1, 9))]), wJ, wK)
     assert not rep2.passed
-    assert any("real (1,1)" in c.name for c in rep2.failed_checks())
+    assert any("real (1,1)" in c.name for c in rep2.checks if not c.passed)
 
 
 def test_flat_hyperkahler_abelian4():
     a4 = abelian(4)
     I = AlmostComplexStructure.from_action(a4, {1: "e2", 3: "e4"}, name="I")
     J = AlmostComplexStructure.from_action(a4, {1: "e3", 2: "-e4"}, name="J")
-    t = HypercomplexTriple.from_ij(I, J)
+    t = _triple(I, J)
     assert check_hypercomplex(t).passed
     wI = a4.form([(1, (1, 2)), (1, (3, 4))])
     wJ = a4.form([(1, (1, 3)), (-1, (2, 4))])
     wK = a4.form([(1, (1, 4)), (1, (2, 3))])
     rep = check_pseudo_hyperkahler(t, wI, wJ, wK)
-    assert rep.passed, [c.name for c in rep.failed_checks()]
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
 def test_hkt_candidate_decomposition(hk12_triple):
@@ -109,7 +118,7 @@ def test_hk12_quaternionic_balanced_but_not_hkt(hk12_triple):
     assert check_quaternionic_balanced(cand).passed
     rep = check_hkt(cand)
     assert not rep.passed
-    failed = [c.name for c in rep.failed_checks()]
+    failed = [c.name for c in rep.checks if not c.passed]
     assert failed == ["del Omega = 0"]  # positivity and symmetry hold
 
 
@@ -142,7 +151,7 @@ def _hk12_candidate(a11):
         p, {"f1": "f5", "f2": "f6", "f3": "f7", "f4": "f8", "f9": "f11", "f10": "f12"},
         name="J",
     )
-    t = HypercomplexTriple.from_ij(I, J)
+    t = _triple(I, J)
     m = I.model()
     coeff = sym_table.symbol(a11) if isinstance(a11, str) else sym_table.scalar(a11)
     omega = m.to_real(coeff * m.eta_monomial((1, 3)) + m.eta_monomial((2, 4)) + m.eta_monomial((5, 6)))
@@ -153,7 +162,7 @@ def test_hkt_positivity_fails_at_negative_valuation():
     # same shape as the standard form but with a symbolic first coefficient
     cand = _hk12_candidate("a11")
     rep_neg = check_hkt(cand, valuation={"a11": -1.0})
-    names = [c.name for c in rep_neg.failed_checks()]
+    names = [c.name for c in rep_neg.checks if not c.passed]
     assert "coefficient matrix positive definite" in names
 
 
@@ -217,7 +226,7 @@ def test_obstruction_pairing(hk12_triple):
         p, {"f1": "f5", "f2": "f6", "f3": "f7", "f4": "f8", "f9": "f11", "f10": "f12"},
         name="J",
     )
-    t = HypercomplexTriple.from_ij(I, J)
+    t = _triple(I, J)
     m = I.model()
     alpha = -(m.to_real(m.eta_monomial((1, 3, 5, 6))) + m.to_real(m.eta_monomial((2, 4, 5, 6))))
     beta = m.to_real(m.eta_monomial((1, 2, 3, 4, 5, 6)))
@@ -350,7 +359,7 @@ def _lemma61_triple():
 
     pres = builtin("lemma61").build().presentation
     I, J = (AlmostComplexStructure(pres, pres.endomorphisms[s], name=s) for s in "IJ")
-    return HypercomplexTriple.from_ij(I, J)
+    return _triple(I, J)
 
 
 def _commuting_pair():
@@ -389,3 +398,29 @@ def test_pseudo_hk12_run_check_builds_each_half_frame_once(monkeypatch):
     monkeypatch.setattr(quaternion, "_half_frame", counting)
     assert run_check(builtin("pseudoHK12")).overall == "pass"
     assert calls and set(calls.values()) == {1}
+
+
+def test_a_request_builds_one_hkt_candidate_and_one_set_of_del_columns(monkeypatch):
+    """pseudoHK12's quaternionic-balanced and no-hkt-for-this-form checks
+    share one HKTCandidate, and its three del-exactness solves (alpha1,
+    alpha2, and -(alpha1 + alpha2) in the obstruction pairing) share del of
+    the (3,0)-monomials of I, built once."""
+    from hermitia import complexops, quaternion
+    from hermitia.builders import builtin
+    from hermitia.manifest import run_check
+
+    built = {"candidates": 0, "columns": []}
+    init, combinations = quaternion.HKTCandidate.__init__, complexops.combinations
+
+    def counting_init(self, *args):
+        built["candidates"] += 1
+        init(self, *args)
+
+    def counting_combinations(pool, p):
+        built["columns"].append(p)
+        return combinations(pool, p)
+
+    monkeypatch.setattr(quaternion.HKTCandidate, "__init__", counting_init)
+    monkeypatch.setattr(complexops, "combinations", counting_combinations)
+    assert run_check(builtin("pseudoHK12")).overall == "pass"
+    assert built == {"candidates": 1, "columns": [3]}

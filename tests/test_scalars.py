@@ -126,7 +126,7 @@ def test_exponent_bound_invariant(table):
     s = parse_expr("s2^5+s3^4*s2", table)
     for mono in s.num:
         for idx, e in mono:
-            name = table.name_of(idx)
+            name = table.names[idx]
             if name in ("s2", "s3"):
                 assert e < 2
             if name == "i":
@@ -712,12 +712,53 @@ def test_gaussian_operands_off_the_fast_path_give_the_same_values(x, y, k, q):
 def test_parsed_power_too_long_to_print_is_refused_before_it_is_built():
     """``^`` in an expression sizes the power first, as ``wedge_power`` does:
     3^1000000 (477121 digits) is refused at once instead of being built, and
-    a power that prints is built as before."""
+    so is the same power times a monomial in the free symbols, while a power
+    that prints is built as before."""
     table = SymbolTable([Symbol("a")])
-    with pytest.raises(ScalarError, match=r"^scalar too long to print: a power would have"):
-        table.scalar("3^1000000")
+    for text in ["3^1000000", "(3*a)^1000000", "(1/(3*a))^1000000", "((2+i)*a^2/3)^1000000"]:
+        with pytest.raises(ScalarError, match=r"^scalar too long to print: a power would have"):
+            table.scalar(text)
     assert table.scalar("3^10000") == table.scalar(3) ** 10000
     assert table.scalar("(a+1)^3") == (table.symbol("a") + 1) ** 3
+
+
+@pytest.mark.parametrize(
+    "text, monomials",
+    [("(a+b+1)^1000", 501501), ("(a+b+1)^31", 528), ("(a+1)^500", 501),
+     ("1/(a+b+1)^1000", 501501), ("(1/(a*b+1))^1000", 1001)],
+)
+def test_parsed_power_with_too_many_monomials_is_refused_before_it_is_built(text, monomials):
+    """A power of a base with free symbols is sized by the monomials its
+    expansion could have, and refused unbuilt past the module's limit."""
+    table = SymbolTable([Symbol("a"), Symbol("b")])
+    with pytest.raises(ScalarError) as info:
+        table.scalar(text)
+    assert str(info.value) == (
+        f"scalar too large to expand: a power could have {monomials} monomials (the limit is 500)"
+    )
+
+
+def test_power_of_a_fraction_over_a_related_symbol_is_the_repeated_product():
+    table = SymbolTable([Symbol("a"), Symbol("b"), Symbol("s", relation=(2, "2")),
+                         Symbol("r", relation=(3, "s+1"))])
+    for text in ["(s*a+1)/(r*b+s)", "(i*a+s)/(a*r+b*s+1)", "(a+b)/(r*a+r^2*b)", "1/(s*a)"]:
+        x = table.scalar(text)
+        product = table.one
+        for k in range(1, 5):
+            product = product * x
+            assert (x**k).key() == product.key() and str(x**k) == str(product)
+
+
+def test_parsed_power_within_the_monomial_limit_is_built():
+    """Powers up to the limit, and powers whose base has one free monomial
+    (whatever k is), are built as before."""
+    table = SymbolTable([Symbol("a"), Symbol("b"), Symbol("s", relation=(2, "2"))])
+    a, b, s = (table.symbol(n) for n in "abs")
+    assert table.scalar("(a+b+1)^3") == (a + b + 1) ** 3
+    assert len(table.scalar("(a+b+1)^30").num) == 496
+    assert table.scalar("(2*s*a*b)^100000") == (2 * s * a * b) ** 100000
+    assert table.scalar("(s+1)^100") == (s + 1) ** 100
+    assert scalars_module.power_monomials(a + b + 1, 30) == 496
 
 
 def test_a_scalar_past_the_digit_limit_refuses_to_print(table):
@@ -741,18 +782,21 @@ def test_a_scalar_past_the_digit_limit_refuses_to_print(table):
     d=st.integers(1, 60),
     k=st.integers(1, 80),
     on_the_circle=st.booleans(),
+    monomial=st.sampled_from(["1", "x", "1/x", "x^2*y"]),
 )
-def test_property_power_digits_is_a_lower_bound(a, b, d, k, on_the_circle):
+def test_property_power_digits_is_a_lower_bound(a, b, d, k, on_the_circle, monomial):
     """Some integer printed in c^k has more digits than ``power_digits``
     says, for c = (a + b i) / d, and on the unit circle for
-    c = (a + b i) / (a - b i), which is every c in Q(i) with |c| = 1."""
-    table = SymbolTable()
+    c = (a + b i) / (a - b i), which is every c in Q(i) with |c| = 1; each
+    times a monomial in free symbols too."""
+    table = SymbolTable([Symbol("x"), Symbol("y")])
     z = table.scalar(a) + table.scalar(b) * table.i
     if on_the_circle:
         assume(not z.is_zero())
         c = z / z.conjugate()
     else:
         c = z / d
+    c = c * table.scalar(monomial)
     bound = scalars_module.power_digits(c, k)
     written = [n for x in (c**k).num.values() for n in (x.numerator, x.denominator)]
     assert bound < max((len(str(abs(n))) for n in written), default=1)
@@ -822,6 +866,33 @@ def test_property_gaussian_polynomials_match_a_fraction_path_oracle(tx, ty, k):
     if y:
         back = (x / y) * y
         assert back == x and hash(back) == hash(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 4))
+def test_property_power_of_a_fraction_is_the_repeated_product(data, k):
+    """x^k with a non-constant denominator raises numerator and denominator
+    apart, with no gcd; it is the canonical value of x * x * ... * x.  Each
+    product of that oracle takes a gcd, which over a related symbol can take
+    minutes, so the fractions here are over Q(i)."""
+    table, names = _GP, ["a", "b", "c", "i"]
+
+    def poly(size):
+        return st.lists(
+            st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(names), max_size=2)),
+            min_size=1, max_size=size,
+        ).map(lambda terms: "+".join(f"({c})*" + "*".join(["1", *v]) for c, v in terms))
+
+    num, den = data.draw(poly(3)), data.draw(poly(2))
+    try:
+        x = table.scalar(f"({num})/({den})")
+    except ScalarError:
+        return
+    product = table.one
+    for _ in range(k):
+        product = product * x
+    got = x**k
+    assert got.key() == product.key() and str(got) == str(product)
 
 
 @settings(max_examples=100, deadline=None)
