@@ -30,10 +30,15 @@ squarefree part and the Sturm chain (primitive pseudo-remainder sequences),
 the Gram matrix's signature (a division-free congruence), the lattice values
 q(v, w) (of x + lambda y from q(x), q(x, y) and q(y)) and the exact
 eigenvector of a rational or quadratic hyperbolic eigenvalue each scale back
-to the same rationals they would have produced over Q; their matrix products
-(A^T H A, Horner's r(M), A^2) run on the sparse kernel ``linear.product``,
-not on ``linear.mat_mul``, which ``perfbench/tracer.py`` counts as
-scalar-field work.  Every Sturm root search takes a point as integers u / w:
+to the same rationals they would have produced over Q.  A^T H A, Horner's
+r(M) and the exact eigenvector's vectors follow the nonzeros of A through one
+kernel, ``_sparse_times`` (a row ``{index: int}`` times a matrix listed by
+its nonzero rows), and A^2 runs on ``linear.product``; none runs on
+``linear.mat_mul``, which ``perfbench/tracer.py`` counts as scalar-field
+work.  ``classify`` clears the characteristic polynomial to its primitive
+integer multiple once, for the Sturm chain, the root isolation, the factor
+and the eigenvector; its squarefree witnesses are the monic polynomial's.
+Every Sturm root search takes a point as integers u / w:
 one evaluator, ``_at``, gives w^deg q(u / w) for the sign counts, the
 refinement and the test of the root -1; isolation halves integer ends whose
 denominator doubles at each halving, building Fractions only for the
@@ -158,6 +163,11 @@ def _over_common(v):
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
+def _nonzero_rows(rows):
+    """Each row as the list of its nonzero (column, entry) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
 def _floats(a, d):
     """A / d as a numpy array; each entry is float(Fraction(x, d)), since
     int true division rounds correctly."""
@@ -187,8 +197,7 @@ class QuadraticLattice:
             raise LatticeError("gram matrix must be square")
         if h.rows != tuple(zip(*h.rows)):
             raise LatticeError("gram matrix is not symmetric")
-        # each row of H as its nonzero (column, entry) pairs
-        self._nonzero = tuple(tuple((k, g) for k, g in enumerate(row) if g) for row in h.rows)
+        self._nonzero = _nonzero_rows(h.rows)
         # H = e G with e > 0 has the signature of G
         self.signature = congruence_signature(
             [list(r) for r in h.rows], lambda d: d > 0, operator.floordiv
@@ -232,25 +241,34 @@ class IsometryCheck:
     residual: tuple | None = None
 
 
+def _sparse_times(row, rows, out=None):
+    """out + row R over the integers, for a row ``{index: int}`` and a matrix
+    R listed by its nonzero rows, each (col, entry) pairs as ``_nonzero_rows``
+    gives them, as ``{col: value}`` with zeros dropped; ``out`` (a dict,
+    empty by default) is added into."""
+    out = {} if out is None else out
+    for k, x in row.items():
+        for j, y in rows[k]:
+            out[j] = out.get(j, 0) + x * y
+    return {j: v for j, v in out.items() if v}
+
+
 def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
     """Exact test M^T G M = G, run as A^T H A = d^2 H over the integers for
-    M = A / d and G = H / e; the residual M^T G M - G is that difference
-    divided by d^2 e."""
+    M = A / d and G = H / e, through the nonzeros of H and A; the residual
+    M^T G M - G is that difference divided by d^2 e."""
     a, d = lattice.endomorphism(matrix)
     h, e = lattice.cleared
     d2 = d * d
-    cols, ha_cols = tuple(zip(*a)), tuple(zip(*product(h, a, 0)))
-    # A^T H A is symmetric: test the entries on and above the diagonal
-    if all(
-        sum(map(operator.mul, cols[i], ha_cols[j])) == d2 * h[i][j]
-        for i in range(len(a))
-        for j in range(i, len(a))
-    ):
+    a_rows = _nonzero_rows(a)
+    ha = [_sparse_times(dict(nz), a_rows).items() for nz in lattice._nonzero]
+    lhs = [_sparse_times(dict(col), ha) for col in _nonzero_rows(zip(*a))]
+    if all(row == {j: d2 * g for j, g in nz} for row, nz in zip(lhs, lattice._nonzero)):
         return IsometryCheck(True)
-    lhs = product(cols, tuple(zip(*ha_cols)), 0)
     den = d2 * e
     res = tuple(
-        tuple(Fraction(x - d2 * y, den) for x, y in zip(rl, rh)) for rl, rh in zip(lhs, h)
+        tuple(Fraction(row.get(j, 0) - d2 * y, den) for j, y in enumerate(rh))
+        for row, rh in zip(lhs, h)
     )
     return IsometryCheck(False, res)
 
@@ -330,27 +348,23 @@ def poly_derivative(p):
 def poly_eval_matrix(p, matrix):
     """p(M) exactly, as rows of Fractions."""
     out, den = _horner(p, _exact(matrix))
-    return tuple(tuple(Fraction(x, den) for x in row) for row in out)
+    return tuple(tuple(Fraction(row.get(j, 0), den) for j in range(len(out))) for row in out)
 
 
 def _horner(p, m):
-    """Integer rows R and a positive integer D with p(M) = R / D.  With
-    M = A / d and L the lcm of p's denominators, the integer Horner sum
-    sum_k (L c_k) d^(deg - k) A^k equals L d^deg p(M)."""
+    """Integer rows R, as ``{col: value}`` dicts of their nonzeros, and a
+    positive integer D with p(M) = R / D.  With M = A / d and L the lcm of
+    p's denominators, the integer Horner sum sum_k (L c_k) d^(deg - k) A^k
+    equals L d^deg p(M)."""
     a, d = m
-    n = len(a)
-    if not p:
-        return tuple((0,) * n for _ in range(n)), 1
+    a_rows = _nonzero_rows(a)
     c, lc = _over_common(p)
     deg = len(c) - 1
-    out = tuple(tuple(c[deg] * (i == j) for j in range(n)) for i in range(n))
-    for k in range(deg - 1, -1, -1):
+    out = [{} for _ in a]
+    for k in range(deg, -1, -1):
         ck = c[k] * d ** (deg - k)
-        out = tuple(
-            tuple(x + ck * (i == j) for j, x in enumerate(row))
-            for i, row in enumerate(product(out, a, 0))
-        )
-    return out, lc * d**deg
+        out = [_sparse_times(row, a_rows, {i: ck}) for i, row in enumerate(out)]
+    return out, lc * d ** max(deg, 0)
 
 
 def squarefree_part(p):
@@ -515,9 +529,10 @@ def count_roots_halfopen(chain, a, b):
 
 
 def cauchy_bound(p):
-    lc = abs(p[-1])
-    m = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lc
+    """1 + max |c_k| / |lc(p)|, above the absolute value of every root of p,
+    as a Fraction for int and Fraction coefficients alike."""
+    m = max((abs(c) for c in p[:-1]), default=0)
+    return 1 + Fraction(m) / abs(p[-1])
 
 
 def isolate_real_roots(chain, lo, hi):
@@ -616,8 +631,10 @@ class Classification:
 
 
 def _min_poly_factor_for_interval(p, a, b):
-    """The irreducible factor of the characteristic polynomial p of a
-    Lorentzian isometry that has a root in the isolating interval (a, b].
+    """The irreducible factor of the characteristic polynomial of a
+    Lorentzian isometry that has a root in the isolating interval (a, b],
+    for p that polynomial or its primitive integer multiple: the multiple
+    is monic exactly when the polynomial is integral.
 
     When p is monic over Z with p(0) = +-1 the factor is the squarefree part
     of p with every cyclotomic factor divided out.  Proof: such an isometry
@@ -681,9 +698,10 @@ def _cyclotomic(k):
 
 def _eigenvector_coordinates(m, p, f):
     """An eigenvector of M = A / d for a simple eigenvalue lambda with
-    minimal polynomial f (primitive over Z, degree k) and characteristic
-    polynomial p, as k integer vectors w_0, .., w_(k-1): the eigenvector is
-    sum_i lambda^i w_i, up to a nonzero rational factor.
+    minimal polynomial f (primitive over Z, degree k), for p the primitive
+    integer multiple of the characteristic polynomial, as k integer vectors
+    w_0, .., w_(k-1): the eigenvector is sum_i lambda^i w_i, up to a nonzero
+    rational factor.
 
     p = f g with g over Z (Gauss), and g(M) != 0 since lambda is simple, so
     some column z of g(M) is nonzero and f(M) z = p(M) e_j = 0
@@ -695,29 +713,24 @@ def _eigenvector_coordinates(m, p, f):
     d^(k-1-i) f_(i+1) z, and w_i = d^i U_i, so d^(k-1) v = sum_i lambda^i w_i."""
     a, d = m
     n = len(a)
-    g = _divmod_int(_int_poly(p), f)[0]
-    rows = [[(col, x) for col, x in enumerate(row) if x] for row in a]
-
-    def times_a(v):
-        return [sum(x * v[col] for col, x in row) for row in rows]
-
+    g = _divmod_int(p, f)[0]
+    # A v for v = {index: int} is v times the rows of A^T, the columns of A
+    cols = _nonzero_rows(zip(*a))
     top = len(g) - 1
     for j in range(n):
-        z = [0] * n
-        z[j] = g[top]
+        z = {j: g[top]}
         for i in range(top - 1, -1, -1):
-            z = times_a(z)
-            z[j] += g[i] * d ** (top - i)
-        if any(z):
+            z = _sparse_times(z, cols, {j: g[i] * d ** (top - i)})
+        if z:
             break
     else:
         raise LatticeError("g(M) = 0: the eigenvalue is not simple (internal error)")
     k = len(f) - 1
-    us = [[f[k] * x for x in z]]
+    us = [{j: f[k] * x for j, x in z.items()}]
     for i in range(k - 2, -1, -1):
         c = f[i + 1] * d ** (k - 1 - i)
-        us.append([y + c * x for y, x in zip(times_a(us[-1]), z)])
-    return [[d**i * x for x in u] for i, u in enumerate(reversed(us))]
+        us.append(_sparse_times(us[-1], cols, {j: c * x for j, x in z.items()}))
+    return [[d**i * u.get(j, 0) for j in range(n)] for i, u in enumerate(reversed(us))]
 
 
 def _eigenvector_quadratic(m, p, f):
@@ -754,28 +767,29 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             "refusing to guess"
         )
     p = char_poly(m)
-    chain = sturm_chain(p)
-    off_unit = real_roots_outside_unit(p, chain)
+    q = _int_poly(p)  # the primitive integer multiple, cleared once
+    chain = sturm_chain(q)
+    off_unit = real_roots_outside_unit(q, chain)
     _remember_verdict((m, lattice.cleared), bool(off_unit))
     if off_unit:
         # take the interval with the largest absolute value endpoints
         best = max(off_unit, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
         a, b = refine_interval(chain, best[0], best[1])
-        factor = _min_poly_factor_for_interval(p, a, b)
+        factor = _min_poly_factor_for_interval(q, a, b)
         cert = {
             "lambda_interval": (a, b),
             "interval_width": b - a,
             "min_poly_degree": len(factor) - 1,
         }
         if len(factor) == 2:
-            ev = _eigenvector_int_kernel(m, p, factor)
+            ev = _eigenvector_int_kernel(m, q, factor)
             cert["eigenvector"] = ev
             cert["eigenvector_field"] = "rational"
             cert["q_value"] = lattice.value(ev)
         elif len(factor) == 3:
             s = -factor[1] / factor[2]
             t = -factor[0] / factor[2]
-            v = _eigenvector_quadratic(m, p, factor)
+            v = _eigenvector_quadratic(m, q, factor)
             cert["eigenvector"] = v
             cert["eigenvector_field"] = f"quadratic: x^2 = {s}*x + {t}"
             cert["q_value"] = _quad_q_value(lattice, v, s, t)
@@ -786,9 +800,10 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             cert["eigenvector_field"] = "numeric"
             cert["eigenvector_residual"] = res
         return Classification("hyperbolic", cert)
+    # the witnesses are those of the monic p: q is not monic when d > 1
     r, g = squarefree_part(p)
-    rm, _ = _horner(r, m)  # a positive multiple of r(M)
-    if not any(map(any, rm)):
+    rm, _ = _horner(r, m)  # a positive multiple of r(M), as dict rows
+    if not any(rm):
         return Classification(
             "elliptic",
             {
@@ -796,12 +811,7 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
                 "note": "r(M) = 0 for the squarefree part r of the characteristic polynomial",
             },
         )
-    witness = next(
-        (i, j)
-        for i in range(len(rm))
-        for j in range(len(rm))
-        if rm[i][j] != 0
-    )
+    witness = next((i, min(row)) for i, row in enumerate(rm) if row)
     fixed = kernel_basis(_shifted(m, 1))
     return Classification(
         "parabolic",

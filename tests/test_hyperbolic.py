@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rows, is_zero_matrix, mat_mul, poly_mul
+from conftest import fraction_rows, is_zero_matrix, mat_mul, perfbench, poly_mul
 from hermitia.hyperbolic import (
     Classification,
     LatticeError,
@@ -21,8 +21,12 @@ from hermitia.hyperbolic import (
     QuadraticLattice,
     _cyclotomic,
     _cyclotomic_free,
+    _eigenvector_coordinates,
+    _exact,
+    _int_poly,
     _min_poly_factor_for_interval,
     _quad_q_value,
+    cauchy_bound,
     char_poly,
     classify,
     count_roots_halfopen,
@@ -468,6 +472,49 @@ def conjugated_isometries(draw):
     return g2, m2
 
 
+nonzero_rationals = st.builds(Fraction, st.integers(1, 5), st.integers(1, 6)) | st.builds(
+    Fraction, st.integers(-5, -1), st.integers(1, 6))
+
+
+@st.composite
+def exact_matrices(draw, max_n=7):
+    """Square matrices of ints or of rationals, dense or sparse: a sparse one
+    is the identity with a few entries overwritten."""
+    n = draw(st.integers(1, max_n))
+    entry = draw(st.sampled_from((small, rationals)))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, x in draw(st.lists(st.tuples(index, index, entry), max_size=n)):
+        m[i][j] = x
+    return m
+
+
+@st.composite
+def sparse_isometries(draw):
+    """(G, M) for a Lorentzian reflection product M, the identity outside a
+    few coordinates, as it is or conjugated by a rational diagonal matrix,
+    which gives it denominators (d > 1)."""
+    n = draw(st.integers(3, 12))
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    gram, m = lorentz_gram(n), reflection_product(rng, n, draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        diag = draw(st.lists(nonzero_rationals, min_size=n, max_size=n))
+        gram, m = rational_conjugate(gram, m, diag)
+    return gram, m
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """(G, M) for any exact M and a random symmetric G of its size: almost
+    never an isometry, so the residual is read."""
+    m = draw(exact_matrices())
+    n = len(m)
+    s = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    return [[s[i][j] + s[j][i] for j in range(n)] for i in range(n)], m
+
+
 @PROPERTY
 @given(m=square(rationals))
 def test_char_poly_matches_sympy_on_rational_matrices(m):
@@ -476,9 +523,13 @@ def test_char_poly_matches_sympy_on_rational_matrices(m):
     assert char_poly(m) == [Fraction(int(c.p), int(c.q)) for c in reversed(theirs)]
 
 
-@PROPERTY
-@given(pair=conjugated_isometries(), bump=rationals, where=st.tuples(small, small))
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(conjugated_isometries(), sparse_isometries(), symmetric_pairs()),
+       bump=rationals, where=st.tuples(small, small))
 def test_verify_isometry_matches_fraction_residual(pair, bump, where):
+    """ok and the residual M^T G M - G against a dense Fraction product, on
+    dense rational isometries, on sparse integer and rational ones, on any
+    matrix for a random symmetric form, and on each with one entry bumped."""
     gram, m = pair
     n = len(m)
     if bump:
@@ -493,9 +544,11 @@ def test_verify_isometry_matches_fraction_residual(pair, bump, where):
         assert chk.residual == tuple(tuple(row) for row in reference)
 
 
-@PROPERTY
-@given(p=st.lists(rationals, max_size=6), m=square(rationals, 4))
+@settings(max_examples=150, deadline=None)
+@given(p=st.lists(st.one_of(small, rationals), max_size=6),
+       m=st.one_of(square(rationals, 4), exact_matrices()))
 def test_poly_eval_matrix_matches_fraction_horner(p, m):
+    """Dense rational matrices, and int or rational ones, dense or sparse."""
     n = len(m)
     m = fraction_rows(m)
     ref = [[Fraction(0)] * n for _ in range(n)]
@@ -1179,6 +1232,156 @@ def test_lattice_cycle_certificates_are_pinned():
             cert = {k: v for k, v in cert.items() if k not in NUMERIC_FIELDS}
         digest.update(repr((res.label, char_poly(m), sorted(cert.items()))).encode())
     assert digest.hexdigest() == PINNED_CYCLE
+
+
+def certificate_digest(pairs):
+    """sha256 of the labels, characteristic polynomials and sorted exact
+    certificate items of ``classify`` on (gram, M) pairs, with a numeric
+    eigenvector's fields left out, as in the pin above."""
+    digest = hashlib.sha256()
+    for gram, m in pairs:
+        res = classify(m, QuadraticLattice(gram))
+        cert = res.certificate
+        if cert.get("eigenvector_field") == "numeric":
+            cert = {k: v for k, v in cert.items() if k not in NUMERIC_FIELDS}
+        digest.update(repr((res.label, char_poly(m), sorted(cert.items()))).encode())
+    return digest.hexdigest()
+
+
+def workload_cycle(seed):
+    """The (gram, M) inputs of one cycle of the lattices benchmark."""
+    workload = perfbench("workloads").Lattices(seed)
+    return [(inp.payload["gram"], inp.payload["matrix"]) for inp in workload.cycle()]
+
+
+# sha256 of certificate_digest over one cycle of the lattices benchmark at
+# each seed, as computed with the dense isometry test, r(M) and Krylov loops
+PINNED_WORKLOAD_CYCLES = {
+    1: "a1e42eecc64bf7d4ac85cf7e47e27f44157e2135cb923b0c34d8b20c11aeab26",
+    2: "d8210c47f3f6a46254e930c995e79c3e3095bd4c5050264a9c6cd0c8d61e247c",
+    3: "a5a56771fa1e4c552ca302dfb354866e12c623bac78712fd6153e6bcc3648f0f",
+    7: "042cce7762dd7f123ff1f11545918412f62480e7a1cf9fc0c1ead4bb8d97ba7e",
+    11: "3aaaf8a9a3f1b43557e1d934625d74ad472dfbcb3a50e0a7827bc418c0eab580",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_WORKLOAD_CYCLES))
+def test_lattices_workload_certificates_are_pinned(seed):
+    assert certificate_digest(workload_cycle(seed)) == PINNED_WORKLOAD_CYCLES[seed]
+
+
+def rational_conjugate(gram, m, diag):
+    """(D^-T G D^-1, D M D^-1) for D = diag(diag): an isometry of the new
+    form with denominators, and with M's characteristic polynomial."""
+    n = len(m)
+    return (
+        [[Fraction(gram[i][j]) / (diag[i] * diag[j]) for j in range(n)] for i in range(n)],
+        [[diag[i] * m[i][j] / diag[j] for j in range(n)] for i in range(n)],
+    )
+
+
+def non_integral_family():
+    """Isometries with d > 1: a rotation and a boost whose characteristic
+    polynomials are not integral, the 18/7 quadratic one, and rational
+    diagonal conjugates of the first eight seed-7 benchmark inputs, one of
+    them parabolic."""
+    pairs = [
+        (LORENTZ_3, [[1, 0, 0], [0, "3/5", "-4/5"], [0, "4/5", "3/5"]]),
+        ([[1, 0], [0, -1]], [["5/4", "3/4"], ["3/4", "5/4"]]),
+        ([[1, 0, 0], [0, -2, 0], [0, 0, -1]], [["9/7", "8/7", 0], ["4/7", "9/7", 0], [0, 0, 1]]),
+    ]
+    for k, (gram, m) in enumerate(workload_cycle(7)[:8]):
+        diag = [Fraction(1 + (i + k) % 3, 1 + (i * k) % 4) for i in range(len(m))]
+        pairs.append(rational_conjugate(gram, m, diag))
+    return pairs
+
+
+PINNED_NON_INTEGRAL = "b53f8b8c255bb35832232e2d9abefa49882b4d1371451ef55c0d3c5bdd2238d8"
+
+
+def test_non_integral_certificates_are_pinned():
+    """The witness of the rotation stays that of the monic characteristic
+    polynomial, not of its primitive integer multiple."""
+    pairs = non_integral_family()
+    gram, m = pairs[0]
+    res = classify(m, QuadraticLattice(gram))
+    assert res.certificate["squarefree_witness"] == ["-1", "11/5", "-11/5", "1"]
+    assert certificate_digest(pairs) == PINNED_NON_INTEGRAL
+
+
+# -- the exact eigenvector's identity, and the Cauchy bound ---------------------
+
+
+def assert_eigen_identity(m):
+    """For the minimal polynomial f of the hyperbolic eigenvalue x of
+    M = A / d (sympy's factor with a root of modulus above 1), the vectors
+    w_i of ``_eigenvector_coordinates`` have (A - d x) sum_i x^i w_i = 0
+    mod f, and some w_i is nonzero; returns deg f."""
+    exact = _exact(m)
+    a, d = exact
+    p = char_poly(m)
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x, domain="QQ")
+    (f,) = [
+        [int(c) for c in reversed(sympy.Poly(factor, x).primitive()[1].all_coeffs())]
+        for factor, _ in poly.factor_list()[1]
+        if max(abs(np.roots([float(c) for c in factor.all_coeffs()]))) > 1 + 1e-6
+    ]
+    w = _eigenvector_coordinates(exact, _int_poly(p), f)
+    assert len(w) == len(f) - 1 and any(map(any, w))
+    for j, row in enumerate(a):
+        # coordinate j of (A - d x) sum_i x^i w_i, a polynomial in x
+        coord = [sum(r * wi[t] for t, r in enumerate(row)) for wi in w] + [0]
+        for i, wi in enumerate(w):
+            coord[i + 1] -= d * wi[j]
+        assert not _frac_rem(coord, f)
+    return len(f) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 12), count=st.integers(2, 6),
+       conjugate=st.booleans())
+def test_eigenvector_coordinates_solve_the_eigen_equation(seed, n, count, conjugate):
+    """Lorentzian reflection products, whose hyperbolic eigenvalues have
+    minimal polynomials of degree 2, 4 and 6, as they are and conjugated by
+    a rational diagonal matrix (d > 1)."""
+    m = reflection_product(random.Random(seed), n, count)
+    res = classify(m, QuadraticLattice(lorentz_gram(n)))
+    assume(res.label == "hyperbolic")
+    if conjugate:
+        _, m = rational_conjugate(lorentz_gram(n), m, [Fraction(1 + i % 3, 1 + i % 4)
+                                                       for i in range(n)])
+    assert assert_eigen_identity(m) == res.certificate["min_poly_degree"]
+
+
+@pytest.mark.parametrize("gram, m", HYPERBOLIC)
+def test_eigenvector_coordinates_solve_the_eigen_equation_on_examples(gram, m):
+    """Degrees 1 and 2, integral and not."""
+    assert assert_eigen_identity(m) == classify(m, QuadraticLattice(gram)).certificate[
+        "min_poly_degree"]
+
+
+def test_workload_eigenvalues_of_degree_four_solve_the_eigen_equation():
+    """The benchmark's numeric-field inputs: degree 4, in dims up to 24."""
+    degrees = [assert_eigen_identity(m) for gram, m in workload_cycle(7)
+               if classify(m, QuadraticLattice(gram)).label == "hyperbolic"]
+    assert sorted(set(degrees)) == [2, 4]
+
+
+@PROPERTY
+@given(p=st.lists(st.integers(-30, 30), min_size=2, max_size=7), k=st.integers(1, 9))
+@example(p=[-2, 0, 1], k=1)
+def test_cauchy_bound_is_exact_for_int_and_fraction_coefficients(p, k):
+    """Equal Fraction bounds, also for a positive multiple, and equal
+    isolating intervals off the unit interval (for t^2 - 2 as ints the
+    float bound 3.0 made the isolation raise)."""
+    assume(p[-1] != 0)
+    fr = [Fraction(c) for c in p]
+    bound = cauchy_bound(fr)
+    assert type(cauchy_bound(p)) is Fraction
+    assert cauchy_bound(p) == bound == cauchy_bound([k * c for c in p])
+    assert real_roots_outside_unit(p, sturm_chain(p)) == real_roots_outside_unit(
+        fr, sturm_chain(fr))
 
 
 # -- the boundary: one validation and one clearing per public call ------------
