@@ -30,13 +30,15 @@ def _read_text(path):
 
 
 def _load(path, option, build):
-    """``build`` applied to the JSON in a file; a value it refuses is a usage
-    error (``LatticeError`` is a ``ValueError``) naming the option."""
-    data = json.loads(_read_text(path))
+    """``build`` applied to the JSON in a file; a value it refuses, or JSON
+    nested past the recursion limit, is a usage error (``LatticeError`` is a
+    ``ValueError``) naming the option."""
     try:
-        return build(data)
+        return build(json.loads(_read_text(path)))
     except hyperbolic.LatticeError as e:
         raise ValueError(f"{option}: {e}") from None
+    except RecursionError:
+        raise ValueError(f"{option}: the JSON nests too deeply") from None
 
 
 def _load_isometry(args):
@@ -135,6 +137,8 @@ def _jsonable(obj):
 
 def _cmd_power(args):
     try:
+        if args.max_iters < 1:
+            raise ValueError(f"--max-iters: expected at least 1, got {args.max_iters}")
         lattice, matrix = _load_isometry(args)
         seed_vector = None
         if args.seed_vector:

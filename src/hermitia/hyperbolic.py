@@ -35,9 +35,19 @@ r(M) and the exact eigenvector's vectors follow the nonzeros of A through one
 kernel, ``_sparse_times`` (a row ``{index: int}`` times a matrix listed by
 its nonzero rows), and A^2 runs on ``linear.product``; none runs on
 ``linear.mat_mul``, which ``perfbench/tracer.py`` counts as scalar-field
-work.  ``classify`` clears the characteristic polynomial to its primitive
-integer multiple once, for the Sturm chain, the root isolation, the factor
-and the eigenvector; its squarefree witnesses are the monic polynomial's.
+work.  ``classify`` lists A's nonzero rows and columns once and splits off
+the k coordinates M fixes (row i and column i both d e_i): up to a
+permutation M is the identity on them and the principal submatrix M_S on
+the moved set S, so its characteristic polynomial is (x - 1)^k chi_S.
+``char_poly``, the Sturm chain (of (x - 1) chi_S, which has the same
+squarefree part), the factor, the exact eigenvector (zero on the fixed
+coordinates, as lambda != 1), r(M) (r(1) = 0 when k > 0) and the
+eigenvalue-one space (the fixed unit vectors and the zero-padded kernel of
+M_S - I) run on M_S, and give the certificates of the whole matrix.  Four
+steps stay at full size: the isometry test (H need not split), the Cauchy
+bound of the whole polynomial (it sets the printed interval ends), the
+numeric eigenvector and ``power_iterate`` (their floats would differ).
+Squarefree witnesses are printed monic, as the monic polynomial's.
 Every Sturm root search takes a point as integers u / w:
 one evaluator, ``_at``, gives w^deg q(u / w) for the sign counts, the
 refinement and the test of the root -1; isolation halves integer ends whose
@@ -168,9 +178,31 @@ def _nonzero_rows(rows):
     return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
 
+class _Listed(NamedTuple):
+    """M = A / d with the nonzeros of A listed once: each row's (column,
+    entry) pairs and each column's (row, entry) pairs, in index order."""
+
+    m: _Exact
+    rows: list
+    cols: list
+
+
+def _listed(m):
+    """``m``, an ``_Exact``, as ``_Listed``: one scan of A for the rows, and
+    the columns from the rows' nonzeros."""
+    rows = _nonzero_rows(m.rows)
+    cols = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            cols[j].append((i, x))
+    return _Listed(m, rows, cols)
+
+
 def _floats(a, d):
     """A / d as a numpy array; each entry is float(Fraction(x, d)), since
-    int true division rounds correctly."""
+    int true division rounds correctly, and so does float(x) for d = 1."""
+    if d == 1:
+        return np.array(a, dtype=float)
     return np.array([[x / d for x in row] for row in a], dtype=float)
 
 
@@ -256,13 +288,15 @@ def _sparse_times(row, rows, out=None):
 def verify_isometry(matrix, lattice: QuadraticLattice) -> IsometryCheck:
     """Exact test M^T G M = G, run as A^T H A = d^2 H over the integers for
     M = A / d and G = H / e, through the nonzeros of H and A; the residual
-    M^T G M - G is that difference divided by d^2 e."""
-    a, d = lattice.endomorphism(matrix)
+    M^T G M - G is that difference divided by d^2 e.  A ``_Listed`` matrix
+    (``classify``'s) is taken as already validated and listed."""
+    if not isinstance(matrix, _Listed):
+        matrix = _listed(lattice.endomorphism(matrix))
+    (a, d), a_rows, a_cols = matrix
     h, e = lattice.cleared
     d2 = d * d
-    a_rows = _nonzero_rows(a)
     ha = [_sparse_times(dict(nz), a_rows).items() for nz in lattice._nonzero]
-    lhs = [_sparse_times(dict(col), ha) for col in _nonzero_rows(zip(*a))]
+    lhs = [_sparse_times(dict(col), ha) for col in a_cols]
     if all(row == {j: d2 * g for j, g in nz} for row, nz in zip(lhs, lattice._nonzero)):
         return IsometryCheck(True)
     den = d2 * e
@@ -633,8 +667,11 @@ class Classification:
 def _min_poly_factor_for_interval(p, a, b):
     """The irreducible factor of the characteristic polynomial of a
     Lorentzian isometry that has a root in the isolating interval (a, b],
-    for p that polynomial or its primitive integer multiple: the multiple
-    is monic exactly when the polynomial is integral.
+    for p that polynomial, its primitive integer multiple or the primitive
+    positive squarefree part (the first member of its Sturm chain, which
+    ``classify`` passes): each has the same irreducible factors, and each
+    is monic over Z with constant term +-1 exactly when the characteristic
+    polynomial is.
 
     When p is monic over Z with p(0) = +-1 the factor is the squarefree part
     of p with every cyclotomic factor divided out.  Proof: such an isometry
@@ -756,9 +793,13 @@ def _eigenvector_quadratic(m, p, f):
 
 
 def classify(matrix, lattice: QuadraticLattice) -> Classification:
-    """Isometry trichotomy with certificates; exactly one branch is taken."""
-    m = _exact(matrix)
-    chk = verify_isometry(m, lattice)
+    """Isometry trichotomy with certificates; exactly one branch is taken.
+
+    The spectral work runs on the moved core M_S (``_moved_core``): with k
+    fixed coordinates the characteristic polynomial is (x - 1)^k chi_S, and
+    every certificate is the one the whole of M gives."""
+    listed = _listed(lattice.endomorphism(matrix))
+    chk = verify_isometry(listed, lattice)
     if not chk.ok:
         raise LatticeError("matrix is not an isometry of the lattice")
     if not _lorentzian(lattice):
@@ -766,30 +807,40 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             f"classification requires signature (1, n, 0), got {lattice.signature}; "
             "refusing to guess"
         )
-    p = char_poly(m)
-    q = _int_poly(p)  # the primitive integer multiple, cleared once
-    chain = sturm_chain(q)
+    m = listed.m
+    n = len(m.rows)
+    moved, core = _moved_core(listed)
+    k = n - len(moved)
+    chi = _int_poly(char_poly(core))
+    # q, the primitive multiple of the characteristic polynomial, is read
+    # only by the Cauchy bound and the repeated factor; (x - 1) chi has q's
+    # squarefree part
+    q = _times_x_minus_one(chi, k)
+    chain = sturm_chain(_times_x_minus_one(chi, min(1, k)))
     off_unit = real_roots_outside_unit(q, chain)
     _remember_verdict((m, lattice.cleared), bool(off_unit))
     if off_unit:
         # take the interval with the largest absolute value endpoints
         best = max(off_unit, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
         a, b = refine_interval(chain, best[0], best[1])
-        factor = _min_poly_factor_for_interval(q, a, b)
+        factor = _min_poly_factor_for_interval(chain[0], a, b)
         cert = {
             "lambda_interval": (a, b),
             "interval_width": b - a,
             "min_poly_degree": len(factor) - 1,
         }
+        # lambda != 1, so the eigenvector vanishes on the fixed coordinates
         if len(factor) == 2:
-            ev = _eigenvector_int_kernel(m, q, factor)
+            ev = _eigenvector_int_kernel(core, chi, factor)
+            ev = tuple(_padded(ev, moved, n, Fraction(0)))
             cert["eigenvector"] = ev
             cert["eigenvector_field"] = "rational"
             cert["q_value"] = lattice.value(ev)
         elif len(factor) == 3:
             s = -factor[1] / factor[2]
             t = -factor[0] / factor[2]
-            v = _eigenvector_quadratic(m, q, factor)
+            v = _eigenvector_quadratic(core, chi, factor)
+            v = _padded(v, moved, n, (Fraction(0), Fraction(0)))
             cert["eigenvector"] = v
             cert["eigenvector_field"] = f"quadratic: x^2 = {s}*x + {t}"
             cert["q_value"] = _quad_q_value(lattice, v, s, t)
@@ -800,28 +851,76 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             cert["eigenvector_field"] = "numeric"
             cert["eigenvector_residual"] = res
         return Classification("hyperbolic", cert)
-    # the witnesses are those of the monic p: q is not monic when d > 1
-    r, g = squarefree_part(p)
-    rm, _ = _horner(r, m)  # a positive multiple of r(M), as dict rows
+    # r = chain[0] is the primitive squarefree part of q and g = q / r the
+    # repeated factor; the witnesses print them monic, as the monic p's.
+    # With a fixed coordinate r(1) = 0, so r(M) = 0 exactly when r(M_S) = 0.
+    r = chain[0]
+    rm, _ = _horner(r, core)  # a positive multiple of r(M_S), as dict rows
     if not any(rm):
         return Classification(
             "elliptic",
             {
-                "squarefree_witness": [str(c) for c in r],
+                "squarefree_witness": [str(Fraction(c, r[-1])) for c in r],
                 "note": "r(M) = 0 for the squarefree part r of the characteristic polynomial",
             },
         )
-    witness = next((i, min(row)) for i, row in enumerate(rm) if row)
-    fixed = kernel_basis(_shifted(m, 1))
+    g = _divmod_int(q, r)[0]
+    witness = next((moved[i], moved[min(row)]) for i, row in enumerate(rm) if row)
+    fixed = _eigenvalue_one_space(core, moved, n)
     return Classification(
         "parabolic",
         {
-            "repeated_factor": [str(c) for c in g],
+            "repeated_factor": [str(Fraction(c, g[-1])) for c in g],
             "nonzero_entry_of_r_of_M": witness,
             "eigenvalue_one_space": [[str(x) for x in v] for v in fixed],
             "eigenvalue_one_q_values": [str(lattice.value(v)) for v in fixed],
         },
     )
+
+
+def _moved_core(listed):
+    """(S, M_S): the coordinates that M = A / d moves, in increasing order,
+    and the principal submatrix of M on them, as an ``_Exact``.
+
+    Coordinate i is fixed when row i and column i of A both equal d e_i.
+    Then no moved row or column has an entry at a fixed index, so up to a
+    permutation M is the identity on the fixed coordinates and M_S on the
+    others; when nothing is fixed M_S is M."""
+    (a, d), rows, cols = listed
+    moved = [i for i, (r, c) in enumerate(zip(rows, cols)) if not r == c == [(i, d)]]
+    if len(moved) == len(a):
+        return moved, listed.m
+    return moved, _Exact(tuple(tuple(a[i][j] for j in moved) for i in moved), d)
+
+
+def _times_x_minus_one(c, k):
+    """(x - 1)^k c for an integer polynomial c."""
+    for _ in range(k):
+        c = [y - x for x, y in zip(c + [0], [0] + c)]
+    return c
+
+
+def _padded(v, moved, n, zero):
+    """The length-n vector with v's entries at the indices ``moved`` and
+    ``zero`` elsewhere."""
+    out = [zero] * n
+    for i, x in zip(moved, v):
+        out[i] = x
+    return out
+
+
+def _eigenvalue_one_space(core, moved, n):
+    """``kernel_basis`` of M - I from that of M_S - I.
+
+    The reduced echelon form of M - I is that of M_S - I with the fixed
+    columns zero, so its basis is e_i for each fixed i and each vector of
+    M_S - I zero-padded, in the order of their free columns; a kernel
+    vector's free column is its last nonzero entry."""
+    space = {i: [int(i == j) for j in range(n)] for i in set(range(n)).difference(moved)}
+    for v in kernel_basis(_shifted(core, 1)):
+        free = max(j for j, x in enumerate(v) if x)
+        space[moved[free]] = _padded(v, moved, n, 0)
+    return [space[i] for i in sorted(space)]
 
 
 # classify's boolean hyperbolic verdict on the last 8 (M, lattice.cleared)
@@ -964,8 +1063,10 @@ def power_iterate(
     the same Gram matrix the test reads its verdict.  When the iteration
     stalls for 50 steps (a seed exactly inside the complementary invariant
     subspace) one deterministic perturbation of size 1e-8 is injected before
-    giving up.
+    giving up.  ``max_iters`` below 1 raises PowerIterationError.
     """
+    if max_iters < 1:
+        raise PowerIterationError(f"max_iters must be at least 1, got {max_iters}")
     m = _exact(matrix)
     hyperbolic = _VERDICTS.get((m, lattice.cleared))
     if hyperbolic is None:
@@ -996,18 +1097,22 @@ def power_iterate(
     perturbed = False
 
     def perturb(v):
+        """The kicked unit vector and A times it."""
         bump = np.arange(1, n + 1, dtype=float)
         v = v + 1e-8 * bump / np.linalg.norm(bump)
-        return v / np.linalg.norm(v)
+        v = v / np.linalg.norm(v)
+        return v, a @ v
 
+    # one product per step: A x for the residual is the next step's A x
+    ax = a @ x
     for it in range(1, max_iters + 1):
-        y = a @ x
-        ny = np.linalg.norm(y)
+        ny = np.linalg.norm(ax)
         if ny == 0:
             raise PowerIterationError("iterate fell into the kernel", residuals)
-        x = y / ny
-        lam = float(x @ (a @ x))
-        res = float(np.linalg.norm(a @ x - lam * x))
+        x = ax / ny
+        ax = a @ x
+        lam = float(x @ ax)
+        res = float(np.linalg.norm(ax - lam * x))
         residuals.append(res)
         if res < tol:
             if abs(lam) <= 1.0:
@@ -1019,7 +1124,7 @@ def power_iterate(
                         f"{lam:.6g} even after perturbation",
                         residuals,
                     )
-                x = perturb(x)
+                x, ax = perturb(x)
                 perturbed = True
                 best = np.inf
                 stalled = 0
@@ -1032,7 +1137,7 @@ def power_iterate(
         else:
             stalled += 1
             if stalled >= 50 and not perturbed:
-                x = perturb(x)
+                x, ax = perturb(x)
                 perturbed = True
                 stalled = 0
     raise PowerIterationError(

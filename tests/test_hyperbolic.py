@@ -24,8 +24,11 @@ from hermitia.hyperbolic import (
     _eigenvector_coordinates,
     _exact,
     _int_poly,
+    _listed,
     _min_poly_factor_for_interval,
+    _moved_core,
     _quad_q_value,
+    _times_x_minus_one,
     cauchy_bound,
     char_poly,
     classify,
@@ -1312,13 +1315,10 @@ def test_non_integral_certificates_are_pinned():
 # -- the exact eigenvector's identity, and the Cauchy bound ---------------------
 
 
-def assert_eigen_identity(m):
-    """For the minimal polynomial f of the hyperbolic eigenvalue x of
-    M = A / d (sympy's factor with a root of modulus above 1), the vectors
-    w_i of ``_eigenvector_coordinates`` have (A - d x) sum_i x^i w_i = 0
-    mod f, and some w_i is nonzero; returns deg f."""
-    exact = _exact(m)
-    a, d = exact
+def exact_eigenvector(m):
+    """(f, w): the minimal polynomial f of the hyperbolic eigenvalue of M
+    (sympy's factor with a root of modulus above 1, primitive over Z) and
+    the vectors w_i of ``_eigenvector_coordinates``."""
     p = char_poly(m)
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x, domain="QQ")
@@ -1327,7 +1327,16 @@ def assert_eigen_identity(m):
         for factor, _ in poly.factor_list()[1]
         if max(abs(np.roots([float(c) for c in factor.all_coeffs()]))) > 1 + 1e-6
     ]
-    w = _eigenvector_coordinates(exact, _int_poly(p), f)
+    return f, _eigenvector_coordinates(_exact(m), _int_poly(p), f)
+
+
+def assert_eigen_identity(m):
+    """For the minimal polynomial f of the hyperbolic eigenvalue x of
+    M = A / d (sympy's factor with a root of modulus above 1), the vectors
+    w_i of ``_eigenvector_coordinates`` have (A - d x) sum_i x^i w_i = 0
+    mod f, and some w_i is nonzero; returns deg f."""
+    a, d = _exact(m)
+    f, w = exact_eigenvector(m)
     assert len(w) == len(f) - 1 and any(map(any, w))
     for j, row in enumerate(a):
         # coordinate j of (A - d x) sum_i x^i w_i, a polynomial in x
@@ -1366,6 +1375,44 @@ def test_workload_eigenvalues_of_degree_four_solve_the_eigen_equation():
     degrees = [assert_eigen_identity(m) for gram, m in workload_cycle(7)
                if classify(m, QuadraticLattice(gram)).label == "hyperbolic"]
     assert sorted(set(degrees)) == [2, 4]
+
+
+def assert_isotropic(gram, m):
+    """The exact eigenvector v = sum_i x^i w_i of the hyperbolic eigenvalue
+    x of M has q(v, v) = sum_(i,j) x^(i+j) q(w_i, w_j) = 0 mod f, the
+    minimal polynomial of x: q(v, v) = q(M v, M v) = x^2 q(v, v), and
+    x^2 != 1.  q is summed over the Gram matrix's Fractions; returns deg f."""
+    g = fraction_rows(gram)
+    f, w = exact_eigenvector(m)
+    n = len(g)
+    qv = [Fraction(0)] * (2 * len(w) - 1)
+    for i, wi in enumerate(w):
+        for j, wj in enumerate(w):
+            qv[i + j] += sum(wi[a] * g[a][b] * wj[b] for a in range(n) for b in range(n))
+    assert not _frac_rem(qv, f)
+    return len(f) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 12), count=st.integers(2, 6),
+       conjugate=st.booleans())
+def test_exact_eigenvector_is_isotropic(seed, n, count, conjugate):
+    """Lorentzian reflection products of dims 3-12, every factor degree, as
+    they are and conjugated by a rational diagonal matrix (d > 1)."""
+    gram, m = lorentz_gram(n), reflection_product(random.Random(seed), n, count)
+    res = classify(m, QuadraticLattice(gram))
+    assume(res.label == "hyperbolic")
+    if conjugate:
+        gram, m = rational_conjugate(gram, m, [Fraction(1 + i % 3, 1 + i % 4) for i in range(n)])
+    assert assert_isotropic(gram, m) == res.certificate["min_poly_degree"]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_WORKLOAD_CYCLES))
+def test_workload_exact_eigenvectors_are_isotropic(seed):
+    """Every hyperbolic input of one cycle of the lattices benchmark."""
+    degrees = [assert_isotropic(gram, m) for gram, m in workload_cycle(seed)
+               if classify(m, QuadraticLattice(gram)).label == "hyperbolic"]
+    assert degrees
 
 
 @PROPERTY
@@ -1627,3 +1674,176 @@ def test_char_poly_of_a_long_shift_does_not_recurse():
     n = 1100
     shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
     assert char_poly(shift) == [Fraction(0)] * n + [Fraction(1)]
+
+
+# -- the moved core: classify's spectral work on the coordinates M moves ------
+
+
+def _embed(a, k, one, perm, sign):
+    """S P (A + one I_k) P^T S for the signed permutation (S P x)_i =
+    sign_i x_(perm_i)."""
+    n = len(a)
+    b = [list(row) + [0] * k for row in a]
+    b += [[0] * (n + i) + [one] + [0] * (k - 1 - i) for i in range(k)]
+    return [[sign[i] * sign[j] * b[perm[i]][perm[j]] for j in range(n + k)] for i in range(n + k)]
+
+
+@st.composite
+def embedded_isometries(draw):
+    """(G, M, k, perm, sign) for an isometry M of a Lorentzian G, k >= 1 and
+    a signed permutation of n + k coordinates that keeps coordinate 0:
+    S P (M + I_k) P^T S is an isometry of S P (G + -I_k) P^T S.  M is a
+    reflection product on diag(1, -1, .., -1), as it is or conjugated by a
+    rational diagonal matrix (d > 1), or an example: a hyperbolic one with
+    a rational or quadratic eigenvalue, the rotation, or the parabolic one
+    (reflection products are seldom parabolic); the last two have moved
+    cores without the eigenvalue 1."""
+    kind = draw(st.sampled_from(("integral", "conjugated", "example", "parabolic")))
+    if kind in ("example", "parabolic"):
+        examples = HYPERBOLIC + [(LORENTZ_3, ROT_3)] if kind == "example" else [
+            (PARABOLIC_GRAM, PARABOLIC)]
+        gram, m = (fraction_rows(x) for x in draw(st.sampled_from(examples)))
+    else:
+        n = draw(st.integers(3, 10))
+        rng = random.Random(draw(st.integers(0, 10**9)))
+        gram, m = lorentz_gram(n), reflection_product(rng, n, draw(st.integers(2, 6)))
+        if kind == "conjugated":
+            gram, m = rational_conjugate(gram, m, [Fraction(1 + i % 3, 1 + i % 4)
+                                                   for i in range(n)])
+    n, k = len(m), draw(st.integers(1, 4))
+    perm = [0] + draw(st.permutations(range(1, n + k)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n + k, max_size=n + k))
+    return gram, m, k, perm, sign
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=embedded_isometries())
+def test_fixed_coordinates_keep_the_certificate(case):
+    """M + I_k under a signed permutation has M's label; a rational or
+    quadratic eigenvector is M's padded with zeros (read back through the
+    permutation, up to the scalar that its normalization picks), and a
+    parabolic eigenvalue-one space gains exactly the k new unit vectors.
+    The squarefree witness and the repeated factor are those of Euclid's
+    algorithm over Q on the whole characteristic polynomial."""
+    gram, m, k, perm, sign = case
+    n = len(m)
+    m2 = _embed(m, k, 1, perm, sign)
+    old = classify(m, QuadraticLattice(gram))
+    new = classify(m2, QuadraticLattice(_embed(gram, k, -1, perm, sign)))
+    assert new.label == old.label
+    cert, cert2 = old.certificate, new.certificate
+    r, g = euclid_squarefree(char_poly(m2))
+    if new.label == "elliptic":
+        assert cert2["squarefree_witness"] == [str(c) for c in r]
+    if new.label == "parabolic":
+        assert cert2["repeated_factor"] == [str(c) for c in g]
+        # the first nonzero entry of r(M), in row-major order
+        rm = poly_eval_matrix(r, m2)
+        assert cert2["nonzero_entry_of_r_of_M"] == next(
+            (i, j) for i, row in enumerate(rm) for j, x in enumerate(row) if x)
+    field = cert.get("eigenvector_field", "")
+    if old.label == "hyperbolic":
+        assert cert2["min_poly_degree"] == cert["min_poly_degree"]
+        assert cert2["eigenvector_field"] == field
+    if field == "rational":
+        back = [None] * (n + k)
+        for i, x in enumerate(cert2["eigenvector"]):
+            back[perm[i]] = sign[i] * x
+        padded = list(cert["eigenvector"]) + [0] * k
+        assert back in (padded, [-x for x in padded])
+    elif field.startswith("quadratic"):
+        s, t = (Fraction(x) for x in _FIELD.fullmatch(field).groups())
+        back = [None] * (n + k)
+        for i, (a, b) in enumerate(cert2["eigenvector"]):
+            back[perm[i]] = (sign[i] * a, sign[i] * b)
+        padded = list(cert["eigenvector"]) + [(0, 0)] * k
+        last = max(i for i, x in enumerate(padded) if any(x))
+        assert padded[last] == (1, 0)
+        assert back == [_quad_mul(back[last], x, s, t) for x in padded]
+    elif old.label == "parabolic":
+        space = cert2["eigenvalue_one_space"]
+        assert len(space) == len(cert["eigenvalue_one_space"]) + k
+        for i in range(n + k):
+            if perm[i] >= n:
+                assert [str(int(i == j)) for j in range(n + k)] in space
+
+
+@settings(max_examples=80, deadline=None)
+@given(core=square(st.one_of(small, rationals), 6), k=st.integers(0, 3), data=st.data())
+def test_char_poly_with_fixed_coordinates_matches_sympy(core, k, data):
+    """char_poly equals sympy's on an integer or rational matrix with k
+    fixed coordinates interleaved by a permutation, and the primitive
+    multiple of the characteristic polynomial is (x - 1)^k' times that of
+    the moved core, for the k' >= k coordinates the split finds fixed."""
+    n = len(core) + k
+    perm = data.draw(st.permutations(range(n)))
+    m = _embed(core, k, 1, perm, [1] * n)
+    x = sympy.Symbol("x")
+    expected = sympy.Matrix([[sympy.Rational(c) for c in row] for row in m]).charpoly(x)
+    p = char_poly(m)
+    assert p == [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+    moved, m_s = _moved_core(_listed(_exact(m)))
+    assert len(moved) <= len(core)
+    assert _times_x_minus_one(_int_poly(char_poly(m_s)), n - len(moved)) == _int_poly(p)
+
+
+@pytest.mark.parametrize(
+    "m, moved",
+    [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], []),
+        ([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [0, 1, 2]),
+        # a 1 on the diagonal alone does not fix a coordinate
+        ([[3, 4, 0], [2, 3, 0], [0, 0, 1]], [0, 1]),
+        ([[1, 0, 0], [1, 1, 0], [1, 2, 1]], [0, 1, 2]),
+        ([["3/2", 0, "1/2"], [0, 1, 0], ["1/2", 0, "3/2"]], [0, 2]),
+    ],
+    ids=["identity", "minus-identity", "one-fixed", "unit-diagonal", "rational-one-fixed"],
+)
+def test_moved_coordinates(m, moved):
+    exact = _exact(m)
+    got, core = _moved_core(_listed(exact))
+    assert got == moved
+    assert core == (tuple(tuple(exact.rows[i][j] for j in moved) for i in moved), exact.denom)
+
+
+def test_classify_with_every_coordinate_fixed_or_none():
+    """M = I (every coordinate fixed, an empty core) and M = -I (none)."""
+    lattice = QuadraticLattice(LORENTZ_3)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    res = classify(ident, lattice)
+    assert (res.label, res.certificate["squarefree_witness"]) == ("elliptic", ["-1", "1"])
+    res = classify([[-x for x in row] for row in ident], lattice)
+    assert (res.label, res.certificate["squarefree_witness"]) == ("elliptic", ["1", "1"])
+
+
+def _insert_fixed(a, k, one):
+    """A with a new coordinate at index k, on which it is ``one`` times the
+    identity."""
+    rows = [list(row[:k]) + [0] + list(row[k:]) for row in a]
+    return rows[:k] + [[int(j == k) * one for j in range(len(a) + 1)]] + rows[k:]
+
+
+def test_classify_with_one_fixed_coordinate():
+    """The Pell isometry and the parabolic one, each with one fixed
+    coordinate added, keep their label.  Pell's eigenvector gains a zero;
+    with the fixed coordinate at index 1, the parabolic witness (1, 0) of
+    r(M) = M - I moves to (2, 0), and the eigenvalue-one space e_2 becomes
+    e_1, e_3, in index order."""
+    pell = classify(PELL, QuadraticLattice(DIAG12)).certificate
+    res = classify(PELL_3, QuadraticLattice([[1, 0, 0], [0, -2, 0], [0, 0, -1]]))
+    assert res.label == "hyperbolic"
+    assert res.certificate["eigenvector"] == pell["eigenvector"] + [(0, 0)]
+    assert res.certificate["eigenvector_field"] == pell["eigenvector_field"]
+    _check_exact_eigenvector(PELL_3, res)
+    old = classify(PARABOLIC, QuadraticLattice(PARABOLIC_GRAM)).certificate
+    assert old["nonzero_entry_of_r_of_M"] == (1, 0)
+    assert old["eigenvalue_one_space"] == [["0", "0", "1"]]
+    res = classify(_insert_fixed(PARABOLIC, 1, 1),
+                   QuadraticLattice(_insert_fixed(PARABOLIC_GRAM, 1, -1)))
+    assert res.label == "parabolic"
+    cert = res.certificate
+    assert cert["nonzero_entry_of_r_of_M"] == (2, 0)
+    assert cert["eigenvalue_one_space"] == [["0", "1", "0", "0"], ["0", "0", "0", "1"]]
+    assert cert["eigenvalue_one_q_values"] == ["-1", "0"]
+    assert [Fraction(c) for c in cert["repeated_factor"]] == poly_mul(
+        [Fraction(c) for c in old["repeated_factor"]], [Fraction(-1), Fraction(1)])

@@ -729,9 +729,11 @@ def test_positivity_samples_bounded_at_load(samples):
         ("--matrix", "[[3, 4], [2]]", "--matrix: ragged matrix"),
         ("--gram", '{"rows": 2}', "--gram: expected a matrix (a list of rows), got dict"),
         ("--gram", '[[1, 0], [0, "-2/0"]]', "--gram: matrix entry (1, 1): zero denominator in '-2/0'"),
+        ("--matrix", "[" * 100000, "--matrix: the JSON nests too deeply"),
+        ("--gram", "[" * 100000, "--gram: the JSON nests too deeply"),
     ],
     ids=["zero-denominator", "row-not-list", "bool", "float", "bad-string", "ragged", "gram-object",
-         "gram-zero-denominator"],
+         "gram-zero-denominator", "matrix-too-deep", "gram-too-deep"],
 )
 def test_cli_lattice_input_fails_closed(tmp_path, capsys, command, option, text, message):
     """A malformed matrix file is a usage error: exit 2 and one line naming
@@ -771,6 +773,29 @@ def test_cli_lattice_shape_errors_exit_two(tmp_path, capsys, command, files, mes
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_power_max_iters_below_one_exit_two(tmp_path, capsys, value):
+    """No iteration would leave no residual to report: a usage error, not
+    an IndexError traceback."""
+    args = ["power", "--max-iters", value]
+    for opt, content in {"--gram": "[[1,0],[0,-2]]", "--matrix": "[[3,4],[2,3]]"}.items():
+        path = tmp_path / f"{opt[2:]}.json"
+        path.write_text(content)
+        args += [opt, str(path)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --max-iters: expected at least 1, got {value}\n")
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_power_iterate_refuses_max_iters_below_one(max_iters):
+    from hermitia.hyperbolic import PowerIterationError, QuadraticLattice, power_iterate
+
+    with pytest.raises(PowerIterationError) as err:
+        power_iterate([[3, 4], [2, 3]], QuadraticLattice([[1, 0], [0, -2]]), max_iters=max_iters)
+    assert str(err.value) == f"max_iters must be at least 1, got {max_iters}"
 
 
 def _lemma61_check(check_id, **params):
