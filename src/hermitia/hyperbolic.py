@@ -16,54 +16,34 @@ circle, so the real-root test captures hyperbolicity; for other signatures
 point only enters the explicitly numeric operations (power iteration,
 residuals).
 
-Every public entry (``QuadraticLattice``, ``classify``, ``power_iterate``,
-``invariant_classes``, ``spectral_radius_interval``, ``char_poly``,
-``verify_isometry``, ``poly_eval_matrix``, ``kernel_basis``) validates its
-matrix once, in ``_exact``, which returns M = A / d as integer rows A and a
-positive integer d; a bad entry raises LatticeError naming its (row, col),
-and rows of plain ints build no Fraction.  The entries pass ``(A, d)`` to
-each other and to the kernels, which never clear again; a lattice keeps its
-Gram matrix cleared as ``(H, e)``.  The kernels run over the integers and
-Z[x]: Berkowitz's division-free characteristic polynomial (run on each
-diagonal block of the block-triangular form), the isometry test, r(M), the
-squarefree part and the Sturm chain (primitive pseudo-remainder sequences),
-the Gram matrix's signature (a division-free congruence), the lattice values
-q(v, w) (of x + lambda y from q(x), q(x, y) and q(y)) and the exact
-eigenvector of a rational or quadratic hyperbolic eigenvalue each scale back
-to the same rationals they would have produced over Q.  A^T H A, Horner's
-r(M) and the exact eigenvector's vectors follow the nonzeros of A through one
-kernel, ``_sparse_times`` (a row ``{index: int}`` times a matrix listed by
-its nonzero rows), and A^2 runs on ``linear.product``; none runs on
+Every public entry validates its matrix once, in ``_exact``: M = A / d as
+integer rows A and a positive integer d (a bad entry raises LatticeError
+naming its (row, col); rows of plain ints build no Fraction), handed as it
+is to the other entries and the kernels; a lattice keeps its Gram matrix as
+``(H, e)``.  The kernels run over Z and Z[x] and scale back to the
+rationals Q would give: Berkowitz on each diagonal block (``_berkowitz``),
+the isometry test, r(M) (``_horner``), the squarefree part and the Sturm
+chain (primitive pseudo-remainder sequences), the signature (a
+division-free congruence), q(v, w) and the exact eigenvector, which
+Cayley-Hamilton gives without elimination (``_eigenvector_coordinates``);
+only ``kernel_basis`` row reduces.  Products by A follow its nonzeros
+through ``_sparse_times`` and A^2 runs on ``linear.product``, never on
 ``linear.mat_mul``, which ``perfbench/tracer.py`` counts as scalar-field
-work.  ``classify`` lists A's nonzero rows and columns once and splits off
-the k coordinates M fixes (row i and column i both d e_i): up to a
-permutation M is the identity on them and the principal submatrix M_S on
-the moved set S, so its characteristic polynomial is (x - 1)^k chi_S.
-``char_poly``, the Sturm chain (of (x - 1) chi_S, which has the same
-squarefree part), the factor, the exact eigenvector (zero on the fixed
-coordinates, as lambda != 1), r(M) (r(1) = 0 when k > 0) and the
-eigenvalue-one space (the fixed unit vectors and the zero-padded kernel of
-M_S - I) run on M_S, and give the certificates of the whole matrix.  Four
-steps stay at full size: the isometry test (H need not split), the Cauchy
-bound of the whole polynomial (it sets the printed interval ends), the
-numeric eigenvector and ``power_iterate`` (their floats would differ).
-Squarefree witnesses are printed monic, as the monic polynomial's.
-Every Sturm root search takes a point as integers u / w:
-one evaluator, ``_at``, gives w^deg q(u / w) for the sign counts, the
-refinement and the test of the root -1; isolation halves integer ends whose
-denominator doubles at each halving, building Fractions only for the
-intervals it returns; and one loop with no step cap, ``_bisect``, halves
-while wider than the asked width, for ``refine_interval`` (reading the sign
-of the squarefree member alone) and both square-root bounds of
-``spectral_radius_interval``.  The exact eigenvector needs no elimination:
-for p = f g with f the eigenvalue's minimal polynomial, Cayley-Hamilton
-turns a nonzero column of g(M) into it, by integer matrix-vector products
-(``_eigenvector_coordinates``); only ``kernel_basis`` row reduces, over Q.
-The minimal polynomial of a hyperbolic eigenvalue of an integral
-characteristic polynomial with constant term +-1 is its squarefree part
-without cyclotomic factors; sympy factors only a non-integral one.
-``power_iterate`` after ``classify`` of one matrix on one Gram matrix reads
-classify's hyperbolic verdict instead of testing again.
+work.  Sturm searches take their points as integers u / w (``_at``), and
+every bisection to a width runs in ``_bisect``.  The minimal polynomial of
+a hyperbolic eigenvalue of an integral characteristic polynomial with
+constant term +-1 is its squarefree part without cyclotomic factors; sympy
+factors only a non-integral one.
+
+``_decide``, the one hyperbolicity test of ``classify`` and
+``power_iterate``, lists A's nonzeros once, tests the isometry and the
+signature, and splits off the k coordinates M fixes (row i and column i
+both d e_i): up to a permutation M is the identity on them and M_S on the
+moved set S, so the characteristic polynomial is (x - 1)^k chi_S, and the
+spectral work and the certificates run on M_S (``_moved_core``).  The
+isometry test, the Cauchy bound, the numeric eigenvector and the power
+iteration stay at full size.  ``_decide`` records its verdict on the
+lattice object, where ``power_iterate`` of the same matrix reads it.
 """
 
 from __future__ import annotations
@@ -220,7 +200,8 @@ def _shifted(m, u):
 class QuadraticLattice:
     """An exact symmetric Gram matrix G = H / e with its cached signature.
 
-    ``cleared`` holds the integer rows H and the positive denominator e."""
+    ``cleared`` holds the integer rows H and the positive denominator e,
+    ``_verdict`` the last (M, hyperbolic or not) that ``_decide`` found."""
 
     def __init__(self, gram):
         self.cleared = h = _exact(gram)
@@ -234,6 +215,7 @@ class QuadraticLattice:
         self.signature = congruence_signature(
             [list(r) for r in h.rows], lambda d: d > 0, operator.floordiv
         )
+        self._verdict = (None, None)
 
     @property
     def dim(self):
@@ -792,33 +774,40 @@ def _eigenvector_quadratic(m, p, f):
     ]
 
 
+def _decide(matrix, lattice):
+    """``classify``'s hyperbolicity test, shared by ``power_iterate``:
+    LatticeError unless M is an isometry of a Lorentzian lattice, else
+    (M, S, M_S, chi_S, q, chain, off_unit) for the moved coordinates S and
+    core M_S, q = (x - 1)^k chi_S over the k fixed ones, the Sturm chain of
+    (x - 1)^min(1, k) chi_S (q's squarefree part) and q's isolating
+    intervals off [-1, 1], nonempty exactly when M is hyperbolic.  It
+    records (M, hyperbolic or not) on the lattice as ``_verdict``."""
+    listed = _listed(lattice.endomorphism(matrix))
+    if not verify_isometry(listed, lattice).ok:
+        raise LatticeError("matrix is not an isometry of the lattice")
+    # signature (1, n, 0) with n >= 1 is where the real-root test decides
+    pos, neg, zero = lattice.signature
+    if (pos, zero) != (1, 0) or neg < 1:
+        raise LatticeError(f"classification requires signature (1, n, 0), got "
+                           f"{lattice.signature}; refusing to guess")
+    moved, core = _moved_core(listed)
+    k = len(listed.rows) - len(moved)
+    chi = _int_poly(char_poly(core))
+    q = _times_x_minus_one(chi, k)
+    chain = sturm_chain(_times_x_minus_one(chi, min(1, k)))
+    off_unit = real_roots_outside_unit(q, chain)
+    lattice._verdict = (listed.m, bool(off_unit))
+    return listed.m, moved, core, chi, q, chain, off_unit
+
+
 def classify(matrix, lattice: QuadraticLattice) -> Classification:
     """Isometry trichotomy with certificates; exactly one branch is taken.
 
     The spectral work runs on the moved core M_S (``_moved_core``): with k
     fixed coordinates the characteristic polynomial is (x - 1)^k chi_S, and
     every certificate is the one the whole of M gives."""
-    listed = _listed(lattice.endomorphism(matrix))
-    chk = verify_isometry(listed, lattice)
-    if not chk.ok:
-        raise LatticeError("matrix is not an isometry of the lattice")
-    if not _lorentzian(lattice):
-        raise LatticeError(
-            f"classification requires signature (1, n, 0), got {lattice.signature}; "
-            "refusing to guess"
-        )
-    m = listed.m
+    m, moved, core, chi, q, chain, off_unit = _decide(matrix, lattice)
     n = len(m.rows)
-    moved, core = _moved_core(listed)
-    k = n - len(moved)
-    chi = _int_poly(char_poly(core))
-    # q, the primitive multiple of the characteristic polynomial, is read
-    # only by the Cauchy bound and the repeated factor; (x - 1) chi has q's
-    # squarefree part
-    q = _times_x_minus_one(chi, k)
-    chain = sturm_chain(_times_x_minus_one(chi, min(1, k)))
-    off_unit = real_roots_outside_unit(q, chain)
-    _remember_verdict((m, lattice.cleared), bool(off_unit))
     if off_unit:
         # take the interval with the largest absolute value endpoints
         best = max(off_unit, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
@@ -923,24 +912,6 @@ def _eigenvalue_one_space(core, moved, n):
     return [space[i] for i in sorted(space)]
 
 
-# classify's boolean hyperbolic verdict on the last 8 (M, lattice.cleared)
-# pairs, oldest first, for power_iterate to read
-_VERDICTS = {}
-
-
-def _remember_verdict(key, hyperbolic):
-    _VERDICTS.pop(key, None)
-    _VERDICTS[key] = hyperbolic
-    if len(_VERDICTS) > 8:
-        del _VERDICTS[next(iter(_VERDICTS))]
-
-
-def _lorentzian(lattice):
-    """Signature (1, n, 0) with n >= 1, where the real-root test decides."""
-    p_, q_, z_ = lattice.signature
-    return p_ == 1 and z_ == 0 and q_ >= 1
-
-
 def _eigenvector_int_kernel(m, p, f):
     """The eigenvector for a rational eigenvalue with minimal polynomial f:
     the primitive integer vector whose last nonzero entry is positive, which
@@ -1016,12 +987,9 @@ def invariant_classes(matrix, lattice: QuadraticLattice) -> InvariantClassReport
     rules out any invariant class of nonnegative square (in particular an
     invariant Kahler-type class)."""
     m = _exact(matrix)
-    chk = verify_isometry(m, lattice)
-    if not chk.ok:
-        raise LatticeError("matrix is not an isometry of the lattice")
+    label = classify(m, lattice).label
     ker = kernel_basis(_shifted(m, 1))
     qv = [lattice.value(v) for v in ker]
-    label = classify(m, lattice).label
     if label != "hyperbolic":
         return InvariantClassReport(ker, qv, None, None, label, None)
     if not ker:
@@ -1058,26 +1026,23 @@ def power_iterate(
 ) -> PowerIterationResult:
     """Normalized power iteration toward the dominant eigenvector.
 
-    Requires a hyperbolic isometry (otherwise there is no dominant
-    eigenvalue and the call fails); after ``classify`` of the same matrix on
-    the same Gram matrix the test reads its verdict.  When the iteration
-    stalls for 50 steps (a seed exactly inside the complementary invariant
-    subspace) one deterministic perturbation of size 1e-8 is injected before
-    giving up.  ``max_iters`` below 1 raises PowerIterationError.
+    Requires a hyperbolic isometry, as ``classify`` decides it
+    (``_decide``, whose refusals it raises); any other has no dominant
+    eigenvalue, and the call fails naming classify's label.  A verdict on
+    the same matrix recorded on the lattice is read, not decided again.
+    When the iteration stalls for 50 steps (a seed exactly inside the
+    complementary invariant subspace) one deterministic perturbation of size
+    1e-8 is injected before giving up.  ``max_iters`` below 1 raises
+    PowerIterationError.
     """
     if max_iters < 1:
         raise PowerIterationError(f"max_iters must be at least 1, got {max_iters}")
-    m = _exact(matrix)
-    hyperbolic = _VERDICTS.get((m, lattice.cleared))
-    if hyperbolic is None:
-        # classify's hyperbolic test, without its certificate work
-        hyperbolic = (
-            verify_isometry(m, lattice).ok
-            and _lorentzian(lattice)
-            and real_roots_outside_unit(p := char_poly(m), sturm_chain(p))
-        )
+    m = lattice.endomorphism(matrix)
+    known, hyperbolic = lattice._verdict
+    if known != m:
+        hyperbolic = _decide(m, lattice)[-1]
     if not hyperbolic:
-        # classify raises the refusal, or names the label that has no dominant eigenvalue
+        # classify names the label that has no dominant eigenvalue
         label = classify(m, lattice).label
         raise PowerIterationError(f"no dominant eigenvalue: isometry is {label}")
     n = len(m.rows)
@@ -1164,11 +1129,11 @@ def spectral_radius_interval(matrix, width=Fraction(1, 10**10)):
         raise LatticeError(f"spectral radius width must be positive, got {width}")
     width = Fraction(width)
     a, d = _exact(matrix)
-    # M^2 = A^2 / d^2, squared over the integers
-    p2 = char_poly(_Exact(product(a, a, 0), d * d))
-    sf, _g = squarefree_part(p2)
-    chain = sturm_chain(sf)  # also the chain of p2, which has the same roots
-    # every root lies strictly inside (-bound, bound), so none sits at -bound
+    # M^2 = A^2 / d^2 over the integers; the chain's first member sf is the
+    # squarefree part of its characteristic polynomial (up to a scale the
+    # bound ignores), whose roots lie strictly inside (-bound, bound)
+    chain = sturm_chain(char_poly(_Exact(product(a, a, 0), d * d)))
+    sf = chain[0]
     bound = cauchy_bound(sf)
     total = count_roots_halfopen(chain, -bound, bound)
     if total != len(sf) - 1:

@@ -49,6 +49,7 @@ exactly.  ``Scalar.sign_at`` refines those roots by interval arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 import re
 import sys
@@ -1341,28 +1342,49 @@ def _digit_count(n):
 _UNBUILT_POWER_FACTOR = 10
 
 
-def _monomial_coefficient(c: Scalar):
-    """q in Q(i) with c = q m for a monomial m in the free symbols, or None;
-    then c^k = q^k m^k.  (A canonical denominator with one free monomial
-    has the coefficient 1 on it.)"""
-    rels = c.table.relations
-    num, den = (_by_free_monomial(part, rels) for part in (c.num, c.den))
-    if len(num) != 1 or len(den) != 1 or list(den.values()) != [_ONE_POLY]:
-        return None
-    (alg,) = num.values()
-    if not set(alg) <= {_ONE_MONO, _I_MONO}:
-        return None
-    table = c.table
-    return table.scalar(alg.get(_ONE_MONO, 0)) + table.scalar(alg.get(_I_MONO, 0)) * table.i
+def _embedded_power_digits(q, k, rels):
+    """``power_digits`` for q {monomial: Fraction} over i and the related
+    symbols ``rels``: at roots alpha of the relations (s^n = r(alpha), in
+    declaration order) q -> q(alpha) is a ring map, so q^k = sum_m b_m m
+    over the reduced monomials has |q(alpha)|^k <= max |b_m| S for S =
+    sum_m |m(alpha)| = prod_s sum_(e < n) |alpha_s|^e, and a numerator has
+    more than k log10|q(alpha)| - log10 S digits, at every choice of roots.
+    The float |q(alpha)| (of q scaled to coefficients of at most 1) is
+    lowered by 1e-12 of its terms' absolute sum, past its rounding error;
+    0 if no |q(alpha)| exceeds 1 (a root of unity, say) or a float overflows."""
+    top = max(map(abs, q.values()))
+    q = {m: x / top for m, x in q.items()}
+
+    def at(poly, p):
+        return [float(x) * prod(p[j] ** e for j, e in m) for m, x in poly.items()]
+
+    points, best = [{}], 0.0
+    log_top = log10(top.numerator) - log10(top.denominator)
+    try:
+        for idx in sorted(rels):
+            n, rhs = rels[idx]
+            # each point so far, extended by the n roots of s^n = rhs(point)
+            points = [{**p, idx: root * cmath.exp(2j * cmath.pi * t / n)} for p in points
+                      for root in [complex(sum(at(rhs, p))) ** (1 / n)] for t in range(n)]
+        for p in points:
+            qs = at(q, p)
+            low = abs(sum(qs)) - 1e-12 * sum(map(abs, qs))
+            size = prod(sum(abs(p[j]) ** e for e in range(n)) for j, (n, _r) in rels.items())
+            if low > 0:
+                best = max(best, k * (log10(low) + log_top) - log10(size))
+    except OverflowError:
+        return 0.0
+    return best
 
 
 def power_digits(c: Scalar, k: int) -> float:
     """A number of decimal digits that the longest integer written in c^k
-    exceeds, found without building c^k; 0 unless c = q m with q in Q(i)
-    and m a monomial in the free symbols (``_monomial_coefficient``; m = 1
-    when c lies in Q(i)), and q is neither 0 nor one of the units 1, -1, i,
-    -i.  The integers written in c^k = q^k m^k are those of q^k, so the rest
-    speaks of q as c.
+    exceeds, found without building c^k; 0 unless c = q m for m a monomial
+    in the free symbols (m = 1 without them; a canonical denominator with one
+    free monomial has the coefficient 1 on it): the integers of c^k = q^k m^k
+    are q^k's.  A q over a related symbol is bounded at the relations' roots
+    (``_embedded_power_digits``); the rest speaks of q in Q(i), neither 0
+    nor a unit 1, -1, i, -i, as c.
 
     Write c^k = x + y i with x and y in lowest terms.  For |c| > 1 one of the
     numerators of x and y is at least |c|^k / sqrt(2), so it has more than
@@ -1383,8 +1405,15 @@ def power_digits(c: Scalar, k: int) -> float:
     if c.is_zero():
         return 0.0
     if not c.is_gaussian_rational():
-        q = _monomial_coefficient(c)
-        return 0.0 if q is None else power_digits(q, k)
+        rels = c.table.relations
+        num, den = (_by_free_monomial(part, rels) for part in (c.num, c.den))
+        if len(num) != 1 or len(den) != 1 or list(den.values()) != [_ONE_POLY]:
+            return 0.0
+        (q,) = num.values()  # the polynomial in i and the related symbols
+        if not set(q) <= {_ONE_MONO, _I_MONO}:
+            return _embedded_power_digits(q, k, rels)
+        t = c.table
+        return power_digits(t.scalar(q.get(_ONE_MONO, 0)) + t.scalar(q.get(_I_MONO, 0)) * t.i, k)
     norm = (c * c.conjugate()).as_rational()  # |c|^2
     if norm == 1:
         real = ((c + c.conjugate()) / 2).as_rational()

@@ -584,15 +584,18 @@ def test_sturm_count_matches_sympy(roots, rest, a, b):
 
 
 @PROPERTY
-@given(pair=conjugated_isometries(), bump=rationals)
-def test_power_iterate_refuses_like_classify(pair, bump):
-    """power_iterate raises what it raised when it ran classify first: the
-    classify refusal, or the label without a dominant eigenvalue; the same
-    with classify's verdict remembered and without it."""
-    from hermitia import hyperbolic
-
+@given(pair=conjugated_isometries(), bump=st.one_of(st.just(0), rationals),
+       k=st.integers(0, 2))
+def test_power_iterate_refuses_like_classify(pair, bump, k):
+    """On M, bumped or not, plus I_k on -I_k: power_iterate raises what it
+    raised when it ran classify first, the classify refusal or the label
+    without a dominant eigenvalue, with classify's verdict recorded on the
+    lattice and on a fresh lattice.  On a hyperbolic M both return the same
+    floats, bit for bit."""
     gram, m = pair
     m[0][-1] += bump
+    ident, ones = list(range(len(m) + k)), [1] * (len(m) + k)
+    gram, m = _embed(gram, k, -1, ident, ones), _embed(m, k, 1, ident, ones)
     lattice = QuadraticLattice(gram)
     try:
         label = classify(m, lattice).label
@@ -600,13 +603,15 @@ def test_power_iterate_refuses_like_classify(pair, bump):
         error, message = LatticeError, str(e)
     else:
         if label == "hyperbolic":
+            remembered = _outcome(lambda: power_iterate(m, lattice))
+            cold = _outcome(lambda: power_iterate(m, QuadraticLattice(gram)))
+            assert repr(cold) == repr(remembered)
             return
         error, message = PowerIterationError, f"no dominant eigenvalue: isometry is {label}"
-    for _ in ("remembered", "cold"):
+    for lat in (lattice, QuadraticLattice(gram)):
         with pytest.raises(error) as err:
-            power_iterate(m, lattice)
+            power_iterate(m, lat)
         assert str(err.value) == message
-        hyperbolic._VERDICTS.clear()
 
 
 @pytest.mark.parametrize(
@@ -625,9 +630,6 @@ def test_power_iterate_refuses_like_classify(pair, bump):
     ids=["elliptic-2", "elliptic-3", "parabolic", "non-isometry", "definite", "signature-2-1"],
 )
 def test_power_iterate_error_messages(gram, m, error, message):
-    from hermitia import hyperbolic
-
-    hyperbolic._VERDICTS.clear()
     with pytest.raises(error) as err:
         power_iterate(m, QuadraticLattice(gram))
     assert type(err.value) is error and str(err.value) == message

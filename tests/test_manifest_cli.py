@@ -702,6 +702,22 @@ def test_cli_check_power_past_the_monomial_limit_exit_two(tmp_path, capsys, powe
     assert len(err.splitlines()) == 1
 
 
+def test_cli_check_power_through_a_related_symbol_exit_two(tmp_path, capsys):
+    """(1+s)^(10^9) with s^2 = 2 has one monomial but coefficients of about
+    3.8e8 digits: it is refused, unbuilt, when the manifest materializes,
+    with exit 2 and one line."""
+    data = json.loads(builtin("AT4").to_json())
+    data["symbols"].append({"name": "s", "relation": {"power": 2, "rhs": "2"}})
+    data["differential"]["e1"][0][0] = "(1+s)^1000000000"
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: manifest does not materialize: scalar too long to print: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "samples", [0, -5, 10**6 + 1, True, 2.5], ids=["zero", "negative", "above-bound", "bool", "float"]
 )

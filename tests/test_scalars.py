@@ -722,6 +722,53 @@ def test_parsed_power_too_long_to_print_is_refused_before_it_is_built():
     assert table.scalar("(a+1)^3") == (table.symbol("a") + 1) ** 3
 
 
+def test_power_through_a_related_symbol_is_sized():
+    """With s^2 = 2, 1 + s is a unit, so no norm sizes its powers, yet
+    (1+s)^k = x + y s has |x + y sqrt 2| = (1 + sqrt 2)^k: the bound at the
+    relation's roots refuses k = 10^9 unbuilt, and (1+s)^100 and (3*s)^100
+    build and print as the integer recurrences say."""
+    table = SymbolTable([Symbol("s", relation=(2, "2"))])
+    with pytest.raises(ScalarError, match=r"^scalar too long to print: a power would have"):
+        scalars_module.check_power_size(table.scalar("1+s"), 10**9)
+    x, y = 1, 0
+    for _ in range(100):
+        x, y = x + 2 * y, x + y
+    assert str(table.scalar("(1+s)^100")) == f"{x}+{y}*s"
+    assert str(table.scalar("(3*s)^100")) == str(3**100 * 2**50)
+
+
+_RELATED = [[("s", (2, "2"))], [("s", (3, "2"))], [("s", (2, "-3"))],
+            [("s", (2, "2")), ("r", (3, "s+1"))]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    related=st.sampled_from(_RELATED),
+    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    d=st.integers(1, 9),
+    k=st.integers(1, 30),
+    times_i=st.booleans(),
+    monomial=st.sampled_from(["1", "x", "1/x"]),
+)
+def test_property_power_digits_over_related_symbols_is_a_lower_bound(
+        related, coeffs, d, k, times_i, monomial):
+    """Some integer printed in c^k has more digits than ``power_digits``
+    says, for c a combination of the reduced monomials of one or two
+    related symbols over d, times i or not, times a free monomial or not;
+    s^2 = -3 holds the cube roots of unity, whose powers do not grow."""
+    table = SymbolTable([Symbol("x")] + [Symbol(n, relation=rel) for n, rel in related])
+    basis = [table.one]
+    for name, (n, _rhs) in related:
+        basis = [b * table.symbol(name) ** e for b in basis for e in range(n)]
+    c = sum((table.scalar(a) * b for a, b in zip(coeffs, basis)), table.zero) / d
+    assume(not c.is_zero())
+    c = c * (table.i if times_i else table.one) * table.scalar(monomial)
+    bound = scalars_module.power_digits(c, k)
+    written = [n for part in ((c**k).num, (c**k).den) for x in part.values()
+               for n in (x.numerator, x.denominator)]
+    assert bound < max(len(str(abs(n))) for n in written)
+
+
 @pytest.mark.parametrize(
     "text, monomials",
     [("(a+b+1)^1000", 501501), ("(a+b+1)^31", 528), ("(a+1)^500", 501),
@@ -751,12 +798,15 @@ def test_power_of_a_fraction_over_a_related_symbol_is_the_repeated_product():
 
 def test_parsed_power_within_the_monomial_limit_is_built():
     """Powers up to the limit, and powers whose base has one free monomial
-    (whatever k is), are built as before."""
+    (whatever k is), are built as before, unless the digit bound refuses
+    them: (2*s*a*b)^100000 has the coefficient 2^150000, 45155 digits."""
     table = SymbolTable([Symbol("a"), Symbol("b"), Symbol("s", relation=(2, "2"))])
     a, b, s = (table.symbol(n) for n in "abs")
     assert table.scalar("(a+b+1)^3") == (a + b + 1) ** 3
     assert len(table.scalar("(a+b+1)^30").num) == 496
-    assert table.scalar("(2*s*a*b)^100000") == (2 * s * a * b) ** 100000
+    assert table.scalar("(2*s*a*b)^10000") == (2 * s * a * b) ** 10000
+    with pytest.raises(ScalarError, match=r"^scalar too long to print: a power would have"):
+        table.scalar("(2*s*a*b)^100000")
     assert table.scalar("(s+1)^100") == (s + 1) ** 100
     assert scalars_module.power_monomials(a + b + 1, 30) == 496
 

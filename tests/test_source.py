@@ -452,3 +452,24 @@ def test_manifest_prints_forms_in_whatever_basis_they_come():
         and any("real_basis" in _called(arg) for arg in node.args)
     ]
     assert not found, found
+
+
+def test_hyperbolic_decides_hyperbolicity_once():
+    """``classify`` and ``power_iterate`` share one decision, ``_decide``,
+    whose verdict lives on the lattice: ``hyperbolic.py`` keeps no verdict
+    memo of its own, ``power_iterate`` calls none of the decision's kernels
+    itself, ``invariant_classes`` leaves the isometry test to ``classify``,
+    and ``spectral_radius_interval`` reads the squarefree part off its Sturm
+    chain."""
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    names = {
+        getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+        for n in ast.walk(tree)
+    }
+    assert not names & {"_VERDICTS", "_remember_verdict"}
+    fns = dict(_functions(tree))
+    assert "_decide" in _called(fns["classify"]) & _called(fns["power_iterate"])
+    kernels = {"char_poly", "sturm_chain", "real_roots_outside_unit", "verify_isometry"}
+    assert not _called(fns["power_iterate"]) & kernels
+    assert "verify_isometry" not in _called(fns["invariant_classes"])
+    assert "squarefree_part" not in _called(fns["spectral_radius_interval"])
