@@ -7,7 +7,6 @@ from .builders import (
     builtin,
     heisenberg3,
     sasaki_kahler_suspension,
-    verify_automorphism_compat,
 )
 from .cealg import (
     Form,
@@ -18,7 +17,6 @@ from .cealg import (
     abelian,
     d,
     direct_sum,
-    jacobi_check,
     top_coefficient,
     wedge,
     wedge_all,
@@ -29,7 +27,6 @@ from .complexops import (
     BigradedForm,
     IntegrabilityError,
     bidegree,
-    coframe_10,
     dc,
     del_,
     delbar,
@@ -82,9 +79,6 @@ from .scalars import (
     ScalarError,
     Symbol,
     SymbolTable,
-    conjugate,
-    evaluate,
-    normalize,
     parse_expr,
 )
 

@@ -124,36 +124,6 @@ def sasaki_kahler_suspension(kahler_dim: int) -> LieAlgebraPresentation:
     return pres
 
 
-def verify_automorphism_compat(presentation, matrix, endomorphisms=(), bilinears=(), others=()):
-    """Check a candidate automorphism against attached structures:
-    commutation with each named endomorphism, isometry for each named Gram,
-    unit determinant, and pairwise commutation with other automorphisms.
-
-    Returns a list of (check name, passed) pairs."""
-    table = presentation.table
-    a = presentation._as_matrix(matrix)
-    out = []
-    detv = linear.det(a, table)
-    out.append((f"det = 1", (detv - table.one).is_zero()))
-    for name in endomorphisms:
-        m = presentation.endomorphisms.get(name)
-        if m is None:
-            raise BuilderError(f"unknown endomorphism {name!r}")
-        ok = linear.mat_eq(linear.mat_mul(a, m, table), linear.mat_mul(m, a, table))
-        out.append((f"commutes with {name}", ok))
-    for name in bilinears:
-        g = presentation.bilinears.get(name)
-        if g is None:
-            raise BuilderError(f"unknown bilinear {name!r}")
-        lhs = linear.mat_mul(linear.mat_mul(linear.transpose(a), g, table), a, table)
-        out.append((f"isometry of {name}", linear.mat_eq(lhs, g)))
-    others = [presentation._as_matrix(o) for o in others]
-    for k, o in enumerate(others):
-        ok = linear.mat_eq(linear.mat_mul(a, o, table), linear.mat_mul(o, a, table))
-        out.append((f"commutes with automorphism #{k + 1}", ok))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # built-in manifests
 # ---------------------------------------------------------------------------

@@ -520,10 +520,6 @@ def d(form: Form) -> Form:
     return form.presentation.d(form)
 
 
-def jacobi_check(presentation: LieAlgebraPresentation) -> JacobiReport:
-    return presentation.jacobi_check()
-
-
 def top_coefficient(a: Form, vol: Form) -> Scalar:
     """The scalar c with (top-degree part of a) = c * vol.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -139,6 +140,8 @@ def _cmd_power(args):
     try:
         if args.max_iters < 1:
             raise ValueError(f"--max-iters: expected at least 1, got {args.max_iters}")
+        if not 0 < args.tol < math.inf:
+            raise ValueError(f"--tol: expected a finite positive number, got {args.tol}")
         lattice, matrix = _load_isometry(args)
         seed_vector = None
         if args.seed_vector:

@@ -491,11 +491,6 @@ def nijenhuis_vanishes(J: AlmostComplexStructure) -> NijenhuisReport:
     return J.nijenhuis_vanishes()
 
 
-def coframe_10(J: AlmostComplexStructure):
-    """The (1,0)-coframe as real-basis forms, in greedy selection order."""
-    return list(J.model().eta_forms)
-
-
 def real_basis(a: Form) -> Form:
     """``a`` in the real basis: a form over a structure's complex coframe is
     converted back, any other form is returned as it is."""

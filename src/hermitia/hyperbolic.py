@@ -35,15 +35,18 @@ a hyperbolic eigenvalue of an integral characteristic polynomial with
 constant term +-1 is its squarefree part without cyclotomic factors; sympy
 factors only a non-integral one.
 
-``_decide``, the one hyperbolicity test of ``classify`` and
-``power_iterate``, lists A's nonzeros once, tests the isometry and the
-signature, and splits off the k coordinates M fixes (row i and column i
+``_decide``, the one hyperbolicity test of ``classify``, ``power_iterate``
+and ``invariant_classes``, lists A's nonzeros once, tests the isometry and
+the signature, and splits off the k coordinates M fixes (row i and column i
 both d e_i): up to a permutation M is the identity on them and M_S on the
 moved set S, so the characteristic polynomial is (x - 1)^k chi_S, and the
 spectral work and the certificates run on M_S (``_moved_core``).  The
 isometry test, the Cauchy bound, the numeric eigenvector and the power
-iteration stay at full size.  ``_decide`` records its verdict on the
-lattice object, where ``power_iterate`` of the same matrix reads it.
+iteration stay at full size.  ``_label`` names the decided kind, testing
+r(M_S) = 0; only ``classify`` goes on to a certificate, and
+``invariant_classes`` and ``power_iterate``'s refusal stop at the label.
+``_decide`` records its verdict on the lattice object, where
+``power_iterate`` of the same matrix reads it.
 """
 
 from __future__ import annotations
@@ -800,15 +803,28 @@ def _decide(matrix, lattice):
     return listed.m, moved, core, chi, q, chain, off_unit
 
 
+def _label(decided):
+    """The label of a ``_decide``d isometry, and for one that is not
+    hyperbolic r(M_S) as ``_horner`` rows, r = chain[0] the primitive
+    squarefree part of q: with a fixed coordinate r(1) = 0, so r(M) = 0,
+    the elliptic test, exactly when r(M_S) = 0."""
+    _m, _moved, core, _chi, _q, chain, off_unit = decided
+    if off_unit:
+        return "hyperbolic", None
+    rm, _ = _horner(chain[0], core)
+    return ("parabolic" if any(rm) else "elliptic"), rm
+
+
 def classify(matrix, lattice: QuadraticLattice) -> Classification:
     """Isometry trichotomy with certificates; exactly one branch is taken.
 
     The spectral work runs on the moved core M_S (``_moved_core``): with k
     fixed coordinates the characteristic polynomial is (x - 1)^k chi_S, and
     every certificate is the one the whole of M gives."""
-    m, moved, core, chi, q, chain, off_unit = _decide(matrix, lattice)
+    m, moved, core, chi, q, chain, off_unit = decided = _decide(matrix, lattice)
+    label, rm = _label(decided)
     n = len(m.rows)
-    if off_unit:
+    if label == "hyperbolic":
         # take the interval with the largest absolute value endpoints
         best = max(off_unit, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
         a, b = refine_interval(chain, best[0], best[1])
@@ -840,12 +856,10 @@ def classify(matrix, lattice: QuadraticLattice) -> Classification:
             cert["eigenvector_field"] = "numeric"
             cert["eigenvector_residual"] = res
         return Classification("hyperbolic", cert)
-    # r = chain[0] is the primitive squarefree part of q and g = q / r the
-    # repeated factor; the witnesses print them monic, as the monic p's.
-    # With a fixed coordinate r(1) = 0, so r(M) = 0 exactly when r(M_S) = 0.
+    # the witnesses print r and the repeated factor g = q / r monic, as the
+    # monic p's
     r = chain[0]
-    rm, _ = _horner(r, core)  # a positive multiple of r(M_S), as dict rows
-    if not any(rm):
+    if label == "elliptic":
         return Classification(
             "elliptic",
             {
@@ -985,10 +999,12 @@ def invariant_classes(matrix, lattice: QuadraticLattice) -> InvariantClassReport
     """Kernel of (M - Id) with q-values; for hyperbolic isometries the
     restriction of the form to the kernel is checked negative definite, which
     rules out any invariant class of nonnegative square (in particular an
-    invariant Kahler-type class)."""
-    m = _exact(matrix)
-    label = classify(m, lattice).label
-    ker = kernel_basis(_shifted(m, 1))
+    invariant Kahler-type class).  It reads ``classify``'s decision and
+    label, not its certificate, and the kernel from the moved core."""
+    decided = _decide(matrix, lattice)
+    m, moved, core = decided[:3]
+    label, _ = _label(decided)
+    ker = [tuple(map(Fraction, v)) for v in _eigenvalue_one_space(core, moved, len(m.rows))]
     qv = [lattice.value(v) for v in ker]
     if label != "hyperbolic":
         return InvariantClassReport(ker, qv, None, None, label, None)
@@ -1028,23 +1044,23 @@ def power_iterate(
 
     Requires a hyperbolic isometry, as ``classify`` decides it
     (``_decide``, whose refusals it raises); any other has no dominant
-    eigenvalue, and the call fails naming classify's label.  A verdict on
-    the same matrix recorded on the lattice is read, not decided again.
-    When the iteration stalls for 50 steps (a seed exactly inside the
-    complementary invariant subspace) one deterministic perturbation of size
-    1e-8 is injected before giving up.  ``max_iters`` below 1 raises
-    PowerIterationError.
+    eigenvalue, and the call fails naming its ``_label``.  A hyperbolic
+    verdict on the same matrix recorded on the lattice is read, not decided
+    again.  When the iteration stalls for 50 steps (a seed exactly inside
+    the complementary invariant subspace) one deterministic perturbation of
+    size 1e-8 is injected before giving up.  ``max_iters`` below 1, or a
+    ``tol`` that is not finite and positive, raises PowerIterationError.
     """
     if max_iters < 1:
         raise PowerIterationError(f"max_iters must be at least 1, got {max_iters}")
+    if not 0 < tol < math.inf:
+        raise PowerIterationError(f"tol must be finite and positive, got {tol}")
     m = lattice.endomorphism(matrix)
-    known, hyperbolic = lattice._verdict
-    if known != m:
-        hyperbolic = _decide(m, lattice)[-1]
-    if not hyperbolic:
-        # classify names the label that has no dominant eigenvalue
-        label = classify(m, lattice).label
-        raise PowerIterationError(f"no dominant eigenvalue: isometry is {label}")
+    if lattice._verdict != (m, True):
+        decided = _decide(m, lattice)
+        if not decided[-1]:
+            label, _ = _label(decided)
+            raise PowerIterationError(f"no dominant eigenvalue: isometry is {label}")
     n = len(m.rows)
     a = _floats(*m)
     g = _floats(*lattice.cleared)

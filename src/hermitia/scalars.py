@@ -1207,17 +1207,6 @@ def _canonical_fraction(table, num, den):
     return num, den
 
 
-def normalize(s: Scalar) -> Scalar:
-    """Idempotent canonicalization (scalars are already canonical)."""
-    return Scalar(s.table, s.num, s.den)
-
-
-def conjugate(s: Scalar) -> Scalar:
-    return s.conjugate()
-
-
-evaluate = Scalar.evaluate
-
 _SIGN_BITS = 4096  # the finest root precision of ``sign_at``, doubling from 16 bits
 
 
@@ -1344,14 +1333,25 @@ _UNBUILT_POWER_FACTOR = 10
 
 def _embedded_power_digits(q, k, rels):
     """``power_digits`` for q {monomial: Fraction} over i and the related
-    symbols ``rels``: at roots alpha of the relations (s^n = r(alpha), in
-    declaration order) q -> q(alpha) is a ring map, so q^k = sum_m b_m m
-    over the reduced monomials has |q(alpha)|^k <= max |b_m| S for S =
-    sum_m |m(alpha)| = prod_s sum_(e < n) |alpha_s|^e, and a numerator has
-    more than k log10|q(alpha)| - log10 S digits, at every choice of roots.
-    The float |q(alpha)| (of q scaled to coefficients of at most 1) is
-    lowered by 1e-12 of its terms' absolute sum, past its rounding error;
-    0 if no |q(alpha)| exceeds 1 (a root of unity, say) or a float overflows."""
+    symbols ``rels``, from the D points alpha that choose a root of each
+    relation (s^n = r(alpha), in declaration order); q -> q(alpha) is a
+    ring map at each.
+
+    Numerators: q^k = sum_m b_m m over the reduced monomials has
+    |q(alpha)|^k <= max |b_m| S for S = sum_m |m(alpha)| = prod_s
+    sum_(e < n) |alpha_s|^e, so a numerator has more than k log10|q(alpha)|
+    - log10 S digits.  Denominators, when every relation's right side has
+    integer coefficients: each alpha_s is then an algebraic integer, so is
+    L q^k for L the lcm of q^k's D or fewer coefficient denominators, and
+    the product of (L q^k)(alpha) over the points is a rational integer,
+    nonzero when no q(alpha) is 0.  So L^D |N|^k >= 1 for N the product of
+    the q(alpha), and some denominator has more than -k log10|N| / D^2
+    digits.  Each float |q(alpha)| (of q scaled to coefficients of at most
+    1) is moved by 1e-12 of its terms' absolute sum, past its rounding
+    error: lowered for the numerators, raised for the norm.  Where the
+    lowered one, or a relation's right side, is not bounded away from 0 so
+    (a zero divisor of a reducible tower, say), the norm gives no bound.
+    0 if no bound is positive or a float overflows."""
     top = max(map(abs, q.values()))
     q = {m: x / top for m, x in q.items()}
 
@@ -1360,18 +1360,30 @@ def _embedded_power_digits(q, k, rels):
 
     points, best = [{}], 0.0
     log_top = log10(top.numerator) - log10(top.denominator)
+    integral = all(x.denominator == 1 for _n, rhs in rels.values() for x in rhs.values())
+    log_norm = 0.0
     try:
         for idx in sorted(rels):
             n, rhs = rels[idx]
+            values = [at(rhs, p) for p in points]
+            # a right side that may be 0 at a point (a zero divisor of a
+            # reducible tower) has float roots too far off for the norm
+            integral = integral and all(abs(sum(v)) > 1e-12 * sum(map(abs, v)) for v in values)
             # each point so far, extended by the n roots of s^n = rhs(point)
-            points = [{**p, idx: root * cmath.exp(2j * cmath.pi * t / n)} for p in points
-                      for root in [complex(sum(at(rhs, p))) ** (1 / n)] for t in range(n)]
+            points = [{**p, idx: root * cmath.exp(2j * cmath.pi * t / n)}
+                      for p, v in zip(points, values)
+                      for root in [complex(sum(v)) ** (1 / n)] for t in range(n)]
         for p in points:
             qs = at(q, p)
-            low = abs(sum(qs)) - 1e-12 * sum(map(abs, qs))
+            margin = 1e-12 * sum(map(abs, qs))
+            low = abs(sum(qs)) - margin
             size = prod(sum(abs(p[j]) ** e for e in range(n)) for j, (n, _r) in rels.items())
             if low > 0:
                 best = max(best, k * (log10(low) + log_top) - log10(size))
+            integral = integral and low > 0
+            log_norm += log10(abs(sum(qs)) + margin) + log_top
+        if integral:
+            best = max(best, -k * log_norm / len(points) ** 2)
     except OverflowError:
         return 0.0
     return best

@@ -1,5 +1,7 @@
 """Model constructors and the built-in manifests."""
 
+import json
+
 import pytest
 
 from hermitia.builders import (
@@ -9,7 +11,6 @@ from hermitia.builders import (
     builtin,
     heisenberg3,
     sasaki_kahler_suspension,
-    verify_automorphism_compat,
 )
 from hermitia.cealg import abelian, wedge, wedge_power
 from hermitia.complexops import AlmostComplexStructure
@@ -122,21 +123,19 @@ def test_sasaki_kahler_rejects_odd_dimension():
         sasaki_kahler_suspension(3)
 
 
-def test_verify_automorphism_compat_lemma_data():
-    m = builtin("lemma61").build()
-    p = m.presentation
-    a_rows = [[x for x in row] for row in p.endomorphisms["A"]]
-    results = dict(
-        verify_automorphism_compat(
-            p, a_rows, endomorphisms=("I", "J", "K"), bilinears=("h",)
-        )
-    )
-    assert all(results.values())
-    # flipping one sign breaks the isometry
-    bad = [[x for x in row] for row in a_rows]
-    bad[0][0] = -bad[0][0]
-    results_bad = dict(verify_automorphism_compat(p, bad, bilinears=("h",)))
-    assert not results_bad["isometry of h"]
+def test_lemma61_automorphism_checks():
+    """lemma61's A has determinant 1, commutes with I, J and K and is an
+    isometry of h, as its own checks decide; with A's (1,1) entry negated
+    the isometry check fails."""
+    data = json.loads(builtin("lemma61").to_json())
+    wanted = {"det-one", "A-commutes-I", "A-commutes-J", "A-commutes-K", "A-isometry-h"}
+    data["checks"] = [c for c in data["checks"] if c["id"] in wanted]
+    verdicts = {o.check_id: o.verdict for o in run_check(Manifest(data)).outcomes}
+    assert verdicts == {"jacobi-gate": "pass", **dict.fromkeys(wanted, "pass")}
+    a = data["endomorphisms"]["A"]
+    a[0][0] = str(-int(a[0][0]))
+    verdicts = {o.check_id: o.verdict for o in run_check(Manifest(data)).outcomes}
+    assert verdicts["A-isometry-h"] == "fail"
 
 
 def test_builtin_unknown_name():

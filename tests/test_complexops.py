@@ -33,7 +33,6 @@ from hermitia.complexops import (
     ComplexModel,
     IntegrabilityError,
     bidegree,
-    coframe_10,
     dc,
     del_,
     delbar,
@@ -98,7 +97,7 @@ def test_nijenhuis_failure_with_witness():
 
 
 def test_coframe_hk12_matches_convention(hk12_I):
-    etas = coframe_10(hk12_I)
+    etas = hk12_I.model().eta_forms
     p = hk12_I.presentation
     i = p.table.i
 
@@ -116,13 +115,13 @@ def test_coframe_hk12_matches_convention(hk12_I):
 def test_coframe_abelian2():
     a2 = abelian(2)
     J = AlmostComplexStructure.from_action(a2, {1: "e2"})
-    (eta,) = coframe_10(J)
+    (eta,) = J.model().eta_forms
     assert eta == a2.generator(1) + a2.table.i * a2.generator(2)
 
 
 def test_coframe_defining_property(solv8_I):
     # eta(JX) = i eta(X), i.e. eta o J = i eta
-    for eta in coframe_10(solv8_I):
+    for eta in solv8_I.model().eta_forms:
         assert solv8_I.pullback_one_form(eta) == solv8_I.presentation.table.i * eta
 
 
@@ -135,7 +134,7 @@ def test_pullback_one_form_refuses_other_degrees(solv8_I, degrees):
 
 
 def test_coframe_solv8_spans_top_form(solv8_I):
-    etas = coframe_10(solv8_I)
+    etas = solv8_I.model().eta_forms
     assert len(etas) == 4
     all_forms = etas + [e.conjugate() for e in etas]
     top = wedge_all(all_forms)
@@ -263,7 +262,7 @@ def test_weil_operator_fixes_real_11(solv8_I):
 
 
 def test_conjugate_of_coframe(hk12_I):
-    etas = coframe_10(hk12_I)
+    etas = hk12_I.model().eta_forms
     p = hk12_I.presentation
     assert etas[0].conjugate() == p.generator(1) - p.table.i * p.generator(3)
 

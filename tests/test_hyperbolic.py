@@ -14,8 +14,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_rows, is_zero_matrix, mat_mul, perfbench, poly_mul
+from hermitia import hyperbolic
 from hermitia.hyperbolic import (
     Classification,
+    InvariantClassReport,
     LatticeError,
     PowerIterationError,
     QuadraticLattice,
@@ -28,6 +30,7 @@ from hermitia.hyperbolic import (
     _min_poly_factor_for_interval,
     _moved_core,
     _quad_q_value,
+    _shifted,
     _times_x_minus_one,
     cauchy_bound,
     char_poly,
@@ -1849,3 +1852,83 @@ def test_classify_with_one_fixed_coordinate():
     assert cert["eigenvalue_one_q_values"] == ["-1", "0"]
     assert [Fraction(c) for c in cert["repeated_factor"]] == poly_mul(
         [Fraction(c) for c in old["repeated_factor"]], [Fraction(-1), Fraction(1)])
+
+
+def invariant_classes_reference(m, lattice):
+    """``invariant_classes`` built from ``classify``'s whole answer: its
+    label, then the kernel of the whole of M - I."""
+    label = classify(m, lattice).label
+    ker = kernel_basis(_shifted(_exact(m), 1))
+    qv = [lattice.value(v) for v in ker]
+    if label != "hyperbolic":
+        return InvariantClassReport(ker, qv, None, None, label, None)
+    if not ker:
+        return InvariantClassReport(ker, qv, (0, 0, 0), True, label, False)
+    sig = QuadraticLattice([[lattice.value(v, w) for w in ker] for v in ker]).signature
+    negdef = sig == (0, len(ker), 0)
+    return InvariantClassReport(ker, qv, sig, negdef, label, not negdef)
+
+
+def _embedded_pair(case):
+    gram, m, k, perm, sign = case
+    return _embed(gram, k, -1, perm, sign), _embed(m, k, 1, perm, sign)
+
+
+@PROPERTY
+@given(pair=st.one_of(conjugated_isometries(), embedded_isometries().map(_embedded_pair)))
+def test_invariant_classes_matches_classify_and_the_whole_kernel(pair):
+    """On isometries of every label, with fixed coordinates or with
+    denominators, and on the refused definite and signature (2, 1) forms,
+    ``invariant_classes`` answers as ``classify``'s label and the kernel of
+    the whole of M - I do, or raises what they raise."""
+    gram, m = pair
+    got = _outcome(lambda: invariant_classes(m, QuadraticLattice(gram)))
+    assert repr(got) == repr(_outcome(lambda: invariant_classes_reference(m, QuadraticLattice(gram))))
+
+
+def _known_defect_isometry():
+    """The 10-dim product of 12 reflections, roots drawn from Random(0) with
+    entries in -2..2 and square -1 or -2, whose entries reach 2e10."""
+    rng, n = random.Random(0), 10
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(12):
+        while True:
+            r = [rng.randint(-2, 2) for _ in range(n)]
+            q = r[0] ** 2 - sum(x * x for x in r[1:])
+            if q in (-1, -2):
+                break
+        gr = [r[0]] + [-x for x in r[1:]]
+        refl = [[int(i == j) - 2 * r[i] * gr[j] // q for j in range(n)] for i in range(n)]
+        m = [[sum(m[i][k] * refl[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return m
+
+
+def test_invariant_classes_needs_no_eigenvector():
+    """On an isometry whose numeric eigenvector ``classify`` refuses (its
+    residual bound is absolute), ``invariant_classes`` still answers: it
+    reads the decision and the label, not the certificate."""
+    m = _known_defect_isometry()
+    lattice = QuadraticLattice(lorentz_gram(10))
+    assert max(abs(x) for row in m for x in row) > 10**10
+    with pytest.raises(LatticeError, match=r"^numeric eigenvector residual .* above 1e-10$"):
+        classify(m, lattice)
+    rep = invariant_classes(m, lattice)
+    assert rep == InvariantClassReport([], [], (0, 0, 0), True, "hyperbolic", False)
+
+
+def test_power_iterate_refusal_decides_once(monkeypatch):
+    """A refusal names the label of the one decision it made: one Berkowitz
+    run, cold or after ``classify`` recorded a verdict that is not
+    hyperbolic."""
+    runs = []
+    real = hyperbolic._berkowitz
+    monkeypatch.setattr(hyperbolic, "_berkowitz", lambda a: runs.append(a) or real(a))
+    lattice = QuadraticLattice(LORENTZ_3)
+    with pytest.raises(PowerIterationError, match="^no dominant eigenvalue: isometry is elliptic$"):
+        power_iterate(ROT_3, lattice)
+    assert len(runs) == 1
+    classify(ROT_3, lattice)
+    runs.clear()
+    with pytest.raises(PowerIterationError, match="^no dominant eigenvalue: isometry is elliptic$"):
+        power_iterate(ROT_3, lattice)
+    assert len(runs) == 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -704,18 +705,20 @@ def test_cli_check_power_past_the_monomial_limit_exit_two(tmp_path, capsys, powe
 
 def test_cli_check_power_through_a_related_symbol_exit_two(tmp_path, capsys):
     """(1+s)^(10^9) with s^2 = 2 has one monomial but coefficients of about
-    3.8e8 digits: it is refused, unbuilt, when the manifest materializes,
-    with exit 2 and one line."""
-    data = json.loads(builtin("AT4").to_json())
-    data["symbols"].append({"name": "s", "relation": {"power": 2, "rhs": "2"}})
-    data["differential"]["e1"][0][0] = "(1+s)^1000000000"
-    path = tmp_path / "power.json"
-    path.write_text(json.dumps(data))
-    assert main(["check", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: manifest does not materialize: scalar too long to print: ")
-    assert len(err.splitlines()) == 1
+    3.8e8 digits, and ((1+s)/3)^(10^9) denominators of more than 1.1e8
+    digits (the norm of (1+s)/3 is -1/9): each is refused, unbuilt, when
+    the manifest materializes, with exit 2 and one line."""
+    for coefficient in ("(1+s)^1000000000", "((1+s)/3)^1000000000"):
+        data = json.loads(builtin("AT4").to_json())
+        data["symbols"].append({"name": "s", "relation": {"power": 2, "rhs": "2"}})
+        data["differential"]["e1"][0][0] = coefficient
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: manifest does not materialize: scalar too long to print: ")
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -812,6 +815,30 @@ def test_power_iterate_refuses_max_iters_below_one(max_iters):
     with pytest.raises(PowerIterationError) as err:
         power_iterate([[3, 4], [2, 3]], QuadraticLattice([[1, 0], [0, -2]]), max_iters=max_iters)
     assert str(err.value) == f"max_iters must be at least 1, got {max_iters}"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_power_tol_not_finite_and_positive_exit_two(tmp_path, capsys, value):
+    """A tol of inf would accept the first iterate as converged, and one of
+    0, -1 or nan would accept none: each is a usage error naming --tol."""
+    args = ["power", "--tol", value]
+    for opt, content in {"--gram": "[[1,0],[0,-2]]", "--matrix": "[[3,4],[2,3]]"}.items():
+        path = tmp_path / f"{opt[2:]}.json"
+        path.write_text(content)
+        args += [opt, str(path)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    message = f"error: --tol: expected a finite positive number, got {float(value)}\n"
+    assert (out, err) == ("", message)
+
+
+@pytest.mark.parametrize("tol", [0, -1.0, math.nan, math.inf])
+def test_power_iterate_refuses_tol_not_finite_and_positive(tol):
+    from hermitia.hyperbolic import PowerIterationError, QuadraticLattice, power_iterate
+
+    with pytest.raises(PowerIterationError) as err:
+        power_iterate([[3, 4], [2, 3]], QuadraticLattice([[1, 0], [0, -2]]), tol=tol)
+    assert str(err.value) == f"tol must be finite and positive, got {tol}"
 
 
 def _lemma61_check(check_id, **params):

@@ -22,7 +22,6 @@ from hermitia.scalars import (
     _poly_mul,
     _poly_neg,
     _poly_str,
-    normalize,
     parse_expr,
 )
 
@@ -111,8 +110,9 @@ def test_conjugation(table):
 
 def test_normalize_idempotent(table):
     s = parse_expr("(1+i)*(b+s2)^2/(3-b)", table)
-    assert normalize(s) == s
-    assert normalize(normalize(s)) == normalize(s)
+    again = Scalar(s.table, s.num, s.den)
+    assert again == s
+    assert Scalar(again.table, again.num, again.den) == again
 
 
 def test_zero_unique_representation(table):
@@ -418,7 +418,7 @@ def test_ring_axioms(x, y, z):
 @settings(max_examples=150, deadline=None)
 @given(scalars())
 def test_normalize_involution_and_conjugate(x):
-    assert normalize(normalize(x)) == normalize(x)
+    assert Scalar(x.table, x.num, x.den) == x
     assert x.conjugate().conjugate() == x
 
 
@@ -737,14 +737,48 @@ def test_power_through_a_related_symbol_is_sized():
     assert str(table.scalar("(3*s)^100")) == str(3**100 * 2**50)
 
 
-_RELATED = [[("s", (2, "2"))], [("s", (3, "2"))], [("s", (2, "-3"))],
-            [("s", (2, "2")), ("r", (3, "s+1"))]]
+def test_power_with_growing_denominators_over_a_related_symbol_is_sized():
+    """With s^2 = 2, |(1+s)/3| is below 1 at both roots, so no numerator
+    grows, but its norm -1/9 shrinks the product of the denominators' lcm
+    with the norm of the power: ((1+s)/3)^(10^9) is refused unbuilt, and
+    ((1+s)/3)^100 builds and prints as (1+s)^100 over 3^100.  The norm
+    bounds nothing over the reducible tower s^2 = 2, u^2 = 3, t^2 = 6,
+    where a zero divisor vanishes at some roots, nor over a right side
+    that vanishes at some roots: those powers build as they print."""
+    table = SymbolTable([Symbol("s", relation=(2, "2"))])
+    with pytest.raises(ScalarError, match=r"^scalar too long to print: a power would have"):
+        scalars_module.check_power_size(table.scalar("(1+s)/3"), 10**9)
+    x, y = 1, 0
+    for _ in range(100):
+        x, y = x + 2 * y, x + y
+    text = f"{Fraction(x, 3**100)}+{Fraction(y, 3**100)}*s"
+    assert str(table.scalar("((1+s)/3)^100")) == text
+    tower = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("u", relation=(2, "3")),
+                         Symbol("t", relation=(2, "6"))])
+    for text in ("t-s*u", "(t-s*u)/5"):
+        c = tower.scalar(text)
+        written = [n for x in (c**100).num.values() for n in (x.numerator, x.denominator)]
+        assert scalars_module.power_digits(c, 100) < max(len(str(abs(n))) for n in written)
+    # the idempotent e = (1 + s*u*t/6) / 2 is 0 at half the roots
+    assert str(tower.scalar("((1+s*u*t/6)/2)^1000000")) == "1/2+1/12*s*u*t"
+    # r^2 = t - s*u is 0 at half the roots, where a float root is off by
+    # 1e-8, and q = e r + 1 - e, for e = 1 there, has q^k = 1 - e for k >= 2
+    tower = SymbolTable([Symbol("s", relation=(2, "2")), Symbol("u", relation=(2, "3")),
+                         Symbol("t", relation=(2, "6")), Symbol("r", relation=(2, "t-s*u"))])
+    q = "1/2+1/2*r-1/12*s*u*t+1/12*s*u*t*r"
+    assert str(tower.scalar(f"({q})^1000000")) == "1/2-1/12*s*u*t"
+
+
+_RELATED = [[("s", (2, "2"))], [("s", (3, "2"))], [("s", (2, "-3"))], [("s", (2, "1/2"))],
+            [("s", (2, "2")), ("r", (3, "s+1"))],
+            [("s", (2, "2")), ("u", (2, "3")), ("t", (2, "6"))]]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     related=st.sampled_from(_RELATED),
-    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    coeffs=st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                    min_size=1, max_size=8),
     d=st.integers(1, 9),
     k=st.integers(1, 30),
     times_i=st.booleans(),
@@ -753,9 +787,11 @@ _RELATED = [[("s", (2, "2"))], [("s", (3, "2"))], [("s", (2, "-3"))],
 def test_property_power_digits_over_related_symbols_is_a_lower_bound(
         related, coeffs, d, k, times_i, monomial):
     """Some integer printed in c^k has more digits than ``power_digits``
-    says, for c a combination of the reduced monomials of one or two
-    related symbols over d, times i or not, times a free monomial or not;
-    s^2 = -3 holds the cube roots of unity, whose powers do not grow."""
+    says, for c a combination with rational coefficients of the reduced
+    monomials of one to three related symbols over d, times i or not, times
+    a free monomial or not; s^2 = -3 holds the cube roots of unity, whose
+    powers do not grow, s^2 = 1/2 a right side with a denominator, and
+    s^2 = 2, u^2 = 3, t^2 = 6 a reducible tower with zero divisors."""
     table = SymbolTable([Symbol("x")] + [Symbol(n, relation=rel) for n, rel in related])
     basis = [table.one]
     for name, (n, _rhs) in related:

@@ -435,8 +435,7 @@ def test_forms_have_one_conjugation():
                         builders.add(where)
             if "conjugate_terms" in _called(fn):
                 askers.add(where)
-    assert defined == {"cealg.py:Form.conjugate", "scalars.py:Scalar.conjugate",
-                       "scalars.py:conjugate"}, defined
+    assert defined == {"cealg.py:Form.conjugate", "scalars.py:Scalar.conjugate"}, defined
     assert builders == {"cealg.py:Form.conjugate"}, builders
     assert askers == {"cealg.py:Form.conjugate"}, askers
 
@@ -473,3 +472,37 @@ def test_hyperbolic_decides_hyperbolicity_once():
     assert not _called(fns["power_iterate"]) & kernels
     assert "verify_isometry" not in _called(fns["invariant_classes"])
     assert "squarefree_part" not in _called(fns["spectral_radius_interval"])
+
+
+def test_hyperbolic_answers_from_one_decision():
+    """``invariant_classes`` and ``power_iterate``'s refusal read the label
+    of ``_decide``'s decision (``_label``, the one place that evaluates
+    r(M_S)), never ``classify``'s certificate, and take M - I's kernel from
+    the moved core: inside ``hyperbolic.py`` only ``_eigenvalue_one_space``
+    calls ``kernel_basis``."""
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    fns = dict(_functions(tree))
+    for name in ("invariant_classes", "power_iterate"):
+        assert not _called(fns[name]) & {"classify", "kernel_basis"}, name
+        assert {"_decide", "_label"} <= _called(fns[name]), name
+    assert {name for name, fn in fns.items()
+            if "kernel_basis" in _called(fn)} == {"_eigenvalue_one_space"}
+    assert not {name for name in ("classify", "invariant_classes", "power_iterate")
+                if "_horner" in _called(fns[name])}
+    assert "_horner" in _called(fns["_label"])
+
+
+def test_pass_through_names_are_gone():
+    """Each deleted wrapper had a direct equivalent: the lemma61 check
+    kinds, ``J.model().eta_forms``, ``Scalar`` itself and the methods
+    ``Scalar.conjugate``, ``Scalar.evaluate`` and
+    ``LieAlgebraPresentation.jacobi_check``."""
+    import hermitia
+    from hermitia import builders, cealg, complexops, scalars
+
+    gone = {builders: ["verify_automorphism_compat"], complexops: ["coframe_10"],
+            scalars: ["normalize", "conjugate", "evaluate"], cealg: ["jacobi_check"]}
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert not hasattr(hermitia, name), name
